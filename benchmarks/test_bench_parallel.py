@@ -20,8 +20,10 @@ from repro.experiments.scenario import PaperScenario, ScenarioConfig
 
 from benchmarks.conftest import PAPER_SEED, write_report
 
-#: The stages the executor backends actually parallelise; ``observe``
-#: is inherently sequential (one global event stream) and excluded.
+#: The analysis stages timed against the process backend: ``enrich``
+#: maps its sandbox executions through the executor, ``epm`` and
+#: ``bcluster`` run their batch kernels in-process.  ``observe`` is
+#: inherently sequential (one global event stream) and excluded.
 PARALLEL_STAGES = ("enrich", "epm", "bcluster")
 
 

@@ -15,8 +15,7 @@
 
 All commands accept ``--seed`` (default 2010), ``--scale`` (default 1.0)
 and ``--weeks`` (default 74), plus ``--executor {serial,thread,process}``
-and ``--jobs N`` to pick the parallel backend, ``--columnar`` /
-``--no-columnar`` to toggle the batch kernels, ``--shards N`` to stream
+and ``--jobs N`` to pick the parallel backend, ``--shards N`` to stream
 observation through N time-slice shards, ``--timings`` to print
 the per-stage trace tree, and ``--cache`` / ``--no-cache`` to reuse a
 previously built scenario from the artifact cache.  With ``--cache``
@@ -119,15 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             help="worker count for parallel backends (0 = one per core)",
-        )
-        p.add_argument(
-            "--columnar",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="run the batch (columnar/vectorized) kernels for "
-            "invariant discovery and LSH clustering; --no-columnar "
-            "falls back to the scalar reference paths (bit-identical "
-            "artifacts either way)",
         )
         p.add_argument(
             "--shards",
@@ -769,7 +759,6 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
         events_backups=args.events_backups,
         ring=args.ring,
         progress=args.progress,
-        columnar=args.columnar,
         shards=args.shards,
         windows=args.windows,
     )

@@ -11,20 +11,13 @@ cross-dimension conveniences: per-sample M-cluster lookup, per-event
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.core.classifier import DimensionClustering
 from repro.core.features import Dimension, FeatureSet, default_feature_sets
-from repro.core.invariants import (
-    InvariantPolicy,
-    Observation,
-    discover_invariants,
-    discover_invariants_columnar,
-)
+from repro.core.invariants import InvariantPolicy, discover_invariants_columnar
 from repro.core.patterns import PatternSet
 from repro.egpm.dataset import SGNetDataset
 from repro.obs import metrics as obs_metrics
-from repro.util.parallel import Executor, SerialExecutor
 from repro.util.validation import require
 
 
@@ -108,9 +101,8 @@ class EPMClustering:
         min_pattern_support: int = 1,
     ) -> None:
         self.policy = policy or InvariantPolicy()
-        #: Whether the default feature sets are in play — they can be
-        #: rebuilt inside a worker process, while custom ones may carry
-        #: closures that cannot cross a process boundary.
+        #: Whether the default feature sets are in play — the dataset
+        #: caches its columnar view over exactly those.
         self._default_feature_sets = feature_sets is None
         self.feature_sets = feature_sets or default_feature_sets()
         require(min_pattern_support >= 1, "min_pattern_support must be >= 1")
@@ -119,30 +111,13 @@ class EPMClustering:
     def fit_dimension(
         self, dataset: SGNetDataset, feature_set: FeatureSet
     ) -> DimensionClustering:
-        """Run phases 2-4 for one dimension."""
-        observations: list[Observation] = []
-        instances: dict[int, tuple] = {}
-        for event in dataset.events:
-            if not feature_set.applies_to(event):
-                continue
-            values = feature_set.extract(event)
-            observations.append((values, int(event.source), int(event.sensor)))
-            instances[event.event_id] = values
-        invariants = discover_invariants(
-            observations, feature_set.names, self.policy
-        )
-        pattern_set = PatternSet.discover(
-            (values for values, _s, _d in observations),
-            invariants,
-            min_support=self.min_pattern_support,
-        )
-        return DimensionClustering(
-            dimension=feature_set.dimension,
-            feature_names=feature_set.names,
-            invariants=invariants,
-            pattern_set=pattern_set,
-            instances=instances,
-        )
+        """Run phases 2-4 for one dimension.
+
+        Builds the one-dimension columnar view of ``dataset`` and
+        delegates to :meth:`fit_dimension_columnar`.
+        """
+        store = dataset.to_columnar({feature_set.dimension: feature_set})
+        return self.fit_dimension_columnar(store.dimensions[feature_set.dimension])
 
     def fit_dimension_columnar(self, columns) -> DimensionClustering:
         """Run phases 2-4 for one dimension from its columnar view.
@@ -150,9 +125,11 @@ class EPMClustering:
         ``columns`` is a :class:`~repro.egpm.columnar.DimensionColumns`.
         Invariant discovery runs as the vectorized kernel over the code
         matrix; pattern discovery and classification consume the decoded
-        value tuples, which are exactly what :meth:`fit_dimension`
-        extracts event by event — so the resulting clustering is
-        value-for-value identical to the row-wise path.
+        value tuples, which are exactly what ``FeatureSet.extract``
+        returns event by event — so the resulting clustering is
+        value-for-value identical to the row-wise reference
+        (:func:`~repro.core.invariants.discover_invariants` over the
+        extracted observations).
         """
         value_tuples = columns.value_tuples()
         invariants = discover_invariants_columnar(
@@ -174,66 +151,21 @@ class EPMClustering:
             instances=dict(zip(columns.event_ids.tolist(), value_tuples)),
         )
 
-    def fit(
-        self,
-        dataset: SGNetDataset,
-        *,
-        executor: Executor | None = None,
-        columnar: bool = False,
-    ) -> EPMResult:
+    def fit(self, dataset: SGNetDataset) -> EPMResult:
         """Run EPM clustering over all three dimensions.
 
-        The dimension fits are independent, so a parallel ``executor``
-        runs them concurrently; each fit is a pure function of
-        ``(dataset, feature_set, policy)``, so results are bit-identical
-        on every backend.  Custom feature sets (which may close over
-        local state) fall back to in-process fitting under the process
-        backend.  With ``columnar=True`` the fits run in-process over
-        the dataset's columnar view and the vectorized invariant
-        kernel — same results, one batch aggregation instead of a
-        Python loop per event.
+        Each dimension is fitted from the dataset's columnar view with
+        :meth:`fit_dimension_columnar`.
         """
         require(len(dataset) > 0, "cannot cluster an empty dataset")
-        executor = executor or SerialExecutor()
+        store = dataset.to_columnar(
+            None if self._default_feature_sets else self.feature_sets
+        )
         dimensions = list(self.feature_sets)
-        if columnar:
-            store = dataset.to_columnar(
-                None if self._default_feature_sets else self.feature_sets
-            )
-            fitted = [
-                self.fit_dimension_columnar(store.dimensions[dimension])
-                for dimension in dimensions
-            ]
-            return self._record_result(dimensions, fitted)
-        # Every backend takes the same executor.map path (so the
-        # chunk-level ``executor.*`` telemetry and events agree across
-        # serial/thread/process); only the worker callable differs.
-        # Default feature sets pickle as a module-level partial; custom
-        # feature sets may close over local state, so they use a
-        # closure on in-process backends and fall back to a sequential
-        # fit only under the process backend, where they cannot ship.
-        if self._default_feature_sets:
-            fitted = executor.map(
-                partial(
-                    _fit_default_dimension,
-                    dataset,
-                    self.policy,
-                    self.min_pattern_support,
-                ),
-                dimensions,
-            )
-        elif executor.backend == "process":
-            fitted = [
-                self.fit_dimension(dataset, self.feature_sets[dimension])
-                for dimension in dimensions
-            ]
-        else:
-            fitted = executor.map(
-                lambda dimension: self.fit_dimension(
-                    dataset, self.feature_sets[dimension]
-                ),
-                dimensions,
-            )
+        fitted = [
+            self.fit_dimension_columnar(store.dimensions[dimension])
+            for dimension in dimensions
+        ]
         return self._record_result(dimensions, fitted)
 
     def _record_result(
@@ -242,9 +174,8 @@ class EPMClustering:
         fitted: list[DimensionClustering],
     ) -> EPMResult:
         result = EPMResult(dimensions=dict(zip(dimensions, fitted)), policy=self.policy)
-        # Recorded post-gather from the fitted artifacts, so the counts
-        # are identical on every backend (per-chunk worker telemetry is
-        # captured and merged separately by the executor layer).
+        # Recorded from the fitted artifacts, so the counts are a pure
+        # function of the clustering.
         registry = obs_metrics.active()
         for dimension, clustering in result.dimensions.items():
             label = dimension.value
@@ -260,15 +191,3 @@ class EPMClustering:
             registry.gauge("epm.clusters", dimension=label).set(clustering.n_clusters)
         return result
 
-
-def _fit_default_dimension(
-    dataset: SGNetDataset,
-    policy: InvariantPolicy,
-    min_pattern_support: int,
-    dimension: Dimension,
-) -> DimensionClustering:
-    """Process-pool worker: rebuild the default feature set locally and fit."""
-    clustering = EPMClustering(
-        policy=policy, min_pattern_support=min_pattern_support
-    )
-    return clustering.fit_dimension(dataset, default_feature_sets()[dimension])

@@ -16,18 +16,11 @@ most-specific match, which makes the common case O(1).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from repro.core.invariants import InvariantStats
-from repro.obs import metrics as obs_metrics
 from repro.util.validation import require
-
-#: Default bound on the per-set memo of linear-scan results (instances
-#: whose own mask is absent from the set).  Small on purpose: the memo
-#: exists for hot-path *repeats*, not as a second pattern store.
-DEFAULT_SCAN_CACHE_SIZE = 1024
 
 
 class _Wildcard:
@@ -99,25 +92,13 @@ class _RankedPattern:
 class PatternSet:
     """The discovered patterns of one dimension, ready for classification."""
 
-    def __init__(
-        self,
-        patterns: dict[Pattern, int],
-        *,
-        scan_cache_size: int = DEFAULT_SCAN_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, patterns: dict[Pattern, int]) -> None:
         require(len(patterns) > 0, "PatternSet cannot be empty")
-        require(scan_cache_size >= 0, "scan_cache_size must be >= 0")
         self._support = dict(patterns)
         self._ranked = sorted(
             (_RankedPattern(p, s) for p, s in patterns.items()),
             key=lambda rp: rp.sort_key,
         )
-        # Bounded LRU memo of linear-scan results, keyed by the raw
-        # instance tuple.  The scan depends only on (values, _ranked) —
-        # never on the invariants argument — so memoizing by values is
-        # bit-identical to rescanning, whatever invariants are passed.
-        self._scan_cache_size = scan_cache_size
-        self._scan_cache: OrderedDict[Pattern, Pattern] = OrderedDict()
 
     @classmethod
     def discover(
@@ -167,34 +148,20 @@ class PatternSet:
     ) -> Pattern:
         """Phase 4: the most specific pattern matching ``values``.
 
-        Fast path: the instance's own mask, when present.  Otherwise a
-        bounded LRU memo of previous scan results is consulted before
-        falling back to the most-specific-first scan; the root pattern
-        guarantees a hit.
+        Fast path: the instance's own mask, when present.  Otherwise the
+        most-specific-first scan; the root pattern guarantees a hit.
         """
         masked = mask_instance(values, invariants)
         if masked in self._support:
             return masked
-        key = tuple(values)
-        cached = self._scan_cache.get(key)
-        if cached is not None:
-            self._scan_cache.move_to_end(key)
-            obs_metrics.active().counter("classify.scan_cache_hit").inc()
-            return cached
-        obs_metrics.active().counter("classify.scan_cache_miss").inc()
-        result = self.scan_classify(key)
-        if self._scan_cache_size:
-            self._scan_cache[key] = result
-            if len(self._scan_cache) > self._scan_cache_size:
-                self._scan_cache.popitem(last=False)
-        return result
+        return self.scan_classify(values)
 
     def scan_classify(self, values: Sequence[Hashable]) -> Pattern:
         """The pure linear reference path: scan the ranked list,
-        most specific first, no fast path, no memo.  This is the
-        semantics every accelerated path (the own-mask shortcut, the
-        LRU memo, :class:`~repro.core.pattern_index.PatternIndex`)
-        must reproduce bit for bit."""
+        most specific first, no fast path.  This is the semantics every
+        accelerated path (the own-mask shortcut,
+        :class:`~repro.core.pattern_index.PatternIndex`) must reproduce
+        bit for bit."""
         for ranked in self._ranked:
             if pattern_matches(ranked.pattern, values):
                 return ranked.pattern

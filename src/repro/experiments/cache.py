@@ -71,7 +71,9 @@ log = get_logger("experiments.cache")
 #:    events_max_bytes/events_backups/ring (execution-only),
 #:    MetricsSnapshot grew sketches/watermarks (schema 2), RunManifest
 #:    grew event_drops (schema 6).
-CACHE_FORMAT = 8
+#: 9: one execution path per kernel — ScenarioConfig lost columnar and
+#:    PatternSet lost its scan memo (incompatible pickles).
+CACHE_FORMAT = 9
 
 #: ScenarioConfig fields that cannot change results, only how fast they
 #: are computed or what telemetry they emit; they never contribute to
@@ -86,7 +88,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "events_backups",
         "ring",
         "progress",
-        "columnar",
         "shards",
         "windows",
     }

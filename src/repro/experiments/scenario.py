@@ -66,8 +66,8 @@ class ScenarioConfig:
     invariant_policy: InvariantPolicy = field(default_factory=InvariantPolicy)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     sandbox: SandboxConfig = field(default_factory=SandboxConfig)
-    #: Parallel backend for sandbox execution, E/P/M fits and LSH
-    #: verification: "serial", "thread" or "process".
+    #: Parallel backend for sandbox execution and sharded attempt
+    #: construction: "serial", "thread" or "process".
     executor: str = "serial"
     #: Worker count for parallel backends; 0 = one worker per core.
     jobs: int = 0
@@ -93,12 +93,6 @@ class ScenarioConfig:
     #: Render live per-stage progress (item counts, ETA) to stderr
     #: while the pipeline runs.  Execution-only, off by default.
     progress: bool = False
-    #: Run the batch (columnar / vectorized) kernels for invariant
-    #: discovery and LSH signature+verification.  Execution-only: the
-    #: kernels are bit-identical to the scalar paths (the property tests
-    #: and the CI digest-identity check enforce it), so both settings
-    #: share one cache fingerprint.
-    columnar: bool = True
     #: Number of time-slice shards the observation stage streams the
     #: landscape through (0 = unsharded single pass).  Execution-only:
     #: shards are processed in global time order and every per-event

@@ -196,11 +196,8 @@ def observe_sharded(
 
     dataset = SGNetDataset()
     builder = ColumnarBuilder()
-    classify_memo: dict[tuple, int] = {}
     for observation in staged:
-        builder.add_event(
-            deployment.add_final_event(dataset, classify_memo, observation)
-        )
+        builder.add_event(deployment.add_final_event(dataset, observation))
     dataset.adopt_columnar(builder.build())
     deployment.emit_dataset_metrics(dataset)
     return dataset

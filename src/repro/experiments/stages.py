@@ -155,9 +155,7 @@ def _annotate_enrich(ctx: StageContext, span) -> None:
 
 
 def _compute_epm(ctx: StageContext) -> None:
-    epm = EPMClustering(policy=ctx.config.invariant_policy).fit(
-        ctx["dataset"], executor=ctx.executor, columnar=ctx.config.columnar
-    )
+    epm = EPMClustering(policy=ctx.config.invariant_policy).fit(ctx["dataset"])
     ctx.artifacts["epm"] = epm
     bus = obs_events.active_bus()
     counts = epm.counts()
@@ -174,11 +172,7 @@ def _annotate_epm(ctx: StageContext, span) -> None:
 
 
 def _compute_bcluster(ctx: StageContext) -> None:
-    bclusters = ctx["anubis"].cluster(
-        ctx.config.clustering,
-        executor=ctx.executor,
-        vectorize=ctx.config.columnar,
-    )
+    bclusters = ctx["anubis"].cluster(ctx.config.clustering)
     ctx.artifacts["bclusters"] = bclusters
     obs_events.active_bus().emit(
         "cluster.milestone", perspective="b", clusters=bclusters.n_clusters

@@ -154,9 +154,8 @@ class SGNetDeployment:
         self.gateway.finalize()
 
         dataset = SGNetDataset()
-        classify_memo: dict[tuple, int] = {}
         for observation in staged:
-            self.add_final_event(dataset, classify_memo, observation)
+            self.add_final_event(dataset, observation)
         self.emit_dataset_metrics(dataset)
         return dataset
 
@@ -204,23 +203,17 @@ class SGNetDeployment:
         )
 
     def add_final_event(
-        self,
-        dataset: SGNetDataset,
-        classify_memo: dict[tuple, int],
-        observation: StagedObservation,
+        self, dataset: SGNetDataset, observation: StagedObservation
     ) -> AttackEvent:
         """Pass B for one staged observation: final FSM path + event.
 
         Must run after :meth:`Gateway.finalize`; re-classifies the
-        conversation against the final FSM (memoised per distinct
-        conversation) and appends the finished event to ``dataset``.
-        Returns the event so callers can also stream it into a columnar
-        builder (see :mod:`repro.experiments.shards`).
+        conversation against the final FSM and appends the finished
+        event to ``dataset``.  Returns the event so callers can also
+        stream it into a columnar builder (see
+        :mod:`repro.experiments.shards`).
         """
-        final_path = classify_memo.get(observation.conversation)
-        if final_path is None:
-            final_path = self.gateway.classify(observation.conversation)
-            classify_memo[observation.conversation] = final_path
+        final_path = self.gateway.classify(observation.conversation)
         event = AttackEvent(
             event_id=dataset.next_event_id(),
             timestamp=observation.timestamp,

@@ -100,12 +100,9 @@ METRIC_CATALOGUE: dict[str, str] = {
     "events.dropped": "counter",
     "events.interarrival": "sketch",
     # classification serving (labelled by dimension=epsilon|pi|mu where
-    # noted; emitted by repro.serve.classifier and the PatternSet
-    # scan-result memo, never by scenario runs)
+    # noted; emitted by repro.serve.classifier, never by scenario runs)
     "classify.requests": "counter",
     "classify.batch_rows": "counter",
-    "classify.scan_cache_hit": "counter",
-    "classify.scan_cache_miss": "counter",
     "classify.latency": "sketch",
 }
 

@@ -135,14 +135,6 @@ class AnubisService:
         """MD5 -> current profile, for clustering."""
         return {md5: report.profile for md5, report in self._reports.items()}
 
-    def cluster(
-        self,
-        config: ClusteringConfig | None = None,
-        *,
-        executor: Executor | None = None,
-        vectorize: bool = True,
-    ) -> BehaviorClustering:
+    def cluster(self, config: ClusteringConfig | None = None) -> BehaviorClustering:
         """Run the scalable B-clustering over all analysed samples."""
-        return cluster_lsh(
-            self.profiles(), config, executor=executor, vectorize=vectorize
-        )
+        return cluster_lsh(self.profiles(), config)

@@ -20,7 +20,6 @@ tests and the scalability benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import current_tracer
 from repro.sandbox.behavior import BehaviorProfile
 from repro.sandbox.lsh import LSHIndex, MinHasher
-from repro.util.parallel import Executor
 from repro.util.stats import jaccard
 from repro.util.validation import require, require_probability
 
@@ -207,14 +205,6 @@ def cluster_exact(
     )
 
 
-def _pair_similar(
-    feature_sets: Sequence[set], threshold: float, pair: tuple[int, int]
-) -> bool:
-    """Exact-Jaccard check of one candidate pair (module-level: picklable)."""
-    i, j = pair
-    return jaccard(feature_sets[i], feature_sets[j]) >= threshold
-
-
 def _verify_pairs_vectorized(
     feature_sets: Sequence[set],
     pairs: Sequence[tuple[int, int]],
@@ -227,7 +217,7 @@ def _verify_pairs_vectorized(
     over pair chunks.  The verdict for pair ``(i, j)`` equals
     ``jaccard(feature_sets[i], feature_sets[j]) >= threshold`` bit for
     bit: intersection and union are the same integers, and the float
-    division is the same IEEE-754 operation the scalar path performs.
+    division is the same IEEE-754 operation :func:`jaccard` performs.
     """
     vocabulary: dict = {}
     rows = [
@@ -263,29 +253,16 @@ def _verify_pairs_vectorized(
 def cluster_lsh(
     profiles: Mapping[str, BehaviorProfile],
     config: ClusteringConfig | None = None,
-    *,
-    executor: Executor | None = None,
-    vectorize: bool = True,
 ) -> BehaviorClustering:
     """Scalable clustering: LSH candidates + exact verification + union-find.
 
-    With ``vectorize=True`` (the default) the hot paths run as batch
-    numpy kernels: MinHash signatures come from one
-    :meth:`~repro.sandbox.lsh.MinHasher.signature_matrix` call and
-    candidate pairs are verified with packed-bit intersection counts —
-    both bit-identical to the scalar paths, so cluster assignments and
-    the ``n_exact_comparisons`` counter match the ``executor`` path
-    exactly (every candidate pair is verified).
-
-    With ``vectorize=False`` and an ``executor`` (any backend),
-    exact-Jaccard verification of the LSH candidate pairs goes through
-    the same chunked ``executor.map`` call, so cluster assignments, the
-    comparison counter and the chunk-level ``executor.*`` telemetry are
-    all identical across serial/thread/process.  Only the scalar
-    executor-less path (``vectorize=False``, ``executor=None``) keeps
-    the legacy union-find-aware loop that skips pairs already linked
-    through earlier unions — it verifies fewer pairs, which changes the
-    counter but never the connected components.
+    The hot paths run as batch numpy kernels: MinHash signatures come
+    from one :meth:`~repro.sandbox.lsh.MinHasher.signature_matrix` call
+    and every candidate pair is verified with packed-bit intersection
+    counts — bit-identical to per-profile
+    :meth:`~repro.sandbox.lsh.MinHasher.signature` and per-pair
+    :func:`~repro.util.stats.jaccard`, the references the tests
+    compare against.
     """
     config = config or ClusteringConfig()
     tracer = current_tracer()
@@ -308,13 +285,9 @@ def cluster_lsh(
             profile = BehaviorProfile(features)
             hashed_sets.append(profile.hashed_features())
             feature_sets.append(set(features))
-        if vectorize:
-            signatures = hasher.signature_matrix(hashed_sets)
-            for i in range(len(uniques)):
-                index.add(i, tuple(int(v) for v in signatures[i]))
-        else:
-            for i, hashed in enumerate(hashed_sets):
-                index.add(i, hasher.signature(hashed))
+        signatures = hasher.signature_matrix(hashed_sets)
+        for i in range(len(uniques)):
+            index.add(i, tuple(int(v) for v in signatures[i]))
         candidates = index.candidate_pairs()
         span.set(candidate_pairs=len(candidates))
         bucket_hist = registry.histogram(
@@ -329,31 +302,15 @@ def cluster_lsh(
             bucket_sketch.observe(size)
         registry.counter("lsh.buckets_skipped").inc(index.skipped_buckets)
     uf = _UnionFind(list(range(len(uniques))))
-    comparisons = 0
+    comparisons = len(candidates)
     with tracer.span("lsh.verify") as span:
-        if vectorize and candidates:
+        if candidates:
             ordered = list(candidates)
             verdicts = _verify_pairs_vectorized(
                 feature_sets, ordered, config.threshold
             )
-            comparisons = len(candidates)
             for (i, j), similar in zip(ordered, verdicts):
                 if similar:
-                    uf.union(i, j)
-        elif executor is not None and candidates:
-            verdicts = executor.map(
-                partial(_pair_similar, feature_sets, config.threshold), candidates
-            )
-            comparisons = len(candidates)
-            for (i, j), similar in zip(candidates, verdicts):
-                if similar:
-                    uf.union(i, j)
-        else:
-            for i, j in candidates:
-                if uf.find(i) == uf.find(j):
-                    continue  # already linked; skip the exact check
-                comparisons += 1
-                if jaccard(feature_sets[i], feature_sets[j]) >= config.threshold:
                     uf.union(i, j)
         span.set(pairs_verified=comparisons)
     labels = {i: uf.find(i) for i in range(len(uniques))}

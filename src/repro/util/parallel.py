@@ -1,9 +1,9 @@
 """Deterministic parallel execution backends.
 
-Every embarrassingly-parallel stage of the pipeline (sandbox execution,
-the three E/P/M dimension fits, exact-Jaccard verification of LSH
-candidate pairs) funnels through one tiny abstraction: an *executor*
-with an order-preserving, chunked :meth:`~Executor.map`.  Three backends
+Every embarrassingly-parallel step of the pipeline (sandbox execution,
+attempt construction in sharded observation) funnels through one tiny
+abstraction: an *executor* with an order-preserving, chunked
+:meth:`~Executor.map`.  Three backends
 exist:
 
 * ``serial``  — a plain loop; the reference semantics.

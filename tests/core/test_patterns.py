@@ -155,15 +155,15 @@ class TestClassification:
         assert ranks == sorted(ranks, reverse=True)
 
 
-class TestScanCache:
-    """The bounded LRU memo over linear-scan results (serving hot path)."""
+class TestScanFallback:
+    """Instances whose own mask is absent classify through the scan."""
 
     def _novel_probe_set(self):
         # Invariants that keep every probe value, paired with a
         # hand-built set missing the probes' masks — so classify()
-        # must scan (and may memoize) rather than take the own-mask
-        # shortcut (a fully-novel probe would mask to the root, which
-        # is always present).
+        # must scan rather than take the own-mask shortcut (a
+        # fully-novel probe would mask to the root, which is always
+        # present).
         instances = [("a", "x")] * 4 + [
             ("a", value) for value in ("zz", "zz", "zz2", "zz2")
         ]
@@ -173,72 +173,15 @@ class TestScanCache:
         )
         return patterns, invariants
 
-    def test_cached_result_bit_identical(self):
+    def test_novel_probe_classifies_to_scan_answer(self):
         patterns, invariants = self._novel_probe_set()
-        probe = ("a", "zz")
-        first = patterns.classify(probe, invariants)
-        second = patterns.classify(probe, invariants)
-        assert first == second == patterns.scan_classify(probe)
+        for probe in (("a", "zz"), ("a", "zz2")):
+            answer = patterns.classify(probe, invariants)
+            assert answer == patterns.scan_classify(probe) == ("a", WILDCARD)
 
-    def test_hit_and_miss_counters(self):
-        from repro.obs import metrics as obs_metrics
-
+    def test_own_mask_fast_path(self):
         patterns, invariants = self._novel_probe_set()
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.use(registry):
-            patterns.classify(("a", "zz"), invariants)
-            patterns.classify(("a", "zz"), invariants)
-            patterns.classify(("a", "zz2"), invariants)
-        snapshot = registry.snapshot().as_dict()
-        assert snapshot["counters"]["classify.scan_cache_miss"] == 2
-        assert snapshot["counters"]["classify.scan_cache_hit"] == 1
-
-    def test_own_mask_fast_path_skips_cache(self):
-        from repro.obs import metrics as obs_metrics
-
-        patterns, invariants = self._novel_probe_set()
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.use(registry):
-            assert patterns.classify(("a", "x"), invariants) == ("a", "x")
-        assert registry.snapshot().as_dict()["counters"] == {}
-
-    def test_eviction_keeps_answers_correct(self):
-        # Every zN value is invariant (seen twice) so each probe masks
-        # to a distinct absent tuple and lands in the memo.
-        instances = [("a", "x")] * 6 + [
-            ("a", f"z{i}") for i in range(5) for _ in range(2)
-        ]
-        invariants = build_invariants(instances, 2)
-        patterns = PatternSet(
-            {("a", "x"): 6, ("a", WILDCARD): 3, (WILDCARD, WILDCARD): 0},
-            scan_cache_size=2,
-        )
-        probes = [("a", f"z{i}") for i in range(5)]
-        for _ in range(2):
-            for probe in probes:
-                assert patterns.classify(probe, invariants) == ("a", WILDCARD)
-        assert len(patterns._scan_cache) == 2
-
-    def test_zero_size_disables_memo(self):
-        from repro.obs import metrics as obs_metrics
-
-        patterns = PatternSet(
-            {("a", WILDCARD): 3, (WILDCARD, WILDCARD): 0}, scan_cache_size=0
-        )
-        instances = [("a", "x")] * 6 + [("q", "q")] * 2
-        invariants = build_invariants(instances, 2)
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.use(registry):
-            patterns.classify(("q", "q"), invariants)
-            patterns.classify(("q", "q"), invariants)
-        snapshot = registry.snapshot().as_dict()
-        assert snapshot["counters"]["classify.scan_cache_miss"] == 2
-        assert "classify.scan_cache_hit" not in snapshot["counters"]
-        assert len(patterns._scan_cache) == 0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValidationError):
-            PatternSet({(WILDCARD,): 1}, scan_cache_size=-1)
+        assert patterns.classify(("a", "x"), invariants) == ("a", "x")
 
 
 class TestTieBreaking:

@@ -40,7 +40,6 @@ def _record(**overrides):
         "backend": "serial",
         "jobs": 0,
         "shards": 0,
-        "columnar": True,
         "points": [_point(s) for s in (0.25, 1.0, 4.0, 16.0)],
         "notes": "",
     }

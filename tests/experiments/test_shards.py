@@ -178,9 +178,8 @@ class TestObserveSharded:
 
 
 class TestExecutionOnlyFields:
-    def test_columnar_and_shards_do_not_change_fingerprints(self):
+    def test_shards_do_not_change_fingerprints(self):
         base = stage_fingerprints(7, ScenarioConfig())
-        assert base == stage_fingerprints(7, ScenarioConfig(columnar=False))
         assert base == stage_fingerprints(7, ScenarioConfig(shards=8))
 
 

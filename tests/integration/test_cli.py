@@ -60,8 +60,8 @@ class TestCli:
 
 
 class TestExecutionFlags:
-    """--shards/--no-columnar change how the pipeline runs, never what
-    it computes: the headline numbers must be identical."""
+    """--shards changes how the pipeline runs, never what it computes:
+    the headline numbers must be identical."""
 
     def _headline(self, capsys, *extra):
         assert main(["headline", *COMMON, *extra]) == 0
@@ -71,9 +71,10 @@ class TestExecutionFlags:
         baseline = self._headline(capsys)
         assert self._headline(capsys, "--shards", "4") == baseline
 
-    def test_no_columnar_flag_is_result_invariant(self, capsys):
-        baseline = self._headline(capsys)
-        assert self._headline(capsys, "--no-columnar") == baseline
+    def test_no_columnar_flag_is_rejected(self):
+        # The analysis kernels have one execution path; the switch is gone.
+        with pytest.raises(SystemExit):
+            main(["run", *COMMON, "--no-columnar"])
 
 
 class TestObservabilityFlags:

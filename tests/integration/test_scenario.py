@@ -1,8 +1,12 @@
 """Integration tests for the end-to-end scenario pipeline."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.scenario import PaperScenario, ScenarioConfig
+from repro.experiments.cache import scenario_fingerprint
+from repro.experiments.scenario import PaperScenario, ScenarioConfig, config_from_canonical
 from repro.honeypot.deployment import DeploymentConfig
 from repro.util.validation import ValidationError
 
@@ -21,6 +25,21 @@ class TestScenarioConfig:
             ScenarioConfig(n_weeks=1)
         with pytest.raises(ValidationError):
             ScenarioConfig(scale=0)
+
+
+class TestStoredConfigReplay:
+    REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
+
+    def test_schema6_config_with_retired_columnar_field_replays(self):
+        manifest = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
+        assert manifest["schema"] == 6
+        # Older schema-6 manifests carry the retired ``columnar`` field;
+        # the loader drops it without moving the semantic fingerprint.
+        stored = {**manifest["config"], "columnar": True}
+        for payload in (manifest["config"], stored):
+            config = config_from_canonical(payload)
+            assert not hasattr(config, "columnar")
+            assert scenario_fingerprint(manifest["seed"], config) == manifest["fingerprint"]
 
 
 class TestScenarioRun:

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sandbox.behavior import BehaviorProfile
-from repro.sandbox.clustering import ClusteringConfig, cluster_exact, cluster_lsh
+from repro.sandbox.clustering import (
+    ClusteringConfig,
+    _verify_pairs_vectorized,
+    cluster_exact,
+    cluster_lsh,
+)
 from repro.sandbox.lsh import MinHasher
 from repro.util.stats import jaccard
 
@@ -106,3 +111,21 @@ class TestClusteringEquivalence:
         assert low.n_clusters <= high.n_clusters
         for members in high.clusters.values():
             assert len({low.assignment[m] for m in members}) == 1
+
+    @given(
+        st.lists(label_set | st.just(set()), min_size=2, max_size=15),
+        st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_verdicts_match_per_pair_jaccard(self, label_sets, threshold):
+        """The packed-bit verifier equals ``jaccard(a, b) >= t`` on every pair."""
+        feature_sets = [
+            {("file", f"obj{label}", "create") for label in labels}
+            for labels in label_sets
+        ]
+        n = len(feature_sets)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        verdicts = _verify_pairs_vectorized(feature_sets, pairs, threshold)
+        assert verdicts.tolist() == [
+            jaccard(feature_sets[i], feature_sets[j]) >= threshold for i, j in pairs
+        ]

@@ -1,9 +1,14 @@
 """Hypothesis property tests for the EPM pattern lattice."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.invariants import InvariantPolicy, discover_invariants
+from repro.core.invariants import (
+    InvariantPolicy,
+    discover_invariants,
+    discover_invariants_columnar,
+)
 from repro.core.patterns import (
     PatternSet,
     generalizes,
@@ -11,6 +16,7 @@ from repro.core.patterns import (
     pattern_matches,
     specificity,
 )
+from repro.egpm.columnar import Vocabulary
 
 #: Small alphabets make value collisions (and thus invariants) common.
 values = st.sampled_from(["a", "b", "c", "d", "e", None, 0, 1])
@@ -127,3 +133,46 @@ class TestInvariantMonotonicity:
             loose_mask = mask_instance(instance, loose)
             strict_mask = mask_instance(instance, strict)
             assert generalizes(strict_mask, loose_mask)
+
+
+class TestColumnarInvariantKernel:
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(values, values, values),
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=4),
+            ),
+            max_size=60,
+        ),
+        st.builds(
+            InvariantPolicy,
+            st.integers(min_value=1, max_value=5),
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=1, max_value=3),
+        ),
+    )
+    @settings(max_examples=100)
+    def test_columnar_kernel_matches_row_wise(self, observations, policy):
+        """The code-matrix kernel equals ``discover_invariants`` exactly."""
+        names = ["f0", "f1", "f2"]
+        vocabularies = [Vocabulary() for _ in names]
+        sources, sensors = Vocabulary(), Vocabulary()
+        codes = np.array(
+            [
+                [vocab.intern(v) for vocab, v in zip(vocabularies, row)]
+                for row, _source, _sensor in observations
+            ],
+            dtype=np.int64,
+        ).reshape(-1, len(names))
+        columnar = discover_invariants_columnar(
+            codes,
+            [sources.intern(source) for _row, source, _sensor in observations],
+            [sensors.intern(sensor) for _row, _source, sensor in observations],
+            [vocab.values() for vocab in vocabularies],
+            names,
+            policy,
+        )
+        row_wise = discover_invariants(observations, names, policy)
+        assert columnar.invariants == row_wise.invariants
+        assert columnar.support == row_wise.support
