@@ -1091,72 +1091,67 @@ def _cmd_obs_query(args: argparse.Namespace, store) -> int:
     return 0
 
 
+def _gate(args: argparse.Namespace, report, load_baseline) -> int:
+    """Print ``report``; exit 1 on findings new vs ``--baseline`` at or
+    above ``--fail-on``, 2 when the baseline cannot be read."""
+    from repro.obs.health import SEVERITIES, new_findings
+
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = load_baseline(args.baseline)
+        except (OSError, ValueError) as error:  # incl. JSON/validation errors
+            print(f"unusable baseline {args.baseline}: {error}", file=sys.stderr)
+            return 2
+    fresh = new_findings(report, baseline)
+    if args.json:
+        print(report.to_json())
+    else:
+        print(report.render())
+        if baseline is not None:
+            print(f"{len(fresh)} new finding(s) vs baseline {args.baseline}")
+    floor = SEVERITIES.index(args.fail_on)
+    return 1 if any(SEVERITIES.index(f.severity) >= floor for f in fresh) else 0
+
+
 def _cmd_obs_regress(args: argparse.Namespace, store) -> int:
     import json
 
+    from repro.obs.health import REGRESS_RULES, Report, run_regression
     from repro.obs.query import build_frame
-    from repro.obs.regress import (
-        DEFAULT_RULES,
-        RegressionReport,
-        new_findings,
-        run_regression,
-    )
 
-    rules = DEFAULT_RULES
+    rules = REGRESS_RULES
     if args.targets:
-        rules = tuple(r for r in DEFAULT_RULES if r.target in args.targets)
+        rules = tuple(r for r in REGRESS_RULES if r.target in args.targets)
         if not rules:
             print(
                 "no shipped rule matches --targets "
                 + ", ".join(args.targets)
                 + " (rules cover: "
-                + ", ".join(sorted({r.target for r in DEFAULT_RULES}))
+                + ", ".join(sorted({r.target for r in REGRESS_RULES}))
                 + ")",
                 file=sys.stderr,
             )
             return 2
     frame = build_frame(store, include=args.include)
     report = run_regression(frame, rules=rules, fingerprint=args.fingerprint)
-    baseline = None
-    if args.baseline:
-        baseline = RegressionReport.from_dict(
-            json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        )
-    fresh = new_findings(report, baseline)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-        if baseline is not None:
-            print(f"{len(fresh)} new finding(s) vs baseline {args.baseline}")
-    from repro.obs.health import SEVERITIES
-
-    floor = SEVERITIES.index(args.fail_on)
-    gated = [f for f in fresh if SEVERITIES.index(f.severity) >= floor]
-    return 1 if gated else 0
+    return _gate(
+        args,
+        report,
+        lambda path: Report.from_dict(json.loads(Path(path).read_text(encoding="utf-8"))),
+    )
 
 
 def _cmd_obs_health(args: argparse.Namespace, store) -> int:
-    from repro.obs.health import SEVERITIES, evaluate_health, new_findings
+    from repro.obs.health import evaluate_health
 
     def report_for(ref: str):
         payload = _load_manifest_payload(store, ref)
         return evaluate_health(payload, store.load_windows(ref))
 
-    report = report_for(args.ref)
-    baseline = report_for(args.baseline) if args.baseline else None
-    fresh = new_findings(report, baseline)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-        if baseline is not None:
-            print(f"{len(fresh)} new finding(s) vs baseline {args.baseline}")
-    floor = SEVERITIES.index(args.fail_on)
-    gated = [f for f in fresh if SEVERITIES.index(f.severity) >= floor]
-    return 1 if gated else 0
+    return _gate(args, report_for(args.ref), report_for)
 
 
 def _cmd_obs_dashboard(args: argparse.Namespace, store) -> int:
@@ -1400,7 +1395,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "obs":
-        return _cmd_obs(args)
+        from repro.util.validation import ValidationError
+
+        try:
+            return _cmd_obs(args)
+        except ValidationError as error:  # bad input or a damaged run store
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     if args.command == "model":
         return _cmd_model(args)
     if args.command == "classify":

@@ -73,7 +73,9 @@ log = get_logger("experiments.cache")
 #:    grew event_drops (schema 6).
 #: 9: one execution path per kernel — ScenarioConfig lost columnar and
 #:    PatternSet lost its scan memo (incompatible pickles).
-CACHE_FORMAT = 9
+#: 10: one detector engine — ScenarioRun.health is a health.Report of
+#:    health.Finding (was HealthReport/HealthFinding).
+CACHE_FORMAT = 10
 
 #: ScenarioConfig fields that cannot change results, only how fast they
 #: are computed or what telemetry they emit; they never contribute to

@@ -187,7 +187,7 @@ def check_regression_detector(cold_payload: Mapping, out) -> list[str]:
       newest run) is flagged on the right target.
     """
     from repro.obs.query import frame_from_payloads
-    from repro.obs.regress import METRIC_RULES, run_regression
+    from repro.obs.health import METRIC_RULES, run_regression
 
     def clone(stamp: str, bump: float = 1.0) -> dict:
         payload = json.loads(json.dumps(dict(cold_payload)))

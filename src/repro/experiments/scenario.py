@@ -28,7 +28,7 @@ from repro.experiments.stages import StageContext, execute_stages
 from repro.honeypot.deployment import DeploymentConfig, SGNetDeployment
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-from repro.obs.health import HealthReport, evaluate_health
+from repro.obs.health import Report, evaluate_health
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry, MetricsSnapshot
@@ -152,7 +152,7 @@ class ScenarioRun:
     #: Per-window landscape telemetry (``None`` with ``windows=0``).
     windows: WindowReport | None = None
     #: The run's SLO/health evaluation against the default rule set.
-    health: HealthReport | None = None
+    health: Report | None = None
 
     def headline(self) -> dict[str, int]:
         """The §4/§4.1 headline numbers of this run."""

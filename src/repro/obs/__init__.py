@@ -35,9 +35,12 @@ near-free when off:
   :class:`WindowReport` folding a run's artifacts into time-window
   series (attack volume, new samples/patterns, cluster counts and
   churn, cross-view agreement), persisted next to the run store;
-* :mod:`repro.obs.health` — the declarative SLO/health-rule engine
-  (static thresholds + EWMA z-score anomaly detection over window
-  series) behind ``repro obs health``;
+* :mod:`repro.obs.health` — the one detector/rule engine: static
+  bounds, trailing-median tolerance bands, EWMA z-scores and two-sided
+  Page-Hinkley changepoints, run over one run's window series
+  (``repro obs health``) or over the run store's per-fingerprint run
+  series (``repro obs regress``, the perf gate's detector self-test),
+  with one baseline-suppression key;
 * :mod:`repro.obs.dashboard` — the sparkline terminal dashboard behind
   ``repro obs dashboard`` (static render + ``--follow`` off the event
   stream);
@@ -46,12 +49,7 @@ near-free when off:
   :class:`QueryFrame` (incrementally indexed in ``query_index.json``)
   with ``metric:``/``series:``/``golden:``/``span:`` selectors, the
   ``repro obs query`` engine and the per-stage cost-attribution join
-  behind ``repro obs cost``;
-* :mod:`repro.obs.regress` — trend-aware regression detection over the
-  frame's run-ordered series (trailing-median tolerance bands, EWMA
-  z-scores, two-sided Page-Hinkley changepoints) with
-  ``(detector, target)``-keyed baseline suppression, behind
-  ``repro obs regress`` and the perf gate's detector self-test.
+  behind ``repro obs cost``.
 
 Instrumented layers read the ambient registry/tracer
 (:func:`repro.obs.metrics.active`,
@@ -78,12 +76,14 @@ from repro.obs.export import (
     prometheus_text,
 )
 from repro.obs.health import (
-    DEFAULT_RULES,
-    HealthFinding,
-    HealthReport,
-    HealthRule,
+    HEALTH_RULES,
+    REGRESS_RULES,
+    Finding,
+    Report,
+    Rule,
     evaluate_health,
     new_findings,
+    run_regression,
 )
 from repro.obs.history import RunStore
 from repro.obs.log import configure_logging, get_logger
@@ -106,12 +106,6 @@ from repro.obs.query import (
     frame_from_payloads,
     run_query,
 )
-from repro.obs.regress import (
-    RegressionFinding,
-    RegressionReport,
-    RegressRule,
-    run_regression,
-)
 from repro.obs.trace import NULL_TRACER, Tracer, TraceSpan, current_tracer, use_tracer
 from repro.obs.windows import WINDOW_SERIES, WindowReport, build_window_report
 
@@ -121,12 +115,10 @@ from repro.obs.windows import WINDOW_SERIES, WindowReport, build_window_report
 
 __all__ = [
     "CostReport",
-    "DEFAULT_RULES",
     "EVENT_KINDS",
     "EventBus",
-    "HealthFinding",
-    "HealthReport",
-    "HealthRule",
+    "Finding",
+    "HEALTH_RULES",
     "LATENCY_BUCKETS",
     "ManifestDiff",
     "MetricsRegistry",
@@ -138,10 +130,10 @@ __all__ = [
     "QueryFrame",
     "QueryIndex",
     "QueryResult",
-    "RegressRule",
-    "RegressionFinding",
-    "RegressionReport",
+    "REGRESS_RULES",
+    "Report",
     "RunManifest",
+    "Rule",
     "RunStore",
     "SIZE_BUCKETS",
     "TraceSpan",

@@ -63,7 +63,7 @@ def render_dashboard(windows: Mapping, health: Mapping | None = None) -> str:
 
     ``windows`` is a :meth:`~repro.obs.windows.WindowReport.as_dict`
     payload; ``health`` is an optional
-    :meth:`~repro.obs.health.HealthReport.as_dict` payload appended as
+    :meth:`~repro.obs.health.Report.as_dict` payload appended as
     a findings section.  Deterministic: sorted sections, no wall-clock.
     """
     require("series" in windows, "payload has no window series")

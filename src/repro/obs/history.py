@@ -82,7 +82,15 @@ class RunStore:
         """
         if not self.index_path.is_file():
             return []
-        payload = json.loads(self.index_path.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(self.index_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            payload = None
+        require(
+            isinstance(payload, dict),
+            f"run-store index {self.index_path} is unreadable; recover it with "
+            f"`repro obs validate --runs {self.root} --rebuild-index`",
+        )
         entries = list(payload.get("entries", []))
         if fingerprint is not None:
             entries = [e for e in entries if e.get("fingerprint") == fingerprint]

@@ -86,7 +86,7 @@ class RunManifest:
     #: fingerprint are replayable from the same stage-store artifact.
     stage_fingerprints: dict[str, str] = field(default_factory=dict)
     #: Per-severity finding counts of the run's health evaluation
-    #: (schema >= 5) — :meth:`repro.obs.health.HealthReport.summary`.
+    #: (schema >= 5) — :meth:`repro.obs.health.Report.summary`.
     #: The full findings live on the event stream (``health.finding``);
     #: the manifest keeps the roll-up so ``obs diff``/CI gates can spot
     #: a run going unhealthy without replaying the stream.
@@ -246,7 +246,7 @@ def build_manifest(
     per-kind count summary of the run's live event stream
     (``EventBus.summary()``) when one was recorded; ``health`` the
     per-severity summary of the run's health evaluation
-    (``HealthReport.summary()``); ``event_drops`` the per-transport,
+    (``Report.summary()``); ``event_drops`` the per-transport,
     per-kind drop accounting of any bounded transports
     (``EventBus.drop_counts()``).  The golden-headline check is the one
     deliberate upward reference — deferred and optional, so the obs

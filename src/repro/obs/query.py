@@ -9,7 +9,8 @@ cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
 * :func:`build_frame` loads the store (through the persisted,
   incrementally refreshed :class:`QueryIndex`) into a
   :class:`QueryFrame` whose columns are resolved on demand from the
-  small target-selector grammar shared with :mod:`repro.obs.health`:
+  small target-selector grammar every detector rule of
+  :mod:`repro.obs.health` resolves through:
 
   ========================  ==================================================
   selector                  resolves to (per run)
@@ -66,8 +67,7 @@ QUERY_INDEX_NAME = "query_index.json"
 #: Query-index schema version; bump on incompatible row layout changes.
 QUERY_INDEX_SCHEMA = 1
 
-#: Target schemes the selector grammar understands (superset of the
-#: health engine's: ``span:`` is the analytics-only addition).
+#: Target schemes the selector grammar understands.
 TARGET_SCHEMES = ("metric", "series", "golden", "span")
 
 #: Span attributes a ``span:<name>/<attr>`` selector may read.
@@ -352,11 +352,20 @@ class QueryIndex:
         return self.store.root / QUERY_INDEX_NAME
 
     def load_rows(self) -> list[dict] | None:
-        """Raw persisted rows, or ``None`` when no index exists yet."""
+        """Raw persisted rows, or ``None`` when there is no usable index.
+
+        The index is derived data, always rewritten atomically: a file
+        that does not decode (truncated by a crash or a full disk) is
+        treated like a superseded layout and rebuilt from scratch.
+        """
         if not self.path.is_file():
             return None
-        payload = json.loads(self.path.read_text(encoding="utf-8"))
-        if payload.get("schema") != QUERY_INDEX_SCHEMA:
+        try:
+            payload = json.loads(self.path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            log.warning("query index does not decode; rebuilding", extra={"path": str(self.path)})
+            return None
+        if not isinstance(payload, dict) or payload.get("schema") != QUERY_INDEX_SCHEMA:
             return None  # superseded layout: rebuilt from scratch
         return list(payload.get("rows", []))
 
@@ -421,7 +430,7 @@ def validate_query_index(root: str | Path) -> list[str]:
     persisted = index.load_rows()
     if persisted is None:
         if index.path.is_file():
-            return [f"query index {index.path}: unsupported schema"]
+            return [f"query index {index.path}: unreadable or unsupported schema"]
         return []
     fresh = index.rebuild_rows()
     errors: list[str] = []

@@ -381,7 +381,7 @@ class TestHealthDashboardCli:
         capsys.readouterr()
         main(["obs", "health", run_id, "--json"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2 and payload["kind"] == "health"
         assert set(payload["summary"]) == {"info", "warning", "critical"}
 
     def test_health_gate_against_its_own_baseline_passes(self, capsys, store_dir):
@@ -564,6 +564,54 @@ class TestLongitudinalCli:
         assert main(["obs", "regress", "--targets", "metric:nope"]) == 2
         err = capsys.readouterr().err
         assert "rules cover" in err and "metric:lsh.clusters" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"schema": 99, "findings": []}',
+            '{"schema": 2, "kind": "regress", "rules_evaluated": 1, "runs_scanned": 2,'
+            ' "fingerprints_scanned": 1, "findings": [{"rule": "bcluster-count"}]}',
+        ],
+        ids=["bad-json", "wrong-schema", "missing-field"],
+    )
+    def test_regress_unusable_baseline_exits_2_not_1(
+        self, capsys, store_dir, tmp_path, text
+    ):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(text, encoding="utf-8")
+        assert main(["obs", "regress", "--baseline", str(baseline)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"unusable baseline {baseline}")
+        assert len(err.splitlines()) == 1  # one line, no traceback
+
+    def test_truncated_query_index_is_rebuilt(self, capsys, store_dir):
+        self._seeded_store(store_dir, bump=3.0)
+        assert main(["obs", "query", "metric:lsh.clusters"]) == 0  # warm index
+        query_index = store_dir / "query_index.json"
+        query_index.write_bytes(query_index.read_bytes()[:200])
+        capsys.readouterr()
+        assert main(["obs", "regress", "--fail-on", "critical"]) == 1
+        assert "metric:lsh.clusters" in capsys.readouterr().out
+        query_index.write_bytes(query_index.read_bytes()[:200])
+        assert main(["obs", "query", "metric:lsh.clusters", "--json"]) == 0
+        import json
+
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
+
+    def test_truncated_run_index_names_the_recovery(self, capsys, store_dir):
+        self._seeded_store(store_dir)
+        index = store_dir / "index.json"
+        index.write_bytes(index.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["obs", "regress"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert str(index) in err and "--rebuild-index" in err
+        assert len(err.splitlines()) == 1  # one line, no traceback
+        assert main(["obs", "validate", "--rebuild-index"]) == 0
+        capsys.readouterr()
+        assert main(["obs", "regress", "--fail-on", "warn"]) == 0
+        assert "clean" in capsys.readouterr().out
 
     def test_list_limit_keeps_the_newest_runs(self, capsys, store_dir):
         self._seeded_store(store_dir)

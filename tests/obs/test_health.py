@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.obs.health import (
-    DEFAULT_RULES,
+    HEALTH_RULES,
     MIN_HISTORY,
     SEVERITIES,
-    HealthFinding,
-    HealthReport,
-    HealthRule,
+    Finding,
+    Report,
+    Rule,
     evaluate_health,
     new_findings,
 )
@@ -35,16 +35,16 @@ def _windows(**series) -> dict:
     return {"schema": 1, "series": {name: list(v) for name, v in series.items()}}
 
 
-def _rule(**overrides) -> HealthRule:
+def _rule(**overrides) -> Rule:
     fields = dict(
         name="rule",
         severity="warning",
         target="metric:lsh.clusters",
-        kind="max",
+        detector="max",
         threshold=0,
     )
     fields.update(overrides)
-    return HealthRule(**fields)
+    return Rule(**fields)
 
 
 class TestHealthRule:
@@ -54,26 +54,31 @@ class TestHealthRule:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
-            _rule(kind="between")
+            _rule(detector="between")
 
     def test_unknown_target_scheme_rejected(self):
         with pytest.raises(ValidationError):
             _rule(target="gauge:lsh.clusters")
 
     def test_zscore_needs_a_series_target(self):
-        with pytest.raises(ValidationError):
-            _rule(kind="zscore", target="metric:lsh.clusters")
-        _rule(kind="zscore", target="series:events")  # fine
+        # A scalar target is a one-point series: an ewma rule on it is
+        # valid (a cross-run scan gives it a history) but never fires
+        # within one run, however low its threshold.
+        rule = _rule(detector="ewma", threshold=0.0)
+        assert evaluate_health(_manifest(), rules=(rule,)).findings == []
+        series = _rule(detector="ewma", threshold=0.0, target="series:events")
+        windows = _windows(events=[1.0, 2.0, 1.0, 9.0])
+        assert evaluate_health(_manifest(), windows, rules=(series,)).findings
 
     def test_default_rules_cover_every_severity(self):
-        assert {rule.severity for rule in DEFAULT_RULES} == set(SEVERITIES)
+        assert {rule.severity for rule in HEALTH_RULES} == set(SEVERITIES)
 
 
 class TestEvaluateHealth:
     def test_clean_run_yields_no_findings(self):
         report = evaluate_health(_manifest())
         assert report.findings == []
-        assert report.rules_evaluated == len(DEFAULT_RULES)
+        assert report.rules_evaluated == len(HEALTH_RULES)
         assert report.worst() is None
         assert report.summary() == {"info": 0, "warning": 0, "critical": 0}
 
@@ -117,7 +122,8 @@ class TestEvaluateHealth:
         report = evaluate_health(_manifest(), windows)
         spikes = [f for f in report.findings if f.rule == "event-rate-anomaly"]
         assert [f.window for f in spikes] == [5]
-        assert spikes[0].value > spikes[0].threshold
+        assert spikes[0].value == 500.0
+        assert spikes[0].score > spikes[0].threshold
 
     def test_zscore_ignores_the_cold_start(self):
         # The spike sits inside the MIN_HISTORY warm-up: nothing fires.
@@ -150,13 +156,13 @@ class TestEvaluateHealth:
 
 
 class TestHealthReport:
-    def _report(self) -> HealthReport:
+    def _report(self) -> Report:
         manifest = _manifest(golden_deviations=["off", "again"])
         return evaluate_health(manifest, _windows(agreement=[0.9, 0.1]))
 
     def test_json_round_trip(self):
         report = self._report()
-        rebuilt = HealthReport.from_dict(json.loads(report.to_json()))
+        rebuilt = Report.from_dict(json.loads(report.to_json()))
         assert rebuilt.as_dict() == report.as_dict()
         assert rebuilt.digest() == report.digest()
 
@@ -164,7 +170,7 @@ class TestHealthReport:
         payload = self._report().as_dict()
         payload["schema"] = 99
         with pytest.raises(ValidationError):
-            HealthReport.from_dict(payload)
+            Report.from_dict(payload)
 
     def test_render_names_every_finding(self):
         text = self._report().render()
@@ -178,37 +184,39 @@ class TestHealthReport:
 
 
 class TestNewFindings:
-    def _finding(self, **overrides) -> HealthFinding:
+    def _finding(self, **overrides) -> Finding:
         fields = dict(
             rule="golden-headline",
+            detector="max",
             severity="warning",
             target="golden:deviations",
             value=1.0,
+            score=1.0,
             threshold=0.0,
-            detail="",
             window=None,
         )
         fields.update(overrides)
-        return HealthFinding(**fields)
+        return Finding(**fields)
 
     def test_no_baseline_means_everything_is_new(self):
-        report = HealthReport(findings=[self._finding()], rules_evaluated=1)
+        report = Report("health", findings=[self._finding()], rules_evaluated=1)
         assert new_findings(report, None) == report.findings
 
     def test_known_finding_does_not_refire_on_value_drift(self):
-        baseline = HealthReport(findings=[self._finding(value=1.0)])
-        current = HealthReport(findings=[self._finding(value=5.0)])
+        baseline = Report("health", findings=[self._finding(value=1.0)])
+        current = Report("health", findings=[self._finding(value=5.0)])
         assert new_findings(current, baseline) == []
 
     def test_same_rule_on_a_new_window_is_new(self):
-        baseline = HealthReport(
-            findings=[self._finding(target="series:agreement", window=1)]
+        baseline = Report(
+            "health", findings=[self._finding(target="series:agreement", window=1)]
         )
-        current = HealthReport(
+        current = Report(
+            "health",
             findings=[
                 self._finding(target="series:agreement", window=1),
                 self._finding(target="series:agreement", window=3),
-            ]
+            ],
         )
         assert [f.window for f in new_findings(current, baseline)] == [3]
 
@@ -216,7 +224,7 @@ class TestNewFindings:
 class TestScenarioHealth:
     def test_run_carries_a_ranked_report(self, small_run):
         assert small_run.health is not None
-        assert small_run.health.rules_evaluated == len(DEFAULT_RULES)
+        assert small_run.health.rules_evaluated == len(HEALTH_RULES)
         ranks = [SEVERITIES.index(f.severity) for f in small_run.health.findings]
         assert ranks == sorted(ranks, reverse=True)
 

@@ -4,35 +4,30 @@ import json
 
 import pytest
 
-from repro.obs.manifest import RunManifest
-from repro.obs.query import frame_from_payloads
-from repro.obs.regress import (
-    DEFAULT_RULES,
+from repro.obs.health import (
     DETECTORS,
     METRIC_RULES,
+    REGRESS_RULES,
     TIMING_RULES,
-    RegressionReport,
-    RegressRule,
+    Report,
+    Rule,
     band_scan,
+    evaluate_health,
     ewma_scan,
     new_findings,
     page_hinkley_scan,
-    relabel_timing_rules,
     run_regression,
 )
+from repro.obs.manifest import RunManifest
+from repro.obs.query import frame_from_payloads
 from repro.util.canonical import canonical_digest
 from repro.util.validation import ValidationError
 
-METRIC_RULE = RegressRule(
-    name="clusters", target="metric:lsh.clusters", severity="critical"
-)
-TIMING_RULE = RegressRule(
-    name="observe-seconds",
-    target="span:observe",
-    severity="warning",
-    tolerance=1.5,
-    noise_floor=0.05,
-)
+BAND = Rule("clusters", "metric:lsh.clusters", "critical", "band", 1.25)
+EWMA = Rule("clusters", "metric:lsh.clusters", "critical", "ewma", 4.0)
+PAGE_HINKLEY = Rule("clusters", "metric:lsh.clusters", "critical", "page_hinkley", 0.25)
+TIMING_BAND = Rule("observe-seconds", "span:observe", "warning", "band", 1.5, noise_floor=0.05)
+OBSERVE_RULES = tuple(rule for rule in TIMING_RULES if rule.target == "span:observe")
 
 
 def _payload(
@@ -82,15 +77,20 @@ def _series_payloads(clusters, fingerprint="ab" * 32):
 
 class TestRegressRule:
     def test_defaults_run_every_detector(self):
-        assert METRIC_RULE.detectors == DETECTORS
+        # Every shipped target runs each trend detector, one rule apiece.
+        detectors: dict[str, list[str]] = {}
+        for rule in REGRESS_RULES:
+            detectors.setdefault(rule.target, []).append(rule.detector)
+        trend = ["band", "ewma", "page_hinkley"]
+        assert all(sorted(found) == trend for found in detectors.values())
+        assert set(trend) < set(DETECTORS)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"severity": "fatal"},
-            {"detectors": ()},
-            {"detectors": ("cusum",)},
-            {"tolerance": 0.9},
+            {"detector": "cusum"},
+            {"threshold": 0.9},
             {"target": "lsh.clusters"},
         ],
     )
@@ -99,22 +99,24 @@ class TestRegressRule:
             "name": "r",
             "target": "metric:lsh.clusters",
             "severity": "critical",
+            "detector": "band",
+            "threshold": 1.25,
         }
         with pytest.raises(ValidationError):
-            RegressRule(**{**base, **kwargs})
+            Rule(**{**base, **kwargs})
 
     def test_shipped_rule_set_is_metric_plus_timing(self):
-        assert DEFAULT_RULES == METRIC_RULES + TIMING_RULES
+        assert REGRESS_RULES == METRIC_RULES + TIMING_RULES
         assert all(rule.severity == "critical" for rule in METRIC_RULES)
         assert all(rule.severity == "warning" for rule in TIMING_RULES)
 
 
 class TestBandScan:
     def test_constant_series_is_silent(self):
-        assert band_scan(METRIC_RULE, [9.0] * 6) == []
+        assert band_scan(BAND, [9.0] * 6) == []
 
     def test_step_flagged_at_its_position_against_trailing_median(self):
-        alarms = band_scan(METRIC_RULE, [9.0, 9.0, 9.0, 27.0])
+        alarms = band_scan(BAND, [9.0, 9.0, 9.0, 27.0])
         assert len(alarms) == 1
         assert alarms[0]["position"] == 3
         assert alarms[0]["reference"] == 9.0
@@ -122,60 +124,60 @@ class TestBandScan:
 
     def test_one_point_of_history_suffices(self):
         # The obs-diff pairwise check is the two-run special case.
-        assert band_scan(METRIC_RULE, [9.0, 27.0])[0]["position"] == 1
+        assert band_scan(BAND, [9.0, 27.0])[0]["position"] == 1
 
     def test_drops_flag_symmetrically_with_rises(self):
-        assert band_scan(METRIC_RULE, [9.0, 9.0, 3.0])[0]["score"] == (
+        assert band_scan(BAND, [9.0, 9.0, 3.0])[0]["score"] == (
             pytest.approx(3.0)
         )
 
     def test_noise_floor_absorbs_small_absolute_moves(self):
         # 0.04s jitter is a huge *ratio* on a 0.02s span but sits under
         # the 50ms floor: timing rules must not alarm on it.
-        assert band_scan(TIMING_RULE, [0.02, 0.06]) == []
-        assert band_scan(TIMING_RULE, [0.02, 0.5]) != []
+        assert band_scan(TIMING_BAND, [0.02, 0.06]) == []
+        assert band_scan(TIMING_BAND, [0.02, 0.5]) != []
 
     def test_zero_history_median_flags_any_nonzero_value(self):
-        alarms = band_scan(METRIC_RULE, [0.0, 5.0])
+        alarms = band_scan(BAND, [0.0, 5.0])
         assert len(alarms) == 1 and alarms[0]["score"] == float("inf")
 
     def test_sign_flip_is_always_out_of_band(self):
-        assert band_scan(METRIC_RULE, [4.0, -4.0])[0]["score"] == float("inf")
+        assert band_scan(BAND, [4.0, -4.0])[0]["score"] == float("inf")
 
 
 class TestEwmaScan:
     def test_constant_series_is_silent(self):
         # Zero variance means no z-score is defined; the var>0 guard
         # keeps byte-identical replays from dividing by zero or alarming.
-        assert ewma_scan(METRIC_RULE, [9.0] * 8) == []
+        assert ewma_scan(EWMA, [9.0] * 8) == []
 
     def test_step_after_noisy_history_is_flagged(self):
         series = [10.0, 10.2, 9.8, 10.1, 9.9, 20.0]
-        alarms = ewma_scan(METRIC_RULE, series)
+        alarms = ewma_scan(EWMA, series)
         assert [alarm["position"] for alarm in alarms] == [5]
-        assert alarms[0]["score"] > METRIC_RULE.zscore
+        assert alarms[0]["score"] > EWMA.threshold
 
     def test_jitter_within_band_is_silent(self):
-        assert ewma_scan(METRIC_RULE, [10.0, 10.2, 9.8, 10.1, 9.9, 10.05]) == []
+        assert ewma_scan(EWMA, [10.0, 10.2, 9.8, 10.1, 9.9, 10.05]) == []
 
     def test_needs_min_history_before_alarming(self):
         # The step sits at position 2 — before three runs of history,
         # so only the band detector may catch it.
-        assert ewma_scan(METRIC_RULE, [10.0, 10.2, 30.0]) == []
+        assert ewma_scan(EWMA, [10.0, 10.2, 30.0]) == []
 
 
 class TestPageHinkleyScan:
     def test_constant_series_is_silent(self):
-        assert page_hinkley_scan(METRIC_RULE, [100.0] * 10) == []
+        assert page_hinkley_scan(PAGE_HINKLEY, [100.0] * 10) == []
 
     def test_small_jitter_is_silent(self):
         series = [100.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
-        assert page_hinkley_scan(METRIC_RULE, series) == []
+        assert page_hinkley_scan(PAGE_HINKLEY, series) == []
 
     def test_slow_creep_is_flagged(self):
         # +3 per run never trips a single-step band but accumulates.
         series = [100.0 + 3.0 * i for i in range(12)]
-        alarms = page_hinkley_scan(METRIC_RULE, series)
+        alarms = page_hinkley_scan(PAGE_HINKLEY, series)
         assert alarms, "creep must accumulate into an alarm"
         assert all(alarm["score"] > alarm["threshold"] for alarm in alarms)
 
@@ -183,7 +185,7 @@ class TestPageHinkleyScan:
         creep = [100.0 + 3.0 * i for i in range(12)]
         series = creep + [creep[-1]] * 10
         positions = [
-            alarm["position"] for alarm in page_hinkley_scan(METRIC_RULE, series)
+            alarm["position"] for alarm in page_hinkley_scan(PAGE_HINKLEY, series)
         ]
         # Without the post-alarm reset the statistic only grows, so
         # every later run would alarm; with it, alarms stay sparse.
@@ -242,9 +244,7 @@ class TestRunRegression:
             ),
             _payload(observe_seconds=10.0, created_at="2026-01-03T00:00:00Z"),
         ]
-        report = run_regression(
-            frame_from_payloads(payloads), rules=[TIMING_RULE]
-        )
+        report = run_regression(frame_from_payloads(payloads), rules=OBSERVE_RULES)
         assert len(report.findings) == 1
         finding = report.findings[0]
         assert finding.run_id == canonical_digest(payloads[-1])[:16]
@@ -298,10 +298,9 @@ class TestBaselines:
 
     def test_fresh_target_trips_despite_baseline(self):
         report = self._report()
-        baseline = RegressionReport(
-            findings=[
-                f for f in report.findings if f.detector == "page_hinkley"
-            ]
+        baseline = Report(
+            "regress",
+            findings=[f for f in report.findings if f.detector == "page_hinkley"],
         )
         fresh = new_findings(report, baseline)
         assert {f.detector for f in fresh} == {"band"}
@@ -313,13 +312,13 @@ class TestRegressionReport:
             frame_from_payloads(_series_payloads([9.0, 9.0, 27.0])),
             rules=METRIC_RULES,
         )
-        restored = RegressionReport.from_dict(json.loads(report.to_json()))
+        restored = Report.from_dict(json.loads(report.to_json()))
         assert restored.digest() == report.digest()
         assert restored.findings == report.findings
 
     def test_unsupported_schema_rejected(self):
         with pytest.raises(ValidationError):
-            RegressionReport.from_dict({"schema": 99, "findings": []})
+            Report.from_dict({"schema": 99, "findings": []})
 
     def test_render_names_counts_and_targets(self):
         report = run_regression(
@@ -339,16 +338,45 @@ class TestRegressionReport:
         assert report.worst() is None
         assert report.summary() == {"info": 0, "warning": 0, "critical": 0}
 
-
-class TestRelabelTimingRules:
-    def test_promotes_only_span_rules(self):
-        promoted = relabel_timing_rules(DEFAULT_RULES, "critical")
-        assert all(rule.severity == "critical" for rule in promoted)
-        by_name = {rule.name: rule for rule in promoted}
-        # Metric rules pass through as the very same objects.
-        assert by_name["bcluster-count"] is METRIC_RULES[0]
-        assert by_name["observe-seconds"] is not TIMING_RULES[1]
-
-    def test_rejects_unknown_severity(self):
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda finding: finding.pop("detector"),
+            lambda finding: finding.update(position="3"),
+            lambda finding: finding.update(severity="fatal"),
+        ],
+        ids=["missing-detector", "string-position", "unknown-severity"],
+    )
+    def test_malformed_findings_rejected(self, mutate):
+        report = run_regression(
+            frame_from_payloads(_series_payloads([9.0, 9.0, 27.0])),
+            rules=METRIC_RULES,
+        )
+        payload = json.loads(report.to_json())
+        mutate(payload["findings"][0])
         with pytest.raises(ValidationError):
-            relabel_timing_rules(DEFAULT_RULES, "fatal")
+            Report.from_dict(payload)
+
+
+class TestOneEngine:
+    """Both perspectives feed the same detectors: one series, one answer."""
+
+    SERIES = [10.0, 10.2, 9.8, 10.1, 9.9, 20.0, 20.5, 21.0]
+
+    @pytest.mark.parametrize(
+        "detector, threshold",
+        [("max", 15.0), ("min", 10.0), ("band", 1.25), ("ewma", 4.0), ("page_hinkley", 0.25)],
+    )
+    def test_window_and_run_series_raise_the_same_alarms(self, detector, threshold):
+        rule = Rule("events", "series:events", "warning", detector, threshold)
+        in_run = evaluate_health(
+            {"metrics": {}}, {"series": {"events": self.SERIES}}, rules=(rule,)
+        )
+        # One single-window run per point: each run's mean is the point.
+        payloads = _series_payloads([9.0] * len(self.SERIES))
+        windows = [{"series": {"events": [value]}} for value in self.SERIES]
+        cross_run = run_regression(frame_from_payloads(payloads, windows), rules=(rule,))
+        assert in_run.findings, f"{detector} must fire on the step"
+        assert [(f.window, f.value, f.score) for f in in_run.findings] == [
+            (f.position, f.value, f.score) for f in cross_run.findings
+        ]
