@@ -89,7 +89,7 @@ def _write_bench_json(run: ScenarioRun, wall_seconds: float, cache_hit: bool) ->
             if build_seconds
             else None,
         },
-        # Per-layer counter/gauge/histogram snapshot of the build.
+        # Per-layer counter/gauge/sketch/watermark snapshot of the build.
         "metrics": run.metrics.as_dict() if run.metrics is not None else {},
         "stage_cache": {
             "statuses": run.stage_cache

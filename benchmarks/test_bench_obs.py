@@ -284,10 +284,10 @@ def test_bench_sketch_and_ring_overhead(results_dir):
     # bucket sizes are artifact-derived, so the payloads are
     # byte-identical (the mergeable-sketch digest guarantee).
     assert (
-        ringed.metrics.sketches["lsh.bucket_size_sketch"]
-        == plain.metrics.sketches["lsh.bucket_size_sketch"]
+        ringed.metrics.sketches["lsh.bucket_size"]
+        == plain.metrics.sketches["lsh.bucket_size"]
     )
-    assert ringed.metrics.sketches["executor.chunk_seconds_sketch"]["count"] > 0
+    assert ringed.metrics.sketches["executor.chunk_seconds"]["count"] > 0
     # The ring really evicted, and every eviction is accounted: the
     # manifest's per-kind map mirrors the events.dropped counters
     # (validate_manifest cross-checks the same invariant).

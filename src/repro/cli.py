@@ -478,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     history_p.add_argument(
         "metric",
         help="snapshot key (lsh.clusters, epm.clusters{dimension=mu}), "
-        "bare name (sums labels), histogram quantile "
+        "bare name (sums labels), distribution quantile "
         "(executor.chunk_seconds:p50), or stage:<span> for wall seconds",
     )
     history_p.add_argument(
@@ -863,12 +863,6 @@ def _cmd_evasion(args: argparse.Namespace) -> str:
     return table.render()
 
 
-def _load_manifest_payload(store, ref: str) -> dict:
-    import json
-
-    return json.loads(store.resolve(ref).read_text(encoding="utf-8"))
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.experiments.cache import (
         ScenarioCache,
@@ -945,8 +939,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         from repro.obs.query import attribute_cost
 
         report = attribute_cost(
-            _load_manifest_payload(store, args.ref_a),
-            _load_manifest_payload(store, args.ref_b),
+            store.load_payload(args.ref_a),
+            store.load_payload(args.ref_b),
         )
         print(report.to_json() if args.json else report.render())
         return 0
@@ -959,8 +953,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 return None
 
         diff = diff_manifests(
-            _load_manifest_payload(store, args.ref_a),
-            _load_manifest_payload(store, args.ref_b),
+            store.load_payload(args.ref_a),
+            store.load_payload(args.ref_b),
             timing_tolerance=tolerance,
             events_a=events_for(args.ref_a),
             events_b=events_for(args.ref_b),
@@ -985,15 +979,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     if args.obs_command == "export":
-        import json
-
         from repro.obs.export import export_payload
 
-        ref_path = Path(args.ref)
-        if ref_path.is_file():
-            payload = json.loads(ref_path.read_text(encoding="utf-8"))
-        else:
-            payload = store.load_payload(args.ref)
+        payload = store.load_payload(args.ref)
         try:
             windows = store.load_windows(args.ref)
         except Exception:  # bare snapshot files resolve to no sidecar
@@ -1020,7 +1008,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "trace":
         from repro.obs.profile import flame_view, write_chrome_trace
 
-        tree = _load_manifest_payload(store, args.ref).get("span_tree", {})
+        tree = store.load_payload(args.ref).get("span_tree", {})
         if args.chrome:
             path = write_chrome_trace(tree, args.chrome)
             print(f"wrote Chrome trace of {args.ref} to {path}")
@@ -1148,7 +1136,7 @@ def _cmd_obs_health(args: argparse.Namespace, store) -> int:
     from repro.obs.health import evaluate_health
 
     def report_for(ref: str):
-        payload = _load_manifest_payload(store, ref)
+        payload = store.load_payload(ref)
         return evaluate_health(payload, store.load_windows(ref))
 
     return _gate(args, report_for(args.ref), report_for)
@@ -1184,7 +1172,7 @@ def _cmd_obs_dashboard(args: argparse.Namespace, store) -> int:
                 file=sys.stderr,
             )
             return 1
-        manifest = _load_manifest_payload(store, args.ref)
+        manifest = store.load_payload(args.ref)
         health = evaluate_health(manifest, windows).as_dict()
     rendered = render_dashboard(windows, health)
     if args.out:

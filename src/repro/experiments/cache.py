@@ -75,7 +75,9 @@ log = get_logger("experiments.cache")
 #:    PatternSet lost its scan memo (incompatible pickles).
 #: 10: one detector engine — ScenarioRun.health is a health.Report of
 #:    health.Finding (was HealthReport/HealthFinding).
-CACHE_FORMAT = 10
+#: 11: one distribution instrument — MetricsSnapshot lost its histograms
+#:     section (schema 3); every distribution is one sketch.
+CACHE_FORMAT = 11
 
 #: ScenarioConfig fields that cannot change results, only how fast they
 #: are computed or what telemetry they emit; they never contribute to

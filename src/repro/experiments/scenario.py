@@ -31,7 +31,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.health import Report, evaluate_health
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest, build_manifest
-from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.trace import Tracer, TraceSpan, use_tracer
 from repro.obs.windows import WindowReport, build_window_report
 from repro.sandbox.anubis import AnubisService
@@ -141,7 +141,7 @@ class ScenarioRun:
     timings: StageTimings = field(default_factory=StageTimings)
     #: Root of the hierarchical span tree recorded while building.
     trace: TraceSpan | None = None
-    #: Frozen metric snapshot of the build (counters/gauges/histograms).
+    #: Frozen metric snapshot of the build (counters/gauges/sketches/watermarks).
     metrics: MetricsSnapshot | None = None
     #: The run's receipt: fingerprint, span tree, metrics, digests.
     manifest: RunManifest | None = None
@@ -372,11 +372,7 @@ class PaperScenario:
             event_drops = event_drops or None
             interarrival = bus.interarrival()
             if interarrival.get("count"):
-                registry.sketch(
-                    "events.interarrival",
-                    alpha=float(interarrival["alpha"]),
-                    max_bins=int(interarrival["max_bins"]),
-                ).merge(interarrival)
+                registry.sketch("events.interarrival").merge(interarrival)
         # Re-snapshot so the manifest's metrics include health.findings
         # and the drop/inter-arrival accounting just recorded.
         run.metrics = registry.snapshot()
@@ -402,12 +398,12 @@ class PaperScenario:
 
         One ``window.rollup`` event per window carries every series
         value (what ``repro obs dashboard --follow`` folds back into a
-        live view); the gauges/histogram make the windowed shape
+        live view); the gauges/sketch make the windowed shape
         visible in plain metric snapshots and ``obs diff``.
         """
         registry.gauge("window.count").set(report.n_windows)
         registry.gauge("window.weeks").set(report.window_weeks)
-        per_window_events = registry.histogram("window.events", SIZE_BUCKETS)
+        per_window_events = registry.sketch("window.events")
         for value in report.series["events"]:
             per_window_events.observe(value)
         for window in range(report.n_windows):

@@ -35,9 +35,8 @@ an execution-only knob, excluded from the stage-cache fingerprint like
 ``executor``/``jobs``.
 
 Telemetry: one ``shards.observed`` counter tick and one
-``shards.events`` histogram observation per processed shard, plus an
-unbounded-range ``shards.events_sketch`` quantile sketch of the same
-series and two high-water marks — ``shards.shard_events`` (the largest
+``shards.events`` quantile-sketch observation per processed shard, plus
+two high-water marks — ``shards.shard_events`` (the largest
 single shard) and ``shards.staged_observations`` (the peak count of
 observations staged before pass B, the structure that drives resident
 memory on this path).  Watermarks merge by max, so the values are
@@ -185,10 +184,7 @@ def observe_sharded(
         for attempt in _build_shard(generator, shard_slots, executor):
             staged.append(deployment.stage_attempt(attempt))
         registry.counter("shards.observed").inc()
-        registry.histogram(
-            "shards.events", buckets=obs_metrics.SIZE_BUCKETS
-        ).observe(len(shard_slots))
-        registry.sketch("shards.events_sketch").observe(len(shard_slots))
+        registry.sketch("shards.events").observe(len(shard_slots))
         registry.watermark("shards.shard_events").update(len(shard_slots))
         registry.watermark("shards.staged_observations").update(len(staged))
 

@@ -3,8 +3,9 @@
 Zero-dependency instrumentation for the pipeline, off by default and
 near-free when off:
 
-* :mod:`repro.obs.metrics` — counters/gauges/histograms in a
-  :class:`MetricsRegistry`, exported as deterministic JSON snapshots;
+* :mod:`repro.obs.metrics` — counters, gauges, quantile sketches and
+  watermarks in a :class:`MetricsRegistry`, exported as deterministic
+  JSON snapshots;
 * :mod:`repro.obs.trace` — hierarchical :class:`TraceSpan`s (the
   generalisation of the flat ``StageTimer``), with per-span attributes;
 * :mod:`repro.obs.log` — structured logging under the ``repro`` logger
@@ -88,13 +89,7 @@ from repro.obs.health import (
 from repro.obs.history import RunStore
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.manifest import RunManifest, build_manifest
-from repro.obs.metrics import (
-    LATENCY_BUCKETS,
-    NULL_REGISTRY,
-    SIZE_BUCKETS,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
 from repro.obs.profile import chrome_trace, flame_view, write_chrome_trace
 from repro.obs.query import (
     CostReport,
@@ -119,7 +114,6 @@ __all__ = [
     "EventBus",
     "Finding",
     "HEALTH_RULES",
-    "LATENCY_BUCKETS",
     "ManifestDiff",
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -135,7 +129,6 @@ __all__ = [
     "RunManifest",
     "Rule",
     "RunStore",
-    "SIZE_BUCKETS",
     "TraceSpan",
     "Tracer",
     "WINDOW_SERIES",

@@ -9,7 +9,7 @@ three axes a refactor can regress on:
   diverged — "the bug is upstream of epm" instead of "something
   changed";
 * **metrics** — counter/gauge deltas between the two snapshots
-  (histograms hold wall-clock latencies and are skipped by design);
+  (sketches hold wall-clock latencies and are skipped by design);
 * **timings** — per-stage wall-time ratios against a configurable
   tolerance band.  Timing regressions never fail a diff by default
   (machines differ); callers opt in via ``fail_on_timing``.  Stages
@@ -39,7 +39,7 @@ from typing import Iterator, Mapping
 
 from repro.obs.history import RunStore
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import base_name, quantile_from_payload
+from repro.obs.metrics import base_name
 from repro.obs.sketch import sketch_quantile_from_payload
 
 #: Stage wall-time ratio above which a timing delta counts as a regression.
@@ -396,9 +396,9 @@ def metric_value(payload: Mapping, metric: str) -> float | None:
     ``epm.clusters{dimension=mu}``), a bare metric name, which sums
     every labelled counter/gauge sharing that base name, or a
     distribution quantile as ``<key>:pNN`` (e.g.
-    ``executor.chunk_seconds:p50``) — resolved against the histogram
-    section first (interpolated within the recorded buckets), then the
-    sketch section (guaranteed-relative-error estimate).
+    ``executor.chunk_seconds:p50``) — estimated from the sketch section
+    within the sketch's relative error.  A bare ``<key>`` matching
+    several labelled sketches is ambiguous and reads as ``None``.
     """
     if metric.startswith("stage:"):
         name = metric.split(":", 1)[1]
@@ -411,19 +411,15 @@ def metric_value(payload: Mapping, metric: str) -> float | None:
         key, percent = match.group(1), float(match.group(2))
         if not 0.0 <= percent <= 100.0:
             return None
-        for section, estimator in (
-            ("histograms", quantile_from_payload),
-            ("sketches", sketch_quantile_from_payload),
-        ):
-            series = payload.get("metrics", {}).get(section, {})
-            candidates = (
-                [series[key]]
-                if key in series
-                else [value for k, value in series.items() if base_name(k) == key]
-            )
-            if len(candidates) == 1:
-                return estimator(candidates[0], percent / 100.0)
-        return None  # absent, or ambiguous across labels
+        sketches = payload.get("metrics", {}).get("sketches", {})
+        candidates = (
+            [sketches[key]]
+            if key in sketches
+            else [value for k, value in sketches.items() if base_name(k) == key]
+        )
+        if len(candidates) != 1:
+            return None  # absent, or ambiguous across labels
+        return sketch_quantile_from_payload(candidates[0], percent / 100.0)
     scalars = _scalar_metrics(payload.get("metrics", {}))
     if metric in scalars:
         return scalars[metric]

@@ -24,7 +24,7 @@ Transports decouple emission from delivery:
   the historical worker-telemetry loss;
 * :class:`ProgressRenderer` — a terminal transport deriving per-stage
   item counts and an ETA (median chunk latency via
-  :meth:`~repro.obs.metrics.Histogram.quantile`) from the stream.
+  :meth:`~repro.obs.sketch.QuantileSketch.quantile`) from the stream.
 
 Like the metrics registry and the tracer, the bus is ambient
 (:func:`active_bus` / :func:`use_bus`) and defaults to a shared no-op,
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.obs.metrics import LATENCY_BUCKETS, Histogram
 from repro.obs.sketch import QuantileSketch
 from repro.util.validation import require
 
@@ -551,15 +550,16 @@ class ProgressRenderer:
     Tracks the open stage stack, per-stage chunk/item completion
     against the planned totals (``chunk.plan``), and estimates the time
     remaining as *remaining chunks x median chunk latency* — the median
-    comes from a :class:`~repro.obs.metrics.Histogram` of observed
-    chunk seconds, so the ETA firms up as the run progresses.  Off by
+    comes from a :class:`~repro.obs.sketch.QuantileSketch` of observed
+    chunk seconds (within its relative error at any chunk length), so
+    the ETA firms up as the run progresses.  Off by
     default; the CLI enables it with ``--progress``.
     """
 
     def __init__(self, stream: IO[str]) -> None:
         self.stream = stream
         self._stack: list[str] = []
-        self._chunk_seconds = Histogram(LATENCY_BUCKETS)
+        self._chunk_seconds = QuantileSketch()
         self._planned_chunks = 0
         self._planned_items = 0
         self._done_chunks = 0

@@ -6,15 +6,15 @@ external tooling expects:
 
 * :func:`prometheus_text` — the Prometheus text exposition format of a
   metrics snapshot (``repro_`` prefix, counters as ``_total``,
-  histograms as cumulative ``_bucket{le=...}`` series, streaming
-  sketches as ``summary`` families with quantile samples, watermarks as
-  gauges), ready for a textfile collector or pushgateway.  Label values
-  are escaped per the exposition grammar (backslash, quote, newline).
+  distribution sketches as ``summary`` families with quantile samples,
+  watermarks as gauges), ready for a textfile collector or pushgateway.
+  Label values are escaped per the exposition grammar (backslash,
+  quote, newline).
 * :func:`openmetrics_text` — the OpenMetrics text format: the same
   family rendering with the spec's hard requirements made explicit
-  (``_total`` sample suffix on counters, an explicit ``+Inf`` bucket on
-  every histogram, the mandatory ``# EOF`` terminator), for scrapers
-  that negotiate ``application/openmetrics-text``.
+  (``_total`` sample suffix on counters, the mandatory ``# EOF``
+  terminator), for scrapers that negotiate
+  ``application/openmetrics-text``.
 * :func:`jsonl_samples` / :func:`jsonl_text` — one JSON object per
   sample, the lingua franca of log shippers.
 * Chrome traces reuse :func:`repro.obs.profile.chrome_trace` on the
@@ -24,7 +24,8 @@ Inputs are duck-typed payload dicts: either a bare metrics snapshot
 (:meth:`~repro.obs.metrics.MetricsSnapshot.as_dict` form) or a full run
 manifest (whose ``metrics``/``span_tree`` sections are used), so the
 CLI can feed it a metrics JSON file, a manifest file, or a stored run
-id interchangeably.
+id interchangeably.  Snapshots of a legacy schema are upgraded first
+(:func:`~repro.obs.metrics.upgrade_snapshot`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 import re
 from typing import Iterator, Mapping
 
-from repro.obs.metrics import parse_key
+from repro.obs.metrics import parse_key, upgrade_snapshot
 from repro.obs.sketch import sketch_quantile_from_payload
 from repro.util.validation import require
 
@@ -48,10 +49,12 @@ SKETCH_EXPORT_QUANTILES = (0.5, 0.9, 0.99)
 
 
 def metrics_section(payload: Mapping) -> dict:
-    """The metrics snapshot inside ``payload`` (manifest or bare snapshot)."""
-    if "counters" in payload or "gauges" in payload or "histograms" in payload:
-        return dict(payload)
-    return dict(payload.get("metrics", {}))
+    """The metrics snapshot inside ``payload``, in the current schema.
+
+    A payload with a ``metrics`` key is a manifest; anything else is a
+    bare snapshot, whichever sections it happens to carry.
+    """
+    return upgrade_snapshot(payload["metrics"] if "metrics" in payload else payload)
 
 
 def span_tree_section(payload: Mapping) -> dict:
@@ -103,20 +106,6 @@ def _format_value(value: float) -> str:
     if as_float == int(as_float) and abs(as_float) < 1e15:
         return str(int(as_float))
     return repr(as_float)
-
-
-def _cumulative_buckets(payload: Mapping) -> list[tuple[str, int]]:
-    """``(le, cumulative count)`` rows of a histogram payload, +Inf last."""
-    raw = payload.get("buckets", {})
-    bounds = sorted(float(key) for key in raw if key != "+inf")
-    rows: list[tuple[str, int]] = []
-    running = 0
-    for bound in bounds:
-        running += int(raw[repr(bound)])
-        rows.append((_format_value(bound), running))
-    running += int(raw.get("+inf", 0))
-    rows.append(("+Inf", running))
-    return rows
 
 
 #: Units derivable from a catalogued metric name, suffix -> unit.  The
@@ -175,23 +164,6 @@ def _exposition_lines(payload: Mapping, *, units: bool) -> list[str]:
         lines.append(
             f"{prom}{_prom_labels(labels)} {_format_value(metrics['gauges'][key])}"
         )
-    for key in sorted(metrics.get("histograms", {})):
-        name, labels = parse_key(key)
-        prom = _prom_name(name)
-        histogram = metrics["histograms"][key]
-        lines.extend(_family_header(name, "histogram", units))
-        for le, cumulative in _cumulative_buckets(histogram):
-            le_label = 'le="%s"' % le
-            lines.append(
-                f"{prom}_bucket{_prom_labels(labels, le_label)} {cumulative}"
-            )
-        lines.append(
-            f"{prom}_sum{_prom_labels(labels)} "
-            f"{repr(float(histogram.get('sum', 0.0)))}"
-        )
-        lines.append(
-            f"{prom}_count{_prom_labels(labels)} {int(histogram.get('count', 0))}"
-        )
     for key in sorted(metrics.get("sketches", {})):
         name, labels = parse_key(key)
         prom = _prom_name(name)
@@ -234,10 +206,10 @@ def _exposition_lines(payload: Mapping, *, units: bool) -> list[str]:
 def prometheus_text(payload: Mapping) -> str:
     """Prometheus text exposition of a metrics snapshot or manifest.
 
-    Counters become ``<name>_total``, histograms the conventional
-    cumulative ``_bucket{le=...}`` / ``_sum`` / ``_count`` triple;
-    labels carry over from the rendered ``name{k=v}`` keys.  Output is
-    deterministically ordered (sorted by metric key).
+    Counters become ``<name>_total``, sketches a ``summary`` family of
+    quantile samples plus ``_sum`` / ``_count``; labels carry over from
+    the rendered ``name{k=v}`` keys.  Output is deterministically
+    ordered (sorted by metric key).
     """
     return "\n".join(_exposition_lines(payload, units=False)) + "\n"
 
@@ -246,8 +218,7 @@ def openmetrics_text(payload: Mapping) -> str:
     """OpenMetrics text exposition of a metrics snapshot or manifest.
 
     The family rendering is shared with :func:`prometheus_text` — the
-    obs layer already emits counters as ``_total`` samples and closes
-    every histogram with an explicit ``+Inf`` bucket, both of which
+    obs layer already emits counters as ``_total`` samples, which
     OpenMetrics *requires* where Prometheus merely tolerates.  The spec
     adds two pieces of metadata on top: ``# UNIT`` lines for catalogued
     metrics whose names self-declare a unit (``*_seconds``/``*_bytes``),
@@ -270,17 +241,6 @@ def jsonl_samples(payload: Mapping) -> Iterator[dict]:
                 "labels": labels,
                 "value": metrics[section][key],
             }
-    for key in sorted(metrics.get("histograms", {})):
-        name, labels = parse_key(key)
-        histogram = metrics["histograms"][key]
-        yield {
-            "type": "histogram",
-            "name": name,
-            "labels": labels,
-            "count": int(histogram.get("count", 0)),
-            "sum": float(histogram.get("sum", 0.0)),
-            "buckets": dict(histogram.get("buckets", {})),
-        }
     for key in sorted(metrics.get("sketches", {})):
         name, labels = parse_key(key)
         sketch = metrics["sketches"][key]

@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
+from repro.obs.metrics import upgrade_snapshot
 from repro.util.validation import require
 
 log = get_logger("obs.history")
@@ -306,12 +307,20 @@ class RunStore:
 
     def load(self, ref: str) -> RunManifest:
         """The stored manifest named by ``ref`` (see :meth:`resolve`)."""
-        payload = json.loads(self.resolve(ref).read_text(encoding="utf-8"))
-        return RunManifest.from_dict(payload)
+        return RunManifest.from_dict(self.load_payload(ref))
 
     def load_payload(self, ref: str) -> dict:
-        """Raw dict form of the stored manifest named by ``ref``."""
-        return json.loads(self.resolve(ref).read_text(encoding="utf-8"))
+        """Dict form of the stored manifest named by ``ref``.
+
+        The one read point of stored manifests: a metrics snapshot of a
+        legacy schema comes back upgraded
+        (:func:`~repro.obs.metrics.upgrade_snapshot`), so every reader
+        sees one layout.
+        """
+        payload = json.loads(self.resolve(ref).read_text(encoding="utf-8"))
+        if isinstance(payload.get("metrics"), Mapping):
+            payload["metrics"] = upgrade_snapshot(payload["metrics"])
+        return payload
 
     def load_events(self, ref: str) -> list | None:
         """The ingested event log of the run named by ``ref``, or ``None``.

@@ -8,7 +8,7 @@ artifacts, the wall-clock ``created_at`` stamp (from the injectable
 :mod:`repro.util.clock`, so tests pin it) and the run's own
 golden-headline deviations.  Two runs of the same ``(seed, config)``
 must agree on ``fingerprint`` and ``artifact_digests`` byte-for-byte on
-any backend; only the span durations, latency histograms and
+any backend; only the span durations, latency sketches and
 ``created_at`` may differ.  That makes the manifest the cheap
 cross-machine regression check: diff the digest block, not the gigabyte
 of artifacts.

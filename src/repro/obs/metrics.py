@@ -1,14 +1,18 @@
-"""The metrics registry: counters, gauges, histograms, sketches, watermarks.
+"""The metrics registry: counters, gauges, sketches, watermarks.
 
 One :class:`MetricsRegistry` accumulates every instrument of a run.
 Instruments are addressed by a metric name plus optional labels
 (``counter("epm.patterns_discovered", dimension="mu")``); the same
 ``(name, labels)`` pair always returns the same instrument, so
-increments from different call sites merge.  A registry freezes into a
-:class:`MetricsSnapshot` — a plain-data, picklable record with a
-deterministic JSON encoding (keys sorted, no wall-clock fields), which
-is what rides on :class:`~repro.experiments.scenario.ScenarioRun` and
-lands in ``--metrics-out`` files and benchmark records.
+increments from different call sites merge.  Every distribution
+(chunk seconds, LSH bucket sizes, batch sizes) is one
+:class:`~repro.obs.sketch.QuantileSketch`: quantiles within a relative
+error bound over any value range, in bounded memory.  A registry
+freezes into a :class:`MetricsSnapshot` — a plain-data, picklable
+record with a deterministic JSON encoding (keys sorted, no wall-clock
+fields), which is what rides on
+:class:`~repro.experiments.scenario.ScenarioRun` and lands in
+``--metrics-out`` files and benchmark records.
 
 Instrumented code never receives a registry explicitly: it reads the
 process-wide *active* registry via :func:`active`.  The default is
@@ -29,19 +33,12 @@ from __future__ import annotations
 
 import json
 import threading
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from repro.obs.sketch import DEFAULT_ALPHA, DEFAULT_MAX_BINS, QuantileSketch
+from repro.obs.sketch import QuantileSketch
 from repro.util.validation import require
-
-#: Default histogram buckets for latency-style observations (seconds).
-LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
-
-#: Default histogram buckets for size/cardinality-style observations.
-SIZE_BUCKETS = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 
 
 def metric_key(name: str, labels: Mapping[str, object]) -> str:
@@ -114,112 +111,6 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Fixed-bucket histogram: counts per upper bound, plus sum/count.
-
-    ``buckets`` are inclusive upper bounds in increasing order; one
-    implicit ``+Inf`` bucket catches the overflow.  Bucket shapes are
-    fixed at creation so exports are mergeable across runs.
-    """
-
-    __slots__ = ("buckets", "counts", "total", "count")
-
-    def __init__(self, buckets: tuple[float, ...] = LATENCY_BUCKETS) -> None:
-        buckets = tuple(float(b) for b in buckets)
-        require(len(buckets) >= 1, "histogram needs at least one bucket")
-        require(
-            all(a < b for a, b in zip(buckets, buckets[1:])),
-            "histogram buckets must be strictly increasing",
-        )
-        self.buckets = buckets
-        self.counts = [0] * (len(buckets) + 1)
-        self.total: float = 0.0
-        self.count: int = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.total += value
-        self.count += 1
-
-    def quantile(self, q: float) -> float | None:
-        """Estimate the ``q``-quantile by linear interpolation.
-
-        The estimate interpolates within the bucket the rank falls in
-        (the first bucket's lower edge is 0, the overflow bucket
-        reports the highest finite bound — the Prometheus convention),
-        so it is exact only up to bucket resolution.  Returns ``None``
-        on an empty histogram.
-
-        >>> h = Histogram((1.0, 2.0, 4.0))
-        >>> for value in (0.5, 1.5, 3.0, 3.5): h.observe(value)
-        >>> h.quantile(0.5)
-        2.0
-        """
-        require(0.0 <= q <= 1.0, "quantile must be in [0, 1]")
-        return _bucket_quantile(self.buckets, self.counts, self.count, q)
-
-    def merge(self, payload: Mapping) -> None:
-        """Fold another histogram's :meth:`as_dict` payload into this one."""
-        bounds, counts = _payload_buckets(payload)
-        require(
-            bounds == self.buckets,
-            f"cannot merge histogram with buckets {bounds} into {self.buckets}",
-        )
-        for index, count in enumerate(counts):
-            self.counts[index] += count
-        self.total += float(payload.get("sum", 0.0))
-        self.count += int(payload.get("count", 0))
-
-    def as_dict(self) -> dict:
-        """Export: per-bucket counts keyed by upper bound, plus sum/count."""
-        cumulative: dict[str, int] = {}
-        for bound, count in zip(self.buckets, self.counts):
-            cumulative[repr(bound)] = count
-        cumulative["+inf"] = self.counts[-1]
-        return {"buckets": cumulative, "count": self.count, "sum": self.total}
-
-
-class Sketch:
-    """A streaming-quantile instrument over an unbounded value range.
-
-    Thin registry wrapper around :class:`~repro.obs.sketch.QuantileSketch`:
-    same ``observe`` verb as :class:`Histogram`, but resolution is a
-    guaranteed *relative* error (``alpha``) instead of fixed buckets,
-    and memory is capped at ``max_bins`` no matter how long the run is.
-    Use it for series whose range scales with the run (chunk seconds,
-    LSH bucket sizes, event inter-arrival gaps); keep histograms for
-    series with a known, documented range.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(
-        self, alpha: float = DEFAULT_ALPHA, max_bins: int = DEFAULT_MAX_BINS
-    ) -> None:
-        self.state = QuantileSketch(alpha=alpha, max_bins=max_bins)
-
-    @property
-    def count(self) -> int:
-        return self.state.count
-
-    def observe(self, value: float) -> None:
-        """Record one observation (must be >= 0)."""
-        self.state.observe(value)
-
-    def quantile(self, q: float) -> float | None:
-        """Estimate the ``q``-quantile (within ``alpha`` relative error)."""
-        return self.state.quantile(q)
-
-    def merge(self, payload: Mapping) -> None:
-        """Fold another sketch's :meth:`as_dict` payload into this one."""
-        self.state.merge(payload)
-
-    def as_dict(self) -> dict:
-        """Deterministic plain-dict export (see :mod:`repro.obs.sketch`)."""
-        return self.state.as_dict()
-
-
 class Watermark:
     """A high-water mark: keeps the maximum of every update.
 
@@ -243,55 +134,38 @@ class Watermark:
         self.count += 1
 
 
-def _bucket_quantile(
-    bounds: tuple[float, ...], counts: Sequence[int], total: int, q: float
-) -> float | None:
-    """Shared quantile estimator over ``(bounds, per-bucket counts)``."""
-    if total == 0:
-        return None
-    rank = q * total
-    cumulative = 0
-    lower = 0.0
-    for bound, count in zip(bounds, counts):
-        if count and cumulative + count >= rank:
-            fraction = max(0.0, min(1.0, (rank - cumulative) / count))
-            return lower + (bound - lower) * fraction
-        cumulative += count
-        lower = bound
-    return bounds[-1]
-
-
-def _payload_buckets(payload: Mapping) -> tuple[tuple[float, ...], list[int]]:
-    """Finite bucket bounds and the full per-bucket count row of a payload."""
-    raw = payload.get("buckets", {})
-    bounds = tuple(sorted(float(key) for key in raw if key != "+inf"))
-    counts = [int(raw[repr(bound)]) for bound in bounds]
-    counts.append(int(raw.get("+inf", 0)))
-    return bounds, counts
-
-
-def quantile_from_payload(payload: Mapping, q: float) -> float | None:
-    """:meth:`Histogram.quantile` over an exported histogram payload.
-
-    Works on the plain-dict form snapshots and manifests carry, so the
-    ``repro obs history`` time series can render quantiles of stored
-    runs without rebuilding live instruments.
-    """
-    require(0.0 <= q <= 1.0, "quantile must be in [0, 1]")
-    bounds, counts = _payload_buckets(payload)
-    if not bounds:
-        return None
-    return _bucket_quantile(bounds, counts, int(payload.get("count", 0)), q)
-
-
 #: Snapshot schema version; bump on incompatible layout changes.
 #: 2: added ``sketches`` and ``watermarks`` sections (PR 9).
-SNAPSHOT_SCHEMA = 2
+#: 3: every distribution is one sketch under its plain name; the
+#:    fixed-bucket section and the ``_sketch`` twins are gone.
+SNAPSHOT_SCHEMA = 3
 
-#: Snapshot schemas :meth:`MetricsSnapshot.from_dict` accepts.  Schema
-#: 1 payloads (no sketch/watermark sections) load as empty sections, so
-#: stored runs written before the bump stay queryable.
-SUPPORTED_SNAPSHOT_SCHEMAS = (1, 2)
+#: Snapshot schemas :func:`upgrade_snapshot` maps to the current one.
+LEGACY_SNAPSHOT_SCHEMAS = (1, 2)
+
+
+def upgrade_snapshot(payload: Mapping) -> dict:
+    """A snapshot payload in the current layout (schema 1/2 upgraded).
+
+    Legacy snapshots carry a fixed-bucket ``histograms`` section, and
+    schema 2 recorded some distributions twice: as a histogram and as a
+    ``<name>_sketch`` twin.  The upgrade drops the ``histograms``
+    section and renames each ``<name>_sketch{labels}`` key to
+    ``<name>{labels}``, so a stored run keeps a continuous quantile
+    series under the plain name; a distribution an old run recorded
+    only as a histogram reads as absent.  Any other payload comes back
+    as an untouched copy, so schema checks still reject unknown
+    versions.
+    """
+    if payload.get("schema") not in LEGACY_SNAPSHOT_SCHEMAS:
+        return dict(payload)
+    upgraded = {key: value for key, value in payload.items() if key != "histograms"}
+    upgraded["schema"] = SNAPSHOT_SCHEMA
+    upgraded["sketches"] = {}
+    for key, value in payload.get("sketches", {}).items():
+        name, brace, labels = key.partition("{")
+        upgraded["sketches"][name.removesuffix("_sketch") + brace + labels] = value
+    return upgraded
 
 
 @dataclass
@@ -300,13 +174,12 @@ class MetricsSnapshot:
 
     Keys are rendered ``name{labels}`` strings; the encoding is
     deterministic (sorted keys) so two runs of the same seed produce
-    byte-identical counter/gauge sections (histograms of wall-clock
+    byte-identical counter/gauge sections (sketches of wall-clock
     latencies may differ, by design).
     """
 
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, dict] = field(default_factory=dict)
     sketches: dict[str, dict] = field(default_factory=dict)
     watermarks: dict[str, float] = field(default_factory=dict)
 
@@ -332,13 +205,7 @@ class MetricsSnapshot:
         """Every distinct metric name present, labels stripped."""
         return {
             base_name(key)
-            for section in (
-                self.counters,
-                self.gauges,
-                self.histograms,
-                self.sketches,
-                self.watermarks,
-            )
+            for section in (self.counters, self.gauges, self.sketches, self.watermarks)
             for key in section
         }
 
@@ -348,7 +215,6 @@ class MetricsSnapshot:
             "schema": SNAPSHOT_SCHEMA,
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "histograms": dict(sorted(self.histograms.items())),
             "sketches": dict(sorted(self.sketches.items())),
             "watermarks": dict(sorted(self.watermarks.items())),
         }
@@ -359,15 +225,16 @@ class MetricsSnapshot:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MetricsSnapshot":
-        """Rebuild a snapshot from its :meth:`as_dict` form."""
+        """Rebuild a snapshot from its :meth:`as_dict` form (legacy
+        schemas pass through :func:`upgrade_snapshot`)."""
+        payload = upgrade_snapshot(payload)
         require(
-            payload.get("schema") in SUPPORTED_SNAPSHOT_SCHEMAS,
+            payload.get("schema") == SNAPSHOT_SCHEMA,
             f"unsupported metrics snapshot schema {payload.get('schema')!r}",
         )
         return cls(
             counters=dict(payload.get("counters", {})),
             gauges=dict(payload.get("gauges", {})),
-            histograms=dict(payload.get("histograms", {})),
             sketches=dict(payload.get("sketches", {})),
             watermarks=dict(payload.get("watermarks", {})),
         )
@@ -382,8 +249,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._sketches: dict[str, Sketch] = {}
+        self._sketches: dict[str, QuantileSketch] = {}
         self._watermarks: dict[str, Watermark] = {}
         self._create_lock = threading.Lock()
 
@@ -405,43 +271,13 @@ class MetricsRegistry:
                 instrument = self._gauges.setdefault(key, Gauge())
         return instrument
 
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple[float, ...] = LATENCY_BUCKETS,
-        **labels: object,
-    ) -> Histogram:
-        """The histogram for ``(name, labels)``; buckets fix on creation."""
-        key = metric_key(name, labels)
-        instrument = self._histograms.get(key)
-        if instrument is None:
-            with self._create_lock:
-                instrument = self._histograms.setdefault(key, Histogram(buckets))
-        require(
-            instrument.buckets == tuple(float(b) for b in buckets),
-            f"histogram {key!r} already exists with different buckets",
-        )
-        return instrument
-
-    def sketch(
-        self,
-        name: str,
-        alpha: float = DEFAULT_ALPHA,
-        max_bins: int = DEFAULT_MAX_BINS,
-        **labels: object,
-    ) -> Sketch:
-        """The quantile sketch for ``(name, labels)``; shape fixes on
-        creation (merges require an identical ``(alpha, max_bins)``)."""
+    def sketch(self, name: str, **labels: object) -> QuantileSketch:
+        """The quantile sketch for ``(name, labels)``, created on first use."""
         key = metric_key(name, labels)
         instrument = self._sketches.get(key)
         if instrument is None:
             with self._create_lock:
-                instrument = self._sketches.setdefault(key, Sketch(alpha, max_bins))
-        require(
-            instrument.state.alpha == float(alpha)
-            and instrument.state.max_bins == int(max_bins),
-            f"sketch {key!r} already exists with a different shape",
-        )
+                instrument = self._sketches.setdefault(key, QuantileSketch())
         return instrument
 
     def watermark(self, name: str, **labels: object) -> Watermark:
@@ -458,7 +294,6 @@ class MetricsRegistry:
         return MetricsSnapshot(
             counters={key: c.value for key, c in sorted(self._counters.items())},
             gauges={key: g.value for key, g in sorted(self._gauges.items())},
-            histograms={key: h.as_dict() for key, h in sorted(self._histograms.items())},
             sketches={key: s.as_dict() for key, s in sorted(self._sketches.items())},
             watermarks={key: w.value for key, w in sorted(self._watermarks.items())},
         )
@@ -468,9 +303,11 @@ class MetricsRegistry:
 
         Counters add, gauges take the merged value (last write wins, so
         merging deltas in submission order reproduces a serial run),
-        histograms add per-bucket counts — the merge path the parallel
-        executors use to forward worker-side telemetry to the
-        coordinating process (see :mod:`repro.util.parallel`).
+        sketches add bin counts (a payload of another ``(alpha,
+        max_bins)`` shape is rejected) and watermarks keep the maximum —
+        the merge path the parallel executors use to forward worker-side
+        telemetry to the coordinating process (see
+        :mod:`repro.util.parallel`).
         """
         payload = snapshot.as_dict() if isinstance(snapshot, MetricsSnapshot) else snapshot
         for key, value in payload.get("counters", {}).items():
@@ -479,18 +316,9 @@ class MetricsRegistry:
         for key, value in payload.get("gauges", {}).items():
             name, labels = parse_key(key)
             self.gauge(name, **labels).set(value)
-        for key, hist_payload in payload.get("histograms", {}).items():
-            name, labels = parse_key(key)
-            bounds, _counts = _payload_buckets(hist_payload)
-            self.histogram(name, buckets=bounds, **labels).merge(hist_payload)
         for key, sketch_payload in payload.get("sketches", {}).items():
             name, labels = parse_key(key)
-            self.sketch(
-                name,
-                alpha=float(sketch_payload.get("alpha", DEFAULT_ALPHA)),
-                max_bins=int(sketch_payload.get("max_bins", DEFAULT_MAX_BINS)),
-                **labels,
-            ).merge(sketch_payload)
+            self.sketch(name, **labels).merge(sketch_payload)
         for key, value in payload.get("watermarks", {}).items():
             name, labels = parse_key(key)
             self.watermark(name, **labels).update(value)
@@ -528,21 +356,7 @@ class NullMetricsRegistry:
     def gauge(self, name: str, **labels: object) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple[float, ...] = LATENCY_BUCKETS,
-        **labels: object,
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def sketch(
-        self,
-        name: str,
-        alpha: float = DEFAULT_ALPHA,
-        max_bins: int = DEFAULT_MAX_BINS,
-        **labels: object,
-    ) -> _NullInstrument:
+    def sketch(self, name: str, **labels: object) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def watermark(self, name: str, **labels: object) -> _NullInstrument:

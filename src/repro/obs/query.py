@@ -17,7 +17,7 @@ cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
   ========================  ==================================================
   ``metric:<key>``          scalar via :func:`repro.obs.diff.metric_value`
                             (exact keys, bare names summing labels,
-                            ``<hist>:pNN`` quantiles, ``stage:<span>``)
+                            ``<sketch>:pNN`` quantiles, ``stage:<span>``)
   ``series:<name>``         the run's per-window series (a vector)
   ``golden:deviations``     count of self-reported golden deviations
   ``span:<name>``           wall seconds of that span; ``span:<name>/attr``
@@ -65,7 +65,9 @@ log = get_logger("obs.query")
 QUERY_INDEX_NAME = "query_index.json"
 
 #: Query-index schema version; bump on incompatible row layout changes.
-QUERY_INDEX_SCHEMA = 1
+#: 2: row metrics are metrics-snapshot schema 3, as the run store's
+#:    legacy upgrade reads them.
+QUERY_INDEX_SCHEMA = 2
 
 #: Target schemes the selector grammar understands.
 TARGET_SCHEMES = ("metric", "series", "golden", "span")
@@ -494,14 +496,8 @@ def build_frame(
     for ref in include:
         path = Path(ref)
         require(path.is_file(), f"included manifest {path} does not exist")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        sidecar = path.with_name(f"{path.stem}.windows.json")
-        windows = (
-            json.loads(sidecar.read_text(encoding="utf-8"))
-            if sidecar.is_file()
-            else None
-        )
-        rows.append(_row_from_payload(payload, windows=windows))
+        payload = store.load_payload(str(path))
+        rows.append(_row_from_payload(payload, windows=store.load_windows(str(path))))
     return QueryFrame(rows).filter(fingerprint=fingerprint, limit=limit)
 
 

@@ -1,14 +1,14 @@
 """Mergeable streaming-quantile sketch with a guaranteed relative error.
 
-Fixed-bucket :class:`~repro.obs.metrics.Histogram` is the right
-instrument when the value range is known up front; it is the wrong one
-for unbounded-range series (chunk seconds at 1000x scale, LSH bucket
-sizes, event inter-arrival gaps), where any fixed bucket layout either
-saturates or wastes resolution.  :class:`QuantileSketch` is the
-DDSketch-style answer: logarithmically spaced bins sized so every
-quantile estimate is within a *relative* error ``alpha`` of the true
-value, with a hard cap on the number of resident bins — O(max_bins)
-memory no matter how many observations stream through.
+The telemetry's distributions have no range known up front (chunk
+seconds at 1000x scale, LSH bucket sizes, event inter-arrival gaps):
+any fixed bucket layout either saturates at its top bound or wastes
+resolution.  :class:`QuantileSketch` is the DDSketch-style answer, and
+the one distribution instrument of :mod:`repro.obs.metrics`:
+logarithmically spaced bins sized so every quantile estimate is within
+a *relative* error ``alpha`` of the true value, with a hard cap on the
+number of resident bins — O(max_bins) memory no matter how many
+observations stream through.
 
 Two properties make it fit the repro telemetry contract:
 
@@ -177,8 +177,8 @@ class QuantileSketch:
     def merge(self, payload: "QuantileSketch | Mapping") -> None:
         """Fold another sketch (live or :meth:`as_dict` payload) in.
 
-        Merging requires an identical ``(alpha, max_bins)`` shape, the
-        same way histogram merges require identical buckets.
+        Merging requires an identical ``(alpha, max_bins)`` shape: bins
+        of different widths do not line up.
         """
         other = payload.as_dict() if isinstance(payload, QuantileSketch) else payload
         require(
@@ -233,10 +233,9 @@ class QuantileSketch:
 def sketch_quantile_from_payload(payload: Mapping, q: float) -> float | None:
     """Quantile estimate straight off an exported sketch payload.
 
-    The sketch-shaped sibling of
-    :func:`repro.obs.metrics.quantile_from_payload`: lets ``repro obs
-    history``/``query`` read quantiles of stored runs without
-    rebuilding live instruments.
+    Works on the plain-dict form snapshots and manifests carry, so
+    ``repro obs history``/``query`` and the exporters read quantiles of
+    stored runs without rebuilding live instruments.
     """
     require(0.0 <= q <= 1.0, "quantile must be in [0, 1]")
     if int(payload.get("count", 0)) == 0:

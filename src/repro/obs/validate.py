@@ -21,9 +21,10 @@ from typing import Mapping, Sequence
 
 from repro.obs.manifest import MANIFEST_SCHEMA, SUPPORTED_MANIFEST_SCHEMAS
 from repro.obs.metrics import (
+    LEGACY_SNAPSHOT_SCHEMAS,
     SNAPSHOT_SCHEMA,
-    SUPPORTED_SNAPSHOT_SCHEMAS,
     base_name,
+    upgrade_snapshot,
 )
 
 #: Every documented metric name and its kind.  One entry per name in
@@ -45,18 +46,16 @@ METRIC_CATALOGUE: dict[str, str] = {
     "epm.clusters": "gauge",
     # sandbox execution + LSH behaviour clustering
     "sandbox.executions": "counter",
-    "sandbox.batch_size": "histogram",
+    "sandbox.batch_size": "sketch",
     "lsh.unique_profiles": "gauge",
     "lsh.candidate_pairs": "counter",
     "lsh.pairs_verified": "counter",
-    "lsh.bucket_size": "histogram",
-    "lsh.bucket_size_sketch": "sketch",
+    "lsh.bucket_size": "sketch",
     "lsh.buckets_skipped": "counter",
     "lsh.clusters": "gauge",
     # sharded observation (only with ScenarioConfig.shards > 0)
     "shards.observed": "counter",
-    "shards.events": "histogram",
-    "shards.events_sketch": "sketch",
+    "shards.events": "sketch",
     "shards.shard_events": "watermark",
     "shards.staged_observations": "watermark",
     # cross-view join of the M and B perspectives (analysis/crossview)
@@ -70,7 +69,7 @@ METRIC_CATALOGUE: dict[str, str] = {
     # windowed landscape telemetry (only with ScenarioConfig.windows > 0)
     "window.count": "gauge",
     "window.weeks": "gauge",
-    "window.events": "histogram",
+    "window.events": "sketch",
     # SLO/health engine (labelled by severity=info|warning|critical)
     "health.findings": "counter",
     # scenario artifact cache (whole-run layer)
@@ -87,8 +86,7 @@ METRIC_CATALOGUE: dict[str, str] = {
     # so their totals must compare equal across serial/thread/process.
     "executor.chunks": "counter",
     "executor.items": "counter",
-    "executor.chunk_seconds": "histogram",
-    "executor.chunk_seconds_sketch": "sketch",
+    "executor.chunk_seconds": "sketch",
     "executor.worker_failures": "counter",
     # labelled by backend=serial|thread|process
     "executor.jobs": "gauge",
@@ -136,17 +134,14 @@ REQUIRED_SCENARIO_METRICS = frozenset(
         "executor.chunks",
         "executor.items",
         "executor.chunk_seconds",
-        "executor.chunk_seconds_sketch",
         "executor.chunk_backlog",
         "executor.jobs",
-        "lsh.bucket_size_sketch",
     }
 )
 
 _KIND_SECTIONS = (
     ("counters", "counter"),
     ("gauges", "gauge"),
-    ("histograms", "histogram"),
     ("sketches", "sketch"),
     ("watermarks", "watermark"),
 )
@@ -160,13 +155,16 @@ def validate_metrics(
     Checks the schema version, that every emitted name is in
     :data:`METRIC_CATALOGUE` under the right kind, and (with
     ``require_scenario``) that every name in
-    :data:`REQUIRED_SCENARIO_METRICS` actually appears.
+    :data:`REQUIRED_SCENARIO_METRICS` actually appears.  Legacy
+    snapshots are checked as :func:`~repro.obs.metrics.upgrade_snapshot`
+    reads them.
     """
     errors: list[str] = []
-    if payload.get("schema") not in SUPPORTED_SNAPSHOT_SCHEMAS:
+    payload = upgrade_snapshot(payload)
+    if payload.get("schema") != SNAPSHOT_SCHEMA:
         errors.append(
-            f"metrics: schema is {payload.get('schema')!r}, expected one of "
-            f"{SUPPORTED_SNAPSHOT_SCHEMAS} (current: {SNAPSHOT_SCHEMA})"
+            f"metrics: schema is {payload.get('schema')!r}, expected "
+            f"{SNAPSHOT_SCHEMA} (legacy {LEGACY_SNAPSHOT_SCHEMAS} are upgraded)"
         )
     seen: set[str] = set()
     for section, kind in _KIND_SECTIONS:

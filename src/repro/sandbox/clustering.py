@@ -290,16 +290,9 @@ def cluster_lsh(
             index.add(i, tuple(int(v) for v in signatures[i]))
         candidates = index.candidate_pairs()
         span.set(candidate_pairs=len(candidates))
-        bucket_hist = registry.histogram(
-            "lsh.bucket_size", buckets=obs_metrics.SIZE_BUCKETS
-        )
-        # The sketch tracks the same series with relative-error bins:
-        # at 100x-1000x scale bucket sizes outgrow the fixed SIZE
-        # buckets, while the sketch keeps tail quantiles meaningful.
-        bucket_sketch = registry.sketch("lsh.bucket_size_sketch")
+        bucket_size = registry.sketch("lsh.bucket_size")
         for size in index.bucket_sizes():
-            bucket_hist.observe(size)
-            bucket_sketch.observe(size)
+            bucket_size.observe(size)
         registry.counter("lsh.buckets_skipped").inc(index.skipped_buckets)
     uf = _UnionFind(list(range(len(uniques))))
     comparisons = len(candidates)

@@ -136,9 +136,7 @@ class Sandbox:
         executor = executor or SerialExecutor()
         registry = obs_metrics.active()
         registry.counter("sandbox.executions").inc(len(tasks))
-        registry.histogram(
-            "sandbox.batch_size", buckets=obs_metrics.SIZE_BUCKETS
-        ).observe(len(tasks))
+        registry.sketch("sandbox.batch_size").observe(len(tasks))
         profiles = executor.map(partial(_execute_task, self), tasks)
         self.n_executions += len(tasks)
         return profiles

@@ -263,7 +263,7 @@ class LSHIndex:
         return pairs
 
     def bucket_sizes(self) -> list[int]:
-        """Occupancy of every bucket across all bands (histogram fodder)."""
+        """Occupancy of every bucket across all bands (the ``lsh.bucket_size`` input)."""
         return [
             len(bucket) for band_buckets in self._buckets for bucket in band_buckets.values()
         ]

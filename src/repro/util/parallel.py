@@ -217,8 +217,7 @@ def _finish_chunk(
         registry.merge_snapshot(outcome.metrics)
     registry.counter("executor.chunks").inc()
     registry.counter("executor.items").inc(n_items)
-    registry.histogram("executor.chunk_seconds").observe(outcome.elapsed)
-    registry.sketch("executor.chunk_seconds_sketch").observe(outcome.elapsed)
+    registry.sketch("executor.chunk_seconds").observe(outcome.elapsed)
     registry.watermark("executor.chunk_backlog").update(n_chunks - index - 1)
     if outcome.rss_kb is not None:
         registry.watermark("worker.peak_rss_kb").update(outcome.rss_kb)

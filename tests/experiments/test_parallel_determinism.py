@@ -118,27 +118,29 @@ class TestBackendDeterminism:
         assert parallel_run.health.to_json() == serial_run.health.to_json()
         assert parallel_run.health.digest() == serial_run.health.digest()
 
-    def test_chunk_seconds_histogram_counts_identical(self, serial_run, parallel_run):
-        serial_hist = serial_run.metrics.histograms["executor.chunk_seconds"]
-        parallel_hist = parallel_run.metrics.histograms["executor.chunk_seconds"]
-        # values are wall-clock (free to differ); counts are structural
-        assert parallel_hist["count"] == serial_hist["count"] > 0
-
     def test_bucket_size_sketch_bit_identical(self, serial_run, parallel_run):
         """LSH bucket sizes are integers derived purely from artifacts,
         so the per-worker sketches must reduce to byte-identical
         payloads (``sum`` included) on every backend — the digest-level
         parity the mergeable-sketch design promises."""
-        serial = serial_run.metrics.sketches["lsh.bucket_size_sketch"]
-        parallel = parallel_run.metrics.sketches["lsh.bucket_size_sketch"]
+        serial = serial_run.metrics.sketches["lsh.bucket_size"]
+        parallel = parallel_run.metrics.sketches["lsh.bucket_size"]
         assert serial["count"] > 0
         assert parallel == serial
 
     def test_chunk_seconds_sketch_counts_identical(self, serial_run, parallel_run):
-        serial = serial_run.metrics.sketches["executor.chunk_seconds_sketch"]
-        parallel = parallel_run.metrics.sketches["executor.chunk_seconds_sketch"]
+        serial = serial_run.metrics.sketches["executor.chunk_seconds"]
+        parallel = parallel_run.metrics.sketches["executor.chunk_seconds"]
         # observed values are wall-clock; the observation count is not
         assert parallel["count"] == serial["count"] > 0
+
+    def test_chunk_seconds_histogram_counts_identical(self, serial_run, parallel_run):
+        """The chunk-seconds distribution holds one observation per
+        executed chunk, so on every backend its count equals the
+        ``executor.chunks`` counter."""
+        for run in (serial_run, parallel_run):
+            chunk_seconds = run.metrics.sketches["executor.chunk_seconds"]
+            assert chunk_seconds["count"] == run.metrics.counters["executor.chunks"] > 0
 
     def test_chunk_backlog_watermark_identical(self, serial_run, parallel_run):
         """The backlog high-water mark depends only on the chunk plan

@@ -174,7 +174,7 @@ class TestObserveSharded:
             self._sharded(5)
         snapshot = registry.snapshot()
         assert snapshot.counter("shards.observed") == 5
-        assert snapshot.histograms["shards.events"]["count"] == 5
+        assert snapshot.sketches["shards.events"]["count"] == 5
 
 
 class TestExecutionOnlyFields:

@@ -298,6 +298,20 @@ class TestProgressRenderer:
         renderer = ProgressRenderer(sink)
         assert renderer._eta() == "?"
 
+    def test_eta_of_long_chunks_does_not_saturate(self):
+        # 10 planned chunks of 12 s each: after three, 7 remain, so the
+        # ETA is 84 s — far past any fixed latency bucket layout.
+        sink = self._Sink()
+        bus = EventBus([ProgressRenderer(sink)])
+        bus.emit("stage.start", stage="observe", depth=1)
+        bus.emit("chunk.plan", backend="serial", chunks=10, items=10)
+        for chunk in range(3):
+            bus.emit("chunk.finish", backend="serial", chunk=chunk, items=1, seconds=12.0)
+        last = sink.text.splitlines()[-1]
+        assert "observe: chunks 3/10" in last
+        eta = float(last.rsplit("eta ", 1)[1].rstrip("s"))
+        assert eta == pytest.approx(84.0, rel=0.01)
+
 
 class TestValidateEvents:
     def _lines(self, *events):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.export import (
     EXPORT_FORMATS,
-    _cumulative_buckets,
     export_payload,
     jsonl_samples,
     jsonl_text,
@@ -22,9 +21,9 @@ def _snapshot():
     registry.counter("executor.items").inc(42)
     registry.counter("epm.patterns", dimension="mu").inc(7)
     registry.gauge("executor.jobs", backend="thread").set(4)
-    histogram = registry.histogram("executor.chunk_seconds")
+    sketch = registry.sketch("executor.chunk_seconds")
     for value in (0.002, 0.002, 0.02, 0.7):
-        histogram.observe(value)
+        sketch.observe(value)
     return registry.snapshot().as_dict()
 
 
@@ -39,14 +38,10 @@ class TestPrometheusText:
         assert 'repro_epm_patterns_total{dimension="mu"} 7' in text
         assert 'repro_executor_jobs{backend="thread"} 4' in text
 
-    def test_histogram_buckets_are_cumulative_with_inf(self):
+    def test_sketch_is_a_summary_without_buckets(self):
         lines = prometheus_text(_snapshot()).splitlines()
-        buckets = [line for line in lines if "_bucket{" in line]
-        counts = [int(line.rsplit(" ", 1)[1]) for line in buckets]
-        assert counts == sorted(counts)  # cumulative, never decreasing
-        inf_line = [line for line in buckets if 'le="+Inf"' in line]
-        assert len(inf_line) == 1 and inf_line == [buckets[-1]]
-        assert int(inf_line[0].rsplit(" ", 1)[1]) == 4  # +Inf == observation count
+        assert "# TYPE repro_executor_chunk_seconds summary" in lines
+        assert not [line for line in lines if "_bucket{" in line]
         assert "repro_executor_chunk_seconds_count 4" in lines
         sum_line = [line for line in lines if line.startswith("repro_executor_chunk_seconds_sum ")]
         assert len(sum_line) == 1
@@ -60,31 +55,13 @@ class TestPrometheusText:
         payload = {"metrics": _snapshot(), "span_tree": {"name": "scenario"}}
         assert "repro_executor_items_total 42" in prometheus_text(payload)
 
-    def test_empty_histogram_renders_zero_rows(self):
+    def test_empty_sketch_renders_count_and_sum_only(self):
         registry = MetricsRegistry()
-        registry.histogram("executor.chunk_seconds")  # registered, never observed
+        registry.sketch("executor.chunk_seconds")  # registered, never observed
         lines = prometheus_text(registry.snapshot().as_dict()).splitlines()
-        buckets = [line for line in lines if "_bucket{" in line]
-        assert buckets and all(line.endswith(" 0") for line in buckets)
-        assert 'le="+Inf"' in buckets[-1]
+        assert not [line for line in lines if 'quantile="' in line]
         assert "repro_executor_chunk_seconds_count 0" in lines
         assert "repro_executor_chunk_seconds_sum 0.0" in lines
-
-    def test_zero_count_buckets_still_listed(self):
-        # A gap in the observations must not drop its bucket row: the
-        # cumulative count simply repeats across the empty bucket.
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lsh.bucket_size", buckets=(1.0, 2.0, 4.0))
-        histogram.observe(0.5)
-        histogram.observe(3.0)  # nothing lands in (1, 2]
-        rows = _cumulative_buckets(
-            registry.snapshot().as_dict()["histograms"]["lsh.bucket_size"]
-        )
-        assert rows == [("1", 1), ("2", 1), ("4", 2), ("+Inf", 2)]
-
-    def test_cumulative_buckets_of_an_empty_payload(self):
-        assert _cumulative_buckets({}) == [("+Inf", 0)]
-        assert _cumulative_buckets({"buckets": {"+inf": 3}}) == [("+Inf", 3)]
 
     def test_window_series_section_rides_along(self):
         payload = {
@@ -118,7 +95,7 @@ class TestOpenMetricsText:
         lines = openmetrics_text(_snapshot()).splitlines()
         unit = lines.index("# UNIT repro_executor_chunk_seconds seconds")
         # UNIT must sit inside its family block, right after TYPE.
-        assert lines[unit - 1] == "# TYPE repro_executor_chunk_seconds histogram"
+        assert lines[unit - 1] == "# TYPE repro_executor_chunk_seconds summary"
 
     def test_no_unit_line_for_unitless_or_uncatalogued_metrics(self):
         lines = openmetrics_text(_snapshot()).splitlines()
@@ -145,11 +122,6 @@ class TestOpenMetricsText:
     def test_counters_carry_the_required_total_suffix(self):
         assert "repro_executor_items_total 42" in openmetrics_text(_snapshot())
 
-    def test_every_histogram_closes_with_an_explicit_inf_bucket(self):
-        lines = openmetrics_text(_snapshot()).splitlines()
-        buckets = [line for line in lines if "_bucket{" in line]
-        assert any('le="+Inf"' in line for line in buckets)
-
     def test_dispatches_through_export_payload(self):
         snapshot = _snapshot()
         assert export_payload(snapshot, "openmetrics") == openmetrics_text(snapshot)
@@ -167,10 +139,10 @@ class TestJsonlText:
             by_type.setdefault(sample["type"], []).append(sample)
         assert len(by_type["counter"]) == 2
         assert len(by_type["gauge"]) == 1
-        assert len(by_type["histogram"]) == 1
-        histogram = by_type["histogram"][0]
-        assert histogram["name"] == "executor.chunk_seconds"
-        assert histogram["count"] == 4
+        assert len(by_type["sketch"]) == 1
+        sketch = by_type["sketch"][0]
+        assert sketch["name"] == "executor.chunk_seconds"
+        assert sketch["count"] == 4
 
     def test_labels_are_structured_not_rendered(self):
         samples = list(jsonl_samples(_snapshot()))
@@ -212,7 +184,7 @@ class TestExportPayload:
 
 def _sketchy_snapshot():
     registry = MetricsRegistry()
-    sketch = registry.sketch("executor.chunk_seconds_sketch")
+    sketch = registry.sketch("executor.chunk_seconds")
     for value in (1.0, 2.0, 4.0, 8.0):
         sketch.observe(value)
     registry.watermark("worker.peak_rss_kb").update(51200)
@@ -245,10 +217,10 @@ class TestLabelEscaping:
 class TestSketchExposition:
     def test_sketch_renders_as_summary_family(self):
         text = prometheus_text(_sketchy_snapshot())
-        assert "# TYPE repro_executor_chunk_seconds_sketch summary" in text
-        assert 'repro_executor_chunk_seconds_sketch{quantile="0.5"}' in text
-        assert "repro_executor_chunk_seconds_sketch_sum 15" in text
-        assert "repro_executor_chunk_seconds_sketch_count 4" in text
+        assert "# TYPE repro_executor_chunk_seconds summary" in text
+        assert 'repro_executor_chunk_seconds{quantile="0.5"}' in text
+        assert "repro_executor_chunk_seconds_sum 15" in text
+        assert "repro_executor_chunk_seconds_count 4" in text
 
     def test_watermark_renders_as_gauge(self):
         text = prometheus_text(_sketchy_snapshot())
@@ -265,9 +237,53 @@ class TestSketchExposition:
         for sample in samples:
             by_type.setdefault(sample["type"], []).append(sample)
         sketch = by_type["sketch"][0]
-        assert sketch["name"] == "executor.chunk_seconds_sketch"
+        assert sketch["name"] == "executor.chunk_seconds"
         assert sketch["count"] == 4
         assert set(sketch["quantiles"]) == {"0.5", "0.9", "0.99"}
         watermark = by_type["watermark"][0]
         assert watermark["name"] == "worker.peak_rss_kb"
         assert watermark["value"] == 51200
+
+
+class TestBareSnapshotDetection:
+    """A payload without a ``metrics`` key is a bare snapshot, whatever
+    sections it carries — a sketches- or watermarks-only snapshot must
+    not be mistaken for a manifest and exported as empty."""
+
+    def _sketches_only(self):
+        sketch = MetricsRegistry().sketch("executor.chunk_seconds")
+        for value in (1.0, 2.0, 4.0):
+            sketch.observe(value)
+        return {"schema": 3, "sketches": {"executor.chunk_seconds": sketch.as_dict()}}
+
+    def _watermarks_only(self):
+        return {"schema": 3, "watermarks": {"worker.peak_rss_kb": 51200.0}}
+
+    @pytest.mark.parametrize("fmt", ["prometheus", "openmetrics"])
+    def test_sketches_only_snapshot_exports_its_summary(self, fmt):
+        text = export_payload(self._sketches_only(), fmt)
+        assert "# TYPE repro_executor_chunk_seconds summary" in text
+        assert "repro_executor_chunk_seconds_count 3" in text
+
+    @pytest.mark.parametrize("fmt", ["prometheus", "openmetrics"])
+    def test_watermarks_only_snapshot_exports_its_gauge(self, fmt):
+        text = export_payload(self._watermarks_only(), fmt)
+        assert "repro_worker_peak_rss_kb 51200" in text
+
+    def test_jsonl_of_sketches_and_watermarks_only_snapshots(self):
+        sketch_samples = list(jsonl_samples(self._sketches_only()))
+        assert [(s["type"], s["count"]) for s in sketch_samples] == [("sketch", 3)]
+        mark_samples = list(jsonl_samples(self._watermarks_only()))
+        assert [(s["type"], s["value"]) for s in mark_samples] == [("watermark", 51200.0)]
+
+    def test_legacy_twin_exports_under_the_plain_name(self):
+        sketch = self._sketches_only()["sketches"]["executor.chunk_seconds"]
+        histogram = {"buckets": {"1.0": 1, "+inf": 2}, "count": 3, "sum": 7.0}
+        payload = {
+            "schema": 2,
+            "histograms": {"executor.chunk_seconds": histogram},
+            "sketches": {"executor.chunk_seconds_sketch": sketch},
+        }
+        text = openmetrics_text(payload)
+        assert "# TYPE repro_executor_chunk_seconds summary" in text
+        assert "_bucket{" not in text and "_sketch" not in text

@@ -1,6 +1,7 @@
 """The run store, cross-run diffs and the drift time series."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,11 @@ from repro.obs.diff import (
     metric_value,
     render_history,
 )
+from repro.obs.export import export_payload
 from repro.obs.history import RUN_ID_LENGTH, RunStore
 from repro.obs.manifest import RunManifest
-from repro.obs.validate import validate_run_store
+from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
+from repro.obs.validate import validate_metrics, validate_run_store
 from repro.util.validation import ValidationError
 
 
@@ -454,40 +457,81 @@ class TestEventDiff:
         assert diff_manifests(a, b).first_diverging_event is None
 
 
+def _sketch_payload(*values: float) -> dict:
+    sketch = QuantileSketch()
+    for value in values:
+        sketch.observe(value)
+    return sketch.as_dict()
+
+
 class TestHistogramQuantileHistory:
+    """``<key>:pNN`` quantiles of a run's distribution sketches."""
+
     def test_metric_value_quantile_mode(self):
         manifest = _manifest()
-        manifest.metrics["histograms"] = {
-            "executor.chunk_seconds": {
-                "buckets": {"0.001": 0, "0.01": 2, "0.1": 2, "+inf": 0},
-                "count": 4,
-                "sum": 0.1,
-            }
+        manifest.metrics["sketches"] = {
+            "executor.chunk_seconds": _sketch_payload(0.005, 0.005, 0.05, 0.1)
         }
         payload = manifest.as_dict()
         median = metric_value(payload, "executor.chunk_seconds:p50")
-        assert median == pytest.approx(0.01)  # rank falls at the 0.01 bucket edge
-        assert metric_value(payload, "executor.chunk_seconds:p100") == pytest.approx(0.1)
-        assert metric_value(payload, "absent.histogram:p50") is None
+        assert median == pytest.approx(0.005, rel=DEFAULT_ALPHA)
+        p100 = metric_value(payload, "executor.chunk_seconds:p100")
+        assert p100 == pytest.approx(0.1, rel=DEFAULT_ALPHA)
+        assert metric_value(payload, "absent.sketch:p50") is None
         assert metric_value(payload, "executor.chunk_seconds:p200") is None
 
     def test_quantile_mode_resolves_unique_labelled_key(self):
         manifest = _manifest()
-        manifest.metrics["histograms"] = {
-            "io.seconds{op=read}": {
-                "buckets": {"1.0": 4, "+inf": 0}, "count": 4, "sum": 2.0,
-            }
-        }
+        manifest.metrics["sketches"] = {"io.seconds{op=read}": _sketch_payload(0.5, 1.0)}
         assert metric_value(manifest.as_dict(), "io.seconds:p50") is not None
 
     def test_quantile_mode_refuses_ambiguous_labels(self):
         manifest = _manifest()
-        histogram = {"buckets": {"1.0": 4, "+inf": 0}, "count": 4, "sum": 2.0}
-        manifest.metrics["histograms"] = {
-            "io.seconds{op=read}": dict(histogram),
-            "io.seconds{op=write}": dict(histogram),
+        manifest.metrics["sketches"] = {
+            "io.seconds{op=read}": _sketch_payload(0.5, 1.0),
+            "io.seconds{op=write}": _sketch_payload(0.5, 1.0),
         }
         assert metric_value(manifest.as_dict(), "io.seconds:p50") is None
+
+
+LEGACY_REFERENCE = Path(__file__).with_name("legacy_reference.json")
+
+
+class TestLegacyStoredRun:
+    """A real schema-6 manifest whose metrics are snapshot schema 2:
+    four fixed-bucket histograms plus two ``<name>_sketch`` twins."""
+
+    @pytest.fixture()
+    def legacy(self, tmp_path):
+        raw = json.loads(LEGACY_REFERENCE.read_text(encoding="utf-8"))
+        assert raw["metrics"]["schema"] == 2 and raw["metrics"]["histograms"]
+        store = RunStore(tmp_path / "runs")
+        run_id = store.add(RunManifest.from_dict(raw))
+        return raw, store, run_id
+
+    def test_legacy_metrics_validate(self, legacy):
+        raw, _store, _run_id = legacy
+        assert validate_metrics(raw["metrics"]) == []
+
+    def test_quantile_series_continues_under_the_plain_name(self, legacy):
+        raw, store, run_id = legacy
+        payload = store.load_payload(run_id)
+        twin = raw["metrics"]["sketches"]["executor.chunk_seconds_sketch"]
+        expected = QuantileSketch.from_dict(twin).quantile(0.5)
+        assert metric_value(payload, "executor.chunk_seconds:p50") == expected
+        assert store.load(run_id).metrics == payload["metrics"]
+
+    def test_histogram_only_distribution_reads_as_absent(self, legacy):
+        _raw, store, run_id = legacy
+        assert metric_value(store.load_payload(run_id), "sandbox.batch_size:p50") is None
+
+    def test_openmetrics_export_has_no_bucket_lines(self, legacy):
+        raw, store, run_id = legacy
+        for payload in (raw, store.load_payload(run_id)):
+            text = export_payload(payload, "openmetrics")
+            assert "# TYPE repro_executor_chunk_seconds summary" in text
+            assert not [line for line in text.splitlines() if "_bucket{" in line]
+            assert text.endswith("\n# EOF\n")
 
 
 def _windows_payload(fingerprint: str = "ab" * 32) -> dict:

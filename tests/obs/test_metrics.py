@@ -5,15 +5,16 @@ import pickle
 import pytest
 
 from repro.obs.metrics import (
-    LATENCY_BUCKETS,
     NULL_REGISTRY,
     MetricsRegistry,
     MetricsSnapshot,
     active,
     base_name,
     metric_key,
+    upgrade_snapshot,
     use,
 )
+from repro.obs.sketch import QuantileSketch
 from repro.util.validation import ValidationError
 
 
@@ -70,76 +71,13 @@ class TestGauge:
         assert registry.snapshot().gauge("lsh.clusters") == 7
 
 
-class TestHistogram:
-    def test_values_land_in_inclusive_upper_bound_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t", buckets=(1.0, 10.0))
-        for value in (0.5, 1.0, 5.0, 10.0, 100.0):
-            hist.observe(value)
-        exported = registry.snapshot().histograms["t"]
-        assert exported["buckets"] == {"1.0": 2, "10.0": 2, "+inf": 1}
-        assert exported["count"] == 5
-        assert exported["sum"] == pytest.approx(116.5)
-
-    def test_default_buckets_are_latency_shaped(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("executor.chunk_seconds")
-        assert hist.buckets == LATENCY_BUCKETS
-
-    def test_bucket_shape_fixed_at_creation(self):
-        registry = MetricsRegistry()
-        registry.histogram("t", buckets=(1.0, 2.0))
-        registry.histogram("t", buckets=(1.0, 2.0))  # same shape: fine
-        with pytest.raises(ValidationError):
-            registry.histogram("t", buckets=(5.0,))
-
-    def test_unsorted_buckets_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValidationError):
-            registry.histogram("t", buckets=(2.0, 1.0))
-
-    def test_quantile_extremes(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t", buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 3.0, 3.5):
-            hist.observe(value)
-        # q=0 interpolates to the lower edge of the first occupied
-        # bucket; q=1 to the upper bound of the last occupied one.
-        assert hist.quantile(0.0) == 0.0
-        assert hist.quantile(1.0) == 4.0
-        assert hist.quantile(0.0) <= hist.quantile(0.5) <= hist.quantile(1.0)
-
-    def test_quantile_of_overflow_observations_reports_last_bound(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t", buckets=(1.0, 2.0))
-        hist.observe(50.0)  # lands in +inf
-        # The Prometheus convention: the overflow bucket has no upper
-        # edge, so the estimator reports the highest finite bound.
-        assert hist.quantile(1.0) == 2.0
-        assert hist.quantile(0.5) == 2.0
-
-    def test_quantile_of_empty_histogram_is_none(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t", buckets=(1.0, 2.0))
-        assert hist.quantile(0.0) is None
-        assert hist.quantile(1.0) is None
-
-    def test_quantile_rejects_out_of_range(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t")
-        with pytest.raises(ValidationError):
-            hist.quantile(-0.1)
-        with pytest.raises(ValidationError):
-            hist.quantile(1.1)
-
-
 class TestSnapshot:
     def _populated(self) -> MetricsSnapshot:
         registry = MetricsRegistry()
         registry.counter("cache.hit").inc(2)
         registry.counter("epm.clusters_found", dimension="mu").inc(4)
         registry.gauge("lsh.clusters").set(6)
-        registry.histogram("sandbox.batch_size", buckets=(1.0, 10.0)).observe(3)
+        registry.sketch("sandbox.batch_size").observe(3)
         return registry.snapshot()
 
     def test_json_round_trip(self):
@@ -205,16 +143,16 @@ class TestActivation:
     def test_null_registry_swallows_everything(self):
         NULL_REGISTRY.counter("x", a=1).inc(5)
         NULL_REGISTRY.gauge("y").set(2)
-        NULL_REGISTRY.histogram("z").observe(0.1)
+        NULL_REGISTRY.sketch("z").observe(0.1)
         snapshot = NULL_REGISTRY.snapshot()
         assert snapshot.counters == {} and snapshot.gauges == {}
-        assert snapshot.histograms == {}
+        assert snapshot.sketches == {}
 
 
 class TestSketchInstrument:
     def test_observe_and_quantile(self):
         registry = MetricsRegistry()
-        sketch = registry.sketch("executor.chunk_seconds_sketch")
+        sketch = registry.sketch("executor.chunk_seconds")
         for value in (1.0, 2.0, 4.0):
             sketch.observe(value)
         assert sketch.count == 3
@@ -228,16 +166,21 @@ class TestSketchInstrument:
         )
 
     def test_shape_mismatch_on_one_key_rejected(self):
+        # The registry's sketches all have the default shape; merging a
+        # payload of another (alpha, max_bins) into one is refused.
+        foreign = QuantileSketch(alpha=0.05)
+        foreign.observe(1.0)
         registry = MetricsRegistry()
-        registry.sketch("a.sketch", alpha=0.01)
+        registry.sketch("a.sketch").observe(2.0)
         with pytest.raises(ValidationError):
-            registry.sketch("a.sketch", alpha=0.05)
+            registry.merge_snapshot({"sketches": {"a.sketch": foreign.as_dict()}})
 
     def test_snapshot_round_trip_preserves_sketches(self):
         registry = MetricsRegistry()
         registry.sketch("a.sketch").observe(3.0)
         payload = registry.snapshot().as_dict()
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
+        assert "histograms" not in payload
         rebuilt = MetricsSnapshot.from_dict(payload)
         assert rebuilt.sketches["a.sketch"]["count"] == 1
 
@@ -248,6 +191,47 @@ class TestSketchInstrument:
         assert snapshot.counters["cache.hit"] == 2
         assert snapshot.sketches == {}
         assert snapshot.watermarks == {}
+
+
+class TestLegacyUpgrade:
+    def _legacy(self) -> dict:
+        sketch = QuantileSketch()
+        sketch.observe(3.0)
+        histogram = {"buckets": {"1.0": 0, "+inf": 1}, "count": 1, "sum": 3.0}
+        return {
+            "schema": 2,
+            "counters": {"cache.hit": 1},
+            "histograms": {
+                "sandbox.batch_size": histogram,
+                "executor.chunk_seconds": histogram,
+            },
+            "sketches": {
+                "executor.chunk_seconds_sketch": sketch.as_dict(),
+                "shards.events_sketch{shard=1}": sketch.as_dict(),
+                "events.interarrival": sketch.as_dict(),
+            },
+        }
+
+    def test_schema_two_twins_take_the_plain_name(self):
+        upgraded = upgrade_snapshot(self._legacy())
+        assert upgraded["schema"] == 3
+        assert "histograms" not in upgraded
+        assert sorted(upgraded["sketches"]) == [
+            "events.interarrival",
+            "executor.chunk_seconds",
+            "shards.events{shard=1}",
+        ]
+        assert upgraded["counters"] == {"cache.hit": 1}
+
+    def test_histogram_only_distributions_read_as_absent(self):
+        snapshot = MetricsSnapshot.from_dict(self._legacy())
+        assert "sandbox.batch_size" not in snapshot.names()
+        assert snapshot.sketches["executor.chunk_seconds"]["count"] == 1
+
+    def test_current_and_unknown_schemas_pass_through(self):
+        current = MetricsRegistry().snapshot().as_dict()
+        assert upgrade_snapshot(current) == current
+        assert upgrade_snapshot({"schema": 99}) == {"schema": 99}
 
 
 class TestWatermarkInstrument:

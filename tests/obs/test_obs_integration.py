@@ -65,7 +65,7 @@ class TestScenarioMetrics:
     def test_counters_and_gauges_deterministic_per_seed(self, tiny_run):
         again = small_scenario(seed=7, scale=0.08, n_weeks=10)
         # Counters and gauges are pure functions of the seed; only the
-        # latency histograms may differ between runs.
+        # latency sketches may differ between runs.
         assert again.metrics.counters == tiny_run.metrics.counters
         assert again.metrics.gauges == tiny_run.metrics.gauges
 

@@ -6,12 +6,17 @@ drops its counters don't corroborate (or vice versa), or a sketch whose
 bins lost observations, must fail ``repro obs validate`` loudly.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.obs.manifest import MANIFEST_SCHEMA
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import QuantileSketch
-from repro.obs.validate import validate_manifest, validate_metrics
+from repro.obs.validate import METRIC_CATALOGUE, validate_manifest, validate_metrics
+
+ARCHITECTURE = Path(__file__).resolve().parents[2] / "docs" / "ARCHITECTURE.md"
 
 
 def _metrics_with_sketch(**sketch_overrides):
@@ -36,10 +41,9 @@ def _manifest_payload(event_drops, counters):
         "config": {},
         "span_tree": {"name": "scenario", "children": []},
         "metrics": {
-            "schema": 2,
+            "schema": 3,
             "counters": counters,
             "gauges": {},
-            "histograms": {},
             "sketches": {},
             "watermarks": {},
         },
@@ -154,3 +158,31 @@ class TestEventDropsValidation:
         payload["schema"] = 5
         del payload["event_drops"]
         assert validate_manifest(payload) == []
+
+
+def _documented_catalogue() -> dict[str, str]:
+    """name -> kind from the ``### Metric catalogue`` table of the docs.
+
+    A row may name several metrics (`` `a` / `b` ``); each gets the
+    row's kind.
+    """
+    text = ARCHITECTURE.read_text(encoding="utf-8")
+    section = text.split("### Metric catalogue", 1)[1].split("\n### ", 1)[0]
+    documented: dict[str, str] = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("| `") or len(cells) < 2:
+            continue
+        for name in re.findall(r"`([^`]+)`", cells[0]):
+            assert name not in documented, f"{name} documented twice"
+            documented[name] = cells[1]
+    return documented
+
+
+class TestCatalogueDocs:
+    def test_docs_table_matches_the_metric_catalogue(self):
+        assert _documented_catalogue() == METRIC_CATALOGUE
+
+    def test_every_distribution_is_a_sketch(self):
+        assert set(METRIC_CATALOGUE.values()) == {"counter", "gauge", "sketch", "watermark"}
+        assert not [name for name in METRIC_CATALOGUE if name.endswith("_sketch")]

@@ -195,11 +195,31 @@ class TestClusterLshVectorized:
         with obs_metrics.use(MetricsRegistry()) as registry:
             cluster_lsh(self._profiles())
         snapshot = registry.snapshot()
-        hist = snapshot.histograms["lsh.bucket_size"]
-        assert hist["count"] > 0
+        sizes = snapshot.sketches["lsh.bucket_size"]
+        assert sizes["count"] > 0
         # No degenerate buckets here, so the guard skipped nothing —
         # but the counter must exist regardless (schema contract).
         assert snapshot.counter("lsh.buckets_skipped") == 0
+
+    def test_bucket_size_p99_does_not_saturate_at_scale(self, monkeypatch):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs.diff import metric_value
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.sketch import DEFAULT_ALPHA
+        from repro.sandbox.lsh import LSHIndex
+
+        # Bucket occupancies far past any fixed bucket layout, as large
+        # inputs produce them.  The recorded p99 must still be the true
+        # one (the rank-q*(n-1) order statistic), within the sketch's
+        # relative error.
+        sizes = [20000, 30000, 50000]
+        monkeypatch.setattr(LSHIndex, "bucket_sizes", lambda self: list(sizes))
+        with obs_metrics.use(MetricsRegistry()) as registry:
+            cluster_lsh(self._profiles())
+        payload = {"metrics": registry.snapshot().as_dict()}
+        true_p99 = sorted(sizes)[int(0.99 * (len(sizes) - 1))]
+        p99 = metric_value(payload, "lsh.bucket_size:p99")
+        assert p99 == pytest.approx(true_p99, rel=DEFAULT_ALPHA)
 
     def test_max_bucket_size_guard_applies(self):
         from repro.obs import metrics as obs_metrics

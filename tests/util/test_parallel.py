@@ -35,7 +35,7 @@ def _maybe_fail(x: int) -> int:
 def _count_and_square(x: int) -> int:
     """Records worker-side telemetry (module-level for the process pool)."""
     obs_metrics.active().counter("test.worker_calls").inc()
-    obs_metrics.active().histogram("test.worker_values").observe(float(x))
+    obs_metrics.active().sketch("test.worker_values").observe(float(x))
     return x * x
 
 
@@ -209,10 +209,10 @@ class TestExecutorTelemetryParity:
             assert self._executor_counters(snapshot) == self._executor_counters(
                 reference
             )
-            # histogram values are wall-clock, but counts must agree
+            # sketch values are wall-clock, but counts must agree
             assert (
-                snapshot.histograms["executor.chunk_seconds"]["count"]
-                == reference.histograms["executor.chunk_seconds"]["count"]
+                snapshot.sketches["executor.chunk_seconds"]["count"]
+                == reference.sketches["executor.chunk_seconds"]["count"]
                 == n_chunks
             )
 
@@ -223,8 +223,8 @@ class TestExecutorTelemetryParity:
             )
             assert error is None
             assert snapshot.counters["test.worker_calls"] == float(len(self.ITEMS))
-            assert snapshot.histograms["test.worker_values"]["count"] == len(self.ITEMS)
-            assert snapshot.histograms["test.worker_values"]["sum"] == float(
+            assert snapshot.sketches["test.worker_values"]["count"] == len(self.ITEMS)
+            assert snapshot.sketches["test.worker_values"]["sum"] == float(
                 sum(self.ITEMS)
             )
 
