@@ -15,8 +15,7 @@
 
 All commands accept ``--seed`` (default 2010), ``--scale`` (default 1.0)
 and ``--weeks`` (default 74), plus ``--executor {serial,thread,process}``
-and ``--jobs N`` to pick the parallel backend, ``--shards N`` to stream
-observation through N time-slice shards, ``--timings`` to print
+and ``--jobs N`` to pick the parallel backend, ``--timings`` to print
 the per-stage trace tree, and ``--cache`` / ``--no-cache`` to reuse a
 previously built scenario from the artifact cache.  With ``--cache``
 the per-stage artifact store is on too (``--no-cache-stages`` turns it
@@ -118,15 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             help="worker count for parallel backends (0 = one per core)",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=0,
-            metavar="N",
-            help="stream observation through N time-slice shards, "
-            "dropping each shard's binaries before building the next "
-            "(0 = unsharded; the dataset is bit-identical for any N)",
         )
         p.add_argument(
             "--windows",
@@ -759,7 +749,6 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
         events_backups=args.events_backups,
         ring=args.ring,
         progress=args.progress,
-        shards=args.shards,
         windows=args.windows,
     )
     # One registry for the whole session: the scenario build records

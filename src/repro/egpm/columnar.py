@@ -12,11 +12,9 @@ in :mod:`repro.core.invariants`) then run over integer arrays, while
 the vocabularies decode codes back to the exact original feature values
 so results stay bit-identical to the row-wise path.
 
-The view is built either in one pass over a finished dataset
-(:meth:`SGNetDataset.to_columnar`) or incrementally through a
-:class:`ColumnarBuilder` — the shard pipeline streams observation
-shards through one builder, merging them into a single store without
-ever materializing the full row-wise event list twice.
+The view is built once, lazily, over a finished dataset
+(:meth:`SGNetDataset.to_columnar`), by appending its events to a
+:class:`ColumnarBuilder`.
 """
 
 from __future__ import annotations
@@ -216,8 +214,8 @@ class _DimensionAccumulator:
 
 
 class ColumnarBuilder:
-    """Incremental builder: append events (possibly shard by shard),
-    then :meth:`build` the immutable store."""
+    """Incremental builder: append events in order, then :meth:`build`
+    the immutable store."""
 
     def __init__(
         self, feature_sets: dict[Dimension, FeatureSet] | None = None

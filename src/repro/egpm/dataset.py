@@ -140,24 +140,6 @@ class SGNetDataset:
             self._columnar = events_to_columnar(self._events)
         return self._columnar
 
-    def adopt_columnar(self, view) -> None:
-        """Install a pre-built default-feature-set columnar view.
-
-        The shard pipeline streams every observation shard through one
-        :class:`~repro.egpm.columnar.ColumnarBuilder` while the events
-        are appended here, then hands the merged store over — the next
-        :meth:`to_columnar` call returns it instead of re-transposing
-        the whole event list.  The view must cover exactly the events
-        currently stored (and must have been built with the default
-        feature sets, since that is what the cache position means).
-        """
-        require(
-            view.n_events == len(self._events),
-            f"columnar view covers {view.n_events} events, "
-            f"dataset holds {len(self._events)}",
-        )
-        self._columnar = view
-
     def valid_samples(self) -> list[SampleRecord]:
         """Sample records whose binary is uncorrupted (executable)."""
         return [r for r in self._samples.values() if not r.observable.corrupted]

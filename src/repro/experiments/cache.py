@@ -92,7 +92,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "events_backups",
         "ring",
         "progress",
-        "shards",
         "windows",
     }
 )

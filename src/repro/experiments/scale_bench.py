@@ -75,7 +75,6 @@ def run_point(
     seed: int,
     scale: float,
     weeks: int,
-    shards: int = 0,
     executor: str = "serial",
     jobs: int = 0,
 ) -> dict:
@@ -83,7 +82,6 @@ def run_point(
     config = ScenarioConfig(
         n_weeks=weeks,
         scale=scale,
-        shards=shards,
         executor=executor,
         jobs=jobs,
     )
@@ -108,7 +106,6 @@ def run_curve(
     seed: int = 2010,
     scales: Sequence[float] = FULL_SCALES,
     weeks: int = FULL_WEEKS,
-    shards: int = 0,
     executor: str = "serial",
     jobs: int = 0,
     mode: str = "full",
@@ -122,7 +119,6 @@ def run_curve(
             seed=seed,
             scale=scale,
             weeks=weeks,
-            shards=shards,
             executor=executor,
             jobs=jobs,
         )
@@ -143,7 +139,6 @@ def run_curve(
         "mode": mode,
         "backend": executor,
         "jobs": jobs,
-        "shards": shards,
         "points": points,
         # ``max_rss_kb`` is the process high-water mark, so later points
         # include earlier ones; only the largest point's value (and
@@ -210,12 +205,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help=f"CI profile: scales {SMOKE_SCALES} over {SMOKE_WEEKS} weeks",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="observation shard count for every point (0 = unsharded)",
-    )
-    parser.add_argument(
         "--out",
         metavar="FILE",
         default=None,
@@ -243,7 +232,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             scales=SMOKE_SCALES if args.smoke else FULL_SCALES,
             weeks=SMOKE_WEEKS if args.smoke else FULL_WEEKS,
-            shards=args.shards,
             mode="smoke" if args.smoke else "full",
             out=sys.stdout,
         )

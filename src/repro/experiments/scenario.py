@@ -93,12 +93,6 @@ class ScenarioConfig:
     #: Render live per-stage progress (item counts, ETA) to stderr
     #: while the pipeline runs.  Execution-only, off by default.
     progress: bool = False
-    #: Number of time-slice shards the observation stage streams the
-    #: landscape through (0 = unsharded single pass).  Execution-only:
-    #: shards are processed in global time order and every per-event
-    #: draw comes from the event's own named substream, so the dataset
-    #: is bit-identical for any shard count.
-    shards: int = 0
     #: Width, in weeks, of the landscape-telemetry windows folded after
     #: the pipeline (0 = no windowed telemetry).  Execution-only: the
     #: window report is derived *from* the artifacts and cannot change
@@ -110,7 +104,6 @@ class ScenarioConfig:
         require(self.scale > 0, "scale must be positive")
         require(self.executor in BACKENDS, f"unknown executor backend {self.executor!r}")
         require(self.jobs >= 0, "jobs must be >= 0 (0 = one worker per core)")
-        require(self.shards >= 0, "shards must be >= 0 (0 = unsharded)")
         require(self.windows >= 0, "windows must be >= 0 (0 = no windowed telemetry)")
         require(
             self.events_max_bytes is None or self.events_max_bytes > 0,

@@ -121,17 +121,7 @@ def _compute_observe(ctx: StageContext) -> None:
         ctx.grid,
         ctx.source.child("landscape"),
     )
-    if ctx.config.shards > 0:
-        from repro.experiments.shards import observe_sharded
-
-        ctx.artifacts["dataset"] = observe_sharded(
-            ctx["deployment"],
-            generator,
-            n_shards=ctx.config.shards,
-            executor=ctx.executor,
-        )
-    else:
-        ctx.artifacts["dataset"] = ctx["deployment"].observe(generator)
+    ctx.artifacts["dataset"] = ctx["deployment"].observe(generator)
     log.debug("observation done", extra={"events": len(ctx["dataset"])})
 
 

@@ -51,9 +51,7 @@ class StagedObservation:
     Everything pass B (:meth:`SGNetDeployment.add_final_event`) needs to
     emit the final :class:`AttackEvent` — the downloaded bytes themselves
     are reduced to ``malware`` during pass A, so a staged observation is
-    a few hundred bytes regardless of sample size.  This is what lets
-    the shard pipeline (:mod:`repro.experiments.shards`) discard each
-    shard's binaries before building the next one.
+    a few hundred bytes regardless of sample size.
     """
 
     timestamp: int
@@ -156,7 +154,10 @@ class SGNetDeployment:
         dataset = SGNetDataset()
         for observation in staged:
             self.add_final_event(dataset, observation)
-        self.emit_dataset_metrics(dataset)
+        registry = obs_metrics.active()
+        registry.counter("honeypot.events_observed").inc(len(dataset))
+        registry.counter("honeypot.samples_collected").inc(dataset.n_samples)
+        registry.counter("honeypot.background_filtered").inc(self.n_background_filtered)
         return dataset
 
     def stage_attempt(self, attempt: AttackAttempt) -> StagedObservation:
@@ -204,14 +205,12 @@ class SGNetDeployment:
 
     def add_final_event(
         self, dataset: SGNetDataset, observation: StagedObservation
-    ) -> AttackEvent:
+    ) -> None:
         """Pass B for one staged observation: final FSM path + event.
 
         Must run after :meth:`Gateway.finalize`; re-classifies the
         conversation against the final FSM and appends the finished
-        event to ``dataset``.  Returns the event so callers can also
-        stream it into a columnar builder (see
-        :mod:`repro.experiments.shards`).
+        event to ``dataset``.
         """
         final_path = self.gateway.classify(observation.conversation)
         event = AttackEvent(
@@ -228,14 +227,6 @@ class SGNetDeployment:
             ground_truth=observation.truth,
         )
         dataset.add_event(event, behavior_handle=observation.behavior)
-        return event
-
-    def emit_dataset_metrics(self, dataset: SGNetDataset) -> None:
-        """Record the observation-stage counters for a finished dataset."""
-        registry = obs_metrics.active()
-        registry.counter("honeypot.events_observed").inc(len(dataset))
-        registry.counter("honeypot.samples_collected").inc(dataset.n_samples)
-        registry.counter("honeypot.background_filtered").inc(self.n_background_filtered)
 
     @staticmethod
     def _merge_streams(

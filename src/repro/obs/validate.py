@@ -53,11 +53,6 @@ METRIC_CATALOGUE: dict[str, str] = {
     "lsh.bucket_size": "sketch",
     "lsh.buckets_skipped": "counter",
     "lsh.clusters": "gauge",
-    # sharded observation (only with ScenarioConfig.shards > 0)
-    "shards.observed": "counter",
-    "shards.events": "sketch",
-    "shards.shard_events": "watermark",
-    "shards.staged_observations": "watermark",
     # cross-view join of the M and B perspectives (analysis/crossview)
     "crossview.joint_samples": "gauge",
     "crossview.m_clusters": "gauge",

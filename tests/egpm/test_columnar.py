@@ -102,20 +102,3 @@ class TestBuilder:
         with pytest.raises(ValidationError):
             builder.add_event(_event(2))
 
-
-class TestAdoptColumnar:
-    def test_adopted_view_is_returned(self):
-        events = _events(6)
-        dataset = SGNetDataset.from_events(events)
-        builder = ColumnarBuilder()
-        builder.add_events(events)
-        view = builder.build()
-        dataset.adopt_columnar(view)
-        assert dataset.to_columnar() is view
-
-    def test_wrong_size_rejected(self):
-        dataset = SGNetDataset.from_events(_events(5))
-        builder = ColumnarBuilder()
-        builder.add_events(_events(4))
-        with pytest.raises(ValidationError):
-            dataset.adopt_columnar(builder.build())

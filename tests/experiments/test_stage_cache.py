@@ -11,6 +11,7 @@ table here and the DAG in ``repro.experiments.stages`` cannot drift
 apart unnoticed.
 """
 
+import dataclasses
 import pickle
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ import pytest
 from repro.core.invariants import InvariantPolicy
 from repro.experiments.cache import (
     CACHE_FORMAT,
+    EXECUTION_ONLY_FIELDS,
     StageStore,
     explain_stages,
     render_explanations,
@@ -103,6 +105,11 @@ class TestStageFingerprints:
     def test_execution_knobs_do_not_rekey_any_stage(self):
         parallel = _variant(executor="thread", jobs=2, profile=True, progress=True)
         assert stage_fingerprints(SEED, BASE) == stage_fingerprints(SEED, parallel)
+
+    def test_execution_only_fields_are_config_fields(self):
+        # A removed knob must not leave a stale name behind.
+        names = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert EXECUTION_ONLY_FIELDS <= names
 
     @pytest.mark.parametrize(("config", "expected_misses"), MATRIX)
     def test_perturbation_rekeys_exactly_the_expected_stages(

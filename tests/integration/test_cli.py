@@ -60,16 +60,10 @@ class TestCli:
 
 
 class TestExecutionFlags:
-    """--shards changes how the pipeline runs, never what it computes:
-    the headline numbers must be identical."""
-
-    def _headline(self, capsys, *extra):
-        assert main(["headline", *COMMON, *extra]) == 0
-        return capsys.readouterr().out
-
-    def test_shards_flag_is_result_invariant(self, capsys):
-        baseline = self._headline(capsys)
-        assert self._headline(capsys, "--shards", "4") == baseline
+    def test_shards_flag_is_rejected(self):
+        # Observation has one serial loop; the time-slice shard path is gone.
+        with pytest.raises(SystemExit):
+            main(["run", *COMMON, "--shards", "4"])
 
     def test_no_columnar_flag_is_rejected(self):
         # The analysis kernels have one execution path; the switch is gone.

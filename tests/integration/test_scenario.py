@@ -29,6 +29,7 @@ class TestScenarioConfig:
 
 class TestStoredConfigReplay:
     REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
+    LEGACY = Path(__file__).resolve().parents[1] / "obs" / "legacy_reference.json"
 
     def test_schema6_config_with_retired_columnar_field_replays(self):
         manifest = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
@@ -40,6 +41,16 @@ class TestStoredConfigReplay:
             config = config_from_canonical(payload)
             assert not hasattr(config, "columnar")
             assert scenario_fingerprint(manifest["seed"], config) == manifest["fingerprint"]
+        # Stored runs also carry the retired execution-only ``shards``
+        # knob, which never entered the fingerprint.
+        legacy = json.loads(self.LEGACY.read_text(encoding="utf-8"))
+        stored = legacy["config"]
+        assert stored["shards"] == 0
+        config = config_from_canonical(stored)
+        assert not hasattr(config, "shards")
+        without = config_from_canonical({k: v for k, v in stored.items() if k != "shards"})
+        seed = legacy["seed"]
+        assert scenario_fingerprint(seed, config) == scenario_fingerprint(seed, without)
 
 
 class TestScenarioRun:
