@@ -40,7 +40,7 @@ near-free when off:
   bounds, trailing-median tolerance bands, EWMA z-scores and two-sided
   Page-Hinkley changepoints, run over one run's window series
   (``repro obs health``) or over the run store's per-fingerprint run
-  series (``repro obs regress``, the perf gate's detector self-test),
+  series (``repro obs regress``),
   with one baseline-suppression key;
 * :mod:`repro.obs.dashboard` — the sparkline terminal dashboard behind
   ``repro obs dashboard`` (static render + ``--follow`` off the event

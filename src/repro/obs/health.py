@@ -12,7 +12,7 @@ series comes from one of two sources:
 * :func:`run_regression` reads a :class:`~repro.obs.query.QueryFrame`
   and scans **one run-ordered series per configuration fingerprint**
   (``series:`` targets reduced per run by their mean), behind ``repro
-  obs regress`` and the perf gate's detector self-test.
+  obs regress``.
 
 Both resolve targets with :func:`repro.obs.query.resolve_target`; a
 target a run lacks is skipped, never read as zero.  The detectors:

@@ -319,8 +319,8 @@ def frame_from_payloads(
 ) -> QueryFrame:
     """A frame over bare manifest payloads (no store required).
 
-    The perf gate and the tests use this to run the regression
-    detector over manifests that were never persisted.
+    The tests use this to run the regression detector over manifests
+    that were never persisted.
     """
     sidecars = list(windows) if windows is not None else [None] * len(payloads)
     require(

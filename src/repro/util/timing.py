@@ -1,10 +1,9 @@
 """Wall-clock stage profiling for the pipeline.
 
 :class:`StageTimer` wraps each stage of a run in a context manager and
-accumulates a :class:`StageTimings` record — the machine-readable
-timing artifact carried on every
-:class:`~repro.experiments.scenario.ScenarioRun` and emitted by the
-benchmark session as ``BENCH_pipeline.json``.
+accumulates a :class:`StageTimings` record — the flat per-stage wall
+times carried on every :class:`~repro.experiments.scenario.ScenarioRun`
+and printed by ``--timings``.
 """
 
 from __future__ import annotations

@@ -8,18 +8,24 @@ and demands exact equality:
 * EPM — per dimension, ``FeatureSet.extract`` + ``discover_invariants``
   + ``PatternSet.discover``, with every event assigned through
   ``PatternSet.scan_classify``;
+* serving — per dimension, ``PatternIndex.classify`` and
+  ``PatternIndex.batch_classify`` against ``PatternSet.scan_classify``
+  on every distinct observed tuple plus one novel variant of each;
 * B-clusters — per-profile ``MinHasher.signature`` candidates, each
   pair verified by ``jaccard(...) >= threshold``, joined by connected
   components.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.epm import EPMClustering
 from repro.core.features import Dimension, default_feature_sets
 from repro.core.invariants import discover_invariants
-from repro.core.patterns import PatternSet
+from repro.core.pattern_index import PatternIndex
+from repro.core.patterns import PatternSet, mask_instance
+from repro.egpm.columnar import Vocabulary
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.sandbox.clustering import (
     BehaviorClustering,
@@ -83,6 +89,48 @@ class TestEpmOracle:
         production = run.epm.dimensions[dimension]
         assert alone.assignment == production.assignment
         assert alone.pattern_set.patterns == production.pattern_set.patterns
+
+
+def _novel_variant(values, invariants, pattern_set, serial):
+    """``values`` with one invariant-valued feature replaced by a
+    sentinel so that its mask names no discovered pattern, or ``None``."""
+    for feature, value in enumerate(values):
+        if not invariants.is_invariant(feature, value):
+            continue
+        candidate = tuple(
+            f"__novel_{serial}_{feature}__" if i == feature else v
+            for i, v in enumerate(values)
+        )
+        if mask_instance(candidate, invariants) not in pattern_set:
+            return candidate
+    return None
+
+
+class TestClassifyOracle:
+    @pytest.mark.parametrize("dimension", list(Dimension), ids=lambda d: d.value)
+    def test_index_and_batch_match_the_scan(self, run, dimension):
+        clustering = run.epm.dimensions[dimension]
+        invariants, pattern_set = clustering.invariants, clustering.pattern_set
+        columns = run.dataset.to_columnar().dimensions[dimension]
+        distinct = list(dict.fromkeys(columns.value_tuples()))
+        variants = [
+            _novel_variant(values, invariants, pattern_set, serial)
+            for serial, values in enumerate(distinct)
+        ]
+        novel = [variant for variant in variants if variant is not None]
+        assert novel, "no probe exercises the most-specific-first scan"
+        probes = distinct + novel
+        expected = [pattern_set.scan_classify(values) for values in probes]
+
+        index = PatternIndex.compile(pattern_set, invariants)
+        assert [index.classify(values) for values in probes] == expected
+        vocabularies = [Vocabulary() for _ in invariants.feature_names]
+        codes = np.array(
+            [[v.intern(x) for v, x in zip(vocabularies, values)] for values in probes],
+            dtype=np.int64,
+        )
+        ranks = index.batch_classify(codes, vocabularies)
+        assert [index.pattern_of(rank) for rank in ranks.tolist()] == expected
 
 
 class TestLshOracle:

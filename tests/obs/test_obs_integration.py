@@ -4,13 +4,16 @@ import pytest
 
 from repro.experiments.cache import ScenarioCache, cached_run
 from repro.experiments.scenario import (
+    PaperScenario,
     ScenarioConfig,
     small_scenario,
 )
 from repro.honeypot.deployment import DeploymentConfig
 from repro.obs import metrics as obs_metrics
+from repro.obs.events import read_events
 from repro.obs.manifest import artifact_digests
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import PROFILE_ATTRS
 from repro.obs.validate import (
     REQUIRED_SCENARIO_METRICS,
     validate_manifest,
@@ -73,6 +76,41 @@ class TestScenarioMetrics:
         with obs_metrics.use(MetricsRegistry()):
             recorded = small_scenario(seed=7, scale=0.08, n_weeks=10)
         assert artifact_digests(recorded) == artifact_digests(tiny_run)
+
+    def test_telemetry_knobs_change_no_artifact(self, tiny_run, tmp_path):
+        # Profiling, the event file and a tiny evicting ring on, window
+        # telemetry off: execution-only knobs, so the artifacts and the
+        # fingerprint stay the plain run's.
+        config = ScenarioConfig(
+            n_weeks=10,
+            scale=0.08,
+            deployment=DeploymentConfig(n_networks=10, sensors_per_network=3),
+            profile=True,
+            events=str(tmp_path / "events.jsonl"),
+            ring=16,
+            windows=0,
+        )
+        run = PaperScenario(seed=7, config=config).run()
+        assert run.headline() == tiny_run.headline()
+        assert run.manifest.artifact_digests == tiny_run.manifest.artifact_digests
+        assert run.manifest.fingerprint == tiny_run.manifest.fingerprint
+        assert (
+            run.metrics.sketches["lsh.bucket_size"]
+            == tiny_run.metrics.sketches["lsh.bucket_size"]
+        )
+        # Every sink really ran.
+        for depth, span in run.trace.walk():
+            if depth == 1:
+                assert set(PROFILE_ATTRS) <= set(span.attributes), span.name
+        log = read_events(tmp_path / "events.jsonl")
+        assert log[0].kind == "run.start"
+        assert "run.finish" in {event.kind for event in log}
+        assert run.manifest.event_summary == {
+            kind: sum(1 for event in log if event.kind == kind)
+            for kind in {event.kind for event in log}
+        }
+        assert sum(run.manifest.event_drops["ring"].values()) > 0
+        assert validate_manifest(run.manifest.as_dict()) == []
 
 
 class TestCacheMetrics:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.obs.health import (
     DETECTORS,
     METRIC_RULES,
@@ -272,6 +273,27 @@ class TestRunRegression:
         assert len(report.at_or_above("critical")) < len(
             report.at_or_above("warning")
         )
+
+    def test_real_manifest_replays_are_silent_and_a_bump_flags(self):
+        # The synthetic series above carry one gauge; a real smoke
+        # manifest carries every metric the shipped rules watch.
+        run = PaperScenario(seed=7, config=ScenarioConfig(n_weeks=8, scale=0.05)).run()
+        manifest = run.manifest.as_dict()
+
+        def clone(day, bump=1.0):
+            payload = json.loads(json.dumps(manifest))
+            payload["created_at"] = f"2000-01-{day:02d}T00:00:00Z"
+            gauges = payload["metrics"]["gauges"]
+            gauges["lsh.clusters"] = float(gauges["lsh.clusters"]) * bump
+            return payload
+
+        replays = [clone(day) for day in (1, 2, 3)]
+        silent = run_regression(frame_from_payloads(replays), rules=METRIC_RULES)
+        assert silent.findings == []
+        bumped = run_regression(
+            frame_from_payloads(replays + [clone(4, bump=3.0)]), rules=METRIC_RULES
+        )
+        assert "metric:lsh.clusters" in {f.target for f in bumped.findings}
 
 
 class TestBaselines:
