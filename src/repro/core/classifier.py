@@ -51,10 +51,15 @@ class DimensionClustering:
         self.invariants = invariants
         self.pattern_set = pattern_set
 
+        # Instances repeat heavily: each distinct tuple is classified
+        # once and its pattern reused for every event carrying it.
         by_pattern: dict[Pattern, list[int]] = {}
+        pattern_of: dict[tuple[Hashable, ...], Pattern] = {}
         self._instance_of: dict[int, tuple[Hashable, ...]] = dict(instances)
         for event_id, values in instances.items():
-            pattern = pattern_set.classify(values, invariants)
+            pattern = pattern_of.get(values)
+            if pattern is None:
+                pattern = pattern_of[values] = pattern_set.classify(values, invariants)
             by_pattern.setdefault(pattern, []).append(event_id)
 
         ordered = sorted(

@@ -53,6 +53,7 @@ class FeatureSet:
         dimension: Dimension,
         features: list[FeatureDefinition],
         applies: Callable[[AttackEvent], bool],
+        observable: Callable[[AttackEvent], object] | None = None,
     ) -> None:
         require(len(features) > 0, "FeatureSet needs at least one feature")
         names = [f.name for f in features]
@@ -60,6 +61,10 @@ class FeatureSet:
         self.dimension = dimension
         self.features = list(features)
         self._applies = applies
+        #: The one sub-object of the event every feature reads, if
+        #: there is one: events carrying the *same* object extract the
+        #: same tuple, so the columnar builder extracts it once per object.
+        self.observable = observable
 
     @property
     def names(self) -> list[str]:
@@ -88,6 +93,7 @@ def epsilon_features() -> FeatureSet:
             FeatureDefinition("dst_port", lambda e: e.exploit.dst_port),
         ],
         applies=lambda e: True,
+        observable=lambda e: e.exploit,
     )
 
 
@@ -139,6 +145,7 @@ def mu_features() -> FeatureSet:
             ),
         ],
         applies=lambda e: e.malware is not None,
+        observable=lambda e: e.malware,
     )
 
 

@@ -16,6 +16,7 @@ most-specific match, which makes the common case O(1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -103,7 +104,7 @@ class PatternSet:
     @classmethod
     def discover(
         cls,
-        instances: Iterable[Sequence[Hashable]],
+        instances: Iterable[tuple[Hashable, ...]],
         invariants: InvariantStats,
         *,
         min_support: int = 1,
@@ -113,15 +114,19 @@ class PatternSet:
         Patterns below ``min_support`` are pruned; the all-wildcard root
         pattern is always retained so classification stays total (it is
         the "anything" cluster instances fall back to).
+
+        Instances repeat heavily, so each distinct instance is masked
+        once and contributes its multiplicity; patterns keep the order
+        of their first instance, as a per-instance count would.
         """
         require(min_support >= 1, "min_support must be >= 1")
+        multiplicity = Counter(instances)
         counts: dict[Pattern, int] = {}
         n_features = len(invariants.feature_names)
-        total = 0
-        for values in instances:
+        for values, n in multiplicity.items():
             masked = mask_instance(values, invariants)
-            counts[masked] = counts.get(masked, 0) + 1
-            total += 1
+            counts[masked] = counts.get(masked, 0) + n
+        total = sum(multiplicity.values())
         kept = {p: s for p, s in counts.items() if s >= min_support}
         root: Pattern = tuple([WILDCARD] * n_features)
         if root not in kept:

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.features import Dimension, FeatureSet, default_feature_sets
 from repro.egpm.events import AttackEvent
-from repro.util.validation import require
+from repro.util.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset imports us)
     from repro.egpm.dataset import SGNetDataset
@@ -170,6 +170,7 @@ class _DimensionAccumulator:
         "sensor_codes",
         "rows",
         "vocabularies",
+        "_rows_by_observable",
     )
 
     def __init__(self, feature_set: FeatureSet) -> None:
@@ -181,17 +182,33 @@ class _DimensionAccumulator:
         self.sensor_codes: list[int] = []
         self.rows: list[list[int]] = []
         self.vocabularies = [Vocabulary() for _ in feature_set.names]
+        #: ``id(observable) -> (observable, code row)``.  Holding the
+        #: observable keeps its ``id`` from being reused by another object.
+        self._rows_by_observable: dict[int, tuple[object, list[int]]] = {}
 
     def add(self, event: AttackEvent, source_code: int, sensor_code: int) -> None:
-        values = self.feature_set.extract(event)
         self.event_ids.append(event.event_id)
         self.sources.append(int(event.source))
         self.sensors.append(int(event.sensor))
         self.source_codes.append(source_code)
         self.sensor_codes.append(sensor_code)
-        self.rows.append(
-            [vocab.intern(value) for vocab, value in zip(self.vocabularies, values)]
-        )
+        self.rows.append(self._code_row(event))
+
+    def _code_row(self, event: AttackEvent) -> list[int]:
+        """The event's interned codes; one extraction per shared
+        observable object when the feature set names one."""
+        observable = self.feature_set.observable
+        if observable is None:
+            return self._intern(event)
+        shared = observable(event)
+        entry = self._rows_by_observable.get(id(shared))
+        if entry is None:
+            entry = self._rows_by_observable[id(shared)] = (shared, self._intern(event))
+        return entry[1]
+
+    def _intern(self, event: AttackEvent) -> list[int]:
+        values = self.feature_set.extract(event)
+        return [vocab.intern(value) for vocab, value in zip(self.vocabularies, values)]
 
     def build(self) -> DimensionColumns:
         n_features = len(self.feature_set.names)
@@ -236,11 +253,11 @@ class ColumnarBuilder:
 
     def add_event(self, event: AttackEvent) -> None:
         """Append one event's columns (event ids must arrive in order)."""
-        require(
-            not self._event_ids or event.event_id > self._event_ids[-1],
-            f"event_id {event.event_id} out of order "
-            f"(last was {self._event_ids[-1] if self._event_ids else None})",
-        )
+        if self._event_ids and event.event_id <= self._event_ids[-1]:
+            raise ValidationError(
+                f"event_id {event.event_id} out of order "
+                f"(last was {self._event_ids[-1]})"
+            )
         source_code = self._source_vocab.intern(int(event.source))
         sensor_code = self._sensor_vocab.intern(int(event.sensor))
         self._event_ids.append(event.event_id)

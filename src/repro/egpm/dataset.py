@@ -21,7 +21,7 @@ from repro.egpm.events import (
     event_from_dict,
     event_to_dict,
 )
-from repro.util.validation import require
+from repro.util.validation import ValidationError
 
 
 class SGNetDataset:
@@ -44,10 +44,8 @@ class SGNetDataset:
         sighting (it stands in for the binary's executable content).
         """
         index = len(self._events)
-        require(
-            event.event_id == index,
-            f"event_id {event.event_id} out of order (expected {index})",
-        )
+        if event.event_id != index:
+            raise ValidationError(f"event_id {event.event_id} out of order (expected {index})")
         self._columnar = None
         self._events.append(event)
         self._by_source[int(event.source)].append(index)

@@ -41,7 +41,7 @@ from repro.peformat.structures import PEFormatError
 from repro.util.hashing import md5_hex
 from repro.util.rng import RandomSource
 from repro.util.timegrid import WEEK_SECONDS
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,8 +152,9 @@ class SGNetDeployment:
         self.gateway.finalize()
 
         dataset = SGNetDataset()
+        exploits: dict[tuple[int, int], ExploitObservable] = {}
         for observation in staged:
-            self.add_final_event(dataset, observation)
+            self.add_final_event(dataset, observation, exploits)
         registry = obs_metrics.active()
         registry.counter("honeypot.events_observed").inc(len(dataset))
         registry.counter("honeypot.samples_collected").inc(dataset.n_samples)
@@ -169,10 +170,8 @@ class SGNetDeployment:
         — the binary bytes do not survive this call.
         """
         sensor = self.sensors.get(int(attempt.sensor))
-        require(
-            sensor is not None,
-            f"attack aimed at unmonitored address {attempt.sensor}",
-        )
+        if sensor is None:
+            raise ValidationError(f"attack aimed at unmonitored address {attempt.sensor}")
         path_id = sensor.handle(attempt.conversation)
         week = (attempt.timestamp) // WEEK_SECONDS
         if path_id == UNKNOWN_PATH_ID:
@@ -204,24 +203,32 @@ class SGNetDeployment:
         )
 
     def add_final_event(
-        self, dataset: SGNetDataset, observation: StagedObservation
+        self,
+        dataset: SGNetDataset,
+        observation: StagedObservation,
+        exploits: dict[tuple[int, int], ExploitObservable],
     ) -> None:
         """Pass B for one staged observation: final FSM path + event.
 
         Must run after :meth:`Gateway.finalize`; re-classifies the
         conversation against the final FSM and appends the finished
-        event to ``dataset``.
+        event to ``dataset``.  ``exploits`` holds the pass's epsilon
+        observables by ``(path, port)``: the record is frozen, so events
+        sharing the pair share one object (70,019 events carry 30 pairs
+        at 8x scale), and the columnar builder extracts epsilon once per
+        object.
         """
         final_path = self.gateway.classify(observation.conversation)
+        key = (final_path if final_path != UNKNOWN_PATH_ID else 0, observation.dst_port)
+        exploit = exploits.get(key)
+        if exploit is None:
+            exploit = exploits[key] = ExploitObservable(*key)
         event = AttackEvent(
             event_id=dataset.next_event_id(),
             timestamp=observation.timestamp,
             source=observation.source,
             sensor=observation.sensor,
-            exploit=ExploitObservable(
-                fsm_path_id=final_path if final_path != UNKNOWN_PATH_ID else 0,
-                dst_port=observation.dst_port,
-            ),
+            exploit=exploit,
             payload=observation.payload,
             malware=observation.malware,
             ground_truth=observation.truth,

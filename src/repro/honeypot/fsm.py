@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.util.validation import require
@@ -45,6 +46,14 @@ def pattern_matches(pattern: Pattern, message: Message) -> bool:
     return True
 
 
+def _compile_edge(pattern: Pattern, child: "FSMNode") -> tuple:
+    fixed = [i for i, token in enumerate(pattern) if token is not None]
+    if not fixed:
+        return None, None, child
+    fixed_tokens = itemgetter(*fixed)
+    return fixed_tokens, fixed_tokens(pattern), child
+
+
 @dataclass
 class FSMNode:
     """One state of the learned FSM."""
@@ -53,31 +62,54 @@ class FSMNode:
     depth: int
     edges: list[tuple[Pattern, "FSMNode"]] = field(default_factory=list)
 
+    # Derived edge index (see :meth:`_reindex`).  Unannotated class
+    # attributes, not dataclass fields, so equality and ``repr`` ignore
+    # them and an unpickled node starts from these empty defaults.
+    _by_length = {}
+    _indexed_edges = 0
+
     def match_edge(self, message: Message) -> "FSMNode | None":
         """The successor state whose pattern matches ``message``, if any.
 
         Edges are checked most-specific-first (fewest wildcards), so a
         message matching both a specialised and a generic edge follows
-        the specialised one.  The match test is inlined (this is the
-        innermost loop of both observation passes).
+        the specialised one; among equally specific edges the first
+        added wins.  This is the innermost loop of both observation
+        passes, so each candidate edge is one compiled comparison of the
+        message's fixed-region tokens.
         """
-        best: FSMNode | None = None
-        best_specificity = -1
-        length = len(message)
-        for pattern, child in self.edges:
-            if len(pattern) != length:
-                continue
-            matched = True
-            for p, m in zip(pattern, message):
-                if p is not None and p != m:
-                    matched = False
-                    break
-            if matched:
-                specificity = length - pattern.count(None)
-                if specificity > best_specificity:
-                    best_specificity = specificity
-                    best = child
-        return best
+        if self._indexed_edges != len(self.edges):
+            self._reindex()
+        for fixed_tokens, expected, child in self._by_length.get(len(message), ()):
+            if fixed_tokens is None or fixed_tokens(message) == expected:
+                return child
+        return None
+
+    def _reindex(self) -> None:
+        """Group the edges by pattern length, most specific first.
+
+        Each edge compiles to ``(fixed_tokens, expected, child)``:
+        ``fixed_tokens`` is an :func:`operator.itemgetter` over the
+        pattern's fixed positions (``None`` for an all-wildcard
+        pattern) and ``expected`` is what it returns on the pattern
+        itself.  Edges are only ever appended (online learning,
+        :mod:`fsm_io`), so a change in ``len(edges)`` marks the index
+        stale.
+        """
+        by_length: dict[int, list[tuple]] = {}
+        # A stable sort: equally specific edges keep their insertion order.
+        for pattern, child in sorted(self.edges, key=lambda edge: edge[0].count(None)):
+            by_length.setdefault(len(pattern), []).append(_compile_edge(pattern, child))
+        self._by_length = by_length
+        self._indexed_edges = len(self.edges)
+
+    def __getstate__(self) -> dict:
+        # The index is rebuilt on first use; a pickled node (the
+        # deployment is a cached stage artifact) carries only its fields.
+        state = dict(self.__dict__)
+        state.pop("_by_length", None)
+        state.pop("_indexed_edges", None)
+        return state
 
 
 class FSMModel:

@@ -1,5 +1,6 @@
 """Tests for ScriptGen-style FSM learning."""
 
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.honeypot.fsm import (
     pattern_matches,
     region_analysis,
 )
+from repro.honeypot.fsm_io import model_from_json, model_to_json
 from repro.malware.propagation import ExploitSpec, choice, fixed, rand
 from repro.util.validation import ValidationError
 
@@ -202,3 +204,128 @@ class TestFSMLearner:
         full = learner.classify(conv)
         prefix = learner.classify(conv[:2])
         assert prefix != full
+
+
+def _linear_match_edge(node, message):
+    """Reference edge match: scan every edge, keep the first of the
+    most specific matching patterns."""
+    best, best_specificity = None, -1
+    for pattern, child in node.edges:
+        if pattern_matches(pattern, message):
+            specificity = len(pattern) - pattern.count(None)
+            if specificity > best_specificity:
+                best, best_specificity = child, specificity
+    return best
+
+
+def _probes(node, rng):
+    """Messages that hit ``node``'s edges: each pattern with its
+    wildcards filled by tokens other edges fix there (so several edges
+    of one length compete), plus a near miss per edge."""
+    fillers: dict[int, list[str]] = {}
+    for pattern, _child in node.edges:
+        for position, token in enumerate(pattern):
+            if token is not None and token not in fillers.setdefault(position, ["zz"]):
+                fillers[position].append(token)
+    probes = []
+    for pattern, _child in node.edges:
+        for _ in range(4):
+            filled = [
+                token if token is not None else rng.choice(fillers.get(position, ["zz"]))
+                for position, token in enumerate(pattern)
+            ]
+            probes.append(tuple(filled))
+        probes.append(tuple("zz" for _ in pattern))
+    probes.append(("zz",) * 9)
+    return probes
+
+
+def _assert_index_matches_reference(model, rng):
+    for node in model.iter_nodes():
+        for message in _probes(node, rng):
+            assert node.match_edge(message) is _linear_match_edge(node, message)
+
+
+class TestIndexedEdgeMatch:
+    # Same-length first messages that learn into overlapping root edges:
+    # a generic (REQ, *, *) and two equally specific (REQ, userA, *) and
+    # (REQ, *, tail), so probes meet competing and tied patterns.
+    SPECS = [
+        ExploitSpec(
+            name="smb",
+            dst_port=445,
+            dialogue=(
+                (fixed("REQ"), fixed("userA"), rand(3)),
+                (fixed("BIND"), rand(2), choice("p1", "p2")),
+            ),
+        ),
+        ExploitSpec(
+            name="smb-variant",
+            dst_port=445,
+            dialogue=((fixed("REQ"), rand(5), rand(3)), (fixed("BIND"), rand(2), rand(2))),
+        ),
+        ExploitSpec(
+            name="smb-tail", dst_port=445, dialogue=((fixed("REQ"), rand(5), fixed("tail")),)
+        ),
+        ExploitSpec(name="nbt", dst_port=139, dialogue=((choice("N", "M"), rand(4)),)),
+    ]
+
+    def test_ties_keep_the_first_added_edge(self):
+        model = FSMModel()
+        first, second, exact = (model.new_node(1) for _ in range(3))
+        model.add_edge(model.root, ("A", None), first)
+        model.add_edge(model.root, (None, "B"), second)
+        assert model.root.match_edge(("A", "B")) is first
+        model.add_edge(model.root, ("A", "B"), exact)
+        assert model.root.match_edge(("A", "B")) is exact
+        assert model.root.match_edge(("C", "B")) is second
+        assert model.root.match_edge(("A", "B", "C")) is None
+
+    def test_matches_linear_reference_during_online_learning(self):
+        learner = FSMLearner(refine_threshold=12, min_support=3)
+        root = learner.model.root
+        rng = random.Random(5)
+        probe_rng = random.Random(6)
+        # Two specs first, then all four: the later specs append root
+        # edges behind an index the earlier walks already built.
+        for step in range(240):
+            specs = self.SPECS[:2] if step < 120 else self.SPECS
+            learner.observe(specs[step % len(specs)].generate_conversation(rng))
+            if step % 20 == 0:
+                _assert_index_matches_reference(learner.model, probe_rng)
+            if step == 119:
+                indexed_root_edges = len(root.edges)
+        learner.flush()
+        assert 0 < indexed_root_edges < len(root.edges)
+        _assert_index_matches_reference(learner.model, probe_rng)
+
+    def test_matches_linear_reference_after_fsm_io_load(self):
+        learner = FSMLearner(refine_threshold=12, min_support=3)
+        rng = random.Random(7)
+        for step in range(180):
+            learner.observe(self.SPECS[step % len(self.SPECS)].generate_conversation(rng))
+        learner.flush()
+        loaded = model_from_json(model_to_json(learner.model))
+        _assert_index_matches_reference(loaded, random.Random(8))
+        for step in range(60):
+            conversation = self.SPECS[step % len(self.SPECS)].generate_conversation(rng)
+            assert loaded.classify(conversation) == learner.model.classify(conversation)
+
+    def test_pickle_carries_no_index(self):
+        learner = FSMLearner(refine_threshold=12, min_support=3)
+        rng = random.Random(9)
+        for step in range(120):
+            learner.observe(self.SPECS[step % len(self.SPECS)].generate_conversation(rng))
+        learner.flush()
+        model = learner.model
+        conversations = [
+            self.SPECS[step % len(self.SPECS)].generate_conversation(rng) for step in range(30)
+        ]
+        expected = [model.classify(c) for c in conversations]
+        assert "_by_length" in model.root.__dict__  # the walks built it
+        payload = pickle.dumps(model)
+        assert b"_by_length" not in payload and b"_indexed_edges" not in payload
+        restored = pickle.loads(payload)
+        assert all("_by_length" not in node.__dict__ for node in restored.iter_nodes())
+        assert [restored.classify(c) for c in conversations] == expected
+        _assert_index_matches_reference(restored, random.Random(10))

@@ -5,9 +5,10 @@ The pipeline runs one batch path per kernel.  On the CI smoke scenario
 this module rebuilds both analysis steps from their row-wise references
 and demands exact equality:
 
-* EPM — per dimension, ``FeatureSet.extract`` + ``discover_invariants``
-  + ``PatternSet.discover``, with every event assigned through
-  ``PatternSet.scan_classify``;
+* EPM — per dimension, ``FeatureSet.extract`` + ``discover_invariants``,
+  pattern supports counted one ``mask_instance`` per event, and every
+  event assigned through ``PatternSet.scan_classify`` (production masks
+  and classifies each distinct tuple once);
 * serving — per dimension, ``PatternIndex.classify`` and
   ``PatternIndex.batch_classify`` against ``PatternSet.scan_classify``
   on every distinct observed tuple plus one novel variant of each;
@@ -24,7 +25,7 @@ from repro.core.epm import EPMClustering
 from repro.core.features import Dimension, default_feature_sets
 from repro.core.invariants import discover_invariants
 from repro.core.pattern_index import PatternIndex
-from repro.core.patterns import PatternSet, mask_instance
+from repro.core.patterns import WILDCARD, PatternSet, mask_instance
 from repro.egpm.columnar import Vocabulary
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.sandbox.clustering import (
@@ -53,10 +54,15 @@ def _row_wise_fit(dataset, feature_set, policy):
         observations.append((values, int(event.source), int(event.sensor)))
         instances[event.event_id] = values
     invariants = discover_invariants(observations, feature_set.names, policy)
-    pattern_set = PatternSet.discover(
-        (values for values, _source, _sensor in observations), invariants
-    )
-    return invariants, pattern_set, instances
+    # Phase 3 one row at a time: each row's mask adds one to its support;
+    # the all-wildcard root is always kept (support 0 when no row masks
+    # to it), as ``PatternSet.discover`` keeps it.
+    support = {}
+    for values, _source, _sensor in observations:
+        masked = mask_instance(values, invariants)
+        support[masked] = support.get(masked, 0) + 1
+    support.setdefault((WILDCARD,) * len(feature_set.names), 0)
+    return invariants, PatternSet(support), instances
 
 
 class TestEpmOracle:
