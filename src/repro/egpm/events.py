@@ -8,9 +8,12 @@ exists solely so tests and validation can score cluster quality.
 All record types here are ``slots=True`` dataclasses: at paper scale
 the dataset holds ~15k events (millions at the ROADMAP target), and
 dropping the per-instance ``__dict__`` cuts their resident size by
-roughly a third.  The analysis layer's ``Observation`` is already a
-plain tuple (:data:`repro.egpm.columnar.Observation`), so it needs no
-such treatment.
+roughly a third.  The frozen ones pickle through
+:func:`~repro.util.pickling.field_tuple_state`, so a cache round trip
+of a run does not call ``dataclasses.fields()`` once per record.  The
+analysis layer's ``Observation`` is already a plain tuple
+(:data:`repro.egpm.columnar.Observation`), so it needs no such
+treatment.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Any, Mapping
 
 from repro.net.address import IPv4Address
 from repro.peformat.structures import PEInfo
+from repro.util.pickling import field_tuple_state
 from repro.util.validation import require
 
 
@@ -38,6 +42,7 @@ class InteractionType(str, enum.Enum):
     CENTRAL = "central"
 
 
+@field_tuple_state
 @dataclass(frozen=True, slots=True)
 class ExploitObservable:
     """Epsilon-dimension observables of one attack.
@@ -57,6 +62,7 @@ class ExploitObservable:
         require(0 < self.dst_port < 65536, f"bad destination port {self.dst_port}")
 
 
+@field_tuple_state
 @dataclass(frozen=True, slots=True)
 class PayloadObservable:
     """Pi-dimension observables extracted by shellcode analysis.
@@ -77,6 +83,7 @@ class PayloadObservable:
             require(0 < self.port < 65536, f"bad payload port {self.port}")
 
 
+@field_tuple_state
 @dataclass(frozen=True, slots=True)
 class MalwareObservable:
     """Mu-dimension observables of the downloaded binary.
@@ -96,6 +103,7 @@ class MalwareObservable:
         require(self.size >= 0, "size must be >= 0")
 
 
+@field_tuple_state
 @dataclass(frozen=True, slots=True)
 class GroundTruth:
     """Generator-side labels, for validation only.
@@ -110,6 +118,7 @@ class GroundTruth:
     payload_name: str
 
 
+@field_tuple_state
 @dataclass(frozen=True, slots=True)
 class AttackEvent:
     """One observed code-injection attack, fully enriched.

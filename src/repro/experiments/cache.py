@@ -46,6 +46,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.util.canonical import canonicalize
 from repro.util.clock import timestamp
+from repro.util.pickling import gc_paused
 from repro.util.validation import require
 
 log = get_logger("experiments.cache")
@@ -181,11 +182,14 @@ class ScenarioCache:
         """On-disk location of the ``(seed, config)`` artifact."""
         return self.root / f"{scenario_fingerprint(seed, config)}.pkl"
 
+    @gc_paused()
     def load(self, seed: int, config: ScenarioConfig | None = None) -> ScenarioRun | None:
         """Return the cached run, or ``None`` on a miss.
 
-        Unreadable entries (truncated writes, artifacts pickled by an
-        incompatible code version) are treated as misses and evicted.
+        Unreadable entries (truncated writes, flipped bytes, artifacts
+        pickled by an incompatible code version) are treated as misses
+        and evicted: any exception the unpickler raises counts, since a
+        corrupt stream can fail with almost any type.
         """
         registry = obs_metrics.active()
         bus = obs_events.active_bus()
@@ -199,14 +203,17 @@ class ScenarioCache:
             bus.emit("cache.miss", fingerprint=path.stem)
             log.debug("cache miss", extra={"path": str(path)})
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, TypeError):
+        except Exception as exc:
             path.unlink(missing_ok=True)
             self.misses += 1
             registry.counter("cache.miss").inc()
             registry.counter("cache.evict").inc()
             bus.emit("cache.evict", fingerprint=path.stem, reason="unreadable")
             bus.emit("cache.miss", fingerprint=path.stem)
-            log.warning("evicted unreadable cache entry", extra={"path": str(path)})
+            log.warning(
+                "evicted unreadable cache entry",
+                extra={"path": str(path), "error": repr(exc)},
+            )
             return None
         if not isinstance(run, ScenarioRun):
             path.unlink(missing_ok=True)
@@ -223,6 +230,7 @@ class ScenarioCache:
         log.debug("cache hit", extra={"path": str(path)})
         return run
 
+    @gc_paused()
     def store(self, run: ScenarioRun) -> Path:
         """Persist ``run`` under its fingerprint; returns the path.
 
@@ -302,11 +310,13 @@ class StageStore:
         """Whether an artifact is stored (no load, no telemetry)."""
         return self.path_for(stage, fingerprint).is_file()
 
+    @gc_paused()
     def load(self, stage: str, fingerprint: str) -> dict | None:
         """The stage's artifact dict, or ``None`` on a miss.
 
         Unreadable or non-dict entries are evicted (sidecar included)
-        and treated as misses, like the whole-run cache.
+        and treated as misses, like the whole-run cache (any exception
+        while unpickling makes an entry unreadable).
         """
         registry = obs_metrics.active()
         bus = obs_events.active_bus()
@@ -316,12 +326,15 @@ class StageStore:
                 artifacts = pickle.load(handle)
         except FileNotFoundError:
             artifacts = None
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, TypeError):
+        except Exception as exc:
             path.unlink(missing_ok=True)
             self.meta_path_for(stage, fingerprint).unlink(missing_ok=True)
             registry.counter("cache.evict").inc()
             bus.emit("cache.evict", fingerprint=fingerprint, stage=stage, reason="unreadable")
-            log.warning("evicted unreadable stage artifact", extra={"path": str(path)})
+            log.warning(
+                "evicted unreadable stage artifact",
+                extra={"path": str(path), "error": repr(exc)},
+            )
             artifacts = None
         if artifacts is not None and not isinstance(artifacts, dict):
             path.unlink(missing_ok=True)
@@ -342,6 +355,7 @@ class StageStore:
         log.debug("stage cache hit", extra={"stage": stage, "path": str(path)})
         return artifacts
 
+    @gc_paused()
     def store(
         self, stage: str, fingerprint: str, artifacts: Mapping, meta: Mapping
     ) -> Path:

@@ -38,6 +38,7 @@ from repro.sandbox.anubis import AnubisService
 from repro.sandbox.clustering import BehaviorClustering, ClusteringConfig
 from repro.sandbox.execution import SandboxConfig
 from repro.util.parallel import BACKENDS, get_executor
+from repro.util.pickling import gc_paused
 from repro.util.rng import RandomSource
 from repro.util.timegrid import WEEK_SECONDS, TimeGrid
 from repro.util.timing import StageTimings
@@ -169,6 +170,7 @@ class PaperScenario:
         self.seed = seed
         self.config = config or ScenarioConfig()
 
+    @gc_paused()
     def run(self, *, stage_store: "StageStore | None" = None) -> ScenarioRun:
         """Execute the full pipeline and return all artifacts.
 
@@ -189,7 +191,9 @@ class PaperScenario:
         fingerprint, per-stage fingerprints and artifact digests.  If
         the caller already activated a metrics registry, counters
         accumulate there; otherwise the run records into its own fresh
-        registry.
+        registry.  The cyclic GC is paused for the whole call (stage
+        computes, stage replays and the manifest; see
+        :func:`~repro.util.pickling.gc_paused`).
         """
         # Deferred import: cache imports this module at top level.
         from repro.experiments.cache import (

@@ -39,11 +39,13 @@ from repro.peformat.magic import magic_type
 from repro.peformat.parser import parse_pe
 from repro.peformat.structures import PEFormatError
 from repro.util.hashing import md5_hex
+from repro.util.pickling import field_tuple_state
 from repro.util.rng import RandomSource
 from repro.util.timegrid import WEEK_SECONDS
 from repro.util.validation import ValidationError, require
 
 
+@field_tuple_state
 @dataclass(frozen=True, slots=True)
 class StagedObservation:
     """One attack after pass A, with the binary already dropped.

@@ -1,0 +1,81 @@
+"""Fast pickle round trips: a scoped cyclic-GC pause and a field-tuple
+pickle state for frozen slotted dataclasses.
+
+Loading a cached run builds hundreds of thousands of small objects,
+and every container allocation counts towards the cyclic collector's
+generation-0 threshold.  One load of an 8.2 MB paper-config run, with a
+second run live, triggered 458 collections (two of them full passes
+over the whole heap) and took 0.44–0.63 s with the collector on and
+0.18–0.22 s with it off.  :func:`gc_paused` turns the collector off
+for one region and puts the caller's setting back afterwards.
+Reference counting still frees acyclic garbage inside the region; only
+cycles wait for the next collection after it.
+
+:func:`field_tuple_state` replaces the stdlib's pickle hooks for
+``@dataclass(frozen=True, slots=True)`` records, which call
+``dataclasses.fields()`` once per object.  The replacement state is the
+field values in declaration order, the same shape the stdlib writes, so
+pickles written by either set of hooks load under the other.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+from contextlib import contextmanager
+from operator import attrgetter
+from typing import Iterator, TypeVar
+
+T = TypeVar("T", bound=type)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Disable the cyclic GC for the ``with`` body (or decorated call).
+
+    The caller's setting is restored on exit, also when the body raises.
+    Inside an already-paused region — or with the GC disabled by the
+    caller — the pause is a no-op and leaves the collector disabled.
+    The collector's state is process-global, so concurrent threads share
+    one pause; the thread that opened it closes it.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def field_tuple_state(cls: T) -> T:
+    """Give a frozen slotted dataclass a precomputed field-tuple state.
+
+    Apply it above ``@dataclass(frozen=True, slots=True)``.
+    ``__getstate__`` returns the field values in declaration order;
+    ``__setstate__`` accepts any sequence of the same length (the
+    stdlib's list state included) and raises :class:`TypeError` on any
+    other length, so a malformed cache entry fails at load time instead
+    of leaving a slot unset.
+    """
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    arity = len(names)
+    read = attrgetter(*names)
+    write = object.__setattr__
+
+    def __getstate__(self) -> tuple:
+        # attrgetter of a single name returns the bare value.
+        return read(self) if arity > 1 else (read(self),)
+
+    def __setstate__(self, state) -> None:
+        if len(state) != arity:
+            raise TypeError(
+                f"{cls.__name__} pickle state has {len(state)} values, expected {arity}"
+            )
+        for name, value in zip(names, state):
+            write(self, name, value)
+
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
+    return cls
