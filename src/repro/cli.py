@@ -45,12 +45,14 @@ The longitudinal toolkit lives under ``repro obs``::
 
     python -m repro obs list                    # stored runs
     python -m repro obs diff A B                # cross-run regression diff
-    python -m repro obs history lsh.clusters    # drift time series
+    python -m repro obs history lsh.clusters    # drift time series per config
     python -m repro obs tail events.jsonl --follow  # live event stream
     python -m repro obs export RUN --format prometheus
-    python -m repro obs trace RUN --chrome t.json   # Perfetto export
+    python -m repro obs export RUN --format chrome --out t.json  # Perfetto
+    python -m repro obs export RUN --format flame   # flamegraph text view
     python -m repro obs health RUN                  # SLO/anomaly report
-    python -m repro obs dashboard RUN               # sparkline dashboard
+    python -m repro obs dashboard RUN               # landscape sparklines
+    python -m repro obs dashboard events.jsonl -f   # live landscape + machine
     python -m repro obs query 'metric:lsh.clusters' --agg p50  # cross-run analytics
     python -m repro obs regress --fail-on critical  # trend-aware regression scan
     python -m repro obs cost A B                    # per-stage cost attribution
@@ -77,6 +79,7 @@ from repro.experiments.drivers import (
 from repro.experiments.scenario import PaperScenario, ScenarioConfig, ScenarioRun
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs.export import EXPORT_FORMATS
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.util.parallel import BACKENDS
@@ -386,6 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="run store root (default results/runs or $REPRO_RUNS_DIR)",
         )
 
+    def add_json(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--json",
+            action="store_true",
+            help="print the machine-readable report instead of the text view",
+        )
+
     list_p = obs_sub.add_parser("list", help="stored runs, newest last")
     add_store(list_p)
     list_p.add_argument(
@@ -448,11 +458,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     export_p.add_argument(
         "--format",
-        choices=("prometheus", "openmetrics", "chrome", "jsonl"),
+        choices=EXPORT_FORMATS,
         default="prometheus",
         help="prometheus: text exposition format; openmetrics: the "
         "OpenMetrics variant (# EOF terminated); chrome: trace-event "
-        "JSON of the span tree; jsonl: one JSON object per sample",
+        "JSON of the span tree (chrome://tracing, Perfetto); flame: "
+        "flamegraph-style text view of the span tree; jsonl: one JSON "
+        "object per sample",
     )
     export_p.add_argument(
         "--out",
@@ -462,40 +474,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     history_p = obs_sub.add_parser(
-        "history", help="time series of one metric over stored runs"
+        "history",
+        help="time series of one target over stored runs, per config",
     )
     add_store(history_p)
     history_p.add_argument(
-        "metric",
-        help="snapshot key (lsh.clusters, epm.clusters{dimension=mu}), "
-        "bare name (sums labels), distribution quantile "
-        "(executor.chunk_seconds:p50), or stage:<span> for wall seconds",
+        "target",
+        help="query selector (metric:<key>, series:<name>, "
+        "golden:deviations, span:<name>[/attr]); a bare key such as "
+        "lsh.clusters or executor.chunk_seconds:p50 reads as metric:<key>",
     )
     history_p.add_argument(
         "--fingerprint", default=None, help="only runs of this config fingerprint"
-    )
-    history_p.add_argument(
-        "--timing-tolerance",
-        type=float,
-        default=None,
-        help="drift band around the trailing median (default 1.5)",
-    )
-
-    trace_p = obs_sub.add_parser(
-        "trace", help="export a stored run's span tree (Chrome trace / flame)"
-    )
-    add_store(trace_p)
-    trace_p.add_argument("ref", help="run id, id prefix or manifest path")
-    trace_p.add_argument(
-        "--chrome",
-        metavar="PATH",
-        default=None,
-        help="write Chrome trace-event JSON (chrome://tracing, Perfetto)",
-    )
-    trace_p.add_argument(
-        "--flame",
-        action="store_true",
-        help="print the flamegraph-style text view (default when no --chrome)",
     )
 
     health_p = obs_sub.add_parser(
@@ -518,56 +508,31 @@ def _build_parser() -> argparse.ArgumentParser:
         help="non-zero exit when a (new) finding at or above this "
         "severity exists (default: critical)",
     )
-    health_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable report instead of the text view",
-    )
+    add_json(health_p)
 
     dash_p = obs_sub.add_parser(
         "dashboard",
-        help="sparkline terminal view of a run's window series",
+        help="sparkline terminal view: a run's landscape, or an event "
+        "log's landscape and machine state",
     )
     add_store(dash_p)
     dash_p.add_argument(
         "ref",
-        help="run id, manifest path or window-report path; with "
-        "--follow: an event log written by --events",
+        help="run id, manifest path or window-report path; or an event "
+        "log (*.jsonl) written by --events (works mid-run)",
     )
     dash_p.add_argument(
         "--follow",
         "-f",
         action="store_true",
-        help="treat REF as a live event log and redraw the dashboard "
-        "on every window.rollup event until interrupted",
+        help="treat REF as a live event log and redraw a frame per work "
+        "event (window rollup, chunk/stage finish, drops) until interrupted",
     )
     dash_p.add_argument(
         "--out",
         metavar="PATH",
         default=None,
         help="write the rendered dashboard to PATH instead of stdout",
-    )
-
-    top_p = obs_sub.add_parser(
-        "top",
-        help="resource/throughput view of a run's event stream",
-    )
-    top_p.add_argument(
-        "path",
-        help="event log written by --events (works mid-run)",
-    )
-    top_p.add_argument(
-        "--follow",
-        "-f",
-        action="store_true",
-        help="keep polling the log and redraw a frame per work event "
-        "(chunk/stage finish, drops) until interrupted",
-    )
-    top_p.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write the rendered frame to PATH instead of stdout",
     )
 
     query_p = obs_sub.add_parser(
@@ -675,11 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the machine-readable report JSON to PATH",
     )
-    regress_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable report instead of the text view",
-    )
+    add_json(regress_p)
 
     cost_p = obs_sub.add_parser(
         "cost",
@@ -688,11 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_store(cost_p)
     cost_p.add_argument("ref_a", help="reference run: id, id prefix or manifest path")
     cost_p.add_argument("ref_b", help="candidate run: id, id prefix or manifest path")
-    cost_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable report instead of the text view",
-    )
+    add_json(cost_p)
 
     validate_p = obs_sub.add_parser(
         "validate", help="validate emitted JSON and/or every stored run"
@@ -900,18 +857,19 @@ def _severity_arg(text: str) -> str:
     return value
 
 
+def _emit(rendered: str, out: str | None, what: str) -> None:
+    """Write ``rendered`` to ``out`` (and say so), else to stdout."""
+    if out:
+        Path(out).write_text(rendered, encoding="utf-8")
+        print(f"wrote {what} to {out}")
+    else:
+        print(rendered, end="")
+
+
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs.diff import (
-        DEFAULT_TIMING_TOLERANCE,
-        diff_manifests,
-        render_history,
-    )
     from repro.obs.history import RunStore
 
     store = RunStore(getattr(args, "runs", None))
-    tolerance = (
-        getattr(args, "timing_tolerance", None) or DEFAULT_TIMING_TOLERANCE
-    )
 
     if args.obs_command == "list":
         print(
@@ -934,6 +892,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(report.to_json() if args.json else report.render())
         return 0
     if args.obs_command == "diff":
+        from repro.obs.diff import diff_manifests
+        from repro.obs.health import TIMING_TOLERANCE
 
         def events_for(ref: str):
             try:
@@ -944,7 +904,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         diff = diff_manifests(
             store.load_payload(args.ref_a),
             store.load_payload(args.ref_b),
-            timing_tolerance=tolerance,
+            timing_tolerance=(
+                TIMING_TOLERANCE
+                if args.timing_tolerance is None
+                else args.timing_tolerance
+            ),
             events_a=events_for(args.ref_a),
             events_b=events_for(args.ref_b),
         )
@@ -978,51 +942,27 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         if windows is not None:
             payload = {**payload, "windows": windows}
         rendered = export_payload(payload, args.format)
-        if args.out:
-            Path(args.out).write_text(rendered, encoding="utf-8")
-            print(f"wrote {args.format} export of {args.ref} to {args.out}")
-        else:
-            print(rendered, end="")
+        _emit(rendered, args.out, f"{args.format} export of {args.ref}")
         return 0
     if args.obs_command == "history":
-        print(
-            render_history(
-                store,
-                args.metric,
-                fingerprint=args.fingerprint,
-                timing_tolerance=tolerance,
-            )
-        )
-        return 0
-    if args.obs_command == "trace":
-        from repro.obs.profile import flame_view, write_chrome_trace
+        from repro.obs.health import render_history
+        from repro.obs.query import build_frame
 
-        tree = store.load_payload(args.ref).get("span_tree", {})
-        if args.chrome:
-            path = write_chrome_trace(tree, args.chrome)
-            print(f"wrote Chrome trace of {args.ref} to {path}")
-        if args.flame or not args.chrome:
-            print(flame_view(tree))
+        frame = build_frame(store, fingerprint=args.fingerprint)
+        print(render_history(frame, args.target))
         return 0
     if args.obs_command == "health":
         return _cmd_obs_health(args, store)
     if args.obs_command == "dashboard":
         return _cmd_obs_dashboard(args, store)
-    if args.obs_command == "top":
-        return _cmd_obs_top(args)
     if args.obs_command == "validate":
         from repro.obs.validate import main as validate_main
 
         forwarded: list[str] = []
-        if args.metrics:
-            forwarded += ["--metrics", args.metrics]
-        if args.manifest:
-            forwarded += ["--manifest", args.manifest]
-        if args.events:
-            forwarded += ["--events", args.events]
-        if args.windows:
-            forwarded += ["--windows", args.windows]
-        if not getattr(args, "require_scenario", True):
+        for name in ("metrics", "manifest", "events", "windows"):
+            if getattr(args, name):
+                forwarded += [f"--{name}", getattr(args, name)]
+        if not args.require_scenario:
             forwarded += ["--no-require-scenario"]
         if args.rebuild_index:
             forwarded += ["--rebuild-index"]
@@ -1134,7 +1074,8 @@ def _cmd_obs_health(args: argparse.Namespace, store) -> int:
 def _cmd_obs_dashboard(args: argparse.Namespace, store) -> int:
     import json
 
-    from repro.obs.dashboard import follow_dashboard, render_dashboard
+    from repro.obs.dashboard import dashboard_from_events, follow_dashboard, render_dashboard
+    from repro.obs.events import iter_events
     from repro.obs.health import evaluate_health
 
     if args.follow:
@@ -1143,51 +1084,31 @@ def _cmd_obs_dashboard(args: argparse.Namespace, store) -> int:
         except KeyboardInterrupt:  # pragma: no cover - interactive stop
             pass
         return 0
-    # REF may be a window report itself, or a manifest/run id whose
-    # sidecar the store resolves; a manifest also yields health findings.
-    windows = None
-    health = None
+    # REF may be an event log (folded into both sections), a window
+    # report itself, or a manifest/run id whose sidecar the store
+    # resolves; a manifest also yields health findings.
     ref_path = Path(args.ref)
-    if ref_path.is_file():
-        payload = json.loads(ref_path.read_text(encoding="utf-8"))
-        if "window_weeks" in payload and "series" in payload:
-            windows = payload
-    if windows is None:
-        windows = store.load_windows(args.ref)
+    if ref_path.is_file() and ref_path.suffix == ".jsonl":
+        rendered = dashboard_from_events(iter_events(ref_path))
+    else:
+        windows = health = None
+        if ref_path.is_file():
+            payload = json.loads(ref_path.read_text(encoding="utf-8"))
+            if "window_weeks" in payload and "series" in payload:
+                windows = payload
         if windows is None:
-            print(
-                f"no window report for {args.ref}: run with --windows N "
-                "and --manifest/--store-run first",
-                file=sys.stderr,
-            )
-            return 1
-        manifest = store.load_payload(args.ref)
-        health = evaluate_health(manifest, windows).as_dict()
-    rendered = render_dashboard(windows, health)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        print(f"wrote dashboard of {args.ref} to {args.out}")
-    else:
-        print(rendered, end="")
-    return 0
-
-
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    from repro.obs.events import iter_events
-    from repro.obs.top import follow_top, top_from_events
-
-    if args.follow:
-        try:
-            follow_top(args.path, sys.stdout)
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
-            pass
-        return 0
-    rendered = top_from_events(iter_events(args.path))
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        print(f"wrote top view of {args.path} to {args.out}")
-    else:
-        print(rendered, end="")
+            windows = store.load_windows(args.ref)
+            if windows is None:
+                print(
+                    f"no window report for {args.ref}: run with --windows N "
+                    "and --manifest/--store-run first",
+                    file=sys.stderr,
+                )
+                return 1
+            manifest = store.load_payload(args.ref)
+            health = evaluate_health(manifest, windows).as_dict()
+        rendered = render_dashboard(windows, health)
+    _emit(rendered, args.out, f"dashboard of {args.ref}")
     return 0
 
 

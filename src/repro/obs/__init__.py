@@ -20,15 +20,16 @@ near-free when off:
   longitudinal record;
 * :mod:`repro.obs.diff` — cross-run manifest diffs (metric deltas,
   timing bands, digest walks naming the first diverging stage, event
-  attribution) and the ``repro obs history`` drift time series;
+  attribution) behind ``repro obs diff``;
 * :mod:`repro.obs.events` — the live pipeline event stream: a
   schema-versioned, monotonically sequenced :class:`EventBus` with
   in-memory, JSON-lines-file and multiprocessing-queue transports,
   the ``repro obs tail`` replay/follow reader and the ``--progress``
   renderer;
-* :mod:`repro.obs.export` — exporters of the recorded telemetry:
-  Prometheus/OpenMetrics text expositions, JSON-lines samples, Chrome
-  traces;
+* :mod:`repro.obs.export` — exporters of the recorded telemetry
+  behind ``repro obs export``: Prometheus/OpenMetrics text
+  expositions, JSON-lines samples, Chrome traces and the flamegraph
+  text view;
 * :mod:`repro.obs.profile` — opt-in per-span CPU/RSS/GC probes plus
   span-tree exporters: Chrome trace-event JSON and a flamegraph-style
   text view;
@@ -40,11 +41,11 @@ near-free when off:
   bounds, trailing-median tolerance bands, EWMA z-scores and two-sided
   Page-Hinkley changepoints, run over one run's window series
   (``repro obs health``) or over the run store's per-fingerprint run
-  series (``repro obs regress``),
-  with one baseline-suppression key;
-* :mod:`repro.obs.dashboard` — the sparkline terminal dashboard behind
-  ``repro obs dashboard`` (static render + ``--follow`` off the event
-  stream);
+  series (``repro obs regress``, and the ``repro obs history`` view of
+  one target's ``band`` rule), with one baseline-suppression key;
+* :mod:`repro.obs.dashboard` — the one live view behind ``repro obs
+  dashboard``: a run's landscape sparklines plus, from an event log,
+  the machine state (static fold + ``--follow``);
 * :mod:`repro.obs.query` — the longitudinal analytics frame: every
   stored run materialized into one columnar, digest-checked
   :class:`QueryFrame` (incrementally indexed in ``query_index.json``)
@@ -58,7 +59,7 @@ Instrumented layers read the ambient registry/tracer
 ones per run.  ``repro.obs`` depends only on :mod:`repro.util`.
 """
 
-from repro.obs.diff import ManifestDiff, diff_manifests, render_history
+from repro.obs.diff import ManifestDiff, diff_manifests
 from repro.obs.events import (
     EVENT_KINDS,
     NULL_BUS,
@@ -84,13 +85,14 @@ from repro.obs.health import (
     Rule,
     evaluate_health,
     new_findings,
+    render_history,
     run_regression,
 )
 from repro.obs.history import RunStore
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
-from repro.obs.profile import chrome_trace, flame_view, write_chrome_trace
+from repro.obs.profile import chrome_trace, flame_view
 from repro.obs.query import (
     CostReport,
     QueryFrame,
@@ -159,5 +161,4 @@ __all__ = [
     "run_regression",
     "sparkline",
     "use_bus",
-    "write_chrome_trace",
 ]

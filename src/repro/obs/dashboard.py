@@ -1,23 +1,32 @@
-"""The terminal dashboard: window series as sparklines.
+"""``repro obs dashboard``: the one live view of a run.
 
-``repro obs dashboard`` turns a run's :class:`~repro.obs.windows.WindowReport`
-into a compact terminal view — one sparkline row per window series
-(attack volume, new samples/patterns, per-perspective cluster counts,
-churn, cross-view agreement), the whole-run cross-view summary, and the
-run's health findings when a manifest is on hand.  The static render is
-a pure function of its payloads, so it doubles as the CI artifact
-snapshot.
+The dashboard has two sections.  The *landscape* section renders a
+run's :class:`~repro.obs.windows.WindowReport` as one sparkline row per
+window series (attack volume, new samples/patterns, per-perspective
+cluster counts, churn, cross-view agreement), the whole-run cross-view
+summary, and the run's health findings when a manifest is on hand.  The
+*machine* section shows the pipeline's machinery: event throughput,
+chunk latencies and the per-worker resource watermarks riding on
+``chunk.finish`` events, plus the drop accounting of any bounded
+transports.
 
-With ``--follow`` the dashboard rides the same machinery as
-``repro obs tail``: it watches an event log for ``window.rollup``
-events (one per window, emitted by the scenario layer as series are
-folded) and redraws a frame per rollup, so a long run's landscape shape
-builds up live in the terminal.
+Given a run id, manifest or window report, the dashboard renders the
+landscape section from the stored report.  Given an event log (the file
+``--events`` writes), :class:`DashboardAccumulator` folds the stream
+into both sections — no manifest required, so it works mid-run on a
+partially written log — and ``--follow`` rides :func:`iter_events`'s
+tail mode (which survives log rotation), redrawing a frame per
+work-completion event.
+
+Every render is a pure function of its payloads (no wall-clock reads;
+rates come from the events' own monotonic stamps), so a render of a
+finished run doubles as a deterministic CI artifact.
 """
 
 from __future__ import annotations
 
-from typing import IO, Callable, Mapping
+from collections import deque
+from typing import IO, Callable, Iterable, Mapping
 
 from repro.obs.events import PipelineEvent, iter_events
 from repro.obs.windows import WINDOW_SERIES
@@ -28,6 +37,24 @@ SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 #: Widest series name (layout column for the render).
 _NAME_WIDTH = max(len(name) for name in WINDOW_SERIES)
+
+#: Trailing samples kept per machine sparkline (bounds accumulator memory).
+MACHINE_WINDOW = 48
+
+#: Event kinds that trigger a redraw in follow mode.  High-frequency
+#: bookkeeping kinds (cache.*) update the counters silently; redrawing
+#: only on work-completion events keeps frame volume proportional to
+#: chunks and windows, not to cache traffic.
+REDRAW_KINDS = frozenset(
+    {
+        "chunk.finish",
+        "stage.finish",
+        "window.rollup",
+        "worker.failure",
+        "transport.drop",
+        "run.finish",
+    }
+)
 
 
 def sparkline(values: list[float]) -> str:
@@ -58,13 +85,62 @@ def _series_row(name: str, values: list[float]) -> str:
     )
 
 
-def render_dashboard(windows: Mapping, health: Mapping | None = None) -> str:
-    """The full static dashboard of a window report payload.
+def render_machine(state: Mapping) -> str:
+    """The machine section for one :meth:`DashboardAccumulator.snapshot`."""
+    meta = state["meta"]
+    status = "finished" if state["finished"] else (
+        f"stage {state['current_stage']}" if state["current_stage"] else "running"
+    )
+    lines = [
+        "machine"
+        f" · seed {meta.get('seed', '-')}"
+        f" · {meta.get('weeks', '?')}w x{meta.get('scale', '?')}"
+        f" · executor {meta.get('executor', '-')}"
+        f" · {status}",
+        "",
+        f"  events   n={state['n_events']} rate={state['rate']:g}/s"
+        f"  gap {sparkline(state['gaps'])}",
+        f"  chunks   n={len(state['chunk_seconds'])} items={state['items_done']}"
+        f"  sec {sparkline(state['chunk_seconds'])}",
+    ]
+    rss = state["rss_kb"]
+    if rss:
+        lines.append(
+            f"  rss_kb   last={rss[-1]:g} peak={state['peak_rss_kb']:g}"
+            f"  rss {sparkline(rss)}"
+        )
+    lines.append(
+        f"  stages   done={state['stages_done']} failures={state['failures']}"
+    )
+    drops = state["drops"]
+    for transport in sorted(drops):
+        kinds = drops[transport]
+        detail = " ".join(f"{kind}={kinds[kind]}" for kind in sorted(kinds))
+        lines.append(f"  drops    {transport}={sum(kinds.values())} ({detail})")
+    if not drops:
+        lines.append("  drops    none")
+    counts = state["kind_counts"]
+    if counts:
+        lines.append(
+            "  kinds    " + " ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
+        )
+    return "\n".join(lines) + "\n"
+
+
+def render_dashboard(
+    windows: Mapping,
+    health: Mapping | None = None,
+    machine: Mapping | None = None,
+) -> str:
+    """The dashboard: a landscape section, then an optional machine section.
 
     ``windows`` is a :meth:`~repro.obs.windows.WindowReport.as_dict`
-    payload; ``health`` is an optional
-    :meth:`~repro.obs.health.Report.as_dict` payload appended as
-    a findings section.  Deterministic: sorted sections, no wall-clock.
+    payload (or :meth:`DashboardAccumulator.payload`); ``health`` is an
+    optional :meth:`~repro.obs.health.Report.as_dict` payload appended
+    as a findings section; ``machine`` is an optional
+    :meth:`DashboardAccumulator.snapshot` rendered by
+    :func:`render_machine`.  Deterministic: sorted sections, no
+    wall-clock.
     """
     require("series" in windows, "payload has no window series")
     series = windows["series"]
@@ -112,45 +188,137 @@ def render_dashboard(windows: Mapping, health: Mapping | None = None) -> str:
                 f"    {str(finding['severity']).upper():<8} "
                 f"{finding['rule']}{where} = {float(finding['value']):g}"
             )
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if machine is not None:
+        text += "\n" + render_machine(machine)
+    return text
 
 
 class DashboardAccumulator:
-    """Folds ``window.rollup`` events back into a window-report payload.
+    """Folds a run's event stream into both dashboard sections.
 
-    The scenario layer emits one ``window.rollup`` event per window with
-    every series value as a field; feeding those events here rebuilds
-    the ``series`` mapping incrementally, which is what lets ``--follow``
-    redraw the dashboard as windows arrive without waiting for the
-    ``.windows.json`` sidecar to exist.
+    ``window.rollup`` events (one per window, every series value as a
+    field) rebuild the window report's ``series`` mapping, which is what
+    lets ``--follow`` redraw the landscape as windows arrive without
+    waiting for the ``.windows.json`` sidecar.  Every event feeds the
+    machine state: counters plus bounded deques (O(:data:`MACHINE_WINDOW`))
+    of the most recent chunk latencies, resident-set watermarks and
+    event inter-arrival gaps.  Feeding the same events always produces
+    the same :meth:`payload` and :meth:`snapshot`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, window: int = MACHINE_WINDOW) -> None:
         self.meta: dict = {}
+        self.window_meta: dict = {}
         self.series: dict[str, list[float]] = {}
-        self._windows_seen = 0
+        self.windows_seen = 0
+        self.kind_counts: dict[str, int] = {}
+        self.n_events = 0
+        self.t_first: float | None = None
+        self.t_last: float | None = None
+        self.chunk_seconds: deque[float] = deque(maxlen=window)
+        self.rss_kb: deque[float] = deque(maxlen=window)
+        self.gaps: deque[float] = deque(maxlen=window)
+        self.peak_rss_kb = 0.0
+        self.items_done = 0
+        self.current_stage: str | None = None
+        self.stages_done = 0
+        self.failures = 0
+        self.drops: dict[str, dict[str, int]] = {}
+        self.finished = False
 
     def feed(self, event: PipelineEvent) -> bool:
-        """Ingest one event; True when the frame should redraw."""
-        if event.kind != "window.rollup":
-            return False
-        fields = dict(event.fields)
-        for key in ("fingerprint", "seed", "window_weeks", "n_windows"):
-            if key in fields:
-                self.meta[key] = fields.pop(key)
-        fields.pop("window", None)
-        for name, value in fields.items():
-            self.series.setdefault(str(name), []).append(float(value))
-        self._windows_seen += 1
-        return True
+        """Ingest one event; True when a follow frame should redraw."""
+        self.n_events += 1
+        self.kind_counts[event.kind] = self.kind_counts.get(event.kind, 0) + 1
+        t = float(event.t)
+        if self.t_first is None:
+            self.t_first = t
+        elif self.t_last is not None and t >= self.t_last:
+            self.gaps.append(t - self.t_last)
+        self.t_last = t
+        fields = event.fields
+        if event.kind == "window.rollup":
+            fields = dict(fields)
+            for key in ("fingerprint", "seed", "window_weeks", "n_windows"):
+                if key in fields:
+                    self.window_meta[key] = fields.pop(key)
+            fields.pop("window", None)
+            for name, value in fields.items():
+                self.series.setdefault(str(name), []).append(float(value))
+            self.windows_seen += 1
+        elif event.kind == "run.start":
+            for key in ("seed", "weeks", "scale", "executor"):
+                if key in fields:
+                    self.meta[key] = fields[key]
+        elif event.kind == "chunk.finish":
+            if "seconds" in fields:
+                self.chunk_seconds.append(float(fields["seconds"]))
+            if fields.get("rss_kb") is not None:
+                rss = float(fields["rss_kb"])
+                self.rss_kb.append(rss)
+                self.peak_rss_kb = max(self.peak_rss_kb, rss)
+            self.items_done += int(fields.get("items", 0))
+        elif event.kind == "stage.start":
+            self.current_stage = str(fields.get("stage", "?"))
+        elif event.kind == "stage.finish":
+            self.stages_done += 1
+            if self.current_stage == str(fields.get("stage")):
+                self.current_stage = None
+        elif event.kind == "worker.failure":
+            self.failures += 1
+        elif event.kind == "transport.drop":
+            transport = str(fields.get("transport", "?"))
+            sink = self.drops.setdefault(transport, {})
+            for kind, count in dict(fields.get("kinds", {})).items():
+                sink[str(kind)] = sink.get(str(kind), 0) + int(count)
+        elif event.kind == "run.finish":
+            self.finished = True
+        return event.kind in REDRAW_KINDS
 
     def payload(self) -> dict:
-        """The accumulated payload in window-report layout."""
+        """The accumulated window series in window-report layout."""
         return {
-            **self.meta,
-            "n_windows": self._windows_seen,
+            **self.window_meta,
+            "n_windows": self.windows_seen,
             "series": {name: list(self.series[name]) for name in sorted(self.series)},
         }
+
+    def snapshot(self) -> dict:
+        """Plain-dict form of the machine state (:func:`render_machine` input).
+
+        ``rate`` is the whole-stream event throughput (events per second
+        of event-stamp time).
+        """
+        elapsed = (self.t_last or 0.0) - (self.t_first or 0.0)
+        return {
+            "meta": dict(self.meta),
+            "n_events": self.n_events,
+            "rate": (self.n_events - 1) / elapsed if elapsed > 0 else 0.0,
+            "gaps": list(self.gaps),
+            "chunk_seconds": list(self.chunk_seconds),
+            "rss_kb": list(self.rss_kb),
+            "peak_rss_kb": self.peak_rss_kb,
+            "items_done": self.items_done,
+            "current_stage": self.current_stage,
+            "stages_done": self.stages_done,
+            "failures": self.failures,
+            "drops": {transport: dict(kinds) for transport, kinds in self.drops.items()},
+            "kind_counts": dict(self.kind_counts),
+            "finished": self.finished,
+        }
+
+    def render(self) -> str:
+        """Both sections of the accumulated state."""
+        return render_dashboard(self.payload(), machine=self.snapshot())
+
+
+def dashboard_from_events(events: Iterable[PipelineEvent]) -> str:
+    """Static render: fold a whole event iterable, return one frame."""
+    accumulator = DashboardAccumulator()
+    for event in events:
+        accumulator.feed(event)
+    return accumulator.render()
 
 
 def follow_dashboard(
@@ -160,19 +328,21 @@ def follow_dashboard(
     poll_seconds: float = 0.2,
     stop: Callable[[], bool] | None = None,
 ) -> int:
-    """Tail ``path`` and redraw the dashboard per ``window.rollup``.
+    """Tail ``path`` and redraw the dashboard per :data:`REDRAW_KINDS` event.
 
-    Frames are separated by a form-feed-free blank line (terminal
-    multiplexer friendly, artifact-file friendly).  Returns the number
-    of frames drawn; like ``repro obs tail``, the CLI wires ``stop`` /
-    KeyboardInterrupt for interactive exit.
+    Frames are separated by a blank line (terminal-multiplexer and
+    artifact-file friendly) and the loop inherits :func:`iter_events`'s
+    rotation/truncation handling, so a size-rotated log keeps feeding
+    frames.  Returns the number of frames drawn; like ``repro obs
+    tail``, the CLI wires ``stop`` / KeyboardInterrupt for interactive
+    exit.
     """
     accumulator = DashboardAccumulator()
     frames = 0
     for event in iter_events(path, follow=True, poll_seconds=poll_seconds, stop=stop):
         if accumulator.feed(event):
             frames += 1
-            stream.write(render_dashboard(accumulator.payload()))
+            stream.write(accumulator.render())
             stream.write("\n")
             stream.flush()
     return frames

@@ -24,30 +24,16 @@ reference manifest therefore fails exactly when a change moved the
 numbers, not merely because the reference was produced at reduced
 scale (where both sides deviate identically from the full-scale
 golden values).
-
-:func:`render_history` is the time-series view over a
-:class:`~repro.obs.history.RunStore`: one line per stored run for a
-chosen metric, with drift flags for golden deviations and for values
-outside the tolerance band around the trailing median.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from repro.obs.history import RunStore
+from repro.obs.health import TIMING_NOISE_FLOOR, TIMING_TOLERANCE
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import base_name
-from repro.obs.sketch import sketch_quantile_from_payload
-
-#: Stage wall-time ratio above which a timing delta counts as a regression.
-DEFAULT_TIMING_TOLERANCE = 1.5
-
-#: Absolute floor (seconds) below which timing deltas are noise, never
-#: regressions — sub-50ms stages jitter far beyond any tolerance band.
-TIMING_NOISE_FLOOR = 0.05
+from repro.obs.query import scalar_metrics
 
 #: Event kinds whose order and fields are pure functions of the
 #: ``(seed, config)`` pair — the comparable skeleton of an event log.
@@ -308,19 +294,11 @@ def _stage_cache(tree: Mapping) -> dict[str, str]:
     return out
 
 
-def _scalar_metrics(metrics: Mapping) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for section in ("counters", "gauges"):
-        for key, value in metrics.get(section, {}).items():
-            out[key] = float(value)
-    return out
-
-
 def diff_manifests(
     a: RunManifest | Mapping,
     b: RunManifest | Mapping,
     *,
-    timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
+    timing_tolerance: float = TIMING_TOLERANCE,
     events_a=None,
     events_b=None,
 ) -> ManifestDiff:
@@ -350,8 +328,8 @@ def diff_manifests(
         if events_a is not None and events_b is not None:
             diff.first_diverging_event = first_diverging_event(events_a, events_b)
 
-    metrics_a = _scalar_metrics(a.get("metrics", {}))
-    metrics_b = _scalar_metrics(b.get("metrics", {}))
+    metrics_a = scalar_metrics(a.get("metrics", {}))
+    metrics_b = scalar_metrics(b.get("metrics", {}))
     for key in set(metrics_a) | set(metrics_b):
         va, vb = metrics_a.get(key, 0.0), metrics_b.get(key, 0.0)
         if va != vb:
@@ -386,106 +364,3 @@ def diff_manifests(
         if ha != hb:
             diff.health_deltas[severity] = (ha, hb)
     return diff
-
-
-def metric_value(payload: Mapping, metric: str) -> float | None:
-    """Extract one scalar series point from a manifest payload.
-
-    ``metric`` is either ``stage:<span name>`` (wall seconds of that
-    span in the trace), an exact snapshot key (labels included, e.g.
-    ``epm.clusters{dimension=mu}``), a bare metric name, which sums
-    every labelled counter/gauge sharing that base name, or a
-    distribution quantile as ``<key>:pNN`` (e.g.
-    ``executor.chunk_seconds:p50``) — estimated from the sketch section
-    within the sketch's relative error.  A bare ``<key>`` matching
-    several labelled sketches is ambiguous and reads as ``None``.
-    """
-    if metric.startswith("stage:"):
-        name = metric.split(":", 1)[1]
-        for span in _walk_postorder(payload.get("span_tree", {})):
-            if span.get("name") == name:
-                return float(span.get("seconds", 0.0))
-        return None
-    match = re.fullmatch(r"(.+):p(\d+(?:\.\d+)?)", metric)
-    if match:
-        key, percent = match.group(1), float(match.group(2))
-        if not 0.0 <= percent <= 100.0:
-            return None
-        sketches = payload.get("metrics", {}).get("sketches", {})
-        candidates = (
-            [sketches[key]]
-            if key in sketches
-            else [value for k, value in sketches.items() if base_name(k) == key]
-        )
-        if len(candidates) != 1:
-            return None  # absent, or ambiguous across labels
-        return sketch_quantile_from_payload(candidates[0], percent / 100.0)
-    scalars = _scalar_metrics(payload.get("metrics", {}))
-    if metric in scalars:
-        return scalars[metric]
-    summed = [value for key, value in scalars.items() if base_name(key) == metric]
-    if summed:
-        return float(sum(summed))
-    return None
-
-
-def render_history(
-    store: RunStore,
-    metric: str,
-    *,
-    fingerprint: str | None = None,
-    timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
-    width: int = 30,
-) -> str:
-    """Time series of ``metric`` over the stored runs, with drift flags.
-
-    Flags: ``G!`` marks runs whose manifest self-reported golden
-    deviations; ``T!`` marks values outside the tolerance band around
-    the median of the preceding runs (both directions — for counts a
-    drop is as suspicious as a jump).
-    """
-    entries = store.entries(fingerprint)
-    if not entries:
-        return f"run store {store.root}: no stored runs"
-    rows: list[tuple[dict, float | None, dict]] = []
-    for entry in entries:
-        payload = store.load_payload(entry["run_id"])
-        rows.append((entry, metric_value(payload, metric), payload))
-    values = [value for _e, value, _p in rows if value is not None]
-    if not values:
-        return f"metric {metric!r}: not present in any stored run"
-    peak = max(abs(v) for v in values) or 1.0
-
-    lines = [f"{metric} over {len(rows)} stored run(s) in {store.root}"]
-    drifted = 0
-    seen: list[float] = []
-    for entry, value, payload in rows:
-        flags = []
-        if payload.get("golden_deviations"):
-            flags.append("G!")
-        if value is not None and seen:
-            median = sorted(seen)[len(seen) // 2]
-            band_low = median / timing_tolerance
-            band_high = median * timing_tolerance
-            floor = TIMING_NOISE_FLOOR if metric.startswith("stage:") else 0.0
-            if (
-                abs(value - median) > floor
-                and not band_low <= value <= band_high
-            ):
-                flags.append("T!")
-        if flags:
-            drifted += 1
-        bar = "█" * max(1, round(abs(value) / peak * width)) if value else ""
-        rendered = f"{value:12.4f}" if value is not None else "         n/a"
-        lines.append(
-            f"  {entry['run_id']}  {entry.get('created_at') or '-':<22} "
-            f"{rendered}  {bar:<{width}} {' '.join(flags)}".rstrip()
-        )
-        if value is not None:
-            seen.append(value)
-    lines.append(
-        f"drift: {drifted} flagged run(s) "
-        f"(tolerance band x{timing_tolerance:g}, G!=golden deviation, "
-        "T!=outside trailing-median band)"
-    )
-    return "\n".join(lines)

@@ -17,8 +17,11 @@ external tooling expects:
   ``application/openmetrics-text``.
 * :func:`jsonl_samples` / :func:`jsonl_text` — one JSON object per
   sample, the lingua franca of log shippers.
-* Chrome traces reuse :func:`repro.obs.profile.chrome_trace` on the
-  manifest's span tree; :func:`export_payload` dispatches all three.
+* Span-tree views reuse :mod:`repro.obs.profile` on the manifest's
+  span tree: ``chrome`` is :func:`~repro.obs.profile.chrome_trace`
+  trace-event JSON (chrome://tracing, Perfetto), ``flame`` the
+  :func:`~repro.obs.profile.flame_view` text view.
+  :func:`export_payload` dispatches every format.
 
 Inputs are duck-typed payload dicts: either a bare metrics snapshot
 (:meth:`~repro.obs.metrics.MetricsSnapshot.as_dict` form) or a full run
@@ -39,7 +42,7 @@ from repro.obs.sketch import sketch_quantile_from_payload
 from repro.util.validation import require
 
 #: Formats :func:`export_payload` understands.
-EXPORT_FORMATS = ("prometheus", "openmetrics", "jsonl", "chrome")
+EXPORT_FORMATS = ("prometheus", "openmetrics", "jsonl", "chrome", "flame")
 
 #: Prefix of every exported Prometheus metric name.
 PROMETHEUS_PREFIX = "repro_"
@@ -294,11 +297,13 @@ def export_payload(payload: Mapping, fmt: str) -> str:
     tree = span_tree_section(payload)
     require(
         bool(tree),
-        "chrome export needs a manifest with a span tree "
+        f"{fmt} export needs a manifest with a span tree "
         "(bare metrics snapshots carry none)",
     )
     # Deferred import: profile pulls in resource/gc probing helpers the
     # text exporters never need.
-    from repro.obs.profile import chrome_trace
+    from repro.obs.profile import chrome_trace, flame_view
 
+    if fmt == "flame":
+        return flame_view(tree) + "\n"
     return json.dumps(chrome_trace(tree), sort_keys=True, indent=2) + "\n"

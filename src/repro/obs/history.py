@@ -352,10 +352,6 @@ class RunStore:
             return None
         return json.loads(windows_path.read_text(encoding="utf-8"))
 
-    def manifests(self, fingerprint: str | None = None) -> list[RunManifest]:
-        """All stored manifests (optionally one configuration), in order."""
-        return [self.load(entry["run_id"]) for entry in self.entries(fingerprint)]
-
     def render_listing(self, entries: Sequence[Mapping] | None = None) -> str:
         """Human-readable table of stored runs."""
         entries = self.entries() if entries is None else list(entries)

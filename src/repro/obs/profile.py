@@ -14,7 +14,8 @@ Two halves, both operating on the :mod:`repro.obs.trace` layer:
   :meth:`TraceSpan.export`, i.e. exactly what a stored run manifest
   carries) into Chrome trace-event JSON (:func:`chrome_trace`, loadable
   in ``chrome://tracing`` / Perfetto) or a self-contained
-  flamegraph-style text view (:func:`flame_view`).  Operating on the
+  flamegraph-style text view (:func:`flame_view`); ``repro obs export
+  --format chrome|flame`` renders both.  Operating on the
   dict form means any stored manifest — including one produced by an
   older schema without span ``start`` offsets — can be exported; spans
   without a recorded start are laid out sequentially inside their
@@ -24,9 +25,7 @@ Two halves, both operating on the :mod:`repro.obs.trace` layer:
 from __future__ import annotations
 
 import gc
-import json
 import time
-from pathlib import Path
 from typing import Iterator, Mapping
 
 try:  # pragma: no cover - resource is always present on Linux CI
@@ -128,16 +127,6 @@ def chrome_trace(tree: object, *, pid: int = 1, tid: int = 1) -> dict:
             event["args"] = dict(attributes)
         events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(tree: object, path: str | Path) -> Path:
-    """Persist :func:`chrome_trace` output as JSON; returns the path."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(chrome_trace(tree), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 def flame_view(tree: object, *, width: int = 40) -> str:

@@ -15,9 +15,9 @@ cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
   ========================  ==================================================
   selector                  resolves to (per run)
   ========================  ==================================================
-  ``metric:<key>``          scalar via :func:`repro.obs.diff.metric_value`
-                            (exact keys, bare names summing labels,
-                            ``<sketch>:pNN`` quantiles, ``stage:<span>``)
+  ``metric:<key>``          scalar via :func:`metric_value` (exact keys,
+                            bare names summing labels, ``<sketch>:pNN``
+                            quantiles)
   ``series:<name>``         the run's per-window series (a vector)
   ``golden:deviations``     count of self-reported golden deviations
   ``span:<name>``           wall seconds of that span; ``span:<name>/attr``
@@ -56,6 +56,8 @@ from typing import Iterator, Mapping, Sequence
 
 from repro.obs.history import RUN_ID_LENGTH, RunStore
 from repro.obs.log import get_logger
+from repro.obs.metrics import base_name
+from repro.obs.sketch import sketch_quantile_from_payload
 from repro.util.canonical import canonical_digest
 from repro.util.validation import require
 
@@ -132,6 +134,49 @@ def _span_value(tree: Mapping, key: str) -> float | None:
     return None
 
 
+def scalar_metrics(metrics: Mapping) -> dict[str, float]:
+    """Every counter and gauge of a metrics snapshot, by snapshot key."""
+    out: dict[str, float] = {}
+    for section in ("counters", "gauges"):
+        for key, value in metrics.get(section, {}).items():
+            out[key] = float(value)
+    return out
+
+
+def metric_value(payload: Mapping, metric: str) -> float | None:
+    """Resolve a ``metric:`` key against one manifest payload.
+
+    ``metric`` is an exact snapshot key (labels included, e.g.
+    ``epm.clusters{dimension=mu}``), a bare metric name, which sums
+    every labelled counter/gauge sharing that base name, or a
+    distribution quantile as ``<key>:pNN`` (e.g.
+    ``executor.chunk_seconds:p50``) — estimated from the sketch section
+    within the sketch's relative error.  A bare ``<key>`` matching
+    several labelled sketches is ambiguous and reads as ``None``.
+    """
+    match = re.fullmatch(r"(.+):p(\d+(?:\.\d+)?)", metric)
+    if match:
+        key, percent = match.group(1), float(match.group(2))
+        if not 0.0 <= percent <= 100.0:
+            return None
+        sketches = payload.get("metrics", {}).get("sketches", {})
+        candidates = (
+            [sketches[key]]
+            if key in sketches
+            else [value for k, value in sketches.items() if base_name(k) == key]
+        )
+        if len(candidates) != 1:
+            return None  # absent, or ambiguous across labels
+        return sketch_quantile_from_payload(candidates[0], percent / 100.0)
+    scalars = scalar_metrics(payload.get("metrics", {}))
+    if metric in scalars:
+        return scalars[metric]
+    summed = [value for key, value in scalars.items() if base_name(key) == metric]
+    if summed:
+        return float(sum(summed))
+    return None
+
+
 def resolve_target(
     manifest: Mapping, windows: Mapping | None, target: str
 ) -> float | list[float] | None:
@@ -142,8 +187,6 @@ def resolve_target(
     """
     scheme, key = parse_target(target)
     if scheme == "metric":
-        from repro.obs.diff import metric_value
-
         return metric_value(manifest, key)
     if scheme == "golden":
         require(key == "deviations", f"unknown golden key {key!r}")

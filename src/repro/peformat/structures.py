@@ -163,7 +163,8 @@ class PEInfo:
     subsystem: int
     section_names: tuple[str, ...]
     imported_dlls: tuple[str, ...]
-    imports: Mapping[str, tuple[str, ...]]
+    #: A dict, so it stays out of ``hash()``; equality still compares it.
+    imports: Mapping[str, tuple[str, ...]] = field(hash=False)
     file_size: int
 
     @property

@@ -183,8 +183,9 @@ class TestObsSuite:
         assert main(["headline", *COMMON, "--store-run"]) == 0
         assert main(["obs", "history", "lsh.clusters"]) == 0
         out = capsys.readouterr().out
-        assert "lsh.clusters over 2 stored run(s)" in out
-        assert main(["obs", "history", "stage:observe"]) == 0
+        assert "lsh.clusters over 2 stored run(s) in 1 config(s)" in out
+        assert main(["obs", "history", "span:observe"]) == 0
+        assert "span:observe over 2 stored run(s)" in capsys.readouterr().out
 
     def test_trace_chrome_export_and_flame(self, capsys, store_dir, tmp_path):
         import json
@@ -192,13 +193,14 @@ class TestObsSuite:
         assert main(["headline", *COMMON, "--store-run", "--profile"]) == 0
         (run_id,) = self._stored_ids(store_dir)
         out_path = tmp_path / "trace.json"
-        assert main(["obs", "trace", run_id, "--chrome", str(out_path)]) == 0
+        argv = ["obs", "export", run_id, "--format", "chrome", "--out", str(out_path)]
+        assert main(argv) == 0
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         names = [e["name"] for e in payload["traceEvents"]]
         assert "scenario" in names and "bcluster" in names and "lsh.index" in names
         assert all(e["dur"] >= 0 for e in payload["traceEvents"])
         capsys.readouterr()
-        assert main(["obs", "trace", run_id, "--flame"]) == 0
+        assert main(["obs", "export", run_id, "--format", "flame"]) == 0
         flame = capsys.readouterr().out
         assert "cpu=" in flame  # --profile attrs surface in the view
 

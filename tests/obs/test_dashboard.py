@@ -131,3 +131,48 @@ class TestFollowDashboard:
         assert text.count("landscape dashboard") == 3
         # the final frame carries all three accumulated windows
         assert "last=30 max=30" in text
+
+
+@pytest.fixture(scope="module")
+def smoke_events(tmp_path_factory):
+    """The event log of the CI smoke run (seed 7, 8 weeks, scale 0.05)."""
+    from repro.cli import main
+
+    path = tmp_path_factory.mktemp("smoke") / "events.jsonl"
+    argv = ["run", "--scale", "0.05", "--weeks", "8", "--seed", "7"]
+    assert main([*argv, "--events", str(path)]) == 0
+    return path
+
+
+class TestEventLogDashboard:
+    def test_smoke_event_log_renders_both_sections(self, smoke_events, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "live.txt"
+        assert main(["obs", "dashboard", str(smoke_events), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        landscape, machine = text.split("\nmachine · ", 1)
+        assert landscape.startswith("landscape dashboard · fingerprint ")
+        for name in WINDOW_SERIES:
+            assert f"  {name}" in landscape
+        assert machine.startswith("seed 7 · 8w x0.05 · executor serial · finished")
+        assert "  drops    none" in machine
+        capsys.readouterr()
+        assert main(["obs", "dashboard", str(smoke_events)]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_follow_draws_one_frame_per_redraw_kind_event(self, smoke_events):
+        from repro.obs.dashboard import REDRAW_KINDS
+        from repro.obs.events import iter_events
+
+        kinds = [event.kind for event in iter_events(smoke_events)]
+        expected = sum(kind in REDRAW_KINDS for kind in kinds)
+        assert {"window.rollup", "chunk.finish", "stage.finish"} <= set(kinds)
+        stream = io.StringIO()
+        frames = follow_dashboard(
+            smoke_events, stream, poll_seconds=0.01, stop=lambda: True
+        )
+        assert frames == expected
+        text = stream.getvalue()
+        assert text.count("landscape dashboard") == expected
+        assert text.count("\nmachine · ") == expected

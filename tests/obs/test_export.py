@@ -174,12 +174,32 @@ class TestExportPayload:
                  if isinstance(entry, dict)}
         assert "observe" in names
 
+    def test_flame_export_is_the_flame_view(self):
+        from repro.obs.profile import flame_view
+
+        tree = {
+            "name": "scenario",
+            "seconds": 1.0,
+            "attributes": {"cpu_seconds": 0.9},
+            "children": [{"name": "observe", "seconds": 0.4, "children": []}],
+        }
+        payload = {"metrics": _snapshot(), "span_tree": tree}
+        assert export_payload(payload, "flame") == flame_view(tree) + "\n"
+        with pytest.raises(ValidationError):
+            export_payload(_snapshot(), "flame")
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
             export_payload(_snapshot(), "influx")
 
     def test_format_tuple_is_the_cli_contract(self):
-        assert EXPORT_FORMATS == ("prometheus", "openmetrics", "jsonl", "chrome")
+        assert EXPORT_FORMATS == (
+            "prometheus",
+            "openmetrics",
+            "jsonl",
+            "chrome",
+            "flame",
+        )
 
 
 def _sketchy_snapshot():

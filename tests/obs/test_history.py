@@ -9,12 +9,12 @@ from repro.obs.diff import (
     diff_manifests,
     first_diverging_event,
     first_diverging_stage,
-    metric_value,
-    render_history,
 )
 from repro.obs.export import export_payload
+from repro.obs.health import band_rule, render_history, run_regression
 from repro.obs.history import RUN_ID_LENGTH, RunStore
 from repro.obs.manifest import RunManifest
+from repro.obs.query import build_frame, metric_value, resolve_target
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
 from repro.obs.validate import validate_metrics, validate_run_store
 from repro.util.validation import ValidationError
@@ -236,6 +236,19 @@ class TestDiff:
         )
         assert diff.timing_regressions == []
 
+    def test_cli_timing_tolerance_zero_is_not_the_default(self, tmp_path, capsys):
+        from repro.cli import main
+
+        paths = []
+        for name, seconds in (("a", 1.0), ("b", 1.2)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(_manifest(observe_seconds=seconds).to_json(), encoding="utf-8")
+            paths.append(str(path))
+        argv = ["obs", "diff", *paths, "--fail-on-timing"]
+        assert main(argv) == 0  # 1.2x is inside the default 1.5x band
+        assert main([*argv, "--timing-tolerance", "0"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
     def test_new_golden_deviations_fail(self):
         reference = _manifest(golden_deviations=["events: expected 1, measured 2"])
         same = diff_manifests(reference, reference)
@@ -276,7 +289,9 @@ class TestHistory:
     def test_metric_value_lookup_modes(self):
         payload = _manifest().as_dict()
         assert metric_value(payload, "lsh.clusters") == 9.0
-        assert metric_value(payload, "stage:observe") == 1.0
+        # Span seconds are the span: selector's, not a metric dialect.
+        assert metric_value(payload, "stage:observe") is None
+        assert resolve_target(payload, None, "span:observe") == 1.0
         assert metric_value(payload, "no.such.metric") is None
 
     def test_metric_value_sums_labelled_keys(self):
@@ -288,7 +303,7 @@ class TestHistory:
         assert metric_value(manifest.as_dict(), "epm.clusters") == 6.0
 
     def test_history_flags_drift_and_golden_deviation(self, tmp_path):
-        text = render_history(self._store(tmp_path), "lsh.clusters")
+        text = render_history(build_frame(self._store(tmp_path)), "lsh.clusters")
         assert "4 stored run(s)" in text
         assert "G!" in text  # the deviating run is flagged
         assert "T!" in text  # 30.0 is far outside the 9-ish band
@@ -300,11 +315,64 @@ class TestHistory:
         assert len(lines) == 1 and "30.0" in lines[0]
 
     def test_history_handles_absent_metric(self, tmp_path):
-        text = render_history(self._store(tmp_path), "no.such.metric")
+        text = render_history(build_frame(self._store(tmp_path)), "no.such.metric")
         assert "not present" in text
 
     def test_empty_store_history(self, tmp_path):
-        assert "no stored runs" in render_history(RunStore(tmp_path), "x")
+        assert "no stored runs" in render_history(build_frame(RunStore(tmp_path)), "x")
+
+    def test_two_stable_configs_flag_nothing(self, tmp_path):
+        store = RunStore(tmp_path)
+        for day, (fingerprint, clusters) in enumerate(
+            [("ab" * 32, 30.0), ("cd" * 32, 961.0)] * 2, start=1
+        ):
+            store.add(
+                _manifest(
+                    fingerprint=fingerprint,
+                    clusters=clusters,
+                    created_at=f"2026-01-{day:02d}T00:00:00Z",
+                )
+            )
+        text = render_history(build_frame(store), "lsh.clusters")
+        assert "4 stored run(s) in 2 config(s)" in text
+        assert not [line for line in text.splitlines() if line.endswith("T!")]
+        assert "drift: 0 flagged run(s)" in text
+
+    @pytest.mark.parametrize(
+        "target", ["lsh.clusters", "metric:lsh.clusters", "span:observe"]
+    )
+    def test_drift_flags_are_the_band_rule_findings(self, tmp_path, target):
+        store = RunStore(tmp_path)
+        for day, (fingerprint, clusters, seconds) in enumerate(
+            [
+                ("ab" * 32, 9.0, 1.0),
+                ("cd" * 32, 500.0, 1.0),
+                ("ab" * 32, 30.0, 1.0),
+                ("ab" * 32, 9.0, 3.0),
+                ("cd" * 32, 520.0, 1.1),
+                ("cd" * 32, 100.0, 1.0),
+            ],
+            start=1,
+        ):
+            store.add(
+                _manifest(
+                    fingerprint=fingerprint,
+                    clusters=clusters,
+                    observe_seconds=seconds,
+                    created_at=f"2026-01-{day:02d}T00:00:00Z",
+                )
+            )
+        frame = build_frame(store)
+        text = render_history(frame, target)
+        flagged = {
+            line.split()[0] for line in text.splitlines() if line.endswith("T!")
+        }
+        full = target if ":" in target else f"metric:{target}"
+        rule = band_rule(full)
+        assert rule.detector == "band"
+        report = run_regression(frame, rules=(rule,))
+        assert flagged == {finding.run_id for finding in report.findings}
+        assert flagged  # the series above do step
 
     def test_first_diverging_stage_helper_handles_empty_trees(self):
         assert first_diverging_stage({}, {}) is None

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
+from repro.obs.export import export_payload
 from repro.obs.profile import (
     PROFILE_ATTRS,
     SpanProbe,
     chrome_trace,
     flame_view,
-    write_chrome_trace,
 )
 from repro.obs.trace import Tracer
 
@@ -124,7 +124,7 @@ class TestChromeTrace:
         events = {e["name"]: e for e in chrome_trace(tree)["traceEvents"]}
         assert events["a"]["ts"] == 500_000
 
-    def test_live_tracer_trees_export_loadable_json(self, tmp_path):
+    def test_live_tracer_trees_export_loadable_json(self):
         tracer = Tracer("scenario", profile=True)
         with tracer.span("observe"):
             with tracer.span("sensors"):
@@ -132,8 +132,8 @@ class TestChromeTrace:
         with tracer.span("epm"):
             pass
         root = tracer.finish()
-        path = write_chrome_trace(root.export(), tmp_path / "trace.json")
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        exported = export_payload({"span_tree": root.export()}, "chrome")
+        payload = json.loads(exported)
         assert payload["displayTimeUnit"] == "ms"
         assert {e["name"] for e in payload["traceEvents"]} == {
             "scenario",

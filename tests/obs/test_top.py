@@ -1,9 +1,14 @@
-"""The ``repro obs top`` view: accumulator, render, follow mode."""
+"""The dashboard's machine section: accumulator, render, follow mode."""
 
 import threading
 
+from repro.obs.dashboard import (
+    MACHINE_WINDOW,
+    DashboardAccumulator,
+    dashboard_from_events,
+    render_machine,
+)
 from repro.obs.events import EventBus, FileTransport, PipelineEvent
-from repro.obs.top import TOP_WINDOW, TopAccumulator, render_top, top_from_events
 
 
 def _event(seq, t, kind, **fields):
@@ -25,7 +30,7 @@ def _sample_events():
 
 class TestTopAccumulator:
     def test_folds_the_stream_into_machine_state(self):
-        accumulator = TopAccumulator()
+        accumulator = DashboardAccumulator()
         for event in _sample_events():
             accumulator.feed(event)
         state = accumulator.snapshot()
@@ -40,7 +45,7 @@ class TestTopAccumulator:
         assert state["rate"] > 0
 
     def test_feed_flags_redraw_only_on_work_events(self):
-        accumulator = TopAccumulator()
+        accumulator = DashboardAccumulator()
         assert accumulator.feed(_event(0, 0.0, "run.start")) is False
         assert accumulator.feed(_event(1, 0.1, "cache.hit")) is False
         assert accumulator.feed(
@@ -48,19 +53,19 @@ class TestTopAccumulator:
         ) is True
 
     def test_memory_is_bounded_by_the_window(self):
-        accumulator = TopAccumulator()
-        for index in range(TOP_WINDOW * 10):
+        accumulator = DashboardAccumulator()
+        for index in range(MACHINE_WINDOW * 10):
             accumulator.feed(
                 _event(index, index * 0.1, "chunk.finish",
                        seconds=0.1, rss_kb=1000 + index)
             )
-        assert len(accumulator.chunk_seconds) == TOP_WINDOW
-        assert len(accumulator.rss_kb) == TOP_WINDOW
-        assert len(accumulator.gaps) == TOP_WINDOW
-        assert accumulator.n_events == TOP_WINDOW * 10
+        assert len(accumulator.chunk_seconds) == MACHINE_WINDOW
+        assert len(accumulator.rss_kb) == MACHINE_WINDOW
+        assert len(accumulator.gaps) == MACHINE_WINDOW
+        assert accumulator.n_events == MACHINE_WINDOW * 10
 
     def test_snapshot_is_deterministic(self):
-        a, b = TopAccumulator(), TopAccumulator()
+        a, b = DashboardAccumulator(), DashboardAccumulator()
         for event in _sample_events():
             a.feed(event)
             b.feed(event)
@@ -69,14 +74,14 @@ class TestTopAccumulator:
 
 class TestRenderTop:
     def test_render_is_a_pure_function_of_state(self):
-        accumulator = TopAccumulator()
+        accumulator = DashboardAccumulator()
         for event in _sample_events():
             accumulator.feed(event)
         state = accumulator.snapshot()
-        assert render_top(state) == render_top(state)
+        assert render_machine(state) == render_machine(state)
 
     def test_render_names_the_load_bearing_numbers(self):
-        text = top_from_events(_sample_events())
+        text = dashboard_from_events(_sample_events())
         assert "seed 7" in text
         assert "finished" in text
         assert "items=10" in text
@@ -84,11 +89,11 @@ class TestRenderTop:
         assert "drops    ring=3 (cache.hit=3)" in text
 
     def test_render_without_drops_says_none(self):
-        text = top_from_events(_sample_events()[:3])
+        text = dashboard_from_events(_sample_events()[:3])
         assert "drops    none" in text
 
     def test_empty_stream_renders(self):
-        assert "n=0" in top_from_events([])
+        assert "n=0" in dashboard_from_events([])
 
 
 class TestFollowTop:
@@ -103,7 +108,7 @@ class TestFollowTop:
             pass
 
     def test_follow_draws_frames_as_events_arrive(self, tmp_path):
-        from repro.obs.top import follow_top
+        from repro.obs.dashboard import follow_dashboard
 
         path = tmp_path / "events.jsonl"
         bus = EventBus([FileTransport(path)])
@@ -114,7 +119,7 @@ class TestFollowTop:
 
         def consume():
             frames.append(
-                follow_top(path, sink, poll_seconds=0.01,
+                follow_dashboard(path, sink, poll_seconds=0.01,
                            stop=lambda: "finished" in sink.text)
             )
             done.set()
@@ -129,7 +134,8 @@ class TestFollowTop:
         finally:
             thread.join(timeout=10.0)
         assert frames[0] >= 2  # one per redraw kind seen
-        assert "repro top" in sink.text
+        assert "landscape dashboard" in sink.text
+        assert "machine · seed 7" in sink.text
 
 
 class TestCliEntry:
@@ -142,12 +148,12 @@ class TestCliEntry:
         bus.emit("chunk.finish", chunk=0, items=2, seconds=0.2)
         bus.emit("run.finish", seconds=0.4)
         bus.close()
-        out = tmp_path / "top.txt"
-        assert main(["obs", "top", str(path), "--out", str(out)]) == 0
+        out = tmp_path / "live.txt"
+        assert main(["obs", "dashboard", str(path), "--out", str(out)]) == 0
         rendered = out.read_text()
-        assert "repro top" in rendered
-        assert "seed 9" in rendered
-        assert "wrote top view" in capsys.readouterr().out
+        assert "landscape dashboard" in rendered
+        assert "machine · seed 9" in rendered
+        assert "wrote dashboard" in capsys.readouterr().out
 
     def test_obs_top_prints_to_stdout(self, tmp_path, capsys):
         from repro.cli import main
@@ -156,5 +162,5 @@ class TestCliEntry:
         bus = EventBus([FileTransport(path)])
         bus.emit("run.finish", seconds=0.4)
         bus.close()
-        assert main(["obs", "top", str(path)]) == 0
-        assert "repro top" in capsys.readouterr().out
+        assert main(["obs", "dashboard", str(path)]) == 0
+        assert "machine · seed -" in capsys.readouterr().out

@@ -99,3 +99,18 @@ class TestPEInfo:
     def test_n_dlls(self):
         info = self._info({"A.dll": (), "B.dll": ()})
         assert info.n_dlls == 2
+
+    def test_equal_infos_and_observables_hash_equally(self):
+        from repro.egpm.events import MalwareObservable
+
+        imports = {"KERNEL32.dll": ("GetProcAddress",)}
+        a, b = self._info(dict(imports)), self._info(dict(imports))
+        assert a == b and hash(a) == hash(b)
+        # The import table still takes part in equality.
+        assert a != self._info({"USER32.dll": ("MessageBoxA",)})
+        md5 = "0" * 32
+        obs_a = MalwareObservable(md5=md5, size=1024, magic="PE32", pe=a)
+        obs_b = MalwareObservable(md5=md5, size=1024, magic="PE32", pe=b)
+        assert obs_a == obs_b
+        assert hash(obs_a) == hash(obs_b)
+        assert len({obs_a, obs_b}) == 1

@@ -203,7 +203,7 @@ class TestClusterLshVectorized:
 
     def test_bucket_size_p99_does_not_saturate_at_scale(self, monkeypatch):
         from repro.obs import metrics as obs_metrics
-        from repro.obs.diff import metric_value
+        from repro.obs.query import metric_value
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.sketch import DEFAULT_ALPHA
         from repro.sandbox.lsh import LSHIndex

@@ -141,11 +141,7 @@ RECORD_CLASSES = sorted({type(record) for record in RECORDS}, key=lambda c: c.__
 
 
 def _hash(record):
-    """``hash(record)``, or the exception type for an unhashable one.
-
-    A ``MalwareObservable`` holding a ``PEInfo`` is unhashable (its
-    import table is a dict); a round trip must keep that, too.
-    """
+    """``hash(record)``, or the exception type for an unhashable one."""
     try:
         return hash(record)
     except TypeError as exc:
