@@ -912,25 +912,27 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             events_a=events_for(args.ref_a),
             events_b=events_for(args.ref_b),
         )
-        print(diff.render())
-        return 1 if diff.failed(fail_on_timing=args.fail_on_timing) else 0
+
+        def show() -> int:
+            print(diff.render())
+            return 1 if diff.failed(fail_on_timing=args.fail_on_timing) else 0
+
+        return _until_reader_closes(show)
     if args.obs_command == "tail":
         from repro.obs.events import iter_events, matches, parse_filters, render_event
 
         filters = parse_filters(args.filter)
-        try:
-            for event in iter_events(args.path, follow=args.follow):
-                if matches(event, filters):
-                    print(render_event(event), flush=args.follow)
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
-            pass
-        except BrokenPipeError:  # downstream pager/head closed the pipe
-            import os
 
-            # Re-point stdout at devnull so the interpreter's shutdown
-            # flush doesn't raise a second time.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        def replay() -> int:
+            try:
+                for event in iter_events(args.path, follow=args.follow):
+                    if matches(event, filters):
+                        print(render_event(event), flush=args.follow)
+            except KeyboardInterrupt:  # pragma: no cover - interactive stop
+                pass
+            return 0
+
+        return _until_reader_closes(replay)
     if args.obs_command == "export":
         from repro.obs.export import export_payload
 
@@ -1192,11 +1194,28 @@ def _resolve_model_path(args: argparse.Namespace) -> Path:
     return candidate
 
 
+def _until_reader_closes(show: Callable[[], int]) -> int:
+    """Run a command body that prints to stdout and return its exit
+    code; when the reader closes the pipe early (``| head``), stop
+    quietly with exit 0 instead of a ``BrokenPipeError`` traceback."""
+    try:
+        code = show()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        # Re-point stdout at devnull so the interpreter's shutdown
+        # flush doesn't raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     """``repro classify``: the serving path over an exported model."""
     import json
 
-    from repro.egpm.events import event_from_dict
+    from repro.egpm.events import AttackEvent, event_from_dict
     from repro.serve.classifier import ServingClassifier
     from repro.serve.model import ModelArtifact
 
@@ -1215,16 +1234,32 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     bus: obs_events.EventBus | obs_events.NullEventBus = obs_events.NULL_BUS
     if args.events:
         bus = obs_events.EventBus([obs_events.FileTransport(args.events)])
+    # One entry per input line, in order: its event, or the error
+    # record of a batch line that did not decode.
+    entries: list[AttackEvent | dict] = []
     try:
         with obs_metrics.use(registry), obs_events.use_bus(bus):
             if args.batch:
-                events = [
-                    event_from_dict(json.loads(line))
-                    for line in Path(args.batch).read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                    if line.strip()
-                ]
+                for number, line in enumerate(
+                    Path(args.batch).read_text(encoding="utf-8").splitlines(),
+                    start=1,
+                ):
+                    if not line.strip():
+                        continue
+                    # Bad JSON or a wrong event shape: ValueError from
+                    # json.loads, the others from event_from_dict, and a
+                    # TypeError from hash() when a feature value is a JSON
+                    # list, which no pattern can match.
+                    try:
+                        event = event_from_dict(json.loads(line))
+                        hash(event)
+                    except (ValueError, LookupError, TypeError, AttributeError) as error:
+                        entries.append(
+                            {"line": number, "error": f"{type(error).__name__}: {error}"}
+                        )
+                    else:
+                        entries.append(event)
+                events = [e for e in entries if isinstance(e, AttackEvent)]
                 results = classifier.classify_events(events)
             else:
                 raw = args.event
@@ -1237,7 +1272,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                     except OSError:
                         pass  # inline JSON longer than a legal filename
                 event = event_from_dict(json.loads(raw))
-                events = [event]
+                entries = events = [event]
                 bus.emit(
                     "classify.start", model=model.model_id, events=1, mode="single"
                 )
@@ -1246,26 +1281,34 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     finally:
         bus.close()
 
-    lines = []
-    for event, result in zip(events, results):
-        lines.append(
-            {
-                "event_id": event.event_id,
-                "model": model.model_id,
-                "classifications": {
-                    dimension: classification.as_dict()
-                    for dimension, classification in sorted(result.items())
-                },
-            }
-        )
+    answers = iter(results)
+    lines = [
+        entry
+        if isinstance(entry, dict)
+        else {
+            "event_id": entry.event_id,
+            "model": model.model_id,
+            "classifications": {
+                dimension: classification.as_dict()
+                for dimension, classification in sorted(next(answers).items())
+            },
+        }
+        for entry in entries
+    ]
+    n_errors = len(entries) - len(events)
+    if n_errors:
+        print(f"error: {n_errors} batch line(s) did not decode", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(
             "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines),
             encoding="utf-8",
         )
-        print(f"classified {len(lines)} event(s) -> {args.out}")
+        print(f"classified {len(events)} event(s) -> {args.out}")
     else:
         for line in lines:
+            if "error" in line:
+                print(f"line {line['line']}: error: {line['error']}")
+                continue
             rendered = ", ".join(
                 f"{dimension}: {payload['rendered']}"
                 + (
@@ -1280,7 +1323,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         Path(args.metrics_out).write_text(
             registry.snapshot().to_json() + "\n", encoding="utf-8"
         )
-    return 0
+    return 1 if n_errors else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

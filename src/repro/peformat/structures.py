@@ -79,8 +79,11 @@ class PESpec:
         SectionSpec(".rdata", SCN_INITIALIZED_DATA | SCN_MEM_READ),
         SectionSpec(".data", SCN_INITIALIZED_DATA | SCN_MEM_READ | SCN_MEM_WRITE),
     )
+    #: A dict, so it stays out of ``hash()``; equality and ``repr`` (the
+    #: PE timestamp seed) still include it.
     imports: Mapping[str, tuple[str, ...]] = field(
-        default_factory=lambda: {"KERNEL32.dll": ("GetProcAddress", "LoadLibraryA")}
+        default_factory=lambda: {"KERNEL32.dll": ("GetProcAddress", "LoadLibraryA")},
+        hash=False,
     )
     os_version: int = 64
     linker_version: int = 92

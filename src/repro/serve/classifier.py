@@ -2,11 +2,14 @@
 
 :class:`ServingClassifier` wraps a :class:`~repro.serve.model.ModelArtifact`
 with one compiled :class:`~repro.core.pattern_index.PatternIndex` per
-E/P/M dimension.  Single events go through the index's branch-and-bound
-lookup (with the own-mask O(1) shortcut in front, exactly like
-training-time classification); batches are transposed into per-dimension
-code matrices and pushed through the masked-grouping batch kernel.
-Both paths return the same pattern the linear scan would.
+E/P/M dimension and one *answer table* per dimension: a frozen
+:class:`Classification` for every pattern, built once at compile time
+and shared by every call that lands on that pattern.  Single events go
+through the index's branch-and-bound lookup (with the own-mask O(1)
+shortcut in front, exactly like training-time classification); batches
+extract each distinct observable object once, code each distinct value
+tuple once, and push that matrix through the masked-grouping batch
+kernel.  Both paths return the same pattern the linear scan would.
 
 Instrumentation rides the ambient observability seams — the
 ``classify.requests`` / ``classify.batch_rows`` counters and the
@@ -24,7 +27,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.features import Dimension, default_feature_sets
+from repro.core.features import Dimension, FeatureSet, default_feature_sets
 from repro.core.pattern_index import PatternIndex
 from repro.core.patterns import Pattern, format_pattern, mask_instance
 from repro.egpm.columnar import Vocabulary
@@ -60,22 +63,33 @@ class ServingClassifier:
         self.model = model
         self.feature_sets = default_feature_sets()
         self._indexes: dict[Dimension, PatternIndex] = {}
+        #: Per dimension, the answer of every pattern in rank order ...
+        self._answers: dict[Dimension, list[Classification]] = {}
+        #: ... and the same objects keyed by pattern.
+        self._answer_of: dict[Dimension, dict[Pattern, Classification]] = {}
         for dimension in Dimension:
-            self._indexes[dimension] = PatternIndex.compile(
+            index = PatternIndex.compile(
                 model.pattern_set(dimension), model.invariants(dimension)
             )
+            names = model.feature_names(dimension)
+            answers = [
+                Classification(
+                    dimension=dimension,
+                    pattern=pattern,
+                    cluster=model.cluster_of_pattern(dimension, pattern),
+                    rendered=format_pattern(pattern, names),
+                )
+                for pattern in index.patterns
+            ]
+            self._indexes[dimension] = index
+            self._answers[dimension] = answers
+            self._answer_of[dimension] = {
+                answer.pattern: answer for answer in answers
+            }
 
     def index(self, dimension: Dimension) -> PatternIndex:
         """The compiled index of one dimension."""
         return self._indexes[dimension]
-
-    def _classification(self, dimension: Dimension, pattern: Pattern) -> Classification:
-        return Classification(
-            dimension=dimension,
-            pattern=pattern,
-            cluster=self.model.cluster_of_pattern(dimension, pattern),
-            rendered=format_pattern(pattern, self.model.feature_names(dimension)),
-        )
 
     def classify_values(
         self, dimension: Dimension, values: Sequence[Hashable]
@@ -83,16 +97,13 @@ class ServingClassifier:
         """Classify one raw feature tuple in one dimension."""
         registry = obs_metrics.active()
         started = time.perf_counter()
-        invariants = self.model.invariants(dimension)
-        pattern_set = self.model.pattern_set(dimension)
-        masked = mask_instance(values, invariants)
-        if masked in pattern_set:
-            pattern = masked
-        else:
-            pattern = self._indexes[dimension].classify(values)
+        answer_of = self._answer_of[dimension]
+        answer = answer_of.get(mask_instance(values, self.model.invariants(dimension)))
+        if answer is None:
+            answer = answer_of[self._indexes[dimension].classify(values)]
         registry.counter("classify.requests", dimension=dimension.value).inc()
         registry.sketch("classify.latency").observe(time.perf_counter() - started)
-        return self._classification(dimension, pattern)
+        return answer
 
     def classify_event(self, event: AttackEvent) -> dict[str, Classification]:
         """Classify one event in every dimension that applies to it."""
@@ -107,7 +118,7 @@ class ServingClassifier:
     def classify_events(
         self, events: Sequence[AttackEvent]
     ) -> list[dict[str, Classification]]:
-        """Batch path: per-dimension columnar transpose + batch kernel.
+        """Batch path: distinct rows through the batch kernel.
 
         Returns one ``{dimension: Classification}`` map per input
         event, in input order — element-for-element identical to
@@ -124,35 +135,29 @@ class ServingClassifier:
         )
         results: list[dict[str, Classification]] = [{} for _ in events]
         for dimension, feature_set in self.feature_sets.items():
-            rows: list[int] = []
-            vocabularies = [Vocabulary() for _ in feature_set.names]
-            codes_rows: list[list[int]] = []
-            for position, event in enumerate(events):
-                if not feature_set.applies_to(event):
-                    continue
-                values = feature_set.extract(event)
-                rows.append(position)
-                codes_rows.append(
-                    [
-                        vocab.intern(value)
-                        for vocab, value in zip(vocabularies, values)
-                    ]
-                )
-            if not rows:
+            positions, slots, distinct = _distinct_rows(feature_set, events)
+            if not positions:
                 continue
-            codes = np.array(codes_rows, dtype=np.int64)
-            index = self._indexes[dimension]
-            ranks = index.batch_classify(codes, vocabularies)
+            vocabularies = [Vocabulary() for _ in feature_set.names]
+            codes = np.array(
+                [
+                    [vocab.intern(value) for vocab, value in zip(vocabularies, values)]
+                    for values in distinct
+                ],
+                dtype=np.int64,
+            )
+            ranks = self._indexes[dimension].batch_classify(codes, vocabularies)
             registry.counter(
                 "classify.batch_rows", dimension=dimension.value
-            ).inc(len(rows))
+            ).inc(len(positions))
             registry.counter(
                 "classify.requests", dimension=dimension.value
-            ).inc(len(rows))
-            for position, rank in zip(rows, ranks.tolist()):
-                results[position][dimension.value] = self._classification(
-                    dimension, index.pattern_of(rank)
-                )
+            ).inc(len(positions))
+            answers = self._answers[dimension]
+            slot_answers = [answers[rank] for rank in ranks.tolist()]
+            key = dimension.value
+            for position, slot in zip(positions, slots):
+                results[position][key] = slot_answers[slot]
         seconds = time.perf_counter() - started
         registry.sketch("classify.latency").observe(seconds)
         bus.emit(
@@ -162,3 +167,38 @@ class ServingClassifier:
             seconds=round(seconds, 6),
         )
         return results
+
+
+def _distinct_rows(
+    feature_set: FeatureSet, events: Sequence[AttackEvent]
+) -> tuple[list[int], list[int], list[tuple[Hashable, ...]]]:
+    """One dimension's batch rows, deduplicated.
+
+    Returns the positions of the events the dimension applies to, each
+    one's slot in the distinct value tuples, and those tuples in first
+    seen order.  Events sharing the feature set's observable object
+    are extracted once: the memo is keyed by ``id()``, which is safe
+    because ``events`` keeps every object alive for the call, and it
+    lives only for the call.
+    """
+    observable = feature_set.observable
+    positions: list[int] = []
+    slots: list[int] = []
+    slot_of_values: dict[tuple[Hashable, ...], int] = {}
+    slot_of_object: dict[int, int] = {}
+    for position, event in enumerate(events):
+        if not feature_set.applies_to(event):
+            continue
+        slot = None
+        if observable is not None:
+            shared = id(observable(event))
+            slot = slot_of_object.get(shared)
+        if slot is None:
+            slot = slot_of_values.setdefault(
+                feature_set.extract(event), len(slot_of_values)
+            )
+            if observable is not None:
+                slot_of_object[shared] = slot
+        positions.append(position)
+        slots.append(slot)
+    return positions, slots, list(slot_of_values)

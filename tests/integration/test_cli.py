@@ -276,6 +276,33 @@ class TestEventStreamCli:
         assert lines and all("stage.start" in l or "stage.finish" in l for l in lines)
         assert all("stage=epm" in l for l in lines)
 
+    def test_diff_into_a_closed_pipe_exits_cleanly(self, store_dir):
+        # `repro obs diff A B | head -1`: the reader is gone before the
+        # diff prints, so every write to stdout fails with EPIPE.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        reference = str(root / "results" / "runs" / "reference.json")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "obs", "diff", reference, reference],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=root,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_progress_renders_to_stderr(self, capsys):
         assert main(["headline", *COMMON, "--progress"]) == 0
         err = capsys.readouterr().err
@@ -797,6 +824,42 @@ class TestServingCli:
         assert validate_metrics(snapshot) == []
         counters = snapshot["counters"]
         assert any(key.startswith("classify.requests") for key in counters)
+
+    @pytest.mark.parametrize("fault", ["not-json", "list-value"])
+    def test_batch_reports_a_malformed_line_in_place(self, capsys, tmp_path, fault):
+        import json
+
+        target = self._export(tmp_path)
+        events = tmp_path / "events.jsonl"
+        assert main(["run", *COMMON, "--out", str(events)]) == 0
+        good = events.read_text(encoding="utf-8").splitlines()[:20]
+        if fault == "not-json":
+            bad, error_type = '{"event_id": 1, not json', "JSONDecodeError"
+        else:
+            # Well-formed JSON and a well-formed event, but a feature
+            # value (a list) that no pattern can match.
+            event = next(e for e in map(json.loads, good) if e["payload"])
+            event["payload"]["filename"] = ["a.exe"]
+            bad, error_type = json.dumps(event), "TypeError: unhashable"
+        clean, dirty = tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"
+        clean.write_text("\n".join(good) + "\n", encoding="utf-8")
+        dirty.write_text("\n".join(good[:10] + [bad] + good[10:]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        clean_out, dirty_out = tmp_path / "clean_out.jsonl", tmp_path / "dirty_out.jsonl"
+        assert main(["classify", "--model", str(target), "--batch", str(clean),
+                     "--out", str(clean_out)]) == 0
+        assert main(["classify", "--model", str(target), "--batch", str(dirty),
+                     "--out", str(dirty_out)]) == 1
+        assert "1 batch line(s) did not decode" in capsys.readouterr().err
+        clean_lines = clean_out.read_text(encoding="utf-8").splitlines()
+        dirty_lines = dirty_out.read_text(encoding="utf-8").splitlines()
+        assert len(clean_lines) == 20 and len(dirty_lines) == 21
+        # Every good line's record is byte-identical to the clean batch's,
+        # and the bad line's error record sits in its own position.
+        assert dirty_lines[:10] + dirty_lines[11:] == clean_lines
+        error = json.loads(dirty_lines[10])
+        assert set(error) == {"line", "error"} and error["line"] == 11
+        assert error["error"].startswith(error_type)
 
     def test_classify_needs_exactly_one_input(self, tmp_path, capsys):
         target = self._export(tmp_path)

@@ -11,11 +11,15 @@ and demands exact equality:
   and classifies each distinct tuple once);
 * serving — per dimension, ``PatternIndex.classify`` and
   ``PatternIndex.batch_classify`` against ``PatternSet.scan_classify``
-  on every distinct observed tuple plus one novel variant of each;
+  on every distinct observed tuple plus one novel variant of each, and
+  every ``ServingClassifier`` single and batch answer against a freshly
+  built ``Classification`` of the scanned pattern;
 * B-clusters — per-profile ``MinHasher.signature`` candidates, each
   pair verified by ``jaccard(...) >= threshold``, joined by connected
   components.
 """
+
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -25,8 +29,9 @@ from repro.core.epm import EPMClustering
 from repro.core.features import Dimension, default_feature_sets
 from repro.core.invariants import discover_invariants
 from repro.core.pattern_index import PatternIndex
-from repro.core.patterns import WILDCARD, PatternSet, mask_instance
+from repro.core.patterns import WILDCARD, PatternSet, format_pattern, mask_instance
 from repro.egpm.columnar import Vocabulary
+from repro.egpm.events import AttackEvent
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.sandbox.clustering import (
     BehaviorClustering,
@@ -34,6 +39,8 @@ from repro.sandbox.clustering import (
     _verify_pairs_vectorized,
 )
 from repro.sandbox.lsh import LSHIndex, MinHasher
+from repro.serve.classifier import Classification, ServingClassifier
+from repro.serve.model import ModelArtifact
 from repro.util.stats import jaccard
 
 
@@ -112,20 +119,53 @@ def _novel_variant(values, invariants, pattern_set, serial):
     return None
 
 
+def _probes(run, dimension):
+    """Every distinct observed tuple plus one novel variant of each."""
+    clustering = run.epm.dimensions[dimension]
+    invariants, pattern_set = clustering.invariants, clustering.pattern_set
+    columns = run.dataset.to_columnar().dimensions[dimension]
+    distinct = list(dict.fromkeys(columns.value_tuples()))
+    variants = [
+        _novel_variant(values, invariants, pattern_set, serial)
+        for serial, values in enumerate(distinct)
+    ]
+    novel = [variant for variant in variants if variant is not None]
+    assert novel, "no probe exercises the most-specific-first scan"
+    return distinct + novel
+
+
+def _stand_in(dimension, values, template):
+    """An event whose ``dimension`` tuple is ``values``: that dimension's
+    observable is a namespace carrying them (feature names are the
+    attribute names the extractors read)."""
+    names = default_feature_sets()[dimension].names
+    fields = dict(zip(names, values))
+    exploit, payload, malware = template.exploit, None, None
+    if dimension is Dimension.EPSILON:
+        exploit = SimpleNamespace(**fields)
+    elif dimension is Dimension.PI:
+        payload = SimpleNamespace(
+            **{**fields, "interaction": SimpleNamespace(value=fields["interaction"])}
+        )
+    else:
+        malware = SimpleNamespace(**fields, pe=SimpleNamespace(**fields))
+    return AttackEvent(
+        event_id=template.event_id,
+        timestamp=template.timestamp,
+        source=template.source,
+        sensor=template.sensor,
+        exploit=exploit,
+        payload=payload,
+        malware=malware,
+    )
+
+
 class TestClassifyOracle:
     @pytest.mark.parametrize("dimension", list(Dimension), ids=lambda d: d.value)
     def test_index_and_batch_match_the_scan(self, run, dimension):
         clustering = run.epm.dimensions[dimension]
         invariants, pattern_set = clustering.invariants, clustering.pattern_set
-        columns = run.dataset.to_columnar().dimensions[dimension]
-        distinct = list(dict.fromkeys(columns.value_tuples()))
-        variants = [
-            _novel_variant(values, invariants, pattern_set, serial)
-            for serial, values in enumerate(distinct)
-        ]
-        novel = [variant for variant in variants if variant is not None]
-        assert novel, "no probe exercises the most-specific-first scan"
-        probes = distinct + novel
+        probes = _probes(run, dimension)
         expected = [pattern_set.scan_classify(values) for values in probes]
 
         index = PatternIndex.compile(pattern_set, invariants)
@@ -137,6 +177,51 @@ class TestClassifyOracle:
         )
         ranks = index.batch_classify(codes, vocabularies)
         assert [index.pattern_of(rank) for rank in ranks.tolist()] == expected
+
+    @pytest.fixture(scope="class")
+    def serving(self, run):
+        return ServingClassifier(ModelArtifact.from_run(run))
+
+    @pytest.mark.parametrize("dimension", list(Dimension), ids=lambda d: d.value)
+    def test_serving_answers_match_fresh_classifications(
+        self, run, serving, dimension
+    ):
+        model = serving.model
+        pattern_set = model.pattern_set(dimension)
+        names = model.feature_names(dimension)
+
+        def fresh(values):
+            pattern = pattern_set.scan_classify(values)
+            return Classification(
+                dimension,
+                pattern,
+                model.cluster_of_pattern(dimension, pattern),
+                format_pattern(pattern, names),
+            )
+
+        probes = _probes(run, dimension)
+        expected = [fresh(values) for values in probes]
+        assert [serving.classify_values(dimension, v) for v in probes] == expected
+
+        template = run.dataset.events[0]
+        stand_ins = [_stand_in(dimension, values, template) for values in probes]
+        feature_set = default_feature_sets()[dimension]
+        assert [feature_set.extract(event) for event in stand_ins] == probes
+        batch = serving.classify_events(stand_ins)
+        assert [answers[dimension.value] for answers in batch] == expected
+        assert batch == [serving.classify_event(event) for event in stand_ins]
+
+    def test_batch_with_shared_observables_equals_single_calls(self, run, serving):
+        # The run's events share exploit and malware objects; repeating
+        # them (reversed, so a memo carried over from an earlier call
+        # points at the wrong rows) repeats both objects and tuples.
+        events = list(run.dataset.events)
+        assert len({id(event.exploit) for event in events}) < len(events)
+        assert len({id(event.malware) for event in events}) < len(events)
+        singles = [serving.classify_event(event) for event in events]
+        assert serving.classify_events(events) == singles
+        mixed = events[::-1] + events[: len(events) // 2]
+        assert serving.classify_events(mixed) == singles[::-1] + singles[: len(events) // 2]
 
 
 class TestLshOracle:

@@ -73,6 +73,17 @@ class TestPESpec:
         with pytest.raises(ValidationError):
             PESpec(file_size=0)
 
+    def test_equal_specs_hash_equally(self):
+        imports = {"USER32.dll": ("MessageBoxA",)}
+        a, b = PESpec(imports=dict(imports)), PESpec(imports=dict(imports))
+        assert a == b and hash(a) == hash(b)
+        assert hash(PESpec()) == hash(PESpec())
+        assert len({a, b, PESpec()}) == 2
+        # The import table still takes part in equality and in repr,
+        # which seeds the built binary's timestamp.
+        assert a != PESpec()
+        assert "USER32.dll" in repr(a)
+
 
 class TestPEInfo:
     def _info(self, imports):
