@@ -912,27 +912,22 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             events_a=events_for(args.ref_a),
             events_b=events_for(args.ref_b),
         )
-
-        def show() -> int:
-            print(diff.render())
-            return 1 if diff.failed(fail_on_timing=args.fail_on_timing) else 0
-
-        return _until_reader_closes(show)
+        code = 1 if diff.failed(fail_on_timing=args.fail_on_timing) else 0
+        return _until_reader_closes(lambda: print(diff.render()), code)
     if args.obs_command == "tail":
         from repro.obs.events import iter_events, matches, parse_filters, render_event
 
         filters = parse_filters(args.filter)
 
-        def replay() -> int:
+        def replay() -> None:
             try:
                 for event in iter_events(args.path, follow=args.follow):
                     if matches(event, filters):
                         print(render_event(event), flush=args.follow)
             except KeyboardInterrupt:  # pragma: no cover - interactive stop
                 pass
-            return 0
 
-        return _until_reader_closes(replay)
+        return _until_reader_closes(replay, 0)
     if args.obs_command == "export":
         from repro.obs.export import export_payload
 
@@ -1194,12 +1189,13 @@ def _resolve_model_path(args: argparse.Namespace) -> Path:
     return candidate
 
 
-def _until_reader_closes(show: Callable[[], int]) -> int:
-    """Run a command body that prints to stdout and return its exit
-    code; when the reader closes the pipe early (``| head``), stop
-    quietly with exit 0 instead of a ``BrokenPipeError`` traceback."""
+def _until_reader_closes(show: Callable[[], None], code: int) -> int:
+    """Run a command body that prints to stdout, then return the
+    command's exit ``code``, decided before printing; when the reader
+    closes the pipe early (``| head``), stop quietly with that same
+    code instead of a ``BrokenPipeError`` traceback."""
     try:
-        code = show()
+        show()
         sys.stdout.flush()
     except BrokenPipeError:
         import os
@@ -1207,7 +1203,6 @@ def _until_reader_closes(show: Callable[[], int]) -> int:
         # Re-point stdout at devnull so the interpreter's shutdown
         # flush doesn't raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     return code
 
 
@@ -1248,11 +1243,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                         continue
                     # Bad JSON or a wrong event shape: ValueError from
                     # json.loads, the others from event_from_dict, and a
-                    # TypeError from hash() when a feature value is a JSON
-                    # list, which no pattern can match.
+                    # TypeError from hashing the feature tuples that
+                    # classification keys on when a value is a JSON list,
+                    # which no pattern can match.
                     try:
                         event = event_from_dict(json.loads(line))
-                        hash(event)
+                        for feature_set in classifier.feature_sets.values():
+                            if feature_set.applies_to(event):
+                                hash(feature_set.extract(event))
                     except (ValueError, LookupError, TypeError, AttributeError) as error:
                         entries.append(
                             {"line": number, "error": f"{type(error).__name__}: {error}"}

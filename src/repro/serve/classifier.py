@@ -7,9 +7,8 @@ E/P/M dimension and one *answer table* per dimension: a frozen
 and shared by every call that lands on that pattern.  Single events go
 through the index's branch-and-bound lookup (with the own-mask O(1)
 shortcut in front, exactly like training-time classification); batches
-extract each distinct observable object once, code each distinct value
-tuple once, and push that matrix through the masked-grouping batch
-kernel.  Both paths return the same pattern the linear scan would.
+code each distinct value tuple once and push that matrix through the
+masked-grouping batch kernel.  Both paths return the same pattern the linear scan would.
 
 Instrumentation rides the ambient observability seams — the
 ``classify.requests`` / ``classify.batch_rows`` counters and the
@@ -176,29 +175,17 @@ def _distinct_rows(
 
     Returns the positions of the events the dimension applies to, each
     one's slot in the distinct value tuples, and those tuples in first
-    seen order.  Events sharing the feature set's observable object
-    are extracted once: the memo is keyed by ``id()``, which is safe
-    because ``events`` keeps every object alive for the call, and it
-    lives only for the call.
+    seen order.
     """
-    observable = feature_set.observable
     positions: list[int] = []
     slots: list[int] = []
     slot_of_values: dict[tuple[Hashable, ...], int] = {}
-    slot_of_object: dict[int, int] = {}
     for position, event in enumerate(events):
-        if not feature_set.applies_to(event):
-            continue
-        slot = None
-        if observable is not None:
-            shared = id(observable(event))
-            slot = slot_of_object.get(shared)
-        if slot is None:
-            slot = slot_of_values.setdefault(
-                feature_set.extract(event), len(slot_of_values)
+        if feature_set.applies_to(event):
+            positions.append(position)
+            slots.append(
+                slot_of_values.setdefault(
+                    feature_set.extract(event), len(slot_of_values)
+                )
             )
-            if observable is not None:
-                slot_of_object[shared] = slot
-        positions.append(position)
-        slots.append(slot)
     return positions, slots, list(slot_of_values)

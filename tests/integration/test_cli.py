@@ -276,31 +276,45 @@ class TestEventStreamCli:
         assert lines and all("stage.start" in l or "stage.finish" in l for l in lines)
         assert all("stage=epm" in l for l in lines)
 
-    def test_diff_into_a_closed_pipe_exits_cleanly(self, store_dir):
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_diff_into_a_closed_pipe_keeps_its_verdict(
+        self, store_dir, tmp_path, diverged
+    ):
         # `repro obs diff A B | head -1`: the reader is gone before the
-        # diff prints, so every write to stdout fails with EPIPE.
+        # diff prints, so every write to stdout fails with EPIPE.  The
+        # command stops without a traceback and still exits 1 on a
+        # failing diff, so `set -o pipefail` sees the regression.
+        import json
         import os
         import subprocess
         import sys
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[2]
-        reference = str(root / "results" / "runs" / "reference.json")
+        reference = root / "results" / "runs" / "reference.json"
+        other = reference
+        if diverged:
+            payload = json.loads(reference.read_text(encoding="utf-8"))
+            artifact = sorted(payload["artifact_digests"])[0]
+            payload["artifact_digests"][artifact] = "0" * 64
+            other = tmp_path / "diverged.json"
+            other.write_text(json.dumps(payload), encoding="utf-8")
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "repro", "obs", "diff", reference, reference],
+                [sys.executable, "-m", "repro", "obs", "diff",
+                 str(reference), str(other)],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,
-                cwd=root,
+                cwd=tmp_path,
                 env={**os.environ, "PYTHONPATH": str(root / "src")},
                 timeout=120,
             )
         finally:
             os.close(write_end)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == (1 if diverged else 0), proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_progress_renders_to_stderr(self, capsys):
@@ -825,7 +839,7 @@ class TestServingCli:
         counters = snapshot["counters"]
         assert any(key.startswith("classify.requests") for key in counters)
 
-    @pytest.mark.parametrize("fault", ["not-json", "list-value"])
+    @pytest.mark.parametrize("fault", ["not-json", "list-value", "nested-import"])
     def test_batch_reports_a_malformed_line_in_place(self, capsys, tmp_path, fault):
         import json
 
@@ -835,11 +849,20 @@ class TestServingCli:
         good = events.read_text(encoding="utf-8").splitlines()[:20]
         if fault == "not-json":
             bad, error_type = '{"event_id": 1, not json', "JSONDecodeError"
-        else:
+        elif fault == "list-value":
             # Well-formed JSON and a well-formed event, but a feature
             # value (a list) that no pattern can match.
             event = next(e for e in map(json.loads, good) if e["payload"])
             event["payload"]["filename"] = ["a.exe"]
+            bad, error_type = json.dumps(event), "TypeError: unhashable"
+        else:
+            # The import table is left out of the event's hash, but the
+            # mu feature kernel32_symbols reads it.
+            event = next(
+                e for e in map(json.loads, good)
+                if e["malware"] and e["malware"]["pe"]
+            )
+            event["malware"]["pe"]["imports"] = {"KERNEL32.dll": [["GetProcAddress"]]}
             bad, error_type = json.dumps(event), "TypeError: unhashable"
         clean, dirty = tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"
         clean.write_text("\n".join(good) + "\n", encoding="utf-8")

@@ -213,8 +213,8 @@ class TestClassifyOracle:
 
     def test_batch_with_shared_observables_equals_single_calls(self, run, serving):
         # The run's events share exploit and malware objects; repeating
-        # them (reversed, so a memo carried over from an earlier call
-        # points at the wrong rows) repeats both objects and tuples.
+        # them (reversed, so a dedupe slot carried over from an earlier
+        # call points at the wrong rows) repeats both objects and tuples.
         events = list(run.dataset.events)
         assert len({id(event.exploit) for event in events}) < len(events)
         assert len({id(event.malware) for event in events}) < len(events)
