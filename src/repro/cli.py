@@ -29,7 +29,6 @@ PATH`` writes the session's metric snapshot as JSON, ``--manifest``
 writes the run's manifest (fingerprint, span tree, artifact digests) to
 ``manifest.json``, ``--store-run`` appends the manifest to the
 longitudinal run store (``results/runs`` or ``$REPRO_RUNS_DIR``),
-``--profile`` attaches per-span CPU/RSS/GC probes to the trace,
 ``--events PATH`` streams live pipeline events (stage opens/closes,
 chunk completions, cache interactions, cluster milestones) to a
 tailable JSON-lines file, and ``--progress`` renders live per-stage
@@ -182,41 +181,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "(results/runs or $REPRO_RUNS_DIR)",
         )
         p.add_argument(
-            "--profile",
-            action="store_true",
-            help="attach per-span CPU time, peak RSS and GC counts to "
-            "the trace (opt-in; artifacts are unaffected)",
-        )
-        p.add_argument(
             "--events",
             metavar="PATH",
             default=None,
             help="stream live pipeline events (JSON lines) to PATH; "
             "tail it with 'repro obs tail PATH --follow'",
-        )
-        p.add_argument(
-            "--events-max-bytes",
-            type=int,
-            metavar="N",
-            default=None,
-            help="rotate the --events log when it reaches N bytes "
-            "(rotated-away events are recorded in the manifest's "
-            "drop accounting)",
-        )
-        p.add_argument(
-            "--events-backups",
-            type=int,
-            metavar="N",
-            default=1,
-            help="rotated --events generations to keep (default 1)",
-        )
-        p.add_argument(
-            "--ring",
-            type=int,
-            metavar="N",
-            default=0,
-            help="also keep the last N events in a bounded in-memory "
-            "ring (0 = off); evictions are counted, never silent",
         )
         p.add_argument(
             "--progress",
@@ -545,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="TARGET",
         help="metric:<key>, series:<name>, golden:deviations or "
-        "span:<name>[/cpu_seconds|max_rss_kb|gc_collections]",
+        "span:<name>[/cpu_seconds|max_rss_kb]",
     )
     query_p.add_argument(
         "--agg",
@@ -700,11 +669,7 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
         scale=args.scale,
         executor=args.executor,
         jobs=args.jobs,
-        profile=args.profile,
         events=args.events,
-        events_max_bytes=args.events_max_bytes,
-        events_backups=args.events_backups,
-        ring=args.ring,
         progress=args.progress,
         windows=args.windows,
     )
@@ -713,22 +678,7 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
     # Same for the event bus: the CLI owns a session-scoped bus so
     # cache hits/misses around the build land on the stream too.
     registry = MetricsRegistry()
-    bus: obs_events.EventBus | obs_events.NullEventBus = obs_events.NULL_BUS
-    if args.events or args.progress or args.ring:
-        transports: list = []
-        if args.events:
-            transports.append(
-                obs_events.FileTransport(
-                    args.events,
-                    max_bytes=args.events_max_bytes,
-                    backups=args.events_backups,
-                )
-            )
-        if args.ring:
-            transports.append(obs_events.RingTransport(args.ring))
-        if args.progress:
-            transports.append(obs_events.ProgressRenderer(sys.stderr))
-        bus = obs_events.EventBus(transports)
+    bus = obs_events.open_bus(args.events, progress=args.progress)
     try:
         with obs_metrics.use(registry), obs_events.use_bus(bus):
             if args.cache:
@@ -1133,8 +1083,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
             config_from_canonical(payload["config"]),
             events=None,
             progress=False,
-            ring=0,
-            profile=False,
         )
         seed = int(payload["seed"])
         configure_logging(args.log_level, json_path=args.log_json)
@@ -1225,10 +1173,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     model = ModelArtifact.load(model_path)
     classifier = ServingClassifier(model)
 
+    def decode(text: str) -> AttackEvent:
+        """One input event; raises one of ``bad_input`` when it cannot be
+        classified: ValueError from json.loads, the others from
+        event_from_dict, and a TypeError from hashing the feature tuples
+        that classification keys on when a value is a JSON list, which
+        no pattern can match."""
+        event = event_from_dict(json.loads(text))
+        for feature_set in classifier.feature_sets.values():
+            if feature_set.applies_to(event):
+                hash(feature_set.extract(event))
+        return event
+
+    bad_input = (ValueError, LookupError, TypeError, AttributeError)
     registry = MetricsRegistry()
-    bus: obs_events.EventBus | obs_events.NullEventBus = obs_events.NULL_BUS
-    if args.events:
-        bus = obs_events.EventBus([obs_events.FileTransport(args.events)])
+    bus = obs_events.open_bus(args.events)
     # One entry per input line, in order: its event, or the error
     # record of a batch line that did not decode.
     entries: list[AttackEvent | dict] = []
@@ -1241,22 +1200,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 ):
                     if not line.strip():
                         continue
-                    # Bad JSON or a wrong event shape: ValueError from
-                    # json.loads, the others from event_from_dict, and a
-                    # TypeError from hashing the feature tuples that
-                    # classification keys on when a value is a JSON list,
-                    # which no pattern can match.
                     try:
-                        event = event_from_dict(json.loads(line))
-                        for feature_set in classifier.feature_sets.values():
-                            if feature_set.applies_to(event):
-                                hash(feature_set.extract(event))
-                    except (ValueError, LookupError, TypeError, AttributeError) as error:
+                        entries.append(decode(line))
+                    except bad_input as error:
                         entries.append(
                             {"line": number, "error": f"{type(error).__name__}: {error}"}
                         )
-                    else:
-                        entries.append(event)
                 events = [e for e in entries if isinstance(e, AttackEvent)]
                 results = classifier.classify_events(events)
             else:
@@ -1269,7 +1218,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                             raw = Path(raw).read_text(encoding="utf-8")
                     except OSError:
                         pass  # inline JSON longer than a legal filename
-                event = event_from_dict(json.loads(raw))
+                try:
+                    event = decode(raw)
+                except bad_input as error:
+                    print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+                    return 1
                 entries = events = [event]
                 bus.emit(
                     "classify.start", model=model.model_id, events=1, mode="single"

@@ -68,10 +68,10 @@ log = get_logger("experiments.cache")
 #: 7: landscape health monitor — ScenarioConfig grew windows
 #:    (execution-only), ScenarioRun grew windows/health, RunManifest
 #:    grew health_summary (schema 5).
-#: 8: bounded-memory telemetry — ScenarioConfig grew
-#:    events_max_bytes/events_backups/ring (execution-only),
-#:    MetricsSnapshot grew sketches/watermarks (schema 2), RunManifest
-#:    grew event_drops (schema 6).
+#: 8: bounded-memory telemetry — ScenarioConfig grew the ring and
+#:    rotation knobs (execution-only, since removed), MetricsSnapshot
+#:    grew sketches/watermarks (schema 2), RunManifest grew its drop
+#:    accounting (schema 6, since removed).
 #: 9: one execution path per kernel — ScenarioConfig lost columnar and
 #:    PatternSet lost its scan memo (incompatible pickles).
 #: 10: one detector engine — ScenarioRun.health is a health.Report of
@@ -87,11 +87,7 @@ EXECUTION_ONLY_FIELDS = frozenset(
     {
         "executor",
         "jobs",
-        "profile",
         "events",
-        "events_max_bytes",
-        "events_backups",
-        "ring",
         "progress",
         "windows",
     }

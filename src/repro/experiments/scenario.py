@@ -14,7 +14,6 @@ fast tests while preserving its shape.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -72,25 +71,11 @@ class ScenarioConfig:
     executor: str = "serial"
     #: Worker count for parallel backends; 0 = one worker per core.
     jobs: int = 0
-    #: Opt-in span profiling: per-span CPU time, peak RSS and GC
-    #: collections attached as span attributes.  Execution-only like
-    #: ``executor``/``jobs`` — it cannot change any artifact.
-    profile: bool = False
     #: Write the live pipeline event stream (JSON lines) to this path.
     #: Execution-only: the stream is pure telemetry and cannot change
     #: any artifact.  Ignored when the caller already activated a
     #: recording event bus (the CLI does).
     events: str | None = None
-    #: Size-rotate the event sink once it exceeds this many bytes
-    #: (``None`` = never rotate — the pre-PR-9 behaviour).  Rotated-out
-    #: events are drop-accounted, never silently lost.  Execution-only.
-    events_max_bytes: int | None = None
-    #: Backup files the rotating event sink retains.  Execution-only.
-    events_backups: int = 1
-    #: Keep the newest N events in a bounded in-process ring buffer
-    #: alongside the other sinks (0 = no ring).  Evictions are counted
-    #: into ``events.dropped``.  Execution-only.
-    ring: int = 0
     #: Render live per-stage progress (item counts, ETA) to stderr
     #: while the pipeline runs.  Execution-only, off by default.
     progress: bool = False
@@ -106,12 +91,6 @@ class ScenarioConfig:
         require(self.executor in BACKENDS, f"unknown executor backend {self.executor!r}")
         require(self.jobs >= 0, "jobs must be >= 0 (0 = one worker per core)")
         require(self.windows >= 0, "windows must be >= 0 (0 = no windowed telemetry)")
-        require(
-            self.events_max_bytes is None or self.events_max_bytes > 0,
-            "events_max_bytes must be > 0 (None = never rotate)",
-        )
-        require(self.events_backups >= 1, "events_backups must be >= 1")
-        require(self.ring >= 0, "ring must be >= 0 (0 = no ring buffer)")
 
 
 @dataclass
@@ -206,27 +185,12 @@ class PaperScenario:
         if not registry.recording:
             registry = MetricsRegistry()
         bus = obs_events.active_bus()
-        owns_bus = not bus.recording and (
-            self.config.events is not None
-            or self.config.progress
-            or self.config.ring > 0
-        )
+        owns_bus = not bus.recording
         if owns_bus:
-            transports: list = []
-            if self.config.events is not None:
-                transports.append(
-                    obs_events.FileTransport(
-                        self.config.events,
-                        max_bytes=self.config.events_max_bytes,
-                        backups=self.config.events_backups,
-                    )
-                )
-            if self.config.ring > 0:
-                transports.append(obs_events.RingTransport(self.config.ring))
-            if self.config.progress:
-                transports.append(obs_events.ProgressRenderer(sys.stderr))
-            bus = obs_events.EventBus(transports)
-        tracer = Tracer("scenario", profile=self.config.profile)
+            bus = obs_events.open_bus(
+                self.config.events, progress=self.config.progress
+            )
+        tracer = Tracer("scenario")
         log.info(
             "scenario starting",
             extra={
@@ -240,7 +204,6 @@ class PaperScenario:
         # cache layer too), so the manifest's event summary is the
         # *delta* emitted by this run, not the session totals.
         counts_before = bus.summary() if bus.recording else {}
-        drops_before = bus.drop_counts() if bus.recording else {}
         fingerprint = scenario_fingerprint(self.seed, self.config)
         fingerprints = stage_fingerprints(self.seed, self.config)
         session = (
@@ -338,40 +301,20 @@ class PaperScenario:
             "health.summary", rules=health.rules_evaluated, **health.summary()
         )
         bus.emit("run.finish", seconds=round(root.seconds, 6), **headline)
-        # Bounded-transport accounting, after the last pipeline event:
-        # announce drops on the stream (one transport.drop per dropping
-        # transport), then read the summary and the drop counts — in
-        # that order, with nothing emitted in between, so for every
-        # transport ``kept + dropped`` exactly equals the per-kind
-        # counts the manifest claims.  The per-run delta lands in
-        # events.dropped counters and the bus's inter-arrival sketch is
-        # merged before the final snapshot, so every overflow is
-        # visible in the manifest's metrics too.
+        # The bus's inter-arrival sketch is merged before the final
+        # snapshot, so the manifest's metrics carry it.
         event_summary = None
-        event_drops: dict[str, dict[str, int]] | None = None
         if bus.recording:
-            bus.flush_drops()
             event_summary = {
                 kind: count - counts_before.get(kind, 0)
                 for kind, count in bus.summary().items()
                 if count - counts_before.get(kind, 0) > 0
             }
-            event_drops = {}
-            for transport_name, kinds in bus.drop_counts().items():
-                before = drops_before.get(transport_name, {})
-                for kind, dropped in kinds.items():
-                    delta = dropped - before.get(kind, 0)
-                    if delta > 0:
-                        registry.counter(
-                            "events.dropped", kind=kind, transport=transport_name
-                        ).inc(delta)
-                        event_drops.setdefault(transport_name, {})[kind] = delta
-            event_drops = event_drops or None
             interarrival = bus.interarrival()
             if interarrival.get("count"):
                 registry.sketch("events.interarrival").merge(interarrival)
         # Re-snapshot so the manifest's metrics include health.findings
-        # and the drop/inter-arrival accounting just recorded.
+        # and the inter-arrival sketch just merged.
         run.metrics = registry.snapshot()
         run.manifest = build_manifest(
             run,
@@ -379,7 +322,6 @@ class PaperScenario:
             events=event_summary,
             stages=fingerprints,
             health=health.summary(),
-            event_drops=event_drops,
         )
         if owns_bus:
             bus.close()

@@ -30,16 +30,16 @@ near-free when off:
   behind ``repro obs export``: Prometheus/OpenMetrics text
   expositions, JSON-lines samples, Chrome traces and the flamegraph
   text view;
-* :mod:`repro.obs.profile` — opt-in per-span CPU/RSS/GC probes plus
-  span-tree exporters: Chrome trace-event JSON and a flamegraph-style
+* :mod:`repro.obs.profile` — the per-span CPU/RSS probe every tracer
+  runs, plus span-tree exporters: Chrome trace-event JSON and a flamegraph-style
   text view;
 * :mod:`repro.obs.windows` — per-window landscape telemetry: the
   :class:`WindowReport` folding a run's artifacts into time-window
   series (attack volume, new samples/patterns, cluster counts and
   churn, cross-view agreement), persisted next to the run store;
 * :mod:`repro.obs.health` — the one detector/rule engine: static
-  bounds, trailing-median tolerance bands, EWMA z-scores and two-sided
-  Page-Hinkley changepoints, run over one run's window series
+  bounds, trailing-median tolerance bands, EWMA z-scores and
+  Page-Hinkley changepoints (one-sided for ``span:`` timings), run over one run's window series
   (``repro obs health``) or over the run store's per-fingerprint run
   series (``repro obs regress``, and the ``repro obs history`` view of
   one target's ``band`` rule), with one baseline-suppression key;

@@ -7,16 +7,15 @@ cluster counts, churn, cross-view agreement), the whole-run cross-view
 summary, and the run's health findings when a manifest is on hand.  The
 *machine* section shows the pipeline's machinery: event throughput,
 chunk latencies and the per-worker resource watermarks riding on
-``chunk.finish`` events, plus the drop accounting of any bounded
-transports.
+``chunk.finish`` events.
 
 Given a run id, manifest or window report, the dashboard renders the
 landscape section from the stored report.  Given an event log (the file
 ``--events`` writes), :class:`DashboardAccumulator` folds the stream
 into both sections — no manifest required, so it works mid-run on a
 partially written log — and ``--follow`` rides :func:`iter_events`'s
-tail mode (which survives log rotation), redrawing a frame per
-work-completion event.
+tail mode (which survives the log being truncated by a new run),
+redrawing a frame per work-completion event.
 
 Every render is a pure function of its payloads (no wall-clock reads;
 rates come from the events' own monotonic stamps), so a render of a
@@ -51,7 +50,6 @@ REDRAW_KINDS = frozenset(
         "stage.finish",
         "window.rollup",
         "worker.failure",
-        "transport.drop",
         "run.finish",
     }
 )
@@ -112,13 +110,6 @@ def render_machine(state: Mapping) -> str:
     lines.append(
         f"  stages   done={state['stages_done']} failures={state['failures']}"
     )
-    drops = state["drops"]
-    for transport in sorted(drops):
-        kinds = drops[transport]
-        detail = " ".join(f"{kind}={kinds[kind]}" for kind in sorted(kinds))
-        lines.append(f"  drops    {transport}={sum(kinds.values())} ({detail})")
-    if not drops:
-        lines.append("  drops    none")
     counts = state["kind_counts"]
     if counts:
         lines.append(
@@ -224,7 +215,6 @@ class DashboardAccumulator:
         self.current_stage: str | None = None
         self.stages_done = 0
         self.failures = 0
-        self.drops: dict[str, dict[str, int]] = {}
         self.finished = False
 
     def feed(self, event: PipelineEvent) -> bool:
@@ -267,11 +257,6 @@ class DashboardAccumulator:
                 self.current_stage = None
         elif event.kind == "worker.failure":
             self.failures += 1
-        elif event.kind == "transport.drop":
-            transport = str(fields.get("transport", "?"))
-            sink = self.drops.setdefault(transport, {})
-            for kind, count in dict(fields.get("kinds", {})).items():
-                sink[str(kind)] = sink.get(str(kind), 0) + int(count)
         elif event.kind == "run.finish":
             self.finished = True
         return event.kind in REDRAW_KINDS
@@ -303,7 +288,6 @@ class DashboardAccumulator:
             "current_stage": self.current_stage,
             "stages_done": self.stages_done,
             "failures": self.failures,
-            "drops": {transport: dict(kinds) for transport, kinds in self.drops.items()},
             "kind_counts": dict(self.kind_counts),
             "finished": self.finished,
         }
@@ -332,7 +316,7 @@ def follow_dashboard(
 
     Frames are separated by a blank line (terminal-multiplexer and
     artifact-file friendly) and the loop inherits :func:`iter_events`'s
-    rotation/truncation handling, so a size-rotated log keeps feeding
+    truncation handling, so a log rewritten by a new run keeps feeding
     frames.  Returns the number of frames drawn; like ``repro obs
     tail``, the CLI wires ``stop`` / KeyboardInterrupt for interactive
     exit.

@@ -12,11 +12,8 @@ line so a sink file can be tailed with ``repro obs tail`` (or plain
 Transports decouple emission from delivery:
 
 * :class:`MemoryTransport` — an in-process list (tests, the CLI);
-* :class:`RingTransport`   — a capacity-bounded buffer keeping the
-  newest events, evictions counted per kind (long-lived runs);
 * :class:`FileTransport`  — a JSON-lines sink, flushed per event so a
-  crash loses nothing that was emitted; optional size-based rotation
-  keeps disk bounded, with rotated-out events drop-accounted;
+  crash loses nothing that was emitted;
 * :class:`QueueTransport` — a ``multiprocessing`` queue producer.  The
   process-pool executor installs a queue-backed bus inside each worker
   (see :mod:`repro.util.parallel`), so events emitted in workers are
@@ -28,7 +25,8 @@ Transports decouple emission from delivery:
 
 Like the metrics registry and the tracer, the bus is ambient
 (:func:`active_bus` / :func:`use_bus`) and defaults to a shared no-op,
-so an un-orchestrated ``emit`` costs one attribute lookup.  Event
+so an un-orchestrated ``emit`` costs one attribute lookup;
+:func:`open_bus` builds the bus a session records on.  Event
 emission is execution-only telemetry: it never contributes to scenario
 fingerprints or artifact digests, and the serial/thread/process
 backends stay bit-identical on pipeline outputs with the stream on.
@@ -37,9 +35,9 @@ backends stay bit-identical on pipeline outputs with the stream on.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,7 +73,6 @@ EVENT_KINDS = (
     "window.rollup",
     "health.finding",
     "health.summary",
-    "transport.drop",
     "classify.start",
     "classify.finish",
 )
@@ -131,8 +128,6 @@ def render_event(event: PipelineEvent) -> str:
 class MemoryTransport:
     """Keeps every delivered event in an in-process list."""
 
-    name = "memory"
-
     def __init__(self) -> None:
         self.events: list[PipelineEvent] = []
 
@@ -143,125 +138,26 @@ class MemoryTransport:
         pass
 
 
-#: Default :class:`RingTransport` capacity.
-DEFAULT_RING_CAPACITY = 4096
-
-
-class RingTransport:
-    """A capacity-bounded in-process buffer: keeps the newest events.
-
-    The memory-transport shape a long-lived run can actually afford:
-    a deque of the last ``capacity`` events, O(capacity) resident no
-    matter how many stream through.  Overflow is never silent — each
-    evicted event is counted per kind in :meth:`drops`, which the bus
-    aggregates into ``events.dropped`` metrics and the ``transport.drop``
-    accounting event at run teardown (transports must not emit on the
-    bus from inside ``handle``: the bus lock is held during dispatch).
-    """
-
-    name = "ring"
-
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        require(capacity >= 1, "ring capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.events: deque[PipelineEvent] = deque()
-        self._drops: dict[str, int] = {}
-
-    def handle(self, event: PipelineEvent) -> None:
-        if len(self.events) >= self.capacity:
-            evicted = self.events.popleft()
-            self._drops[evicted.kind] = self._drops.get(evicted.kind, 0) + 1
-        self.events.append(event)
-
-    def drops(self) -> dict[str, int]:
-        """Events evicted so far, counted per kind (key-sorted)."""
-        return {kind: self._drops[kind] for kind in sorted(self._drops)}
-
-    def close(self) -> None:
-        pass
-
-
 class FileTransport:
     """Appends one JSON line per event, flushed eagerly.
 
     The per-event flush is what makes the sink tailable during the run
     and loss-free on a crash; it costs one small write syscall per
-    event, which the event-overhead benchmark keeps honest.
-
-    With ``max_bytes`` set the sink rotates size-wise: when the next
-    line would push the current file past the cap, the file shifts to
-    ``<path>.1`` (existing backups shift up, the oldest of ``backups``
-    is deleted) and a fresh file opens at ``path`` — bounded disk for a
-    long-lived run.  Every event rotated out of the *live* file is
-    counted per kind in :meth:`drops` — the same accounting contract as
-    the ring, stated against the file a reader actually tails; retained
-    backups are a forensic courtesy on top, not part of the invariant.
+    event, which the event-overhead benchmark keeps honest.  Opening
+    the sink truncates ``path``, so a second run to the same path
+    starts a fresh log.
     """
 
-    name = "file"
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        max_bytes: int | None = None,
-        backups: int = 1,
-    ) -> None:
-        require(
-            max_bytes is None or max_bytes > 0, "rotation max_bytes must be > 0"
-        )
-        require(backups >= 1, "rotation needs at least one backup slot")
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.backups = int(backups)
-        self.rotations = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] | None = self.path.open("w", encoding="utf-8")
-        self._written = 0
-        self._kind_counts: dict[str, int] = {}
-        self._drops: dict[str, int] = {}
-
-    def _backup_path(self, index: int) -> Path:
-        return self.path.with_name(f"{self.path.name}.{index}")
-
-    def _rotate(self) -> None:
-        assert self._handle is not None
-        self._handle.close()
-        doomed = self._backup_path(self.backups)
-        if doomed.exists():
-            doomed.unlink()
-        for index in range(self.backups - 1, 0, -1):
-            source = self._backup_path(index)
-            if source.exists():
-                source.replace(self._backup_path(index + 1))
-        self.path.replace(self._backup_path(1))
-        # Rotation accounting is against the live file: everything that
-        # just left it is a drop, whether or not a backup retains it.
-        for kind, count in self._kind_counts.items():
-            self._drops[kind] = self._drops.get(kind, 0) + count
-        self._kind_counts = {}
-        self._written = 0
-        self.rotations += 1
-        self._handle = self.path.open("w", encoding="utf-8")
 
     def handle(self, event: PipelineEvent) -> None:
         if self._handle is None:
             return
-        line = event.to_json() + "\n"
-        if (
-            self.max_bytes is not None
-            and self._written
-            and self._written + len(line) > self.max_bytes
-        ):
-            self._rotate()
-        self._handle.write(line)
+        self._handle.write(event.to_json() + "\n")
         self._handle.flush()
-        self._written += len(line)
-        self._kind_counts[event.kind] = self._kind_counts.get(event.kind, 0) + 1
-
-    def drops(self) -> dict[str, int]:
-        """Events rotated out of the live file, counted per kind."""
-        return {kind: self._drops[kind] for kind in sorted(self._drops)}
 
     def close(self) -> None:
         if self._handle is not None:
@@ -277,8 +173,6 @@ class QueueTransport:
     worker-side events cross the process boundary as soon as they are
     emitted — a worker crash cannot lose what was already put.
     """
-
-    name = "queue"
 
     def __init__(self, queue) -> None:
         self.queue = queue
@@ -352,47 +246,6 @@ class EventBus:
         with self._lock:
             return self._gaps.as_dict()
 
-    def drop_counts(self) -> dict[str, dict[str, int]]:
-        """Per-transport drop accounting: ``{transport: {kind: n}}``.
-
-        Only transports exposing a ``drops()`` method (the bounded
-        ones) contribute; transports of the same ``name`` aggregate.
-        """
-        merged: dict[str, dict[str, int]] = {}
-        for transport in self.transports:
-            drops = getattr(transport, "drops", None)
-            if drops is None:
-                continue
-            counts = drops()
-            if not counts:
-                continue
-            bucket = merged.setdefault(getattr(transport, "name", "transport"), {})
-            for kind, count in counts.items():
-                bucket[kind] = bucket.get(kind, 0) + count
-        return {
-            name: {kind: kinds[kind] for kind in sorted(kinds)}
-            for name, kinds in sorted(merged.items())
-        }
-
-    def flush_drops(self) -> dict[str, dict[str, int]]:
-        """Emit one ``transport.drop`` accounting event per transport
-        that dropped anything; returns the counts it announced.
-
-        Call at run teardown, *before* reading :meth:`summary` for the
-        manifest, so the accounting itself rides the stream.  The drop
-        events may themselves evict ring entries — :meth:`drop_counts`
-        stays authoritative; the emitted fields are the pre-flush view.
-        """
-        announced = self.drop_counts()
-        for name, kinds in announced.items():
-            self.emit(
-                "transport.drop",
-                transport=name,
-                dropped=sum(kinds.values()),
-                kinds=dict(kinds),
-            )
-        return announced
-
     def close(self) -> None:
         """Close every transport (flushes and releases file sinks)."""
         for transport in self.transports:
@@ -414,12 +267,6 @@ class NullEventBus:
         return {}
 
     def interarrival(self) -> dict:
-        return {}
-
-    def drop_counts(self) -> dict[str, dict[str, int]]:
-        return {}
-
-    def flush_drops(self) -> dict[str, dict[str, int]]:
         return {}
 
     def close(self) -> None:
@@ -455,6 +302,23 @@ def use_bus(bus: EventBus | NullEventBus) -> Iterator[EventBus | NullEventBus]:
         activate_bus(previous)
 
 
+def open_bus(
+    events: str | Path | None = None, *, progress: bool = False
+) -> EventBus | NullEventBus:
+    """The bus one session records on.
+
+    A :class:`FileTransport` at ``events`` and/or a
+    :class:`ProgressRenderer` on stderr; the shared no-op bus when
+    neither is asked for.  The caller closes the bus when done.
+    """
+    transports: list = []
+    if events is not None:
+        transports.append(FileTransport(events))
+    if progress:
+        transports.append(ProgressRenderer(sys.stderr))
+    return EventBus(transports) if transports else NULL_BUS
+
+
 def read_events(path: str | Path) -> list[PipelineEvent]:
     """Parse a stored JSON-lines event log (raises on malformed lines)."""
     return list(iter_events(path))
@@ -475,41 +339,30 @@ def iter_events(
     true (or forever — the CLI wires ``stop`` to KeyboardInterrupt).
     Partial trailing lines (a writer mid-append) are never yielded.
 
-    A followed file that is truncated or rotated out from under the
-    reader (inode change, or size regressing below the read position —
-    what a size-rotating :class:`FileTransport` does) is reopened from
-    the start instead of silently stalling at a stale offset; any
-    half-buffered line from the old incarnation is discarded.
+    A followed file that is truncated under the reader (its size
+    regresses below the read position — a second run writing to the
+    same ``--events`` path) is re-read from the start instead of
+    silently stalling at a stale offset; any half-buffered line from
+    the old contents is discarded.
     """
     path = Path(path)
     position = 0
-    inode: int | None = None
     buffer = ""
     while True:
-        if path.is_file():
-            try:
-                stat = path.stat()
-            except OSError:
-                stat = None
-            if stat is not None:
-                if inode is not None and (
-                    stat.st_ino != inode or stat.st_size < position
-                ):
-                    position = 0
-                    buffer = ""
-                inode = stat.st_ino
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    handle.seek(position)
-                    buffer += handle.read()
-                    position = handle.tell()
-            except OSError:
-                # Rotated away between stat and open; retry next poll.
-                pass
-            while "\n" in buffer:
-                line, buffer = buffer.split("\n", 1)
-                if line.strip():
-                    yield PipelineEvent.from_dict(json.loads(line))
+        try:
+            if path.stat().st_size < position:
+                position = 0
+                buffer = ""
+            with path.open("r", encoding="utf-8") as handle:
+                handle.seek(position)
+                buffer += handle.read()
+                position = handle.tell()
+        except OSError:
+            pass  # not there (yet); retry next poll
+        while "\n" in buffer:
+            line, buffer = buffer.split("\n", 1)
+            if line.strip():
+                yield PipelineEvent.from_dict(json.loads(line))
         if not follow or (stop is not None and stop()):
             return
         time.sleep(poll_seconds)

@@ -21,8 +21,10 @@ target a run lacks is skipped, never read as zero.  The detectors:
 ``max``/``min`` static bounds; ``band``, a ratio tolerance around the
 trailing median plus an absolute noise floor (steps); ``ewma``, a
 z-score against the exponentially weighted trail (spikes); and
-``page_hinkley``, the two-sided sequential changepoint test of the
-online-clustering papers in PAPERS.md (slow creeps).
+``page_hinkley``, the sequential changepoint test of the
+online-clustering papers in PAPERS.md (slow creeps).  The trend
+detectors are two-sided on metric targets and one-sided on wall-clock
+``span:`` targets, where only a slowdown is a regression.
 
 Findings are a pure function of the scanned payloads, so every executor
 backend yields byte-identical reports.  A baseline report suppresses
@@ -368,6 +370,13 @@ HEALTH_RULES: tuple[Rule, ...] = (
 )
 
 
+def _is_timing(target: str) -> bool:
+    """Whether ``target`` is wall-clock (``span:``): machine-dependent,
+    and a run that got faster is not a regression, so trend scans on it
+    are one-sided."""
+    return target.startswith("span:")
+
+
 def _trend_rules(
     name: str,
     target: str,
@@ -377,10 +386,11 @@ def _trend_rules(
 
     Wall-clock (``span:``) targets are machine-dependent: warning
     severity, the looser ``obs diff`` timing band and a noise floor so
-    sub-50ms jitter never alarms.  CI gates at critical, so they inform
-    but never gate; semantic metric targets gate at critical.
+    sub-50ms jitter never alarms, and the scans flag only a slowdown
+    (:func:`_is_timing`).  CI gates at critical, so they inform but
+    never gate; semantic metric targets gate at critical.
     """
-    timing = target.startswith("span:")
+    timing = _is_timing(target)
     thresholds = {
         "band": TIMING_TOLERANCE if timing else METRIC_TOLERANCE,
         "ewma": ZSCORE_THRESHOLD,
@@ -463,7 +473,9 @@ def band_scan(rule: Rule, series: Sequence[float]) -> list[dict]:
     Each point is compared against the median of the points *before*
     it, so a step cannot mask itself; one point of history suffices
     (the ``obs diff`` pairwise check is the two-run special case).
+    Timing targets flag only points above the median.
     """
+    upward = _is_timing(rule.target)
     alarms: list[dict] = []
     for position in range(1, len(series)):
         history = sorted(series[:position])
@@ -474,7 +486,7 @@ def band_scan(rule: Rule, series: Sequence[float]) -> list[dict]:
             else (history[mid - 1] + history[mid]) / 2.0
         )
         value = series[position]
-        if abs(value - median) <= rule.noise_floor:
+        if abs(value - median) <= rule.noise_floor or (upward and value <= median):
             continue
         if median == 0:
             ratio = math.inf if value else 1.0
@@ -493,14 +505,17 @@ def ewma_scan(rule: Rule, series: Sequence[float]) -> list[dict]:
     Mean and variance are exponentially weighted with
     :data:`EWMA_ALPHA`; each point is scored against the estimate built
     from the points *before* it, so a spike does not mask itself.  A
-    constant series has zero variance and never alarms.
+    constant series has zero variance and never alarms.  Timing targets
+    score only spikes above the trail.
     """
+    upward = _is_timing(rule.target)
     alarms: list[dict] = []
     mean = 0.0
     var = 0.0
     for position, value in enumerate(series):
         if position >= MIN_HISTORY and var > 0:
-            z = abs(value - mean) / math.sqrt(var)
+            z = (value - mean) / math.sqrt(var)
+            z = z if upward else abs(z)
             if z > rule.threshold:
                 alarms.append(
                     _alarm(position, value, mean, round(z, 6), rule.threshold)
@@ -516,16 +531,18 @@ def ewma_scan(rule: Rule, series: Sequence[float]) -> list[dict]:
 
 
 def page_hinkley_scan(rule: Rule, series: Sequence[float]) -> list[dict]:
-    """Two-sided Page-Hinkley changepoint test.
+    """Page-Hinkley changepoint test, two-sided (one-sided for timings).
 
     The upward statistic accumulates ``value - mean - delta`` and alarms
     when it exceeds its own running minimum by ``lambda``; the downward
-    side mirrors it.  ``delta`` (:data:`PH_DELTA_REL`) and ``lambda``
+    side mirrors it, except on timing targets, where only the upward
+    side can alarm.  ``delta`` (:data:`PH_DELTA_REL`) and ``lambda``
     (the rule's threshold) are relative to the series' running mean
     magnitude (fallback 1.0 near zero), so counts in the thousands and
     seconds in the tenths share one rule.  Both statistics stay at zero
     on a constant series — byte-identical replays can never alarm.
     """
+    upward = _is_timing(rule.target)
     alarms: list[dict] = []
     mean = 0.0
     m_up = 0.0
@@ -543,7 +560,9 @@ def page_hinkley_scan(rule: Rule, series: Sequence[float]) -> list[dict]:
         max_down = max(max_down, m_down)
         if position + 1 < MIN_HISTORY:
             continue
-        score = max(m_up - min_up, max_down - m_down)
+        score = m_up - min_up
+        if not upward:
+            score = max(score, max_down - m_down)
         if score > alarm_at:
             alarms.append(
                 _alarm(position, value, mean, round(score, 6), round(alarm_at, 6))

@@ -48,11 +48,15 @@ from repro.util.validation import require
 #:    dropped by bounded transports — ring eviction, file rotation);
 #:    the metrics snapshot inside moved to schema 2 (sketches and
 #:    watermarks sections).
-MANIFEST_SCHEMA = 6
+#: 7: dropped ``event_drops`` (the bounded transports are gone); every
+#:    span carries ``cpu_seconds`` and ``max_rss_kb`` (the probe is no
+#:    longer opt-in; its GC-collection count is gone).
+MANIFEST_SCHEMA = 7
 
 #: Schemas :meth:`RunManifest.from_dict` still reads (stored runs from
-#: earlier layouts stay loadable; missing fields take their defaults).
-SUPPORTED_MANIFEST_SCHEMAS = (1, 2, 3, 4, 5, 6)
+#: earlier layouts stay loadable; missing fields take their defaults,
+#: fields a later schema dropped are ignored).
+SUPPORTED_MANIFEST_SCHEMAS = (1, 2, 3, 4, 5, 6, 7)
 
 #: Which span (by name) produced which digested artifact — the walk
 #: order of the cross-run digest diff.  ``headline`` summarises the
@@ -91,12 +95,6 @@ class RunManifest:
     #: the manifest keeps the roll-up so ``obs diff``/CI gates can spot
     #: a run going unhealthy without replaying the stream.
     health_summary: dict[str, int] = field(default_factory=dict)
-    #: Per-transport, per-kind counts of events a bounded transport
-    #: dropped during the run (schema >= 6): ``{"ring": {"chunk.finish":
-    #: 12}}``.  The drop-accounting invariant ``repro obs validate``
-    #: cross-checks is *kept + dropped >= claimed* per kind — overflow
-    #: may lose events from a sink, never from the accounting.
-    event_drops: dict[str, dict[str, int]] = field(default_factory=dict)
     schema: int = MANIFEST_SCHEMA
 
     def as_dict(self) -> dict:
@@ -115,10 +113,6 @@ class RunManifest:
             "event_summary": dict(sorted(self.event_summary.items())),
             "stage_fingerprints": dict(sorted(self.stage_fingerprints.items())),
             "health_summary": dict(sorted(self.health_summary.items())),
-            "event_drops": {
-                transport: dict(sorted(kinds.items()))
-                for transport, kinds in sorted(self.event_drops.items())
-            },
         }
 
     def to_json(self) -> str:
@@ -167,12 +161,6 @@ class RunManifest:
                 for severity, count in dict(
                     payload.get("health_summary", {})
                 ).items()
-            },
-            event_drops={
-                str(transport): {
-                    str(kind): int(count) for kind, count in dict(kinds).items()
-                }
-                for transport, kinds in dict(payload.get("event_drops", {})).items()
             },
             schema=int(payload["schema"]),
         )
@@ -235,7 +223,6 @@ def build_manifest(
     events: Mapping[str, int] | None = None,
     stages: Mapping[str, str] | None = None,
     health: Mapping[str, int] | None = None,
-    event_drops: Mapping[str, Mapping[str, int]] | None = None,
 ) -> RunManifest:
     """Assemble the manifest of a finished scenario run.
 
@@ -246,9 +233,7 @@ def build_manifest(
     per-kind count summary of the run's live event stream
     (``EventBus.summary()``) when one was recorded; ``health`` the
     per-severity summary of the run's health evaluation
-    (``Report.summary()``); ``event_drops`` the per-transport,
-    per-kind drop accounting of any bounded transports
-    (``EventBus.drop_counts()``).  The golden-headline check is the one
+    (``Report.summary()``).  The golden-headline check is the one
     deliberate upward reference — deferred and optional, so the obs
     layer still imports standalone.
     """
@@ -275,8 +260,4 @@ def build_manifest(
         event_summary=dict(events) if events else {},
         stage_fingerprints=dict(stages) if stages else {},
         health_summary=dict(health) if health else {},
-        event_drops={
-            str(transport): dict(kinds)
-            for transport, kinds in dict(event_drops or {}).items()
-        },
     )

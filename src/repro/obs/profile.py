@@ -2,13 +2,12 @@
 
 Two halves, both operating on the :mod:`repro.obs.trace` layer:
 
-* :class:`SpanProbe` is the opt-in per-span resource sampler a
-  profiling :class:`~repro.obs.trace.Tracer` attaches around every
-  span: CPU time (``time.process_time``), peak RSS
-  (``resource.getrusage``, unavailable on non-Unix platforms and then
-  silently omitted) and cumulative GC collections.  The results land as
-  ordinary span attributes (:data:`PROFILE_ATTRS`), so they ride the
-  manifest's span tree with no schema change.
+* :class:`SpanProbe` is the per-span resource sampler every
+  :class:`~repro.obs.trace.Tracer` runs around every span: CPU time
+  (``time.process_time``) and peak RSS (``resource.getrusage``,
+  unavailable on non-Unix platforms and then silently omitted).  The
+  results land as ordinary span attributes (:data:`PROFILE_ATTRS`), so
+  every manifest's span tree carries a per-stage CPU/RSS breakdown.
 
 * The exporters turn an *exported* span tree (the plain-dict form of
   :meth:`TraceSpan.export`, i.e. exactly what a stored run manifest
@@ -24,7 +23,6 @@ Two halves, both operating on the :mod:`repro.obs.trace` layer:
 
 from __future__ import annotations
 
-import gc
 import time
 from typing import Iterator, Mapping
 
@@ -33,13 +31,8 @@ try:  # pragma: no cover - resource is always present on Linux CI
 except ImportError:  # pragma: no cover - non-Unix platforms
     resource = None  # type: ignore[assignment]
 
-#: Attribute names a profiling tracer attaches to every span.
-PROFILE_ATTRS = ("cpu_seconds", "max_rss_kb", "gc_collections")
-
-
-def _gc_collections() -> int:
-    """Total completed GC collections across all generations."""
-    return sum(stat["collections"] for stat in gc.get_stats())
+#: Attribute names the tracer attaches to every span.
+PROFILE_ATTRS = ("cpu_seconds", "max_rss_kb")
 
 
 def _max_rss_kb() -> int | None:
@@ -50,7 +43,7 @@ def _max_rss_kb() -> int | None:
 
 
 class SpanProbe:
-    """Samples CPU/GC at span open and attributes the deltas at close.
+    """Samples CPU time at span open and attributes the delta at close.
 
     Peak RSS is a process-level high-water mark, so per span it reports
     the watermark *at span close* — monotone over the run, which is
@@ -59,16 +52,14 @@ class SpanProbe:
 
     __slots__ = ()
 
-    def begin(self) -> tuple[float, int]:
-        """Sample counters at span open; returns an opaque token."""
-        return (time.process_time(), _gc_collections())
+    def begin(self) -> float:
+        """Sample CPU time at span open; returns an opaque token."""
+        return time.process_time()
 
-    def end(self, token: tuple[float, int]) -> dict[str, object]:
+    def end(self, token: float) -> dict[str, object]:
         """Attribute deltas since ``token``; keys from :data:`PROFILE_ATTRS`."""
-        cpu0, gc0 = token
         attrs: dict[str, object] = {
-            "cpu_seconds": round(time.process_time() - cpu0, 6),
-            "gc_collections": _gc_collections() - gc0,
+            "cpu_seconds": round(time.process_time() - token, 6)
         }
         rss = _max_rss_kb()
         if rss is not None:
@@ -133,8 +124,8 @@ def flame_view(tree: object, *, width: int = 40) -> str:
     """Flamegraph-style text rendering of a span tree.
 
     Each span gets one line: an indented name, a bar proportional to
-    its share of the root's duration, the duration, and — when the run
-    was profiled — its CPU seconds and peak RSS.
+    its share of the root's duration, the duration, and — when the span
+    carries them — its CPU seconds and peak RSS.
     """
     tree = _as_tree(tree)
     root_seconds = float(tree.get("seconds", 0.0)) or 1.0
@@ -151,8 +142,6 @@ def flame_view(tree: object, *, width: int = 40) -> str:
             extras.append(f"cpu={attributes['cpu_seconds']:.3f}s")
         if "max_rss_kb" in attributes:
             extras.append(f"rss={attributes['max_rss_kb']}KiB")
-        if "gc_collections" in attributes:
-            extras.append(f"gc={attributes['gc_collections']}")
         if extras:
             line += "  " + " ".join(extras)
         lines.append(line.rstrip())

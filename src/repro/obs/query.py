@@ -22,7 +22,8 @@ cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
   ``golden:deviations``     count of self-reported golden deviations
   ``span:<name>``           wall seconds of that span; ``span:<name>/attr``
                             reads a span attribute (``cpu_seconds``,
-                            ``max_rss_kb``, ``gc_collections``).  Spans
+                            ``max_rss_kb``; every span since manifest
+                            schema 7 carries both).  Spans
                             replayed from the stage store (``cache: hit``)
                             resolve to ``None`` — replay milliseconds are
                             not comparable to compute seconds.
@@ -75,7 +76,7 @@ QUERY_INDEX_SCHEMA = 2
 TARGET_SCHEMES = ("metric", "series", "golden", "span")
 
 #: Span attributes a ``span:<name>/<attr>`` selector may read.
-SPAN_ATTRS = ("seconds", "cpu_seconds", "max_rss_kb", "gc_collections")
+SPAN_ATTRS = ("seconds", "cpu_seconds", "max_rss_kb")
 
 #: Aggregations :func:`aggregate` understands (plus ``pNN`` quantiles).
 AGGREGATES = ("min", "max", "mean")

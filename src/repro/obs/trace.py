@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.obs import events as obs_events
+from repro.obs.profile import SpanProbe
 from repro.util.timing import StageTiming, StageTimings
 from repro.util.validation import require
 
@@ -114,30 +115,17 @@ class TraceSpan:
 class Tracer:
     """Stack-shaped span recorder; the root span is the whole run.
 
-    With ``profile=True`` every span additionally records per-span CPU
-    time, peak RSS and GC collections as span attributes (see
-    :class:`repro.obs.profile.SpanProbe`).  Profiling is opt-in because
-    the probes cost a few syscalls per span; plain wall-clock tracing
-    stays the near-free default.
+    Every span records its CPU time and the process's peak RSS as span
+    attributes (see :class:`repro.obs.profile.SpanProbe`), so each
+    manifest carries a per-stage resource breakdown.  The probe is one
+    ``process_time`` and one ``getrusage`` call per span close.
     """
 
-    def __init__(self, name: str = "run", *, profile: bool = False) -> None:
+    def __init__(self, name: str = "run") -> None:
         self.root = TraceSpan(name, start=0.0)
         self._stack: list[TraceSpan] = [self.root]
         self._epoch = time.perf_counter()
-        self._probe = None
-        if profile:
-            # Deferred import: repro.obs.profile also hosts the span-tree
-            # exporters, which operate on exported trees and never import
-            # this module back.
-            from repro.obs.profile import SpanProbe
-
-            self._probe = SpanProbe()
-
-    @property
-    def profiling(self) -> bool:
-        """Whether spans record CPU/RSS/GC probes."""
-        return self._probe is not None
+        self._probe = SpanProbe()
 
     @property
     def current(self) -> TraceSpan:
@@ -160,15 +148,14 @@ class Tracer:
         self._stack.append(span)
         bus = obs_events.active_bus()
         bus.emit("stage.start", stage=name, depth=len(self._stack) - 1)
-        token = self._probe.begin() if self._probe is not None else None
+        token = self._probe.begin()
         started = time.perf_counter()
         span.start = started - self._epoch
         try:
             yield span
         finally:
             span.seconds += time.perf_counter() - started
-            if self._probe is not None:
-                span.set(**self._probe.end(token))
+            span.set(**self._probe.end(token))
             self._stack.pop()
             bus.emit("stage.finish", stage=name, seconds=round(span.seconds, 6))
 

@@ -89,8 +89,7 @@ METRIC_CATALOGUE: dict[str, str] = {
     "executor.chunk_backlog": "watermark",
     "executor.event_queue_depth": "watermark",
     "worker.peak_rss_kb": "watermark",
-    # bounded event transports (labelled by kind=<event>,transport=<name>)
-    "events.dropped": "counter",
+    # event bus: gaps between consecutive emits
     "events.interarrival": "sketch",
     # classification serving (labelled by dimension=epsilon|pi|mu where
     # noted; emitted by repro.serve.classifier, never by scenario runs)
@@ -317,71 +316,6 @@ def validate_manifest(payload: Mapping) -> list[str]:
                         f"manifest: health_summary[{severity!r}] must be a "
                         "non-negative integer (schema >= 5)"
                     )
-    if isinstance(schema, int) and schema >= 6:
-        errors.extend(_check_event_drops(payload))
-    return errors
-
-
-def _check_event_drops(payload: Mapping) -> list[str]:
-    """Schema-6 drop-accounting errors: structure of ``event_drops``
-    plus its reconciliation against the ``events.dropped`` counters.
-
-    Every dropped event must be accounted twice and consistently: the
-    manifest's per-transport map and the metric counters (folded from
-    the same :meth:`~repro.obs.events.EventBus.drop_counts` call) have
-    to agree in both directions.
-    """
-    from repro.obs.events import EVENT_KINDS
-    from repro.obs.metrics import parse_key
-
-    errors: list[str] = []
-    drops = payload.get("event_drops")
-    if not isinstance(drops, Mapping):
-        return ["manifest: event_drops must be a mapping (schema >= 6)"]
-    known = frozenset(EVENT_KINDS)
-    flat: dict[tuple[str, str], int] = {}
-    for transport, kinds in drops.items():
-        if not isinstance(kinds, Mapping):
-            errors.append(
-                f"manifest: event_drops[{transport!r}] must be a mapping"
-            )
-            continue
-        for kind, count in kinds.items():
-            if kind not in known:
-                errors.append(
-                    f"manifest: event_drops[{transport!r}] names unknown "
-                    f"event kind {kind!r}"
-                )
-            if not isinstance(count, int) or count < 1:
-                errors.append(
-                    f"manifest: event_drops[{transport!r}][{kind!r}] must "
-                    "be a positive integer"
-                )
-            else:
-                flat[(str(transport), str(kind))] = count
-    metrics = payload.get("metrics")
-    if not (isinstance(metrics, Mapping) and metrics):
-        return errors
-    counted: dict[tuple[str, str], int] = {}
-    for key, value in metrics.get("counters", {}).items():
-        name, labels = parse_key(key)
-        if name == "events.dropped":
-            counted[(labels.get("transport", "?"), labels.get("kind", "?"))] = int(
-                value
-            )
-    for (transport, kind), claimed in sorted(flat.items()):
-        if counted.get((transport, kind)) != claimed:
-            errors.append(
-                f"manifest: event_drops claims {claimed} dropped "
-                f"{kind!r} on {transport!r}, the events.dropped counter "
-                f"says {counted.get((transport, kind))}"
-            )
-    for (transport, kind), value in sorted(counted.items()):
-        if (transport, kind) not in flat:
-            errors.append(
-                f"manifest: events.dropped counter for {kind!r} on "
-                f"{transport!r} ({value}) has no event_drops entry"
-            )
     return errors
 
 
@@ -467,15 +401,14 @@ def validate_events(lines: Sequence[str]) -> list[str]:
     known kind, that sequence numbers are contiguous (a gap means a
     transport dropped an event mid-stream), and that timestamps never
     go backwards (the bus clock is monotonic; forwarded worker events
-    are re-stamped on merge).  The expected sequence starts at the
-    first record's ``seq`` rather than 0, so a size-rotated log — whose
-    older lines moved to a backup file — still validates.
+    are re-stamped on merge).  A log starts at ``seq`` 0: every bus
+    numbers from 0 and the file sink keeps every event.
     """
     from repro.obs.events import EVENT_SCHEMA, EVENT_KINDS
 
     known = frozenset(EVENT_KINDS)
     errors: list[str] = []
-    expected_seq: int | None = None
+    expected_seq = 0
     last_t = float("-inf")
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -494,8 +427,6 @@ def validate_events(lines: Sequence[str]) -> list[str]:
         if kind not in known:
             errors.append(f"events line {number}: unknown event kind {kind!r}")
         seq = record.get("seq")
-        if expected_seq is None:
-            expected_seq = seq if isinstance(seq, int) else 0  # rotated logs
         if seq != expected_seq:
             errors.append(
                 f"events line {number}: seq is {seq!r}, expected {expected_seq} "
@@ -503,7 +434,7 @@ def validate_events(lines: Sequence[str]) -> list[str]:
             )
             if isinstance(seq, int):
                 expected_seq = seq
-        expected_seq = (expected_seq or 0) + 1
+        expected_seq += 1
         t = record.get("t")
         if not isinstance(t, (int, float)):
             errors.append(f"events line {number}: t is {t!r}, expected a number")
@@ -532,10 +463,7 @@ def crosscheck_events(lines: Sequence[str], manifest: Mapping) -> list[str]:
     ``event_summary`` (schema >= 3, when present) must be covered by
     the log.  The log may carry *extra* events — the CLI's session bus
     also records cache interactions that happen around the run — but it
-    can never carry fewer than the manifest claims *plus* whatever the
-    manifest's ``event_drops`` (schema >= 6) admits the file sink
-    rotated away: kept + dropped >= claimed, per kind.  Overflow may
-    lose events from a sink, never from the accounting.
+    can never carry fewer than the manifest claims.
     """
     errors: list[str] = []
     counts: dict[str, int] = {}
@@ -549,29 +477,21 @@ def crosscheck_events(lines: Sequence[str], manifest: Mapping) -> list[str]:
         kind = str(record.get("kind"))
         counts[kind] = counts.get(kind, 0) + 1
     n_spans = _count_spans(manifest.get("span_tree", {}))
-    file_drops = manifest.get("event_drops", {})
-    file_drops = (
-        dict(file_drops.get("file", {})) if isinstance(file_drops, Mapping) else {}
-    )
     n_finishes = counts.get("stage.finish", 0)
-    n_dropped_finishes = int(file_drops.get("stage.finish", 0))
-    if n_finishes + n_dropped_finishes < n_spans or n_finishes > n_spans:
+    if n_finishes != n_spans:
         errors.append(
-            f"events/manifest: {n_finishes} stage.finish event(s) "
-            f"(+{n_dropped_finishes} drop-accounted) but {n_spans} "
-            "non-root span(s) in the manifest span tree"
+            f"events/manifest: {n_finishes} stage.finish event(s) but "
+            f"{n_spans} non-root span(s) in the manifest span tree"
         )
     summary = manifest.get("event_summary")
     if isinstance(summary, Mapping):
         for kind in sorted(summary):
             claimed = int(summary[kind])
             kept = counts.get(kind, 0)
-            dropped = int(file_drops.get(kind, 0))
-            if kept + dropped < claimed:
+            if kept < claimed:
                 errors.append(
                     f"events/manifest: event_summary claims {claimed} "
-                    f"{kind!r} event(s), the log has {kept} and only "
-                    f"{dropped} are drop-accounted"
+                    f"{kind!r} event(s), the log has {kept}"
                 )
     return errors
 

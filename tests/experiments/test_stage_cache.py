@@ -103,7 +103,9 @@ class TestStageFingerprints:
         assert all(a[name] != b[name] for name in STAGE_NAMES)
 
     def test_execution_knobs_do_not_rekey_any_stage(self):
-        parallel = _variant(executor="thread", jobs=2, profile=True, progress=True)
+        parallel = _variant(
+            executor="thread", jobs=2, events="e.jsonl", progress=True, windows=0
+        )
         assert stage_fingerprints(SEED, BASE) == stage_fingerprints(SEED, parallel)
 
     def test_execution_only_fields_are_config_fields(self):

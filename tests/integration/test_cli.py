@@ -95,6 +95,21 @@ class TestObservabilityFlags:
         assert validate_manifest(payload) == []
         assert payload["seed"] == 5
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--ring", "16"],
+            ["--events-max-bytes", "4096"],
+            ["--events-backups", "2"],
+            ["--profile"],
+        ],
+    )
+    def test_retired_telemetry_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", *COMMON, *flag])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_timings_renders_the_trace_tree(self, capsys):
         assert main(["headline", *COMMON, "--timings"]) == 0
         err = capsys.readouterr().err
@@ -190,7 +205,7 @@ class TestObsSuite:
     def test_trace_chrome_export_and_flame(self, capsys, store_dir, tmp_path):
         import json
 
-        assert main(["headline", *COMMON, "--store-run", "--profile"]) == 0
+        assert main(["headline", *COMMON, "--store-run"]) == 0
         (run_id,) = self._stored_ids(store_dir)
         out_path = tmp_path / "trace.json"
         argv = ["obs", "export", run_id, "--format", "chrome", "--out", str(out_path)]
@@ -202,7 +217,7 @@ class TestObsSuite:
         capsys.readouterr()
         assert main(["obs", "export", run_id, "--format", "flame"]) == 0
         flame = capsys.readouterr().out
-        assert "cpu=" in flame  # --profile attrs surface in the view
+        assert "cpu=" in flame  # the span probe's attrs surface in the view
 
     def test_obs_validate_checks_the_store(self, capsys, store_dir):
         import json
@@ -223,10 +238,10 @@ class TestObsSuite:
         err = capsys.readouterr().err
         assert str(path) in err and "content address" in err
 
-    def test_profile_flag_attaches_span_resources(self, store_dir):
+    def test_default_run_attaches_span_resources(self, store_dir):
         from repro.obs.history import RunStore
 
-        assert main(["headline", *COMMON, "--store-run", "--profile"]) == 0
+        assert main(["headline", *COMMON, "--store-run"]) == 0
         store = RunStore(store_dir)
         (entry,) = store.entries()
         tree = store.load(entry["run_id"]).span_tree
@@ -883,6 +898,21 @@ class TestServingCli:
         error = json.loads(dirty_lines[10])
         assert set(error) == {"line", "error"} and error["line"] == 11
         assert error["error"].startswith(error_type)
+
+    @pytest.mark.parametrize(
+        "raw, error_type",
+        [('{"event_id": 1, not json', "JSONDecodeError"), ("{}", "KeyError")],
+    )
+    def test_single_malformed_event_is_one_error_line(
+        self, capsys, tmp_path, raw, error_type
+    ):
+        target = self._export(tmp_path)
+        capsys.readouterr()
+        assert main(["classify", "--model", str(target), "--event", raw]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {error_type}")
 
     def test_classify_needs_exactly_one_input(self, tmp_path, capsys):
         target = self._export(tmp_path)

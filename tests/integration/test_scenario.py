@@ -53,6 +53,28 @@ class TestStoredConfigReplay:
         assert scenario_fingerprint(seed, config) == scenario_fingerprint(seed, without)
 
 
+    def test_schema6_reference_with_retired_telemetry_knobs_replays(self):
+        import dataclasses
+
+        from repro.obs.manifest import RunManifest
+        from repro.obs.validate import validate_manifest
+
+        payload = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
+        assert payload["schema"] == 6 and "event_drops" in payload
+        retired = {"ring", "events_max_bytes", "events_backups", "profile"}
+        assert retired <= set(payload["config"])
+        assert validate_manifest(payload) == []
+        manifest = RunManifest.from_dict(payload)
+        assert manifest.schema == 6
+        assert validate_manifest(manifest.as_dict()) == []
+        # The loader drops the retired knobs without moving the
+        # semantic fingerprint.
+        config = config_from_canonical(manifest.config)
+        assert not any(hasattr(config, name) for name in retired)
+        assert len(dataclasses.fields(config)) == 11
+        assert scenario_fingerprint(manifest.seed, config) == manifest.fingerprint
+
+
 class TestScenarioRun:
     def test_headline_keys(self, small_run):
         headline = small_run.headline()

@@ -15,7 +15,6 @@ from repro.obs.events import (
     PipelineEvent,
     ProgressRenderer,
     QueueTransport,
-    RingTransport,
     active_bus,
     iter_events,
     matches,
@@ -331,6 +330,9 @@ class TestValidateEvents:
         )
         errors = validate_events(lines)
         assert any("seq" in error and "expected 1" in error for error in errors)
+        # A log missing its head is a gap too: every bus numbers from 0.
+        errors = validate_events(self._lines(PipelineEvent(seq=3, t=0.0, kind="run.start")))
+        assert any("expected 0" in error for error in errors)
 
     def test_unknown_kind_reported(self):
         lines = ['{"schema": 1, "seq": 0, "t": 0.0, "kind": "mystery.event", "fields": {}}']
@@ -401,144 +403,14 @@ class TestCrosscheckEvents:
         errors = crosscheck_events(lines, manifest)
         assert any("cache.hit" in error for error in errors)
 
-    def test_drop_accounted_shortfall_passes(self):
-        """kept + dropped >= claimed: rotation losses are not errors."""
-        lines = self._log(1, extra_kinds=("run.finish",))
-        manifest = self._manifest(3, {"stage.finish": 3, "run.finish": 1})
-        manifest["event_drops"] = {"file": {"stage.finish": 2}}
-        assert crosscheck_events(lines, manifest) == []
-
     def test_unaccounted_shortfall_still_fails(self):
         lines = self._log(1)
         manifest = self._manifest(3, {"stage.finish": 3})
-        manifest["event_drops"] = {"file": {"stage.finish": 1}}  # one short
-        errors = crosscheck_events(lines, manifest)
-        assert any("drop-accounted" in error for error in errors)
-
-    def test_ring_drops_do_not_excuse_the_file_log(self):
-        """Only the file sink's own drops explain gaps in the file log."""
-        lines = self._log(1)
-        manifest = self._manifest(3, {"stage.finish": 3})
-        manifest["event_drops"] = {"ring": {"stage.finish": 2}}
         errors = crosscheck_events(lines, manifest)
         assert any("stage.finish" in error for error in errors)
 
 
-class TestRingTransport:
-    def _bus(self, capacity):
-        ring = RingTransport(capacity)
-        return ring, EventBus([ring])
-
-    def test_keeps_only_the_newest_events(self):
-        ring, bus = self._bus(3)
-        for index in range(7):
-            bus.emit("chunk.finish", chunk=index)
-        assert [event.fields["chunk"] for event in ring.events] == [4, 5, 6]
-
-    def test_counts_every_eviction_per_kind(self):
-        ring, bus = self._bus(2)
-        bus.emit("run.start")
-        for _ in range(4):
-            bus.emit("chunk.finish")
-        bus.emit("run.finish")
-        # 6 emitted, 2 resident: 4 evictions, split by kind of the victim
-        assert sum(ring.drops().values()) == 4
-        assert ring.drops() == {"run.start": 1, "chunk.finish": 3}
-        assert len(ring.events) == 2
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            RingTransport(0)
-
-    def test_memory_stays_bounded_over_long_streams(self):
-        """>= 10x capacity streamed through; residency stays O(capacity)
-        and every overflow is accounted — nothing silently vanishes."""
-        capacity = 32
-        ring, bus = self._bus(capacity)
-        total = capacity * 10
-        for index in range(total):
-            bus.emit("chunk.finish", chunk=index)
-        assert len(ring.events) == capacity
-        assert ring.drops() == {"chunk.finish": total - capacity}
-        assert sum(ring.drops().values()) + len(ring.events) == total
-
-
-class TestFileRotation:
-    def _line_size(self):
-        return len(PipelineEvent(seq=0, t=0.0, kind="run.start").to_json()) + 1
-
-    def test_rotates_at_the_size_cap_and_counts_drops(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        transport = FileTransport(path, max_bytes=self._line_size() * 3, backups=1)
-        bus = EventBus([transport])
-        for _ in range(8):
-            bus.emit("run.start")
-        bus.close()
-        assert transport.rotations >= 1
-        live = len(path.read_text().splitlines())
-        backup = len((tmp_path / "events.jsonl.1").read_text().splitlines())
-        # every event is either in the live file or drop-accounted
-        assert live + transport.drops()["run.start"] == 8
-        assert backup <= 3
-
-    def test_backup_generations_shift_and_oldest_dies(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        transport = FileTransport(path, max_bytes=self._line_size(), backups=2)
-        bus = EventBus([transport])
-        for _ in range(5):
-            bus.emit("run.start")
-        bus.close()
-        assert (tmp_path / "events.jsonl.1").is_file()
-        assert (tmp_path / "events.jsonl.2").is_file()
-        assert not (tmp_path / "events.jsonl.3").exists()
-
-    def test_rotated_live_log_still_validates(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        clock = _FakeClock()
-        bus = EventBus(
-            [FileTransport(path, max_bytes=self._line_size() * 2)], clock=clock
-        )
-        for _ in range(7):
-            clock.now += 0.1
-            bus.emit("run.start")
-        bus.close()
-        assert validate_events(path.read_text().splitlines()) == []
-
-    def test_rotation_needs_sane_knobs(self, tmp_path):
-        with pytest.raises(ValidationError):
-            FileTransport(tmp_path / "e.jsonl", max_bytes=0)
-        with pytest.raises(ValidationError):
-            FileTransport(tmp_path / "e.jsonl", backups=0)
-
-
-class TestDropAccounting:
-    def test_drop_counts_aggregates_by_transport_name(self):
-        ring = RingTransport(1)
-        bus = EventBus([ring, MemoryTransport()])
-        bus.emit("run.start")
-        bus.emit("run.finish")
-        assert bus.drop_counts() == {"ring": {"run.start": 1}}
-
-    def test_flush_drops_emits_one_announcement_per_transport(self):
-        ring = RingTransport(2)
-        memory = MemoryTransport()
-        bus = EventBus([ring, memory])
-        for _ in range(4):
-            bus.emit("chunk.finish")
-        announced = bus.flush_drops()
-        assert announced == {"ring": {"chunk.finish": 2}}
-        drop_events = [e for e in memory.events if e.kind == "transport.drop"]
-        assert len(drop_events) == 1
-        assert drop_events[0].fields["transport"] == "ring"
-        assert drop_events[0].fields["kinds"] == {"chunk.finish": 2}
-
-    def test_flush_drops_is_silent_when_nothing_dropped(self):
-        memory = MemoryTransport()
-        bus = EventBus([memory])
-        bus.emit("run.finish")
-        assert bus.flush_drops() == {}
-        assert [e.kind for e in memory.events] == ["run.finish"]
-
+class TestInterarrival:
     def test_interarrival_sketch_tracks_gaps(self):
         clock = _FakeClock()
         bus = EventBus([MemoryTransport()], clock=clock)
@@ -551,7 +423,7 @@ class TestDropAccounting:
         assert payload["max"] == pytest.approx(1.0)
 
 
-class TestIterEventsRotation:
+class TestIterEventsTruncation:
     def test_follow_survives_truncation_and_rewrite(self, tmp_path):
         path = tmp_path / "events.jsonl"
         # long first event: the rewrite below is unambiguously smaller
@@ -588,17 +460,20 @@ class TestIterEventsRotation:
             thread.join(timeout=10.0)
         assert [event.kind for event in seen] == ["run.start", "run.finish"]
 
-    def test_follow_survives_rotation_replacing_the_inode(self, tmp_path):
+    def test_follow_restarts_when_a_new_run_truncates_the_log(self, tmp_path):
+        """A second run to the same ``--events`` path truncates the file:
+        the follower re-reads it from the start, new sequence and all."""
         path = tmp_path / "events.jsonl"
-        path.write_text(
-            PipelineEvent(seq=0, t=0.0, kind="run.start").to_json() + "\n"
-        )
+        first = EventBus([FileTransport(path)])
+        for _ in range(3):
+            first.emit("chunk.finish")
+        first.close()
         seen = []
         done = threading.Event()
 
         def consume():
             for event in iter_events(path, follow=True, poll_seconds=0.01,
-                                     stop=lambda: len(seen) >= 2):
+                                     stop=lambda: len(seen) >= 4):
                 seen.append(event)
             done.set()
 
@@ -606,21 +481,18 @@ class TestIterEventsRotation:
         thread.start()
         try:
             for _ in range(1000):
-                if seen:
+                if len(seen) >= 3:
                     break
                 threading.Event().wait(0.01)
-            # size-based rotation: live file moves aside, a fresh inode
-            # (here longer than the consumed prefix) appears at path
-            path.replace(tmp_path / "events.jsonl.1")
-            fresh = tmp_path / "fresh.jsonl"
-            fresh.write_text(
-                PipelineEvent(
-                    seq=7, t=10.0, kind="run.finish", fields={"note": "x" * 200}
-                ).to_json()
-                + "\n"
-            )
-            fresh.replace(path)
+            second = EventBus([FileTransport(path)])  # truncates on open
+            second.emit("run.start")
+            second.close()
             assert done.wait(timeout=10.0)
         finally:
             thread.join(timeout=10.0)
-        assert [event.kind for event in seen] == ["run.start", "run.finish"]
+        assert [(event.seq, event.kind) for event in seen] == [
+            (0, "chunk.finish"),
+            (1, "chunk.finish"),
+            (2, "chunk.finish"),
+            (0, "run.start"),
+        ]

@@ -441,8 +441,7 @@ class TestStoredEventLogs:
         store = RunStore(tmp_path / "runs")
         run_id = store.add(_manifest(), events_path=source)
         target = store.events_path_for(_manifest().fingerprint, run_id)
-        # A rotated log may start mid-sequence, so the corrupt marker is
-        # a mid-stream gap (0 -> 5), not a non-zero starting seq.
+        # The corrupt marker is a mid-stream gap (0 -> 5).
         target.write_text(
             '{"schema": 1, "seq": 0, "kind": "run.start", "t": 0.0}\n'
             '{"schema": 1, "seq": 5, "kind": "nope", "t": 0.0}\n'

@@ -42,7 +42,6 @@ class TestRunManifest:
             "event_summary",
             "stage_fingerprints",
             "health_summary",
-            "event_drops",
         }
         assert payload["schema"] == MANIFEST_SCHEMA
 
@@ -95,6 +94,14 @@ class TestRunManifest:
         assert rebuilt.created_at == ""
         assert rebuilt.golden_deviations == []
 
+    def test_schema_6_payload_loads_without_its_drop_section(self):
+        payload = _sample().as_dict()
+        payload["schema"] = 6
+        payload["event_drops"] = {"ring": {"chunk.finish": 12}}
+        rebuilt = RunManifest.from_dict(payload)
+        assert rebuilt.schema == 6
+        assert "event_drops" not in rebuilt.as_dict()
+
     def test_unknown_schema_rejected(self):
         payload = _sample().as_dict()
         payload["schema"] = 99
@@ -145,6 +152,14 @@ class TestScenarioManifest:
             "bcluster",
             "windows",
         }
+
+    def test_every_stage_span_carries_cpu_and_rss(self, small_run):
+        """Default runs profile every span: no flag asks for it."""
+        from repro.obs.profile import PROFILE_ATTRS
+
+        assert small_run.manifest.schema == MANIFEST_SCHEMA == 7
+        for child in small_run.manifest.span_tree["children"]:
+            assert set(PROFILE_ATTRS) <= set(child["attributes"]), child["name"]
 
     def test_artifact_digests_are_deterministic_per_run(self, small_run):
         assert artifact_digests(small_run) == artifact_digests(small_run)

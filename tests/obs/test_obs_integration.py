@@ -77,17 +77,16 @@ class TestScenarioMetrics:
             recorded = small_scenario(seed=7, scale=0.08, n_weeks=10)
         assert artifact_digests(recorded) == artifact_digests(tiny_run)
 
-    def test_telemetry_knobs_change_no_artifact(self, tiny_run, tmp_path):
-        # Profiling, the event file and a tiny evicting ring on, window
-        # telemetry off: execution-only knobs, so the artifacts and the
-        # fingerprint stay the plain run's.
+    def test_telemetry_knobs_change_no_artifact(self, tiny_run, tmp_path, capsys):
+        # The event file and progress lines on, window telemetry off:
+        # execution-only knobs, so the artifacts and the fingerprint
+        # stay the plain run's.
         config = ScenarioConfig(
             n_weeks=10,
             scale=0.08,
             deployment=DeploymentConfig(n_networks=10, sensors_per_network=3),
-            profile=True,
             events=str(tmp_path / "events.jsonl"),
-            ring=16,
+            progress=True,
             windows=0,
         )
         run = PaperScenario(seed=7, config=config).run()
@@ -98,10 +97,11 @@ class TestScenarioMetrics:
             run.metrics.sketches["lsh.bucket_size"]
             == tiny_run.metrics.sketches["lsh.bucket_size"]
         )
-        # Every sink really ran.
+        # Every sink really ran, and the span probe ran unasked.
         for depth, span in run.trace.walk():
             if depth == 1:
                 assert set(PROFILE_ATTRS) <= set(span.attributes), span.name
+        assert "[progress] run finished" in capsys.readouterr().err
         log = read_events(tmp_path / "events.jsonl")
         assert log[0].kind == "run.start"
         assert "run.finish" in {event.kind for event in log}
@@ -109,7 +109,6 @@ class TestScenarioMetrics:
             kind: sum(1 for event in log if event.kind == kind)
             for kind in {event.kind for event in log}
         }
-        assert sum(run.manifest.event_drops["ring"].values()) > 0
         assert validate_manifest(run.manifest.as_dict()) == []
 
 

@@ -1,5 +1,6 @@
 """Cross-run regression detection: scanners, rules, reports, baselines."""
 
+import dataclasses
 import json
 
 import pytest
@@ -192,6 +193,44 @@ class TestPageHinkleyScan:
         # every later run would alarm; with it, alarms stay sparse.
         assert len(positions) < (len(series) - positions[0]) / 2
         assert all(b - a > 1 for a, b in zip(positions, positions[1:]))
+
+
+class TestTimingRulesFlagOnlySlowdowns:
+    """Wall-clock ``span:`` rules are one-sided on every trend detector;
+    a metric rule over the same series stays two-sided."""
+
+    RULES = tuple(rule for rule in TIMING_RULES if rule.target == "span:scenario")
+    SCANS = {"band": band_scan, "ewma": ewma_scan, "page_hinkley": page_hinkley_scan}
+    HISTORY = [6.0, 6.1, 5.9, 6.0]
+
+    def test_every_trend_detector_is_covered(self):
+        assert {rule.detector for rule in self.RULES} == set(self.SCANS)
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.detector)
+    def test_speedup_is_silent_and_slowdown_flags(self, rule):
+        scan = self.SCANS[rule.detector]
+        assert scan(rule, self.HISTORY + [2.0]) == []
+        assert [alarm["position"] for alarm in scan(rule, self.HISTORY + [18.0])] == [4]
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.detector)
+    def test_metric_rules_stay_two_sided(self, rule):
+        metric = dataclasses.replace(rule, target="metric:lsh.clusters")
+        assert self.SCANS[rule.detector](metric, self.HISTORY + [2.0]) != []
+
+    @staticmethod
+    def _scenario_run(seconds, day):
+        payload = _payload(created_at=f"2026-01-{day:02d}T00:00:00Z")
+        payload["span_tree"]["seconds"] = seconds
+        return payload
+
+    def test_faster_run_against_the_reference_is_silent(self):
+        # A CI smoke run of 0.090 s against the reference's 0.147 s once
+        # scored 1.64 against the 1.5 timing band.
+        faster = [self._scenario_run(0.147, 1), self._scenario_run(0.090, 2)]
+        assert run_regression(frame_from_payloads(faster), rules=TIMING_RULES).findings == []
+        slower = [self._scenario_run(0.147, 1), self._scenario_run(0.441, 2)]
+        findings = run_regression(frame_from_payloads(slower), rules=TIMING_RULES).findings
+        assert {(f.target, f.detector) for f in findings} == {("span:scenario", "band")}
 
 
 class TestRunRegression:

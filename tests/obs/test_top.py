@@ -22,8 +22,7 @@ def _sample_events():
         _event(2, 0.4, "chunk.finish", chunk=0, items=5, seconds=0.3, rss_kb=40000),
         _event(3, 0.8, "chunk.finish", chunk=1, items=5, seconds=0.4, rss_kb=41000),
         _event(4, 0.9, "stage.finish", stage="observe", seconds=0.8),
-        _event(5, 1.0, "transport.drop", transport="ring", dropped=3,
-               kinds={"cache.hit": 3}),
+        _event(5, 1.0, "cache.hit", fingerprint="f" * 16),
         _event(6, 1.1, "run.finish", seconds=1.1),
     ]
 
@@ -40,7 +39,6 @@ class TestTopAccumulator:
         assert state["chunk_seconds"] == [0.3, 0.4]
         assert state["peak_rss_kb"] == 41000.0
         assert state["stages_done"] == 1
-        assert state["drops"] == {"ring": {"cache.hit": 3}}
         assert state["finished"] is True
         assert state["rate"] > 0
 
@@ -86,11 +84,7 @@ class TestRenderTop:
         assert "finished" in text
         assert "items=10" in text
         assert "peak=41000" in text
-        assert "drops    ring=3 (cache.hit=3)" in text
-
-    def test_render_without_drops_says_none(self):
-        text = dashboard_from_events(_sample_events()[:3])
-        assert "drops    none" in text
+        assert "drops" not in text
 
     def test_empty_stream_renders(self):
         assert "n=0" in dashboard_from_events([])

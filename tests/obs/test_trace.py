@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.obs.profile import PROFILE_ATTRS
 from repro.obs.trace import (
     NULL_TRACER,
     Tracer,
@@ -43,7 +44,12 @@ class TestTracer:
         with tracer.span("observe", sensors=30) as span:
             span.set(events=346)
         observed = tracer.finish().find("observe")
-        assert observed.attributes == {"sensors": 30, "events": 346}
+        own = {
+            key: value
+            for key, value in observed.attributes.items()
+            if key not in PROFILE_ATTRS  # the span probe's, set at close
+        }
+        assert own == {"sensors": 30, "events": 346}
 
     def test_span_closes_even_when_body_raises(self):
         tracer = Tracer()

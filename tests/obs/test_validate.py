@@ -1,9 +1,8 @@
-"""Validator coverage for the schema-6 telemetry sections.
+"""Validator coverage for the sketch payload and the manifest layout.
 
-The sketch payload and drop-accounting checks carry the PR's
-bounded-memory guarantees into stored artifacts: a manifest that claims
-drops its counters don't corroborate (or vice versa), or a sketch whose
-bins lost observations, must fail ``repro obs validate`` loudly.
+A sketch whose bins lost observations must fail ``repro obs validate``
+loudly; a stored schema-6 manifest, whose drop accounting section the
+current layout no longer has, must still validate.
 """
 
 import re
@@ -29,8 +28,8 @@ def _metrics_with_sketch(**sketch_overrides):
     return payload
 
 
-def _manifest_payload(event_drops, counters):
-    """A minimal but structurally valid schema-6 manifest."""
+def _manifest_payload(counters):
+    """A minimal but structurally valid current-schema manifest."""
     return {
         "schema": MANIFEST_SCHEMA,
         "fingerprint": "f" * 64,
@@ -51,7 +50,6 @@ def _manifest_payload(event_drops, counters):
         "event_summary": {},
         "stage_fingerprints": {},
         "health_summary": {},
-        "event_drops": event_drops,
     }
 
 
@@ -106,57 +104,16 @@ class TestSketchPayloadValidation:
         assert validate_metrics(payload) == []
 
 
-class TestEventDropsValidation:
-    def test_reconciled_drops_pass(self):
-        payload = _manifest_payload(
-            {"ring": {"cache.hit": 5}},
-            {'events.dropped{kind=cache.hit,transport=ring}': 5},
-        )
+class TestManifestLayout:
+    def test_current_schema_has_no_drop_section(self):
+        payload = _manifest_payload({"cache.hit": 1})
+        assert payload["schema"] == 7
         assert validate_manifest(payload) == []
 
-    def test_missing_section_fails_on_schema_6(self):
-        payload = _manifest_payload({}, {})
-        del payload["event_drops"]
-        errors = validate_manifest(payload)
-        assert any("event_drops must be a mapping" in error for error in errors)
-
-    def test_unknown_event_kind_fails(self):
-        payload = _manifest_payload({"ring": {"totally.bogus": 2}}, {})
-        errors = validate_manifest(payload)
-        assert any("unknown event kind 'totally.bogus'" in error for error in errors)
-
-    @pytest.mark.parametrize("count", [0, -2, "three", None])
-    def test_non_positive_drop_count_fails(self, count):
-        payload = _manifest_payload({"file": {"cache.hit": count}}, {})
-        errors = validate_manifest(payload)
-        assert any("positive integer" in error for error in errors)
-
-    def test_counter_disagreement_fails_both_directions(self):
-        # manifest claims 5, counter says 3
-        payload = _manifest_payload(
-            {"ring": {"cache.hit": 5}},
-            {'events.dropped{kind=cache.hit,transport=ring}': 3},
-        )
-        errors = validate_manifest(payload)
-        assert any("the events.dropped counter says 3" in error for error in errors)
-
-    def test_counter_without_manifest_entry_fails(self):
-        payload = _manifest_payload(
-            {},
-            {'events.dropped{kind=cache.hit,transport=ring}': 4},
-        )
-        errors = validate_manifest(payload)
-        assert any("has no event_drops entry" in error for error in errors)
-
-    def test_non_mapping_transport_entry_fails(self):
-        payload = _manifest_payload({"ring": [1, 2]}, {})
-        errors = validate_manifest(payload)
-        assert any("event_drops['ring'] must be a mapping" in error for error in errors)
-
-    def test_pre_schema_6_manifests_skip_the_drop_check(self):
-        payload = _manifest_payload({}, {})
-        payload["schema"] = 5
-        del payload["event_drops"]
+    def test_stored_schema_6_drop_section_is_ignored(self):
+        payload = _manifest_payload({})
+        payload["schema"] = 6
+        payload["event_drops"] = {"ring": {"cache.hit": 5}}
         assert validate_manifest(payload) == []
 
 
