@@ -8,10 +8,11 @@ benchmark run as reviewable artifacts.
 
 The session scenario goes through the artifact cache
 (:mod:`repro.experiments.cache`): the first session pays the full
-rebuild, later sessions load the pickled run in milliseconds.  Control
-knobs (environment variables):
+rebuild, later sessions load the run record and its stage entries in
+well under a second.  Control knobs (environment variables):
 
-* ``REPRO_BENCH_CACHE=0``    — force a rebuild (and refresh the cache);
+* ``REPRO_BENCH_CACHE=0``    — force a rebuild (the cache is neither read
+  nor written);
 * ``REPRO_BENCH_EXECUTOR``   — backend for the rebuild (default serial);
 * ``REPRO_BENCH_JOBS``      — worker count (default 0 = all cores);
 * ``REPRO_CACHE_DIR``        — cache location (default ``~/.cache/repro``).
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import ScenarioCache
+from repro.experiments.cache import cached_run
 from repro.experiments.scenario import PaperScenario, ScenarioConfig, ScenarioRun
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -49,13 +50,9 @@ def paper_run() -> ScenarioRun:
         executor=os.environ.get("REPRO_BENCH_EXECUTOR", "serial"),
         jobs=int(os.environ.get("REPRO_BENCH_JOBS", "0")),
     )
-    use_cache = os.environ.get("REPRO_BENCH_CACHE", "1") != "0"
-    cache = ScenarioCache()
-    run = cache.load(PAPER_SEED, config) if use_cache else None
-    if run is None:
-        run = PaperScenario(seed=PAPER_SEED, config=config).run()
-        cache.store(run)
-    return run
+    if os.environ.get("REPRO_BENCH_CACHE", "1") == "0":
+        return PaperScenario(seed=PAPER_SEED, config=config).run()
+    return cached_run(PAPER_SEED, config)
 
 
 @pytest.fixture(scope="session")

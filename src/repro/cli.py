@@ -17,11 +17,12 @@ All commands accept ``--seed`` (default 2010), ``--scale`` (default 1.0)
 and ``--weeks`` (default 74), plus ``--executor {serial,thread,process}``
 and ``--jobs N`` to pick the parallel backend, ``--timings`` to print
 the per-stage trace tree, and ``--cache`` / ``--no-cache`` to reuse a
-previously built scenario from the artifact cache.  With ``--cache``
-the per-stage artifact store is on too (``--no-cache-stages`` turns it
-off): a whole-run miss replays every pipeline stage whose
-content-addressed fingerprint is already stored and recomputes only
-from the first invalidated stage down.
+previously built scenario from the artifact cache.  The cache keeps
+each artifact once, in the per-stage store: a whole-run hit reads a
+small run record plus the stage entries the run uses, and a whole-run
+miss replays every pipeline stage whose content-addressed fingerprint
+is already stored and recomputes only from the first invalidated
+stage down.
 
 Observability flags: ``--log-level {debug,info,warning,error}`` and
 ``--log-json PATH`` control the structured logger, ``--metrics-out
@@ -36,8 +37,8 @@ progress with an ETA to stderr.
 
 The artifact caches live under ``repro cache``::
 
-    python -m repro cache ls                    # stored artifacts, both layers
-    python -m repro cache gc                    # drop stale stage artifacts
+    python -m repro cache ls                    # run records + stage entries
+    python -m repro cache gc                    # drop stale entries and records
     python -m repro cache explain --weeks 8     # hit/miss forecast + causes
 
 The longitudinal toolkit lives under ``repro obs``::
@@ -140,14 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=False,
             help="load/store the built scenario in the artifact cache "
             "($REPRO_CACHE_DIR or ~/.cache/repro/scenarios)",
-        )
-        p.add_argument(
-            "--cache-stages",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="with --cache: also replay/store per-stage artifacts, so "
-            "a config change recomputes only the invalidated stages "
-            "(--no-cache-stages limits caching to whole runs)",
         )
         p.add_argument(
             "--log-level",
@@ -304,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evasion_p.add_argument("--weeks", type=int, default=12)
 
     cache_p = sub.add_parser(
-        "cache", help="inspect the whole-run and per-stage artifact caches"
+        "cache", help="inspect the run records and the per-stage artifact store"
     )
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
 
@@ -319,14 +312,15 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     cache_ls_p = cache_sub.add_parser(
-        "ls", help="list stored whole-run and per-stage artifacts"
+        "ls", help="list stored run records and per-stage artifacts"
     )
     add_cache_root(cache_ls_p)
 
     cache_gc_p = cache_sub.add_parser(
         "gc",
         help="remove stale stage artifacts (interrupted writes, orphaned "
-        "sidecars, superseded cache formats)",
+        "sidecars, superseded cache formats) and stale run records "
+        "(pre-record whole-run pickles, records whose stage entries are gone)",
     )
     add_cache_root(cache_gc_p)
     cache_gc_p.add_argument(
@@ -682,10 +676,9 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
     try:
         with obs_metrics.use(registry), obs_events.use_bus(bus):
             if args.cache:
-                from repro.experiments.cache import StageStore, cached_run
+                from repro.experiments.cache import cached_run
 
-                stage_store = StageStore() if args.cache_stages else None
-                run = cached_run(args.seed, config, stage_store=stage_store)
+                run = cached_run(args.seed, config)
             else:
                 run = PaperScenario(seed=args.seed, config=config).run()
     finally:
@@ -714,7 +707,7 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
 
             store = RunStore()
             # Only ingest the event log when it describes the run that
-            # was just built — a --cache hit replays a pickled run
+            # was just built — a --cache hit replays a stored run
             # whose manifest the session's (cache-only) log cannot
             # account for.
             events_path = args.events if args.events and not args.cache else None
@@ -762,31 +755,30 @@ def _cmd_evasion(args: argparse.Namespace) -> str:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.experiments.cache import (
         ScenarioCache,
-        StageStore,
         explain_stages,
         render_explanations,
     )
 
-    root = Path(args.root) if args.root else None
-    cache = ScenarioCache(root)
-    store = StageStore(root / "stages" if root is not None else None)
+    cache = ScenarioCache(Path(args.root) if args.root else None)
+    store = cache.stages
 
     if args.cache_command == "ls":
         runs = cache.entries()
-        print(f"whole-run cache ({cache.root}): {len(runs)} entry(ies)")
+        print(f"run records ({cache.root}): {len(runs)} record(s)")
         for fingerprint, size in runs:
-            print(f"  {fingerprint[:16]}  {size / 1e6:8.2f} MB")
+            print(f"  {fingerprint[:16]}  {size / 1e3:8.1f} kB")
         artifacts = store.entries()
         print(f"stage store ({store.root}): {len(artifacts)} artifact(s)")
         for stage, fingerprint, size in artifacts:
             print(f"  {stage:<12} {fingerprint[:16]}  {size / 1e6:8.2f} MB")
         return 0
     if args.cache_command == "gc":
+        # Stage entries first: a record whose entries gc just removed
+        # is stale too.
         removed, reclaimed = store.gc(clear=args.clear)
-        if args.clear:
-            for _fingerprint, size in cache.entries():
-                reclaimed += size
-            removed += cache.clear()
+        records_removed, records_reclaimed = cache.gc(clear=args.clear)
+        removed += records_removed
+        reclaimed += records_reclaimed
         print(f"removed {removed} file(s), reclaimed {reclaimed / 1e6:.2f} MB")
         return 0
     if args.cache_command == "explain":
@@ -1087,10 +1079,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
         seed = int(payload["seed"])
         configure_logging(args.log_level, json_path=args.log_json)
         if args.cache:
-            from repro.experiments.cache import StageStore, cached_run
+            from repro.experiments.cache import cached_run
 
-            stage_store = StageStore() if args.cache_stages else None
-            run = cached_run(seed, config, stage_store=stage_store)
+            run = cached_run(seed, config)
         else:
             run = PaperScenario(seed=seed, config=config).run()
         if run.manifest is not None and run.manifest.fingerprint != payload.get(

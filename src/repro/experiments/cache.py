@@ -1,27 +1,36 @@
 """Content-addressed on-disk caches of scenario artifacts.
 
-Two layers share one canonical-fingerprint substrate:
+Two layers share one canonical-fingerprint substrate, and every
+artifact is stored once, in the stage layer:
 
-* :class:`ScenarioCache` — the whole-run cache.  It keys a pickled
-  :class:`~repro.experiments.scenario.ScenarioRun` by a SHA-256 over
-  the ``(seed, ScenarioConfig)`` pair, so a warm load takes
-  milliseconds instead of the multi-second rebuild.
-* :class:`StageStore` — the incremental, per-stage artifact store.
-  Each pipeline stage (see :data:`repro.experiments.stages.STAGES`)
-  gets its own fingerprint covering only the config keys it declares
-  plus its parents' fingerprints, chained content-address style.  A
-  run replays every stage whose fingerprint is stored and recomputes
-  only from the first invalidated stage down: changing the LSH
-  threshold re-runs ``bcluster`` alone while the ~17-month
-  observation/enrichment artifacts replay.  The whole-run cache is the
-  degenerate all-hit case of this DAG.
+* :class:`StageStore` — the per-stage artifact store.  Each pipeline
+  stage (see :data:`repro.experiments.stages.STAGES`) gets its own
+  fingerprint covering only the config keys it declares plus its
+  parents' fingerprints, chained content-address style.  A run replays
+  every stage whose fingerprint is stored and recomputes only from the
+  first invalidated stage down: changing the LSH threshold re-runs
+  ``bcluster`` alone while the ~17-month observation/enrichment
+  artifacts replay.
+* :class:`ScenarioCache` — the whole-run layer.  Its entry is a small
+  *run record*: a :class:`~repro.experiments.scenario.ScenarioRun`
+  without its eight stage artifacts (config, seed, grid, timings,
+  trace, metrics, manifest, stage cache, windows, health), keyed by a
+  SHA-256 over the ``(seed, ScenarioConfig)`` pair.  A hit reads the
+  record and takes the artifacts from the stage entries on the replay
+  plan (:func:`repro.experiments.stages.replay_plan`), so it replays
+  the original build's manifest without a second copy of the data.
 
-Execution-only knobs (``executor``, ``jobs``, ``profile``, ``events``,
-``progress``) are excluded from every fingerprint: all backends produce
-bit-identical artifacts and telemetry sinks cannot change them, so a
-run built with the process backend (or with a live event stream
-attached) is a valid cache hit for a serial request of the same
-scenario.
+Every entry file starts with the SHA-256 of its pickled payload; a
+load that finds a different digest (a torn write, a flipped byte, an
+entry written before the digest existed) evicts the entry as a counted
+miss instead of unpickling it.
+
+Execution-only knobs (``executor``, ``jobs``, ``events``,
+``progress``, ``windows``) are excluded from every fingerprint: all
+backends produce bit-identical artifacts and telemetry sinks cannot
+change them, so a run built with the process backend (or with a live
+event stream attached) is a valid cache hit for a serial request of
+the same scenario.
 
 Each stage artifact is stored next to a JSON sidecar recording the
 exact fingerprint payload (config subset, parent fingerprints), which
@@ -31,16 +40,24 @@ invalidated a missing stage instead of just reporting the miss.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.experiments.scenario import PaperScenario, ScenarioConfig, ScenarioRun
-from repro.experiments.stages import STAGES, StageSpec
+from repro.experiments.stages import (
+    RUN_KEYS,
+    STAGE_NAMES,
+    STAGES,
+    StageSpec,
+    replay_plan,
+    stage_spec,
+)
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
@@ -95,6 +112,46 @@ EXECUTION_ONLY_FIELDS = frozenset(
 
 #: Canonical-JSON reduction (shared with the run manifest's digests).
 _canonical = canonicalize
+
+#: The :class:`ScenarioRun` fields a run record keeps; the artifact
+#: fields (:data:`~repro.experiments.stages.RUN_KEYS`) come from the
+#: stage store.
+RECORD_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(ScenarioRun) if f.name not in RUN_KEYS
+)
+
+#: Suffix of run-record files.  Whole-run pickles (``*.pkl``) written
+#: before records existed are never read, only removed by ``gc``.
+RECORD_SUFFIX = ".run"
+
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+def _write_entry(path: Path, obj: object) -> None:
+    """Write ``SHA-256(payload) + payload`` for pickled ``obj``, atomically.
+
+    The write goes through a same-directory temp file and an atomic
+    rename, so concurrent readers never observe a torn entry.
+    """
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    with tmp.open("wb") as handle:
+        handle.write(hashlib.sha256(payload).digest())
+        handle.write(payload)
+    os.replace(tmp, path)
+
+
+def _read_entry(path: Path) -> object:
+    """Unpickle an entry written by :func:`_write_entry`.
+
+    Raises ``ValueError`` when the payload does not match its digest
+    (nothing is unpickled then), and whatever the unpickler raises.
+    """
+    blob = path.read_bytes()
+    payload = memoryview(blob)[_DIGEST_SIZE:]
+    if hashlib.sha256(payload).digest() != blob[:_DIGEST_SIZE]:
+        raise ValueError("content digest mismatch")
+    return pickle.loads(payload)
 
 
 def _semantic_config_payload(config: ScenarioConfig | None) -> dict:
@@ -167,79 +224,107 @@ def default_cache_root() -> Path:
 
 
 class ScenarioCache:
-    """Pickle store of built runs, addressed by scenario fingerprint."""
+    """Run records over a :class:`StageStore`, addressed by scenario fingerprint.
 
-    def __init__(self, root: str | Path | None = None) -> None:
+    The cache owns a stage store at ``<root>/stages`` unless it is
+    given one.  A record is only worth keeping for a run whose stage
+    entries are stored, so :meth:`store` takes runs built through a
+    stage store, and :meth:`get_or_run` always builds through one.
+    """
+
+    def __init__(
+        self, root: str | Path | None = None, stages: "StageStore | None" = None
+    ) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
+        self.stages = stages if stages is not None else StageStore(self.root / "stages")
         self.hits = 0
         self.misses = 0
 
     def path_for(self, seed: int, config: ScenarioConfig | None = None) -> Path:
-        """On-disk location of the ``(seed, config)`` artifact."""
-        return self.root / f"{scenario_fingerprint(seed, config)}.pkl"
+        """On-disk location of the ``(seed, config)`` run record."""
+        return self.root / f"{scenario_fingerprint(seed, config)}{RECORD_SUFFIX}"
 
-    @gc_paused()
-    def load(self, seed: int, config: ScenarioConfig | None = None) -> ScenarioRun | None:
-        """Return the cached run, or ``None`` on a miss.
-
-        Unreadable entries (truncated writes, flipped bytes, artifacts
-        pickled by an incompatible code version) are treated as misses
-        and evicted: any exception the unpickler raises counts, since a
-        corrupt stream can fail with almost any type.
-        """
+    def _miss(self, path: Path, evicted: str | None = None) -> None:
         registry = obs_metrics.active()
         bus = obs_events.active_bus()
+        if evicted is not None:
+            path.unlink(missing_ok=True)
+            registry.counter("cache.evict").inc()
+            bus.emit("cache.evict", fingerprint=path.stem, reason=evicted)
+        self.misses += 1
+        registry.counter("cache.miss").inc()
+        bus.emit("cache.miss", fingerprint=path.stem)
+        log.debug("cache miss", extra={"path": str(path)})
+
+    @gc_paused()
+    def load(
+        self,
+        seed: int,
+        config: ScenarioConfig | None = None,
+        *,
+        stage_store: "StageStore | None" = None,
+    ) -> ScenarioRun | None:
+        """Return the cached run, or ``None`` on a miss.
+
+        The record's artifacts are loaded from the stage entries on the
+        replay plan (from ``stage_store``, default :attr:`stages`).
+        Unreadable records (torn writes, flipped bytes, a digest that
+        does not match, an incompatible code version) are evicted and
+        count as misses: any exception the unpickler raises counts,
+        since a corrupt stream can fail with almost any type.  A record
+        whose stage entries are missing or unreadable is a miss too;
+        the rebuild replaces it.
+        """
         path = self.path_for(seed, config)
         try:
-            with path.open("rb") as handle:
-                run = pickle.load(handle)
+            record = _read_entry(path)
         except FileNotFoundError:
-            self.misses += 1
-            registry.counter("cache.miss").inc()
-            bus.emit("cache.miss", fingerprint=path.stem)
-            log.debug("cache miss", extra={"path": str(path)})
+            self._miss(path)
             return None
         except Exception as exc:
-            path.unlink(missing_ok=True)
-            self.misses += 1
-            registry.counter("cache.miss").inc()
-            registry.counter("cache.evict").inc()
-            bus.emit("cache.evict", fingerprint=path.stem, reason="unreadable")
-            bus.emit("cache.miss", fingerprint=path.stem)
             log.warning(
                 "evicted unreadable cache entry",
                 extra={"path": str(path), "error": repr(exc)},
             )
+            self._miss(path, evicted="unreadable")
             return None
-        if not isinstance(run, ScenarioRun):
-            path.unlink(missing_ok=True)
-            self.misses += 1
-            registry.counter("cache.miss").inc()
-            registry.counter("cache.evict").inc()
-            bus.emit("cache.evict", fingerprint=path.stem, reason="not-a-run")
-            bus.emit("cache.miss", fingerprint=path.stem)
-            log.warning("evicted non-run cache entry", extra={"path": str(path)})
+        if not isinstance(record, dict) or tuple(record) != RECORD_FIELDS:
+            log.warning("evicted non-record cache entry", extra={"path": str(path)})
+            self._miss(path, evicted="not-a-record")
             return None
+        session = StageCacheSession(stage_store or self.stages, seed, config)
+        artifacts: dict[str, object] = {}
+        for name in replay_plan(STAGE_NAMES):
+            loaded = session.load(name)
+            if loaded is None:
+                log.warning(
+                    "run record lacks a stage entry",
+                    extra={"path": str(path), "stage": name},
+                )
+                self._miss(path)
+                return None
+            artifacts.update(loaded)
         self.hits += 1
-        registry.counter("cache.hit").inc()
-        bus.emit("cache.hit", fingerprint=path.stem)
+        obs_metrics.active().counter("cache.hit").inc()
+        obs_events.active_bus().emit("cache.hit", fingerprint=path.stem)
         log.debug("cache hit", extra={"path": str(path)})
-        return run
+        return ScenarioRun(**record, **{key: artifacts[key] for key in RUN_KEYS})
 
     @gc_paused()
     def store(self, run: ScenarioRun) -> Path:
-        """Persist ``run`` under its fingerprint; returns the path.
+        """Persist ``run``'s record under its fingerprint; returns the path.
 
-        The write goes through a same-directory temp file and an atomic
-        rename, so concurrent readers never observe a torn artifact.
+        Only runs built through a stage store qualify: their artifacts
+        are already stored there, and the record points at them.
         """
         require(isinstance(run, ScenarioRun), "can only cache ScenarioRun artifacts")
+        require(
+            all(run.stage_cache.get(name) in ("hit", "miss") for name in STAGE_NAMES),
+            "a run record needs a run built through a stage store",
+        )
         path = self.path_for(run.seed, run.config)
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump(run, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        _write_entry(path, {name: getattr(run, name) for name in RECORD_FIELDS})
         obs_metrics.active().counter("cache.store").inc()
         obs_events.active_bus().emit("cache.store", fingerprint=path.stem)
         log.debug("cache store", extra={"path": str(path)})
@@ -250,34 +335,75 @@ class ScenarioCache:
     ) -> ScenarioRun:
         """Cached run for ``scenario``, building and storing on a miss.
 
-        With a ``stage_store`` the rebuild goes through the incremental
-        stage DAG, so a whole-run miss still replays every stage whose
-        fingerprint is stored — the partially-warm path.
+        The rebuild goes through the incremental stage DAG on
+        ``stage_store`` (default :attr:`stages`), so a whole-run miss
+        still replays every stage whose fingerprint is stored — the
+        partially-warm path.
         """
-        cached = self.load(scenario.seed, scenario.config)
+        stages = stage_store or self.stages
+        cached = self.load(scenario.seed, scenario.config, stage_store=stages)
         if cached is not None:
             return cached
-        run = scenario.run(stage_store=stage_store)
+        run = scenario.run(stage_store=stages)
         self.store(run)
         return run
 
     def entries(self) -> list[tuple[str, int]]:
-        """``(fingerprint, size_bytes)`` of every stored whole-run pickle."""
+        """``(fingerprint, size_bytes)`` of every stored run record."""
         if not self.root.is_dir():
             return []
         return sorted(
             (path.stem, path.stat().st_size)
-            for path in self.root.glob("*.pkl")
+            for path in self.root.glob(f"*{RECORD_SUFFIX}")
         )
 
     def clear(self) -> int:
-        """Delete every cached whole-run artifact; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.pkl"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+        """Delete every run record; returns the number of files removed."""
+        return self.gc(clear=True)[0]
+
+    def gc(self, *, clear: bool = False) -> tuple[int, int]:
+        """Remove stale records; returns ``(files_removed, bytes_reclaimed)``.
+
+        Stale means: leftover temp files, whole-run ``*.pkl`` pickles
+        from before run records, unreadable records, and records whose
+        replay-plan stage entries are gone from :attr:`stages` (run the
+        stage store's ``gc`` first).  With ``clear=True`` every record
+        goes.
+        """
+        if not self.root.is_dir():
+            return 0, 0
+        stale = [*self.root.glob("*.tmp.*"), *self.root.glob("*.pkl")]
+        stale.extend(
+            path
+            for path in sorted(self.root.glob(f"*{RECORD_SUFFIX}"))
+            if clear or not self._replayable(path)
+        )
+        return _drop_all(stale)
+
+    def _replayable(self, path: Path) -> bool:
+        """Whether the record at ``path`` reads and its plan's entries exist."""
+        try:
+            record = _read_entry(path)
+            fingerprints = stage_fingerprints(record["seed"], record["config"])
+        except Exception:
+            return False
+        return all(
+            self.stages.has(name, fingerprints[name])
+            for name in replay_plan(STAGE_NAMES)
+        )
+
+
+def _drop_all(paths: Iterable[Path]) -> tuple[int, int]:
+    """Delete ``paths``; returns ``(files_removed, bytes_reclaimed)``."""
+    removed = reclaimed = 0
+    for path in paths:
+        try:
+            reclaimed += path.stat().st_size
+        except OSError:
+            pass
+        path.unlink(missing_ok=True)
+        removed += 1
+    return removed, reclaimed
 
 
 class StageStore:
@@ -310,35 +436,36 @@ class StageStore:
     def load(self, stage: str, fingerprint: str) -> dict | None:
         """The stage's artifact dict, or ``None`` on a miss.
 
-        Unreadable or non-dict entries are evicted (sidecar included)
-        and treated as misses, like the whole-run cache (any exception
-        while unpickling makes an entry unreadable).
+        Unreadable entries (any exception while reading or unpickling,
+        a digest that does not match) and entries whose keys differ
+        from the stage's declared ``provides`` are evicted (sidecar
+        included) and treated as misses.
         """
         registry = obs_metrics.active()
         bus = obs_events.active_bus()
         path = self.path_for(stage, fingerprint)
+        reason = None
         try:
-            with path.open("rb") as handle:
-                artifacts = pickle.load(handle)
+            artifacts = _read_entry(path)
         except FileNotFoundError:
             artifacts = None
         except Exception as exc:
-            path.unlink(missing_ok=True)
-            self.meta_path_for(stage, fingerprint).unlink(missing_ok=True)
-            registry.counter("cache.evict").inc()
-            bus.emit("cache.evict", fingerprint=fingerprint, stage=stage, reason="unreadable")
             log.warning(
                 "evicted unreadable stage artifact",
                 extra={"path": str(path), "error": repr(exc)},
             )
-            artifacts = None
-        if artifacts is not None and not isinstance(artifacts, dict):
+            artifacts, reason = None, "unreadable"
+        if artifacts is not None and (
+            not isinstance(artifacts, dict)
+            or set(artifacts) != set(stage_spec(stage).provides)
+        ):
+            log.warning("evicted stale-shape stage artifact", extra={"path": str(path)})
+            artifacts, reason = None, "wrong-keys"
+        if reason is not None:
             path.unlink(missing_ok=True)
             self.meta_path_for(stage, fingerprint).unlink(missing_ok=True)
             registry.counter("cache.evict").inc()
-            bus.emit("cache.evict", fingerprint=fingerprint, stage=stage, reason="not-a-dict")
-            log.warning("evicted non-dict stage artifact", extra={"path": str(path)})
-            artifacts = None
+            bus.emit("cache.evict", fingerprint=fingerprint, stage=stage, reason=reason)
         if artifacts is None:
             self.misses += 1
             registry.counter("cache.stage_miss", stage=stage).inc()
@@ -359,10 +486,7 @@ class StageStore:
         require(isinstance(artifacts, Mapping), "stage artifacts must be a mapping")
         path = self.path_for(stage, fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump(dict(artifacts), handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        _write_entry(path, dict(artifacts))
         meta_path = self.meta_path_for(stage, fingerprint)
         meta_tmp = meta_path.with_suffix(f".tmp.{os.getpid()}")
         meta_tmp.write_text(
@@ -417,50 +541,41 @@ class StageStore:
         current :data:`CACHE_FORMAT` (their fingerprints can never be
         requested again).  With ``clear=True`` everything goes.
         """
-        removed = 0
-        reclaimed = 0
         if not self.root.is_dir():
-            return removed, reclaimed
-
-        def drop(path: Path) -> None:
-            nonlocal removed, reclaimed
-            try:
-                reclaimed += path.stat().st_size
-            except OSError:
-                pass
-            path.unlink(missing_ok=True)
-            removed += 1
-
+            return 0, 0
+        stale: list[Path] = []
         for stage_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
-            for tmp in stage_dir.glob("*.tmp.*"):
-                drop(tmp)
+            stale.extend(stage_dir.glob("*.tmp.*"))
             pickles = {p.stem: p for p in stage_dir.glob("*.pkl")}
             sidecars = {p.stem: p for p in stage_dir.glob("*.json")}
             for stem, path in sorted(pickles.items()):
                 meta_path = sidecars.get(stem)
-                stale = clear or meta_path is None
-                if not stale and meta_path is not None:
+                old = clear or meta_path is None
+                if not old:
                     try:
                         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                        stale = meta.get("format") != CACHE_FORMAT
+                        old = meta.get("format") != CACHE_FORMAT
                     except (json.JSONDecodeError, OSError):
-                        stale = True
-                if stale:
-                    drop(path)
+                        old = True
+                if old:
+                    stale.append(path)
                     if meta_path is not None:
-                        drop(meta_path)
-            for stem, meta_path in sorted(sidecars.items()):
-                if meta_path.exists() and stem not in pickles:
-                    drop(meta_path)
-        return removed, reclaimed
+                        stale.append(meta_path)
+            stale.extend(
+                meta_path
+                for stem, meta_path in sorted(sidecars.items())
+                if stem not in pickles
+            )
+        return _drop_all(stale)
 
 
 class StageCacheSession:
     """One run's view of a :class:`StageStore`: fingerprints precomputed.
 
     The runner (:func:`repro.experiments.stages.execute_stages`) only
-    sees this object: ``load(stage)`` / ``save(stage, artifacts)`` plus
-    ``session[stage]`` for the fingerprint.
+    sees this object: ``has(stage)`` / ``load(stage)`` /
+    ``save(stage, artifacts)`` plus ``session[stage]`` for the
+    fingerprint.
     """
 
     def __init__(
@@ -483,13 +598,17 @@ class StageCacheSession:
     def __getitem__(self, stage: str) -> str:
         return self.fingerprints[stage]
 
+    def has(self, stage: str) -> bool:
+        """Whether this run's ``stage`` entry is stored (no load)."""
+        return self.store.has(stage, self.fingerprints[stage])
+
     def load(self, stage: str) -> dict | None:
         """The stored artifacts for this run's ``stage``, or ``None``."""
         return self.store.load(stage, self.fingerprints[stage])
 
     def save(self, stage: str, artifacts: Mapping) -> Path:
         """Store ``stage``'s artifacts under this run's fingerprint."""
-        spec = next(s for s in STAGES if s.name == stage)
+        spec = stage_spec(stage)
         meta = {
             **_stage_payload(spec, self.seed, self._config_payload, self.fingerprints),
             "fingerprint": self.fingerprints[stage],

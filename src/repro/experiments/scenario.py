@@ -23,7 +23,7 @@ from repro.egpm.dataset import SGNetDataset
 from repro.enrich.pipeline import EnrichmentPipeline
 from repro.enrich.virustotal import VirusTotalService
 from repro.experiments.catalog import Catalog
-from repro.experiments.stages import StageContext, execute_stages
+from repro.experiments.stages import RUN_KEYS, StageContext, execute_stages
 from repro.honeypot.deployment import DeploymentConfig, SGNetDeployment
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -156,9 +156,11 @@ class PaperScenario:
         The pipeline is the stage DAG of
         :data:`repro.experiments.stages.STAGES`; with a ``stage_store``
         every stage whose content-addressed fingerprint is already
-        stored replays from disk, and only stages downstream of the
-        first invalidated dependency recompute — cold, warm and
-        partially-warm runs produce bit-identical artifacts.
+        stored replays (loading only the entries the run reads, see
+        :func:`~repro.experiments.stages.replay_plan`), and only stages
+        downstream of the first invalidated dependency recompute —
+        cold, warm and partially-warm runs produce bit-identical
+        artifacts.
 
         The parallelisable stages (sandbox enrichment, E/P/M fits, LSH
         verification) run on the backend named by
@@ -260,14 +262,7 @@ class PaperScenario:
             config=self.config,
             seed=self.seed,
             grid=ctx.grid,
-            catalog=ctx["catalog"],
-            deployment=ctx["deployment"],
-            dataset=ctx["dataset"],
-            anubis=ctx["anubis"],
-            virustotal=ctx["virustotal"],
-            enrichment=ctx["enrichment"],
-            epm=ctx["epm"],
-            bclusters=ctx["bclusters"],
+            **{key: ctx[key] for key in RUN_KEYS},
             timings=root.stage_timings(),
             trace=root,
             metrics=registry.snapshot(),

@@ -12,7 +12,9 @@ change the stage's output:
 * ``provides`` — the context keys the stage produces (or mutates: the
   ``observe`` stage re-provides ``deployment`` because observation
   trains the sensor FSMs, and ``enrich`` re-provides ``dataset``
-  because enrichment annotates records in place).
+  because enrichment annotates records in place).  ``enrich`` also
+  re-provides ``deployment`` and ``catalog``, so its stored entry holds
+  the whole upstream context the run and the leaf stages read.
 
 That declaration is what the incremental cache layer
 (:mod:`repro.experiments.cache`) fingerprints: a stage's content
@@ -23,13 +25,16 @@ the stage store.  :func:`execute_stages` is the runner both the cold
 and the incremental paths share — replay and recompute are the same
 loop, so cold, warm and partially-warm runs produce bit-identical
 artifacts by construction (the determinism matrix in
-``tests/experiments/test_stage_cache.py`` enforces it).
+``tests/experiments/test_stage_cache.py`` enforces it).  A replay
+reads only the stored entries :func:`replay_plan` picks: a replay
+through ``enrich`` loads ``enrich``, ``epm`` and ``bcluster`` and
+skips the three upstream entries whose keys ``enrich`` re-provides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.core.epm import EPMClustering
 from repro.enrich.pipeline import EnrichmentPipeline
@@ -209,7 +214,14 @@ STAGES: tuple[StageSpec, ...] = (
         name="enrich",
         config_keys=("sandbox",),
         parents=("catalog", "observe"),
-        provides=("dataset", "anubis", "virustotal", "enrichment"),
+        provides=(
+            "dataset",
+            "anubis",
+            "virustotal",
+            "enrichment",
+            "deployment",
+            "catalog",
+        ),
         compute=_compute_enrich,
         annotate=_annotate_enrich,
     ),
@@ -234,6 +246,28 @@ STAGES: tuple[StageSpec, ...] = (
 STAGE_NAMES: tuple[str, ...] = tuple(spec.name for spec in STAGES)
 
 _BY_NAME: dict[str, StageSpec] = {spec.name: spec for spec in STAGES}
+
+#: Context keys the finished run reads: the artifact fields of
+#: :class:`~repro.experiments.scenario.ScenarioRun`.
+RUN_KEYS: tuple[str, ...] = (
+    "catalog",
+    "deployment",
+    "dataset",
+    "anubis",
+    "virustotal",
+    "enrichment",
+    "epm",
+    "bclusters",
+)
+
+#: Context keys a recomputing stage may read: everything its parents
+#: provide.
+_READS: dict[str, frozenset[str]] = {
+    spec.name: frozenset(
+        key for parent in spec.parents for key in _BY_NAME[parent].provides
+    )
+    for spec in STAGES
+}
 
 
 def stage_spec(name: str) -> StageSpec:
@@ -266,42 +300,101 @@ def _check_topology() -> None:
 _check_topology()
 
 
+def replay_plan(stored: Collection[str]) -> tuple[str, ...]:
+    """The stored stages whose entries a run must load, in DAG order.
+
+    Walking the DAG bottom up, a stored stage is loaded only when the
+    run (:data:`RUN_KEYS`) or a stage that recomputes reads a key that
+    no later loaded stage re-provides; a recomputing stage reads what
+    its parents provide.  With every stage stored the plan is
+    ``("enrich", "epm", "bcluster")``; with only ``bcluster`` missing it
+    is ``("enrich", "epm")``.
+    """
+    needed = set(RUN_KEYS)
+    loads: list[str] = []
+    for spec in reversed(STAGES):
+        if spec.name in stored and needed.intersection(spec.provides):
+            loads.append(spec.name)
+        needed.difference_update(spec.provides)
+        if spec.name not in stored:
+            needed.update(_READS[spec.name])
+    return tuple(reversed(loads))
+
+
 def execute_stages(
     ctx: StageContext, tracer: "Tracer", session=None
 ) -> dict[str, str]:
     """Drive the DAG top to bottom; returns each stage's cache status.
 
     With no ``session`` every stage computes (status ``"off"``).  With
-    one, each stage first asks the session for the artifact stored
-    under its fingerprint: a hit replays the pickled artifacts into the
-    context (the session emits ``cache.stage_hit``); a miss computes
-    and stores them.  Because a stage's fingerprint chains over its
+    one, a stored stage on the :func:`replay_plan` loads its entry into
+    the context (the session emits ``cache.stage_hit``), a stored stage
+    off the plan is skipped, and any other stage computes and stores
+    its artifacts.  Because a stage's fingerprint chains over its
     parents' fingerprints, the first invalidated stage automatically
     invalidates everything downstream of it — the loop needs no
     explicit cascade.
 
+    A skipped stage is a ``hit``: its keys reach the context through a
+    later entry that re-provides them.  If a planned entry turns out
+    unreadable, the stage recomputes, and the skipped stages that
+    provide what it reads are loaded first (or, if unreadable too,
+    recomputed and marked ``miss``).
+
     Every stage opens a span either way, carrying a ``cache`` attribute
     (``hit``/``miss``/``off``) and its descriptive artifact attributes,
-    so warm and cold manifests expose the same stage structure.
+    so warm and cold manifests expose the same stage structure.  A
+    skipped stage's attributes are set once the context is complete.
     """
+    stored = [
+        spec.name for spec in STAGES if session is not None and session.has(spec.name)
+    ]
+    skipped = [name for name in stored if name not in replay_plan(stored)]
+    pending = set(skipped)
     statuses: dict[str, str] = {}
-    for spec in STAGES:
-        with tracer.span(spec.name) as span:
-            loaded = session.load(spec.name) if session is not None else None
+    spans: dict[str, object] = {}
+
+    def compute(spec: StageSpec) -> str:
+        if session is None:
+            spec.compute(ctx)
+            return "off"
+        missing = _READS[spec.name] - ctx.artifacts.keys()
+        upstream = STAGE_NAMES[: STAGE_NAMES.index(spec.name)]
+        providers = {
+            next(name for name in reversed(upstream) if key in _BY_NAME[name].provides)
+            for key in missing
+        }
+        for name in sorted(providers, key=STAGE_NAMES.index):
+            require(name in pending, f"stage {spec.name!r} lacks input from {name!r}")
+            pending.discard(name)
+            loaded = session.load(name)
             if loaded is not None:
                 ctx.artifacts.update(loaded)
+            else:
+                statuses[name] = compute(_BY_NAME[name])
+                spans[name].set(cache=statuses[name])
+        spec.compute(ctx)
+        session.save(spec.name, {key: ctx.artifacts[key] for key in spec.provides})
+        return "miss"
+
+    for spec in STAGES:
+        with tracer.span(spec.name) as span:
+            spans[spec.name] = span
+            if spec.name in pending:
                 status = "hit"
             else:
-                spec.compute(ctx)
-                status = "off" if session is None else "miss"
-                if session is not None:
-                    session.save(
-                        spec.name,
-                        {key: ctx.artifacts[key] for key in spec.provides},
-                    )
+                loaded = session.load(spec.name) if session is not None else None
+                if loaded is not None:
+                    ctx.artifacts.update(loaded)
+                    status = "hit"
+                else:
+                    status = compute(spec)
             span.set(cache=status)
             if session is not None:
                 span.set(fingerprint=session[spec.name][:12])
-            spec.annotate(ctx, span)
+            if spec.name not in skipped:
+                spec.annotate(ctx, span)
             statuses[spec.name] = status
+    for name in skipped:
+        _BY_NAME[name].annotate(ctx, spans[name])
     return statuses

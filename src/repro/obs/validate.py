@@ -98,6 +98,13 @@ METRIC_CATALOGUE: dict[str, str] = {
     "classify.latency": "sketch",
 }
 
+#: Metric names a manifest schema bump retired, with their kind and the
+#: last manifest schema that could carry them.  A stored manifest of
+#: that schema or older stays valid with them; a newer one does not.
+RETIRED_METRICS: dict[str, tuple[str, int]] = {
+    "events.dropped": ("counter", 6),
+}
+
 #: Metrics every scenario run must emit, regardless of scale.
 REQUIRED_SCENARIO_METRICS = frozenset(
     {
@@ -142,7 +149,10 @@ _KIND_SECTIONS = (
 
 
 def validate_metrics(
-    payload: Mapping, *, require_scenario: bool = False
+    payload: Mapping,
+    *,
+    require_scenario: bool = False,
+    manifest_schema: int | None = None,
 ) -> list[str]:
     """Errors in a metrics-snapshot dict; empty list means valid.
 
@@ -151,7 +161,9 @@ def validate_metrics(
     ``require_scenario``) that every name in
     :data:`REQUIRED_SCENARIO_METRICS` actually appears.  Legacy
     snapshots are checked as :func:`~repro.obs.metrics.upgrade_snapshot`
-    reads them.
+    reads them.  With the ``manifest_schema`` of the manifest that
+    carries the snapshot, names in :data:`RETIRED_METRICS` that the
+    schema could still carry count as documented.
     """
     errors: list[str] = []
     payload = upgrade_snapshot(payload)
@@ -166,6 +178,14 @@ def validate_metrics(
             name = base_name(key)
             seen.add(name)
             documented = METRIC_CATALOGUE.get(name)
+            retired = RETIRED_METRICS.get(name)
+            if (
+                documented is None
+                and retired is not None
+                and isinstance(manifest_schema, int)
+                and manifest_schema <= retired[1]
+            ):
+                documented = retired[0]
             if documented is None:
                 errors.append(f"metrics: undocumented metric {name!r} (from {key!r})")
             elif documented != kind:
@@ -272,7 +292,11 @@ def validate_manifest(payload: Mapping) -> list[str]:
                 )
     metrics = payload.get("metrics")
     if isinstance(metrics, Mapping) and metrics:
-        errors.extend(validate_metrics(metrics))
+        errors.extend(
+            validate_metrics(
+                metrics, manifest_schema=schema if isinstance(schema, int) else None
+            )
+        )
     if isinstance(schema, int) and schema >= 2:
         if not isinstance(payload.get("created_at"), str):
             errors.append("manifest: created_at must be a string (schema >= 2)")

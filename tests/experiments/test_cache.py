@@ -1,15 +1,21 @@
 """The scenario artifact cache: fingerprints, round-trips, eviction."""
 
+import hashlib
+import pickle
 import time
 
 import pytest
 
 from repro.experiments.cache import (
+    RECORD_FIELDS,
     ScenarioCache,
+    StageStore,
     cached_run,
     scenario_fingerprint,
+    stage_fingerprints,
 )
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
+from repro.experiments.stages import RUN_KEYS
 from repro.honeypot.deployment import DeploymentConfig
 from repro.sandbox.execution import SandboxConfig
 
@@ -65,17 +71,27 @@ class TestFingerprint:
 
 
 class TestScenarioCache:
+    """Run records over one class-wide stage store holding ``built``'s
+    stage entries; each test keeps its records in its own directory."""
+
     @pytest.fixture(scope="class")
-    def built(self):
-        return PaperScenario(seed=11, config=TINY).run()
+    def stages(self, tmp_path_factory):
+        return StageStore(tmp_path_factory.mktemp("stages"))
+
+    @pytest.fixture(scope="class")
+    def built(self, stages):
+        return PaperScenario(seed=11, config=TINY).run(stage_store=stages)
+
+    @pytest.fixture
+    def cache(self, tmp_path, stages):
+        return ScenarioCache(tmp_path, stages)
 
     def test_miss_on_empty_cache(self, tmp_path):
         cache = ScenarioCache(tmp_path)
         assert cache.load(11, TINY) is None
         assert (cache.hits, cache.misses) == (0, 1)
 
-    def test_round_trip_returns_equal_run(self, tmp_path, built):
-        cache = ScenarioCache(tmp_path)
+    def test_round_trip_returns_equal_run(self, cache, built):
         cache.store(built)
         loaded = cache.load(11, TINY)
         assert loaded is not None
@@ -88,8 +104,7 @@ class TestScenarioCache:
             )
         assert cache.hits == 1
 
-    def test_config_change_misses(self, tmp_path, built):
-        cache = ScenarioCache(tmp_path)
+    def test_config_change_misses(self, cache, built):
         cache.store(built)
         other = ScenarioConfig(
             n_weeks=12, scale=TINY.scale, deployment=TINY.deployment
@@ -97,8 +112,7 @@ class TestScenarioCache:
         assert cache.load(11, other) is None
         assert cache.load(12, TINY) is None
 
-    def test_execution_knob_change_hits(self, tmp_path, built):
-        cache = ScenarioCache(tmp_path)
+    def test_execution_knob_change_hits(self, cache, built):
         cache.store(built)
         parallel = ScenarioConfig(
             n_weeks=10,
@@ -109,25 +123,53 @@ class TestScenarioCache:
         )
         assert cache.load(11, parallel) is not None
 
-    def test_corrupt_entry_is_evicted_as_miss(self, tmp_path, built):
-        cache = ScenarioCache(tmp_path)
+    def test_corrupt_entry_is_evicted_as_miss(self, cache, built):
         path = cache.store(built)
         path.write_bytes(b"not a pickle")
         assert cache.load(11, TINY) is None
         assert not path.exists()
 
-    def test_non_scenario_pickle_is_evicted(self, tmp_path, built):
-        import pickle
-
-        cache = ScenarioCache(tmp_path)
+    def test_non_scenario_pickle_is_evicted(self, cache, built):
         path = cache.path_for(11, TINY)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(pickle.dumps({"not": "a run"}))
         assert cache.load(11, TINY) is None
         assert not path.exists()
 
-    def test_clear_removes_entries(self, tmp_path, built):
-        cache = ScenarioCache(tmp_path)
+    def test_record_with_a_valid_digest_but_wrong_fields_is_evicted(self, cache):
+        path = cache.path_for(11, TINY)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = pickle.dumps({"not": "a run"})
+        path.write_bytes(hashlib.sha256(payload).digest() + payload)
+        assert cache.load(11, TINY) is None
+        assert not path.exists()
+
+    def test_store_refuses_a_run_built_without_a_stage_store(self, cache):
+        with pytest.raises(ValueError, match="stage store"):
+            cache.store(PaperScenario(seed=11, config=TINY).run())
+
+    def test_record_is_small_and_holds_no_artifact(self, cache, built):
+        path = cache.store(built)
+        assert path.suffix == ".run"
+        assert path.stat().st_size < 64 * 1024
+        assert set(RUN_KEYS).isdisjoint(RECORD_FIELDS)
+
+    def test_missing_stage_entry_is_a_miss_that_keeps_the_record(
+        self, tmp_path, built
+    ):
+        stages = StageStore(tmp_path / "stages")
+        cache = ScenarioCache(tmp_path, stages)
+        run = cache.get_or_run(PaperScenario(seed=11, config=TINY))
+        fingerprint = stage_fingerprints(11, TINY)["epm"]
+        stages.path_for("epm", fingerprint).unlink()
+        assert cache.load(11, TINY) is None
+        assert cache.path_for(11, TINY).exists()
+        again = cache.get_or_run(PaperScenario(seed=11, config=TINY))
+        assert again.stage_cache["epm"] == "miss"
+        assert again.manifest.artifact_digests == run.manifest.artifact_digests
+        assert cache.load(11, TINY) is not None
+
+    def test_clear_removes_entries(self, cache, built):
         cache.store(built)
         assert cache.clear() == 1
         assert cache.load(11, TINY) is None

@@ -1,12 +1,10 @@
 """Cache round trips: corrupt entries and the paused cyclic GC.
 
-A corrupt entry must be a counted miss, never a crash: the unpickler
-can fail on flipped bytes with almost any exception type
-(``UnicodeDecodeError``, ``ValueError``, ``MemoryError``, ...), and
-every failed load must evict the entry and bump ``cache.evict``.  Some
-flips decode into a different but well-formed object and load
-silently; nothing short of a content digest on the entry catches those,
-so the tests count them without asserting on them.
+A corrupt entry must be a counted miss, never a crash and never a
+silent load: every entry starts with the SHA-256 of its payload, so a
+truncated or byte-flipped run record or stage entry fails the digest
+check before anything is unpickled, and every failed load must evict
+the entry and bump ``cache.evict``.
 
 Pickling and the whole stage pipeline run with the cyclic GC paused;
 the caller's collector must be back on once they return or raise.
@@ -27,21 +25,24 @@ from repro.obs.metrics import MetricsRegistry
 #: The CI smoke run's config (``repro run --scale 0.05 --weeks 8 --seed 7``).
 SEED = 7
 SMOKE = ScenarioConfig(n_weeks=8, scale=0.05)
-#: Corrupt copies tried per store and per corruption kind.
+#: Truncated copies tried per entry.
 COPIES = 60
+#: Byte-flipped copies tried per entry.
+FLIPS = 300
 
 
 @pytest.fixture(scope="module")
 def entries(tmp_path_factory):
-    """Intact bytes of the smoke run's whole-run and ``observe`` entries."""
+    """The smoke run's stage store, plus the intact bytes of its run
+    record and of its ``observe`` stage entry."""
     root = tmp_path_factory.mktemp("cache")
     cache = ScenarioCache(root)
-    store = StageStore(root / "stages")
-    cache.get_or_run(PaperScenario(SEED, SMOKE), stage_store=store)
+    cache.get_or_run(PaperScenario(SEED, SMOKE))
     fingerprint = stage_fingerprints(SEED, SMOKE)["observe"]
     return {
+        "stages": cache.stages,
         "run": cache.path_for(SEED, SMOKE).read_bytes(),
-        "observe": store.path_for("observe", fingerprint).read_bytes(),
+        "observe": cache.stages.path_for("observe", fingerprint).read_bytes(),
     }
 
 
@@ -57,15 +58,16 @@ def _flipped(blob: bytes, rng: random.Random) -> bytes:
     return bytes(out)
 
 
-def _load_corrupt_copies(kind, corrupt, entries, tmp_path):
-    """Load ``COPIES`` corrupt copies; returns ``(failed, silent)`` counts.
+def _load_corrupt_copies(kind, corrupt, entries, tmp_path, copies):
+    """Load ``copies`` corrupt copies; returns ``(failed, silent)`` counts.
 
     Asserts that no load raises and that every failed load evicted its
-    entry and bumped ``cache.evict`` exactly once.
+    entry and bumped ``cache.evict`` exactly once.  A run record is
+    loaded over the intact stage store, so only the record is corrupt.
     """
     rng = random.Random(f"{kind}-{corrupt.__name__}")
     if kind == "run":
-        store = ScenarioCache(tmp_path)
+        store = ScenarioCache(tmp_path, entries["stages"])
         path = store.path_for(SEED, SMOKE)
 
         def load():
@@ -83,7 +85,7 @@ def _load_corrupt_copies(kind, corrupt, entries, tmp_path):
     registry = MetricsRegistry()
     failed = silent = 0
     with obs_metrics.use(registry):
-        for _ in range(COPIES):
+        for _ in range(copies):
             path.write_bytes(corrupt(entries[kind], rng))
             evicted = registry.snapshot().counter("cache.evict")
             loaded = load()
@@ -100,49 +102,69 @@ def _load_corrupt_copies(kind, corrupt, entries, tmp_path):
 class TestCorruptEntries:
     @pytest.mark.parametrize("kind", ["run", "observe"])
     def test_every_truncation_is_an_evicted_miss(self, kind, entries, tmp_path):
-        failed, silent = _load_corrupt_copies(kind, _truncated, entries, tmp_path)
+        failed, silent = _load_corrupt_copies(
+            kind, _truncated, entries, tmp_path, COPIES
+        )
         assert (failed, silent) == (COPIES, 0)
 
     @pytest.mark.parametrize("kind", ["run", "observe"])
     def test_byte_flips_never_raise(self, kind, entries, tmp_path):
-        failed, silent = _load_corrupt_copies(kind, _flipped, entries, tmp_path)
-        # Silent loads are the measured gap a content digest would close.
-        assert failed + silent == COPIES
-        assert failed > 0
+        # Every flip is caught by the content digest: none loads silently.
+        failed, silent = _load_corrupt_copies(
+            kind, _flipped, entries, tmp_path, FLIPS
+        )
+        assert (failed, silent) == (FLIPS, 0)
+
+    def test_intact_entries_still_load(self, entries, tmp_path):
+        cache = ScenarioCache(tmp_path, entries["stages"])
+        cache.path_for(SEED, SMOKE).write_bytes(entries["run"])
+        assert cache.load(SEED, SMOKE) is not None
+
+    def test_entry_without_a_digest_is_an_evicted_miss(self, entries, tmp_path):
+        # An entry written before the digest existed is a bare pickle.
+        store = StageStore(tmp_path)
+        fingerprint = stage_fingerprints(SEED, SMOKE)["observe"]
+        bare = pickle.dumps(entries["stages"].load("observe", fingerprint))
+        path = store.path_for("observe", fingerprint)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(bare)
+        assert store.load("observe", fingerprint) is None
+        assert not path.exists()
 
 
 @pytest.fixture
 def gc_spy(monkeypatch):
-    """Record ``gc.isenabled()`` at every ``pickle.load``/``pickle.dump``."""
+    """Record ``gc.isenabled()`` at every ``pickle.loads``/``pickle.dumps``."""
     seen: dict[str, list[bool]] = {"load": [], "dump": []}
-    real_load, real_dump = pickle.load, pickle.dump
+    real_loads, real_dumps = pickle.loads, pickle.dumps
 
-    def load(*args, **kwargs):
+    def loads(*args, **kwargs):
         seen["load"].append(gc.isenabled())
-        return real_load(*args, **kwargs)
+        return real_loads(*args, **kwargs)
 
-    def dump(*args, **kwargs):
+    def dumps(*args, **kwargs):
         seen["dump"].append(gc.isenabled())
-        return real_dump(*args, **kwargs)
+        return real_dumps(*args, **kwargs)
 
-    monkeypatch.setattr(pickle, "load", load)
-    monkeypatch.setattr(pickle, "dump", dump)
+    monkeypatch.setattr(pickle, "loads", loads)
+    monkeypatch.setattr(pickle, "dumps", dumps)
     return seen
 
 
 class TestGCPause:
     def test_cache_pickling_runs_with_gc_paused(self, gc_spy, tmp_path):
         cache = ScenarioCache(tmp_path)
-        store = StageStore(tmp_path / "stages")
-        cache.get_or_run(PaperScenario(SEED, SMOKE), stage_store=store)
+        cache.get_or_run(PaperScenario(SEED, SMOKE))
         cache.load(SEED, SMOKE)
-        PaperScenario(SEED, SMOKE).run(stage_store=store)
+        PaperScenario(SEED, SMOKE).run(stage_store=cache.stages)
         # Misses fail at open(), before any unpickling: what pickles is
-        # one whole-run store and load, and every stage stored once by
-        # the cold run and loaded once by the replay.
+        # every stage stored once plus the run record by the cold run,
+        # then the record and the replay plan's entries loaded by the
+        # whole-run hit, and the plan's entries again by the stage replay.
         n_stages = len(stages.STAGES)
+        n_plan = len(stages.replay_plan(stages.STAGE_NAMES))
         assert gc_spy["dump"] == [False] * (n_stages + 1)
-        assert gc_spy["load"] == [False] * (n_stages + 1)
+        assert gc_spy["load"] == [False] * (1 + 2 * n_plan)
         assert gc.isenabled()
 
     def test_stage_compute_runs_with_gc_paused(self, monkeypatch):

@@ -21,14 +21,22 @@ from repro.core.invariants import InvariantPolicy
 from repro.experiments.cache import (
     CACHE_FORMAT,
     EXECUTION_ONLY_FIELDS,
+    ScenarioCache,
     StageStore,
     explain_stages,
     render_explanations,
     stage_fingerprints,
 )
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
-from repro.experiments.stages import STAGE_NAMES, STAGES, downstream_of
+from repro.experiments.stages import (
+    STAGE_NAMES,
+    STAGES,
+    downstream_of,
+    replay_plan,
+)
 from repro.honeypot.deployment import DeploymentConfig
+from repro.obs.manifest import artifact_digests
+from repro.obs.profile import PROFILE_ATTRS
 from repro.sandbox.clustering import ClusteringConfig
 from repro.sandbox.execution import SandboxConfig
 
@@ -190,6 +198,138 @@ class TestInvalidationMatrix:
         )
         assert partial.manifest.artifact_digests == scratch.manifest.artifact_digests
         assert partial.headline() == scratch.headline()
+
+
+def _corrupt(path) -> None:
+    """Flip one byte in the middle of a stored entry."""
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _stage_attributes(run) -> dict[str, dict]:
+    """Depth-1 span attributes, minus cache status and resource probes."""
+    return {
+        span.name: {
+            key: value
+            for key, value in span.attributes.items()
+            if key not in ("cache", *PROFILE_ATTRS)
+        }
+        for depth, span in run.trace.walk()
+        if depth == 1
+    }
+
+
+class TestReplayPlan:
+    """A replay reads only the stage entries the run uses.
+
+    ``enrich`` re-provides every upstream key, so with it stored the
+    ``deployment``, ``catalog`` and ``observe`` entries are never read;
+    an unreadable planned entry falls back to its skipped ancestors.
+    """
+
+    @pytest.fixture
+    def warm(self, tmp_path):
+        cache = ScenarioCache(tmp_path)
+        return cache, cache.get_or_run(PaperScenario(seed=SEED, config=BASE))
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Stages whose ``StageStore.load`` returned an entry, in order."""
+        seen: list[str] = []
+        real = StageStore.load
+
+        def spy(store, stage, fingerprint):
+            loaded = real(store, stage, fingerprint)
+            if loaded is not None:
+                seen.append(stage)
+            return loaded
+
+        monkeypatch.setattr(StageStore, "load", spy)
+        return seen
+
+    def test_plan_follows_the_provides_declarations(self):
+        assert replay_plan(STAGE_NAMES) == ("enrich", "epm", "bcluster")
+        assert replay_plan(ALL - {"bcluster"}) == ("enrich", "epm")
+        assert replay_plan(ALL - {"enrich", "epm", "bcluster"}) == (
+            "catalog",
+            "observe",
+        )
+        assert replay_plan(()) == ()
+
+    def test_whole_run_hit_reads_enrich_epm_and_bcluster(self, warm, reads):
+        cache, cold = warm
+        run = cache.load(SEED, BASE)
+        assert reads == ["enrich", "epm", "bcluster"]
+        assert artifact_digests(run) == cold.manifest.artifact_digests
+
+    def test_warm_stage_run_skips_the_upstream_entries(self, warm, reads):
+        cache, cold = warm
+        run = PaperScenario(seed=SEED, config=BASE).run(stage_store=cache.stages)
+        assert reads == ["enrich", "epm", "bcluster"]
+        assert run.stage_cache == {name: "hit" for name in STAGE_NAMES}
+        assert run.manifest.artifact_digests == cold.manifest.artifact_digests
+
+    def test_threshold_change_reads_enrich_and_epm(self, warm, reads):
+        cache, cold = warm
+        config = _variant(clustering=ClusteringConfig(threshold=0.5))
+        run = cache.get_or_run(PaperScenario(seed=SEED, config=config))
+        assert reads == ["enrich", "epm"]
+        assert {n for n, s in run.stage_cache.items() if s == "miss"} == {"bcluster"}
+        assert (
+            run.manifest.artifact_digests["dataset.events"]
+            == cold.manifest.artifact_digests["dataset.events"]
+        )
+
+    def test_corrupt_enrich_entry_recomputes_from_observe(self, warm, reads):
+        cache, cold = warm
+        _corrupt(cache.stages.path_for("enrich", stage_fingerprints(SEED, BASE)["enrich"]))
+        run = cache.get_or_run(PaperScenario(seed=SEED, config=BASE))
+        # The record's replay evicts the entry; the rebuild plans around it.
+        assert reads == ["catalog", "observe", "epm", "bcluster"]
+        assert run.stage_cache == {
+            name: "miss" if name == "enrich" else "hit" for name in STAGE_NAMES
+        }
+        assert run.manifest.artifact_digests == cold.manifest.artifact_digests
+        assert artifact_digests(run) == cold.manifest.artifact_digests
+
+    def test_unreadable_planned_entries_fall_back_to_skipped_ancestors(
+        self, warm, reads
+    ):
+        cache, cold = warm
+        fingerprints = stage_fingerprints(SEED, BASE)
+        for stage in ("observe", "enrich"):
+            _corrupt(cache.stages.path_for(stage, fingerprints[stage]))
+        run = PaperScenario(seed=SEED, config=BASE).run(stage_store=cache.stages)
+        # enrich was planned and is unreadable: it recomputes from the
+        # skipped catalog and observe entries, and observe (unreadable
+        # too) recomputes from the skipped deployment entry.
+        assert reads == ["catalog", "deployment", "epm", "bcluster"]
+        assert run.stage_cache == {
+            name: "miss" if name in ("observe", "enrich") else "hit"
+            for name in STAGE_NAMES
+        }
+        spans = {span.name: span for depth, span in run.trace.walk() if depth == 1}
+        assert spans["observe"].attributes["cache"] == "miss"
+        assert run.manifest.artifact_digests == cold.manifest.artifact_digests
+        again = PaperScenario(seed=SEED, config=BASE).run(stage_store=cache.stages)
+        assert again.stage_cache == {name: "hit" for name in STAGE_NAMES}
+
+    def test_warm_manifest_keeps_the_cold_span_attributes(self, warm):
+        cache, cold = warm
+        hit = cache.load(SEED, BASE)
+        replayed = PaperScenario(seed=SEED, config=BASE).run(stage_store=cache.stages)
+        assert _stage_attributes(hit) == _stage_attributes(cold)
+        assert _stage_attributes(replayed) == _stage_attributes(cold)
+
+    def test_entry_with_keys_other_than_provides_is_evicted(self, warm):
+        cache, _cold = warm
+        fingerprint = stage_fingerprints(SEED, BASE)["enrich"]
+        loaded = cache.stages.load("enrich", fingerprint)
+        del loaded["catalog"]
+        cache.stages.store("enrich", fingerprint, loaded, {"format": CACHE_FORMAT})
+        assert cache.stages.load("enrich", fingerprint) is None
+        assert not cache.stages.has("enrich", fingerprint)
 
 
 class TestExplain:

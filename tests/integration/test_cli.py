@@ -933,3 +933,42 @@ class TestServingCli:
             == 1
         )
         assert "error" in capsys.readouterr().err
+
+
+class TestCacheCommands:
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        return root
+
+    @pytest.mark.parametrize("flag", ["--cache-stages", "--no-cache-stages"])
+    def test_cache_stages_flag_is_an_argparse_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", *COMMON, "--cache", flag])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_ls_lists_records_and_stage_entries(self, cache_dir, capsys):
+        assert main(["run", *COMMON, "--cache"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "ls"]) == 0
+        out = capsys.readouterr().out
+        assert "run records" in out and "1 record(s)" in out
+        assert "6 artifact(s)" in out
+
+    def test_gc_removes_legacy_pickles_and_orphaned_records(self, cache_dir, capsys):
+        assert main(["run", *COMMON, "--cache"]) == 0
+        legacy = cache_dir / f"{'ab' * 32}.pkl"
+        legacy.write_bytes(b"a whole-run pickle from before run records")
+        (record,) = cache_dir.glob("*.run")
+        assert main(["cache", "gc"]) == 0
+        assert not legacy.exists()
+        assert record.exists()
+        (enrich,) = (cache_dir / "stages" / "enrich").glob("*.pkl")
+        enrich.unlink()
+        capsys.readouterr()
+        assert main(["cache", "gc"]) == 0
+        # The orphaned enrich sidecar and the record that needs the entry.
+        assert "removed 2 file(s)" in capsys.readouterr().out
+        assert not record.exists()

@@ -1,10 +1,12 @@
 """Validator coverage for the sketch payload and the manifest layout.
 
 A sketch whose bins lost observations must fail ``repro obs validate``
-loudly; a stored schema-6 manifest, whose drop accounting section the
-current layout no longer has, must still validate.
+loudly; a stored schema-6 manifest, whose drop accounting section and
+``events.dropped`` counters the current layout no longer has, must
+still validate.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from repro.obs.sketch import QuantileSketch
 from repro.obs.validate import METRIC_CATALOGUE, validate_manifest, validate_metrics
 
 ARCHITECTURE = Path(__file__).resolve().parents[2] / "docs" / "ARCHITECTURE.md"
+REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
 
 
 def _metrics_with_sketch(**sketch_overrides):
@@ -115,6 +118,33 @@ class TestManifestLayout:
         payload["schema"] = 6
         payload["event_drops"] = {"ring": {"cache.hit": 5}}
         assert validate_manifest(payload) == []
+
+
+class TestRetiredMetrics:
+    """A stored schema-6 run that dropped events carries the retired
+    ``events.dropped`` counter; it stays valid, a schema-7 run does not."""
+
+    DROPPED = "events.dropped{kind=stage.progress,transport=ring}"
+
+    @pytest.fixture
+    def reference(self):
+        return json.loads(REFERENCE.read_text(encoding="utf-8"))
+
+    def test_stored_schema_6_reference_with_a_drop_counter_validates(self, reference):
+        assert reference["schema"] == 6
+        reference["metrics"]["counters"][self.DROPPED] = 3
+        assert validate_manifest(reference) == []
+
+    def test_current_schema_rejects_the_retired_counter(self):
+        payload = _manifest_payload({self.DROPPED: 3})
+        assert payload["schema"] == 7
+        errors = validate_manifest(payload)
+        assert any("undocumented metric 'events.dropped'" in e for e in errors)
+
+    def test_bare_snapshot_rejects_the_retired_counter(self):
+        registry = MetricsRegistry()
+        registry.counter("events.dropped", kind="x", transport="ring").inc()
+        assert validate_metrics(registry.snapshot().as_dict()) != []
 
 
 def _documented_catalogue() -> dict[str, str]:

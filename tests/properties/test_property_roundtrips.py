@@ -83,7 +83,7 @@ def events(draw, event_id=0):
 
 class TestEventCodec:
     @given(events())
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     def test_dict_roundtrip(self, event):
         assert event_from_dict(event_to_dict(event)) == event
 
