@@ -1161,7 +1161,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    model = ModelArtifact.load(model_path)
+    try:
+        model = ModelArtifact.load(model_path)
+    except ValueError as error:  # JSONDecodeError, ValidationError
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 1
     classifier = ServingClassifier(model)
 
     def decode(text: str) -> AttackEvent:

@@ -9,8 +9,8 @@ artifact is stored once, in the stage layer:
   parents' fingerprints, chained content-address style.  A run replays
   every stage whose fingerprint is stored and recomputes only from the
   first invalidated stage down: changing the LSH threshold re-runs
-  ``bcluster`` alone while the ~17-month observation/enrichment
-  artifacts replay.
+  ``bcluster`` alone (a cut of the replayed ``bgraph`` similarity
+  graph) while the ~17-month observation/enrichment artifacts replay.
 * :class:`ScenarioCache` — the whole-run layer.  Its entry is a small
   *run record*: a :class:`~repro.experiments.scenario.ScenarioRun`
   without its eight stage artifacts (config, seed, grid, timings,
@@ -183,15 +183,28 @@ def scenario_fingerprint(seed: int, config: ScenarioConfig | None = None) -> str
     return _digest({"format": CACHE_FORMAT, "seed": seed, "config": payload})
 
 
+def _config_value(config_payload: Mapping, key: str) -> object:
+    """The canonical config value at a (dotted) key; ``None`` if absent."""
+    value: object = config_payload
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, Mapping) else None
+    return value
+
+
 def _stage_payload(
     spec: StageSpec, seed: int, config_payload: Mapping, fingerprints: Mapping[str, str]
 ) -> dict:
-    """The exact content a stage's fingerprint hashes (also the sidecar)."""
+    """The exact content a stage's fingerprint hashes (also the sidecar).
+
+    A dotted config key (``clustering.bands``) resolves through the
+    nested canonical payload, so a stage can depend on one field of a
+    sub-config without depending on its siblings.
+    """
     return {
         "format": CACHE_FORMAT,
         "stage": spec.name,
         "seed": seed,
-        "config": {key: config_payload.get(key) for key in spec.config_keys},
+        "config": {key: _config_value(config_payload, key) for key in spec.config_keys},
         "parents": {parent: fingerprints[parent] for parent in spec.parents},
     }
 

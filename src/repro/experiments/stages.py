@@ -1,13 +1,14 @@
 """The per-stage artifact DAG of the paper pipeline.
 
 The end-to-end scenario is a fixed topological order of expensive
-stages (deployment → catalog → observe → enrich → epm / bcluster).
-Each :class:`StageSpec` declares, explicitly, everything that can
-change the stage's output:
+stages (deployment → catalog → observe → enrich → epm / bgraph →
+bcluster).  Each :class:`StageSpec` declares, explicitly, everything
+that can change the stage's output:
 
 * ``config_keys`` — the :class:`~repro.experiments.scenario.ScenarioConfig`
   fields the stage reads (plus the master seed, which every stage
-  depends on through its named RNG substream);
+  depends on through its named RNG substream); a dotted key such as
+  ``clustering.bands`` names one field of a nested config;
 * ``parents`` — the upstream stages whose artifacts it consumes;
 * ``provides`` — the context keys the stage produces (or mutates: the
   ``observe`` stage re-provides ``deployment`` because observation
@@ -19,16 +20,23 @@ change the stage's output:
 That declaration is what the incremental cache layer
 (:mod:`repro.experiments.cache`) fingerprints: a stage's content
 address covers its config subset and its parents' fingerprints, so a
-changed LSH threshold re-keys ``bcluster`` alone while
-``deployment``/``catalog``/``observe``/``enrich``/``epm`` replay from
-the stage store.  :func:`execute_stages` is the runner both the cold
-and the incremental paths share — replay and recompute are the same
-loop, so cold, warm and partially-warm runs produce bit-identical
-artifacts by construction (the determinism matrix in
+changed LSH threshold re-keys ``bcluster`` alone while every other
+stage replays from the stage store.  B-clustering is split at the
+threshold for that reason: ``bgraph`` holds the threshold-free LSH
+similarity graph (it declares every clustering field but the
+threshold) and ``bcluster`` is its cut, so a threshold change costs a
+graph load and a union-find pass, not the MinHash/LSH work.
+
+:func:`execute_stages` is the runner both the cold and the
+incremental paths share — replay and recompute are the same loop, so
+cold, warm and partially-warm runs produce bit-identical artifacts by
+construction (the determinism matrix in
 ``tests/experiments/test_stage_cache.py`` enforces it).  A replay
 reads only the stored entries :func:`replay_plan` picks: a replay
 through ``enrich`` loads ``enrich``, ``epm`` and ``bcluster`` and
-skips the three upstream entries whose keys ``enrich`` re-provides.
+skips the three upstream entries whose keys ``enrich`` re-provides
+(and ``bgraph``, which the run itself never reads); a threshold change
+loads ``enrich``, ``epm`` and ``bgraph``.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from repro.malware.landscape import LandscapeGenerator
 from repro.obs import events as obs_events
 from repro.obs.log import get_logger
 from repro.sandbox.anubis import AnubisService
+from repro.sandbox.clustering import cut, similarity_graph
 from repro.sandbox.execution import Sandbox
 from repro.util.rng import RandomSource
 from repro.util.timegrid import TimeGrid
@@ -166,8 +175,25 @@ def _annotate_epm(ctx: StageContext, span) -> None:
     span.set(**ctx["epm"].counts())
 
 
+def _compute_bgraph(ctx: StageContext) -> None:
+    ctx.artifacts["bgraph"] = similarity_graph(
+        ctx["anubis"].profiles(), ctx.config.clustering
+    )
+
+
+def _annotate_bgraph(ctx: StageContext, span) -> None:
+    # A whole-run replay skips the graph's entry; the clustering carries
+    # the same count.
+    graph = ctx.artifacts.get("bgraph")
+    span.set(
+        candidate_pairs=graph.n_pairs
+        if graph is not None
+        else ctx["bclusters"].n_candidate_pairs
+    )
+
+
 def _compute_bcluster(ctx: StageContext) -> None:
-    bclusters = ctx["anubis"].cluster(ctx.config.clustering)
+    bclusters = cut(ctx["bgraph"], ctx.config.clustering.threshold)
     ctx.artifacts["bclusters"] = bclusters
     obs_events.active_bus().emit(
         "cluster.milestone", perspective="b", clusters=bclusters.n_clusters
@@ -182,7 +208,8 @@ def _annotate_bcluster(ctx: StageContext, span) -> None:
 
 
 #: The pipeline DAG in topological order.  ``config_keys`` subsets plus
-#: the seed are exactly what each stage's cache fingerprint covers —
+#: the seed are exactly what each stage's cache fingerprint covers (a
+#: dotted key names one field of a nested config) —
 #: the dependency-key table in ``docs/ARCHITECTURE.md`` mirrors this
 #: tuple, and the invalidation-matrix test asserts it key by key.
 STAGES: tuple[StageSpec, ...] = (
@@ -234,9 +261,25 @@ STAGES: tuple[StageSpec, ...] = (
         annotate=_annotate_epm,
     ),
     StageSpec(
+        name="bgraph",
+        # Every ClusteringConfig field but the threshold, which only the
+        # cut reads.
+        config_keys=(
+            "clustering.bands",
+            "clustering.rows",
+            "clustering.minhash_seed",
+            "clustering.minhash_backend",
+            "clustering.max_bucket_size",
+        ),
+        parents=("enrich",),
+        provides=("bgraph",),
+        compute=_compute_bgraph,
+        annotate=_annotate_bgraph,
+    ),
+    StageSpec(
         name="bcluster",
         config_keys=("clustering",),
-        parents=("enrich",),
+        parents=("bgraph",),
         provides=("bclusters",),
         compute=_compute_bcluster,
         annotate=_annotate_bcluster,
@@ -308,7 +351,7 @@ def replay_plan(stored: Collection[str]) -> tuple[str, ...]:
     no later loaded stage re-provides; a recomputing stage reads what
     its parents provide.  With every stage stored the plan is
     ``("enrich", "epm", "bcluster")``; with only ``bcluster`` missing it
-    is ``("enrich", "epm")``.
+    is ``("enrich", "epm", "bgraph")``.
     """
     needed = set(RUN_KEYS)
     loads: list[str] = []
@@ -353,30 +396,6 @@ def execute_stages(
     pending = set(skipped)
     statuses: dict[str, str] = {}
     spans: dict[str, object] = {}
-
-    def compute(spec: StageSpec) -> str:
-        if session is None:
-            spec.compute(ctx)
-            return "off"
-        missing = _READS[spec.name] - ctx.artifacts.keys()
-        upstream = STAGE_NAMES[: STAGE_NAMES.index(spec.name)]
-        providers = {
-            next(name for name in reversed(upstream) if key in _BY_NAME[name].provides)
-            for key in missing
-        }
-        for name in sorted(providers, key=STAGE_NAMES.index):
-            require(name in pending, f"stage {spec.name!r} lacks input from {name!r}")
-            pending.discard(name)
-            loaded = session.load(name)
-            if loaded is not None:
-                ctx.artifacts.update(loaded)
-            else:
-                statuses[name] = compute(_BY_NAME[name])
-                spans[name].set(cache=statuses[name])
-        spec.compute(ctx)
-        session.save(spec.name, {key: ctx.artifacts[key] for key in spec.provides})
-        return "miss"
-
     for spec in STAGES:
         with tracer.span(spec.name) as span:
             spans[spec.name] = span
@@ -388,7 +407,7 @@ def execute_stages(
                     ctx.artifacts.update(loaded)
                     status = "hit"
                 else:
-                    status = compute(spec)
+                    status = _compute_and_store(spec, ctx, session, pending, statuses, spans)
             span.set(cache=status)
             if session is not None:
                 span.set(fingerprint=session[spec.name][:12])
@@ -398,3 +417,45 @@ def execute_stages(
     for name in skipped:
         _BY_NAME[name].annotate(ctx, spans[name])
     return statuses
+
+
+def _compute_and_store(
+    spec: StageSpec,
+    ctx: StageContext,
+    session,
+    pending: set[str],
+    statuses: dict[str, str],
+    spans: dict[str, object],
+) -> str:
+    """Compute one stage (and store it); returns its cache status.
+
+    Skipped stages (``pending``) that provide what the stage reads but
+    the context lacks are loaded first, or recomputed if unreadable.
+    A module-level function rather than a closure in
+    :func:`execute_stages`: a closure that calls itself holds its own
+    cell, a reference cycle that would keep ``ctx`` — every artifact
+    of the run — alive until the next full cyclic collection.
+    """
+    if session is None:
+        spec.compute(ctx)
+        return "off"
+    missing = _READS[spec.name] - ctx.artifacts.keys()
+    upstream = STAGE_NAMES[: STAGE_NAMES.index(spec.name)]
+    providers = {
+        next(name for name in reversed(upstream) if key in _BY_NAME[name].provides)
+        for key in missing
+    }
+    for name in sorted(providers, key=STAGE_NAMES.index):
+        require(name in pending, f"stage {spec.name!r} lacks input from {name!r}")
+        pending.discard(name)
+        loaded = session.load(name)
+        if loaded is not None:
+            ctx.artifacts.update(loaded)
+        else:
+            statuses[name] = _compute_and_store(
+                _BY_NAME[name], ctx, session, pending, statuses, spans
+            )
+            spans[name].set(cache=statuses[name])
+    spec.compute(ctx)
+    session.save(spec.name, {key: ctx.artifacts[key] for key in spec.provides})
+    return "miss"

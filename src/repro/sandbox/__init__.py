@@ -12,8 +12,9 @@ The paper consumes two outputs of the Anubis platform:
 * **B-clusters** — the scalable behaviour clustering that avoids the
   O(n^2) distance matrix via locality-sensitive hashing
   (:mod:`repro.sandbox.lsh`) followed by single-linkage grouping at a
-  Jaccard threshold (:mod:`repro.sandbox.clustering`); an exact
-  quadratic baseline is provided for validation.
+  Jaccard threshold (:mod:`repro.sandbox.clustering`: a threshold-free
+  similarity graph, then a cut of it); an exact quadratic baseline is
+  provided for validation.
 """
 
 from repro.sandbox.behavior import BehaviorProfile, Feature
@@ -23,8 +24,11 @@ from repro.sandbox.lsh import MinHasher, LSHIndex
 from repro.sandbox.clustering import (
     BehaviorClustering,
     ClusteringConfig,
+    SimilarityGraph,
     cluster_exact,
     cluster_lsh,
+    cut,
+    similarity_graph,
 )
 from repro.sandbox.anubis import AnubisReport, AnubisService
 from repro.sandbox.reporting import diff_profiles, render_report, render_timeline
@@ -44,7 +48,10 @@ __all__ = [
     "MinHasher",
     "Sandbox",
     "SandboxConfig",
+    "SimilarityGraph",
     "Window",
     "cluster_exact",
     "cluster_lsh",
+    "cut",
+    "similarity_graph",
 ]

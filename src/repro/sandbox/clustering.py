@@ -13,6 +13,13 @@ the published system:
    components of the >=t similarity graph, computed here with
    union-find).
 
+The work splits at the threshold.  :func:`similarity_graph` does
+everything that does not depend on ``t`` — dedupe, MinHash, LSH
+candidates and their exact Jaccard — and :func:`cut` joins the pairs at
+or above ``t``.  :func:`cluster_lsh` is ``cut(similarity_graph(...))``;
+the pipeline stores the graph as its own stage, so a threshold change
+re-runs only the cut.
+
 :func:`cluster_exact` is the quadratic reference implementation used by
 tests and the scalability benchmark.
 """
@@ -20,6 +27,7 @@ tests and the scalability benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -171,14 +179,13 @@ def _dedupe(
 
 
 def _expand(
-    unique_labels: Mapping[int, int],
-    uniques: list[frozenset],
-    groups: dict[frozenset, list[str]],
+    unique_labels: Mapping[int, int], members: Sequence[Sequence[str]]
 ) -> dict[str, int]:
+    """Sample key -> label, where ``members[i]`` share unique profile ``i``."""
     assignment: dict[str, int] = {}
-    for index, features in enumerate(uniques):
+    for index, keys in enumerate(members):
         label = unique_labels[index]
-        for key in groups[features]:
+        for key in keys:
             assignment[key] = label
     return assignment
 
@@ -199,26 +206,26 @@ def cluster_exact(
             if jaccard(sets[i], sets[j]) >= config.threshold:
                 uf.union(i, j)
     labels = {i: uf.find(i) for i in range(len(uniques))}
-    assignment = _expand(labels, uniques, groups)
+    assignment = _expand(labels, [groups[features] for features in uniques])
     return BehaviorClustering.from_assignment(
         assignment, n_exact_comparisons=comparisons, n_candidate_pairs=comparisons
     )
 
 
-def _verify_pairs_vectorized(
-    feature_sets: Sequence[set],
-    pairs: Sequence[tuple[int, int]],
-    threshold: float,
+def _pair_similarities(
+    feature_sets: Sequence[set], pairs: np.ndarray | Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """Exact-Jaccard verdicts for all candidate pairs, as one bool vector.
+    """Exact Jaccard of every pair ``(i, j)``, as one float64 vector.
 
     Profiles are interned into a packed bit-matrix (one bit per distinct
     feature) and intersection sizes come from ``popcount(row_i & row_j)``
-    over pair chunks.  The verdict for pair ``(i, j)`` equals
-    ``jaccard(feature_sets[i], feature_sets[j]) >= threshold`` bit for
-    bit: intersection and union are the same integers, and the float
-    division is the same IEEE-754 operation :func:`jaccard` performs.
+    over pair chunks.  Each similarity equals
+    ``jaccard(feature_sets[i], feature_sets[j])`` bit for bit:
+    intersection and union are the same integers, and the float
+    division is the same IEEE-754 operation :func:`jaccard` performs —
+    so ``similarity >= t`` is exactly the scalar verdict at any ``t``.
     """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     vocabulary: dict = {}
     rows = [
         [vocabulary.setdefault(feature, len(vocabulary)) for feature in fs]
@@ -229,36 +236,51 @@ def _verify_pairs_vectorized(
         matrix[i, codes] = True
     packed = np.packbits(matrix, axis=1)
     sizes = np.array([len(fs) for fs in feature_sets], dtype=np.int64)
-    n_pairs = len(pairs)
-    ii = np.fromiter((pair[0] for pair in pairs), dtype=np.intp, count=n_pairs)
-    jj = np.fromiter((pair[1] for pair in pairs), dtype=np.intp, count=n_pairs)
-    verdicts = np.empty(n_pairs, dtype=bool)
+    similarity = np.empty(len(pairs), dtype=np.float64)
     chunk = 8192
-    for start in range(0, n_pairs, chunk):
-        stop = min(start + chunk, n_pairs)
-        left, right = ii[start:stop], jj[start:stop]
+    for start in range(0, len(pairs), chunk):
+        left, right = pairs[start : start + chunk, 0], pairs[start : start + chunk, 1]
         inter = np.bitwise_count(packed[left] & packed[right]).sum(
             axis=1, dtype=np.int64
         )
         union = sizes[left] + sizes[right] - inter
         # Two empty sets have Jaccard 1.0 by convention; guard the division.
         both_empty = union == 0
-        similarity = np.where(
+        similarity[start : start + chunk] = np.where(
             both_empty, 1.0, inter / np.where(both_empty, 1, union)
         )
-        verdicts[start:stop] = similarity >= threshold
-    return verdicts
+    return similarity
 
 
-def cluster_lsh(
+@dataclass
+class SimilarityGraph:
+    """The threshold-free half of B-clustering over one profile set.
+
+    ``members[i]`` are the sample keys whose profile is unique profile
+    ``i`` (dedupe order); ``pairs`` is the ``(n, 2)`` array of LSH
+    candidate pairs over those indices and ``similarity`` their exact
+    Jaccard.  :func:`cut` turns it into the clustering at any threshold.
+    """
+
+    members: list[list[str]]
+    pairs: np.ndarray
+    similarity: np.ndarray
+
+    @property
+    def n_pairs(self) -> int:
+        """Number of candidate pairs (each verified once)."""
+        return len(self.pairs)
+
+
+def similarity_graph(
     profiles: Mapping[str, BehaviorProfile],
     config: ClusteringConfig | None = None,
-) -> BehaviorClustering:
-    """Scalable clustering: LSH candidates + exact verification + union-find.
+) -> SimilarityGraph:
+    """Dedupe, LSH candidates and their exact Jaccard; ignores the threshold.
 
     The hot paths run as batch numpy kernels: MinHash signatures come
     from one :meth:`~repro.sandbox.lsh.MinHasher.signature_matrix` call
-    and every candidate pair is verified with packed-bit intersection
+    and every candidate pair's similarity from packed-bit intersection
     counts — bit-identical to per-profile
     :meth:`~repro.sandbox.lsh.MinHasher.signature` and per-pair
     :func:`~repro.util.stats.jaccard`, the references the tests
@@ -294,27 +316,48 @@ def cluster_lsh(
         for size in index.bucket_sizes():
             bucket_size.observe(size)
         registry.counter("lsh.buckets_skipped").inc(index.skipped_buckets)
-    uf = _UnionFind(list(range(len(uniques))))
-    comparisons = len(candidates)
     with tracer.span("lsh.verify") as span:
-        if candidates:
-            ordered = list(candidates)
-            verdicts = _verify_pairs_vectorized(
-                feature_sets, ordered, config.threshold
-            )
-            for (i, j), similar in zip(ordered, verdicts):
-                if similar:
-                    uf.union(i, j)
-        span.set(pairs_verified=comparisons)
-    labels = {i: uf.find(i) for i in range(len(uniques))}
-    assignment = _expand(labels, uniques, groups)
-    result = BehaviorClustering.from_assignment(
-        assignment,
-        n_exact_comparisons=comparisons,
-        n_candidate_pairs=len(candidates),
-    )
+        pairs = np.fromiter(
+            chain.from_iterable(candidates), dtype=np.intp, count=2 * len(candidates)
+        ).reshape(-1, 2)
+        similarity = _pair_similarities(feature_sets, pairs)
+        span.set(pairs_verified=len(pairs))
     registry.gauge("lsh.unique_profiles").set(len(uniques))
-    registry.counter("lsh.candidate_pairs").inc(len(candidates))
-    registry.counter("lsh.pairs_verified").inc(comparisons)
-    registry.gauge("lsh.clusters").set(result.n_clusters)
+    registry.counter("lsh.candidate_pairs").inc(len(pairs))
+    registry.counter("lsh.pairs_verified").inc(len(pairs))
+    return SimilarityGraph(
+        members=[groups[features] for features in uniques],
+        pairs=pairs,
+        similarity=similarity,
+    )
+
+
+def cut(graph: SimilarityGraph, threshold: float) -> BehaviorClustering:
+    """Single-linkage clusters of ``graph`` at Jaccard ``threshold``.
+
+    The connected components of the pairs whose similarity is at least
+    ``threshold``; union order cannot matter, because
+    :meth:`BehaviorClustering.from_assignment` renumbers the components.
+    """
+    require_probability(threshold, "threshold")
+    n_unique = len(graph.members)
+    uf = _UnionFind(list(range(n_unique)))
+    for i, j in graph.pairs[graph.similarity >= threshold].tolist():
+        uf.union(i, j)
+    labels = {i: uf.find(i) for i in range(n_unique)}
+    result = BehaviorClustering.from_assignment(
+        _expand(labels, graph.members),
+        n_exact_comparisons=graph.n_pairs,
+        n_candidate_pairs=graph.n_pairs,
+    )
+    obs_metrics.active().gauge("lsh.clusters").set(result.n_clusters)
     return result
+
+
+def cluster_lsh(
+    profiles: Mapping[str, BehaviorProfile],
+    config: ClusteringConfig | None = None,
+) -> BehaviorClustering:
+    """Scalable clustering: LSH candidates + exact verification + union-find."""
+    config = config or ClusteringConfig()
+    return cut(similarity_graph(profiles, config), config.threshold)

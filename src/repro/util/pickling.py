@@ -9,7 +9,21 @@ over the whole heap) and took 0.44–0.63 s with the collector on and
 0.18–0.22 s with it off.  :func:`gc_paused` turns the collector off
 for one region and puts the caller's setting back afterwards.
 Reference counting still frees acyclic garbage inside the region; only
-cycles wait for the next collection after it.
+cycles wait for a collection after it.
+
+Turning the collector back on is not enough by itself: every object the
+region allocated is still in generation 0, so the next allocations
+trigger a young collection that walks the whole loaded run, and its
+survivors are walked again by the generation-1 collections after it:
+a first visit plus a revisit of an LSH threshold through the warm
+paper-config cache ran 2 collections costing 0.19–0.27 s (2-core
+container), against none with promotion.
+An outermost region that exits normally therefore promotes its
+survivors straight to the oldest generation (``gc.freeze()`` then
+``gc.unfreeze()``, both constant-time list splices) before re-enabling
+the collector.  The price is that cyclic garbage made inside the region
+waits for a full collection; the pipeline's runs hold no cycles, so a
+dropped run is still freed by reference counting alone.
 
 :func:`field_tuple_state` replaces the stdlib's pickle hooks for
 ``@dataclass(frozen=True, slots=True)`` records, which call
@@ -38,6 +52,11 @@ def gc_paused() -> Iterator[None]:
     caller — the pause is a no-op and leaves the collector disabled.
     The collector's state is process-global, so concurrent threads share
     one pause; the thread that opened it closes it.
+
+    When the region that disabled the collector exits normally, the
+    objects it leaves alive move to the oldest generation (see the
+    module docstring), and so does anything a caller had frozen with
+    ``gc.freeze()``; a raising body only re-enables the collector.
     """
     if not gc.isenabled():
         yield
@@ -45,8 +64,12 @@ def gc_paused() -> Iterator[None]:
     gc.disable()
     try:
         yield
-    finally:
+    except BaseException:
         gc.enable()
+        raise
+    gc.freeze()
+    gc.unfreeze()
+    gc.enable()
 
 
 def field_tuple_state(cls: T) -> T:

@@ -8,11 +8,15 @@ the entry and bump ``cache.evict``.
 
 Pickling and the whole stage pipeline run with the cyclic GC paused;
 the caller's collector must be back on once they return or raise.
+The pause promotes a run's survivors to the oldest generation, so a
+dropped run must be freed by reference counting alone: no run may hold
+its artifacts in a reference cycle.
 """
 
 import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -21,10 +25,15 @@ from repro.experiments.cache import ScenarioCache, StageStore, stage_fingerprint
 from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
+from repro.sandbox.clustering import ClusteringConfig
 
 #: The CI smoke run's config (``repro run --scale 0.05 --weeks 8 --seed 7``).
 SEED = 7
 SMOKE = ScenarioConfig(n_weeks=8, scale=0.05)
+#: The smoke config at another LSH threshold (only ``bcluster`` re-keys).
+THRESHOLD = ScenarioConfig(
+    n_weeks=8, scale=0.05, clustering=ClusteringConfig(threshold=0.5)
+)
 #: Truncated copies tried per entry.
 COPIES = 60
 #: Byte-flipped copies tried per entry.
@@ -163,6 +172,7 @@ class TestGCPause:
         # whole-run hit, and the plan's entries again by the stage replay.
         n_stages = len(stages.STAGES)
         n_plan = len(stages.replay_plan(stages.STAGE_NAMES))
+        assert (n_stages, n_plan) == (7, 3)
         assert gc_spy["dump"] == [False] * (n_stages + 1)
         assert gc_spy["load"] == [False] * (1 + 2 * n_plan)
         assert gc.isenabled()
@@ -189,3 +199,28 @@ class TestGCPause:
         with pytest.raises(RuntimeError, match="stage failed"):
             PaperScenario(SEED, SMOKE).run()
         assert gc.isenabled()
+
+
+class TestAcyclicRuns:
+    @pytest.mark.parametrize("build", ["cold", "cache-fill", "whole-run-hit", "threshold"])
+    def test_no_artifact_outlives_its_run(self, build, tmp_path):
+        """With the collector off, ``del run`` alone frees every artifact."""
+        cache = ScenarioCache(tmp_path)
+        if build in ("whole-run-hit", "threshold"):
+            cache.get_or_run(PaperScenario(SEED, SMOKE))
+        builds = {
+            "cold": lambda: PaperScenario(SEED, SMOKE).run(),
+            "cache-fill": lambda: cache.get_or_run(PaperScenario(SEED, SMOKE)),
+            "whole-run-hit": lambda: cache.load(SEED, SMOKE),
+            "threshold": lambda: cache.get_or_run(PaperScenario(SEED, THRESHOLD)),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            run = builds[build]()
+            refs = {key: weakref.ref(getattr(run, key)) for key in stages.RUN_KEYS}
+            del run
+            alive = sorted(key for key, ref in refs.items() if ref() is not None)
+        finally:
+            gc.enable()
+        assert alive == []

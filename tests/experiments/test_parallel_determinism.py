@@ -75,6 +75,7 @@ class TestBackendDeterminism:
             "observe",
             "enrich",
             "epm",
+            "bgraph",
             "bcluster",
             "windows",
         }

@@ -33,6 +33,7 @@ from repro.experiments.stages import (
     STAGES,
     downstream_of,
     replay_plan,
+    stage_spec,
 )
 from repro.honeypot.deployment import DeploymentConfig
 from repro.obs.manifest import artifact_digests
@@ -66,17 +67,17 @@ MATRIX = [
     ),
     pytest.param(
         _variant(n_weeks=12),
-        frozenset({"catalog", "observe", "enrich", "epm", "bcluster"}),
+        frozenset({"catalog", "observe", "enrich", "epm", "bgraph", "bcluster"}),
         id="n_weeks",
     ),
     pytest.param(
         _variant(scale=0.08),
-        frozenset({"catalog", "observe", "enrich", "epm", "bcluster"}),
+        frozenset({"catalog", "observe", "enrich", "epm", "bgraph", "bcluster"}),
         id="scale",
     ),
     pytest.param(
         _variant(sandbox=SandboxConfig(noise_multiplier=2.0)),
-        frozenset({"enrich", "epm", "bcluster"}),
+        frozenset({"enrich", "epm", "bgraph", "bcluster"}),
         id="sandbox",
     ),
     pytest.param(
@@ -88,6 +89,11 @@ MATRIX = [
         _variant(clustering=ClusteringConfig(threshold=0.5)),
         frozenset({"bcluster"}),
         id="clustering",
+    ),
+    pytest.param(
+        _variant(clustering=ClusteringConfig(bands=10)),
+        frozenset({"bgraph", "bcluster"}),
+        id="clustering.bands",
     ),
 ]
 
@@ -115,6 +121,16 @@ class TestStageFingerprints:
             executor="thread", jobs=2, events="e.jsonl", progress=True, windows=0
         )
         assert stage_fingerprints(SEED, BASE) == stage_fingerprints(SEED, parallel)
+
+    def test_bgraph_declares_every_clustering_field_but_the_threshold(self):
+        # A ClusteringConfig field the graph does not declare would let a
+        # changed LSH shape reuse a stale graph.
+        keys = stage_spec("bgraph").config_keys
+        assert all(key.startswith("clustering.") for key in keys)
+        declared = {key.removeprefix("clustering.") for key in keys}
+        fields = {f.name for f in dataclasses.fields(ClusteringConfig)}
+        assert declared == fields - {"threshold"}
+        assert stage_spec("bcluster").config_keys == ("clustering",)
 
     def test_execution_only_fields_are_config_fields(self):
         # A removed knob must not leave a stale name behind.
@@ -250,8 +266,9 @@ class TestReplayPlan:
 
     def test_plan_follows_the_provides_declarations(self):
         assert replay_plan(STAGE_NAMES) == ("enrich", "epm", "bcluster")
-        assert replay_plan(ALL - {"bcluster"}) == ("enrich", "epm")
-        assert replay_plan(ALL - {"enrich", "epm", "bcluster"}) == (
+        assert replay_plan(ALL - {"bcluster"}) == ("enrich", "epm", "bgraph")
+        assert replay_plan(ALL - {"bgraph", "bcluster"}) == ("enrich", "epm")
+        assert replay_plan(ALL - {"enrich", "epm", "bgraph", "bcluster"}) == (
             "catalog",
             "observe",
         )
@@ -270,15 +287,36 @@ class TestReplayPlan:
         assert run.stage_cache == {name: "hit" for name in STAGE_NAMES}
         assert run.manifest.artifact_digests == cold.manifest.artifact_digests
 
-    def test_threshold_change_reads_enrich_and_epm(self, warm, reads):
+    def test_threshold_change_reads_enrich_epm_and_bgraph(self, warm, reads):
         cache, cold = warm
         config = _variant(clustering=ClusteringConfig(threshold=0.5))
         run = cache.get_or_run(PaperScenario(seed=SEED, config=config))
-        assert reads == ["enrich", "epm"]
+        # The threshold-free graph replays; only its cut recomputes.
+        assert reads == ["enrich", "epm", "bgraph"]
         assert {n for n, s in run.stage_cache.items() if s == "miss"} == {"bcluster"}
         assert (
             run.manifest.artifact_digests["dataset.events"]
             == cold.manifest.artifact_digests["dataset.events"]
+        )
+
+    def test_threshold_change_emits_only_the_cut_telemetry(self, warm):
+        # A replayed graph opens no lsh.* span and emits no lsh.* metric;
+        # the recomputed cut sets lsh.clusters.
+        cache, cold = warm
+        config = _variant(clustering=ClusteringConfig(threshold=0.5))
+        run = PaperScenario(seed=SEED, config=config).run(stage_store=cache.stages)
+        names = {span.name for _depth, span in run.trace.walk()}
+        assert not any(name.startswith("lsh.") for name in names)
+        assert run.metrics.names() & {
+            "lsh.unique_profiles",
+            "lsh.candidate_pairs",
+            "lsh.pairs_verified",
+            "lsh.bucket_size",
+            "lsh.buckets_skipped",
+        } == set()
+        assert run.metrics.gauge("lsh.clusters") == run.bclusters.n_clusters
+        assert cold.metrics.counter("lsh.candidate_pairs") == (
+            run.bclusters.n_candidate_pairs
         )
 
     def test_corrupt_enrich_entry_recomputes_from_observe(self, warm, reads):
@@ -343,7 +381,7 @@ class TestExplain:
     def test_unchanged_config_forecasts_all_hits(self, store):
         explanations = explain_stages(SEED, BASE, store)
         assert all(e.cached for e in explanations)
-        assert "6/6" in render_explanations(explanations)
+        assert "7/7" in render_explanations(explanations)
 
     def test_empty_store_blames_no_prior_artifact(self, tmp_path):
         explanations = explain_stages(SEED, BASE, StageStore(tmp_path))
@@ -356,12 +394,26 @@ class TestExplain:
         assert sum(1 for e in by_stage.values() if not e.cached) == 1
         causes = by_stage["bcluster"].causes
         assert any(cause.startswith("config:clustering.threshold") for cause in causes)
+        assert not any(
+            cause.startswith("config:clustering.threshold")
+            for explanation in by_stage.values()
+            if explanation.stage != "bcluster"
+            for cause in explanation.causes
+        )
+
+    def test_lsh_shape_change_blames_the_graph_key(self, store):
+        perturbed = _variant(clustering=ClusteringConfig(bands=10))
+        by_stage = {e.stage: e for e in explain_stages(SEED, perturbed, store)}
+        assert {s for s, e in by_stage.items() if not e.cached} == {"bgraph", "bcluster"}
+        assert by_stage["bgraph"].causes == ("config:clustering.bands 20 -> 10",)
+        assert "upstream:bgraph" in by_stage["bcluster"].causes
 
     def test_downstream_stage_blames_its_upstream(self, store):
         perturbed = _variant(sandbox=SandboxConfig(noise_multiplier=2.0))
         by_stage = {e.stage: e for e in explain_stages(SEED, perturbed, store)}
         assert "upstream:enrich" in by_stage["epm"].causes
-        assert "upstream:enrich" in by_stage["bcluster"].causes
+        assert "upstream:enrich" in by_stage["bgraph"].causes
+        assert "upstream:bgraph" in by_stage["bcluster"].causes
 
     def test_seed_change_blames_the_seed(self, store):
         explanations = explain_stages(SEED + 1, BASE, store)

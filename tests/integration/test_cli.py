@@ -926,6 +926,34 @@ class TestServingCli:
             == 2
         )
 
+    @pytest.mark.parametrize("mode", ["--event", "--batch"])
+    @pytest.mark.parametrize(
+        "fault, error_type",
+        [("schema", "ValidationError"), ("truncated", "JSONDecodeError")],
+    )
+    def test_unloadable_model_is_one_error_line(
+        self, capsys, tmp_path, mode, fault, error_type
+    ):
+        import json
+
+        target = self._export(tmp_path)
+        text = target.read_text(encoding="utf-8")
+        if fault == "schema":
+            payload = json.loads(text)
+            payload["schema"] = 99
+            target.write_text(json.dumps(payload), encoding="utf-8")
+        else:
+            target.write_text(text[: len(text) // 2], encoding="utf-8")
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text("{}\n", encoding="utf-8")
+        source = "{}" if mode == "--event" else str(batch)
+        capsys.readouterr()
+        assert main(["classify", "--model", str(target), mode, source]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {error_type}: ")
+
     def test_classify_missing_model_fails_cleanly(self, tmp_path, store_dir, capsys):
         assert (
             main(["classify", "--model", str(tmp_path / "nope.json"),
@@ -955,7 +983,7 @@ class TestCacheCommands:
         assert main(["cache", "ls"]) == 0
         out = capsys.readouterr().out
         assert "run records" in out and "1 record(s)" in out
-        assert "6 artifact(s)" in out
+        assert "7 artifact(s)" in out
 
     def test_gc_removes_legacy_pickles_and_orphaned_records(self, cache_dir, capsys):
         assert main(["run", *COMMON, "--cache"]) == 0

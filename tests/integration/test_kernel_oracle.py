@@ -15,8 +15,8 @@ and demands exact equality:
   every ``ServingClassifier`` single and batch answer against a freshly
   built ``Classification`` of the scanned pattern;
 * B-clusters — per-profile ``MinHasher.signature`` candidates, each
-  pair verified by ``jaccard(...) >= threshold``, joined by connected
-  components.
+  pair's similarity equal to ``jaccard(...)`` and verified by
+  ``jaccard(...) >= threshold``, joined by connected components.
 """
 
 from types import SimpleNamespace
@@ -36,7 +36,7 @@ from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.sandbox.clustering import (
     BehaviorClustering,
     _dedupe,
-    _verify_pairs_vectorized,
+    _pair_similarities,
 )
 from repro.sandbox.lsh import LSHIndex, MinHasher
 from repro.serve.classifier import Classification, ServingClassifier
@@ -250,10 +250,11 @@ class TestLshOracle:
     def test_verdicts_match_per_pair_jaccard(self, run, reference):
         _groups, _uniques, feature_sets, pairs, verdicts = reference
         assert any(verdicts) and not all(verdicts)  # both outcomes exercised
-        batch = _verify_pairs_vectorized(
-            feature_sets, pairs, run.config.clustering.threshold
-        )
-        assert batch.tolist() == verdicts
+        similarity = _pair_similarities(feature_sets, pairs)
+        assert similarity.tolist() == [
+            jaccard(feature_sets[i], feature_sets[j]) for i, j in pairs
+        ]
+        assert (similarity >= run.config.clustering.threshold).tolist() == verdicts
 
     def test_clustering_matches_reference_components(self, run, reference):
         groups, uniques, _feature_sets, pairs, verdicts = reference

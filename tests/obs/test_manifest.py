@@ -149,6 +149,7 @@ class TestScenarioManifest:
             "observe",
             "enrich",
             "epm",
+            "bgraph",
             "bcluster",
             "windows",
         }

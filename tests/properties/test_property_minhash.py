@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from repro.sandbox.behavior import BehaviorProfile
 from repro.sandbox.clustering import (
     ClusteringConfig,
-    _verify_pairs_vectorized,
+    _pair_similarities,
     cluster_exact,
     cluster_lsh,
+    cut,
+    similarity_graph,
 )
 from repro.sandbox.lsh import MinHasher
 from repro.util.stats import jaccard
@@ -118,14 +120,35 @@ class TestClusteringEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_batch_verdicts_match_per_pair_jaccard(self, label_sets, threshold):
-        """The packed-bit verifier equals ``jaccard(a, b) >= t`` on every pair."""
+        """The packed-bit kernel's similarity is ``jaccard(a, b)`` exactly,
+        so its verdict at any ``t`` is the scalar ``jaccard(a, b) >= t``."""
         feature_sets = [
             {("file", f"obj{label}", "create") for label in labels}
             for labels in label_sets
         ]
         n = len(feature_sets)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        verdicts = _verify_pairs_vectorized(feature_sets, pairs, threshold)
-        assert verdicts.tolist() == [
-            jaccard(feature_sets[i], feature_sets[j]) >= threshold for i, j in pairs
-        ]
+        similarity = _pair_similarities(feature_sets, pairs)
+        reference = [jaccard(feature_sets[i], feature_sets[j]) for i, j in pairs]
+        assert similarity.tolist() == reference
+        assert (similarity >= threshold).tolist() == [s >= threshold for s in reference]
+
+    @given(
+        st.lists(label_set, min_size=1, max_size=25),
+        st.lists(st.integers(min_value=40, max_value=96), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_graph_cut_at_any_threshold_equals_cluster_lsh(
+        self, label_sets, percents
+    ):
+        """The graph is threshold-free: cutting one graph at ``t`` gives
+        what a from-scratch :func:`cluster_lsh` at ``t`` gives."""
+        profiles = _profiles_from(label_sets)
+        graph = similarity_graph(profiles, ClusteringConfig())
+        for percent in percents:
+            config = ClusteringConfig(threshold=percent / 100)
+            via_graph = cut(graph, config.threshold)
+            direct = cluster_lsh(profiles, config)
+            assert via_graph.assignment == direct.assignment
+            assert via_graph.clusters == direct.clusters
+            assert via_graph.n_candidate_pairs == direct.n_candidate_pairs

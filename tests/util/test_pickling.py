@@ -33,6 +33,28 @@ def _gc_enabled():
     assert gc.isenabled()
 
 
+def _generation_of(obj: object) -> int | None:
+    """The collector generation tracking ``obj`` (``None`` if untracked)."""
+    for generation in range(3):
+        if any(tracked is obj for tracked in gc.get_objects(generation=generation)):
+            return generation
+    return None
+
+
+@pytest.fixture
+def freezes(monkeypatch):
+    """One ``True`` per ``gc.freeze()`` call (the call still runs)."""
+    seen: list[bool] = []
+    real = gc.freeze
+
+    def spy():
+        seen.append(True)
+        real()
+
+    monkeypatch.setattr(gc, "freeze", spy)
+    return seen
+
+
 class TestGCPaused:
     def test_disables_inside_and_restores_on_exit(self):
         with gc_paused():
@@ -60,6 +82,38 @@ class TestGCPaused:
                 assert not gc.isenabled()
             assert not gc.isenabled()
         assert gc.isenabled()
+
+    def test_outermost_pause_promotes_its_survivors(self):
+        # Survivors skip the young generations: no young collection
+        # walks a freshly loaded run again.
+        with gc_paused():
+            survivor = [[] for _ in range(100)]
+            assert _generation_of(survivor) == 0
+        assert _generation_of(survivor) == 2
+
+    def test_nested_pause_does_not_promote(self, freezes):
+        with gc_paused():
+            with gc_paused():
+                survivor = []
+            assert freezes == []
+            assert _generation_of(survivor) == 0
+        assert freezes == [True]
+
+    def test_caller_disabled_pause_does_not_promote(self, freezes):
+        gc.disable()
+        try:
+            with gc_paused():
+                survivor = []
+            assert _generation_of(survivor) == 0
+        finally:
+            gc.enable()
+        assert freezes == []
+
+    def test_raising_body_does_not_promote(self, freezes):
+        with pytest.raises(RuntimeError, match="boom"):
+            with gc_paused():
+                raise RuntimeError("boom")
+        assert freezes == []
 
     def test_decorated_function_pauses_every_call(self):
         seen = []
