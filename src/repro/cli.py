@@ -44,7 +44,8 @@ The artifact caches live under ``repro cache``::
 The longitudinal toolkit lives under ``repro obs``::
 
     python -m repro obs list                    # stored runs
-    python -m repro obs diff A B                # cross-run regression diff
+    python -m repro obs diff A B                # digests, metrics, per-stage cost
+    python -m repro obs diff A B --json         # the same, machine-readable
     python -m repro obs history lsh.clusters    # drift time series per config
     python -m repro obs tail events.jsonl --follow  # live event stream
     python -m repro obs export RUN --format prometheus
@@ -55,7 +56,6 @@ The longitudinal toolkit lives under ``repro obs``::
     python -m repro obs dashboard events.jsonl -f   # live landscape + machine
     python -m repro obs query 'metric:lsh.clusters' --agg p50  # cross-run analytics
     python -m repro obs regress --fail-on critical  # trend-aware regression scan
-    python -m repro obs cost A B                    # per-stage cost attribution
     python -m repro obs validate --runs results/runs
 """
 
@@ -373,17 +373,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     diff_p = obs_sub.add_parser(
-        "diff", help="compare two runs: digests, metrics, timings"
+        "diff",
+        help="compare two runs: digests, metrics, per-stage timings and "
+        "the cost of a config delta",
     )
     add_store(diff_p)
     diff_p.add_argument("ref_a", help="reference run: id, id prefix or manifest path")
     diff_p.add_argument("ref_b", help="candidate run: id, id prefix or manifest path")
-    diff_p.add_argument(
-        "--timing-tolerance",
-        type=float,
-        default=None,
-        help="stage wall-time ratio treated as a regression (default 1.5)",
-    )
+    add_json(diff_p)
     diff_p.add_argument(
         "--fail-on-timing",
         action="store_true",
@@ -605,15 +602,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_json(regress_p)
 
-    cost_p = obs_sub.add_parser(
-        "cost",
-        help="per-stage cost attribution of a config delta between two runs",
-    )
-    add_store(cost_p)
-    cost_p.add_argument("ref_a", help="reference run: id, id prefix or manifest path")
-    cost_p.add_argument("ref_b", help="candidate run: id, id prefix or manifest path")
-    add_json(cost_p)
-
     validate_p = obs_sub.add_parser(
         "validate", help="validate emitted JSON and/or every stored run"
     )
@@ -824,18 +812,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return _cmd_obs_query(args, store)
     if args.obs_command == "regress":
         return _cmd_obs_regress(args, store)
-    if args.obs_command == "cost":
-        from repro.obs.query import attribute_cost
-
-        report = attribute_cost(
-            store.load_payload(args.ref_a),
-            store.load_payload(args.ref_b),
-        )
-        print(report.to_json() if args.json else report.render())
-        return 0
     if args.obs_command == "diff":
         from repro.obs.diff import diff_manifests
-        from repro.obs.health import TIMING_TOLERANCE
 
         def events_for(ref: str):
             try:
@@ -846,16 +824,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         diff = diff_manifests(
             store.load_payload(args.ref_a),
             store.load_payload(args.ref_b),
-            timing_tolerance=(
-                TIMING_TOLERANCE
-                if args.timing_tolerance is None
-                else args.timing_tolerance
-            ),
             events_a=events_for(args.ref_a),
             events_b=events_for(args.ref_b),
         )
         code = 1 if diff.failed(fail_on_timing=args.fail_on_timing) else 0
-        return _until_reader_closes(lambda: print(diff.render()), code)
+        rendered = diff.to_json() if args.json else diff.render()
+        return _until_reader_closes(lambda: print(rendered), code)
     if args.obs_command == "tail":
         from repro.obs.events import iter_events, matches, parse_filters, render_event
 
@@ -874,10 +848,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         from repro.obs.export import export_payload
 
         payload = store.load_payload(args.ref)
-        try:
-            windows = store.load_windows(args.ref)
-        except Exception:  # bare snapshot files resolve to no sidecar
-            windows = None
+        windows = store.load_windows(args.ref)
         if windows is not None:
             payload = {**payload, "windows": windows}
         rendered = export_payload(payload, args.format)
@@ -1011,8 +982,6 @@ def _cmd_obs_health(args: argparse.Namespace, store) -> int:
 
 
 def _cmd_obs_dashboard(args: argparse.Namespace, store) -> int:
-    import json
-
     from repro.obs.dashboard import dashboard_from_events, follow_dashboard, render_dashboard
     from repro.obs.events import iter_events
     from repro.obs.health import evaluate_health
@@ -1032,7 +1001,7 @@ def _cmd_obs_dashboard(args: argparse.Namespace, store) -> int:
     else:
         windows = health = None
         if ref_path.is_file():
-            payload = json.loads(ref_path.read_text(encoding="utf-8"))
+            payload = store.load_payload(args.ref)
             if "window_weeks" in payload and "series" in payload:
                 windows = payload
         if windows is None:

@@ -47,7 +47,7 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from repro.experiments.scenario import PaperScenario, ScenarioConfig, ScenarioRun
 from repro.experiments.stages import (
@@ -61,7 +61,7 @@ from repro.experiments.stages import (
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
-from repro.util.canonical import canonicalize
+from repro.util.canonical import canonicalize, flatten_canonical, mapping_delta
 from repro.util.clock import timestamp
 from repro.util.pickling import gc_paused
 from repro.util.validation import require
@@ -652,27 +652,14 @@ class StageExplanation:
         return line
 
 
-def _flatten_config(value: object, prefix: str = "") -> Iterator[tuple[str, object]]:
-    """Dotted leaf paths of a canonical config payload (type tags skipped)."""
-    if isinstance(value, Mapping):
-        for key, sub in value.items():
-            if key == "__type__":
-                continue
-            yield from _flatten_config(sub, f"{prefix}.{key}" if prefix else str(key))
-    else:
-        yield prefix, value
-
-
 def _config_diffs(old: Mapping, new: Mapping) -> list[str]:
     """``config:<path> <old> -> <new>`` lines between two key subsets."""
-    flat_old = dict(_flatten_config(old))
-    flat_new = dict(_flatten_config(new))
-    lines = []
-    for path in sorted(set(flat_old) | set(flat_new)):
-        a, b = flat_old.get(path), flat_new.get(path)
-        if a != b:
-            lines.append(f"config:{path} {a!r} -> {b!r}")
-    return lines
+    return [
+        f"config:{path} {a!r} -> {b!r}"
+        for path, (a, b) in mapping_delta(
+            flatten_canonical(old), flatten_canonical(new)
+        ).items()
+    ]
 
 
 def explain_stages(

@@ -18,9 +18,11 @@ near-free when off:
 * :mod:`repro.obs.history` — the append-only, content-addressed run
   store (``results/runs``) that turns per-run manifests into a
   longitudinal record;
-* :mod:`repro.obs.diff` — cross-run manifest diffs (metric deltas,
-  timing bands, digest walks naming the first diverging stage, event
-  attribution) behind ``repro obs diff``;
+* :mod:`repro.obs.diff` — the one two-run comparison behind ``repro
+  obs diff``: digest walks naming the first diverging stage and event,
+  metric deltas, and one per-stage table (readings, cache disposition,
+  re-keyed stages, timing flags from the ``band`` detector) with the
+  config delta and the cost attributed to it;
 * :mod:`repro.obs.events` — the live pipeline event stream: a
   schema-versioned, monotonically sequenced :class:`EventBus` with
   in-memory, JSON-lines-file and multiprocessing-queue transports,
@@ -49,9 +51,8 @@ near-free when off:
 * :mod:`repro.obs.query` — the longitudinal analytics frame: every
   stored run materialized into one columnar, digest-checked
   :class:`QueryFrame` (incrementally indexed in ``query_index.json``)
-  with ``metric:``/``series:``/``golden:``/``span:`` selectors, the
-  ``repro obs query`` engine and the per-stage cost-attribution join
-  behind ``repro obs cost``.
+  with ``metric:``/``series:``/``golden:``/``span:`` selectors and the
+  ``repro obs query`` engine.
 
 Instrumented layers read the ambient registry/tracer
 (:func:`repro.obs.metrics.active`,
@@ -59,7 +60,7 @@ Instrumented layers read the ambient registry/tracer
 ones per run.  ``repro.obs`` depends only on :mod:`repro.util`.
 """
 
-from repro.obs.diff import ManifestDiff, diff_manifests
+from repro.obs.diff import ManifestDiff, StageRow, diff_manifests
 from repro.obs.events import (
     EVENT_KINDS,
     NULL_BUS,
@@ -94,11 +95,9 @@ from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
 from repro.obs.profile import chrome_trace, flame_view
 from repro.obs.query import (
-    CostReport,
     QueryFrame,
     QueryIndex,
     QueryResult,
-    attribute_cost,
     build_frame,
     frame_from_payloads,
     run_query,
@@ -111,7 +110,6 @@ from repro.obs.windows import WINDOW_SERIES, WindowReport, build_window_report
 # the package __init__ would make runpy warn about the double import.
 
 __all__ = [
-    "CostReport",
     "EVENT_KINDS",
     "EventBus",
     "Finding",
@@ -131,12 +129,12 @@ __all__ = [
     "RunManifest",
     "Rule",
     "RunStore",
+    "StageRow",
     "TraceSpan",
     "Tracer",
     "WINDOW_SERIES",
     "WindowReport",
     "active_bus",
-    "attribute_cost",
     "build_frame",
     "build_manifest",
     "build_window_report",

@@ -1,39 +1,41 @@
-"""Cross-run comparison and longitudinal drift detection.
+"""The one two-run comparison behind ``repro obs diff``.
 
-:func:`diff_manifests` compares two stored run manifests along the
-three axes a refactor can regress on:
+:func:`diff_manifests` compares a reference manifest against a
+candidate along every axis a change can move:
 
-* **artifacts** — the digest block, plus a walk over both span trees
-  (in completion order, i.e. post-order) comparing the per-stage
-  ``output_digest`` attributes to name the *first* stage whose output
-  diverged — "the bug is upstream of epm" instead of "something
-  changed";
-* **metrics** — counter/gauge deltas between the two snapshots
-  (sketches hold wall-clock latencies and are skipped by design);
-* **timings** — per-stage wall-time ratios against a configurable
-  tolerance band.  Timing regressions never fail a diff by default
-  (machines differ); callers opt in via ``fail_on_timing``.  Stages
-  whose cache disposition differs between the runs (one replayed from
-  the stage store, the other computed — schema >= 4 manifests) are
-  annotated but never flagged: replay milliseconds are not comparable
-  to compute seconds.
+* **artifacts** — the digest block, plus a post-order (completion
+  order) walk over both span trees naming the *first* stage whose
+  ``output_digest`` diverged, and, given both event logs, the first
+  diverging semantic event;
+* **metrics** — counter/gauge deltas (sketches hold wall-clock
+  latencies and are skipped by design);
+* **stages** — one :class:`StageRow` per depth-1 stage, in pipeline
+  order: each run's readings and cache disposition, and whether the
+  config delta *re-keyed* the stage (its stage fingerprint differs).
+  A replayed stage has no comparable readings
+  (:func:`~repro.obs.query.span_reading`); a stage in one run only is
+  ``added``/``removed``.  Timing flags are the ``band`` detector's
+  verdict on ``[seconds_a, seconds_b]`` under the shipped timing rule
+  (:func:`~repro.obs.health.band_rule`), and fail a diff only when the
+  caller opts in (machines differ);
+* **config** — the dotted-key config delta and the wall-clock delta
+  attributed to it, summed over the re-keyed stages only.
 
-A diff also reports *new* golden-headline deviations: deviations
-present in run B but not in run A.  Comparing against a committed
-reference manifest therefore fails exactly when a change moved the
-numbers, not merely because the reference was produced at reduced
-scale (where both sides deviate identically from the full-scale
-golden values).
+*New* golden-headline deviations (in B, not in A) fail a diff; the
+deviations both runs share do not, so a reduced-scale reference still
+gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping
 
-from repro.obs.health import TIMING_NOISE_FLOOR, TIMING_TOLERANCE
+from repro.obs.health import band_rule, band_scan
 from repro.obs.manifest import RunManifest
-from repro.obs.query import scalar_metrics
+from repro.obs.query import scalar_metrics, span_reading
+from repro.util.canonical import flatten_canonical, mapping_delta
 
 #: Event kinds whose order and fields are pure functions of the
 #: ``(seed, config)`` pair — the comparable skeleton of an event log.
@@ -70,32 +72,39 @@ def _payload(manifest: RunManifest | Mapping) -> dict:
 
 
 @dataclass(frozen=True)
-class TimingDelta:
-    """One stage's wall time in both runs.
+class StageRow:
+    """One depth-1 pipeline stage side by side in both runs.
 
-    ``cache_a``/``cache_b`` carry the stage's cache disposition
-    (``hit``/``miss``/``off``, schema >= 4) in each run when recorded.
-    A replayed stage loads a pickle in milliseconds while a computed
-    one runs for seconds, so a timing comparison across different
-    dispositions is meaningless — such deltas are never flagged as
-    regressions, only annotated.
+    Readings (``seconds``, ``cpu``, ``rss`` in KiB) are ``None`` where a
+    run lacks the stage or replayed it from the stage store; ``cache``
+    is the recorded disposition (``hit``/``miss``/``off``), ``None``
+    where a run lacks the stage or predates the attribute.
     """
 
     stage: str
-    seconds_a: float
-    seconds_b: float
-    regression: bool
+    #: ``both``, ``added`` (candidate only) or ``removed`` (reference only).
+    presence: str
+    #: Whether the stage's content-addressed fingerprint differs.
+    rekeyed: bool
     cache_a: str | None = None
     cache_b: str | None = None
+    seconds_a: float | None = None
+    seconds_b: float | None = None
+    cpu_a: float | None = None
+    cpu_b: float | None = None
+    rss_a: float | None = None
+    rss_b: float | None = None
+    #: Whether the timing ``band`` rule flags ``[seconds_a, seconds_b]``.
+    regression: bool = False
 
     @property
-    def ratio(self) -> float:
-        return self.seconds_b / self.seconds_a if self.seconds_a else float("inf")
+    def delta_seconds(self) -> float | None:
+        if self.seconds_a is None or self.seconds_b is None:
+            return None
+        return self.seconds_b - self.seconds_a
 
-    @property
-    def comparable(self) -> bool:
-        """Whether both runs built this stage the same way."""
-        return self.cache_a == self.cache_b
+    def as_dict(self) -> dict:
+        return {**asdict(self), "delta_seconds": self.delta_seconds}
 
 
 @dataclass
@@ -109,7 +118,9 @@ class ManifestDiff:
     #: First diverging semantic event, when both runs stored event logs.
     first_diverging_event: str | None = None
     metric_deltas: dict[str, tuple[float, float]] = field(default_factory=dict)
-    timing_deltas: list[TimingDelta] = field(default_factory=list)
+    stages: list[StageRow] = field(default_factory=list)
+    #: Dotted config keys whose values differ, key -> (a, b).
+    config_delta: dict[str, tuple[object, object]] = field(default_factory=dict)
     new_golden_deviations: list[str] = field(default_factory=list)
     #: Per-severity health-summary counts that changed (schema >= 5).
     health_deltas: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -119,8 +130,23 @@ class ManifestDiff:
         return self.fingerprint_a == self.fingerprint_b
 
     @property
-    def timing_regressions(self) -> list[TimingDelta]:
-        return [delta for delta in self.timing_deltas if delta.regression]
+    def timing_regressions(self) -> list[StageRow]:
+        return [row for row in self.stages if row.regression]
+
+    @property
+    def attributed_seconds(self) -> float | None:
+        """Wall-clock delta summed over the re-keyed stages only.
+
+        Stages the delta did not re-key replay or recompute
+        identically, so their drift is machine noise, not the delta's
+        bill.  ``None`` when no re-keyed stage has comparable seconds.
+        """
+        deltas = [
+            row.delta_seconds
+            for row in self.stages
+            if row.rekeyed and row.delta_seconds is not None
+        ]
+        return sum(deltas) if deltas else None
 
     def failed(self, *, fail_on_timing: bool = False) -> bool:
         """Whether this diff should fail a regression gate."""
@@ -128,27 +154,46 @@ class ManifestDiff:
             return True
         return fail_on_timing and bool(self.timing_regressions)
 
+    def as_dict(self) -> dict:
+        """JSON-ready form: every section, plus the derived verdicts."""
+        return {
+            **asdict(self),
+            "stages": [row.as_dict() for row in self.stages],
+            "same_config": self.same_config,
+            "attributed_seconds": self.attributed_seconds,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+
     def render(self) -> str:
         """Human-readable report, stable ordering."""
         lines: list[str] = []
-        if not self.same_config:
+        if self.same_config:
+            lines.append(
+                f"same configuration ({self.fingerprint_a[:12]}..): "
+                "comparing repeat runs"
+            )
+        else:
             lines.append(
                 "config fingerprints differ "
                 f"({self.fingerprint_a[:12]}.. vs {self.fingerprint_b[:12]}..): "
                 "comparing across configurations"
             )
+            if self.config_delta:
+                lines.append("config delta:")
+                for key, (a, b) in self.config_delta.items():
+                    lines.append(f"  {key}: {a!r} -> {b!r}")
+            else:
+                lines.append("  no keyed config delta (seed or schema change)")
         if self.digest_divergence:
             lines.append("artifact digests DIVERGED:")
             for artifact, (a, b) in sorted(self.digest_divergence.items()):
                 lines.append(f"  {artifact}: {a[:12]}.. -> {b[:12]}..")
             if self.first_diverging_stage is not None:
-                lines.append(
-                    f"  first diverging stage: {self.first_diverging_stage}"
-                )
+                lines.append(f"  first diverging stage: {self.first_diverging_stage}")
             if self.first_diverging_event is not None:
-                lines.append(
-                    f"  first diverging event: {self.first_diverging_event}"
-                )
+                lines.append(f"  first diverging event: {self.first_diverging_event}")
         else:
             lines.append("artifact digests: identical")
         if self.new_golden_deviations:
@@ -164,20 +209,40 @@ class ManifestDiff:
                 lines.append(f"  {key}: {a:g} -> {b:g}")
         else:
             lines.append("metrics: counters/gauges identical")
-        if self.timing_deltas:
-            lines.append("stage timings:")
-            for delta in self.timing_deltas:
-                flag = "  REGRESSION" if delta.regression else ""
-                if not delta.comparable:
-                    flag = (
-                        f"  [cache {delta.cache_a or '?'} -> "
-                        f"{delta.cache_b or '?'}: not compared]"
-                    )
-                lines.append(
-                    f"  {delta.stage:<12} {delta.seconds_a:8.3f}s -> "
-                    f"{delta.seconds_b:8.3f}s ({delta.ratio:5.2f}x){flag}"
-                )
+        if self.stages:
+            lines.append("stages (a replayed stage has no comparable readings):")
+            lines.append(
+                f"  {'stage':<12} {'cache A/B':<10} {'rekeyed':<7} {'seconds A':>9} "
+                f"{'seconds B':>9} {'delta':>8}  cpu A -> B, rss A -> B"
+            )
+            lines.extend(_render_row(row) for row in self.stages)
+        attributed = self.attributed_seconds
+        if attributed is not None:
+            rekeyed = sum(1 for row in self.stages if row.rekeyed)
+            lines.append(
+                f"attributed cost: {attributed:+.3f}s across "
+                f"{rekeyed} re-keyed stage(s)"
+            )
         return "\n".join(lines)
+
+
+def _cell(value: float | None, spec: str, unit: str = "") -> str:
+    return "-" if value is None else f"{value:{spec}}{unit}"
+
+
+def _render_row(row: StageRow) -> str:
+    cache = f"{row.cache_a or '-'}/{row.cache_b or '-'}"
+    flag = {"added": "  added", "removed": "  removed"}.get(row.presence, "")
+    if row.regression:
+        flag = "  REGRESSION"
+    line = (
+        f"  {row.stage:<12} {cache:<10} {'yes' if row.rekeyed else '-':<7} "
+        f"{_cell(row.seconds_a, '.3f', 's'):>9} {_cell(row.seconds_b, '.3f', 's'):>9} "
+        f"{_cell(row.delta_seconds, '+.3f', 's'):>8}  "
+        f"cpu {_cell(row.cpu_a, '.3f', 's')} -> {_cell(row.cpu_b, '.3f', 's')}, "
+        f"rss {_cell(row.rss_a, '.0f')} -> {_cell(row.rss_b, '.0f', ' KiB')}"
+    )
+    return line + flag
 
 
 def _walk_postorder(span: Mapping) -> Iterator[Mapping]:
@@ -276,29 +341,54 @@ def first_diverging_stage(tree_a: Mapping, tree_b: Mapping) -> str | None:
     return None
 
 
-def _stage_seconds(tree: Mapping) -> dict[str, float]:
-    """Direct-child stage wall times of an exported span tree."""
-    return {
-        str(child.get("name", "?")): float(child.get("seconds", 0.0))
-        for child in tree.get("children", ())
-    }
+def _health(payload: Mapping) -> dict[str, int]:
+    """Per-severity health-summary counts (schema >= 5 manifests)."""
+    return {key: int(count) for key, count in (payload.get("health_summary") or {}).items()}
 
 
-def _stage_cache(tree: Mapping) -> dict[str, str]:
-    """Direct-child stage cache dispositions (schema >= 4 manifests)."""
-    out: dict[str, str] = {}
-    for child in tree.get("children", ()):
-        status = child.get("attributes", {}).get("cache")
-        if isinstance(status, str):
-            out[str(child.get("name", "?"))] = status
-    return out
+def _stages(tree: Mapping) -> dict[str, Mapping]:
+    """Depth-1 stage spans of an exported span tree, in pipeline order."""
+    return {str(child.get("name", "?")): child for child in tree.get("children", ())}
+
+
+def _stage_order(names_a: list[str], names_b: list[str]) -> list[str]:
+    """Reference order, with each candidate-only stage after its predecessor."""
+    order = list(names_a)
+    for index, name in enumerate(names_b):
+        if name not in order:
+            position = order.index(names_b[index - 1]) + 1 if index else 0
+            order.insert(position, name)
+    return order
+
+
+def _stage_row(
+    name: str, span_a: Mapping | None, span_b: Mapping | None, rekeyed: bool
+) -> StageRow:
+    """One stage's row; a ``None`` span is a stage that run lacks."""
+
+    def side(span: Mapping | None, suffix: str) -> dict:
+        if span is None:
+            return {}
+        return {
+            f"cache_{suffix}": span.get("attributes", {}).get("cache"),
+            f"seconds_{suffix}": span_reading(span),
+            f"cpu_{suffix}": span_reading(span, "cpu_seconds"),
+            f"rss_{suffix}": span_reading(span, "max_rss_kb"),
+        }
+
+    readings = {**side(span_a, "a"), **side(span_b, "b")}
+    seconds = [readings.get("seconds_a"), readings.get("seconds_b")]
+    regression = None not in seconds and bool(
+        band_scan(band_rule(f"span:{name}"), seconds)
+    )
+    presence = "added" if span_a is None else "removed" if span_b is None else "both"
+    return StageRow(name, presence, rekeyed, regression=regression, **readings)
 
 
 def diff_manifests(
     a: RunManifest | Mapping,
     b: RunManifest | Mapping,
     *,
-    timing_tolerance: float = TIMING_TOLERANCE,
     events_a=None,
     events_b=None,
 ) -> ManifestDiff:
@@ -310,57 +400,41 @@ def diff_manifests(
     names the first diverging semantic event.
     """
     a, b = _payload(a), _payload(b)
-    diff = ManifestDiff(
+    tree_a, tree_b = a.get("span_tree", {}), b.get("span_tree", {})
+    digests = mapping_delta(a.get("artifact_digests", {}), b.get("artifact_digests", {}), "")
+    stages_a, stages_b = _stages(tree_a), _stages(tree_b)
+    keys_a = a.get("stage_fingerprints", {})
+    keys_b = b.get("stage_fingerprints", {})
+    deviations_a = set(a.get("golden_deviations", []))
+    return ManifestDiff(
         fingerprint_a=str(a.get("fingerprint", "")),
         fingerprint_b=str(b.get("fingerprint", "")),
+        digest_divergence=digests,
+        first_diverging_stage=first_diverging_stage(tree_a, tree_b) if digests else None,
+        first_diverging_event=(
+            first_diverging_event(events_a, events_b)
+            if digests and events_a is not None and events_b is not None
+            else None
+        ),
+        metric_deltas=mapping_delta(
+            scalar_metrics(a.get("metrics", {})), scalar_metrics(b.get("metrics", {})), 0.0
+        ),
+        stages=[
+            _stage_row(
+                name,
+                stages_a.get(name),
+                stages_b.get(name),
+                rekeyed=keys_a.get(name) != keys_b.get(name),
+            )
+            for name in _stage_order(list(stages_a), list(stages_b))
+        ],
+        config_delta=mapping_delta(
+            flatten_canonical(a.get("config", {})), flatten_canonical(b.get("config", {}))
+        ),
+        new_golden_deviations=[
+            deviation
+            for deviation in b.get("golden_deviations", [])
+            if deviation not in deviations_a
+        ],
+        health_deltas=mapping_delta(_health(a), _health(b), 0),
     )
-
-    digests_a = a.get("artifact_digests", {})
-    digests_b = b.get("artifact_digests", {})
-    for artifact in sorted(set(digests_a) | set(digests_b)):
-        da, db = digests_a.get(artifact, ""), digests_b.get(artifact, "")
-        if da != db:
-            diff.digest_divergence[artifact] = (da, db)
-    if diff.digest_divergence:
-        diff.first_diverging_stage = first_diverging_stage(
-            a.get("span_tree", {}), b.get("span_tree", {})
-        )
-        if events_a is not None and events_b is not None:
-            diff.first_diverging_event = first_diverging_event(events_a, events_b)
-
-    metrics_a = scalar_metrics(a.get("metrics", {}))
-    metrics_b = scalar_metrics(b.get("metrics", {}))
-    for key in set(metrics_a) | set(metrics_b):
-        va, vb = metrics_a.get(key, 0.0), metrics_b.get(key, 0.0)
-        if va != vb:
-            diff.metric_deltas[key] = (va, vb)
-
-    seconds_a = _stage_seconds(a.get("span_tree", {}))
-    seconds_b = _stage_seconds(b.get("span_tree", {}))
-    cache_a = _stage_cache(a.get("span_tree", {}))
-    cache_b = _stage_cache(b.get("span_tree", {}))
-    for stage in sorted(set(seconds_a) | set(seconds_b)):
-        sa, sb = seconds_a.get(stage, 0.0), seconds_b.get(stage, 0.0)
-        ca, cb = cache_a.get(stage), cache_b.get(stage)
-        regression = (
-            ca == cb
-            and sb > sa * timing_tolerance
-            and sb - sa > TIMING_NOISE_FLOOR
-        )
-        diff.timing_deltas.append(TimingDelta(stage, sa, sb, regression, ca, cb))
-
-    deviations_a = set(a.get("golden_deviations", []))
-    diff.new_golden_deviations = [
-        deviation
-        for deviation in b.get("golden_deviations", [])
-        if deviation not in deviations_a
-    ]
-
-    health_a = a.get("health_summary", {}) or {}
-    health_b = b.get("health_summary", {}) or {}
-    for severity in sorted(set(health_a) | set(health_b)):
-        ha = int(health_a.get(severity, 0))
-        hb = int(health_b.get(severity, 0))
-        if ha != hb:
-            diff.health_deltas[severity] = (ha, hb)
-    return diff

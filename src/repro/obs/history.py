@@ -83,15 +83,7 @@ class RunStore:
         """
         if not self.index_path.is_file():
             return []
-        try:
-            payload = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = None
-        require(
-            isinstance(payload, dict),
-            f"run-store index {self.index_path} is unreadable; recover it with "
-            f"`repro obs validate --runs {self.root} --rebuild-index`",
-        )
+        payload = self._read_object(self.index_path, recover=" --rebuild-index")
         entries = list(payload.get("entries", []))
         if fingerprint is not None:
             entries = [e for e in entries if e.get("fingerprint") == fingerprint]
@@ -261,9 +253,7 @@ class RunStore:
         for path in sorted(self.root.glob("*/*.json")):
             if path.name.endswith((".events.jsonl", ".windows.json")):
                 continue
-            manifest = RunManifest.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
+            manifest = RunManifest.from_dict(self._read_object(path))
             run_id = manifest.content_id()[:RUN_ID_LENGTH]
             require(
                 path.stem == run_id,
@@ -315,9 +305,11 @@ class RunStore:
         The one read point of stored manifests: a metrics snapshot of a
         legacy schema comes back upgraded
         (:func:`~repro.obs.metrics.upgrade_snapshot`), so every reader
-        sees one layout.
+        sees one layout.  A file that does not decode to a JSON object
+        (cut short by a crash or a full disk) raises
+        :class:`~repro.util.validation.ValidationError`.
         """
-        payload = json.loads(self.resolve(ref).read_text(encoding="utf-8"))
+        payload = self._read_object(self.resolve(ref))
         if isinstance(payload.get("metrics"), Mapping):
             payload["metrics"] = upgrade_snapshot(payload["metrics"])
         return payload
@@ -350,7 +342,22 @@ class RunStore:
         windows_path = manifest_path.with_name(f"{manifest_path.stem}.windows.json")
         if not windows_path.is_file():
             return None
-        return json.loads(windows_path.read_text(encoding="utf-8"))
+        return self._read_object(windows_path)
+
+    def _read_object(self, path: Path, *, recover: str = "") -> dict:
+        """A stored JSON object; a truncated or non-object file is refused,
+        naming the ``repro obs validate`` call that checks (or, with
+        ``recover`` flags, repairs) the store."""
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            payload = None
+        require(
+            isinstance(payload, dict),
+            f"{path} is truncated or not a JSON object; see "
+            f"`repro obs validate --runs {self.root}{recover}`",
+        )
+        return payload
 
     def render_listing(self, entries: Sequence[Mapping] | None = None) -> str:
         """Human-readable table of stored runs."""

@@ -1,10 +1,10 @@
 """The longitudinal analytics frame: every stored run, one queryable table.
 
-The run store (:mod:`repro.obs.history`) accumulates manifests; ``obs
-diff`` compares exactly two of them.  This module is the third step the
-paper's framing asks for — *combining observation perspectives over
-time* — by materializing **all** stored runs into one columnar
-cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
+The run store (:mod:`repro.obs.history`) accumulates manifests;
+:mod:`repro.obs.diff` compares exactly two of them.  This module is the
+third step the paper's framing asks for — *combining observation
+perspectives over time* — by materializing **all** stored runs into one
+columnar cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
 
 * :func:`build_frame` loads the store (through the persisted,
   incrementally refreshed :class:`QueryIndex`) into a
@@ -26,19 +26,15 @@ cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
                             schema 7 carries both).  Spans
                             replayed from the stage store (``cache: hit``)
                             resolve to ``None`` — replay milliseconds are
-                            not comparable to compute seconds.
+                            not comparable to compute seconds
+                            (:func:`span_reading`, the rule ``obs diff``
+                            compares stages by too).
   ========================  ==================================================
 
 * :func:`run_query` selects targets, filters by config fingerprint,
   aggregates (``min``/``max``/``mean``/``pNN``) and renders as a text
   table, JSON or an OpenMetrics exposition — the engine behind
   ``repro obs query``.
-
-* :func:`attribute_cost` joins the per-span resource probes of
-  :mod:`repro.obs.profile` with the PR-5 ``stage_fingerprints`` into a
-  per-stage cost-attribution report: which stages a config delta
-  re-keyed, and what they cost in seconds/CPU/RSS — "what did changing
-  ``lsh.threshold`` cost?".
 
 Everything here is a pure function of the stored payloads: frame
 construction is deterministic (``QueryFrame.digest`` is digest-checked
@@ -51,7 +47,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -120,19 +116,25 @@ def _span_value(tree: Mapping, key: str) -> float | None:
         f"unknown span attribute {attr!r}: expected one of {SPAN_ATTRS}",
     )
     for span in _walk_spans(tree):
-        if span.get("name") != name:
-            continue
-        attributes = span.get("attributes", {})
-        # A stage replayed from the stage store loads a pickle in
-        # milliseconds; its wall time says nothing about the compute
-        # cost the series tracks, so replays contribute no point.
-        if attributes.get("cache") == "hit":
-            return None
-        if attr == "seconds":
-            return float(span.get("seconds", 0.0))
-        value = attributes.get(attr)
-        return None if value is None else float(value)
+        if span.get("name") == name:
+            return span_reading(span, attr)
     return None
+
+
+def span_reading(span: Mapping, attr: str = "seconds") -> float | None:
+    """One exported span's comparable ``seconds``/``cpu_seconds``/``max_rss_kb``.
+
+    A stage replayed from the stage store (``cache: hit``) loads a
+    pickle in milliseconds; its readings say nothing about the compute
+    cost a series or a run diff compares, so a replay reads ``None``.
+    """
+    attributes = span.get("attributes", {})
+    if attributes.get("cache") == "hit":
+        return None
+    if attr == "seconds":
+        return float(span.get("seconds", 0.0))
+    value = attributes.get(attr)
+    return None if value is None else float(value)
 
 
 def scalar_metrics(metrics: Mapping) -> dict[str, float]:
@@ -686,229 +688,4 @@ def run_query(
         rows=rows,
         aggregates=aggregates,
         frame_digest=frame.digest(),
-    )
-
-
-# --------------------------------------------------------------------------
-# Per-stage cost attribution: profile probes x stage fingerprints.
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """One pipeline stage's resource bill in both runs."""
-
-    stage: str
-    #: Whether the stage's content-addressed fingerprint changed — i.e.
-    #: whether the config delta re-keyed (recomputed) this stage.
-    rekeyed: bool
-    seconds_a: float | None
-    seconds_b: float | None
-    cpu_a: float | None = None
-    cpu_b: float | None = None
-    rss_a: float | None = None
-    rss_b: float | None = None
-
-    @property
-    def delta_seconds(self) -> float | None:
-        if self.seconds_a is None or self.seconds_b is None:
-            return None
-        return self.seconds_b - self.seconds_a
-
-    def as_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "rekeyed": self.rekeyed,
-            "seconds_a": self.seconds_a,
-            "seconds_b": self.seconds_b,
-            "delta_seconds": self.delta_seconds,
-            "cpu_a": self.cpu_a,
-            "cpu_b": self.cpu_b,
-            "rss_a": self.rss_a,
-            "rss_b": self.rss_b,
-        }
-
-
-@dataclass
-class CostReport:
-    """Per-stage cost attribution of one config delta."""
-
-    fingerprint_a: str
-    fingerprint_b: str
-    #: Dotted config keys whose values differ, key -> (a, b).
-    config_delta: dict[str, tuple[object, object]] = field(default_factory=dict)
-    stages: list[StageCost] = field(default_factory=list)
-
-    @property
-    def rekeyed_stages(self) -> list[StageCost]:
-        return [stage for stage in self.stages if stage.rekeyed]
-
-    def attributed_seconds(self) -> float | None:
-        """Wall-clock delta summed over the re-keyed stages only.
-
-        This is the headline answer to "what did the config change
-        cost": unchanged stages replay (or recompute identically), so
-        their drift is machine noise, not the delta's bill.
-        """
-        deltas = [
-            stage.delta_seconds
-            for stage in self.rekeyed_stages
-            if stage.delta_seconds is not None
-        ]
-        if not deltas:
-            return None
-        return sum(deltas)
-
-    def as_dict(self) -> dict:
-        return {
-            "fingerprint_a": self.fingerprint_a,
-            "fingerprint_b": self.fingerprint_b,
-            "config_delta": {
-                key: list(values) for key, values in sorted(self.config_delta.items())
-            },
-            "stages": [stage.as_dict() for stage in self.stages],
-            "attributed_seconds": self.attributed_seconds(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
-    def render(self) -> str:
-        lines = []
-        if self.fingerprint_a == self.fingerprint_b:
-            lines.append(
-                f"same configuration ({self.fingerprint_a[:12]}..): "
-                "comparing repeat runs, no delta to attribute"
-            )
-        elif self.config_delta:
-            lines.append("config delta:")
-            for key, (a, b) in sorted(self.config_delta.items()):
-                lines.append(f"  {key}: {a!r} -> {b!r}")
-        else:
-            lines.append(
-                "config fingerprints differ but no keyed delta found "
-                "(seed or schema change)"
-            )
-        lines.append(
-            f"{'stage':<12} {'rekeyed':<8} {'seconds A':>10} {'seconds B':>10} "
-            f"{'delta':>9}  extras"
-        )
-        for stage in self.stages:
-            extras = []
-            if stage.cpu_a is not None and stage.cpu_b is not None:
-                extras.append(f"cpu {stage.cpu_a:.3f}s -> {stage.cpu_b:.3f}s")
-            if stage.rss_a is not None and stage.rss_b is not None:
-                extras.append(
-                    f"rss {stage.rss_a:.0f}KiB -> {stage.rss_b:.0f}KiB"
-                )
-            delta = stage.delta_seconds
-            lines.append(
-                f"{stage.stage:<12} {'yes' if stage.rekeyed else '-':<8} "
-                f"{_seconds_cell(stage.seconds_a):>10} "
-                f"{_seconds_cell(stage.seconds_b):>10} "
-                f"{f'{delta:+.3f}s' if delta is not None else 'n/a':>9}  "
-                + " ".join(extras)
-            )
-        attributed = self.attributed_seconds()
-        if attributed is not None:
-            lines.append(
-                f"attributed cost: {attributed:+.3f}s across "
-                f"{len(self.rekeyed_stages)} re-keyed stage(s)"
-            )
-        return "\n".join(line.rstrip() for line in lines)
-
-
-def _seconds_cell(value: float | None) -> str:
-    return f"{value:.3f}s" if value is not None else "n/a"
-
-
-def flatten_config(config: Mapping, prefix: str = "") -> dict[str, object]:
-    """Dotted-key view of a canonicalized config mapping.
-
-    The canonical form wraps dataclasses as ``{"__type__": ...}`` and
-    enums as ``{"__enum__": ..., "value": ...}``; both wrappers are
-    transparent here so a delta reads ``clustering.threshold`` rather
-    than ``clustering.__type__...``.
-    """
-    flat: dict[str, object] = {}
-    for key, value in config.items():
-        if key == "__type__":
-            continue
-        path = f"{prefix}{key}"
-        if isinstance(value, Mapping):
-            if "__enum__" in value:
-                flat[path] = value.get("value")
-            else:
-                flat.update(flatten_config(value, prefix=f"{path}."))
-        else:
-            flat[path] = value
-    return flat
-
-
-def _stage_rows(payload: Mapping) -> dict[str, dict]:
-    """Per-stage ``seconds``/profile-attr rows of a manifest payload."""
-    rows: dict[str, dict] = {}
-    for child in payload.get("span_tree", {}).get("children", ()):
-        attributes = child.get("attributes", {})
-        rows[str(child.get("name", "?"))] = {
-            "seconds": (
-                None
-                if attributes.get("cache") == "hit"
-                else float(child.get("seconds", 0.0))
-            ),
-            "cpu_seconds": attributes.get("cpu_seconds"),
-            "max_rss_kb": attributes.get("max_rss_kb"),
-        }
-    return rows
-
-
-def attribute_cost(payload_a: Mapping, payload_b: Mapping) -> CostReport:
-    """Join span probes with stage fingerprints: the bill of a config delta.
-
-    ``payload_a`` is the reference manifest, ``payload_b`` the candidate
-    (typically the run after a config change).  A stage counts as
-    *re-keyed* when its PR-5 ``stage_fingerprint`` differs — exactly the
-    stages the incremental engine recomputes for this delta — and only
-    re-keyed stages' wall-clock deltas roll into the attributed cost.
-    Replayed stages (``cache: hit``) contribute ``n/a`` seconds rather
-    than their replay milliseconds.
-    """
-    fingerprints_a = payload_a.get("stage_fingerprints", {})
-    fingerprints_b = payload_b.get("stage_fingerprints", {})
-    rows_a = _stage_rows(payload_a)
-    rows_b = _stage_rows(payload_b)
-    ordered = list(rows_a)
-    ordered += [name for name in rows_b if name not in rows_a]
-    ordered += [
-        name
-        for name in sorted(set(fingerprints_a) | set(fingerprints_b))
-        if name not in ordered
-    ]
-    stages = []
-    for name in ordered:
-        a, b = rows_a.get(name, {}), rows_b.get(name, {})
-        known_a, known_b = fingerprints_a.get(name), fingerprints_b.get(name)
-        stages.append(
-            StageCost(
-                stage=name,
-                rekeyed=known_a != known_b,
-                seconds_a=a.get("seconds"),
-                seconds_b=b.get("seconds"),
-                cpu_a=a.get("cpu_seconds"),
-                cpu_b=b.get("cpu_seconds"),
-                rss_a=a.get("max_rss_kb"),
-                rss_b=b.get("max_rss_kb"),
-            )
-        )
-    flat_a = flatten_config(payload_a.get("config", {}))
-    flat_b = flatten_config(payload_b.get("config", {}))
-    delta = {
-        key: (flat_a.get(key), flat_b.get(key))
-        for key in sorted(set(flat_a) | set(flat_b))
-        if flat_a.get(key) != flat_b.get(key)
-    }
-    return CostReport(
-        fingerprint_a=str(payload_a.get("fingerprint", "")),
-        fingerprint_b=str(payload_b.get("fingerprint", "")),
-        config_delta=delta,
-        stages=stages,
     )

@@ -75,3 +75,36 @@ def canonical_json(value: object) -> str:
 def canonical_digest(value: object) -> str:
     """SHA-256 hex digest of the canonical JSON encoding of ``value``."""
     return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+
+
+def flatten_canonical(value: object, prefix: str = "") -> dict[str, object]:
+    """Dotted-key leaves of a :func:`canonicalize` payload.
+
+    The ``{"__type__": ...}`` dataclass tag is dropped and an
+    ``{"__enum__": ..., "value": ...}`` wrapper reads as its value, so a
+    config key reads ``clustering.threshold`` rather than
+    ``clustering.__type__`` or ``mode.value``.
+    """
+    if not isinstance(value, Mapping):
+        return {prefix: value}
+    if "__enum__" in value:
+        return {prefix: value.get("value")}
+    flat: dict[str, object] = {}
+    for key, sub in value.items():
+        if key != "__type__":
+            flat.update(flatten_canonical(sub, f"{prefix}.{key}" if prefix else str(key)))
+    return flat
+
+
+def mapping_delta(
+    a: Mapping, b: Mapping, absent: object = None
+) -> dict[str, tuple[object, object]]:
+    """``key -> (a, b)`` for every key whose values differ, key-sorted.
+
+    A key one side lacks reads as ``absent`` there.
+    """
+    return {
+        key: (a.get(key, absent), b.get(key, absent))
+        for key in sorted(set(a) | set(b))
+        if a.get(key, absent) != b.get(key, absent)
+    }

@@ -516,7 +516,7 @@ class TestHealthDashboardCli:
 
 
 class TestLongitudinalCli:
-    """obs query/regress/cost/list --limit and the index maintenance."""
+    """obs query/regress/diff/list --limit and the index maintenance."""
 
     @pytest.fixture()
     def store_dir(self, tmp_path, monkeypatch):
@@ -676,6 +676,8 @@ class TestLongitudinalCli:
     def test_cost_attributes_a_clustering_change_to_bcluster(
         self, capsys, store_dir
     ):
+        import json
+
         from repro.experiments.scenario import PaperScenario, ScenarioConfig
         from repro.obs.history import RunStore
         from repro.sandbox.clustering import ClusteringConfig
@@ -692,10 +694,19 @@ class TestLongitudinalCli:
         id_a = store.add(run_a.manifest)
         id_b = store.add(run_b.manifest)
         capsys.readouterr()
-        assert main(["obs", "cost", id_a, id_b]) == 0
+        # The new threshold moves the bcluster digest: the diff fails.
+        assert main(["obs", "diff", id_a, id_b, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["config_delta"] == {"clustering.threshold": [0.7, 0.5]}
+        rows = {row["stage"]: row for row in report["stages"]}
+        assert [name for name, row in rows.items() if row["rekeyed"]] == ["bcluster"]
+        assert rows["bcluster"]["cpu_b"] is not None
+        assert report["attributed_seconds"] == pytest.approx(
+            rows["bcluster"]["delta_seconds"]
+        )
+        assert main(["obs", "diff", id_a, id_b]) == 1
         out = capsys.readouterr().out
         assert "clustering.threshold" in out
-        assert "bcluster" in out
         assert "attributed cost" in out
 
     def test_cost_of_a_repeat_run_is_labelled(self, capsys, store_dir):
@@ -704,8 +715,36 @@ class TestLongitudinalCli:
         assert main(["headline", *COMMON, "--store-run"]) == 0
         (entry,) = RunStore(store_dir).entries()
         capsys.readouterr()
-        assert main(["obs", "cost", entry["run_id"], entry["run_id"]]) == 0
+        assert main(["obs", "diff", entry["run_id"], entry["run_id"]]) == 0
         assert "repeat runs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_truncated_stored_run_is_one_error_line(
+        self, capsys, store_dir, sidecar
+    ):
+        from repro.obs.history import RunStore
+
+        assert main(["headline", *COMMON, "--store-run"]) == 0
+        store = RunStore(store_dir)
+        (entry,) = store.entries()
+        path = store.root / entry["path"]
+        if sidecar:
+            path = path.with_name(f"{path.stem}.windows.json")
+        path.write_bytes(path.read_bytes()[:200])
+        run_id = entry["run_id"]
+        capsys.readouterr()
+        readers = [
+            ["obs", "export", run_id, "--format", "prometheus"],
+            ["obs", "query", "metric:lsh.clusters"],
+        ]
+        if not sidecar:  # the diff reads manifests only
+            readers.append(["obs", "diff", run_id, run_id])
+        for argv in readers:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err.strip()
+            assert err.startswith(f"error: {path}"), err
+            assert f"repro obs validate --runs {store_dir}" in err
+            assert len(err.splitlines()) == 1  # one line, no traceback
 
     def test_validate_rebuilds_the_index_and_checks_the_query_index(
         self, capsys, store_dir

@@ -11,7 +11,7 @@ from repro.obs.diff import (
     first_diverging_stage,
 )
 from repro.obs.export import export_payload
-from repro.obs.health import band_rule, render_history, run_regression
+from repro.obs.health import band_rule, band_scan, render_history, run_regression
 from repro.obs.history import RUN_ID_LENGTH, RunStore
 from repro.obs.manifest import RunManifest
 from repro.obs.query import build_frame, metric_value, resolve_target
@@ -220,9 +220,7 @@ class TestDiff:
 
     def test_timing_regression_beyond_band(self):
         diff = diff_manifests(
-            _manifest(observe_seconds=1.0),
-            _manifest(observe_seconds=2.0),
-            timing_tolerance=1.5,
+            _manifest(observe_seconds=1.0), _manifest(observe_seconds=2.0)
         )
         regressed = {d.stage for d in diff.timing_regressions}
         assert regressed == {"observe"}
@@ -236,18 +234,100 @@ class TestDiff:
         )
         assert diff.timing_regressions == []
 
-    def test_cli_timing_tolerance_zero_is_not_the_default(self, tmp_path, capsys):
+    def test_timing_flags_are_the_band_detectors(self):
+        rule = band_rule("span:observe")
+        for seconds_b in (0.5, 1.2, 1.49, 1.51, 3.0):
+            diff = diff_manifests(
+                _manifest(observe_seconds=1.0),
+                _manifest(observe_seconds=seconds_b),
+            )
+            flagged = bool(band_scan(rule, [1.0, seconds_b]))
+            assert (diff.timing_regressions != []) == flagged, seconds_b
+        # One-sided: a run that got faster is never a regression.
+        faster = diff_manifests(
+            _manifest(observe_seconds=3.0), _manifest(observe_seconds=1.0)
+        )
+        assert faster.timing_regressions == []
+
+    def test_stage_rows_follow_the_span_tree_order(self):
+        diff = diff_manifests(_manifest(), _manifest())
+        assert [row.stage for row in diff.stages] == ["observe", "epm", "bcluster"]
+        (observe, *_rest) = diff.stages
+        assert observe.presence == "both"
+        assert (observe.cache_a, observe.cache_b) == ("off", "off")
+        assert not observe.rekeyed
+
+    def test_stage_in_one_run_only_is_added_or_removed(self):
+        reference = _manifest().as_dict()
+        candidate = json.loads(json.dumps(reference))
+        candidate["span_tree"]["children"].insert(
+            2, {"name": "bgraph", "seconds": 9.0, "attributes": {"cache": "off"}}
+        )
+        diff = diff_manifests(reference, candidate)
+        assert [row.stage for row in diff.stages] == [
+            "observe", "epm", "bgraph", "bcluster"
+        ]
+        bgraph = diff.stages[2]
+        assert (bgraph.presence, bgraph.seconds_a, bgraph.seconds_b) == (
+            "added", None, 9.0
+        )
+        assert diff.timing_regressions == []  # 0 s -> 9 s is not a ratio
+        text = diff.render()
+        assert "added" in text and "inf" not in text
+        (removed,) = [
+            row for row in diff_manifests(candidate, reference).stages
+            if row.stage == "bgraph"
+        ]
+        assert removed.presence == "removed" and not removed.regression
+
+    def test_replays_are_not_compared_but_computed_stages_are(self):
+        def manifest(cache: str, seconds: float) -> dict:
+            payload = _manifest(observe_seconds=seconds).as_dict()
+            payload["span_tree"]["children"][0]["attributes"]["cache"] = cache
+            return payload
+
+        replays = diff_manifests(manifest("hit", 0.01), manifest("hit", 1.0))
+        observe = replays.stages[0]
+        assert (observe.seconds_a, observe.seconds_b) == (None, None)
+        assert replays.timing_regressions == []
+        computed = diff_manifests(manifest("off", 1.0), manifest("miss", 2.0))
+        assert [row.stage for row in computed.timing_regressions] == ["observe"]
+        assert "REGRESSION" in computed.render()
+
+    def test_json_form_carries_every_section(self):
+        diff = diff_manifests(_manifest(), _manifest(bcluster_digest="bb" * 32))
+        payload = json.loads(diff.to_json())
+        assert payload["digest_divergence"] == {
+            "bclusters.assignment": ["33" * 32, "bb" * 32]
+        }
+        assert payload["first_diverging_stage"] == "bcluster"
+        assert [row["stage"] for row in payload["stages"]] == [
+            "observe", "epm", "bcluster"
+        ]
+        assert payload["stages"][0]["delta_seconds"] == 0.0
+        assert payload["config_delta"] == {}
+        assert payload["attributed_seconds"] is None
+
+    def test_cli_removed_cost_and_tolerance_options_are_usage_errors(
+        self, tmp_path, capsys
+    ):
         from repro.cli import main
 
-        paths = []
-        for name, seconds in (("a", 1.0), ("b", 1.2)):
-            path = tmp_path / f"{name}.json"
-            path.write_text(_manifest(observe_seconds=seconds).to_json(), encoding="utf-8")
-            paths.append(str(path))
-        argv = ["obs", "diff", *paths, "--fail-on-timing"]
-        assert main(argv) == 0  # 1.2x is inside the default 1.5x band
-        assert main([*argv, "--timing-tolerance", "0"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
+        path = tmp_path / "a.json"
+        path.write_text(_manifest().to_json(), encoding="utf-8")
+        for argv in (
+            ["obs", "cost", str(path), str(path)],
+            ["obs", "diff", str(path), str(path), "--timing-tolerance", "2"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+        assert "invalid choice: 'cost'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["obs", "--help"])
+        usage = capsys.readouterr().out
+        commands = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+        assert len(commands) == 10 and "diff" in commands
 
     def test_new_golden_deviations_fail(self):
         reference = _manifest(golden_deviations=["events: expected 1, measured 2"])

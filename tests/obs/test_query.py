@@ -1,18 +1,18 @@
-"""The longitudinal analytics frame: selectors, index, query, cost."""
+"""The longitudinal analytics frame (selectors, index, query) and the
+cost attribution of a config delta."""
 
 import json
 
 import pytest
 
+from repro.obs.diff import diff_manifests
 from repro.obs.history import RunStore
 from repro.obs.manifest import RunManifest
 from repro.obs.query import (
     QueryFrame,
     QueryIndex,
     aggregate,
-    attribute_cost,
     build_frame,
-    flatten_config,
     frame_from_payloads,
     parse_target,
     resolve_target,
@@ -20,6 +20,7 @@ from repro.obs.query import (
     validate_query_index,
 )
 from repro.obs.windows import WINDOW_SERIES, WindowReport
+from repro.util.canonical import flatten_canonical
 from repro.util.validation import ValidationError
 
 
@@ -387,6 +388,8 @@ class TestRunQuery:
 
 
 class TestCostAttribution:
+    """The cost of a config delta, as :func:`diff_manifests` attributes it."""
+
     def _payloads(self):
         base_config = {
             "__type__": "ScenarioConfig",
@@ -405,47 +408,53 @@ class TestCostAttribution:
         return a, b
 
     def test_config_delta_uses_dotted_keys(self):
-        report = attribute_cost(*self._payloads())
-        assert report.config_delta == {"clustering.threshold": (0.7, 0.5)}
+        diff = diff_manifests(*self._payloads())
+        assert diff.config_delta == {"clustering.threshold": (0.7, 0.5)}
 
     def test_rekeyed_stages_follow_stage_fingerprints(self):
-        report = attribute_cost(*self._payloads())
-        by_name = {stage.stage: stage for stage in report.stages}
+        diff = diff_manifests(*self._payloads())
+        by_name = {row.stage: row for row in diff.stages}
         assert not by_name["observe"].rekeyed
         assert by_name["bcluster"].rekeyed
+        assert by_name["observe"].cpu_b == pytest.approx(0.99)
+        assert by_name["observe"].rss_a == 5000.0
 
     def test_attributed_seconds_sums_only_rekeyed_stages(self):
-        a, b = self._payloads()
-        report = attribute_cost(a, b)
+        diff = diff_manifests(*self._payloads())
         # observe drifted by 0.1s but was not re-keyed: only bcluster's
         # delta (0.0s here) may enter the attributed bill.
-        assert report.attributed_seconds() == pytest.approx(0.0)
+        assert diff.attributed_seconds == pytest.approx(0.0)
 
     def test_replayed_stage_contributes_no_seconds(self):
         a, _ = self._payloads()
         b = _manifest(observe_cache="hit").as_dict()
-        report = attribute_cost(a, b)
-        by_name = {stage.stage: stage for stage in report.stages}
+        by_name = {row.stage: row for row in diff_manifests(a, b).stages}
         assert by_name["observe"].seconds_b is None
+        assert by_name["observe"].cpu_b is None
         assert by_name["observe"].delta_seconds is None
 
     def test_render_names_the_changed_key_and_the_bill(self):
-        text = attribute_cost(*self._payloads()).render()
-        assert "clustering.threshold" in text
-        assert "attributed cost" in text
+        text = diff_manifests(*self._payloads()).render()
+        assert "clustering.threshold: 0.7 -> 0.5" in text
+        assert "attributed cost: +0.000s across 1 re-keyed stage(s)" in text
         assert "bcluster" in text
 
     def test_same_fingerprint_renders_repeat_run_note(self):
         payload = _manifest().as_dict()
-        text = attribute_cost(payload, payload).render()
+        text = diff_manifests(payload, payload).render()
         assert "repeat runs" in text
+        assert "attributed cost" not in text
 
     def test_flatten_config_unwraps_enum_markers(self):
-        flat = flatten_config(
-            {
-                "__type__": "C",
-                "mode": {"__enum__": "Mode", "value": "fast"},
-                "nested": {"__type__": "N", "depth": 2},
-            }
+        config = {
+            "__type__": "C",
+            "mode": {"__enum__": "Mode", "value": "fast"},
+            "nested": {"__type__": "N", "depth": 2},
+        }
+        assert flatten_canonical(config) == {"mode": "fast", "nested.depth": 2}
+        changed = {**config, "mode": {"__enum__": "Mode", "value": "slow"}}
+        diff = diff_manifests(
+            _manifest(config=config).as_dict(),
+            _manifest(fingerprint="cd" * 32, config=changed).as_dict(),
         )
-        assert flat == {"mode": "fast", "nested.depth": 2}
+        assert diff.config_delta == {"mode": ("fast", "slow")}

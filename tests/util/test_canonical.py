@@ -7,7 +7,13 @@ import math
 from typing import Mapping, NamedTuple
 
 from repro.core.features import Dimension
-from repro.util.canonical import canonical_digest, canonical_json, canonicalize
+from repro.util.canonical import (
+    canonical_digest,
+    canonical_json,
+    canonicalize,
+    flatten_canonical,
+    mapping_delta,
+)
 
 
 def _reference_canonicalize(value):
@@ -115,3 +121,16 @@ class TestCanonicalize:
     def test_digest_is_stable(self):
         assert canonical_digest([[1, 2, 3, 4, None]]) == canonical_digest([(1, 2, 3, 4, None)])
         assert canonical_digest({"b": 1, "a": 2}) == canonical_digest({"a": 2, "b": 1})
+
+
+class TestFlattenCanonical:
+    def test_delta_pairs_differing_and_one_sided_leaves(self):
+        a = canonicalize({"row": Row(1, "a", ()), "level": Level.LOW})
+        b = canonicalize({"row": Row(1, "b", ()), "level": Level.HIGH, "extra": 3})
+        assert mapping_delta(flatten_canonical(a), flatten_canonical(b)) == {
+            "extra": (None, 3),
+            "level": (1, 2),
+            "row.md5": ("a", "b"),
+        }
+        assert mapping_delta({"k": 1}, {}, absent=0) == {"k": (1, 0)}
+        assert mapping_delta(a, a) == {}
