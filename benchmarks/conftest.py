@@ -13,8 +13,6 @@ well under a second.  Control knobs (environment variables):
 
 * ``REPRO_BENCH_CACHE=0``    — force a rebuild (the cache is neither read
   nor written);
-* ``REPRO_BENCH_EXECUTOR``   — backend for the rebuild (default serial);
-* ``REPRO_BENCH_JOBS``      — worker count (default 0 = all cores);
 * ``REPRO_CACHE_DIR``        — cache location (default ``~/.cache/repro``).
 
 Benches that need the full-scale scenario are auto-marked ``slow``;
@@ -46,10 +44,7 @@ def pytest_collection_modifyitems(items) -> None:
 @pytest.fixture(scope="session")
 def paper_run() -> ScenarioRun:
     """The full-scale scenario all benches share (cached across sessions)."""
-    config = ScenarioConfig(
-        executor=os.environ.get("REPRO_BENCH_EXECUTOR", "serial"),
-        jobs=int(os.environ.get("REPRO_BENCH_JOBS", "0")),
-    )
+    config = ScenarioConfig()
     if os.environ.get("REPRO_BENCH_CACHE", "1") == "0":
         return PaperScenario(seed=PAPER_SEED, config=config).run()
     return cached_run(PAPER_SEED, config)

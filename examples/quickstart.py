@@ -10,14 +10,12 @@ Usage::
     python examples/quickstart.py              # full scale, ~15 s
     python examples/quickstart.py --scale 0.2  # reduced, a few seconds
     python examples/quickstart.py --cache      # reuse a cached build
-    python examples/quickstart.py --executor process   # parallel stages
 """
 
 import argparse
 
 from repro.experiments import PaperScenario, ScenarioConfig, cached_run, headline
 from repro.obs import configure_logging, get_logger
-from repro.util.parallel import BACKENDS
 from repro.util.tables import format_histogram
 
 
@@ -25,8 +23,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=2010)
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--executor", choices=BACKENDS, default="serial")
-    parser.add_argument("--jobs", type=int, default=0)
     parser.add_argument(
         "--cache",
         action="store_true",
@@ -39,7 +35,7 @@ def main() -> None:
 
     configure_logging(args.log_level)
     log = get_logger("examples.quickstart")
-    config = ScenarioConfig(scale=args.scale, executor=args.executor, jobs=args.jobs)
+    config = ScenarioConfig(scale=args.scale)
     if args.cache:
         run = cached_run(args.seed, config)
     else:

@@ -14,8 +14,7 @@
     python -m repro run --out events.jsonl   # dump the enriched dataset
 
 All commands accept ``--seed`` (default 2010), ``--scale`` (default 1.0)
-and ``--weeks`` (default 74), plus ``--executor {serial,thread,process}``
-and ``--jobs N`` to pick the parallel backend, ``--timings`` to print
+and ``--weeks`` (default 74), plus ``--timings`` to print
 the per-stage trace tree, and ``--cache`` / ``--no-cache`` to reuse a
 previously built scenario from the artifact cache.  The cache keeps
 each artifact once, in the per-stage store: a whole-run hit reads a
@@ -31,9 +30,9 @@ writes the run's manifest (fingerprint, span tree, artifact digests) to
 ``manifest.json``, ``--store-run`` appends the manifest to the
 longitudinal run store (``results/runs`` or ``$REPRO_RUNS_DIR``),
 ``--events PATH`` streams live pipeline events (stage opens/closes,
-chunk completions, cache interactions, cluster milestones) to a
-tailable JSON-lines file, and ``--progress`` renders live per-stage
-progress with an ETA to stderr.
+cache interactions, cluster milestones) to a tailable JSON-lines
+file, and ``--progress`` prints a line per run start, stage finish and
+run finish to stderr.
 
 The artifact caches live under ``repro cache``::
 
@@ -82,7 +81,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.export import EXPORT_FORMATS
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.util.parallel import BACKENDS
 
 log = get_logger("cli")
 
@@ -109,18 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=2010)
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--weeks", type=int, default=74)
-        p.add_argument(
-            "--executor",
-            choices=BACKENDS,
-            default="serial",
-            help="parallel backend for the pipeline's concurrent stages",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=0,
-            help="worker count for parallel backends (0 = one per core)",
-        )
         p.add_argument(
             "--windows",
             type=int,
@@ -183,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress",
             action="store_true",
-            help="render live per-stage progress (chunk/item counts, "
-            "ETA) to stderr while the pipeline runs",
+            help="print a line per run start, stage finish and run "
+            "finish to stderr while the pipeline runs",
         )
 
     for name in _DRIVERS:
@@ -442,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "target",
         help="query selector (metric:<key>, series:<name>, "
         "golden:deviations, span:<name>[/attr]); a bare key such as "
-        "lsh.clusters or executor.chunk_seconds:p50 reads as metric:<key>",
+        "lsh.clusters or lsh.bucket_size:p50 reads as metric:<key>",
     )
     history_p.add_argument(
         "--fingerprint", default=None, help="only runs of this config fingerprint"
@@ -486,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "-f",
         action="store_true",
         help="treat REF as a live event log and redraw a frame per work "
-        "event (window rollup, chunk/stage finish, drops) until interrupted",
+        "event (stage finish, window rollup, run finish) until interrupted",
     )
     dash_p.add_argument(
         "--out",
@@ -649,8 +635,6 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
     config = ScenarioConfig(
         n_weeks=args.weeks,
         scale=args.scale,
-        executor=args.executor,
-        jobs=args.jobs,
         events=args.events,
         progress=args.progress,
         windows=args.windows,

@@ -14,7 +14,6 @@ from repro.enrich.virustotal import VirusTotalService
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import current_tracer
 from repro.sandbox.anubis import AnubisService
-from repro.util.parallel import Executor
 
 
 class EnrichmentPipeline:
@@ -27,17 +26,16 @@ class EnrichmentPipeline:
         self.n_executed = 0
         self.n_not_executable = 0
 
-    def enrich(self, dataset: SGNetDataset, *, executor: Executor | None = None) -> None:
+    def enrich(self, dataset: SGNetDataset) -> None:
         """Enrich every sample record in ``dataset`` in place.
 
         Corrupted binaries (truncated downloads) are scanned by the AV
         panel but cannot be executed — reproducing the paper's
         6353-collected vs 5165-behaviourally-analysed gap.
 
-        Sandbox executions are batched through ``executor`` (run seeds
-        derive from MD5s, so results are order-independent); the AV scan
-        and record bookkeeping stay serial, preserving the exact report
-        insertion order and counters of a sequential run.
+        Sandbox executions run as one batch (run seeds derive from
+        MD5s, so each profile depends only on its own sample), in
+        record order, so reports are inserted in first-submission order.
         """
         before = self.stats()
         tracer = current_tracer()
@@ -55,8 +53,7 @@ class EnrichmentPipeline:
                 self.n_enriched += 1
         with tracer.span("enrich.sandbox_batch") as span:
             reports = self.anubis.submit_batch(
-                [(r.md5, r.behavior_handle, r.first_seen) for r in executable],
-                executor=executor,
+                [(r.md5, r.behavior_handle, r.first_seen) for r in executable]
             )
             for record, report in zip(executable, reports):
                 record.enrichment["anubis"] = report

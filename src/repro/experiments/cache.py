@@ -25,12 +25,13 @@ load that finds a different digest (a torn write, a flipped byte, an
 entry written before the digest existed) evicts the entry as a counted
 miss instead of unpickling it.
 
-Execution-only knobs (``executor``, ``jobs``, ``events``,
-``progress``, ``windows``) are excluded from every fingerprint: all
-backends produce bit-identical artifacts and telemetry sinks cannot
-change them, so a run built with the process backend (or with a live
-event stream attached) is a valid cache hit for a serial request of
-the same scenario.
+Execution-only knobs (``events``, ``progress``, ``windows``) are
+excluded from every fingerprint: telemetry sinks cannot change the
+artifacts, so a run built with a live event stream attached is a valid
+cache hit for a request of the same scenario without one.  Stored
+configs that still carry the retired ``executor``/``jobs`` fields
+canonicalize without them (only declared fields are read), so their
+fingerprints are unchanged.
 
 Each stage artifact is stored next to a JSON sidecar recording the
 exact fingerprint payload (config subset, parent fingerprints), which
@@ -102,8 +103,6 @@ CACHE_FORMAT = 11
 #: any fingerprint.
 EXECUTION_ONLY_FIELDS = frozenset(
     {
-        "executor",
-        "jobs",
         "events",
         "progress",
         "windows",

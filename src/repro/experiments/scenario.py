@@ -36,7 +36,6 @@ from repro.obs.windows import WindowReport, build_window_report
 from repro.sandbox.anubis import AnubisService
 from repro.sandbox.clustering import BehaviorClustering, ClusteringConfig
 from repro.sandbox.execution import SandboxConfig
-from repro.util.parallel import BACKENDS, get_executor
 from repro.util.pickling import gc_paused
 from repro.util.rng import RandomSource
 from repro.util.timegrid import WEEK_SECONDS, TimeGrid
@@ -53,10 +52,9 @@ log = get_logger("experiments.scenario")
 class ScenarioConfig:
     """Scenario-level knobs.
 
-    ``executor``/``jobs`` select the parallel backend the
-    embarrassingly-parallel stages run on.  They are *execution-only*
-    knobs: every backend produces bit-identical artifacts, so they are
-    excluded from the scenario cache fingerprint
+    ``events``, ``progress`` and ``windows`` are *execution-only*
+    knobs: they cannot change any artifact, so they are excluded from
+    the scenario cache fingerprint
     (:func:`repro.experiments.cache.scenario_fingerprint`).
     """
 
@@ -66,18 +64,13 @@ class ScenarioConfig:
     invariant_policy: InvariantPolicy = field(default_factory=InvariantPolicy)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     sandbox: SandboxConfig = field(default_factory=SandboxConfig)
-    #: Parallel backend for sandbox execution and sharded attempt
-    #: construction: "serial", "thread" or "process".
-    executor: str = "serial"
-    #: Worker count for parallel backends; 0 = one worker per core.
-    jobs: int = 0
     #: Write the live pipeline event stream (JSON lines) to this path.
     #: Execution-only: the stream is pure telemetry and cannot change
     #: any artifact.  Ignored when the caller already activated a
     #: recording event bus (the CLI does).
     events: str | None = None
-    #: Render live per-stage progress (item counts, ETA) to stderr
-    #: while the pipeline runs.  Execution-only, off by default.
+    #: Print a line per run start, stage finish and run finish to
+    #: stderr while the pipeline runs.  Execution-only, off by default.
     progress: bool = False
     #: Width, in weeks, of the landscape-telemetry windows folded after
     #: the pipeline (0 = no windowed telemetry).  Execution-only: the
@@ -88,8 +81,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         require(self.n_weeks >= 4, "scenario needs at least 4 weeks")
         require(self.scale > 0, "scale must be positive")
-        require(self.executor in BACKENDS, f"unknown executor backend {self.executor!r}")
-        require(self.jobs >= 0, "jobs must be >= 0 (0 = one worker per core)")
         require(self.windows >= 0, "windows must be >= 0 (0 = no windowed telemetry)")
 
 
@@ -162,11 +153,9 @@ class PaperScenario:
         cold, warm and partially-warm runs produce bit-identical
         artifacts.
 
-        The parallelisable stages (sandbox enrichment, E/P/M fits, LSH
-        verification) run on the backend named by
-        ``config.executor``/``config.jobs``.  The whole build is traced:
-        every stage becomes a span in ``run.trace`` (with nested spans
-        from the LSH and enrichment layers) carrying its cache
+        Every stage runs in the calling thread.  The whole build is
+        traced: every stage becomes a span in ``run.trace`` (with nested
+        spans from the LSH and enrichment layers) carrying its cache
         disposition, metrics from every instrumented layer land in
         ``run.metrics``, and ``run.manifest`` records the config
         fingerprint, per-stage fingerprints and artifact digests.  If
@@ -199,7 +188,6 @@ class PaperScenario:
                 "seed": self.seed,
                 "weeks": self.config.n_weeks,
                 "scale": self.config.scale,
-                "executor": self.config.executor,
             },
         )
         # The bus may be session-scoped (the CLI installs one around the
@@ -219,15 +207,12 @@ class PaperScenario:
                 seed=self.seed,
                 weeks=self.config.n_weeks,
                 scale=self.config.scale,
-                executor=self.config.executor,
             )
-            executor = get_executor(self.config.executor, self.config.jobs)
             ctx = StageContext(
                 seed=self.seed,
                 config=self.config,
                 grid=TimeGrid(0, self.config.n_weeks * WEEK_SECONDS),
                 source=RandomSource(self.seed),
-                executor=executor,
             )
             stage_cache = execute_stages(ctx, tracer, session=session)
             window_report: WindowReport | None = None

@@ -62,7 +62,6 @@ from repro.util.validation import require
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.scenario import ScenarioConfig
     from repro.obs.trace import Tracer
-    from repro.util.parallel import Executor
 
 log = get_logger("experiments.stages")
 
@@ -80,7 +79,6 @@ class StageContext:
     config: "ScenarioConfig"
     grid: TimeGrid
     source: RandomSource
-    executor: "Executor"
     artifacts: dict[str, object] = field(default_factory=dict)
 
     def __getitem__(self, key: str) -> object:
@@ -148,7 +146,7 @@ def _compute_enrich(ctx: StageContext) -> None:
     anubis = AnubisService(sandbox)
     virustotal = VirusTotalService()
     enrichment = EnrichmentPipeline(anubis, virustotal)
-    enrichment.enrich(ctx["dataset"], executor=ctx.executor)
+    enrichment.enrich(ctx["dataset"])
     ctx.artifacts.update(
         anubis=anubis, virustotal=virustotal, enrichment=enrichment
     )

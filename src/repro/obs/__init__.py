@@ -25,7 +25,7 @@ near-free when off:
   config delta and the cost attributed to it;
 * :mod:`repro.obs.events` — the live pipeline event stream: a
   schema-versioned, monotonically sequenced :class:`EventBus` with
-  in-memory, JSON-lines-file and multiprocessing-queue transports,
+  in-memory and JSON-lines-file transports,
   the ``repro obs tail`` replay/follow reader and the ``--progress``
   renderer;
 * :mod:`repro.obs.export` — exporters of the recorded telemetry

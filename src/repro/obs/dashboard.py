@@ -6,8 +6,7 @@ window series (attack volume, new samples/patterns, per-perspective
 cluster counts, churn, cross-view agreement), the whole-run cross-view
 summary, and the run's health findings when a manifest is on hand.  The
 *machine* section shows the pipeline's machinery: event throughput,
-chunk latencies and the per-worker resource watermarks riding on
-``chunk.finish`` events.
+stage progress and the count of each event kind.
 
 Given a run id, manifest or window report, the dashboard renders the
 landscape section from the stored report.  Given an event log (the file
@@ -43,16 +42,8 @@ MACHINE_WINDOW = 48
 #: Event kinds that trigger a redraw in follow mode.  High-frequency
 #: bookkeeping kinds (cache.*) update the counters silently; redrawing
 #: only on work-completion events keeps frame volume proportional to
-#: chunks and windows, not to cache traffic.
-REDRAW_KINDS = frozenset(
-    {
-        "chunk.finish",
-        "stage.finish",
-        "window.rollup",
-        "worker.failure",
-        "run.finish",
-    }
-)
+#: stages and windows, not to cache traffic.
+REDRAW_KINDS = frozenset({"stage.finish", "window.rollup", "run.finish"})
 
 
 def sparkline(values: list[float]) -> str:
@@ -93,23 +84,12 @@ def render_machine(state: Mapping) -> str:
         "machine"
         f" · seed {meta.get('seed', '-')}"
         f" · {meta.get('weeks', '?')}w x{meta.get('scale', '?')}"
-        f" · executor {meta.get('executor', '-')}"
         f" · {status}",
         "",
         f"  events   n={state['n_events']} rate={state['rate']:g}/s"
         f"  gap {sparkline(state['gaps'])}",
-        f"  chunks   n={len(state['chunk_seconds'])} items={state['items_done']}"
-        f"  sec {sparkline(state['chunk_seconds'])}",
+        f"  stages   done={state['stages_done']}",
     ]
-    rss = state["rss_kb"]
-    if rss:
-        lines.append(
-            f"  rss_kb   last={rss[-1]:g} peak={state['peak_rss_kb']:g}"
-            f"  rss {sparkline(rss)}"
-        )
-    lines.append(
-        f"  stages   done={state['stages_done']} failures={state['failures']}"
-    )
     counts = state["kind_counts"]
     if counts:
         lines.append(
@@ -192,10 +172,9 @@ class DashboardAccumulator:
     field) rebuild the window report's ``series`` mapping, which is what
     lets ``--follow`` redraw the landscape as windows arrive without
     waiting for the ``.windows.json`` sidecar.  Every event feeds the
-    machine state: counters plus bounded deques (O(:data:`MACHINE_WINDOW`))
-    of the most recent chunk latencies, resident-set watermarks and
-    event inter-arrival gaps.  Feeding the same events always produces
-    the same :meth:`payload` and :meth:`snapshot`.
+    machine state: counters plus a bounded deque (O(:data:`MACHINE_WINDOW`))
+    of the most recent event inter-arrival gaps.  Feeding the same events
+    always produces the same :meth:`payload` and :meth:`snapshot`.
     """
 
     def __init__(self, window: int = MACHINE_WINDOW) -> None:
@@ -207,14 +186,9 @@ class DashboardAccumulator:
         self.n_events = 0
         self.t_first: float | None = None
         self.t_last: float | None = None
-        self.chunk_seconds: deque[float] = deque(maxlen=window)
-        self.rss_kb: deque[float] = deque(maxlen=window)
         self.gaps: deque[float] = deque(maxlen=window)
-        self.peak_rss_kb = 0.0
-        self.items_done = 0
         self.current_stage: str | None = None
         self.stages_done = 0
-        self.failures = 0
         self.finished = False
 
     def feed(self, event: PipelineEvent) -> bool:
@@ -238,25 +212,15 @@ class DashboardAccumulator:
                 self.series.setdefault(str(name), []).append(float(value))
             self.windows_seen += 1
         elif event.kind == "run.start":
-            for key in ("seed", "weeks", "scale", "executor"):
+            for key in ("seed", "weeks", "scale"):
                 if key in fields:
                     self.meta[key] = fields[key]
-        elif event.kind == "chunk.finish":
-            if "seconds" in fields:
-                self.chunk_seconds.append(float(fields["seconds"]))
-            if fields.get("rss_kb") is not None:
-                rss = float(fields["rss_kb"])
-                self.rss_kb.append(rss)
-                self.peak_rss_kb = max(self.peak_rss_kb, rss)
-            self.items_done += int(fields.get("items", 0))
         elif event.kind == "stage.start":
             self.current_stage = str(fields.get("stage", "?"))
         elif event.kind == "stage.finish":
             self.stages_done += 1
             if self.current_stage == str(fields.get("stage")):
                 self.current_stage = None
-        elif event.kind == "worker.failure":
-            self.failures += 1
         elif event.kind == "run.finish":
             self.finished = True
         return event.kind in REDRAW_KINDS
@@ -281,13 +245,8 @@ class DashboardAccumulator:
             "n_events": self.n_events,
             "rate": (self.n_events - 1) / elapsed if elapsed > 0 else 0.0,
             "gaps": list(self.gaps),
-            "chunk_seconds": list(self.chunk_seconds),
-            "rss_kb": list(self.rss_kb),
-            "peak_rss_kb": self.peak_rss_kb,
-            "items_done": self.items_done,
             "current_stage": self.current_stage,
             "stages_done": self.stages_done,
-            "failures": self.failures,
             "kind_counts": dict(self.kind_counts),
             "finished": self.finished,
         }

@@ -39,15 +39,13 @@ from repro.util.canonical import flatten_canonical, mapping_delta
 
 #: Event kinds whose order and fields are pure functions of the
 #: ``(seed, config)`` pair — the comparable skeleton of an event log.
-#: Cache and failure events depend on execution state (a warm cache, a
-#: crashed worker) and are excluded from cross-run comparison.
+#: Cache events depend on execution state (a warm cache) and are
+#: excluded from cross-run comparison.
 SEMANTIC_EVENT_KINDS = frozenset(
     {
         "run.start",
         "stage.start",
         "stage.finish",
-        "chunk.plan",
-        "chunk.finish",
         "cluster.milestone",
         "golden.deviation",
         "window.rollup",
@@ -58,11 +56,8 @@ SEMANTIC_EVENT_KINDS = frozenset(
 )
 
 #: Event fields that legitimately differ between two runs of the same
-#: configuration (wall times, backend/worker identity) — stripped
-#: before comparing.
-VOLATILE_EVENT_FIELDS = frozenset(
-    {"seconds", "backend", "executor", "jobs", "rss_kb"}
-)
+#: configuration (wall times) — stripped before comparing.
+VOLATILE_EVENT_FIELDS = frozenset({"seconds"})
 
 
 def _payload(manifest: RunManifest | Mapping) -> dict:

@@ -2,7 +2,7 @@
 
 While metrics and manifests describe a run *after the fact*, the event
 stream is what makes the pipeline observable *in flight*: every stage
-open/close, chunk completion, cache interaction, cluster-count
+open/close, cache interaction, cluster-count
 milestone and golden-deviation alert becomes one
 :class:`PipelineEvent` — schema-versioned, monotonically sequenced by
 the emitting :class:`EventBus`, and serialised as one JSON object per
@@ -14,22 +14,16 @@ Transports decouple emission from delivery:
 * :class:`MemoryTransport` — an in-process list (tests, the CLI);
 * :class:`FileTransport`  — a JSON-lines sink, flushed per event so a
   crash loses nothing that was emitted;
-* :class:`QueueTransport` — a ``multiprocessing`` queue producer.  The
-  process-pool executor installs a queue-backed bus inside each worker
-  (see :mod:`repro.util.parallel`), so events emitted in workers are
-  forwarded to the parent and re-sequenced onto its bus — the fix for
-  the historical worker-telemetry loss;
-* :class:`ProgressRenderer` — a terminal transport deriving per-stage
-  item counts and an ETA (median chunk latency via
-  :meth:`~repro.obs.sketch.QuantileSketch.quantile`) from the stream.
+* :class:`ProgressRenderer` — a terminal transport printing one line
+  per run start, stage finish and run finish.
 
 Like the metrics registry and the tracer, the bus is ambient
 (:func:`active_bus` / :func:`use_bus`) and defaults to a shared no-op,
 so an un-orchestrated ``emit`` costs one attribute lookup;
 :func:`open_bus` builds the bus a session records on.  Event
 emission is execution-only telemetry: it never contributes to scenario
-fingerprints or artifact digests, and the serial/thread/process
-backends stay bit-identical on pipeline outputs with the stream on.
+fingerprints or artifact digests, and pipeline outputs stay
+bit-identical with the stream on.
 """
 
 from __future__ import annotations
@@ -58,8 +52,6 @@ EVENT_KINDS = (
     "run.finish",
     "stage.start",
     "stage.finish",
-    "chunk.plan",
-    "chunk.finish",
     "cache.hit",
     "cache.miss",
     "cache.store",
@@ -69,7 +61,6 @@ EVENT_KINDS = (
     "cache.stage_store",
     "cluster.milestone",
     "golden.deviation",
-    "worker.failure",
     "window.rollup",
     "health.finding",
     "health.summary",
@@ -165,30 +156,10 @@ class FileTransport:
             self._handle = None
 
 
-class QueueTransport:
-    """Puts each event's dict form on a (multiprocessing) queue.
-
-    Any object with a ``put`` method works; in production it is a
-    ``multiprocessing`` queue created by the process-pool executor, so
-    worker-side events cross the process boundary as soon as they are
-    emitted — a worker crash cannot lose what was already put.
-    """
-
-    def __init__(self, queue) -> None:
-        self.queue = queue
-
-    def handle(self, event: PipelineEvent) -> None:
-        self.queue.put(event.as_dict())
-
-    def close(self) -> None:
-        pass
-
-
 class EventBus:
     """Assigns sequence numbers and timestamps; fans out to transports.
 
-    Emission is thread-safe (one lock around sequencing + dispatch), so
-    thread-pool workers may emit directly on the coordinator's bus.
+    Emission is thread-safe (one lock around sequencing + dispatch).
     ``t`` is seconds since the bus was created — a monotonic offset,
     never wall-clock, so stored logs replay deterministically.
     """
@@ -226,16 +197,6 @@ class EventBus:
                 transport.handle(event)
         return event
 
-    def forward(self, payload: Mapping) -> PipelineEvent:
-        """Re-emit an event received from a worker process.
-
-        The event is re-sequenced onto this bus (worker-local sequence
-        numbers are meaningless after the merge); kind and fields are
-        preserved verbatim.
-        """
-        fields = payload.get("fields", {})
-        return self.emit(str(payload["kind"]), **dict(fields))
-
     def summary(self) -> dict[str, int]:
         """Events emitted so far, counted per kind (key-sorted)."""
         with self._lock:
@@ -258,9 +219,6 @@ class NullEventBus:
     recording = False
 
     def emit(self, kind: str, **fields: object) -> None:
-        return None
-
-    def forward(self, payload: Mapping) -> None:
         return None
 
     def summary(self) -> dict[str, int]:
@@ -398,29 +356,15 @@ def matches(event: PipelineEvent, filters: Mapping[str, str]) -> bool:
 
 
 class ProgressRenderer:
-    """A transport turning the stream into live per-stage progress lines.
+    """A transport turning the stream into live progress lines.
 
-    Tracks the open stage stack, per-stage chunk/item completion
-    against the planned totals (``chunk.plan``), and estimates the time
-    remaining as *remaining chunks x median chunk latency* — the median
-    comes from a :class:`~repro.obs.sketch.QuantileSketch` of observed
-    chunk seconds (within its relative error at any chunk length), so
-    the ETA firms up as the run progresses.  Off by
-    default; the CLI enables it with ``--progress``.
+    One line when the run starts, one per finished stage (its wall
+    seconds) and one when the run finishes.  Off by default; the CLI
+    enables it with ``--progress``.
     """
 
     def __init__(self, stream: IO[str]) -> None:
         self.stream = stream
-        self._stack: list[str] = []
-        self._chunk_seconds = QuantileSketch()
-        self._planned_chunks = 0
-        self._planned_items = 0
-        self._done_chunks = 0
-        self._done_items = 0
-
-    @property
-    def _stage(self) -> str:
-        return self._stack[-1] if self._stack else "-"
 
     def _line(self, text: str) -> None:
         self.stream.write(f"[progress] {text}\n")
@@ -430,36 +374,11 @@ class ProgressRenderer:
         kind, fields = event.kind, event.fields
         if kind == "run.start":
             self._line(f"run started {self._render_fields(fields)}")
-        elif kind == "stage.start":
-            self._stack.append(str(fields.get("stage", "?")))
-        elif kind == "chunk.plan":
-            self._planned_chunks = int(fields.get("chunks", 0))
-            self._planned_items = int(fields.get("items", 0))
-            self._done_chunks = 0
-            self._done_items = 0
-        elif kind == "chunk.finish":
-            self._done_chunks += 1
-            self._done_items += int(fields.get("items", 0))
-            self._chunk_seconds.observe(float(fields.get("seconds", 0.0)))
-            self._line(
-                f"{self._stage}: chunks {self._done_chunks}/{self._planned_chunks}"
-                f" items {self._done_items}/{self._planned_items}"
-                f" eta {self._eta()}"
-            )
         elif kind == "stage.finish":
             stage = str(fields.get("stage", "?"))
-            if self._stack and self._stack[-1] == stage:
-                self._stack.pop()
             self._line(f"{stage} finished in {float(fields.get('seconds', 0.0)):.3f}s")
         elif kind == "run.finish":
             self._line(f"run finished {self._render_fields(fields)}")
-
-    def _eta(self) -> str:
-        median = self._chunk_seconds.quantile(0.5)
-        remaining = max(0, self._planned_chunks - self._done_chunks)
-        if median is None:
-            return "?"
-        return f"{remaining * median:.1f}s"
 
     @staticmethod
     def _render_fields(fields: Mapping[str, object]) -> str:

@@ -119,10 +119,14 @@ _UNIT_SUFFIXES = (("seconds", "seconds"), ("bytes", "bytes"))
 
 
 def _metric_unit(name: str) -> str | None:
-    """The unit a catalogued metric name self-declares, if any."""
-    from repro.obs.validate import METRIC_CATALOGUE
+    """The unit a catalogued metric name self-declares, if any.
 
-    if name not in METRIC_CATALOGUE:
+    Retired names count as catalogued, so a stored run exports with the
+    units its own schema documented (``executor.chunk_seconds``).
+    """
+    from repro.obs.validate import METRIC_CATALOGUE, RETIRED_METRICS
+
+    if name not in METRIC_CATALOGUE and name not in RETIRED_METRICS:
         return None
     tail = name.rsplit(".", 1)[-1].rsplit("_", 1)[-1]
     for suffix, unit in _UNIT_SUFFIXES:

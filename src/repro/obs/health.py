@@ -26,8 +26,8 @@ online-clustering papers in PAPERS.md (slow creeps).  The trend
 detectors are two-sided on metric targets and one-sided on wall-clock
 ``span:`` targets, where only a slowdown is a regression.
 
-Findings are a pure function of the scanned payloads, so every executor
-backend yields byte-identical reports.  A baseline report suppresses
+Findings are a pure function of the scanned payloads, so two runs of
+one ``(seed, config)`` yield byte-identical reports.  A baseline report suppresses
 findings by :meth:`Finding.key` — ``(rule, detector, target, window)``
 — so CI gates only on *new* ones; cross-run findings carry no window
 and stay suppressed whichever later run re-trips them.
@@ -299,17 +299,9 @@ class Report:
 
 #: In-run rules.  Deliberately conservative: every rule reads
 #: *deterministic* telemetry (no wall-clock metrics), so the in-run
-#: report stays byte-identical across executor backends.  Mirrored in
+#: report stays byte-identical across runs of one config.  Mirrored in
 #: ``docs/ARCHITECTURE.md``'s detector section.
 HEALTH_RULES: tuple[Rule, ...] = (
-    Rule(
-        name="workers-healthy",
-        target="metric:executor.worker_failures",
-        severity="critical",
-        detector="max",
-        threshold=0,
-        detail="a parallel worker crashed and its chunk was re-run",
-    ),
     Rule(
         name="samples-collected",
         target="metric:honeypot.samples_collected",

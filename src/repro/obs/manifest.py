@@ -51,12 +51,14 @@ from repro.util.validation import require
 #: 7: dropped ``event_drops`` (the bounded transports are gone); every
 #:    span carries ``cpu_seconds`` and ``max_rss_kb`` (the probe is no
 #:    longer opt-in; its GC-collection count is gone).
-MANIFEST_SCHEMA = 7
+#: 8: no ``executor.*`` or ``worker.*`` metrics (the thread and process
+#:    executors are gone; the sandbox batch is a plain loop).
+MANIFEST_SCHEMA = 8
 
 #: Schemas :meth:`RunManifest.from_dict` still reads (stored runs from
 #: earlier layouts stay loadable; missing fields take their defaults,
 #: fields a later schema dropped are ignored).
-SUPPORTED_MANIFEST_SCHEMAS = (1, 2, 3, 4, 5, 6, 7)
+SUPPORTED_MANIFEST_SCHEMAS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 #: Which span (by name) produced which digested artifact — the walk
 #: order of the cross-run digest diff.  ``headline`` summarises the
@@ -171,8 +173,8 @@ def artifact_digests(run) -> dict[str, str]:
 
     Digested content is reduced through
     :func:`repro.util.canonical.canonicalize`, so the digests are pure
-    functions of the artifacts — never of wall-clock state, dict
-    iteration order or the executor backend.
+    functions of the artifacts — never of wall-clock state or dict
+    iteration order.
     """
     events = [
         [

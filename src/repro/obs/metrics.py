@@ -5,7 +5,7 @@ Instruments are addressed by a metric name plus optional labels
 (``counter("epm.patterns_discovered", dimension="mu")``); the same
 ``(name, labels)`` pair always returns the same instrument, so
 increments from different call sites merge.  Every distribution
-(chunk seconds, LSH bucket sizes, batch sizes) is one
+(LSH bucket sizes, batch sizes, event gaps) is one
 :class:`~repro.obs.sketch.QuantileSketch`: quantiles within a relative
 error bound over any value range, in bounded memory.  A registry
 freezes into a :class:`MetricsSnapshot` — a plain-data, picklable
@@ -22,17 +22,13 @@ lookups and a no-op call.  Orchestrators (the scenario runner, the CLI,
 tests) install a recording registry with :func:`use`.
 
 The registry is designed for *orchestration-point* instrumentation:
-bulk increments at stage boundaries, per-chunk observations gathered in
-the coordinating thread.  It deliberately has no cross-thread locking
-on the hot increment path; worker threads/processes must not mutate
-instruments directly (the parallel executors return per-chunk data to
-the coordinator, which records it).
+bulk increments at stage boundaries, recorded by the one thread that
+runs the pipeline.  It has no cross-thread locking.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -68,8 +64,8 @@ def base_name(key: str) -> str:
 def parse_key(key: str) -> tuple[str, dict[str, str]]:
     """Split a rendered ``name{k=v,...}`` key back into name and labels.
 
-    >>> parse_key("executor.chunks{backend=serial}")
-    ('executor.chunks', {'backend': 'serial'})
+    >>> parse_key("epm.clusters{dimension=mu}")
+    ('epm.clusters', {'dimension': 'mu'})
     >>> parse_key("cache.hit")
     ('cache.hit', {})
     """
@@ -115,9 +111,8 @@ class Watermark:
     """A high-water mark: keeps the maximum of every update.
 
     Unlike a :class:`Gauge` (last write wins — the right semantics for
-    replayed point-in-time values), a watermark merge is commutative,
-    so per-worker peaks (RSS, queue depth, backlog) fold into the same
-    run-level value regardless of chunk completion order.
+    replayed point-in-time values), a watermark keeps the peak of every
+    update, whatever their order.
     """
 
     __slots__ = ("value", "count")
@@ -251,15 +246,13 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._sketches: dict[str, QuantileSketch] = {}
         self._watermarks: dict[str, Watermark] = {}
-        self._create_lock = threading.Lock()
 
     def counter(self, name: str, **labels: object) -> Counter:
         """The counter for ``(name, labels)``, created on first use."""
         key = metric_key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
-            with self._create_lock:
-                instrument = self._counters.setdefault(key, Counter())
+            instrument = self._counters[key] = Counter()
         return instrument
 
     def gauge(self, name: str, **labels: object) -> Gauge:
@@ -267,8 +260,7 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
-            with self._create_lock:
-                instrument = self._gauges.setdefault(key, Gauge())
+            instrument = self._gauges[key] = Gauge()
         return instrument
 
     def sketch(self, name: str, **labels: object) -> QuantileSketch:
@@ -276,8 +268,7 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         instrument = self._sketches.get(key)
         if instrument is None:
-            with self._create_lock:
-                instrument = self._sketches.setdefault(key, QuantileSketch())
+            instrument = self._sketches[key] = QuantileSketch()
         return instrument
 
     def watermark(self, name: str, **labels: object) -> Watermark:
@@ -285,8 +276,7 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         instrument = self._watermarks.get(key)
         if instrument is None:
-            with self._create_lock:
-                instrument = self._watermarks.setdefault(key, Watermark())
+            instrument = self._watermarks[key] = Watermark()
         return instrument
 
     def snapshot(self) -> MetricsSnapshot:
@@ -297,31 +287,6 @@ class MetricsRegistry:
             sketches={key: s.as_dict() for key, s in sorted(self._sketches.items())},
             watermarks={key: w.value for key, w in sorted(self._watermarks.items())},
         )
-
-    def merge_snapshot(self, snapshot: "MetricsSnapshot | Mapping") -> None:
-        """Fold a snapshot's state into this registry.
-
-        Counters add, gauges take the merged value (last write wins, so
-        merging deltas in submission order reproduces a serial run),
-        sketches add bin counts (a payload of another ``(alpha,
-        max_bins)`` shape is rejected) and watermarks keep the maximum —
-        the merge path the parallel executors use to forward worker-side
-        telemetry to the coordinating process (see
-        :mod:`repro.util.parallel`).
-        """
-        payload = snapshot.as_dict() if isinstance(snapshot, MetricsSnapshot) else snapshot
-        for key, value in payload.get("counters", {}).items():
-            name, labels = parse_key(key)
-            self.counter(name, **labels).inc(value)
-        for key, value in payload.get("gauges", {}).items():
-            name, labels = parse_key(key)
-            self.gauge(name, **labels).set(value)
-        for key, sketch_payload in payload.get("sketches", {}).items():
-            name, labels = parse_key(key)
-            self.sketch(name, **labels).merge(sketch_payload)
-        for key, value in payload.get("watermarks", {}).items():
-            name, labels = parse_key(key)
-            self.watermark(name, **labels).update(value)
 
 
 class _NullInstrument:
@@ -371,40 +336,10 @@ NULL_REGISTRY = NullMetricsRegistry()
 
 _active: MetricsRegistry | NullMetricsRegistry = NULL_REGISTRY
 
-#: Per-thread override of the active registry — what lets a parallel
-#: executor capture one chunk's worth of telemetry in a worker thread
-#: without racing the coordinator's registry (see :func:`capture`).
-_tls = threading.local()
-
 
 def active() -> MetricsRegistry | NullMetricsRegistry:
-    """The registry instrumentation sites currently record into.
-
-    A thread-local :func:`capture` override wins over the process-wide
-    registry installed by :func:`activate`/:func:`use`.
-    """
-    override = getattr(_tls, "registry", None)
-    if override is not None:
-        return override
+    """The registry instrumentation sites currently record into."""
     return _active
-
-
-@contextmanager
-def capture() -> Iterator[MetricsRegistry]:
-    """Divert this thread's instrumentation into a fresh registry.
-
-    The parallel executors run every mapped chunk under a capture so
-    worker-side increments are recorded exactly once, snapshotted, and
-    merged into the coordinator's registry in chunk order — identical
-    totals on the serial, thread and process backends.
-    """
-    registry = MetricsRegistry()
-    previous = getattr(_tls, "registry", None)
-    _tls.registry = registry
-    try:
-        yield registry
-    finally:
-        _tls.registry = previous
 
 
 def activate(

@@ -153,7 +153,7 @@ def metric_value(payload: Mapping, metric: str) -> float | None:
     ``epm.clusters{dimension=mu}``), a bare metric name, which sums
     every labelled counter/gauge sharing that base name, or a
     distribution quantile as ``<key>:pNN`` (e.g.
-    ``executor.chunk_seconds:p50``) — estimated from the sketch section
+    ``lsh.bucket_size:p50``) — estimated from the sketch section
     within the sketch's relative error.  A bare ``<key>`` matching
     several labelled sketches is ambiguous and reads as ``None``.
     """

@@ -1,7 +1,7 @@
 """Mergeable streaming-quantile sketch with a guaranteed relative error.
 
-The telemetry's distributions have no range known up front (chunk
-seconds at 1000x scale, LSH bucket sizes, event inter-arrival gaps):
+The telemetry's distributions have no range known up front (LSH
+bucket sizes, sandbox batch sizes, event inter-arrival gaps):
 any fixed bucket layout either saturates at its top bound or wastes
 resolution.  :class:`QuantileSketch` is the DDSketch-style answer, and
 the one distribution instrument of :mod:`repro.obs.metrics`:
@@ -16,17 +16,17 @@ Two properties make it fit the repro telemetry contract:
   pure function of the observed multiset (bin counts are integers, the
   min/max are exact, nothing depends on insertion order), so two runs
   that observe the same values produce byte-identical payloads.  The
-  floating ``sum`` is the one order-sensitive field; the parallel
-  executors merge per-chunk snapshots in chunk order on every backend,
-  so even it is bit-identical across serial/thread/process runs.
+  floating ``sum`` is the one order-sensitive field; every run observes
+  its values in one deterministic order, so even it is bit-identical
+  across runs of one config.
 * **Exact merge** — :meth:`QuantileSketch.merge` folds another sketch's
   payload in by adding bin counts and re-applying the canonical
   *boundary-fold* collapse.  The collapse folds every bin more than
   ``max_bins`` below the highest occupied bin into the boundary bin —
   a rule keyed only on the global maximum index, so it commutes with
   merging: sketching shards independently and merging gives the same
-  bins as one sketch fed everything.  That is what lets per-worker and
-  per-shard sketches reduce into the run-level summary digest-checked.
+  bins as one sketch fed everything.  That is what lets the event
+  bus's gap sketch fold into the run's registry exactly.
 
 Values must be >= 0 (telemetry series are counts, sizes and seconds);
 values below :data:`MIN_TRACKABLE` land in an exact ``zeros`` counter

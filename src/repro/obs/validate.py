@@ -76,19 +76,6 @@ METRIC_CATALOGUE: dict[str, str] = {
     "cache.stage_hit": "counter",
     "cache.stage_miss": "counter",
     "cache.stage_store": "counter",
-    # parallel executors.  chunks/items/chunk_seconds/worker_failures
-    # are deliberately unlabelled: the chunk plan is backend-independent,
-    # so their totals must compare equal across serial/thread/process.
-    "executor.chunks": "counter",
-    "executor.items": "counter",
-    "executor.chunk_seconds": "sketch",
-    "executor.worker_failures": "counter",
-    # labelled by backend=serial|thread|process
-    "executor.jobs": "gauge",
-    # resource watermarks (commutative max-merges; RSS is Unix-only)
-    "executor.chunk_backlog": "watermark",
-    "executor.event_queue_depth": "watermark",
-    "worker.peak_rss_kb": "watermark",
     # event bus: gaps between consecutive emits
     "events.interarrival": "sketch",
     # classification serving (labelled by dimension=epsilon|pi|mu where
@@ -103,6 +90,15 @@ METRIC_CATALOGUE: dict[str, str] = {
 #: that schema or older stays valid with them; a newer one does not.
 RETIRED_METRICS: dict[str, tuple[str, int]] = {
     "events.dropped": ("counter", 6),
+    # the thread and process executors and their chunk telemetry
+    "executor.chunks": ("counter", 7),
+    "executor.items": ("counter", 7),
+    "executor.chunk_seconds": ("sketch", 7),
+    "executor.worker_failures": ("counter", 7),
+    "executor.jobs": ("gauge", 7),
+    "executor.chunk_backlog": ("watermark", 7),
+    "executor.event_queue_depth": ("watermark", 7),
+    "worker.peak_rss_kb": ("watermark", 7),
 }
 
 #: Metrics every scenario run must emit, regardless of scale.
@@ -132,11 +128,6 @@ REQUIRED_SCENARIO_METRICS = frozenset(
         "crossview.rare_singletons",
         "crossview.singleton_anomalies",
         "crossview.environment_splits",
-        "executor.chunks",
-        "executor.items",
-        "executor.chunk_seconds",
-        "executor.chunk_backlog",
-        "executor.jobs",
     }
 )
 
@@ -424,9 +415,8 @@ def validate_events(lines: Sequence[str]) -> list[str]:
     Checks every line parses, carries the current event schema and a
     known kind, that sequence numbers are contiguous (a gap means a
     transport dropped an event mid-stream), and that timestamps never
-    go backwards (the bus clock is monotonic; forwarded worker events
-    are re-stamped on merge).  A log starts at ``seq`` 0: every bus
-    numbers from 0 and the file sink keeps every event.
+    go backwards (the bus clock is monotonic).  A log starts at ``seq``
+    0: every bus numbers from 0 and the file sink keeps every event.
     """
     from repro.obs.events import EVENT_SCHEMA, EVENT_KINDS
 
@@ -605,6 +595,23 @@ def validate_run_store(root: str | Path) -> dict[str, list[str]]:
     return failures
 
 
+def _read_object(flag: str, path: str, errors: list[str]) -> Mapping | None:
+    """The JSON object at ``path``, or ``None`` after one error for ``flag``.
+
+    A missing, empty, truncated or non-object file adds one
+    ``<flag>: <path>: ...`` line to ``errors`` instead of raising.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        errors.append(f"{flag}: {path}: {type(error).__name__}: {error}")
+        return None
+    if not isinstance(payload, Mapping):
+        errors.append(f"{flag}: {path}: not a JSON object")
+        return None
+    return payload
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Validate emitted observability JSON files; exit 1 on any error."""
     parser = argparse.ArgumentParser(
@@ -673,30 +680,36 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--rebuild-index/--query-index need --runs")
     errors: list[str] = []
     if args.metrics:
-        payload = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
-        errors.extend(
-            validate_metrics(payload, require_scenario=args.require_scenario)
-        )
+        payload = _read_object("--metrics", args.metrics, errors)
+        if payload is not None:
+            errors.extend(
+                validate_metrics(payload, require_scenario=args.require_scenario)
+            )
     manifest_payload = None
     if args.manifest:
-        manifest_payload = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        errors.extend(validate_manifest(manifest_payload))
-    if args.events:
-        lines = Path(args.events).read_text(encoding="utf-8").splitlines()
-        errors.extend(validate_events(lines))
+        manifest_payload = _read_object("--manifest", args.manifest, errors)
         if manifest_payload is not None:
-            errors.extend(crosscheck_events(lines, manifest_payload))
+            errors.extend(validate_manifest(manifest_payload))
+    if args.events:
+        try:
+            lines = Path(args.events).read_text(encoding="utf-8").splitlines()
+        except (OSError, ValueError) as error:
+            errors.append(f"--events: {args.events}: {type(error).__name__}: {error}")
+        else:
+            errors.extend(validate_events(lines))
+            if manifest_payload is not None:
+                errors.extend(crosscheck_events(lines, manifest_payload))
     if args.windows:
-        windows_payload = json.loads(Path(args.windows).read_text(encoding="utf-8"))
-        errors.extend(validate_windows(windows_payload, manifest=manifest_payload))
+        windows_payload = _read_object("--windows", args.windows, errors)
+        if windows_payload is not None:
+            errors.extend(
+                validate_windows(windows_payload, manifest=manifest_payload)
+            )
     if args.model:
         from repro.serve.model import validate_model
 
-        model_path = Path(args.model)
-        if not model_path.is_file():
-            errors.append(f"model: {model_path} does not exist")
-        else:
-            model_payload = json.loads(model_path.read_text(encoding="utf-8"))
+        model_payload = _read_object("--model", args.model, errors)
+        if model_payload is not None:
             errors.extend(validate_model(model_payload))
     if args.runs:
         if args.rebuild_index:

@@ -1,7 +1,7 @@
 """Per-window semantic telemetry: the landscape folded onto a time axis.
 
 The rest of the obs layer watches the pipeline's *mechanics* — stage
-timings, cache hits, executor chunk latencies.  This module watches the
+timings, cache hits, span CPU and RSS.  This module watches the
 *landscape semantics* those mechanics produce, the way the paper reads
 its 17-month SGNET window: attack events, newly collected binaries and
 newly discovered E/P/M patterns per time window, how many clusters each
@@ -13,7 +13,7 @@ agreement score from :mod:`repro.analysis.quality`).
 
 A :class:`WindowReport` is a pure function of the run's artifacts
 (dataset, EPM clustering, B-clustering): no wall-clock field ever
-enters it, so serial/thread/process executions of one scenario produce
+enters it, so two executions of one scenario produce
 *byte-identical* reports — enforced by :meth:`WindowReport.digest`
 checks in the determinism tests.  Reports persist next to the run
 manifest in the longitudinal store
@@ -97,9 +97,8 @@ class WindowReport:
         """Canonical content address of the report.
 
         A pure function of the run's artifacts: two executions of one
-        ``(seed, config)`` must agree on it byte-for-byte regardless of
-        executor backend — the windowed cousin of the manifest's
-        artifact digests.
+        ``(seed, config)`` must agree on it byte-for-byte — the windowed
+        cousin of the manifest's artifact digests.
         """
         return canonical_digest(self.as_dict())
 

@@ -315,11 +315,11 @@ def _build_template(spec: PESpec) -> tuple[bytes, tuple[tuple[int, int], ...]]:
 
 #: Shared MT19937 bit generator the content fills stream from.  Its
 #: state is transplanted per build (see :func:`_content_generator`).
-#: One module-level generator suffices because every :func:`build_pe`
-#: call runs on the observe loop's thread
-#: (:meth:`~repro.malware.landscape.LandscapeGenerator.build_attempt`);
-#: the executor-mapped sandbox stage never builds images.  A concurrent
-#: caller would race on this state and corrupt the image bytes.
+#: One module-level generator suffices because the pipeline runs in
+#: one thread and every :func:`build_pe` call comes from the observe
+#: loop (:meth:`~repro.malware.landscape.LandscapeGenerator.build_attempt`).
+#: A concurrent caller would race on this state and corrupt the image
+#: bytes.
 _MT19937 = np.random.MT19937()
 
 

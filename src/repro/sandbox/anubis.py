@@ -17,7 +17,6 @@ from repro.sandbox.behavior import BehaviorProfile
 from repro.sandbox.clustering import BehaviorClustering, ClusteringConfig, cluster_lsh
 from repro.sandbox.execution import ExecutionTask, Sandbox
 from repro.util.hashing import stable_hash64
-from repro.util.parallel import Executor
 from repro.util.validation import require
 
 
@@ -60,19 +59,14 @@ class AnubisService:
         self._reports[md5] = report
         return report
 
-    def submit_batch(
-        self,
-        submissions: Iterable[Sequence],
-        *,
-        executor: Executor | None = None,
-    ) -> list[AnubisReport]:
-        """Submit many ``(md5, behavior, time)`` tuples, optionally in parallel.
+    def submit_batch(self, submissions: Iterable[Sequence]) -> list[AnubisReport]:
+        """Submit many ``(md5, behavior, time)`` tuples in one batch.
 
         Bit-identical to calling :meth:`submit` on each tuple in order —
         already-analysed samples (and repeated MD5s within the batch)
         reuse the first report, run seeds are derived from the MD5s, and
-        the report store keeps first-submission insertion order on every
-        backend.  Returns the reports aligned with the input order.
+        the report store keeps first-submission insertion order.
+        Returns the reports aligned with the input order.
         """
         submissions = [tuple(item) for item in submissions]
         pending: list[tuple[str, BehaviorTemplate, int]] = []
@@ -90,7 +84,7 @@ class AnubisService:
             )
             for md5, behavior, time in pending
         ]
-        profiles = self.sandbox.execute_batch(tasks, executor=executor)
+        profiles = self.sandbox.execute_batch(tasks)
         for (md5, _behavior, time), profile in zip(pending, profiles):
             self._reports[md5] = AnubisReport(md5=md5, submitted_at=time, profile=profile)
         return [self._reports[md5] for md5, _behavior, _time in submissions]

@@ -22,14 +22,12 @@ recorded.  Three effects shape the output exactly as in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 from repro.malware.behaviorspec import BehaviorTemplate
 from repro.obs import metrics as obs_metrics
 from repro.sandbox.behavior import BehaviorProfile, Feature
 from repro.sandbox.environment import Environment
-from repro.util.parallel import Executor, SerialExecutor
 from repro.util.rng import spawn_rng
 from repro.util.validation import require, require_probability
 
@@ -75,10 +73,9 @@ class SandboxConfig:
 class ExecutionTask:
     """One analysis request, fully determined by its fields.
 
-    The profile is a pure function of ``(environment, config, task)``,
-    which is what makes batches safe to execute on any
-    :mod:`repro.util.parallel` backend: every run draws only from the
-    substream spawned from its own ``run_seed``.
+    The profile is a pure function of ``(environment, config, task)``:
+    every run draws only from the substream spawned from its own
+    ``run_seed``, so a batch's results do not depend on what else ran.
     """
 
     behavior: BehaviorTemplate
@@ -118,26 +115,18 @@ class Sandbox:
             )
         )
 
-    def execute_batch(
-        self,
-        tasks: Sequence[ExecutionTask],
-        *,
-        executor: Executor | None = None,
-    ) -> list[BehaviorProfile]:
-        """Run many analyses, optionally in parallel; order is preserved.
+    def execute_batch(self, tasks: Sequence[ExecutionTask]) -> list[BehaviorProfile]:
+        """Run many analyses in input order.
 
         The result is bit-identical to calling :meth:`execute` on each
-        task in sequence, on every backend: each run's randomness comes
-        from its own ``run_seed`` substream and the environment is only
-        read.  The execution counter is updated once, here, so it stays
-        exact even when worker processes operate on copies of ``self``.
+        task in sequence: each run's randomness comes from its own
+        ``run_seed`` substream and the environment is only read.
         """
         tasks = list(tasks)
-        executor = executor or SerialExecutor()
         registry = obs_metrics.active()
         registry.counter("sandbox.executions").inc(len(tasks))
         registry.sketch("sandbox.batch_size").observe(len(tasks))
-        profiles = executor.map(partial(_execute_task, self), tasks)
+        profiles = [self._run(task) for task in tasks]
         self.n_executions += len(tasks)
         return profiles
 
@@ -218,8 +207,3 @@ class Sandbox:
         ordered = sorted(features)
         keep = max(1, int(len(ordered) * point))
         return ordered[:keep]
-
-
-def _execute_task(sandbox: Sandbox, task: ExecutionTask) -> BehaviorProfile:
-    """Module-level batch worker (process pools must be able to pickle it)."""
-    return sandbox._run(task)

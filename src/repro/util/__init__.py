@@ -18,15 +18,6 @@ from repro.util.stats import (
     quantile,
 )
 from repro.util.hashing import md5_hex, stable_hash64
-from repro.util.parallel import (
-    BACKENDS,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-    resolve_jobs,
-)
 from repro.util.timegrid import TimeGrid, WEEK_SECONDS, week_index
 from repro.util.timing import StageTimer, StageTimings
 from repro.util.tables import TextTable, format_histogram
@@ -53,13 +44,6 @@ __all__ = [
     "spawn_rng",
     "md5_hex",
     "stable_hash64",
-    "BACKENDS",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "get_executor",
-    "resolve_jobs",
     "StageTimer",
     "StageTimings",
     "TimeGrid",

@@ -55,14 +55,15 @@ class TestFingerprint:
             assert scenario_fingerprint(1, TINY) != scenario_fingerprint(1, other)
 
     def test_execution_knobs_do_not_change_the_key(self):
-        parallel = ScenarioConfig(
+        observed = ScenarioConfig(
             n_weeks=10,
             scale=0.08,
             deployment=TINY.deployment,
-            executor="process",
-            jobs=8,
+            events="e.jsonl",
+            progress=True,
+            windows=0,
         )
-        assert scenario_fingerprint(1, TINY) == scenario_fingerprint(1, parallel)
+        assert scenario_fingerprint(1, TINY) == scenario_fingerprint(1, observed)
 
     def test_hex_sha256_shape(self):
         fingerprint = scenario_fingerprint(1, TINY)
@@ -114,14 +115,14 @@ class TestScenarioCache:
 
     def test_execution_knob_change_hits(self, cache, built):
         cache.store(built)
-        parallel = ScenarioConfig(
+        observed = ScenarioConfig(
             n_weeks=10,
             scale=0.08,
             deployment=TINY.deployment,
-            executor="thread",
-            jobs=2,
+            progress=True,
+            windows=0,
         )
-        assert cache.load(11, parallel) is not None
+        assert cache.load(11, observed) is not None
 
     def test_corrupt_entry_is_evicted_as_miss(self, cache, built):
         path = cache.store(built)

@@ -70,6 +70,14 @@ class TestExecutionFlags:
         with pytest.raises(SystemExit):
             main(["run", *COMMON, "--no-columnar"])
 
+    @pytest.mark.parametrize("flag", [["--executor", "thread"], ["--jobs", "2"]])
+    def test_executor_flags_are_argparse_errors(self, flag, capsys):
+        # The sandbox batch is a plain loop; the pool executors are gone.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", *COMMON, *flag])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_metrics_out_writes_a_valid_snapshot(self, tmp_path):
@@ -337,7 +345,8 @@ class TestEventStreamCli:
         err = capsys.readouterr().err
         assert "[progress] run started" in err
         assert "[progress] run finished" in err
-        assert "chunks" in err and "eta" in err
+        assert "[progress] enrich finished in " in err
+        assert "chunks" not in err and "eta" not in err
 
     def test_export_prometheus_and_chrome_from_stored_run(
         self, capsys, store_dir, tmp_path
@@ -352,8 +361,9 @@ class TestEventStreamCli:
         capsys.readouterr()
         assert main(["obs", "export", run_id]) == 0
         prom = capsys.readouterr().out
-        assert "# TYPE repro_executor_chunks counter" in prom
-        assert "repro_executor_chunks_total" in prom
+        assert "# TYPE repro_lsh_candidate_pairs counter" in prom
+        assert "repro_lsh_candidate_pairs_total" in prom
+        assert "repro_executor_" not in prom
         out_path = tmp_path / "trace.json"
         assert main(["obs", "export", run_id, "--format", "chrome",
                      "--out", str(out_path)]) == 0
@@ -362,7 +372,7 @@ class TestEventStreamCli:
         capsys.readouterr()
         assert main(["obs", "export", run_id, "--format", "jsonl"]) == 0
         samples = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert any(s["name"] == "executor.items" for s in samples)
+        assert any(s["name"] == "lsh.candidate_pairs" for s in samples)
 
     def test_validate_events_crosschecks_the_manifest(
         self, capsys, tmp_path, monkeypatch

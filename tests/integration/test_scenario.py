@@ -26,6 +26,12 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             ScenarioConfig(scale=0)
 
+    def test_retired_executor_fields_are_rejected(self):
+        with pytest.raises(TypeError):
+            ScenarioConfig(executor="serial")
+        with pytest.raises(TypeError):
+            ScenarioConfig(jobs=2)
+
 
 class TestStoredConfigReplay:
     REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
@@ -71,8 +77,16 @@ class TestStoredConfigReplay:
         # semantic fingerprint.
         config = config_from_canonical(manifest.config)
         assert not any(hasattr(config, name) for name in retired)
-        assert len(dataclasses.fields(config)) == 11
+        assert len(dataclasses.fields(config)) == 9
         assert scenario_fingerprint(manifest.seed, config) == manifest.fingerprint
+
+    def test_stored_config_with_retired_executor_fields_replays(self):
+        manifest = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
+        stored = {**manifest["config"], "executor": "process", "jobs": 8}
+        for payload in (manifest["config"], stored):
+            config = config_from_canonical(payload)
+            assert not hasattr(config, "executor") and not hasattr(config, "jobs")
+            assert scenario_fingerprint(manifest["seed"], config) == manifest["fingerprint"]
 
 
 class TestScenarioRun:

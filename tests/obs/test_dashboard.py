@@ -155,7 +155,7 @@ class TestEventLogDashboard:
         assert landscape.startswith("landscape dashboard · fingerprint ")
         for name in WINDOW_SERIES:
             assert f"  {name}" in landscape
-        assert machine.startswith("seed 7 · 8w x0.05 · executor serial · finished")
+        assert machine.startswith("seed 7 · 8w x0.05 · finished")
         assert "drops" not in machine
         capsys.readouterr()
         assert main(["obs", "dashboard", str(smoke_events)]) == 0
@@ -167,7 +167,7 @@ class TestEventLogDashboard:
 
         kinds = [event.kind for event in iter_events(smoke_events)]
         expected = sum(kind in REDRAW_KINDS for kind in kinds)
-        assert {"window.rollup", "chunk.finish", "stage.finish"} <= set(kinds)
+        assert {"window.rollup", "stage.finish", "run.finish"} <= set(kinds)
         stream = io.StringIO()
         frames = follow_dashboard(
             smoke_events, stream, poll_seconds=0.01, stop=lambda: True

@@ -14,7 +14,6 @@ from repro.obs.events import (
     MemoryTransport,
     PipelineEvent,
     ProgressRenderer,
-    QueueTransport,
     active_bus,
     iter_events,
     matches,
@@ -59,10 +58,10 @@ class TestPipelineEvent:
             PipelineEvent.from_dict({"schema": 99, "seq": 0, "kind": "run.start"})
 
     def test_render_event_is_one_line(self):
-        event = PipelineEvent(seq=7, t=0.5, kind="chunk.finish", fields={"items": 4})
+        event = PipelineEvent(seq=7, t=0.5, kind="cache.hit", fields={"items": 4})
         line = render_event(event)
         assert "\n" not in line
-        assert "chunk.finish" in line and "items=4" in line
+        assert "cache.hit" in line and "items=4" in line
 
 
 class TestEventBus:
@@ -95,24 +94,13 @@ class TestEventBus:
         assert bus.summary() == {"stage.finish": 1, "stage.start": 2}
         assert list(bus.summary()) == sorted(bus.summary())
 
-    def test_forward_re_sequences_worker_events(self):
-        sink = MemoryTransport()
-        bus = EventBus([sink])
-        bus.emit("run.start")
-        worker_payload = {"schema": EVENT_SCHEMA, "seq": 999, "t": 42.0,
-                          "kind": "cache.hit", "fields": {"item": 5}}
-        forwarded = bus.forward(worker_payload)
-        assert forwarded.seq == 1  # re-stamped, not 999
-        assert forwarded.kind == "cache.hit"
-        assert forwarded.fields == {"item": 5}
-
     def test_emission_is_thread_safe(self):
         sink = MemoryTransport()
         bus = EventBus([sink])
 
         def emit_many():
             for _ in range(200):
-                bus.emit("chunk.finish", items=1)
+                bus.emit("cache.hit", items=1)
 
         threads = [threading.Thread(target=emit_many) for _ in range(4)]
         for thread in threads:
@@ -120,7 +108,7 @@ class TestEventBus:
         for thread in threads:
             thread.join()
         assert sorted(event.seq for event in sink.events) == list(range(800))
-        assert bus.summary() == {"chunk.finish": 800}
+        assert bus.summary() == {"cache.hit": 800}
 
     def test_null_bus_is_free_and_silent(self):
         assert NULL_BUS.recording is False
@@ -133,22 +121,6 @@ class TestEventBus:
         with use_bus(bus):
             assert active_bus() is bus
         assert active_bus() is before
-
-    def test_queue_transport_ships_dict_form(self):
-        class FakeQueue:
-            def __init__(self):
-                self.items = []
-
-            def put(self, item):
-                self.items.append(item)
-
-        queue = FakeQueue()
-        bus = EventBus([QueueTransport(queue)])
-        bus.emit("worker.failure", chunk=2)
-        assert queue.items == [
-            {"schema": EVENT_SCHEMA, "seq": 0, "t": queue.items[0]["t"],
-             "kind": "worker.failure", "fields": {"chunk": 2}}
-        ]
 
 
 class TestFileTransportReplay:
@@ -247,12 +219,12 @@ class TestFilters:
     def test_kind_exact_and_prefix_match(self):
         start = PipelineEvent(seq=0, t=0.0, kind="stage.start", fields={"stage": "epm"})
         finish = PipelineEvent(seq=1, t=0.0, kind="stage.finish", fields={"stage": "epm"})
-        chunk = PipelineEvent(seq=2, t=0.0, kind="chunk.finish", fields={"items": 3})
+        cache = PipelineEvent(seq=2, t=0.0, kind="cache.hit", fields={"items": 3})
         assert matches(start, {"kind": "stage.start"})
         assert not matches(finish, {"kind": "stage.start"})
         assert matches(start, {"kind": "stage.*"})
         assert matches(finish, {"kind": "stage.*"})
-        assert not matches(chunk, {"kind": "stage.*"})
+        assert not matches(cache, {"kind": "stage.*"})
 
     def test_field_filters_and_semantics(self):
         event = PipelineEvent(seq=0, t=0.0, kind="stage.start", fields={"stage": "epm"})
@@ -273,43 +245,19 @@ class TestProgressRenderer:
         def flush(self):
             pass
 
-    def test_renders_stage_progress_and_eta(self):
+    def test_renders_run_and_stage_lines(self):
         sink = self._Sink()
         bus = EventBus([ProgressRenderer(sink)])
         bus.emit("run.start", seed=7)
         bus.emit("stage.start", stage="enrich", depth=1)
-        bus.emit("chunk.plan", backend="thread", chunks=2, items=10)
-        bus.emit("chunk.finish", backend="thread", chunk=0, items=5, seconds=0.02)
-        bus.emit("chunk.finish", backend="thread", chunk=1, items=5, seconds=0.02)
+        bus.emit("cache.stage_miss", stage="enrich")
         bus.emit("stage.finish", stage="enrich", seconds=0.05)
         bus.emit("run.finish", seconds=0.06)
-        lines = sink.text.splitlines()
-        assert all(line.startswith("[progress] ") for line in lines)
-        assert "run started seed=7" in lines[0]
-        assert "enrich: chunks 1/2 items 5/10" in lines[1]
-        assert "eta" in lines[1] and not lines[1].endswith("eta ?")
-        assert "enrich: chunks 2/2 items 10/10" in lines[2]
-        assert "enrich finished in 0.050s" in lines[3]
-        assert "run finished" in lines[4]
-
-    def test_eta_unknown_before_first_chunk(self):
-        sink = self._Sink()
-        renderer = ProgressRenderer(sink)
-        assert renderer._eta() == "?"
-
-    def test_eta_of_long_chunks_does_not_saturate(self):
-        # 10 planned chunks of 12 s each: after three, 7 remain, so the
-        # ETA is 84 s — far past any fixed latency bucket layout.
-        sink = self._Sink()
-        bus = EventBus([ProgressRenderer(sink)])
-        bus.emit("stage.start", stage="observe", depth=1)
-        bus.emit("chunk.plan", backend="serial", chunks=10, items=10)
-        for chunk in range(3):
-            bus.emit("chunk.finish", backend="serial", chunk=chunk, items=1, seconds=12.0)
-        last = sink.text.splitlines()[-1]
-        assert "observe: chunks 3/10" in last
-        eta = float(last.rsplit("eta ", 1)[1].rstrip("s"))
-        assert eta == pytest.approx(84.0, rel=0.01)
+        assert sink.text.splitlines() == [
+            "[progress] run started seed=7",
+            "[progress] enrich finished in 0.050s",
+            "[progress] run finished seconds=0.06",
+        ]
 
 
 class TestValidateEvents:
@@ -355,6 +303,16 @@ class TestValidateEvents:
         )
         errors = validate_events(lines)
         assert any("t" in error for error in errors)
+
+    def test_retired_executor_kinds_reported(self):
+        # logs written while the pool executors existed carry these kinds
+        lines = self._lines(*[
+            PipelineEvent(seq=index, t=float(index), kind=kind)
+            for index, kind in enumerate(("chunk.plan", "chunk.finish", "worker.failure"))
+        ])
+        errors = validate_events(lines)
+        assert len(errors) == 3
+        assert all("unknown event kind" in error for error in errors)
 
     def test_every_taxonomy_kind_passes(self):
         lines = self._lines(*[
@@ -416,7 +374,7 @@ class TestInterarrival:
         bus = EventBus([MemoryTransport()], clock=clock)
         for gap in (0.5, 0.25, 1.0):
             clock.now += gap
-            bus.emit("chunk.finish")
+            bus.emit("cache.hit")
         payload = bus.interarrival()
         assert payload["count"] == 2  # gaps between 3 events
         assert payload["min"] == pytest.approx(0.25)
@@ -466,7 +424,7 @@ class TestIterEventsTruncation:
         path = tmp_path / "events.jsonl"
         first = EventBus([FileTransport(path)])
         for _ in range(3):
-            first.emit("chunk.finish")
+            first.emit("cache.hit")
         first.close()
         seen = []
         done = threading.Event()
@@ -491,8 +449,8 @@ class TestIterEventsTruncation:
         finally:
             thread.join(timeout=10.0)
         assert [(event.seq, event.kind) for event in seen] == [
-            (0, "chunk.finish"),
-            (1, "chunk.finish"),
-            (2, "chunk.finish"),
+            (0, "cache.hit"),
+            (1, "cache.hit"),
+            (2, "cache.hit"),
             (0, "run.start"),
         ]

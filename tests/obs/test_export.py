@@ -17,6 +17,7 @@ from repro.util.validation import ValidationError
 
 
 def _snapshot():
+    # executor.* are the names a stored schema-7 run carries
     registry = MetricsRegistry()
     registry.counter("executor.items").inc(42)
     registry.counter("epm.patterns", dimension="mu").inc(7)

@@ -21,7 +21,7 @@ def _manifest(**overrides) -> dict:
     payload = {
         "metrics": {
             "schema": 1,
-            "counters": {"executor.worker_failures": 0.0},
+            "counters": {"honeypot.samples_collected": 5.0},
             "gauges": {"lsh.clusters": 9.0, "lsh.buckets_skipped": 0.0},
             "histograms": {},
         },
@@ -84,11 +84,11 @@ class TestEvaluateHealth:
 
     def test_max_rule_fires_above_threshold(self):
         manifest = _manifest()
-        manifest["metrics"]["counters"]["executor.worker_failures"] = 2.0
+        manifest["metrics"]["gauges"]["lsh.buckets_skipped"] = 2.0
         report = evaluate_health(manifest)
-        assert report.worst() == "critical"
+        assert report.worst() == "warning"
         finding = report.findings[0]
-        assert finding.rule == "workers-healthy"
+        assert finding.rule == "lsh-guard-quiet"
         assert finding.value == 2.0 and finding.window is None
 
     def test_min_rule_fires_below_threshold(self):
@@ -138,7 +138,7 @@ class TestEvaluateHealth:
 
     def test_findings_rank_most_severe_first(self):
         manifest = _manifest(golden_deviations=["off"])
-        manifest["metrics"]["counters"]["executor.worker_failures"] = 1.0
+        manifest["metrics"]["counters"]["honeypot.samples_collected"] = 0.0
         windows = _windows(b_churn=[10.0, 11.0, 9.0, 10.0, 80.0])
         report = evaluate_health(manifest, windows)
         assert [f.severity for f in report.findings] == [

@@ -537,9 +537,9 @@ class TestEventDiff:
 
     def _baseline(self):
         return _event_log(
-            ("run.start", {"seed": 7, "executor": "serial"}),
+            ("run.start", {"seed": 7}),
             ("stage.start", {"stage": "observe", "depth": 1}),
-            ("chunk.finish", {"chunk": 0, "items": 5, "seconds": 0.5, "backend": "serial"}),
+            ("cache.stage_miss", {"stage": "observe"}),
             ("stage.finish", {"stage": "observe", "seconds": 0.5}),
             ("cluster.milestone", {"perspective": "e", "clusters": 10}),
             ("run.finish", {"seconds": 1.0}),
@@ -550,22 +550,22 @@ class TestEventDiff:
 
     def test_volatile_fields_are_ignored(self):
         noisy = _event_log(
-            ("run.start", {"seed": 7, "executor": "process"}),
+            ("run.start", {"seed": 7}),
             ("stage.start", {"stage": "observe", "depth": 1}),
-            ("chunk.finish", {"chunk": 0, "items": 5, "seconds": 9.9, "backend": "process"}),
+            ("cache.stage_hit", {"stage": "observe"}),
             ("stage.finish", {"stage": "observe", "seconds": 9.9}),
             ("cluster.milestone", {"perspective": "e", "clusters": 10}),
             ("run.finish", {"seconds": 9.9}),
         )
-        # seconds/backend/executor are volatile; chunk.finish is not
-        # semantic at all — different wall-clock runs must compare clean
+        # seconds are volatile; cache events are not semantic at all —
+        # a cold and a warm run of one config must compare clean
         assert first_diverging_event(self._baseline(), noisy) is None
 
     def test_milestone_change_is_attributed(self):
         changed = _event_log(
-            ("run.start", {"seed": 7, "executor": "serial"}),
+            ("run.start", {"seed": 7}),
             ("stage.start", {"stage": "observe", "depth": 1}),
-            ("chunk.finish", {"chunk": 0, "items": 5, "seconds": 0.5, "backend": "serial"}),
+            ("cache.stage_miss", {"stage": "observe"}),
             ("stage.finish", {"stage": "observe", "seconds": 0.5}),
             ("cluster.milestone", {"perspective": "e", "clusters": 11}),
             ("run.finish", {"seconds": 1.0}),
@@ -617,15 +617,15 @@ class TestHistogramQuantileHistory:
     def test_metric_value_quantile_mode(self):
         manifest = _manifest()
         manifest.metrics["sketches"] = {
-            "executor.chunk_seconds": _sketch_payload(0.005, 0.005, 0.05, 0.1)
+            "lsh.bucket_size": _sketch_payload(0.005, 0.005, 0.05, 0.1)
         }
         payload = manifest.as_dict()
-        median = metric_value(payload, "executor.chunk_seconds:p50")
+        median = metric_value(payload, "lsh.bucket_size:p50")
         assert median == pytest.approx(0.005, rel=DEFAULT_ALPHA)
-        p100 = metric_value(payload, "executor.chunk_seconds:p100")
+        p100 = metric_value(payload, "lsh.bucket_size:p100")
         assert p100 == pytest.approx(0.1, rel=DEFAULT_ALPHA)
         assert metric_value(payload, "absent.sketch:p50") is None
-        assert metric_value(payload, "executor.chunk_seconds:p200") is None
+        assert metric_value(payload, "lsh.bucket_size:p200") is None
 
     def test_quantile_mode_resolves_unique_labelled_key(self):
         manifest = _manifest()
@@ -658,7 +658,8 @@ class TestLegacyStoredRun:
 
     def test_legacy_metrics_validate(self, legacy):
         raw, _store, _run_id = legacy
-        assert validate_metrics(raw["metrics"]) == []
+        # its executor.* names were retired after schema 7
+        assert validate_metrics(raw["metrics"], manifest_schema=raw["schema"]) == []
 
     def test_quantile_series_continues_under_the_plain_name(self, legacy):
         raw, store, run_id = legacy

@@ -158,9 +158,14 @@ class TestScenarioManifest:
         """Default runs profile every span: no flag asks for it."""
         from repro.obs.profile import PROFILE_ATTRS
 
-        assert small_run.manifest.schema == MANIFEST_SCHEMA == 7
+        assert small_run.manifest.schema == MANIFEST_SCHEMA == 8
         for child in small_run.manifest.span_tree["children"]:
             assert set(PROFILE_ATTRS) <= set(child["attributes"]), child["name"]
+
+    def test_run_emits_no_executor_metrics(self, small_run):
+        names = small_run.metrics.names()
+        assert "sandbox.batch_size" in names
+        assert not [n for n in names if n.startswith(("executor.", "worker."))]
 
     def test_artifact_digests_are_deterministic_per_run(self, small_run):
         assert artifact_digests(small_run) == artifact_digests(small_run)

@@ -23,8 +23,8 @@ class TestMetricKey:
         assert metric_key("cache.hit", {}) == "cache.hit"
 
     def test_labels_render_sorted(self):
-        key = metric_key("executor.items", {"jobs": 4, "backend": "thread"})
-        assert key == "executor.items{backend=thread,jobs=4}"
+        key = metric_key("cache.stage_hit", {"stage": "epm", "dimension": "mu"})
+        assert key == "cache.stage_hit{dimension=mu,stage=epm}"
 
     def test_base_name_strips_labels(self):
         assert base_name("epm.clusters{dimension=mu}") == "epm.clusters"
@@ -58,9 +58,9 @@ class TestCounter:
 
     def test_same_labels_merge_across_call_sites(self):
         registry = MetricsRegistry()
-        registry.counter("executor.items", backend="serial").inc(10)
-        registry.counter("executor.items", backend="serial").inc(10)
-        assert registry.snapshot().counter("executor.items", backend="serial") == 20
+        registry.counter("cache.stage_hit", stage="epm").inc(10)
+        registry.counter("cache.stage_hit", stage="epm").inc(10)
+        assert registry.snapshot().counter("cache.stage_hit", stage="epm") == 20
 
 
 class TestGauge:
@@ -152,7 +152,7 @@ class TestActivation:
 class TestSketchInstrument:
     def test_observe_and_quantile(self):
         registry = MetricsRegistry()
-        sketch = registry.sketch("executor.chunk_seconds")
+        sketch = registry.sketch("lsh.bucket_size")
         for value in (1.0, 2.0, 4.0):
             sketch.observe(value)
         assert sketch.count == 3
@@ -167,13 +167,14 @@ class TestSketchInstrument:
 
     def test_shape_mismatch_on_one_key_rejected(self):
         # The registry's sketches all have the default shape; merging a
-        # payload of another (alpha, max_bins) into one is refused.
+        # payload of another (alpha, max_bins) into one is refused (the
+        # run folds the event bus's gap sketch in this way).
         foreign = QuantileSketch(alpha=0.05)
         foreign.observe(1.0)
         registry = MetricsRegistry()
         registry.sketch("a.sketch").observe(2.0)
         with pytest.raises(ValidationError):
-            registry.merge_snapshot({"sketches": {"a.sketch": foreign.as_dict()}})
+            registry.sketch("a.sketch").merge(foreign.as_dict())
 
     def test_snapshot_round_trip_preserves_sketches(self):
         registry = MetricsRegistry()
@@ -237,7 +238,7 @@ class TestLegacyUpgrade:
 class TestWatermarkInstrument:
     def test_update_keeps_the_maximum(self):
         registry = MetricsRegistry()
-        mark = registry.watermark("worker.peak_rss_kb")
+        mark = registry.watermark("q.depth")
         for value in (10, 50, 20):
             mark.update(value)
         assert mark.value == 50.0
@@ -248,32 +249,6 @@ class TestWatermarkInstrument:
         snapshot = registry.snapshot()
         assert snapshot.watermark("q.depth", worker=1) == 7.0
         assert snapshot.watermark("q.depth", worker=2) == 0
-
-
-class TestMergeSnapshotSections:
-    def test_sketches_and_watermarks_fold_in(self):
-        worker_a, worker_b = MetricsRegistry(), MetricsRegistry()
-        worker_a.sketch("s").observe(1.0)
-        worker_b.sketch("s").observe(3.0)
-        worker_a.watermark("w").update(5)
-        worker_b.watermark("w").update(9)
-        parent = MetricsRegistry()
-        parent.merge_snapshot(worker_a.snapshot())
-        parent.merge_snapshot(worker_b.snapshot())
-        merged = parent.snapshot()
-        assert merged.sketches["s"]["count"] == 2
-        assert merged.watermarks["w"] == 9.0
-
-    def test_watermark_merge_is_commutative(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.watermark("w").update(5)
-        b.watermark("w").update(9)
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        forward.merge_snapshot(a.snapshot())
-        forward.merge_snapshot(b.snapshot())
-        backward.merge_snapshot(b.snapshot())
-        backward.merge_snapshot(a.snapshot())
-        assert forward.snapshot().as_dict() == backward.snapshot().as_dict()
 
 
 class TestNullRegistryNewInstruments:

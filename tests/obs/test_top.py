@@ -17,10 +17,10 @@ def _event(seq, t, kind, **fields):
 
 def _sample_events():
     return [
-        _event(0, 0.0, "run.start", seed=7, weeks=8, scale=0.1, executor="thread"),
+        _event(0, 0.0, "run.start", seed=7, weeks=8, scale=0.1),
         _event(1, 0.1, "stage.start", stage="observe"),
-        _event(2, 0.4, "chunk.finish", chunk=0, items=5, seconds=0.3, rss_kb=40000),
-        _event(3, 0.8, "chunk.finish", chunk=1, items=5, seconds=0.4, rss_kb=41000),
+        _event(2, 0.4, "cache.stage_miss", stage="observe"),
+        _event(3, 0.8, "cache.stage_store", stage="observe"),
         _event(4, 0.9, "stage.finish", stage="observe", seconds=0.8),
         _event(5, 1.0, "cache.hit", fingerprint="f" * 16),
         _event(6, 1.1, "run.finish", seconds=1.1),
@@ -35,9 +35,8 @@ class TestTopAccumulator:
         state = accumulator.snapshot()
         assert state["meta"]["seed"] == 7
         assert state["n_events"] == 7
-        assert state["items_done"] == 10
-        assert state["chunk_seconds"] == [0.3, 0.4]
-        assert state["peak_rss_kb"] == 41000.0
+        assert state["kind_counts"]["cache.stage_miss"] == 1
+        assert state["current_stage"] is None
         assert state["stages_done"] == 1
         assert state["finished"] is True
         assert state["rate"] > 0
@@ -47,18 +46,15 @@ class TestTopAccumulator:
         assert accumulator.feed(_event(0, 0.0, "run.start")) is False
         assert accumulator.feed(_event(1, 0.1, "cache.hit")) is False
         assert accumulator.feed(
-            _event(2, 0.2, "chunk.finish", seconds=0.1)
+            _event(2, 0.2, "stage.finish", stage="epm", seconds=0.1)
         ) is True
 
     def test_memory_is_bounded_by_the_window(self):
         accumulator = DashboardAccumulator()
         for index in range(MACHINE_WINDOW * 10):
             accumulator.feed(
-                _event(index, index * 0.1, "chunk.finish",
-                       seconds=0.1, rss_kb=1000 + index)
+                _event(index, index * 0.1, "stage.finish", stage="s", seconds=0.1)
             )
-        assert len(accumulator.chunk_seconds) == MACHINE_WINDOW
-        assert len(accumulator.rss_kb) == MACHINE_WINDOW
         assert len(accumulator.gaps) == MACHINE_WINDOW
         assert accumulator.n_events == MACHINE_WINDOW * 10
 
@@ -82,8 +78,8 @@ class TestRenderTop:
         text = dashboard_from_events(_sample_events())
         assert "seed 7" in text
         assert "finished" in text
-        assert "items=10" in text
-        assert "peak=41000" in text
+        assert "done=1" in text
+        assert "cache.stage_miss=1" in text
         assert "drops" not in text
 
     def test_empty_stream_renders(self):
@@ -121,7 +117,7 @@ class TestFollowTop:
         thread = threading.Thread(target=consume)
         thread.start()
         try:
-            bus.emit("chunk.finish", chunk=0, items=4, seconds=0.1)
+            bus.emit("stage.finish", stage="observe", seconds=0.1)
             bus.emit("run.finish", seconds=0.5)
             bus.close()
             assert done.wait(timeout=10.0)
@@ -139,7 +135,7 @@ class TestCliEntry:
         path = tmp_path / "events.jsonl"
         bus = EventBus([FileTransport(path)])
         bus.emit("run.start", seed=9)
-        bus.emit("chunk.finish", chunk=0, items=2, seconds=0.2)
+        bus.emit("stage.finish", stage="observe", seconds=0.2)
         bus.emit("run.finish", seconds=0.4)
         bus.close()
         out = tmp_path / "live.txt"

@@ -3,7 +3,8 @@
 A sketch whose bins lost observations must fail ``repro obs validate``
 loudly; a stored schema-6 manifest, whose drop accounting section and
 ``events.dropped`` counters the current layout no longer has, must
-still validate.
+still validate, and so must a schema-7 manifest carrying the retired
+``executor.*``/``worker.*`` metrics.
 """
 
 import json
@@ -12,10 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.manifest import MANIFEST_SCHEMA
+from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import QuantileSketch
-from repro.obs.validate import METRIC_CATALOGUE, validate_manifest, validate_metrics
+from repro.obs.validate import (
+    METRIC_CATALOGUE,
+    main,
+    validate_manifest,
+    validate_metrics,
+)
 
 ARCHITECTURE = Path(__file__).resolve().parents[2] / "docs" / "ARCHITECTURE.md"
 REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
@@ -110,7 +116,7 @@ class TestSketchPayloadValidation:
 class TestManifestLayout:
     def test_current_schema_has_no_drop_section(self):
         payload = _manifest_payload({"cache.hit": 1})
-        assert payload["schema"] == 7
+        assert payload["schema"] == 8
         assert validate_manifest(payload) == []
 
     def test_stored_schema_6_drop_section_is_ignored(self):
@@ -137,7 +143,7 @@ class TestRetiredMetrics:
 
     def test_current_schema_rejects_the_retired_counter(self):
         payload = _manifest_payload({self.DROPPED: 3})
-        assert payload["schema"] == 7
+        assert payload["schema"] == 8
         errors = validate_manifest(payload)
         assert any("undocumented metric 'events.dropped'" in e for e in errors)
 
@@ -145,6 +151,72 @@ class TestRetiredMetrics:
         registry = MetricsRegistry()
         registry.counter("events.dropped", kind="x", transport="ring").inc()
         assert validate_metrics(registry.snapshot().as_dict()) != []
+
+
+class TestRetiredExecutorMetrics:
+    """A schema-7 run carries the chunk telemetry of the retired pool
+    executors; it stays valid, a schema-8 run does not."""
+
+    @staticmethod
+    def _payload(schema):
+        payload = _manifest_payload({"executor.chunks": 14, "executor.items": 14})
+        payload["schema"] = schema
+        payload["metrics"]["gauges"]["executor.jobs{backend=serial}"] = 1
+        payload["metrics"]["watermarks"]["worker.peak_rss_kb"] = 51200.0
+        return payload
+
+    def test_schema_7_payload_loads_and_validates(self):
+        payload = self._payload(7)
+        assert validate_manifest(payload) == []
+        manifest = RunManifest.from_dict(payload)
+        assert manifest.schema == 7
+        assert validate_manifest(manifest.as_dict()) == []
+
+    def test_schema_8_payload_rejects_them(self):
+        errors = validate_manifest(self._payload(8))
+        assert len(errors) == 4
+        assert any("undocumented metric 'executor.chunks'" in e for e in errors)
+        assert any("undocumented metric 'worker.peak_rss_kb'" in e for e in errors)
+
+    def test_stored_schema_6_reference_validates(self):
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        assert "executor.chunks" in reference["metrics"]["counters"]
+        assert validate_manifest(reference) == []
+
+
+class TestUnreadableInputs:
+    """An input file that cannot be read as a JSON object is one error
+    line naming its flag and path, exit 1 — never a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--metrics", "--manifest", "--windows", "--model"])
+    @pytest.mark.parametrize("fault", ["empty", "truncated"])
+    def test_one_error_line(self, flag, fault, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text("" if fault == "empty" else '{"schema": 8, "seed"', encoding="utf-8")
+        assert main([flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{flag}: {path}: JSONDecodeError: ")
+
+    @pytest.mark.parametrize("flag", ["--metrics", "--manifest", "--windows", "--model"])
+    def test_missing_and_non_object_files(self, flag, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]", encoding="utf-8")
+        assert main([flag, str(tmp_path / "absent.json")]) == 1
+        assert main([flag, str(listed)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"{flag}: {tmp_path / 'absent.json'}: FileNotFoundError: "
+            f"[Errno 2] No such file or directory: '{tmp_path / 'absent.json'}'",
+            f"{flag}: {listed}: not a JSON object",
+        ]
+
+    def test_missing_event_log(self, tmp_path, capsys):
+        missing = tmp_path / "events.jsonl"
+        assert main(["--events", str(missing)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"--events: {missing}: FileNotFoundError: ")
 
 
 def _documented_catalogue() -> dict[str, str]:
@@ -171,5 +243,5 @@ class TestCatalogueDocs:
         assert _documented_catalogue() == METRIC_CATALOGUE
 
     def test_every_distribution_is_a_sketch(self):
-        assert set(METRIC_CATALOGUE.values()) == {"counter", "gauge", "sketch", "watermark"}
+        assert set(METRIC_CATALOGUE.values()) == {"counter", "gauge", "sketch"}
         assert not [name for name in METRIC_CATALOGUE if name.endswith("_sketch")]

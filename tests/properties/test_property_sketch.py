@@ -87,8 +87,8 @@ class TestSketchProperties:
     def test_payload_is_insertion_order_independent(self, values):
         forward = _filled(values).as_dict()
         backward = _filled(reversed(values)).as_dict()
-        # ``sum`` is the one order-sensitive field (float addition); the
-        # executors sidestep it by merging chunks in a fixed order.
+        # ``sum`` is the one order-sensitive field (float addition); a
+        # run observes its values in one fixed order, which sidesteps it.
         assert math.isclose(forward.pop("sum"), backward.pop("sum"))
         assert forward == backward
 

@@ -108,3 +108,36 @@ class TestClusterFrontEnd:
         service = _service()
         service.submit(MD5_A, CLEAN, time=0)
         assert set(service.profiles()) == {MD5_A}
+
+
+class TestBatchSubmissionEquivalence:
+    """submit_batch must be indistinguishable from sequential submit."""
+
+    def test_batch_matches_sequential(self, small_run):
+        records = [
+            record
+            for record in small_run.dataset.samples.values()
+            if record.behavior_handle is not None and not record.observable.corrupted
+        ][:40]
+        submissions = [
+            (record.md5, record.behavior_handle, record.first_seen)
+            for record in records
+        ]
+        # duplicate a submission: the second occurrence must reuse the first
+        submissions.append(submissions[0])
+
+        environment = small_run.catalog.environment
+        sequential = AnubisService(Sandbox(environment, small_run.config.sandbox))
+        for md5, behavior, time in submissions:
+            sequential.submit(md5, behavior, time=time)
+
+        batched = AnubisService(Sandbox(environment, small_run.config.sandbox))
+        reports = batched.submit_batch(submissions)
+
+        assert len(reports) == len(submissions)
+        assert reports[0] is reports[-1]  # duplicate reused, not re-executed
+        assert list(batched.profiles()) == list(sequential.profiles())
+        assert {
+            md5: profile.features for md5, profile in batched.profiles().items()
+        } == {md5: profile.features for md5, profile in sequential.profiles().items()}
+        assert batched.sandbox.n_executions == sequential.sandbox.n_executions
