@@ -108,6 +108,7 @@ def pi_features() -> FeatureSet:
             FeatureDefinition("interaction", lambda e: e.payload.interaction.value),
         ],
         applies=lambda e: e.payload is not None,
+        observable=lambda e: e.payload,
     )
 
 

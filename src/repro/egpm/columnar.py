@@ -108,14 +108,32 @@ class DimensionColumns:
         )
 
     def value_tuples(self) -> list[tuple[Hashable, ...]]:
-        """Every row decoded back to its exact row-wise extraction tuple."""
+        """Every row decoded back to its exact row-wise extraction tuple.
+
+        Each distinct code row is decoded once, and every row carrying
+        it gets that one tuple, so a pickle of the instances stores
+        each distinct tuple once.
+        """
         if self.n_rows == 0:
             return []
+        # One int64 key per code row, the codes as mixed-radix digits;
+        # before a digit could overflow the key, it is renumbered densely.
+        key = np.zeros(self.n_rows, dtype=np.int64)
+        span = 1
+        for f, vocab in enumerate(self.vocabularies):
+            if span * len(vocab) >= 1 << 62:
+                distinct, key = np.unique(key, return_inverse=True)
+                span = len(distinct)
+            key = key * len(vocab) + self.codes[:, f]
+            span *= len(vocab)
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        rows = self.codes[first]
         columns = []
         for f, vocab in enumerate(self.vocabularies):
             values = vocab.values()
-            columns.append([values[code] for code in self.codes[:, f].tolist()])
-        return list(zip(*columns))
+            columns.append([values[code] for code in rows[:, f].tolist()])
+        decoded = list(zip(*columns))
+        return [decoded[index] for index in key.tolist()]
 
     def observations(self) -> list[Observation]:
         """Rows in the ``(values, source, sensor)`` form the scalar

@@ -31,7 +31,8 @@ class EnrichmentPipeline:
 
         Corrupted binaries (truncated downloads) are scanned by the AV
         panel but cannot be executed — reproducing the paper's
-        6353-collected vs 5165-behaviourally-analysed gap.
+        6353-collected vs 5165-behaviourally-analysed gap.  The pass's
+        verdicts share one string per distinct label.
 
         Sandbox executions run as one batch (run seeds derive from
         MD5s, so each profile depends only on its own sample), in
@@ -40,11 +41,12 @@ class EnrichmentPipeline:
         before = self.stats()
         tracer = current_tracer()
         executable = []
+        labels: dict[str, str] = {}
         with tracer.span("enrich.av_scan"):
             for record in dataset.samples.values():
                 if record.ground_truth is not None:
                     record.enrichment["av_labels"] = self.virustotal.scan(
-                        record.md5, record.ground_truth
+                        record.md5, record.ground_truth, labels
                     )
                 if record.observable.corrupted or record.behavior_handle is None:
                     self.n_not_executable += 1

@@ -118,12 +118,24 @@ class VirusTotalService:
         require(len(self.engines) > 0, "need at least one engine")
         self._cache: dict[str, dict[str, str | None]] = {}
 
-    def scan(self, md5: str, truth: GroundTruth) -> dict[str, str | None]:
-        """Engine name -> label (``None`` = not detected)."""
+    def scan(
+        self,
+        md5: str,
+        truth: GroundTruth,
+        shared: dict[str, str],
+    ) -> dict[str, str | None]:
+        """Engine name -> label (``None`` = not detected).
+
+        ``shared`` maps each label seen so far to its one string: a new
+        verdict's equal labels come back as that object.
+        """
         cached = self._cache.get(md5)
         if cached is not None:
             return cached
         verdicts = {engine.name: engine.label(md5, truth) for engine in self.engines}
+        for name, label in verdicts.items():
+            if label is not None:
+                verdicts[name] = shared.setdefault(label, label)
         self._cache[md5] = verdicts
         return verdicts
 

@@ -37,7 +37,7 @@ from repro.net.sampling import UniformSampler
 from repro.obs import metrics as obs_metrics
 from repro.peformat.magic import magic_type
 from repro.peformat.parser import parse_pe
-from repro.peformat.structures import PEFormatError
+from repro.peformat.structures import PEFormatError, PEInfo
 from repro.util.hashing import md5_hex
 from repro.util.pickling import field_tuple_state
 from repro.util.rng import RandomSource
@@ -65,6 +65,32 @@ class StagedObservation:
     behavior: object
     payload: PayloadObservable | None
     malware: MalwareObservable | None
+
+
+class SharedValues:
+    """One :meth:`SGNetDeployment.observe` pass's lookup tables.
+
+    Polymorphic variants keep their PE headers, and many attacks carry
+    the same shellcode observables, so the pass mints the same values
+    over and over.  Each table hands out one object per distinct value:
+    events share the object, and a pickle of the dataset stores and
+    rebuilds it once (pickle memoizes by identity).  The tables live
+    only as long as the pass that fills them.
+    """
+
+    __slots__ = ("observables", "payloads", "pe_infos", "magics")
+
+    def __init__(self) -> None:
+        #: Malware observables by downloaded payload: identical bytes
+        #: (same content seed, length and truncation flag) hash, parse
+        #: and magic-sniff to the same frozen observable, so the work
+        #: runs once per distinct payload instead of once per event.
+        self.observables: dict[tuple[str, int, int, bool], MalwareObservable] = {}
+        #: Payload observables by their field tuple.
+        self.payloads: dict[tuple, PayloadObservable] = {}
+        #: Parsed PE headers and libmagic strings, each keyed by itself.
+        self.pe_infos: dict[PEInfo, PEInfo] = {}
+        self.magics: dict[str, str] = {}
 
 
 @dataclass(frozen=True)
@@ -101,10 +127,11 @@ class SGNetDeployment:
         self._proxied_by_week: dict[int, int] = {}
         self._handled_by_week: dict[int, int] = {}
         self.n_background_filtered = 0
-        #: Dedup cache for malware observables: identical downloaded
-        #: bytes (same content seed, length and truncation flag) hash,
-        #: parse and magic-sniff to the same frozen observable, so the
-        #: work runs once per distinct payload instead of once per event.
+        #: Always empty: each :meth:`observe` call keeps its dedupe
+        #: tables in its own :class:`SharedValues`, so a stored
+        #: deployment carries none.  Releases that kept the malware
+        #: observables here fill this dict when they re-observe with a
+        #: deployment loaded from the stage store, so it stays.
         self._observable_cache: dict[tuple[str, int, int, bool], MalwareObservable] = {}
 
     def _build_sensors(self) -> None:
@@ -141,6 +168,7 @@ class SGNetDeployment:
         """
         merged = self._merge_streams(attempts, background)
         staged: list[StagedObservation] = []
+        shared = SharedValues()
         self.n_background_filtered = 0
         for kind, item in merged:
             if kind == "background":
@@ -149,7 +177,7 @@ class SGNetDeployment:
                     sensor.handle(item.conversation, is_injection=False)
                     self.n_background_filtered += 1
                 continue
-            staged.append(self.stage_attempt(item))
+            staged.append(self.stage_attempt(item, shared))
 
         self.gateway.finalize()
 
@@ -163,13 +191,14 @@ class SGNetDeployment:
         registry.counter("honeypot.background_filtered").inc(self.n_background_filtered)
         return dataset
 
-    def stage_attempt(self, attempt: AttackAttempt) -> StagedObservation:
+    def stage_attempt(self, attempt: AttackAttempt, shared: SharedValues) -> StagedObservation:
         """Pass A for one attack: online learning + shellcode pipeline.
 
         Runs the conversation through the sensor (which learns), draws
         the attempt's pipeline substream, emulates the shellcode and the
         download, and reduces the result to a :class:`StagedObservation`
-        — the binary bytes do not survive this call.
+        — the binary bytes do not survive this call.  Its observables
+        come out of the pass's ``shared`` tables.
         """
         sensor = self.sensors.get(int(attempt.sensor))
         if sensor is None:
@@ -184,13 +213,15 @@ class SGNetDeployment:
         rng = self._source.rng(
             "pipeline", attempt.variant_key, attempt.timestamp, int(attempt.source)
         )
-        payload_obs = self.shellcode.analyze(attempt.payload, attempt.filename, rng)
+        payload_obs = self.shellcode.analyze(
+            attempt.payload, attempt.filename, rng, shared.payloads
+        )
         malware_obs = None
         if payload_obs is not None:
             outcome = self.shellcode.download(attempt.binary, rng)
             if outcome.succeeded:
                 malware_obs = self.malware_observable_for(
-                    attempt, outcome.data, outcome.truncated
+                    attempt, outcome.data, outcome.truncated, shared
                 )
         return StagedObservation(
             timestamp=attempt.timestamp,
@@ -254,37 +285,46 @@ class SGNetDeployment:
         )
 
     def malware_observable_for(
-        self, attempt: AttackAttempt, data: bytes, truncated: bool
+        self,
+        attempt: AttackAttempt,
+        data: bytes,
+        truncated: bool,
+        shared: SharedValues,
     ) -> MalwareObservable:
         """The observable of one downloaded payload, deduplicated.
 
         Attempts that tracked their content seed share one frozen
         observable per distinct ``(variant, seed, length, truncated)``
-        payload — same input bytes, so the cached value equals what a
+        payload — same input bytes, so the shared value equals what a
         fresh :meth:`_malware_observable` call would compute.  Untracked
         attempts always compute fresh.
         """
         if attempt.content_seed is None:
-            return self._malware_observable(data, truncated)
+            return self._malware_observable(data, truncated, shared)
         key = (attempt.variant_key, attempt.content_seed, len(data), truncated)
-        observable = self._observable_cache.get(key)
+        observable = shared.observables.get(key)
         if observable is None:
-            observable = self._malware_observable(data, truncated)
-            self._observable_cache[key] = observable
+            observable = self._malware_observable(data, truncated, shared)
+            shared.observables[key] = observable
         return observable
 
     @staticmethod
-    def _malware_observable(data: bytes, truncated: bool) -> MalwareObservable:
+    def _malware_observable(
+        data: bytes, truncated: bool, shared: SharedValues
+    ) -> MalwareObservable:
         pe_info = None
         corrupted = truncated
         try:
             pe_info = parse_pe(data)
         except PEFormatError:
             corrupted = True
+        else:
+            pe_info = shared.pe_infos.setdefault(pe_info, pe_info)
+        magic = magic_type(data)
         return MalwareObservable(
             md5=md5_hex(data),
             size=len(data),
-            magic=magic_type(data),
+            magic=shared.magics.setdefault(magic, magic),
             pe=pe_info,
             corrupted=corrupted,
         )

@@ -71,7 +71,11 @@ class ShellcodeAnalyzer:
         self.n_truncated = 0
 
     def analyze(
-        self, payload: PayloadSpec, filename: str | None, rng: random.Random
+        self,
+        payload: PayloadSpec,
+        filename: str | None,
+        rng: random.Random,
+        shared: dict[tuple, PayloadObservable],
     ) -> PayloadObservable | None:
         """Extract pi observables from one injected shellcode.
 
@@ -80,6 +84,9 @@ class ShellcodeAnalyzer:
         involved port is the spec's fixed port when it has one, or the
         OS-assigned ephemeral port Nepenthes reports otherwise — fresh
         per attack, hence never an EPM invariant.
+
+        ``shared`` maps each field tuple seen so far to its observable:
+        a repeat returns that object without building a new record.
         """
         self.n_analyzed += 1
         if rng.random() < self.config.unknown_rate:
@@ -88,12 +95,11 @@ class ShellcodeAnalyzer:
         port = payload.port
         if port is None:
             port = rng.randint(1024, 65535)
-        return PayloadObservable(
-            protocol=payload.protocol,
-            interaction=payload.interaction,
-            filename=filename,
-            port=port,
-        )
+        fields = (payload.protocol, payload.interaction, filename, port)
+        observable = shared.get(fields)
+        if observable is None:
+            observable = shared[fields] = PayloadObservable(*fields)
+        return observable
 
     def download(self, binary: bytes, rng: random.Random) -> DownloadOutcome:
         """Emulate the download actions; may fail or truncate."""

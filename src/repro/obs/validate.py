@@ -553,6 +553,9 @@ def validate_run_store(root: str | Path) -> dict[str, list[str]]:
         except json.JSONDecodeError as error:
             failures[str(path)] = [f"run file does not parse: {error}"]
             continue
+        if not isinstance(payload, dict):
+            failures[str(path)] = ["run file is not a JSON object"]
+            continue
         errors.extend(validate_manifest(payload))
         fingerprint = payload.get("fingerprint")
         if entry.get("fingerprint") != fingerprint:

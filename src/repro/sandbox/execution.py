@@ -112,7 +112,8 @@ class Sandbox:
         return self._run(
             ExecutionTask(
                 behavior=behavior, time=time, run_seed=run_seed, allow_derail=allow_derail
-            )
+            ),
+            {},
         )
 
     def execute_batch(self, tasks: Sequence[ExecutionTask]) -> list[BehaviorProfile]:
@@ -120,24 +121,30 @@ class Sandbox:
 
         The result is bit-identical to calling :meth:`execute` on each
         task in sequence: each run's randomness comes from its own
-        ``run_seed`` substream and the environment is only read.
+        ``run_seed`` substream and the environment is only read.  Equal
+        features of the batch's profiles are one shared tuple, so a
+        pickle of the reports stores each once.
         """
         tasks = list(tasks)
         registry = obs_metrics.active()
         registry.counter("sandbox.executions").inc(len(tasks))
         registry.sketch("sandbox.batch_size").observe(len(tasks))
-        profiles = [self._run(task) for task in tasks]
+        shared: dict[Feature, Feature] = {}
+        profiles = [self._run(task, shared) for task in tasks]
         self.n_executions += len(tasks)
         return profiles
 
-    def _run(self, task: ExecutionTask) -> BehaviorProfile:
-        """Pure execution path (no counter update), shared by all entry points."""
+    def _run(self, task: ExecutionTask, shared: dict[Feature, Feature]) -> BehaviorProfile:
+        """Pure execution path (no counter update), shared by all entry
+        points; ``shared`` maps each feature seen so far to its one tuple."""
         rng = spawn_rng(task.run_seed, "sandbox-run")
         features = self._interpret(task.behavior, task.time)
         derail_rate = min(1.0, task.behavior.noise_rate * self.config.noise_multiplier)
         if task.allow_derail and derail_rate > 0 and rng.random() < derail_rate:
             features = self._derail(features, rng)
-        return BehaviorProfile.from_features(features)
+        return BehaviorProfile.from_features(
+            shared.setdefault(feature, feature) for feature in features
+        )
 
     def _interpret(self, behavior: BehaviorTemplate, time: int) -> list[Feature]:
         features: list[Feature] = []

@@ -1,8 +1,11 @@
 """Tests for the columnar event store and its row-wise round-trip."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.core.features import Dimension, default_feature_sets
+from repro.core.features import Dimension, FeatureSet, default_feature_sets, pi_features
 from repro.egpm.columnar import ColumnarBuilder, events_to_columnar
 from repro.egpm.dataset import SGNetDataset
 from repro.egpm.events import (
@@ -102,3 +105,41 @@ class TestBuilder:
         with pytest.raises(ValidationError):
             builder.add_event(_event(2))
 
+
+
+class TestObservableAccessor:
+    """π columns built one extraction per shared payload object equal
+    the columns built one extraction per event."""
+
+    @staticmethod
+    def _per_event(feature_set):
+        return FeatureSet(
+            feature_set.dimension,
+            feature_set.features,
+            applies=feature_set.applies_to,
+            observable=None,
+        )
+
+    def _assert_same_columns(self, events):
+        shared = pi_features()
+        assert shared.observable is not None
+        got = events_to_columnar(events, {Dimension.PI: shared})
+        want = events_to_columnar(events, {Dimension.PI: self._per_event(shared)})
+        got, want = got.dimensions[Dimension.PI], want.dimensions[Dimension.PI]
+        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.event_ids, want.event_ids)
+        assert [v.values() for v in got.vocabularies] == [v.values() for v in want.vocabularies]
+        assert got.value_tuples() == want.value_tuples()
+
+    def test_equal_payload_objects_and_shared_ones(self):
+        shared = PayloadObservable(
+            protocol="ftp", interaction=InteractionType.PULL, filename="a.exe", port=21
+        )
+        events = []
+        for i in range(12):
+            payload = shared if i % 3 else replace(shared, protocol="ftp" if i % 2 else "tftp")
+            events.append(replace(_event(i), payload=payload))
+        self._assert_same_columns(events)
+
+    def test_reduced_scenario(self, small_dataset):
+        self._assert_same_columns(list(small_dataset.events))

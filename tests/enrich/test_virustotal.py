@@ -85,19 +85,32 @@ class TestAVEngine:
 class TestVirusTotalService:
     def test_scan_all_engines(self):
         service = VirusTotalService()
-        verdicts = service.scan("a" * 32, TRUTH)
+        verdicts = service.scan("a" * 32, TRUTH, {})
         assert set(verdicts) == {e.name for e in default_engines()}
 
     def test_scan_cached(self):
         service = VirusTotalService()
-        first = service.scan("a" * 32, TRUTH)
-        second = service.scan("a" * 32, TRUTH)
+        first = service.scan("a" * 32, TRUTH, {})
+        second = service.scan("a" * 32, TRUTH, {})
         assert first is second
         assert service.n_scanned == 1
 
+    def test_equal_labels_are_one_string(self):
+        service = VirusTotalService()
+        shared = {}
+        labels = [
+            label
+            for i in range(40)
+            for label in service.scan(f"{i:032x}", TRUTH, shared).values()
+            if label is not None
+        ]
+        assert len(labels) > len(set(labels))
+        assert len({id(label) for label in labels}) == len(set(labels))
+        assert set(shared) == set(labels)
+
     def test_detection_count(self):
         service = VirusTotalService()
-        service.scan("a" * 32, TRUTH)
+        service.scan("a" * 32, TRUTH, {})
         count = service.detection_count("a" * 32)
         assert 0 <= count <= len(default_engines())
 
@@ -111,7 +124,7 @@ class TestVirusTotalService:
         # its own alias, the aliasing the paper's AV-label discussion is about.
         labels = {}
         for i in range(40):
-            verdicts = service.scan(f"{i:032x}", TRUTH)
+            verdicts = service.scan(f"{i:032x}", TRUTH, {})
             for engine, label in verdicts.items():
                 if label and "Generic" not in label and "Gen" not in label:
                     labels.setdefault(engine, set()).add(label.rsplit(".", 1)[0])

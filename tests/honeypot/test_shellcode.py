@@ -35,7 +35,7 @@ class TestConfig:
 class TestAnalyze:
     def test_observable_fields(self):
         analyzer = ShellcodeAnalyzer(ShellcodeConfig(unknown_rate=0.0))
-        obs = analyzer.analyze(_payload(), "x.exe", random.Random(1))
+        obs = analyzer.analyze(_payload(), "x.exe", random.Random(1), {})
         assert obs.protocol == "ftp"
         assert obs.interaction is InteractionType.PULL
         assert obs.filename == "x.exe"
@@ -43,7 +43,7 @@ class TestAnalyze:
 
     def test_unknown_shellcode_returns_none(self):
         analyzer = ShellcodeAnalyzer(ShellcodeConfig(unknown_rate=1.0))
-        assert analyzer.analyze(_payload(), "x.exe", random.Random(1)) is None
+        assert analyzer.analyze(_payload(), "x.exe", random.Random(1), {}) is None
         assert analyzer.n_unknown == 1
 
     def test_ephemeral_port_assigned(self):
@@ -52,16 +52,26 @@ class TestAnalyze:
             name="p", protocol="blink", interaction=InteractionType.PULL
         )
         rng = random.Random(1)
-        ports = {analyzer.analyze(spec, None, rng).port for _ in range(20)}
+        ports = {analyzer.analyze(spec, None, rng, {}).port for _ in range(20)}
         assert all(1024 <= p <= 65535 for p in ports)
         assert len(ports) > 10  # fresh per attack: never an invariant
 
     def test_unknown_rate_statistics(self):
         analyzer = ShellcodeAnalyzer(ShellcodeConfig(unknown_rate=0.3))
         rng = random.Random(1)
-        results = [analyzer.analyze(_payload(), "x", rng) for _ in range(500)]
+        results = [analyzer.analyze(_payload(), "x", rng, {}) for _ in range(500)]
         misses = sum(1 for r in results if r is None)
         assert 100 < misses < 200
+
+    def test_equal_observables_are_one_object(self):
+        analyzer = ShellcodeAnalyzer(ShellcodeConfig(unknown_rate=0.0))
+        shared = {}
+        first = analyzer.analyze(_payload(), "x.exe", random.Random(1), shared)
+        again = analyzer.analyze(_payload(), "x.exe", random.Random(2), shared)
+        other = analyzer.analyze(_payload(), "y.exe", random.Random(3), shared)
+        assert again is first
+        assert other is not first and other.filename == "y.exe"
+        assert analyzer.analyze(_payload(), "x.exe", random.Random(1), {}) == first
 
 
 class TestDownload:

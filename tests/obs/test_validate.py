@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.history import RunStore
 from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import QuantileSketch
@@ -21,6 +22,7 @@ from repro.obs.validate import (
     main,
     validate_manifest,
     validate_metrics,
+    validate_run_store,
 )
 
 ARCHITECTURE = Path(__file__).resolve().parents[2] / "docs" / "ARCHITECTURE.md"
@@ -211,6 +213,18 @@ class TestUnreadableInputs:
             f"[Errno 2] No such file or directory: '{tmp_path / 'absent.json'}'",
             f"{flag}: {listed}: not a JSON object",
         ]
+
+    def test_stored_run_that_is_not_an_object(self, tmp_path, capsys):
+        store = RunStore(tmp_path)
+        manifest = RunManifest.from_dict(_manifest_payload({}))
+        path = store.path_for(manifest.fingerprint, store.add(manifest))
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert validate_run_store(tmp_path) == {
+            str(path): ["run file is not a JSON object"]
+        }
+        assert main(["--runs", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"{path}: run file is not a JSON object"]
 
     def test_missing_event_log(self, tmp_path, capsys):
         missing = tmp_path / "events.jsonl"
