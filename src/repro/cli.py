@@ -348,7 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     list_p = obs_sub.add_parser("list", help="stored runs, newest last")
     add_store(list_p)
     list_p.add_argument(
-        "--fingerprint", default=None, help="only runs of this config fingerprint"
+        "--fingerprint",
+        default=None,
+        help="only runs of this config fingerprint (prefix, >= 4 chars)",
     )
     list_p.add_argument(
         "--limit",
@@ -431,7 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "lsh.clusters or lsh.bucket_size:p50 reads as metric:<key>",
     )
     history_p.add_argument(
-        "--fingerprint", default=None, help="only runs of this config fingerprint"
+        "--fingerprint",
+        default=None,
+        help="only runs of this config fingerprint (prefix, >= 4 chars)",
     )
 
     health_p = obs_sub.add_parser(
@@ -531,12 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shorthand for --format json",
     )
-    query_p.add_argument(
-        "--no-index",
-        dest="use_index",
-        action="store_false",
-        help="bypass the persisted query index and load every manifest",
-    )
 
     regress_p = obs_sub.add_parser(
         "regress",
@@ -546,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     regress_p.add_argument(
         "--fingerprint",
         default=None,
-        help="only scan runs of this config fingerprint (prefix)",
+        help="only scan runs of this config fingerprint (prefix, >= 4 chars)",
     )
     regress_p.add_argument(
         "--targets",
@@ -607,19 +605,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="JSON",
         help="window-report sidecar to validate; with --manifest its "
         "fingerprint is also checked against the manifest's",
-    )
-    validate_p.add_argument(
-        "--rebuild-index",
-        action="store_true",
-        help="regenerate a missing/corrupted run-store index.json from "
-        "the on-disk manifest tree before validating (refuses on "
-        "content-address mismatch)",
-    )
-    validate_p.add_argument(
-        "--query-index",
-        action="store_true",
-        help="also check the persisted query index matches a fresh "
-        "rebuild from the stored manifests",
     )
     validate_p.add_argument(
         "--no-require-scenario",
@@ -786,11 +771,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     store = RunStore(getattr(args, "runs", None))
 
     if args.obs_command == "list":
-        print(
-            store.render_listing(
-                store.entries(args.fingerprint, limit=args.limit)
-            )
-        )
+        print(store.render_listing(args.fingerprint, limit=args.limit))
         return 0
     if args.obs_command == "query":
         return _cmd_obs_query(args, store)
@@ -858,22 +839,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 forwarded += [f"--{name}", getattr(args, name)]
         if not args.require_scenario:
             forwarded += ["--no-require-scenario"]
-        if args.rebuild_index:
-            forwarded += ["--rebuild-index"]
-        if args.query_index:
-            forwarded += ["--query-index"]
-        # Validate the store when asked for explicitly, when it exists,
-        # or when there is nothing else to validate (then a missing
-        # store is a loud per-file error, not a silent pass).  The
-        # index flags imply the store too: --rebuild-index exists
-        # precisely for stores whose index.json is gone.
-        if (
-            args.runs
-            or store.index_path.is_file()
-            or args.rebuild_index
-            or args.query_index
-            or not forwarded
-        ):
+        # Validate the store when asked for explicitly, when it holds
+        # a stored run, or when there is nothing else to validate.
+        if args.runs or store.run_files() or not forwarded:
             forwarded += ["--runs", str(store.root)]
         return validate_main(forwarded)
     raise AssertionError(f"unhandled obs command {args.obs_command!r}")
@@ -882,9 +850,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_obs_query(args: argparse.Namespace, store) -> int:
     from repro.obs.query import build_frame, run_query
 
-    frame = build_frame(
-        store, include=args.include, use_index=getattr(args, "use_index", True)
-    )
+    frame = build_frame(store, include=args.include)
     result = run_query(
         frame,
         args.targets,

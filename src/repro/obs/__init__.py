@@ -17,7 +17,7 @@ near-free when off:
   validators CI runs against emitted files and stored runs;
 * :mod:`repro.obs.history` — the append-only, content-addressed run
   store (``results/runs``) that turns per-run manifests into a
-  longitudinal record;
+  longitudinal record; its directory tree is its only record;
 * :mod:`repro.obs.diff` — the one two-run comparison behind ``repro
   obs diff``: digest walks naming the first diverging stage and event,
   metric deltas, and one per-stage table (readings, cache disposition,
@@ -49,9 +49,9 @@ near-free when off:
   dashboard``: a run's landscape sparklines plus, from an event log,
   the machine state (static fold + ``--follow``);
 * :mod:`repro.obs.query` — the longitudinal analytics frame: every
-  stored run materialized into one columnar, digest-checked
-  :class:`QueryFrame` (incrementally indexed in ``query_index.json``)
-  with ``metric:``/``series:``/``golden:``/``span:`` selectors and the
+  stored run read from the store's tree into one columnar,
+  digest-checked :class:`QueryFrame` with
+  ``metric:``/``series:``/``golden:``/``span:`` selectors and the
   ``repro obs query`` engine.
 
 Instrumented layers read the ambient registry/tracer
@@ -96,7 +96,6 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
 from repro.obs.profile import chrome_trace, flame_view
 from repro.obs.query import (
     QueryFrame,
-    QueryIndex,
     QueryResult,
     build_frame,
     frame_from_payloads,
@@ -122,7 +121,6 @@ __all__ = [
     "NULL_TRACER",
     "PipelineEvent",
     "QueryFrame",
-    "QueryIndex",
     "QueryResult",
     "REGRESS_RULES",
     "Report",

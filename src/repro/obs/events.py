@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.obs.sketch import QuantileSketch
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 #: Event record schema version; bump on incompatible layout changes.
 EVENT_SCHEMA = 1
@@ -96,17 +96,27 @@ class PipelineEvent:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "PipelineEvent":
-        """Rebuild an event from its :meth:`as_dict` form."""
+        """Rebuild an event from its :meth:`as_dict` form.
+
+        A payload that is not an event record raises
+        :class:`~repro.util.validation.ValidationError`.
+        """
+        require(isinstance(payload, Mapping), "event is not a JSON object")
         require(
             payload.get("schema") == EVENT_SCHEMA,
             f"unsupported event schema {payload.get('schema')!r}",
         )
-        return cls(
-            seq=int(payload["seq"]),
-            t=float(payload.get("t", 0.0)),
-            kind=str(payload["kind"]),
-            fields=dict(payload.get("fields", {})),
-        )
+        for key in ("seq", "kind"):
+            require(key in payload, f"event has no {key!r}")
+        try:
+            return cls(
+                seq=int(payload["seq"]),
+                t=float(payload.get("t", 0.0)),
+                kind=str(payload["kind"]),
+                fields=dict(payload.get("fields", {})),
+            )
+        except (TypeError, ValueError) as error:
+            raise ValidationError(f"malformed event: {error}") from None
 
 
 def render_event(event: PipelineEvent) -> str:
@@ -295,7 +305,10 @@ def iter_events(
     events are a pure function of the file's contents.  With ``follow``
     the iterator polls for new complete lines until ``stop()`` returns
     true (or forever — the CLI wires ``stop`` to KeyboardInterrupt).
-    Partial trailing lines (a writer mid-append) are never yielded.
+    Partial trailing lines (a writer mid-append) are never yielded; a
+    complete line that is not an event raises
+    :class:`~repro.util.validation.ValidationError` naming the file and
+    line number.
 
     A followed file that is truncated under the reader (its size
     regresses below the read position — a second run writing to the
@@ -305,11 +318,12 @@ def iter_events(
     """
     path = Path(path)
     position = 0
+    number = 0
     buffer = ""
     while True:
         try:
             if path.stat().st_size < position:
-                position = 0
+                position = number = 0
                 buffer = ""
             with path.open("r", encoding="utf-8") as handle:
                 handle.seek(position)
@@ -319,8 +333,14 @@ def iter_events(
             pass  # not there (yet); retry next poll
         while "\n" in buffer:
             line, buffer = buffer.split("\n", 1)
-            if line.strip():
-                yield PipelineEvent.from_dict(json.loads(line))
+            number += 1
+            if not line.strip():
+                continue
+            try:
+                event = PipelineEvent.from_dict(json.loads(line))
+            except ValueError as error:  # JSONDecodeError or ValidationError
+                raise ValidationError(f"{path} line {number}: {error}") from None
+            yield event
         if not follow or (stop is not None and stop()):
             return
         time.sleep(poll_seconds)

@@ -6,10 +6,10 @@ observable.  Layout under the store root (default ``results/runs``,
 overridable via ``$REPRO_RUNS_DIR``)::
 
     results/runs/
-      index.json                           # append-only entry list
       <fingerprint>/<run_id>.json          # one manifest per stored run
       <fingerprint>/<run_id>.events.jsonl  # the run's event log, if any
       <fingerprint>/<run_id>.windows.json  # the run's window report, if any
+      <fingerprint>/<run_id>.model.json    # a model exported from it, if any
 
 ``run_id`` is the first 16 hex chars of the manifest's canonical
 content digest (:meth:`RunManifest.content_id`), so the store is
@@ -20,9 +20,13 @@ and an entry can never be silently overwritten with different content
 of one configuration land in one directory, which is what the
 ``repro obs history`` time series iterates over.
 
-The index is the only mutable file and is rewritten atomically on each
-add; entries are never removed, so the history it records is
-append-only by construction.
+The directory tree is the store's only record: listing, resolving and
+querying walk ``<root>/*/<run_id>.json`` (a name with a second dot is a
+sidecar), so nothing derived can go stale.
+Files at the top of the root are not stored runs — the committed
+``reference.json`` lives there, and the ``index.json`` and
+``query_index.json`` that older versions kept are ignored (they can be
+deleted).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
@@ -41,12 +45,6 @@ log = get_logger("obs.history")
 
 #: Environment variable overriding the store root.
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
-
-#: Index file name under the store root.
-INDEX_NAME = "index.json"
-
-#: Index schema version.
-INDEX_SCHEMA = 1
 
 #: Hex chars of the manifest content digest used as the run id.
 RUN_ID_LENGTH = 16
@@ -60,40 +58,71 @@ def default_store_root() -> Path:
     return Path("results") / "runs"
 
 
+def require_prefix(prefix: str, what: str) -> None:
+    """Refuse a run-id or fingerprint prefix shorter than 4 chars."""
+    require(
+        len(prefix) >= 4,
+        f"{what} prefix {prefix!r} too short (need >= 4 chars)",
+    )
+
+
 class RunStore:
     """Append-only store of run manifests, content-addressed by run id."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_store_root()
 
-    @property
-    def index_path(self) -> Path:
-        return self.root / INDEX_NAME
+    def run_files(self, fingerprint: str | None = None) -> list[Path]:
+        """Every stored manifest, ``<root>/<fingerprint>/<run_id>.json``.
+
+        Reads no file.  Sidecars (``<run_id>.windows.json``,
+        ``<run_id>.model.json``) and the ``<name>.tmp.<pid>`` files of
+        an interrupted write are not runs.  ``fingerprint`` keeps the
+        runs whose config fingerprint starts with that prefix (>= 4
+        chars).
+        """
+        if fingerprint is not None:
+            require_prefix(fingerprint, "fingerprint")
+        return sorted(
+            path
+            for path in self.root.glob("*/*.json")
+            if "." not in path.stem and path.parent.name.startswith(fingerprint or "")
+        )
+
+    def runs(
+        self, fingerprint: str | None = None, *, limit: int | None = None
+    ) -> list[tuple[dict, dict]]:
+        """``(entry, manifest payload)`` per stored run, each file read once.
+
+        Sorted by ``(created_at, run_id)``, which is reproducible where
+        filesystem enumeration order is not.  ``fingerprint`` is a
+        prefix filter (see :meth:`run_files`); ``limit`` keeps only the
+        newest N runs *after* it.
+        """
+        if limit is not None:
+            require(limit >= 1, f"limit must be >= 1, got {limit}")
+        runs = []
+        for path in self.run_files(fingerprint):
+            payload = self._read_payload(path)
+            run_id = path.stem
+            entry = {
+                "run_id": run_id,
+                "fingerprint": path.parent.name,
+                "seed": payload.get("seed", "?"),
+                "created_at": payload.get("created_at"),
+                "golden_deviations": len(payload.get("golden_deviations", [])),
+                "windows": path.with_name(f"{run_id}.windows.json").is_file(),
+                "path": str(path.relative_to(self.root)),
+            }
+            runs.append((entry, payload))
+        runs.sort(key=lambda run: (str(run[0]["created_at"]), run[0]["run_id"]))
+        return runs[-limit:] if limit is not None else runs
 
     def entries(
         self, fingerprint: str | None = None, *, limit: int | None = None
     ) -> list[dict]:
-        """Index entries, sorted by ``(created_at, run_id)``.
-
-        The sort makes listings and query frames deterministic across
-        filesystems and index rewrite history (insertion order is a
-        storage accident; ``created_at`` plus the content-derived run
-        id is reproducible).  ``limit`` keeps only the newest N entries
-        *after* the fingerprint filter.
-        """
-        if not self.index_path.is_file():
-            return []
-        payload = self._read_object(self.index_path, recover=" --rebuild-index")
-        entries = list(payload.get("entries", []))
-        if fingerprint is not None:
-            entries = [e for e in entries if e.get("fingerprint") == fingerprint]
-        entries.sort(
-            key=lambda e: (str(e.get("created_at", "")), str(e.get("run_id", "")))
-        )
-        if limit is not None:
-            require(limit >= 1, f"limit must be >= 1, got {limit}")
-            entries = entries[-limit:]
-        return entries
+        """The entries of :meth:`runs`, without the manifest payloads."""
+        return [entry for entry, _payload in self.runs(fingerprint, limit=limit)]
 
     def path_for(self, fingerprint: str, run_id: str) -> Path:
         return self.root / fingerprint / f"{run_id}.json"
@@ -129,8 +158,19 @@ class RunStore:
         """
         require(isinstance(manifest, RunManifest), "can only store RunManifest")
         run_id = manifest.content_id()[:RUN_ID_LENGTH]
+        sidecars = [
+            (Path(source), target)
+            for source, target in (
+                (events_path, self.events_path_for(manifest.fingerprint, run_id)),
+                (windows_path, self.windows_path_for(manifest.fingerprint, run_id)),
+            )
+            if source is not None
+        ]
+        for source, _target in sidecars:
+            # Checked before anything is written: the tree is the record,
+            # so a half-done add would list a run without its sidecar.
+            require(source.is_file(), f"sidecar {source} does not exist")
         path = self.path_for(manifest.fingerprint, run_id)
-        already_stored = False
         if path.is_file():
             existing = path.read_text(encoding="utf-8")
             require(
@@ -138,162 +178,51 @@ class RunStore:
                 f"run id collision at {path}: existing content differs",
             )
             log.debug("run already stored", extra={"run_id": run_id})
-            already_stored = True
-        if not already_stored:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(manifest.to_json() + "\n", encoding="utf-8")
-            os.replace(tmp, path)
-        has_events = self._ingest_events(manifest.fingerprint, run_id, events_path)
-        has_windows = self._ingest_sidecar(
-            self.windows_path_for(manifest.fingerprint, run_id), windows_path
-        )
-        if already_stored:
-            return run_id
-        self._append_index(
-            {
-                "run_id": run_id,
-                "fingerprint": manifest.fingerprint,
-                "seed": manifest.seed,
-                "created_at": manifest.created_at,
-                "library_version": manifest.library_version,
-                "golden_deviations": len(manifest.golden_deviations),
-                "events": has_events,
-                "windows": has_windows,
-                "path": str(path.relative_to(self.root)),
-            }
-        )
-        log.info(
-            "run stored",
-            extra={"run_id": run_id, "fingerprint": manifest.fingerprint[:12]},
-        )
+        else:
+            self._write(path, (manifest.to_json() + "\n").encode("utf-8"))
+            log.info(
+                "run stored",
+                extra={"run_id": run_id, "fingerprint": manifest.fingerprint[:12]},
+            )
+        for source, target in sidecars:
+            self._write(target, source.read_bytes())
         return run_id
 
-    def _ingest_events(
-        self, fingerprint: str, run_id: str, events_path: str | Path | None
-    ) -> bool:
-        """Copy a run's event log into the store; returns whether one exists."""
-        return self._ingest_sidecar(
-            self.events_path_for(fingerprint, run_id), events_path
-        )
-
-    def _ingest_sidecar(self, target: Path, source: str | Path | None) -> bool:
-        """Copy a sidecar file into the store; returns whether one exists."""
-        if source is None:
-            return target.is_file()
-        source = Path(source)
-        require(source.is_file(), f"sidecar {source} does not exist")
+    @staticmethod
+    def _write(target: Path, data: bytes) -> None:
+        """Write ``target`` atomically: a reader never sees half a file."""
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(source.read_bytes())
+        tmp.write_bytes(data)
         os.replace(tmp, target)
-        return True
 
-    def _append_index(self, entry: dict) -> None:
-        entries = self.entries()
-        entries.append(entry)
-        payload = {"schema": INDEX_SCHEMA, "entries": entries}
-        tmp = self.index_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, self.index_path)
-
-    def resolve(self, ref: str) -> Path:
+    def resolve(self, ref: str | Path) -> Path:
         """Path of the manifest named by ``ref``.
 
         ``ref`` may be a filesystem path to a manifest JSON file, a full
         run id, an unambiguous run-id prefix (>= 4 chars), or a
         fingerprint-qualified ``<fingerprint-prefix>/<run-id-prefix>``
         pair — the qualified form disambiguates a run-id prefix shared
-        across configurations.
+        across configurations.  Matches file and directory names only;
+        no stored file is read.
         """
         as_path = Path(ref)
         if as_path.is_file():
             return as_path
-        fingerprint, slash, run_ref = ref.rpartition("/")
-        if not slash:
-            fingerprint = ""
-            run_ref = ref
-        require(
-            len(run_ref) >= 4,
-            f"run id prefix {run_ref!r} too short (need >= 4 chars)",
-        )
-        if fingerprint:
-            require(
-                len(fingerprint) >= 4,
-                f"fingerprint prefix {fingerprint!r} too short (need >= 4 chars)",
-            )
+        fingerprint, slash, run_ref = str(ref).rpartition("/")
+        require_prefix(run_ref, "run id")
         matches = [
-            entry
-            for entry in self.entries()
-            if entry.get("run_id", "").startswith(run_ref)
-            and entry.get("fingerprint", "").startswith(fingerprint)
+            path
+            for path in self.run_files(fingerprint if slash else None)
+            if path.stem.startswith(run_ref)
         ]
         require(bool(matches), f"no stored run matches {ref!r} under {self.root}")
         require(
             len(matches) == 1,
             f"ambiguous run ref {ref!r}: matches "
-            + ", ".join(sorted(e["run_id"] for e in matches)),
+            + ", ".join(sorted(path.stem for path in matches)),
         )
-        return self.root / matches[0]["path"]
-
-    def rebuild_index(self) -> int:
-        """Regenerate ``index.json`` from the on-disk manifest tree.
-
-        Recovery for a deleted or corrupted index: every
-        ``<fingerprint>/<run_id>.json`` under the root is re-read and
-        re-indexed.  Each manifest must still live at its content
-        address — a file whose canonical digest no longer matches its
-        directory/name is refused (the tree was edited in place, and
-        silently indexing it would launder the corruption).  Returns
-        the number of runs indexed.
-        """
-        entries: list[dict] = []
-        for path in sorted(self.root.glob("*/*.json")):
-            if path.name.endswith((".events.jsonl", ".windows.json")):
-                continue
-            manifest = RunManifest.from_dict(self._read_object(path))
-            run_id = manifest.content_id()[:RUN_ID_LENGTH]
-            require(
-                path.stem == run_id,
-                f"stored manifest {path} digests to {run_id}: content no "
-                "longer matches its address (edited in place?)",
-            )
-            require(
-                path.parent.name == manifest.fingerprint,
-                f"stored manifest {path} carries fingerprint "
-                f"{manifest.fingerprint[:12]}..: wrong directory",
-            )
-            entries.append(
-                {
-                    "run_id": run_id,
-                    "fingerprint": manifest.fingerprint,
-                    "seed": manifest.seed,
-                    "created_at": manifest.created_at,
-                    "library_version": manifest.library_version,
-                    "golden_deviations": len(manifest.golden_deviations),
-                    "events": self.events_path_for(
-                        manifest.fingerprint, run_id
-                    ).is_file(),
-                    "windows": self.windows_path_for(
-                        manifest.fingerprint, run_id
-                    ).is_file(),
-                    "path": str(path.relative_to(self.root)),
-                }
-            )
-        entries.sort(
-            key=lambda e: (str(e.get("created_at", "")), str(e.get("run_id", "")))
-        )
-        payload = {"schema": INDEX_SCHEMA, "entries": entries}
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.index_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, self.index_path)
-        log.info("index rebuilt", extra={"runs": len(entries)})
-        return len(entries)
+        return matches[0]
 
     def load(self, ref: str) -> RunManifest:
         """The stored manifest named by ``ref`` (see :meth:`resolve`)."""
@@ -302,14 +231,17 @@ class RunStore:
     def load_payload(self, ref: str) -> dict:
         """Dict form of the stored manifest named by ``ref``.
 
-        The one read point of stored manifests: a metrics snapshot of a
-        legacy schema comes back upgraded
+        A metrics snapshot of a legacy schema comes back upgraded
         (:func:`~repro.obs.metrics.upgrade_snapshot`), so every reader
         sees one layout.  A file that does not decode to a JSON object
         (cut short by a crash or a full disk) raises
         :class:`~repro.util.validation.ValidationError`.
         """
-        payload = self._read_object(self.resolve(ref))
+        return self._read_payload(self.resolve(ref))
+
+    def _read_payload(self, path: Path) -> dict:
+        """The one read point of stored manifests (see :meth:`load_payload`)."""
+        payload = self._read_object(path)
         if isinstance(payload.get("metrics"), Mapping):
             payload["metrics"] = upgrade_snapshot(payload["metrics"])
         return payload
@@ -330,7 +262,7 @@ class RunStore:
             return None
         return read_events(events_path)
 
-    def load_windows(self, ref: str) -> dict | None:
+    def load_windows(self, ref: str | Path) -> dict | None:
         """The window-report payload of the run named by ``ref``, or ``None``.
 
         Works for stored runs *and* bare manifest paths: the sidecar is
@@ -344,10 +276,9 @@ class RunStore:
             return None
         return self._read_object(windows_path)
 
-    def _read_object(self, path: Path, *, recover: str = "") -> dict:
+    def _read_object(self, path: Path) -> dict:
         """A stored JSON object; a truncated or non-object file is refused,
-        naming the ``repro obs validate`` call that checks (or, with
-        ``recover`` flags, repairs) the store."""
+        naming the ``repro obs validate`` call that checks the store."""
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
@@ -355,14 +286,21 @@ class RunStore:
         require(
             isinstance(payload, dict),
             f"{path} is truncated or not a JSON object; see "
-            f"`repro obs validate --runs {self.root}{recover}`",
+            f"`repro obs validate --runs {self.root}`",
         )
         return payload
 
-    def render_listing(self, entries: Sequence[Mapping] | None = None) -> str:
-        """Human-readable table of stored runs."""
-        entries = self.entries() if entries is None else list(entries)
+    def render_listing(
+        self, fingerprint: str | None = None, *, limit: int | None = None
+    ) -> str:
+        """Human-readable table of the stored runs :meth:`entries` selects."""
+        entries = self.entries(fingerprint, limit=limit)
         if not entries:
+            if fingerprint is not None and self.run_files():
+                return (
+                    f"run store {self.root}: no run matches fingerprint "
+                    f"{fingerprint!r}"
+                )
             return f"run store {self.root}: empty"
         lines = [
             f"run store {self.root}: {len(entries)} run(s)",
@@ -370,12 +308,12 @@ class RunStore:
             f"{'created_at':<22} {'golden':>6}",
         ]
         for entry in entries:
-            deviations = entry.get("golden_deviations", 0)
+            deviations = entry["golden_deviations"]
             lines.append(
-                f"{entry.get('run_id', '?'):<18} "
-                f"{entry.get('fingerprint', '?')[:12] + '..':<14} "
-                f"{entry.get('seed', '?'):>6} "
-                f"{entry.get('created_at') or '-':<22} "
+                f"{entry['run_id']:<18} "
+                f"{entry['fingerprint'][:12] + '..':<14} "
+                f"{entry['seed']:>6} "
+                f"{entry['created_at'] or '-':<22} "
                 f"{'ok' if not deviations else f'{deviations} dev':>6}"
             )
         return "\n".join(lines)

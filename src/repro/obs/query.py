@@ -6,11 +6,10 @@ third step the paper's framing asks for — *combining observation
 perspectives over time* — by materializing **all** stored runs into one
 columnar cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
 
-* :func:`build_frame` loads the store (through the persisted,
-  incrementally refreshed :class:`QueryIndex`) into a
-  :class:`QueryFrame` whose columns are resolved on demand from the
-  small target-selector grammar every detector rule of
-  :mod:`repro.obs.health` resolves through:
+* :func:`build_frame` walks the store, reading each manifest and its
+  window sidecar once, into a :class:`QueryFrame` whose columns are
+  resolved on demand from the small target-selector grammar every
+  detector rule of :mod:`repro.obs.health` resolves through:
 
   ========================  ==================================================
   selector                  resolves to (per run)
@@ -37,36 +36,24 @@ columnar cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
   ``repro obs query``.
 
 Everything here is a pure function of the stored payloads: frame
-construction is deterministic (``QueryFrame.digest`` is digest-checked
-in the tests and the query bench), and the index refresh never loads a
-manifest it has already indexed.
+construction is deterministic, and ``QueryFrame.digest`` is checked in
+the tests.  Nothing is persisted, so there is no derived file to go
+stale.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from repro.obs.history import RUN_ID_LENGTH, RunStore
-from repro.obs.log import get_logger
+from repro.obs.history import RUN_ID_LENGTH, RunStore, require_prefix
 from repro.obs.metrics import base_name
 from repro.obs.sketch import sketch_quantile_from_payload
 from repro.util.canonical import canonical_digest
 from repro.util.validation import require
-
-log = get_logger("obs.query")
-
-#: Persisted query-index file name under the run-store root.
-QUERY_INDEX_NAME = "query_index.json"
-
-#: Query-index schema version; bump on incompatible row layout changes.
-#: 2: row metrics are metrics-snapshot schema 3, as the run store's
-#:    legacy upgrade reads them.
-QUERY_INDEX_SCHEMA = 2
 
 #: Target schemes the selector grammar understands.
 TARGET_SCHEMES = ("metric", "series", "golden", "span")
@@ -76,17 +63,6 @@ SPAN_ATTRS = ("seconds", "cpu_seconds", "max_rss_kb")
 
 #: Aggregations :func:`aggregate` understands (plus ``pNN`` quantiles).
 AGGREGATES = ("min", "max", "mean")
-
-#: Manifest sections a query-index row keeps.  Everything a target
-#: selector can touch survives; the heavyweight rest (full config,
-#: event summaries) stays behind in the manifest file.
-_ROW_SECTIONS = (
-    "metrics",
-    "span_tree",
-    "golden_deviations",
-    "stage_fingerprints",
-    "health_summary",
-)
 
 
 def parse_target(target: str) -> tuple[str, str]:
@@ -241,35 +217,10 @@ class RunRow:
     fingerprint: str
     seed: int
     created_at: str
-    #: Reduced manifest payload (:data:`_ROW_SECTIONS` only).
+    #: The run's manifest payload.
     manifest: Mapping
     #: The run's window-report payload, when one was stored.
     windows: Mapping | None = None
-    #: Canonical digest of the row content, persisted in the query
-    #: index so a warm frame digest never re-canonicalizes manifests.
-    #: Empty means "not computed yet" (:meth:`content_digest` fills in).
-    digest: str = ""
-
-    def _core_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "fingerprint": self.fingerprint,
-            "seed": self.seed,
-            "created_at": self.created_at,
-            "manifest": dict(self.manifest),
-            "windows": dict(self.windows) if self.windows is not None else None,
-        }
-
-    def content_digest(self) -> str:
-        return self.digest or canonical_digest(self._core_dict())
-
-    def as_dict(self) -> dict:
-        return {**self._core_dict(), "digest": self.content_digest()}
-
-
-def _slim_manifest(payload: Mapping) -> dict:
-    """The target-resolvable subset of a manifest payload."""
-    return {key: payload[key] for key in _ROW_SECTIONS if key in payload}
 
 
 def _row_from_payload(
@@ -280,8 +231,8 @@ def _row_from_payload(
         fingerprint=str(payload.get("fingerprint", "")),
         seed=int(payload.get("seed", 0)),
         created_at=str(payload.get("created_at", "")),
-        manifest=_slim_manifest(payload),
-        windows=dict(windows) if windows is not None else None,
+        manifest=payload,
+        windows=windows,
     )
 
 
@@ -318,10 +269,7 @@ class QueryFrame:
         newest ``limit`` runs."""
         rows = self.rows
         if fingerprint is not None:
-            require(
-                len(fingerprint) >= 4,
-                f"fingerprint prefix {fingerprint!r} too short (need >= 4 chars)",
-            )
+            require_prefix(fingerprint, "fingerprint")
             rows = [r for r in rows if r.fingerprint.startswith(fingerprint)]
         if limit is not None:
             require(limit >= 1, f"limit must be >= 1, got {limit}")
@@ -339,23 +287,21 @@ class QueryFrame:
             groups.setdefault(row.fingerprint, []).append(row)
         return {fp: QueryFrame(rows) for fp, rows in sorted(groups.items())}
 
-    def as_dict(self) -> dict:
-        return {"rows": [row.as_dict() for row in self.rows]}
-
     def digest(self) -> str:
-        """Canonical content address of the frame.
+        """Canonical, order-insensitive content address of the frame.
 
-        Two constructions over the same store must agree byte-for-byte
-        regardless of filesystem enumeration order or index warmth —
-        checked in the tests and the query bench.  Combines the rows'
-        own content digests (persisted in the query index), so a warm
-        frame digest costs O(rows), not a re-canonicalization of every
-        stored manifest.
+        Each row contributes its ``run_id`` — the manifest's own
+        content address — and the canonical digest of its window
+        payload, so two constructions over the same store agree
+        whatever the filesystem enumeration order, and no manifest is
+        re-canonicalized.
         """
         if self._digest is None:
-            self._digest = canonical_digest(
-                {"rows": [[row.run_id, row.content_digest()] for row in self.rows]}
-            )
+            rows = [
+                [row.run_id, None if row.windows is None else canonical_digest(row.windows)]
+                for row in self.rows
+            ]
+            self._digest = canonical_digest({"rows": rows})
         return self._digest
 
 
@@ -381,164 +327,27 @@ def frame_from_payloads(
     )
 
 
-class QueryIndex:
-    """The persisted, incrementally refreshed materialization of a store.
-
-    Lives at ``<store root>/query_index.json``: one slim row per stored
-    run (:data:`_ROW_SECTIONS` of the manifest plus the window series),
-    ordered by ``(created_at, run_id)``.  :meth:`refresh` only loads
-    manifests whose ``run_id`` the index has not seen and drops rows
-    whose run left the store — the incremental reindex that keeps
-    ``repro obs query`` O(new runs), not O(store).
-    """
-
-    def __init__(self, store: RunStore) -> None:
-        self.store = store
-
-    @property
-    def path(self) -> Path:
-        return self.store.root / QUERY_INDEX_NAME
-
-    def load_rows(self) -> list[dict] | None:
-        """Raw persisted rows, or ``None`` when there is no usable index.
-
-        The index is derived data, always rewritten atomically: a file
-        that does not decode (truncated by a crash or a full disk) is
-        treated like a superseded layout and rebuilt from scratch.
-        """
-        if not self.path.is_file():
-            return None
-        try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            log.warning("query index does not decode; rebuilding", extra={"path": str(self.path)})
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != QUERY_INDEX_SCHEMA:
-            return None  # superseded layout: rebuilt from scratch
-        return list(payload.get("rows", []))
-
-    def _build_row(self, entry: Mapping) -> dict:
-        payload = self.store.load_payload(entry["run_id"])
-        windows = self.store.load_windows(entry["run_id"])
-        return _row_from_payload(
-            payload, run_id=str(entry["run_id"]), windows=windows
-        ).as_dict()
-
-    def refresh(self) -> tuple[int, int]:
-        """Bring the index up to date; returns ``(added, dropped)``.
-
-        A no-op refresh (nothing new, nothing gone) never rewrites the
-        file, so repeated queries against an unchanged store cost one
-        JSON read.
-        """
-        entries = self.store.entries()
-        known = {row["run_id"]: row for row in self.load_rows() or []}
-        wanted = [str(entry["run_id"]) for entry in entries]
-        added = [e for e in entries if str(e["run_id"]) not in known]
-        dropped = set(known) - set(wanted)
-        if not added and not dropped and self.path.is_file():
-            return (0, 0)
-        rows = [
-            known[run_id] if run_id in known else None for run_id in wanted
-        ]
-        for position, entry in enumerate(entries):
-            if rows[position] is None:
-                rows[position] = self._build_row(entry)
-        self._write(rows)
-        if added or dropped:
-            log.debug(
-                "query index refreshed",
-                extra={"added": len(added), "dropped": len(dropped)},
-            )
-        return (len(added), len(dropped))
-
-    def rebuild_rows(self) -> list[dict]:
-        """Fresh rows straight from the store, ignoring the persisted file."""
-        return [self._build_row(entry) for entry in self.store.entries()]
-
-    def _write(self, rows: Sequence[Mapping]) -> None:
-        payload = {"schema": QUERY_INDEX_SCHEMA, "rows": list(rows)}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, self.path)
-
-
-def validate_query_index(root: str | Path) -> list[str]:
-    """Errors in a persisted query index; empty list means valid.
-
-    A missing index is valid (it materializes on first query); a stale
-    or hand-edited one is not — every row must match a fresh rebuild
-    from the stored manifests, row for row.
-    """
-    store = RunStore(root)
-    index = QueryIndex(store)
-    persisted = index.load_rows()
-    if persisted is None:
-        if index.path.is_file():
-            return [f"query index {index.path}: unreadable or unsupported schema"]
-        return []
-    fresh = index.rebuild_rows()
-    errors: list[str] = []
-    persisted_ids = [row.get("run_id") for row in persisted]
-    fresh_ids = [row["run_id"] for row in fresh]
-    for run_id in fresh_ids:
-        if run_id not in persisted_ids:
-            errors.append(f"query index: stored run {run_id} not indexed (stale)")
-    for run_id in persisted_ids:
-        if run_id not in fresh_ids:
-            errors.append(f"query index: row {run_id} has no stored run (orphaned)")
-    by_id = {row["run_id"]: row for row in fresh}
-    for row in persisted:
-        run_id = row.get("run_id")
-        if run_id in by_id and canonical_digest(row) != canonical_digest(
-            by_id[run_id]
-        ):
-            errors.append(
-                f"query index: row {run_id} does not match the stored "
-                "manifest (index edited or manifest changed in place)"
-            )
-    return errors
-
-
 def build_frame(
     store: RunStore,
     *,
     fingerprint: str | None = None,
     limit: int | None = None,
     include: Sequence[str | Path] = (),
-    use_index: bool = True,
 ) -> QueryFrame:
     """Materialize the store (plus ``include`` manifest files) as a frame.
 
-    With ``use_index`` (the default) the persisted :class:`QueryIndex`
-    is refreshed incrementally and rows come from it; without it, every
-    manifest is loaded directly (what the index validator compares
-    against).  ``include`` adds bare manifest files — e.g. a committed
-    CI reference — as extra rows; a ``<path>.windows.json`` sidecar
-    rides along when present (``reference.json`` pairs with
-    ``reference.windows.json``).
+    Walks the store once (:meth:`RunStore.runs`), reading each manifest
+    and its window sidecar by path.  ``include`` adds bare manifest
+    files — e.g. a committed CI reference — as extra rows; a
+    ``<path>.windows.json`` sidecar rides along when present
+    (``reference.json`` pairs with ``reference.windows.json``).
     """
-    index = QueryIndex(store)
-    if use_index and store.entries():
-        index.refresh()
-        raw = index.load_rows() or []
-    else:
-        raw = index.rebuild_rows()
-    rows = [
-        RunRow(
-            run_id=str(row["run_id"]),
-            fingerprint=str(row["fingerprint"]),
-            seed=int(row["seed"]),
-            created_at=str(row["created_at"]),
-            manifest=row["manifest"],
-            windows=row.get("windows"),
-            digest=str(row.get("digest", "")),
-        )
-        for row in raw
-    ]
+    rows = []
+    for entry, payload in store.runs(fingerprint):
+        windows = None
+        if entry["windows"]:
+            windows = store.load_windows(store.root / entry["path"])
+        rows.append(_row_from_payload(payload, run_id=entry["run_id"], windows=windows))
     for ref in include:
         path = Path(ref)
         require(path.is_file(), f"included manifest {path} does not exist")

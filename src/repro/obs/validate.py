@@ -432,6 +432,9 @@ def validate_events(lines: Sequence[str]) -> list[str]:
         except json.JSONDecodeError as error:
             errors.append(f"events line {number}: does not parse: {error}")
             continue
+        if not isinstance(record, Mapping):
+            errors.append(f"events line {number}: not a JSON object")
+            continue
         if record.get("schema") != EVENT_SCHEMA:
             errors.append(
                 f"events line {number}: schema is {record.get('schema')!r}, "
@@ -488,6 +491,8 @@ def crosscheck_events(lines: Sequence[str], manifest: Mapping) -> list[str]:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue  # already reported by validate_events
+        if not isinstance(record, Mapping):
+            continue  # likewise
         kind = str(record.get("kind"))
         counts[kind] = counts.get(kind, 0) + 1
     n_spans = _count_spans(manifest.get("span_tree", {}))
@@ -513,56 +518,24 @@ def crosscheck_events(lines: Sequence[str], manifest: Mapping) -> list[str]:
 def validate_run_store(root: str | Path) -> dict[str, list[str]]:
     """Per-file errors across a run store; empty dict means valid.
 
-    Checks the index parses, every indexed file exists, every stored
-    manifest validates, the file lives under its manifest's fingerprint
-    directory, and the run id matches the manifest's content address
-    (the store's append-only guarantee rests on that address).
+    Walks every stored run (:meth:`~repro.obs.history.RunStore.run_files`)
+    and checks the file is a JSON object, the manifest validates, the
+    file lives under its manifest's fingerprint directory, and its name
+    is the manifest's content address — the store's append-only
+    guarantee rests on that address, so a file edited in place fails
+    here.  The event-log and window sidecars next to it are checked too.
     """
     from repro.obs.history import RUN_ID_LENGTH, RunStore
     from repro.obs.manifest import RunManifest
 
-    store = RunStore(root)
     failures: dict[str, list[str]] = {}
-    index_key = str(store.index_path)
-    if not store.index_path.is_file():
-        # An empty (or not-yet-created) store is valid; stored runs
-        # without an index are not.  Top-level files (e.g. a committed
-        # reference manifest) are not stored runs.
-        stray = sorted(store.root.glob("*/*.json"))
-        if stray:
-            return {
-                index_key: [
-                    "run store has stored runs but no index.json: "
-                    + ", ".join(str(p) for p in stray[:5])
-                ]
-            }
-        return {}
-    try:
-        entries = store.entries()
-    except (json.JSONDecodeError, ValueError) as error:
-        return {index_key: [f"index does not parse: {error}"]}
-    for entry in entries:
-        run_id = entry.get("run_id", "?")
-        path = store.root / entry.get("path", f"{run_id}.json")
-        errors: list[str] = []
-        if not path.is_file():
-            failures[str(path)] = ["indexed run file is missing"]
-            continue
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            failures[str(path)] = [f"run file does not parse: {error}"]
-            continue
-        if not isinstance(payload, dict):
-            failures[str(path)] = ["run file is not a JSON object"]
+    for path in RunStore(root).run_files():
+        errors = failures.setdefault(str(path), [])
+        payload = _stored_object(path, "run file", errors)
+        if payload is None:
             continue
         errors.extend(validate_manifest(payload))
         fingerprint = payload.get("fingerprint")
-        if entry.get("fingerprint") != fingerprint:
-            errors.append(
-                f"index fingerprint {entry.get('fingerprint')!r} "
-                f"does not match manifest {fingerprint!r}"
-            )
         if path.parent.name != fingerprint:
             errors.append(
                 f"stored under directory {path.parent.name!r}, "
@@ -573,9 +546,9 @@ def validate_run_store(root: str | Path) -> dict[str, list[str]]:
         except Exception as error:  # broken payloads already reported above
             errors.append(f"content address not computable: {error}")
         else:
-            if content_id[:RUN_ID_LENGTH] != run_id:
+            if content_id[:RUN_ID_LENGTH] != path.stem:
                 errors.append(
-                    f"run id {run_id!r} does not match content address "
+                    f"run id {path.stem!r} does not match content address "
                     f"{content_id[:RUN_ID_LENGTH]!r} (file edited in place?)"
                 )
         events_file = path.with_name(f"{path.stem}.events.jsonl")
@@ -585,17 +558,23 @@ def validate_run_store(root: str | Path) -> dict[str, list[str]]:
             errors.extend(crosscheck_events(lines, payload))
         windows_file = path.with_name(f"{path.stem}.windows.json")
         if windows_file.is_file():
-            try:
-                windows_payload = json.loads(
-                    windows_file.read_text(encoding="utf-8")
-                )
-            except json.JSONDecodeError as error:
-                errors.append(f"windows sidecar does not parse: {error}")
-            else:
+            windows_payload = _stored_object(windows_file, "windows sidecar", errors)
+            if windows_payload is not None:
                 errors.extend(validate_windows(windows_payload, manifest=payload))
-        if errors:
-            failures[str(path)] = errors
-    return failures
+    return {path: errors for path, errors in failures.items() if errors}
+
+
+def _stored_object(path: Path, what: str, errors: list[str]) -> Mapping | None:
+    """The JSON object in a stored file, or ``None`` after one error."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:
+        errors.append(f"{what} does not parse: {error}")
+        return None
+    if not isinstance(payload, Mapping):
+        errors.append(f"{what} is not a JSON object")
+        return None
+    return payload
 
 
 def _read_object(flag: str, path: str, errors: list[str]) -> Mapping | None:
@@ -653,19 +632,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "root-pattern totality and mask-consistency",
     )
     parser.add_argument(
-        "--rebuild-index",
-        action="store_true",
-        help="with --runs: regenerate a missing/corrupted index.json from "
-        "the on-disk manifest tree before validating (refuses on content-"
-        "address mismatch)",
-    )
-    parser.add_argument(
-        "--query-index",
-        action="store_true",
-        help="with --runs: also check the persisted query index matches a "
-        "fresh rebuild from the stored manifests",
-    )
-    parser.add_argument(
         "--no-require-scenario",
         dest="require_scenario",
         action="store_false",
@@ -679,8 +645,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "nothing to validate: pass --metrics, --manifest, --events, "
             "--windows, --model and/or --runs"
         )
-    if (args.rebuild_index or args.query_index) and not args.runs:
-        parser.error("--rebuild-index/--query-index need --runs")
     errors: list[str] = []
     if args.metrics:
         payload = _read_object("--metrics", args.metrics, errors)
@@ -715,21 +679,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if model_payload is not None:
             errors.extend(validate_model(model_payload))
     if args.runs:
-        if args.rebuild_index:
-            from repro.obs.history import RunStore
-
-            try:
-                count = RunStore(args.runs).rebuild_index()
-            except ValueError as error:
-                errors.append(f"rebuild-index: {error}")
-            else:
-                print(f"rebuilt index under {args.runs}: {count} run(s)")
         for path, file_errors in sorted(validate_run_store(args.runs).items()):
             errors.extend(f"{path}: {error}" for error in file_errors)
-        if args.query_index:
-            from repro.obs.query import validate_query_index
-
-            errors.extend(validate_query_index(args.runs))
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:

@@ -289,6 +289,24 @@ class TestEventStreamCli:
         assert len(out.splitlines()) == len(events)
         assert "run.start" in out
 
+    @pytest.mark.parametrize("view", ["tail", "dashboard"])
+    @pytest.mark.parametrize(
+        "line",
+        ["{not json", "[1]", '{"schema": 1, "seq": 1, "t": 0.1, "fields": {}}'],
+        ids=["not-json", "not-an-object", "no-kind"],
+    )
+    def test_malformed_event_line_is_one_error_line(self, capsys, tmp_path, view, line):
+        from repro.obs.events import PipelineEvent
+
+        log = tmp_path / "events.jsonl"
+        good = PipelineEvent(seq=0, t=0.0, kind="run.start").to_json()
+        log.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["obs", view, str(log)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {log} line 2: "), err
+        assert len(err.splitlines()) == 1  # one line, no traceback
+
     def test_tail_filters_narrow_the_replay(self, capsys, tmp_path):
         log = tmp_path / "events.jsonl"
         assert main(["headline", *COMMON, "--events", str(log)]) == 0
@@ -526,7 +544,7 @@ class TestHealthDashboardCli:
 
 
 class TestLongitudinalCli:
-    """obs query/regress/diff/list --limit and the index maintenance."""
+    """obs query/regress/diff/list over a store read from its tree."""
 
     @pytest.fixture()
     def store_dir(self, tmp_path, monkeypatch):
@@ -647,34 +665,6 @@ class TestLongitudinalCli:
         assert err.startswith(f"unusable baseline {baseline}")
         assert len(err.splitlines()) == 1  # one line, no traceback
 
-    def test_truncated_query_index_is_rebuilt(self, capsys, store_dir):
-        self._seeded_store(store_dir, bump=3.0)
-        assert main(["obs", "query", "metric:lsh.clusters"]) == 0  # warm index
-        query_index = store_dir / "query_index.json"
-        query_index.write_bytes(query_index.read_bytes()[:200])
-        capsys.readouterr()
-        assert main(["obs", "regress", "--fail-on", "critical"]) == 1
-        assert "metric:lsh.clusters" in capsys.readouterr().out
-        query_index.write_bytes(query_index.read_bytes()[:200])
-        assert main(["obs", "query", "metric:lsh.clusters", "--json"]) == 0
-        import json
-
-        assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
-
-    def test_truncated_run_index_names_the_recovery(self, capsys, store_dir):
-        self._seeded_store(store_dir)
-        index = store_dir / "index.json"
-        index.write_bytes(index.read_bytes()[:100])
-        capsys.readouterr()
-        assert main(["obs", "regress"]) == 2
-        err = capsys.readouterr().err.strip()
-        assert str(index) in err and "--rebuild-index" in err
-        assert len(err.splitlines()) == 1  # one line, no traceback
-        assert main(["obs", "validate", "--rebuild-index"]) == 0
-        capsys.readouterr()
-        assert main(["obs", "regress", "--fail-on", "warn"]) == 0
-        assert "clean" in capsys.readouterr().out
-
     def test_list_limit_keeps_the_newest_runs(self, capsys, store_dir):
         self._seeded_store(store_dir)
         capsys.readouterr()
@@ -747,8 +737,8 @@ class TestLongitudinalCli:
             ["obs", "export", run_id, "--format", "prometheus"],
             ["obs", "query", "metric:lsh.clusters"],
         ]
-        if not sidecar:  # the diff reads manifests only
-            readers.append(["obs", "diff", run_id, run_id])
+        if not sidecar:  # the diff and the listing read manifests only
+            readers += [["obs", "diff", run_id, run_id], ["obs", "list"]]
         for argv in readers:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err.strip()
@@ -756,24 +746,88 @@ class TestLongitudinalCli:
             assert f"repro obs validate --runs {store_dir}" in err
             assert len(err.splitlines()) == 1  # one line, no traceback
 
-    def test_validate_rebuilds_the_index_and_checks_the_query_index(
-        self, capsys, store_dir
-    ):
+    def test_leftover_index_files_change_no_output(self, capsys, store_dir):
         import json
 
-        assert main(["headline", *COMMON, "--store-run"]) == 0
-        assert main(["obs", "query", "metric:lsh.clusters"]) == 0  # warm index
+        store = self._seeded_store(store_dir, bump=3.0)
+        views = [
+            ["obs", "list"],
+            ["obs", "query", "metric:lsh.clusters", "series:events", "--json"],
+            ["obs", "history", "metric:lsh.clusters"],
+            ["obs", "validate", "--runs", str(store_dir)],
+        ]
+
+        def outputs():
+            captured = []
+            for argv in views:
+                code = main(argv)
+                captured.append((code, capsys.readouterr()))
+            return captured
+
         capsys.readouterr()
-        (store_dir / "index.json").unlink()
-        assert main(["obs", "validate", "--rebuild-index", "--query-index"]) == 0
-        assert "rebuilt index" in capsys.readouterr().out
-        # A hand-edited query index must fail the --query-index check.
-        query_index = store_dir / "query_index.json"
-        payload = json.loads(query_index.read_text(encoding="utf-8"))
-        payload["rows"][0]["manifest"]["metrics"]["gauges"]["lsh.clusters"] = -1.0
-        query_index.write_text(json.dumps(payload), encoding="utf-8")
-        assert main(["obs", "validate", "--query-index"]) == 1
-        assert "does not match" in capsys.readouterr().err
+        before = outputs()
+        # The files an older version kept next to the runs, stale on
+        # purpose: one entry and one row that disagree with the tree.
+        (entry, *_rest) = store.entries()
+        (store_dir / "index.json").write_text(
+            json.dumps({"schema": 1, "entries": [{**entry, "seed": 99}]}), encoding="utf-8"
+        )
+        row = {**entry, "manifest": {"metrics": {"gauges": {"lsh.clusters": -1.0}}},
+               "windows": None, "digest": "0" * 64}
+        (store_dir / "query_index.json").write_text(
+            json.dumps({"schema": 2, "rows": [row]}), encoding="utf-8"
+        )
+        assert outputs() == before
+        assert [code for code, _captured in before] == [0, 0, 0, 0]
+
+    def test_list_fingerprint_takes_a_prefix(self, capsys, store_dir):
+        store = self._seeded_store(store_dir)
+        fingerprint = store.entries()[0]["fingerprint"]
+        capsys.readouterr()
+        assert main(["obs", "list", "--fingerprint", fingerprint[:8]]) == 0
+        assert "4 run(s)" in capsys.readouterr().out
+        assert main(["obs", "list", "--fingerprint", "0000"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == f"run store {store_dir}: no run matches fingerprint '0000'"
+        assert main(["obs", "list", "--fingerprint", "000"]) == 2
+        assert "too short" in capsys.readouterr().err
+
+    def test_validate_reports_a_manifest_edited_in_place(self, capsys, store_dir):
+        import json
+
+        from repro.obs.history import RunStore
+
+        assert main(["headline", *COMMON, "--store-run"]) == 0
+        store = RunStore(store_dir)
+        (entry,) = store.entries()
+        path = store.root / entry["path"]
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["seed"] = 6
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["obs", "validate", "--runs", str(store_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: run id {entry['run_id']!r} does not match content address" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "query", "metric:lsh.clusters", "--no-index"],
+            ["obs", "validate", "--rebuild-index"],
+            ["obs", "validate", "--query-index"],
+        ],
+        ids=["no-index", "rebuild-index", "query-index"],
+    )
+    def test_retired_index_options_are_usage_errors(self, capsys, store_dir, argv):
+        from repro.obs.validate import main as validate_main
+
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        if argv[1] == "validate":
+            with pytest.raises(SystemExit) as info:
+                validate_main(["--runs", str(store_dir), argv[-1]])
+            assert info.value.code == 2
 
 
 class TestServingCli:

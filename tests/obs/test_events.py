@@ -206,6 +206,46 @@ class TestIterEvents:
         assert list(iter_events(tmp_path / "missing.jsonl")) == []
 
 
+#: One malformed line of each shape an event log can carry.
+MALFORMED_LINES = {
+    "not-json": "{not json",
+    "not-an-object": "[1]",
+    "no-kind": '{"schema": 1, "seq": 1, "t": 0.1, "fields": {}}',
+}
+
+
+class TestMalformedEventLines:
+    """A bad line is one error naming the file and line, not a traceback."""
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_LINES))
+    def test_iter_events_names_the_file_and_line(self, tmp_path, shape):
+        path = tmp_path / "events.jsonl"
+        good = PipelineEvent(seq=0, t=0.0, kind="run.start").to_json()
+        path.write_text(f"{good}\n\n{MALFORMED_LINES[shape]}\n")
+        with pytest.raises(ValidationError, match=f"{path} line 3: "):
+            list(iter_events(path))
+
+    @pytest.mark.parametrize("payload", [[1], {"schema": 1, "seq": 0}, {"schema": 1, "kind": "x"}])
+    def test_from_dict_refuses_non_events(self, payload):
+        with pytest.raises(ValidationError):
+            PipelineEvent.from_dict(payload)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_LINES))
+    def test_validators_report_the_line_and_move_on(self, shape):
+        lines = [
+            PipelineEvent(seq=0, t=0.0, kind="stage.finish").to_json(),
+            MALFORMED_LINES[shape],
+            PipelineEvent(seq=2, t=0.2, kind="mystery").to_json(),
+        ]
+        errors = validate_events(lines)
+        assert any(error.startswith("events line 2: ") for error in errors)
+        if shape == "not-an-object":
+            assert "events line 2: not a JSON object" in errors
+        assert "events line 3: unknown event kind 'mystery'" in errors
+        manifest = {"span_tree": {"name": "scenario", "children": [{"name": "s0"}]}}
+        assert crosscheck_events(lines, manifest) == []
+
+
 class TestFilters:
     def test_parse_filters(self):
         assert parse_filters(["kind=stage.*", "stage=epm"]) == {

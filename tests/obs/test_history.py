@@ -140,6 +140,30 @@ class TestRunStore:
         assert len(store.entries()) == 2
         assert len(store.entries("cd" * 32)) == 1
 
+    def test_fingerprint_filter_takes_a_prefix(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.add(_manifest())
+        store.add(_manifest(fingerprint="cd" * 32, created_at="x"))
+        assert [e["fingerprint"] for e in store.entries("cdcd")] == ["cd" * 32]
+        assert store.entries("efef") == []
+        with pytest.raises(ValidationError, match="too short"):
+            store.entries("cd")
+
+    def test_only_manifests_are_runs(self, tmp_path):
+        source = tmp_path / "windows.json"
+        source.write_text(json.dumps(_windows_payload()))
+        store = RunStore(tmp_path / "runs")
+        manifest = _manifest()
+        run_id = store.add(manifest, windows_path=source)
+        rundir = store.path_for(manifest.fingerprint, run_id).parent
+        (rundir / f"{run_id}.tmp.4242").write_text("{", encoding="utf-8")
+        (rundir / f"{run_id}.windows.tmp.4242").write_text("{", encoding="utf-8")
+        (rundir / f"{run_id}.model.json").write_text("{}", encoding="utf-8")
+        assert store.run_files() == [store.path_for(manifest.fingerprint, run_id)]
+        (entry,) = store.entries()
+        assert entry["run_id"] == run_id and entry["windows"] is True
+        assert validate_run_store(store.root) == {}
+
     def test_render_listing(self, tmp_path):
         store = RunStore(tmp_path)
         assert "empty" in store.render_listing()
@@ -147,6 +171,15 @@ class TestRunStore:
         listing = store.render_listing()
         assert run_id in listing
         assert "1 dev" in listing
+
+    def test_render_listing_names_a_filter_that_removed_every_run(self, tmp_path):
+        store = RunStore(tmp_path)
+        assert store.render_listing("efef") == f"run store {tmp_path}: empty"
+        store.add(_manifest())
+        assert store.render_listing("efef") == (
+            f"run store {tmp_path}: no run matches fingerprint 'efef'"
+        )
+        assert "1 run(s)" in store.render_listing("abab")
 
 
 class TestStoreValidation:
@@ -164,12 +197,37 @@ class TestStoreValidation:
         assert validate_run_store(tmp_path) == {}
 
     def test_stored_runs_without_an_index_are_reported(self, tmp_path):
+        # The tree is the store's only record: a run file nothing else
+        # lists is still walked, and its manifest errors are reported.
         rundir = tmp_path / ("ab" * 32)
         rundir.mkdir()
-        (rundir / "deadbeefdeadbeef.json").write_text("{}", encoding="utf-8")
+        path = rundir / "deadbeefdeadbeef.json"
+        path.write_text("{}", encoding="utf-8")
         failures = validate_run_store(tmp_path)
-        (errors,) = failures.values()
-        assert "no index.json" in errors[0]
+        assert list(failures) == [str(path)]
+        assert any("manifest:" in error for error in failures[str(path)])
+
+    def test_manifest_in_the_wrong_directory_is_reported(self, tmp_path):
+        store = RunStore(tmp_path)
+        manifest = _manifest()
+        run_id = store.add(manifest)
+        stray = store.path_for("cd" * 32, run_id)
+        stray.parent.mkdir(parents=True)
+        stray.write_text(
+            store.path_for(manifest.fingerprint, run_id).read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        failures = validate_run_store(tmp_path)
+        assert list(failures) == [str(stray)]
+        assert any("stored under directory" in e for e in failures[str(stray)])
+
+    def test_leftover_index_files_are_ignored(self, tmp_path):
+        store = RunStore(tmp_path)
+        run_id = store.add(_manifest())
+        (tmp_path / "index.json").write_text('{"schema": 1, "entries": [', encoding="utf-8")
+        (tmp_path / "query_index.json").write_text("[]", encoding="utf-8")
+        assert validate_run_store(tmp_path) == {}
+        assert [e["run_id"] for e in store.entries()] == [run_id]
 
     def test_edited_run_file_fails_the_content_address(self, tmp_path):
         store = RunStore(tmp_path)
@@ -182,13 +240,6 @@ class TestStoreValidation:
         failures = validate_run_store(tmp_path)
         assert any("content address" in e for e in failures[str(path)])
 
-    def test_missing_run_file_is_reported(self, tmp_path):
-        store = RunStore(tmp_path)
-        manifest = _manifest()
-        run_id = store.add(manifest)
-        store.path_for(manifest.fingerprint, run_id).unlink()
-        failures = validate_run_store(tmp_path)
-        assert any("missing" in e for errors in failures.values() for e in errors)
 
 
 class TestDiff:
@@ -754,13 +805,17 @@ class TestStoredWindowReports:
         store = RunStore(tmp_path / "runs")
         with pytest.raises(ValidationError):
             store.add(_manifest(), windows_path=tmp_path / "nope.json")
+        assert store.entries() == []  # refused before anything was written
 
 
 class TestResolveEdgeCases:
-    def _synthetic_index(self, store, entries):
-        payload = {"schema": 1, "entries": entries}
-        store.root.mkdir(parents=True, exist_ok=True)
-        store.index_path.write_text(json.dumps(payload), encoding="utf-8")
+    def _synthetic_runs(self, store, runs):
+        """Empty run files at ``<fingerprint>/<run_id>.json``: resolving
+        matches names and reads no file."""
+        for fingerprint, run_id in runs:
+            path = store.path_for(fingerprint, run_id)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("", encoding="utf-8")
 
     def test_too_short_prefix_names_the_requirement(self, tmp_path):
         store = RunStore(tmp_path)
@@ -776,14 +831,9 @@ class TestResolveEdgeCases:
 
     def test_ambiguous_prefix_lists_every_match(self, tmp_path):
         store = RunStore(tmp_path)
-        self._synthetic_index(
+        self._synthetic_runs(
             store,
-            [
-                {"run_id": "deadbeefaaaaaaaa", "fingerprint": "ab" * 32,
-                 "path": f"{'ab' * 32}/deadbeefaaaaaaaa.json"},
-                {"run_id": "deadbeefbbbbbbbb", "fingerprint": "cd" * 32,
-                 "path": f"{'cd' * 32}/deadbeefbbbbbbbb.json"},
-            ],
+            [("ab" * 32, "deadbeefaaaaaaaa"), ("cd" * 32, "deadbeefbbbbbbbb")],
         )
         with pytest.raises(ValidationError, match="ambiguous run ref") as info:
             store.resolve("deadbeef")
@@ -792,14 +842,9 @@ class TestResolveEdgeCases:
 
     def test_fingerprint_qualifier_disambiguates(self, tmp_path):
         store = RunStore(tmp_path)
-        self._synthetic_index(
+        self._synthetic_runs(
             store,
-            [
-                {"run_id": "deadbeefaaaaaaaa", "fingerprint": "ab" * 32,
-                 "path": f"{'ab' * 32}/deadbeefaaaaaaaa.json"},
-                {"run_id": "deadbeefbbbbbbbb", "fingerprint": "cd" * 32,
-                 "path": f"{'cd' * 32}/deadbeefbbbbbbbb.json"},
-            ],
+            [("ab" * 32, "deadbeefaaaaaaaa"), ("cd" * 32, "deadbeefbbbbbbbb")],
         )
         resolved = store.resolve("abab/deadbeef")
         assert resolved.name == "deadbeefaaaaaaaa.json"
@@ -821,55 +866,6 @@ class TestResolveEdgeCases:
             store.resolve(f"abab/{run_id[:2]}")  # run prefix too short
         with pytest.raises(ValidationError, match="no stored run matches"):
             store.resolve(f"cdcd/{run_id[:6]}")  # wrong configuration
-
-
-class TestRebuildIndex:
-    def test_regenerates_a_deleted_index_identically(self, tmp_path):
-        store = RunStore(tmp_path)
-        for day in (2, 1, 3):
-            store.add(_manifest(created_at=f"2026-01-0{day}T00:00:00Z"))
-        before = store.index_path.read_text(encoding="utf-8")
-        store.index_path.unlink()
-        assert store.rebuild_index() == 3
-        assert store.index_path.read_text(encoding="utf-8") == before
-
-    def test_sidecar_flags_survive_the_rebuild(self, tmp_path):
-        source = tmp_path / "windows.json"
-        source.write_text(json.dumps(_windows_payload()))
-        store = RunStore(tmp_path / "runs")
-        store.add(_manifest(), windows_path=source)
-        store.index_path.unlink()
-        store.rebuild_index()
-        (entry,) = store.entries()
-        assert entry["windows"] is True
-        assert entry["events"] is False
-
-    def test_edited_manifest_refused_not_laundered(self, tmp_path):
-        store = RunStore(tmp_path)
-        manifest = _manifest()
-        run_id = store.add(manifest)
-        path = store.path_for(manifest.fingerprint, run_id)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["seed"] = 8
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValidationError, match="no longer matches"):
-            store.rebuild_index()
-
-    def test_manifest_in_the_wrong_directory_refused(self, tmp_path):
-        store = RunStore(tmp_path)
-        manifest = _manifest()
-        run_id = store.add(manifest)
-        path = store.path_for(manifest.fingerprint, run_id)
-        stray = store.path_for("cd" * 32, run_id)
-        stray.parent.mkdir(parents=True)
-        stray.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-        with pytest.raises(ValidationError, match="wrong directory"):
-            store.rebuild_index()
-
-    def test_empty_tree_rebuilds_an_empty_index(self, tmp_path):
-        store = RunStore(tmp_path / "runs")
-        assert store.rebuild_index() == 0
-        assert store.entries() == []
 
 
 class TestEntriesOrdering:

@@ -1,5 +1,5 @@
-"""The longitudinal analytics frame (selectors, index, query) and the
-cost attribution of a config delta."""
+"""The longitudinal analytics frame (selectors, store walk, query) and
+the cost attribution of a config delta."""
 
 import json
 
@@ -10,14 +10,12 @@ from repro.obs.history import RunStore
 from repro.obs.manifest import RunManifest
 from repro.obs.query import (
     QueryFrame,
-    QueryIndex,
     aggregate,
     build_frame,
     frame_from_payloads,
     parse_target,
     resolve_target,
     run_query,
-    validate_query_index,
 )
 from repro.obs.windows import WINDOW_SERIES, WindowReport
 from repro.util.canonical import flatten_canonical
@@ -245,84 +243,48 @@ class TestQueryFrame:
             frame_from_payloads([_manifest().as_dict()], windows=[None, None])
 
 
-class TestQueryIndex:
-    def test_build_frame_materializes_the_index(self, tmp_path):
+class TestStoreFrame:
+    """build_frame reads the store's tree; nothing is persisted."""
+
+    def test_build_frame_writes_nothing(self, tmp_path):
         store = _store(tmp_path)
+        before = sorted(store.root.rglob("*"))
+        assert len(build_frame(store)) == 3
+        assert sorted(store.root.rglob("*")) == before
+
+    def test_new_runs_show_up_without_a_refresh(self, tmp_path):
+        store = _store(tmp_path, days=(1, 2), clusters=(9.0, 9.0))
+        assert len(build_frame(store)) == 2
+        store.add(_manifest(created_at="2026-01-03T00:00:00Z"))
+        assert len(build_frame(store)) == 3
+
+    def test_digest_keys_on_run_id_and_window_payload(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        sidecar = tmp_path / "w.json"
+        sidecar.write_text(json.dumps(_windows_payload(events=(4.0, 8.0))))
+        store.add(_manifest(), windows_path=sidecar)
+        first = build_frame(store).digest()
+        assert build_frame(store).digest() == first
+        sidecar.write_text(json.dumps(_windows_payload(events=(5.0, 8.0))))
+        store.add(_manifest(), windows_path=sidecar)  # same run, new sidecar
+        assert build_frame(store).digest() != first
+
+    def test_rows_carry_the_stored_ids_and_payloads(self, tmp_path):
+        store = _store(tmp_path, clusters=(8.0, 9.0, 13.0))
         frame = build_frame(store)
-        assert len(frame) == 3
-        assert QueryIndex(store).path.is_file()
+        assert [row.run_id for row in frame.rows] == [
+            entry["run_id"] for entry in store.entries()
+        ]
+        assert frame.column("metric:lsh.clusters") == [8.0, 9.0, 13.0]
 
-    def test_refresh_is_incremental(self, tmp_path):
-        store = _store(tmp_path, days=(1, 2), clusters=(9.0, 9.0))
-        index = QueryIndex(store)
-        assert index.refresh() == (2, 0)
-        assert index.refresh() == (0, 0)
-        store.add(_manifest(created_at="2026-01-03T00:00:00Z"))
-        assert index.refresh() == (1, 0)
-
-    def test_noop_refresh_never_rewrites_the_file(self, tmp_path):
-        store = _store(tmp_path)
-        index = QueryIndex(store)
-        index.refresh()
-        before = index.path.stat().st_mtime_ns
-        index.refresh()
-        assert index.path.stat().st_mtime_ns == before
-
-    def test_refresh_drops_vanished_runs(self, tmp_path):
-        store = _store(tmp_path)
-        index = QueryIndex(store)
-        index.refresh()
-        # Simulate an external prune: drop one run from store + index.
-        entries = store.entries()
-        victim = entries[0]
-        (store.root / victim["path"]).unlink()
-        payload = {"schema": 1, "entries": entries[1:]}
-        store.index_path.write_text(json.dumps(payload), encoding="utf-8")
-        assert index.refresh() == (0, 1)
-        assert len(index.load_rows()) == 2
-
-    def test_indexed_and_direct_frames_agree(self, tmp_path):
-        store = _store(tmp_path)
-        build_frame(store)  # warm the index
-        indexed = build_frame(store, use_index=True)
-        direct = build_frame(store, use_index=False)
-        assert indexed.digest() == direct.digest()
-
-    def test_unsupported_schema_is_rebuilt(self, tmp_path):
-        store = _store(tmp_path)
-        index = QueryIndex(store)
-        index.path.write_text('{"schema": 99, "rows": []}', encoding="utf-8")
-        assert index.load_rows() is None
-        index.refresh()
-        assert len(index.load_rows()) == 3
-
-
-class TestValidateQueryIndex:
-    def test_fresh_index_validates(self, tmp_path):
-        store = _store(tmp_path)
-        QueryIndex(store).refresh()
-        assert validate_query_index(store.root) == []
-
-    def test_missing_index_is_valid(self, tmp_path):
-        store = _store(tmp_path)
-        assert validate_query_index(store.root) == []
-
-    def test_stale_index_reported(self, tmp_path):
-        store = _store(tmp_path, days=(1, 2), clusters=(9.0, 9.0))
-        QueryIndex(store).refresh()
-        store.add(_manifest(created_at="2026-01-03T00:00:00Z"))
-        errors = validate_query_index(store.root)
-        assert any("not indexed" in error for error in errors)
-
-    def test_edited_row_reported(self, tmp_path):
-        store = _store(tmp_path)
-        index = QueryIndex(store)
-        index.refresh()
-        payload = json.loads(index.path.read_text(encoding="utf-8"))
-        payload["rows"][0]["manifest"]["metrics"]["gauges"]["lsh.clusters"] = 999.0
-        index.path.write_text(json.dumps(payload), encoding="utf-8")
-        errors = validate_query_index(store.root)
-        assert any("does not match" in error for error in errors)
+    def test_fingerprint_prefix_skips_other_configs(self, tmp_path):
+        store = _store(tmp_path, days=(1,), clusters=(9.0,))
+        store.add(_manifest(fingerprint="cd" * 32, created_at="2026-01-02T00:00:00Z"))
+        assert [row.fingerprint for row in build_frame(store, fingerprint="cdcd").rows] == [
+            "cd" * 32
+        ]
+        with pytest.raises(ValidationError, match="too short"):
+            build_frame(store, fingerprint="cd")
 
 
 class TestRunQuery:

@@ -226,6 +226,31 @@ class TestUnreadableInputs:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"{path}: run file is not a JSON object"]
 
+    def test_stored_windows_sidecar_that_is_not_an_object(self, tmp_path, capsys):
+        store = RunStore(tmp_path)
+        manifest = RunManifest.from_dict(_manifest_payload({}))
+        run_id = store.add(manifest)
+        store.windows_path_for(manifest.fingerprint, run_id).write_text("[]", encoding="utf-8")
+        path = store.path_for(manifest.fingerprint, run_id)
+        assert validate_run_store(tmp_path) == {
+            str(path): ["windows sidecar is not a JSON object"]
+        }
+        assert main(["--runs", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"{path}: windows sidecar is not a JSON object"]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["{not json", "[1]", '{"schema": 1, "seq": 0, "t": 0.0, "fields": {}}'],
+        ids=["not-json", "not-an-object", "no-kind"],
+    )
+    def test_malformed_event_line(self, line, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        log.write_text(line + "\n", encoding="utf-8")
+        assert main(["--events", str(log)]) == 1
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("events line 1: ")
+
     def test_missing_event_log(self, tmp_path, capsys):
         missing = tmp_path / "events.jsonl"
         assert main(["--events", str(missing)]) == 1
