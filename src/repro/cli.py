@@ -47,7 +47,7 @@ The longitudinal toolkit lives under ``repro obs``::
     python -m repro obs diff A B --json         # the same, machine-readable
     python -m repro obs history lsh.clusters    # drift time series per config
     python -m repro obs tail events.jsonl --follow  # live event stream
-    python -m repro obs export RUN --format prometheus
+    python -m repro obs export RUN                # OpenMetrics text
     python -m repro obs export RUN --format chrome --out t.json  # Perfetto
     python -m repro obs export RUN --format flame   # flamegraph text view
     python -m repro obs health RUN                  # SLO/anomaly report
@@ -407,9 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     export_p.add_argument(
         "--format",
         choices=EXPORT_FORMATS,
-        default="prometheus",
-        help="prometheus: text exposition format; openmetrics: the "
-        "OpenMetrics variant (# EOF terminated); chrome: trace-event "
+        default="openmetrics",
+        help="openmetrics: text exposition format (# EOF terminated); "
+        "chrome: trace-event "
         "JSON of the span tree (chrome://tracing, Perfetto); flame: "
         "flamegraph-style text view of the span tree; jsonl: one JSON "
         "object per sample",
@@ -824,7 +824,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         from repro.obs.query import build_frame
 
         frame = build_frame(store, fingerprint=args.fingerprint)
-        print(render_history(frame, args.target))
+        print(render_history(frame, args.target, fingerprint=args.fingerprint))
         return 0
     if args.obs_command == "health":
         return _cmd_obs_health(args, store)

@@ -88,8 +88,9 @@ log = get_logger("experiments.cache")
 #:    grew health_summary (schema 5).
 #: 8: bounded-memory telemetry — ScenarioConfig grew the ring and
 #:    rotation knobs (execution-only, since removed), MetricsSnapshot
-#:    grew sketches/watermarks (schema 2), RunManifest grew its drop
-#:    accounting (schema 6, since removed).
+#:    grew sketches and a high-water-mark section (schema 2, since
+#:    removed), RunManifest grew its drop accounting (schema 6, since
+#:    removed).
 #: 9: one execution path per kernel — ScenarioConfig lost columnar and
 #:    PatternSet lost its scan memo (incompatible pickles).
 #: 10: one detector engine — ScenarioRun.health is a health.Report of

@@ -105,7 +105,7 @@ class ScenarioRun:
     timings: StageTimings = field(default_factory=StageTimings)
     #: Root of the hierarchical span tree recorded while building.
     trace: TraceSpan | None = None
-    #: Frozen metric snapshot of the build (counters/gauges/sketches/watermarks).
+    #: Frozen metric snapshot of the build (counters/gauges/sketches).
     metrics: MetricsSnapshot | None = None
     #: The run's receipt: fingerprint, span tree, metrics, digests.
     manifest: RunManifest | None = None

@@ -3,16 +3,16 @@
 Zero-dependency instrumentation for the pipeline, off by default and
 near-free when off:
 
-* :mod:`repro.obs.metrics` — counters, gauges, quantile sketches and
-  watermarks in a :class:`MetricsRegistry`, exported as deterministic
-  JSON snapshots;
-* :mod:`repro.obs.trace` — hierarchical :class:`TraceSpan`s (the
-  generalisation of the flat ``StageTimer``), with per-span attributes;
+* :mod:`repro.obs.metrics` — counters, gauges and quantile sketches in
+  a :class:`MetricsRegistry`, exported as deterministic JSON snapshots;
+* :mod:`repro.obs.trace` — hierarchical :class:`TraceSpan`s with
+  per-span attributes;
 * :mod:`repro.obs.log` — structured logging under the ``repro`` logger
   namespace, console + JSON-lines formatters;
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` receipt of a
   scenario run (config fingerprint, span tree, metric snapshot,
-  artifact digests);
+  artifact digests); manifest schema 8 is the one layout every reader
+  accepts, and an older stored run is refused, not translated;
 * :mod:`repro.obs.validate` — the metric-name catalogue and the JSON
   validators CI runs against emitted files and stored runs;
 * :mod:`repro.obs.history` — the append-only, content-addressed run
@@ -29,9 +29,8 @@ near-free when off:
   the ``repro obs tail`` replay/follow reader and the ``--progress``
   renderer;
 * :mod:`repro.obs.export` — exporters of the recorded telemetry
-  behind ``repro obs export``: Prometheus/OpenMetrics text
-  expositions, JSON-lines samples, Chrome traces and the flamegraph
-  text view;
+  behind ``repro obs export``: the OpenMetrics text exposition,
+  JSON-lines samples, Chrome traces and the flamegraph text view;
 * :mod:`repro.obs.profile` — the per-span CPU/RSS probe every tracer
   runs, plus span-tree exporters: Chrome trace-event JSON and a flamegraph-style
   text view;
@@ -72,12 +71,7 @@ from repro.obs.events import (
     use_bus,
 )
 from repro.obs.dashboard import render_dashboard, sparkline
-from repro.obs.export import (
-    export_payload,
-    jsonl_text,
-    openmetrics_text,
-    prometheus_text,
-)
+from repro.obs.export import export_payload, jsonl_text, openmetrics_text
 from repro.obs.health import (
     HEALTH_RULES,
     REGRESS_RULES,
@@ -149,7 +143,6 @@ __all__ = [
     "jsonl_text",
     "new_findings",
     "openmetrics_text",
-    "prometheus_text",
     "read_events",
     "render_dashboard",
     "render_history",

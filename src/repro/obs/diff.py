@@ -117,7 +117,7 @@ class ManifestDiff:
     #: Dotted config keys whose values differ, key -> (a, b).
     config_delta: dict[str, tuple[object, object]] = field(default_factory=dict)
     new_golden_deviations: list[str] = field(default_factory=list)
-    #: Per-severity health-summary counts that changed (schema >= 5).
+    #: Per-severity health-summary counts that changed.
     health_deltas: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     @property
@@ -337,7 +337,7 @@ def first_diverging_stage(tree_a: Mapping, tree_b: Mapping) -> str | None:
 
 
 def _health(payload: Mapping) -> dict[str, int]:
-    """Per-severity health-summary counts (schema >= 5 manifests)."""
+    """Per-severity health-summary counts of a manifest."""
     return {key: int(count) for key, count in (payload.get("health_summary") or {}).items()}
 
 

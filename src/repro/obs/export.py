@@ -4,17 +4,15 @@ The pipeline records everything once — metrics snapshots, span trees,
 event logs — and this module turns those canonical forms into what
 external tooling expects:
 
-* :func:`prometheus_text` — the Prometheus text exposition format of a
-  metrics snapshot (``repro_`` prefix, counters as ``_total``,
+* :func:`openmetrics_text` — the OpenMetrics text exposition of a
+  metrics snapshot (``repro_`` prefix, counters as ``_total`` samples,
   distribution sketches as ``summary`` families with quantile samples,
-  watermarks as gauges), ready for a textfile collector or pushgateway.
-  Label values are escaped per the exposition grammar (backslash,
-  quote, newline).
-* :func:`openmetrics_text` — the OpenMetrics text format: the same
-  family rendering with the spec's hard requirements made explicit
-  (``_total`` sample suffix on counters, the mandatory ``# EOF``
-  terminator), for scrapers that negotiate
-  ``application/openmetrics-text``.
+  the mandatory ``# EOF`` terminator), for scrapers, textfile
+  collectors and pushgateways alike.  Label values are escaped per the
+  exposition grammar (backslash, quote, newline).  No catalogued
+  metric name declares a unit, so the exposition carries no ``# UNIT``
+  lines, and a Prometheus text scraper reads it unchanged up to the
+  ``# EOF`` line.
 * :func:`jsonl_samples` / :func:`jsonl_text` — one JSON object per
   sample, the lingua franca of log shippers.
 * Span-tree views reuse :mod:`repro.obs.profile` on the manifest's
@@ -27,8 +25,7 @@ Inputs are duck-typed payload dicts: either a bare metrics snapshot
 (:meth:`~repro.obs.metrics.MetricsSnapshot.as_dict` form) or a full run
 manifest (whose ``metrics``/``span_tree`` sections are used), so the
 CLI can feed it a metrics JSON file, a manifest file, or a stored run
-id interchangeably.  Snapshots of a legacy schema are upgraded first
-(:func:`~repro.obs.metrics.upgrade_snapshot`).
+id interchangeably.
 """
 
 from __future__ import annotations
@@ -37,27 +34,27 @@ import json
 import re
 from typing import Iterator, Mapping
 
-from repro.obs.metrics import parse_key, upgrade_snapshot
+from repro.obs.metrics import parse_key
 from repro.obs.sketch import sketch_quantile_from_payload
 from repro.util.validation import require
 
 #: Formats :func:`export_payload` understands.
-EXPORT_FORMATS = ("prometheus", "openmetrics", "jsonl", "chrome", "flame")
+EXPORT_FORMATS = ("openmetrics", "jsonl", "chrome", "flame")
 
-#: Prefix of every exported Prometheus metric name.
-PROMETHEUS_PREFIX = "repro_"
+#: Prefix of every exported metric family name.
+EXPOSITION_PREFIX = "repro_"
 
 #: Quantiles a streaming sketch exports as summary samples.
 SKETCH_EXPORT_QUANTILES = (0.5, 0.9, 0.99)
 
 
 def metrics_section(payload: Mapping) -> dict:
-    """The metrics snapshot inside ``payload``, in the current schema.
+    """The metrics snapshot inside ``payload``.
 
     A payload with a ``metrics`` key is a manifest; anything else is a
     bare snapshot, whichever sections it happens to carry.
     """
-    return upgrade_snapshot(payload["metrics"] if "metrics" in payload else payload)
+    return dict(payload["metrics"] if "metrics" in payload else payload)
 
 
 def span_tree_section(payload: Mapping) -> dict:
@@ -76,15 +73,15 @@ def window_series_section(payload: Mapping) -> dict:
 
 
 def _prom_name(name: str) -> str:
-    """A valid Prometheus metric name: dots to underscores, prefixed."""
-    return PROMETHEUS_PREFIX + re.sub(r"[^a-zA-Z0-9_]", "_", name)
+    """A valid exposition metric name: dots to underscores, prefixed."""
+    return EXPOSITION_PREFIX + re.sub(r"[^a-zA-Z0-9_]", "_", name)
 
 
 def _escape_label_value(value: str) -> str:
     """Escape a label value per the exposition-format grammar.
 
     Backslash, double quote and newline are the three characters the
-    Prometheus/OpenMetrics text format requires escaping inside quoted
+    OpenMetrics text format requires escaping inside quoted
     label values; anything else passes through verbatim.
     """
     return (
@@ -111,63 +108,30 @@ def _format_value(value: float) -> str:
     return repr(as_float)
 
 
-#: Units derivable from a catalogued metric name, suffix -> unit.  The
-#: OpenMetrics spec ties ``# UNIT`` to the metric name's own suffix
-#: (``..._seconds`` may only declare ``seconds``), so the map is keyed
-#: by name ending rather than by a separate registry.
-_UNIT_SUFFIXES = (("seconds", "seconds"), ("bytes", "bytes"))
+def openmetrics_text(payload: Mapping) -> str:
+    """OpenMetrics text exposition of a metrics snapshot or manifest.
 
-
-def _metric_unit(name: str) -> str | None:
-    """The unit a catalogued metric name self-declares, if any.
-
-    Retired names count as catalogued, so a stored run exports with the
-    units its own schema documented (``executor.chunk_seconds``).
-    """
-    from repro.obs.validate import METRIC_CATALOGUE, RETIRED_METRICS
-
-    if name not in METRIC_CATALOGUE and name not in RETIRED_METRICS:
-        return None
-    tail = name.rsplit(".", 1)[-1].rsplit("_", 1)[-1]
-    for suffix, unit in _UNIT_SUFFIXES:
-        if tail == suffix:
-            return unit
-    return None
-
-
-def _family_header(name: str, kind: str, units: bool) -> list[str]:
-    """``# TYPE`` (and, in OpenMetrics mode, ``# UNIT``) family lines."""
-    prom = _prom_name(name)
-    lines = [f"# TYPE {prom} {kind}"]
-    if units:
-        unit = _metric_unit(name)
-        if unit is not None:
-            lines.append(f"# UNIT {prom} {unit}")
-    return lines
-
-
-def _exposition_lines(payload: Mapping, *, units: bool) -> list[str]:
-    """The shared family rendering behind both text expositions.
-
-    ``units`` turns on the OpenMetrics ``# UNIT`` metadata for
-    catalogued metrics whose names self-declare a unit (``*_seconds``,
-    ``*_bytes``); Prometheus has no UNIT line, so its exposition passes
-    ``False``.
+    Counters become ``<name>_total`` samples, sketches a ``summary``
+    family of quantile samples plus ``_sum`` / ``_count``; labels carry
+    over from the rendered ``name{k=v}`` keys.  Output is
+    deterministically ordered (sorted by metric key) and ends with the
+    mandatory ``# EOF`` terminator that lets a scraper tell a complete
+    exposition from a truncated one.
     """
     metrics = metrics_section(payload)
     lines: list[str] = []
     for key in sorted(metrics.get("counters", {})):
         name, labels = parse_key(key)
-        prom = _prom_name(name) + "_total"
-        lines.extend(_family_header(name, "counter", units))
+        prom = _prom_name(name)
+        lines.append(f"# TYPE {prom} counter")
         lines.append(
-            f"{prom}{_prom_labels(labels)} "
+            f"{prom}_total{_prom_labels(labels)} "
             f"{_format_value(metrics['counters'][key])}"
         )
     for key in sorted(metrics.get("gauges", {})):
         name, labels = parse_key(key)
         prom = _prom_name(name)
-        lines.extend(_family_header(name, "gauge", units))
+        lines.append(f"# TYPE {prom} gauge")
         lines.append(
             f"{prom}{_prom_labels(labels)} {_format_value(metrics['gauges'][key])}"
         )
@@ -175,7 +139,7 @@ def _exposition_lines(payload: Mapping, *, units: bool) -> list[str]:
         name, labels = parse_key(key)
         prom = _prom_name(name)
         sketch = metrics["sketches"][key]
-        lines.extend(_family_header(name, "summary", units))
+        lines.append(f"# TYPE {prom} summary")
         for q in SKETCH_EXPORT_QUANTILES:
             estimate = sketch_quantile_from_payload(sketch, q)
             if estimate is None:
@@ -191,49 +155,16 @@ def _exposition_lines(payload: Mapping, *, units: bool) -> list[str]:
         lines.append(
             f"{prom}_count{_prom_labels(labels)} {int(sketch.get('count', 0))}"
         )
-    for key in sorted(metrics.get("watermarks", {})):
-        name, labels = parse_key(key)
-        prom = _prom_name(name)
-        lines.extend(_family_header(name, "gauge", units))
-        lines.append(
-            f"{prom}{_prom_labels(labels)} "
-            f"{_format_value(metrics['watermarks'][key])}"
-        )
     series = window_series_section(payload)
     if series:
-        prom = PROMETHEUS_PREFIX + "window_series"
+        prom = EXPOSITION_PREFIX + "window_series"
         lines.append(f"# TYPE {prom} gauge")
         for name in sorted(series):
             for window, value in enumerate(series[name]):
                 labels = {"series": name, "window": str(window)}
                 lines.append(f"{prom}{_prom_labels(labels)} {_format_value(value)}")
-    return lines
-
-
-def prometheus_text(payload: Mapping) -> str:
-    """Prometheus text exposition of a metrics snapshot or manifest.
-
-    Counters become ``<name>_total``, sketches a ``summary`` family of
-    quantile samples plus ``_sum`` / ``_count``; labels carry over from
-    the rendered ``name{k=v}`` keys.  Output is deterministically
-    ordered (sorted by metric key).
-    """
-    return "\n".join(_exposition_lines(payload, units=False)) + "\n"
-
-
-def openmetrics_text(payload: Mapping) -> str:
-    """OpenMetrics text exposition of a metrics snapshot or manifest.
-
-    The family rendering is shared with :func:`prometheus_text` — the
-    obs layer already emits counters as ``_total`` samples, which
-    OpenMetrics *requires* where Prometheus merely tolerates.  The spec
-    adds two pieces of metadata on top: ``# UNIT`` lines for catalogued
-    metrics whose names self-declare a unit (``*_seconds``/``*_bytes``),
-    and the mandatory ``# EOF`` terminator — always the last line — that
-    lets a scraper distinguish a complete exposition from a truncated
-    one.
-    """
-    return "\n".join(_exposition_lines(payload, units=True)) + "\n# EOF\n"
+    lines.append("# EOF")
+    return "\n".join(lines) + "\n"
 
 
 def jsonl_samples(payload: Mapping) -> Iterator[dict]:
@@ -262,14 +193,6 @@ def jsonl_samples(payload: Mapping) -> Iterator[dict]:
                 for q in SKETCH_EXPORT_QUANTILES
             },
         }
-    for key in sorted(metrics.get("watermarks", {})):
-        name, labels = parse_key(key)
-        yield {
-            "type": "watermark",
-            "name": name,
-            "labels": labels,
-            "value": metrics["watermarks"][key],
-        }
     series = window_series_section(payload)
     for name in sorted(series):
         for window, value in enumerate(series[name]):
@@ -292,8 +215,6 @@ def jsonl_text(payload: Mapping) -> str:
 def export_payload(payload: Mapping, fmt: str) -> str:
     """Render ``payload`` in one of :data:`EXPORT_FORMATS`."""
     require(fmt in EXPORT_FORMATS, f"unknown export format {fmt!r}")
-    if fmt == "prometheus":
-        return prometheus_text(payload)
     if fmt == "openmetrics":
         return openmetrics_text(payload)
     if fmt == "jsonl":

@@ -711,7 +711,13 @@ def band_rule(target: str) -> Rule:
     )
 
 
-def render_history(frame: QueryFrame, target: str, *, width: int = 30) -> str:
+def render_history(
+    frame: QueryFrame,
+    target: str,
+    *,
+    width: int = 30,
+    fingerprint: str | None = None,
+) -> str:
     """One target's run series over ``frame``, per config fingerprint.
 
     ``target`` takes the query selector grammar; a bare key with no
@@ -719,12 +725,15 @@ def render_history(frame: QueryFrame, target: str, *, width: int = 30) -> str:
     :func:`run_regression` scans (``series:`` targets reduced per run by
     their mean).  Flags: ``T!`` marks runs where :func:`band_rule`
     fires in its configuration's series, ``G!`` runs that self-reported
-    golden deviations.
+    golden deviations.  ``fingerprint`` is the prefix ``frame`` was
+    filtered by, named when it left no run.
     """
     if target.partition(":")[0] not in TARGET_SCHEMES:
         target = f"metric:{target}"
     parse_target(target)
     if not len(frame):
+        if fingerprint is not None:
+            return f"no stored run matches fingerprint {fingerprint!r}"
         return "no stored runs"
     rule = band_rule(target)
     groups = frame.grouped()

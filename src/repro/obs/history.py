@@ -34,11 +34,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Mapping
 
 from repro.obs.log import get_logger
-from repro.obs.manifest import RunManifest
-from repro.obs.metrics import upgrade_snapshot
+from repro.obs.manifest import RunManifest, schema_error
 from repro.util.validation import require
 
 log = get_logger("obs.history")
@@ -231,19 +229,22 @@ class RunStore:
     def load_payload(self, ref: str) -> dict:
         """Dict form of the stored manifest named by ``ref``.
 
-        A metrics snapshot of a legacy schema comes back upgraded
-        (:func:`~repro.obs.metrics.upgrade_snapshot`), so every reader
-        sees one layout.  A file that does not decode to a JSON object
-        (cut short by a crash or a full disk) raises
-        :class:`~repro.util.validation.ValidationError`.
+        A file path may also name a bare ``--metrics-out`` snapshot or
+        a window report; only a manifest (a payload with a ``metrics``
+        section) is held to the layout cut-off.  A file that does not
+        decode to a JSON object (cut short by a crash or a full disk),
+        or a manifest of a layout other than
+        :data:`~repro.obs.manifest.MANIFEST_SCHEMA`, raises
+        :class:`~repro.util.validation.ValidationError` naming the file.
         """
         return self._read_payload(self.resolve(ref))
 
     def _read_payload(self, path: Path) -> dict:
         """The one read point of stored manifests (see :meth:`load_payload`)."""
         payload = self._read_object(path)
-        if isinstance(payload.get("metrics"), Mapping):
-            payload["metrics"] = upgrade_snapshot(payload["metrics"])
+        if "metrics" in payload:
+            error = schema_error(payload.get("schema"))
+            require(error is None, f"{path}: {error}")
         return payload
 
     def load_events(self, ref: str) -> list | None:

@@ -35,30 +35,11 @@ from repro.util.canonical import canonical_digest, canonicalize
 from repro.util.clock import timestamp
 from repro.util.validation import require
 
-#: Manifest schema version; bump on incompatible layout changes.
-#: 2: added ``created_at`` (injectable clock) and ``golden_deviations``.
-#: 3: added ``event_summary`` (per-kind counts of the run's live event
-#:    stream, when one was recorded; ``{}`` otherwise).
-#: 4: added ``stage_fingerprints`` (per-stage content addresses of the
-#:    incremental stage DAG) and the per-span ``cache`` attribute
-#:    (``hit``/``miss``/``off``) on pipeline-stage spans.
-#: 5: added ``health_summary`` (per-severity finding counts of the
-#:    run's SLO/health evaluation — see :mod:`repro.obs.health`).
-#: 6: added ``event_drops`` (per-transport, per-kind counts of events
-#:    dropped by bounded transports — ring eviction, file rotation);
-#:    the metrics snapshot inside moved to schema 2 (sketches and
-#:    watermarks sections).
-#: 7: dropped ``event_drops`` (the bounded transports are gone); every
-#:    span carries ``cpu_seconds`` and ``max_rss_kb`` (the probe is no
-#:    longer opt-in; its GC-collection count is gone).
-#: 8: no ``executor.*`` or ``worker.*`` metrics (the thread and process
-#:    executors are gone; the sandbox batch is a plain loop).
+#: Manifest schema version; bump on incompatible layout changes.  It is
+#: also the oldest layout any reader accepts: a stored run of an older
+#: schema is refused (:func:`schema_error`), never translated.  The
+#: schema history lives in ``docs/ARCHITECTURE.md``.
 MANIFEST_SCHEMA = 8
-
-#: Schemas :meth:`RunManifest.from_dict` still reads (stored runs from
-#: earlier layouts stay loadable; missing fields take their defaults,
-#: fields a later schema dropped are ignored).
-SUPPORTED_MANIFEST_SCHEMAS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 #: Which span (by name) produced which digested artifact — the walk
 #: order of the cross-run digest diff.  ``headline`` summarises the
@@ -83,16 +64,16 @@ class RunManifest:
     artifact_digests: dict[str, str] = field(default_factory=dict)
     created_at: str = ""
     golden_deviations: list[str] = field(default_factory=list)
-    #: Per-kind event counts of the run's live stream (schema >= 3).
+    #: Per-kind event counts of the run's live stream.
     #: Cross-checked against the span tree by ``repro obs validate``:
     #: every non-root span must have produced one ``stage.finish``.
     event_summary: dict[str, int] = field(default_factory=dict)
     #: Stage name -> content-addressed fingerprint of the incremental
-    #: stage DAG (schema >= 4).  Two manifests agreeing on a stage's
-    #: fingerprint are replayable from the same stage-store artifact.
+    #: stage DAG.  Two manifests agreeing on a stage's fingerprint are
+    #: replayable from the same stage-store artifact.
     stage_fingerprints: dict[str, str] = field(default_factory=dict)
     #: Per-severity finding counts of the run's health evaluation
-    #: (schema >= 5) — :meth:`repro.obs.health.Report.summary`.
+    #: (:meth:`repro.obs.health.Report.summary`).
     #: The full findings live on the event stream (``health.finding``);
     #: the manifest keeps the roll-up so ``obs diff``/CI gates can spot
     #: a run going unhealthy without replaying the stream.
@@ -134,10 +115,8 @@ class RunManifest:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunManifest":
         """Rebuild a manifest from its :meth:`as_dict` form."""
-        require(
-            payload.get("schema") in SUPPORTED_MANIFEST_SCHEMAS,
-            f"unsupported manifest schema {payload.get('schema')!r}",
-        )
+        error = schema_error(payload.get("schema"))
+        require(error is None, str(error))
         return cls(
             fingerprint=payload["fingerprint"],
             seed=payload["seed"],
@@ -166,6 +145,18 @@ class RunManifest:
             },
             schema=int(payload["schema"]),
         )
+
+
+def schema_error(schema: object) -> str | None:
+    """Why a manifest of layout ``schema`` is unreadable; ``None`` if it is not."""
+    if schema == MANIFEST_SCHEMA:
+        return None
+    if isinstance(schema, int) and schema < MANIFEST_SCHEMA:
+        return (
+            f"manifest schema {schema} is older than the oldest readable layout "
+            f"({MANIFEST_SCHEMA}); re-run the scenario to regenerate it"
+        )
+    return f"manifest: schema is {schema!r}, expected {MANIFEST_SCHEMA}"
 
 
 def artifact_digests(run) -> dict[str, str]:

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, sketches, watermarks.
+"""The metrics registry: counters, gauges and quantile sketches.
 
 One :class:`MetricsRegistry` accumulates every instrument of a run.
 Instruments are addressed by a metric name plus optional labels
@@ -107,60 +107,10 @@ class Gauge:
         self.value = value
 
 
-class Watermark:
-    """A high-water mark: keeps the maximum of every update.
-
-    Unlike a :class:`Gauge` (last write wins — the right semantics for
-    replayed point-in-time values), a watermark keeps the peak of every
-    update, whatever their order.
-    """
-
-    __slots__ = ("value", "count")
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-        self.count: int = 0
-
-    def update(self, value: float) -> None:
-        """Raise the mark to ``value`` if it is the new peak."""
-        value = float(value)
-        if self.count == 0 or value > self.value:
-            self.value = value
-        self.count += 1
-
-
 #: Snapshot schema version; bump on incompatible layout changes.
-#: 2: added ``sketches`` and ``watermarks`` sections (PR 9).
-#: 3: every distribution is one sketch under its plain name; the
-#:    fixed-bucket section and the ``_sketch`` twins are gone.
+#: 3: every distribution is one sketch under its plain name.  Readers
+#:    accept schema 3 only (the snapshot of manifest schema 8).
 SNAPSHOT_SCHEMA = 3
-
-#: Snapshot schemas :func:`upgrade_snapshot` maps to the current one.
-LEGACY_SNAPSHOT_SCHEMAS = (1, 2)
-
-
-def upgrade_snapshot(payload: Mapping) -> dict:
-    """A snapshot payload in the current layout (schema 1/2 upgraded).
-
-    Legacy snapshots carry a fixed-bucket ``histograms`` section, and
-    schema 2 recorded some distributions twice: as a histogram and as a
-    ``<name>_sketch`` twin.  The upgrade drops the ``histograms``
-    section and renames each ``<name>_sketch{labels}`` key to
-    ``<name>{labels}``, so a stored run keeps a continuous quantile
-    series under the plain name; a distribution an old run recorded
-    only as a histogram reads as absent.  Any other payload comes back
-    as an untouched copy, so schema checks still reject unknown
-    versions.
-    """
-    if payload.get("schema") not in LEGACY_SNAPSHOT_SCHEMAS:
-        return dict(payload)
-    upgraded = {key: value for key, value in payload.items() if key != "histograms"}
-    upgraded["schema"] = SNAPSHOT_SCHEMA
-    upgraded["sketches"] = {}
-    for key, value in payload.get("sketches", {}).items():
-        name, brace, labels = key.partition("{")
-        upgraded["sketches"][name.removesuffix("_sketch") + brace + labels] = value
-    return upgraded
 
 
 @dataclass
@@ -176,7 +126,6 @@ class MetricsSnapshot:
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     sketches: dict[str, dict] = field(default_factory=dict)
-    watermarks: dict[str, float] = field(default_factory=dict)
 
     def counter(self, name: str, **labels: object) -> float:
         """Value of one counter (0 if never touched)."""
@@ -185,10 +134,6 @@ class MetricsSnapshot:
     def gauge(self, name: str, **labels: object) -> float:
         """Value of one gauge (0 if never set)."""
         return self.gauges.get(metric_key(name, labels), 0)
-
-    def watermark(self, name: str, **labels: object) -> float:
-        """Value of one high-water mark (0 if never updated)."""
-        return self.watermarks.get(metric_key(name, labels), 0)
 
     def total(self, name: str) -> float:
         """Sum of one counter across all label combinations."""
@@ -200,7 +145,7 @@ class MetricsSnapshot:
         """Every distinct metric name present, labels stripped."""
         return {
             base_name(key)
-            for section in (self.counters, self.gauges, self.sketches, self.watermarks)
+            for section in (self.counters, self.gauges, self.sketches)
             for key in section
         }
 
@@ -211,7 +156,6 @@ class MetricsSnapshot:
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "sketches": dict(sorted(self.sketches.items())),
-            "watermarks": dict(sorted(self.watermarks.items())),
         }
 
     def to_json(self) -> str:
@@ -220,9 +164,7 @@ class MetricsSnapshot:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MetricsSnapshot":
-        """Rebuild a snapshot from its :meth:`as_dict` form (legacy
-        schemas pass through :func:`upgrade_snapshot`)."""
-        payload = upgrade_snapshot(payload)
+        """Rebuild a snapshot from its :meth:`as_dict` form."""
         require(
             payload.get("schema") == SNAPSHOT_SCHEMA,
             f"unsupported metrics snapshot schema {payload.get('schema')!r}",
@@ -231,7 +173,6 @@ class MetricsSnapshot:
             counters=dict(payload.get("counters", {})),
             gauges=dict(payload.get("gauges", {})),
             sketches=dict(payload.get("sketches", {})),
-            watermarks=dict(payload.get("watermarks", {})),
         )
 
 
@@ -245,7 +186,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._sketches: dict[str, QuantileSketch] = {}
-        self._watermarks: dict[str, Watermark] = {}
 
     def counter(self, name: str, **labels: object) -> Counter:
         """The counter for ``(name, labels)``, created on first use."""
@@ -271,21 +211,12 @@ class MetricsRegistry:
             instrument = self._sketches[key] = QuantileSketch()
         return instrument
 
-    def watermark(self, name: str, **labels: object) -> Watermark:
-        """The high-water mark for ``(name, labels)``, created on use."""
-        key = metric_key(name, labels)
-        instrument = self._watermarks.get(key)
-        if instrument is None:
-            instrument = self._watermarks[key] = Watermark()
-        return instrument
-
     def snapshot(self) -> MetricsSnapshot:
         """Freeze the current state into a plain-data snapshot."""
         return MetricsSnapshot(
             counters={key: c.value for key, c in sorted(self._counters.items())},
             gauges={key: g.value for key, g in sorted(self._gauges.items())},
             sketches={key: s.as_dict() for key, s in sorted(self._sketches.items())},
-            watermarks={key: w.value for key, w in sorted(self._watermarks.items())},
         )
 
 
@@ -301,9 +232,6 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def update(self, value: float) -> None:
         pass
 
 
@@ -322,9 +250,6 @@ class NullMetricsRegistry:
         return _NULL_INSTRUMENT
 
     def sketch(self, name: str, **labels: object) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def watermark(self, name: str, **labels: object) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def snapshot(self) -> MetricsSnapshot:

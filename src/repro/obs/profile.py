@@ -15,10 +15,8 @@ Two halves, both operating on the :mod:`repro.obs.trace` layer:
   in ``chrome://tracing`` / Perfetto) or a self-contained
   flamegraph-style text view (:func:`flame_view`); ``repro obs export
   --format chrome|flame`` renders both.  Operating on the
-  dict form means any stored manifest — including one produced by an
-  older schema without span ``start`` offsets — can be exported; spans
-  without a recorded start are laid out sequentially inside their
-  parent.
+  dict form means any stored manifest can be exported; a span without
+  a recorded start is laid out sequentially inside its parent.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ class SpanProbe:
     """Samples CPU time at span open and attributes the delta at close.
 
     Peak RSS is a process-level high-water mark, so per span it reports
-    the watermark *at span close* — monotone over the run, which is
+    the high-water mark *at span close* — monotone over the run, which is
     exactly what makes the first RSS jump attributable to a stage.
     """
 

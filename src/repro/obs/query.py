@@ -21,13 +21,12 @@ columnar cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
   ``golden:deviations``     count of self-reported golden deviations
   ``span:<name>``           wall seconds of that span; ``span:<name>/attr``
                             reads a span attribute (``cpu_seconds``,
-                            ``max_rss_kb``; every span since manifest
-                            schema 7 carries both).  Spans
-                            replayed from the stage store (``cache: hit``)
-                            resolve to ``None`` — replay milliseconds are
-                            not comparable to compute seconds
-                            (:func:`span_reading`, the rule ``obs diff``
-                            compares stages by too).
+                            ``max_rss_kb``; every span carries both).
+                            Spans replayed from the stage store
+                            (``cache: hit``) resolve to ``None`` — replay
+                            milliseconds are not comparable to compute
+                            seconds (:func:`span_reading`, the rule
+                            ``obs diff`` compares stages by too).
   ========================  ==================================================
 
 * :func:`run_query` selects targets, filters by config fingerprint,
@@ -340,7 +339,10 @@ def build_frame(
     and its window sidecar by path.  ``include`` adds bare manifest
     files — e.g. a committed CI reference — as extra rows; a
     ``<path>.windows.json`` sidecar rides along when present
-    (``reference.json`` pairs with ``reference.windows.json``).
+    (``reference.json`` pairs with ``reference.windows.json``).  An
+    included row's id is its manifest's content address, the name the
+    store gives that run, so a run already in the frame is not added
+    twice.
     """
     rows = []
     for entry, payload in store.runs(fingerprint):
@@ -348,11 +350,15 @@ def build_frame(
         if entry["windows"]:
             windows = store.load_windows(store.root / entry["path"])
         rows.append(_row_from_payload(payload, run_id=entry["run_id"], windows=windows))
+    seen = {row.run_id for row in rows}
     for ref in include:
         path = Path(ref)
         require(path.is_file(), f"included manifest {path} does not exist")
         payload = store.load_payload(str(path))
-        rows.append(_row_from_payload(payload, windows=store.load_windows(str(path))))
+        row = _row_from_payload(payload, windows=store.load_windows(str(path)))
+        if row.run_id not in seen:
+            seen.add(row.run_id)
+            rows.append(row)
     return QueryFrame(rows).filter(fingerprint=fingerprint, limit=limit)
 
 
@@ -365,6 +371,8 @@ class QueryResult:
     rows: list[dict]
     aggregates: dict[str, float | None]
     frame_digest: str
+    #: The ``--fingerprint`` prefix the rows were filtered by, if any.
+    fingerprint: str | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -381,6 +389,8 @@ class QueryResult:
     def render(self) -> str:
         """Fixed-width table: one row per run, one column per target."""
         if not self.rows:
+            if self.fingerprint is not None:
+                return f"query: no stored run matches fingerprint {self.fingerprint!r}"
             return "query: no stored runs match"
         headers = ["run_id", "fingerprint", "created_at", *self.targets]
         table = [headers]
@@ -497,4 +507,5 @@ def run_query(
         rows=rows,
         aggregates=aggregates,
         frame_digest=frame.digest(),
+        fingerprint=fingerprint,
     )

@@ -1,4 +1,4 @@
-"""Hierarchical trace spans: the generalisation of ``StageTimer``.
+"""Hierarchical trace spans: the run's timing tree.
 
 A :class:`Tracer` maintains a stack of open :class:`TraceSpan`s; every
 ``tracer.span(name)`` block becomes a child of the innermost open span,
@@ -12,7 +12,7 @@ spans on the *current* tracer (:func:`current_tracer`), which defaults
 to a shared no-op, so un-orchestrated calls cost almost nothing.  The
 scenario runner installs a real tracer via :func:`use_tracer`, exports
 the finished root with :meth:`TraceSpan.export`, and derives the
-backward-compatible flat :class:`~repro.util.timing.StageTimings` view
+flat :class:`~repro.util.timing.StageTimings` view
 from the root's direct children (:meth:`TraceSpan.stage_timings`).
 """
 

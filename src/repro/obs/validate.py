@@ -17,15 +17,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.obs.manifest import MANIFEST_SCHEMA, SUPPORTED_MANIFEST_SCHEMAS
-from repro.obs.metrics import (
-    LEGACY_SNAPSHOT_SCHEMAS,
-    SNAPSHOT_SCHEMA,
-    base_name,
-    upgrade_snapshot,
-)
+from repro.obs.manifest import schema_error
+from repro.obs.metrics import SNAPSHOT_SCHEMA, base_name
 
 #: Every documented metric name and its kind.  One entry per name in
 #: ``docs/ARCHITECTURE.md``'s catalogue table — keep the two in sync.
@@ -85,22 +80,6 @@ METRIC_CATALOGUE: dict[str, str] = {
     "classify.latency": "sketch",
 }
 
-#: Metric names a manifest schema bump retired, with their kind and the
-#: last manifest schema that could carry them.  A stored manifest of
-#: that schema or older stays valid with them; a newer one does not.
-RETIRED_METRICS: dict[str, tuple[str, int]] = {
-    "events.dropped": ("counter", 6),
-    # the thread and process executors and their chunk telemetry
-    "executor.chunks": ("counter", 7),
-    "executor.items": ("counter", 7),
-    "executor.chunk_seconds": ("sketch", 7),
-    "executor.worker_failures": ("counter", 7),
-    "executor.jobs": ("gauge", 7),
-    "executor.chunk_backlog": ("watermark", 7),
-    "executor.event_queue_depth": ("watermark", 7),
-    "worker.peak_rss_kb": ("watermark", 7),
-}
-
 #: Metrics every scenario run must emit, regardless of scale.
 REQUIRED_SCENARIO_METRICS = frozenset(
     {
@@ -135,48 +114,36 @@ _KIND_SECTIONS = (
     ("counters", "counter"),
     ("gauges", "gauge"),
     ("sketches", "sketch"),
-    ("watermarks", "watermark"),
 )
 
 
-def validate_metrics(
-    payload: Mapping,
-    *,
-    require_scenario: bool = False,
-    manifest_schema: int | None = None,
-) -> list[str]:
+def validate_metrics(payload: Mapping, *, require_scenario: bool = False) -> list[str]:
     """Errors in a metrics-snapshot dict; empty list means valid.
 
-    Checks the schema version, that every emitted name is in
+    Checks the schema version, that no section but the three instrument
+    sections holds anything (stored schema-8 snapshots carry an empty
+    section of a retired instrument kind), that every emitted name is in
     :data:`METRIC_CATALOGUE` under the right kind, and (with
     ``require_scenario``) that every name in
-    :data:`REQUIRED_SCENARIO_METRICS` actually appears.  Legacy
-    snapshots are checked as :func:`~repro.obs.metrics.upgrade_snapshot`
-    reads them.  With the ``manifest_schema`` of the manifest that
-    carries the snapshot, names in :data:`RETIRED_METRICS` that the
-    schema could still carry count as documented.
+    :data:`REQUIRED_SCENARIO_METRICS` actually appears.
     """
     errors: list[str] = []
-    payload = upgrade_snapshot(payload)
     if payload.get("schema") != SNAPSHOT_SCHEMA:
         errors.append(
-            f"metrics: schema is {payload.get('schema')!r}, expected "
-            f"{SNAPSHOT_SCHEMA} (legacy {LEGACY_SNAPSHOT_SCHEMAS} are upgraded)"
+            f"metrics: schema is {payload.get('schema')!r}, expected {SNAPSHOT_SCHEMA}"
         )
+    known = {"schema", *(section for section, _kind in _KIND_SECTIONS)}
+    errors.extend(
+        f"metrics: unknown section {section!r}"
+        for section, entries in payload.items()
+        if section not in known and entries
+    )
     seen: set[str] = set()
     for section, kind in _KIND_SECTIONS:
         for key in payload.get(section, {}):
             name = base_name(key)
             seen.add(name)
             documented = METRIC_CATALOGUE.get(name)
-            retired = RETIRED_METRICS.get(name)
-            if (
-                documented is None
-                and retired is not None
-                and isinstance(manifest_schema, int)
-                and manifest_schema <= retired[1]
-            ):
-                documented = retired[0]
             if documented is None:
                 errors.append(f"metrics: undocumented metric {name!r} (from {key!r})")
             elif documented != kind:
@@ -243,110 +210,104 @@ def _check_sketch_payload(key: str, payload: object) -> list[str]:
     return errors
 
 
+def _is_digest(value: object) -> bool:
+    return isinstance(value, str) and len(value) == 64
+
+
+def _is_mapping(value: object) -> bool:
+    return isinstance(value, Mapping)
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+#: ``(field, check, message)`` per required top-level manifest field.
+_MANIFEST_FIELDS: tuple[tuple[str, Callable[[object], bool], str], ...] = (
+    ("fingerprint", _is_digest, "must be a 64-hex-char string"),
+    ("seed", lambda value: isinstance(value, int), "must be an integer"),
+    ("config", _is_mapping, "must be a mapping"),
+    ("span_tree", _is_mapping, "must be a mapping"),
+    ("metrics", _is_mapping, "must be a mapping"),
+    ("artifact_digests", _is_mapping, "must be a mapping"),
+    ("library_version", _is_str, "must be a string"),
+    ("created_at", _is_str, "must be a string"),
+    (
+        "golden_deviations",
+        lambda value: isinstance(value, list) and all(map(_is_str, value)),
+        "must be a list of strings",
+    ),
+    ("stage_fingerprints", _is_mapping, "must be a mapping"),
+    ("health_summary", _is_mapping, "must be a mapping"),
+)
+
+
 def validate_manifest(payload: Mapping) -> list[str]:
     """Errors in a run-manifest dict; empty list means valid.
 
-    Accepts every schema in
-    :data:`~repro.obs.manifest.SUPPORTED_MANIFEST_SCHEMAS` (stored runs
-    from earlier layouts stay valid); the schema-2 fields
-    (``created_at``, ``golden_deviations``) are only required from
-    schema 2 on.
+    A manifest of any layout but
+    :data:`~repro.obs.manifest.MANIFEST_SCHEMA` is one error
+    (:func:`~repro.obs.manifest.schema_error`) and is checked no further.
     """
-    errors: list[str] = []
-    schema = payload.get("schema")
-    if schema not in SUPPORTED_MANIFEST_SCHEMAS:
-        errors.append(
-            f"manifest: schema is {schema!r}, expected one of "
-            f"{SUPPORTED_MANIFEST_SCHEMAS} (current: {MANIFEST_SCHEMA})"
-        )
-    fingerprint = payload.get("fingerprint")
-    if not (isinstance(fingerprint, str) and len(fingerprint) == 64):
-        errors.append("manifest: fingerprint must be a 64-hex-char string")
-    if not isinstance(payload.get("seed"), int):
-        errors.append("manifest: seed must be an integer")
-    for key in ("config", "span_tree", "metrics", "artifact_digests"):
-        if not isinstance(payload.get(key), Mapping):
-            errors.append(f"manifest: {key} must be a mapping")
-    if not isinstance(payload.get("library_version"), str):
-        errors.append("manifest: library_version must be a string")
+    error = schema_error(payload.get("schema"))
+    if error is not None:
+        return [error]
+    errors = [
+        f"manifest: {name} {message}"
+        for name, check, message in _MANIFEST_FIELDS
+        if not check(payload.get(name))
+    ]
     span_tree = payload.get("span_tree")
-    if isinstance(span_tree, Mapping) and "name" not in span_tree:
-        errors.append("manifest: span_tree root has no name")
-    digests = payload.get("artifact_digests")
-    if isinstance(digests, Mapping):
-        if not digests:
-            errors.append("manifest: artifact_digests is empty")
-        for artifact, digest in digests.items():
-            if not (isinstance(digest, str) and len(digest) == 64):
-                errors.append(
-                    f"manifest: digest of {artifact!r} is not a 64-hex-char string"
-                )
+    if isinstance(span_tree, Mapping):
+        if "name" not in span_tree:
+            errors.append("manifest: span_tree root has no name")
+        errors.extend(_check_span_cache_attributes(span_tree))
+    if payload.get("artifact_digests") == {}:
+        errors.append("manifest: artifact_digests is empty")
+    for section, what in (
+        ("artifact_digests", "digest"),
+        ("stage_fingerprints", "stage fingerprint"),
+    ):
+        digests = payload.get(section)
+        if isinstance(digests, Mapping):
+            errors.extend(
+                f"manifest: {what} of {key!r} is not a 64-hex-char string"
+                for key, digest in digests.items()
+                if not _is_digest(digest)
+            )
     metrics = payload.get("metrics")
     if isinstance(metrics, Mapping) and metrics:
-        errors.extend(
-            validate_metrics(
-                metrics, manifest_schema=schema if isinstance(schema, int) else None
-            )
-        )
-    if isinstance(schema, int) and schema >= 2:
-        if not isinstance(payload.get("created_at"), str):
-            errors.append("manifest: created_at must be a string (schema >= 2)")
-        deviations = payload.get("golden_deviations")
-        if not isinstance(deviations, list) or not all(
-            isinstance(d, str) for d in deviations
-        ):
-            errors.append(
-                "manifest: golden_deviations must be a list of strings (schema >= 2)"
-            )
-    if isinstance(schema, int) and schema >= 4:
-        stages = payload.get("stage_fingerprints")
-        if not isinstance(stages, Mapping):
-            errors.append(
-                "manifest: stage_fingerprints must be a mapping (schema >= 4)"
-            )
-        else:
-            for stage, fingerprint in stages.items():
-                if not (isinstance(fingerprint, str) and len(fingerprint) == 64):
-                    errors.append(
-                        f"manifest: stage fingerprint of {stage!r} is not a "
-                        "64-hex-char string"
-                    )
-        if isinstance(span_tree, Mapping):
-            errors.extend(_check_span_cache_attributes(span_tree))
-    if isinstance(schema, int) and schema >= 5:
-        summary = payload.get("health_summary")
-        if not isinstance(summary, Mapping):
-            errors.append("manifest: health_summary must be a mapping (schema >= 5)")
-        else:
-            from repro.obs.health import SEVERITIES
+        errors.extend(validate_metrics(metrics))
+    summary = payload.get("health_summary")
+    if isinstance(summary, Mapping):
+        from repro.obs.health import SEVERITIES
 
-            for severity, count in summary.items():
-                if severity not in SEVERITIES:
-                    errors.append(
-                        f"manifest: health_summary severity {severity!r} is not "
-                        f"one of {SEVERITIES} (schema >= 5)"
-                    )
-                elif not isinstance(count, int) or count < 0:
-                    errors.append(
-                        f"manifest: health_summary[{severity!r}] must be a "
-                        "non-negative integer (schema >= 5)"
-                    )
+        for severity, count in summary.items():
+            if severity not in SEVERITIES:
+                errors.append(
+                    f"manifest: health_summary severity {severity!r} is not "
+                    f"one of {SEVERITIES}"
+                )
+            elif not isinstance(count, int) or count < 0:
+                errors.append(
+                    f"manifest: health_summary[{severity!r}] must be a "
+                    "non-negative integer"
+                )
     return errors
 
 
-#: Legal values of the per-span ``cache`` attribute (schema >= 4):
-#: replayed from the stage store, recomputed under an active store, or
-#: computed with no store consulted.
+#: Legal values of the per-span ``cache`` attribute: replayed from the
+#: stage store, recomputed under an active store, or computed with no
+#: store consulted.
 SPAN_CACHE_STATUSES = frozenset({"hit", "miss", "off"})
 
 
 def _check_span_cache_attributes(tree: Mapping) -> list[str]:
     """Errors for pipeline-stage spans without a valid ``cache`` attribute.
 
-    Schema 4 manifests no longer assume a whole-run cache: every direct
-    child of the root span (the pipeline stages) must say whether it
-    was replayed (``hit``), recomputed (``miss``) or ran cache-less
-    (``off``).  Nested spans (LSH sub-phases, enrichment batches) only
+    Every direct child of the root span (the pipeline stages) must say
+    whether it was replayed (``hit``), recomputed (``miss``) or ran
+    cache-less (``off``).  Nested spans (LSH sub-phases, enrichment batches) only
     exist on computed stages and carry no cache attribute.
     """
     errors: list[str] = []
@@ -358,7 +319,7 @@ def _check_span_cache_attributes(tree: Mapping) -> list[str]:
             errors.append(
                 f"manifest: stage span {child.get('name')!r} has cache "
                 f"attribute {status!r}, expected one of "
-                f"{sorted(SPAN_CACHE_STATUSES)} (schema >= 4)"
+                f"{sorted(SPAN_CACHE_STATUSES)}"
             )
     return errors
 
@@ -477,10 +438,10 @@ def crosscheck_events(lines: Sequence[str], manifest: Mapping) -> list[str]:
     The two views of one run must agree: the stream's ``stage.finish``
     count must equal the number of non-root spans in the manifest's
     span tree, and every per-kind count in the manifest's
-    ``event_summary`` (schema >= 3, when present) must be covered by
-    the log.  The log may carry *extra* events — the CLI's session bus
-    also records cache interactions that happen around the run — but it
-    can never carry fewer than the manifest claims.
+    ``event_summary`` must be covered by the log.  The log may carry
+    *extra* events — the CLI's session bus also records cache
+    interactions that happen around the run — but it can never carry
+    fewer than the manifest claims.
     """
     errors: list[str] = []
     counts: dict[str, int] = {}
@@ -531,10 +492,12 @@ def validate_run_store(root: str | Path) -> dict[str, list[str]]:
     failures: dict[str, list[str]] = {}
     for path in RunStore(root).run_files():
         errors = failures.setdefault(str(path), [])
-        payload = _stored_object(path, "run file", errors)
+        payload = _read_object(path, "run file", errors)
         if payload is None:
             continue
         errors.extend(validate_manifest(payload))
+        if schema_error(payload.get("schema")) is not None:
+            continue  # an unreadable layout is one error, not a cascade
         fingerprint = payload.get("fingerprint")
         if path.parent.name != fingerprint:
             errors.append(
@@ -558,38 +521,28 @@ def validate_run_store(root: str | Path) -> dict[str, list[str]]:
             errors.extend(crosscheck_events(lines, payload))
         windows_file = path.with_name(f"{path.stem}.windows.json")
         if windows_file.is_file():
-            windows_payload = _stored_object(windows_file, "windows sidecar", errors)
+            windows_payload = _read_object(windows_file, "windows sidecar", errors)
             if windows_payload is not None:
                 errors.extend(validate_windows(windows_payload, manifest=payload))
     return {path: errors for path, errors in failures.items() if errors}
 
 
-def _stored_object(path: Path, what: str, errors: list[str]) -> Mapping | None:
-    """The JSON object in a stored file, or ``None`` after one error."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as error:
-        errors.append(f"{what} does not parse: {error}")
-        return None
-    if not isinstance(payload, Mapping):
-        errors.append(f"{what} is not a JSON object")
-        return None
-    return payload
+def _read_object(path: str | Path, what: str, errors: list[str]) -> Mapping | None:
+    """The JSON object at ``path``, or ``None`` after one line in ``errors``.
 
-
-def _read_object(flag: str, path: str, errors: list[str]) -> Mapping | None:
-    """The JSON object at ``path``, or ``None`` after one error for ``flag``.
-
-    A missing, empty, truncated or non-object file adds one
-    ``<flag>: <path>: ...`` line to ``errors`` instead of raising.
+    A missing, empty, truncated or non-object file is reported, not
+    raised, as ``<what>: <Error>: ...`` or ``<what>: not a JSON object``.
+    ``what`` is the caller's prefix: a command-line flag and its path
+    (``--manifest: m.json``), or the role of a stored file whose path
+    the store report already names (``run file``).
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as error:
-        errors.append(f"{flag}: {path}: {type(error).__name__}: {error}")
+        errors.append(f"{what}: {type(error).__name__}: {error}")
         return None
     if not isinstance(payload, Mapping):
-        errors.append(f"{flag}: {path}: not a JSON object")
+        errors.append(f"{what}: not a JSON object")
         return None
     return payload
 
@@ -647,14 +600,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     errors: list[str] = []
     if args.metrics:
-        payload = _read_object("--metrics", args.metrics, errors)
+        payload = _read_object(args.metrics, f"--metrics: {args.metrics}", errors)
         if payload is not None:
             errors.extend(
                 validate_metrics(payload, require_scenario=args.require_scenario)
             )
     manifest_payload = None
     if args.manifest:
-        manifest_payload = _read_object("--manifest", args.manifest, errors)
+        manifest_payload = _read_object(args.manifest, f"--manifest: {args.manifest}", errors)
         if manifest_payload is not None:
             errors.extend(validate_manifest(manifest_payload))
     if args.events:
@@ -667,7 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if manifest_payload is not None:
                 errors.extend(crosscheck_events(lines, manifest_payload))
     if args.windows:
-        windows_payload = _read_object("--windows", args.windows, errors)
+        windows_payload = _read_object(args.windows, f"--windows: {args.windows}", errors)
         if windows_payload is not None:
             errors.extend(
                 validate_windows(windows_payload, manifest=manifest_payload)
@@ -675,7 +628,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.model:
         from repro.serve.model import validate_model
 
-        model_payload = _read_object("--model", args.model, errors)
+        model_payload = _read_object(args.model, f"--model: {args.model}", errors)
         if model_payload is not None:
             errors.extend(validate_model(model_payload))
     if args.runs:

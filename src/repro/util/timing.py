@@ -1,19 +1,14 @@
-"""Wall-clock stage profiling for the pipeline.
+"""Wall-clock stage timings of the pipeline.
 
-:class:`StageTimer` wraps each stage of a run in a context manager and
-accumulates a :class:`StageTimings` record — the flat per-stage wall
-times carried on every :class:`~repro.experiments.scenario.ScenarioRun`
-and printed by ``--timings``.
+A :class:`StageTimings` record is the flat per-stage wall times carried
+on every :class:`~repro.experiments.scenario.ScenarioRun` and printed by
+``--timings``; :meth:`repro.obs.trace.TraceSpan.stage_timings` derives
+it from the run's span tree.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
-
-from repro.util.validation import require
 
 
 @dataclass(frozen=True)
@@ -73,25 +68,3 @@ class StageTimings:
         ]
         lines.append(f"{'total':<{width}}  {self.total:9.3f} s")
         return "\n".join(lines)
-
-
-class StageTimer:
-    """Records wall time per named stage of a run."""
-
-    def __init__(self) -> None:
-        self._timings = StageTimings()
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time one stage; nesting is allowed but stages may not recurse."""
-        require(bool(name), "stage name must be non-empty")
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._timings.stages.append(StageTiming(name=name, seconds=elapsed))
-
-    def timings(self) -> StageTimings:
-        """The record accumulated so far (live view, not a copy)."""
-        return self._timings

@@ -522,6 +522,35 @@ class TestHealthDashboardCli:
         assert main(["obs", "export", run_id]) == 0
         assert "repro_crossview_joint_samples" in capsys.readouterr().out
 
+    def test_openmetrics_is_the_default_and_only_text_format(self, capsys, store_dir):
+        run_id = self._stored_run(store_dir)
+        capsys.readouterr()
+        assert main(["obs", "export", run_id]) == 0
+        default = capsys.readouterr().out
+        assert main(["obs", "export", run_id, "--format", "openmetrics"]) == 0
+        assert capsys.readouterr().out == default
+        assert "# UNIT" not in default
+        with pytest.raises(SystemExit) as info:
+            main(["obs", "export", run_id, "--format", "prometheus"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["openmetrics", "jsonl"])
+    def test_export_a_metrics_out_snapshot(self, capsys, store_dir, tmp_path, fmt):
+        snapshot = tmp_path / "metrics.json"
+        assert main(["headline", *COMMON, "--metrics-out", str(snapshot)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "export", str(snapshot), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "lsh.clusters" in out or "lsh_clusters" in out
+
+    def test_dashboard_of_a_window_report_file(self, capsys, store_dir, tmp_path,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["headline", *COMMON, "--manifest"]) == 0
+        capsys.readouterr()
+        assert main(["obs", "dashboard", str(tmp_path / "manifest.windows.json")]) == 0
+        assert "landscape dashboard" in capsys.readouterr().out
+
     def test_validate_windows_sidecar_file(self, capsys, store_dir, tmp_path,
                                            monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -734,7 +763,7 @@ class TestLongitudinalCli:
         run_id = entry["run_id"]
         capsys.readouterr()
         readers = [
-            ["obs", "export", run_id, "--format", "prometheus"],
+            ["obs", "export", run_id, "--format", "openmetrics"],
             ["obs", "query", "metric:lsh.clusters"],
         ]
         if not sidecar:  # the diff and the listing read manifests only
@@ -808,6 +837,61 @@ class TestLongitudinalCli:
         assert main(["obs", "validate", "--runs", str(store_dir)]) == 1
         err = capsys.readouterr().err
         assert f"{path}: run id {entry['run_id']!r} does not match content address" in err
+
+    def test_older_manifest_schema_is_one_error_line(self, capsys, store_dir):
+        import json
+
+        store = self._seeded_store(store_dir)
+        (entry, *_rest) = store.entries()
+        payload = store.load_payload(entry["run_id"])
+        old = store.root / entry["fingerprint"] / "0123456789abcdef.json"
+        old.write_text(json.dumps({**payload, "schema": 7}), encoding="utf-8")
+        cut_off = (
+            f"error: {old}: manifest schema 7 is older than the oldest readable "
+            "layout (8); re-run the scenario to regenerate it"
+        )
+        capsys.readouterr()
+        for argv in (
+            ["obs", "list"],
+            ["obs", "query", "metric:lsh.clusters"],
+            ["obs", "history", "metric:lsh.clusters"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [cut_off], argv
+        assert main(["obs", "validate", "--runs", str(store_dir)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [cut_off.removeprefix("error: ")]
+
+    def test_including_a_stored_run_counts_it_once(self, capsys, store_dir):
+        import json
+
+        store = self._seeded_store(store_dir)
+        stored = [store.root / entry["path"] for entry in store.entries()]
+        capsys.readouterr()
+        for include in ([], [stored[0]], stored):
+            flags = [arg for path in include for arg in ("--include", str(path))]
+            assert main(["obs", "query", "metric:lsh.clusters", *flags, "--json"]) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert sorted(row["run_id"] for row in rows) == sorted(p.stem for p in stored)
+            assert main(["obs", "regress", *flags, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["runs_scanned"] == len(stored)
+
+    def test_history_names_a_fingerprint_that_matches_nothing(self, capsys, store_dir):
+        self._seeded_store(store_dir)
+        capsys.readouterr()
+        argv = ["obs", "history", "metric:lsh.clusters", "--fingerprint", "0000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "no stored run matches fingerprint '0000'\n"
+
+    def test_query_names_a_fingerprint_that_matches_nothing(self, capsys, store_dir):
+        self._seeded_store(store_dir)
+        capsys.readouterr()
+        argv = ["obs", "query", "metric:lsh.clusters", "--fingerprint", "0000"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == "query: no stored run matches fingerprint '0000'\n"
 
     @pytest.mark.parametrize(
         "argv",

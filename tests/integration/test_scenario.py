@@ -34,59 +34,41 @@ class TestScenarioConfig:
 
 
 class TestStoredConfigReplay:
-    REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
-    LEGACY = Path(__file__).resolve().parents[1] / "obs" / "legacy_reference.json"
+    """A config as older manifests stored it replays to the same run.
 
-    def test_schema6_config_with_retired_columnar_field_replays(self):
+    Manifests up to schema 7 stored ``ScenarioConfig`` fields that are
+    gone now.  Those files are no longer readable, but a stored config
+    may still be fed to :func:`config_from_canonical`, so each test
+    injects retired fields into the committed reference's config and
+    checks that the loader drops them without moving the fingerprint.
+    """
+
+    REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
+
+    def _replays(self, retired: dict) -> None:
         manifest = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
-        assert manifest["schema"] == 6
-        # Older schema-6 manifests carry the retired ``columnar`` field;
-        # the loader drops it without moving the semantic fingerprint.
-        stored = {**manifest["config"], "columnar": True}
+        assert not set(retired) & set(manifest["config"])
+        stored = {**manifest["config"], **retired}
         for payload in (manifest["config"], stored):
             config = config_from_canonical(payload)
-            assert not hasattr(config, "columnar")
+            assert not any(hasattr(config, name) for name in retired)
             assert scenario_fingerprint(manifest["seed"], config) == manifest["fingerprint"]
-        # Stored runs also carry the retired execution-only ``shards``
-        # knob, which never entered the fingerprint.
-        legacy = json.loads(self.LEGACY.read_text(encoding="utf-8"))
-        stored = legacy["config"]
-        assert stored["shards"] == 0
-        config = config_from_canonical(stored)
-        assert not hasattr(config, "shards")
-        without = config_from_canonical({k: v for k, v in stored.items() if k != "shards"})
-        seed = legacy["seed"]
-        assert scenario_fingerprint(seed, config) == scenario_fingerprint(seed, without)
 
+    def test_schema6_config_with_retired_columnar_field_replays(self):
+        # the batch-path switch and the sharded observe knob
+        self._replays({"columnar": True, "shards": 0})
 
     def test_schema6_reference_with_retired_telemetry_knobs_replays(self):
         import dataclasses
 
-        from repro.obs.manifest import RunManifest
-        from repro.obs.validate import validate_manifest
-
-        payload = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
-        assert payload["schema"] == 6 and "event_drops" in payload
-        retired = {"ring", "events_max_bytes", "events_backups", "profile"}
-        assert retired <= set(payload["config"])
-        assert validate_manifest(payload) == []
-        manifest = RunManifest.from_dict(payload)
-        assert manifest.schema == 6
-        assert validate_manifest(manifest.as_dict()) == []
-        # The loader drops the retired knobs without moving the
-        # semantic fingerprint.
-        config = config_from_canonical(manifest.config)
-        assert not any(hasattr(config, name) for name in retired)
-        assert len(dataclasses.fields(config)) == 9
-        assert scenario_fingerprint(manifest.seed, config) == manifest.fingerprint
+        # the bounded event transports and the opt-in span probe
+        retired = {"ring": 0, "events_max_bytes": None, "events_backups": 1, "profile": False}
+        self._replays(retired)
+        manifest = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
+        assert len(dataclasses.fields(config_from_canonical(manifest["config"]))) == 9
 
     def test_stored_config_with_retired_executor_fields_replays(self):
-        manifest = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
-        stored = {**manifest["config"], "executor": "process", "jobs": 8}
-        for payload in (manifest["config"], stored):
-            config = config_from_canonical(payload)
-            assert not hasattr(config, "executor") and not hasattr(config, "jobs")
-            assert scenario_fingerprint(manifest["seed"], config) == manifest["fingerprint"]
+        self._replays({"executor": "process", "jobs": 8})
 
 
 class TestScenarioRun:

@@ -20,10 +20,10 @@ from repro.util.validation import ValidationError
 def _manifest(**overrides) -> dict:
     payload = {
         "metrics": {
-            "schema": 1,
+            "schema": 3,
             "counters": {"honeypot.samples_collected": 5.0},
             "gauges": {"lsh.clusters": 9.0, "lsh.buckets_skipped": 0.0},
-            "histograms": {},
+            "sketches": {},
         },
         "golden_deviations": [],
     }

@@ -1,7 +1,6 @@
 """The run store, cross-run diffs and the drift time series."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -10,13 +9,12 @@ from repro.obs.diff import (
     first_diverging_event,
     first_diverging_stage,
 )
-from repro.obs.export import export_payload
 from repro.obs.health import band_rule, band_scan, render_history, run_regression
 from repro.obs.history import RUN_ID_LENGTH, RunStore
 from repro.obs.manifest import RunManifest
 from repro.obs.query import build_frame, metric_value, resolve_target
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
-from repro.obs.validate import validate_metrics, validate_run_store
+from repro.obs.validate import validate_run_store
 from repro.util.validation import ValidationError
 
 
@@ -61,10 +59,10 @@ def _manifest(
         library_version="1.0.0",
         span_tree=span_tree,
         metrics={
-            "schema": 1,
+            "schema": 3,
             "counters": {"lsh.candidate_pairs": 100.0},
             "gauges": {"lsh.clusters": clusters},
-            "histograms": {},
+            "sketches": {},
         },
         artifact_digests={
             "dataset.events": observe_digest,
@@ -690,47 +688,6 @@ class TestHistogramQuantileHistory:
             "io.seconds{op=write}": _sketch_payload(0.5, 1.0),
         }
         assert metric_value(manifest.as_dict(), "io.seconds:p50") is None
-
-
-LEGACY_REFERENCE = Path(__file__).with_name("legacy_reference.json")
-
-
-class TestLegacyStoredRun:
-    """A real schema-6 manifest whose metrics are snapshot schema 2:
-    four fixed-bucket histograms plus two ``<name>_sketch`` twins."""
-
-    @pytest.fixture()
-    def legacy(self, tmp_path):
-        raw = json.loads(LEGACY_REFERENCE.read_text(encoding="utf-8"))
-        assert raw["metrics"]["schema"] == 2 and raw["metrics"]["histograms"]
-        store = RunStore(tmp_path / "runs")
-        run_id = store.add(RunManifest.from_dict(raw))
-        return raw, store, run_id
-
-    def test_legacy_metrics_validate(self, legacy):
-        raw, _store, _run_id = legacy
-        # its executor.* names were retired after schema 7
-        assert validate_metrics(raw["metrics"], manifest_schema=raw["schema"]) == []
-
-    def test_quantile_series_continues_under_the_plain_name(self, legacy):
-        raw, store, run_id = legacy
-        payload = store.load_payload(run_id)
-        twin = raw["metrics"]["sketches"]["executor.chunk_seconds_sketch"]
-        expected = QuantileSketch.from_dict(twin).quantile(0.5)
-        assert metric_value(payload, "executor.chunk_seconds:p50") == expected
-        assert store.load(run_id).metrics == payload["metrics"]
-
-    def test_histogram_only_distribution_reads_as_absent(self, legacy):
-        _raw, store, run_id = legacy
-        assert metric_value(store.load_payload(run_id), "sandbox.batch_size:p50") is None
-
-    def test_openmetrics_export_has_no_bucket_lines(self, legacy):
-        raw, store, run_id = legacy
-        for payload in (raw, store.load_payload(run_id)):
-            text = export_payload(payload, "openmetrics")
-            assert "# TYPE repro_executor_chunk_seconds summary" in text
-            assert not [line for line in text.splitlines() if "_bucket{" in line]
-            assert text.endswith("\n# EOF\n")
 
 
 def _windows_payload(fingerprint: str = "ab" * 32) -> dict:

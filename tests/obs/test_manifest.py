@@ -16,7 +16,7 @@ def _sample(**overrides) -> RunManifest:
         config={"n_weeks": 74, "scale": 1.0},
         library_version="0.1.0",
         span_tree={"name": "scenario", "seconds": 1.0},
-        metrics={"schema": 1, "counters": {}, "gauges": {}, "histograms": {}},
+        metrics={"schema": 3, "counters": {}, "gauges": {}, "sketches": {}},
         artifact_digests={"headline": "cd" * 32},
         created_at="2026-01-01T00:00:00Z",
         golden_deviations=[],
@@ -59,10 +59,10 @@ class TestRunManifest:
     def test_round_trip_with_labelled_metric_keys(self):
         manifest = _sample(
             metrics={
-                "schema": 1,
+                "schema": 3,
                 "counters": {"epm.observations{dimension=mu}": 12.0},
                 "gauges": {"epm.clusters{dimension=epsilon,policy=strict}": 3.0},
-                "histograms": {},
+                "sketches": {},
             }
         )
         rebuilt = RunManifest.from_dict(json.loads(manifest.to_json()))
@@ -84,23 +84,12 @@ class TestRunManifest:
         assert rebuilt == manifest
         assert rebuilt.span_tree["attributes"]["note"] == "拡張 — ünïcode ✓"
 
-    def test_schema_1_payload_still_loads(self):
+    @pytest.mark.parametrize("schema", [1, 6, 7])
+    def test_older_schemas_are_refused(self, schema):
         payload = _sample().as_dict()
-        payload["schema"] = 1
-        del payload["created_at"]
-        del payload["golden_deviations"]
-        rebuilt = RunManifest.from_dict(payload)
-        assert rebuilt.schema == 1
-        assert rebuilt.created_at == ""
-        assert rebuilt.golden_deviations == []
-
-    def test_schema_6_payload_loads_without_its_drop_section(self):
-        payload = _sample().as_dict()
-        payload["schema"] = 6
-        payload["event_drops"] = {"ring": {"chunk.finish": 12}}
-        rebuilt = RunManifest.from_dict(payload)
-        assert rebuilt.schema == 6
-        assert "event_drops" not in rebuilt.as_dict()
+        payload["schema"] = schema
+        with pytest.raises(ValidationError, match=f"manifest schema {schema} is older"):
+            RunManifest.from_dict(payload)
 
     def test_unknown_schema_rejected(self):
         payload = _sample().as_dict()

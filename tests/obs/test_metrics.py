@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     active,
     base_name,
     metric_key,
-    upgrade_snapshot,
     use,
 )
 from repro.obs.sketch import QuantileSketch
@@ -93,6 +92,17 @@ class TestSnapshot:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValidationError):
             MetricsSnapshot.from_dict({"schema": 99})
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_older_schemas_are_refused_not_upgraded(self, schema):
+        with pytest.raises(ValidationError):
+            MetricsSnapshot.from_dict({"schema": schema, "counters": {"cache.hit": 2}})
+
+    def test_a_stored_empty_high_water_section_is_ignored(self):
+        # Manifest schema 8 files written before the section was dropped
+        # carry "watermarks": {} in their snapshot.
+        payload = {**self._populated().as_dict(), "watermarks": {}}
+        assert MetricsSnapshot.from_dict(payload) == self._populated()
 
     def test_names_strip_labels_across_sections(self):
         assert self._populated().names() == {
@@ -181,78 +191,12 @@ class TestSketchInstrument:
         registry.sketch("a.sketch").observe(3.0)
         payload = registry.snapshot().as_dict()
         assert payload["schema"] == 3
-        assert "histograms" not in payload
+        assert sorted(payload) == ["counters", "gauges", "schema", "sketches"]
         rebuilt = MetricsSnapshot.from_dict(payload)
         assert rebuilt.sketches["a.sketch"]["count"] == 1
 
-    def test_schema_one_payloads_still_load(self):
-        snapshot = MetricsSnapshot.from_dict(
-            {"schema": 1, "counters": {"cache.hit": 2}}
-        )
-        assert snapshot.counters["cache.hit"] == 2
-        assert snapshot.sketches == {}
-        assert snapshot.watermarks == {}
-
-
-class TestLegacyUpgrade:
-    def _legacy(self) -> dict:
-        sketch = QuantileSketch()
-        sketch.observe(3.0)
-        histogram = {"buckets": {"1.0": 0, "+inf": 1}, "count": 1, "sum": 3.0}
-        return {
-            "schema": 2,
-            "counters": {"cache.hit": 1},
-            "histograms": {
-                "sandbox.batch_size": histogram,
-                "executor.chunk_seconds": histogram,
-            },
-            "sketches": {
-                "executor.chunk_seconds_sketch": sketch.as_dict(),
-                "shards.events_sketch{shard=1}": sketch.as_dict(),
-                "events.interarrival": sketch.as_dict(),
-            },
-        }
-
-    def test_schema_two_twins_take_the_plain_name(self):
-        upgraded = upgrade_snapshot(self._legacy())
-        assert upgraded["schema"] == 3
-        assert "histograms" not in upgraded
-        assert sorted(upgraded["sketches"]) == [
-            "events.interarrival",
-            "executor.chunk_seconds",
-            "shards.events{shard=1}",
-        ]
-        assert upgraded["counters"] == {"cache.hit": 1}
-
-    def test_histogram_only_distributions_read_as_absent(self):
-        snapshot = MetricsSnapshot.from_dict(self._legacy())
-        assert "sandbox.batch_size" not in snapshot.names()
-        assert snapshot.sketches["executor.chunk_seconds"]["count"] == 1
-
-    def test_current_and_unknown_schemas_pass_through(self):
-        current = MetricsRegistry().snapshot().as_dict()
-        assert upgrade_snapshot(current) == current
-        assert upgrade_snapshot({"schema": 99}) == {"schema": 99}
-
-
-class TestWatermarkInstrument:
-    def test_update_keeps_the_maximum(self):
-        registry = MetricsRegistry()
-        mark = registry.watermark("q.depth")
-        for value in (10, 50, 20):
-            mark.update(value)
-        assert mark.value == 50.0
-
-    def test_snapshot_and_accessor(self):
-        registry = MetricsRegistry()
-        registry.watermark("q.depth", worker=1).update(7)
-        snapshot = registry.snapshot()
-        assert snapshot.watermark("q.depth", worker=1) == 7.0
-        assert snapshot.watermark("q.depth", worker=2) == 0
-
 
 class TestNullRegistryNewInstruments:
-    def test_sketch_and_watermark_are_free_no_ops(self):
+    def test_sketch_is_a_free_no_op(self):
         NULL_REGISTRY.sketch("anything").observe(1.0)
-        NULL_REGISTRY.watermark("anything").update(5)
         assert NULL_REGISTRY.recording is False

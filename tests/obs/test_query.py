@@ -63,10 +63,10 @@ def _manifest(
         library_version="1.0.0",
         span_tree=span_tree,
         metrics={
-            "schema": 1,
+            "schema": 3,
             "counters": {"lsh.candidate_pairs": 100.0},
             "gauges": {"lsh.clusters": clusters},
-            "histograms": {},
+            "sketches": {},
         },
         artifact_digests={
             "dataset.events": "11" * 32,

@@ -57,10 +57,10 @@ def _payload(
             ],
         },
         metrics={
-            "schema": 1,
+            "schema": 3,
             "counters": {},
             "gauges": {"lsh.clusters": clusters},
-            "histograms": {},
+            "sketches": {},
         },
         created_at=created_at,
     ).as_dict()

@@ -1,10 +1,9 @@
 """Validator coverage for the sketch payload and the manifest layout.
 
 A sketch whose bins lost observations must fail ``repro obs validate``
-loudly; a stored schema-6 manifest, whose drop accounting section and
-``events.dropped`` counters the current layout no longer has, must
-still validate, and so must a schema-7 manifest carrying the retired
-``executor.*``/``worker.*`` metrics.
+loudly; a manifest of a layout older than schema 8 is one error that
+names its schema and the cut-off, and a metric of a retired instrument
+(``events.dropped``, ``executor.*``) is undocumented.
 """
 
 import json
@@ -17,6 +16,7 @@ from repro.obs.history import RunStore
 from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import QuantileSketch
+from repro.util.validation import ValidationError
 from repro.obs.validate import (
     METRIC_CATALOGUE,
     main,
@@ -24,9 +24,9 @@ from repro.obs.validate import (
     validate_metrics,
     validate_run_store,
 )
+from repro.util.canonical import canonical_digest
 
 ARCHITECTURE = Path(__file__).resolve().parents[2] / "docs" / "ARCHITECTURE.md"
-REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
 
 
 def _metrics_with_sketch(**sketch_overrides):
@@ -55,7 +55,6 @@ def _manifest_payload(counters):
             "counters": counters,
             "gauges": {},
             "sketches": {},
-            "watermarks": {},
         },
         "artifact_digests": {"dataset": "a" * 64},
         "event_summary": {},
@@ -121,33 +120,39 @@ class TestManifestLayout:
         assert payload["schema"] == 8
         assert validate_manifest(payload) == []
 
-    def test_stored_schema_6_drop_section_is_ignored(self):
+    @pytest.mark.parametrize(
+        "field",
+        ["created_at", "golden_deviations", "stage_fingerprints", "health_summary"],
+    )
+    def test_every_field_is_required(self, field):
         payload = _manifest_payload({})
-        payload["schema"] = 6
-        payload["event_drops"] = {"ring": {"cache.hit": 5}}
-        assert validate_manifest(payload) == []
+        del payload[field]
+        (error,) = validate_manifest(payload)
+        assert error.startswith(f"manifest: {field} must be ")
 
 
 class TestRetiredMetrics:
-    """A stored schema-6 run that dropped events carries the retired
-    ``events.dropped`` counter; it stays valid, a schema-7 run does not."""
+    """The ``events.dropped`` counter of the retired bounded transports
+    is undocumented in a manifest and in a bare snapshot."""
 
     DROPPED = "events.dropped{kind=stage.progress,transport=ring}"
-
-    @pytest.fixture
-    def reference(self):
-        return json.loads(REFERENCE.read_text(encoding="utf-8"))
-
-    def test_stored_schema_6_reference_with_a_drop_counter_validates(self, reference):
-        assert reference["schema"] == 6
-        reference["metrics"]["counters"][self.DROPPED] = 3
-        assert validate_manifest(reference) == []
 
     def test_current_schema_rejects_the_retired_counter(self):
         payload = _manifest_payload({self.DROPPED: 3})
         assert payload["schema"] == 8
         errors = validate_manifest(payload)
         assert any("undocumented metric 'events.dropped'" in e for e in errors)
+
+    @pytest.mark.parametrize(
+        "section",
+        [("watermarks", {"worker.peak_rss_kb": 51200.0}), ("histograms", {"x": {}})],
+        ids=["watermarks", "histograms"],
+    )
+    def test_a_retired_section_with_content_is_rejected(self, section):
+        name, entries = section
+        payload = {**MetricsRegistry().snapshot().as_dict(), name: entries}
+        assert validate_metrics(payload) == [f"metrics: unknown section {name!r}"]
+        assert validate_metrics({**payload, name: {}}) == []
 
     def test_bare_snapshot_rejects_the_retired_counter(self):
         registry = MetricsRegistry()
@@ -156,34 +161,82 @@ class TestRetiredMetrics:
 
 
 class TestRetiredExecutorMetrics:
-    """A schema-7 run carries the chunk telemetry of the retired pool
-    executors; it stays valid, a schema-8 run does not."""
+    """The chunk telemetry of the retired pool executors is undocumented."""
 
     @staticmethod
     def _payload(schema):
         payload = _manifest_payload({"executor.chunks": 14, "executor.items": 14})
         payload["schema"] = schema
         payload["metrics"]["gauges"]["executor.jobs{backend=serial}"] = 1
-        payload["metrics"]["watermarks"]["worker.peak_rss_kb"] = 51200.0
         return payload
-
-    def test_schema_7_payload_loads_and_validates(self):
-        payload = self._payload(7)
-        assert validate_manifest(payload) == []
-        manifest = RunManifest.from_dict(payload)
-        assert manifest.schema == 7
-        assert validate_manifest(manifest.as_dict()) == []
 
     def test_schema_8_payload_rejects_them(self):
         errors = validate_manifest(self._payload(8))
-        assert len(errors) == 4
+        assert len(errors) == 3
         assert any("undocumented metric 'executor.chunks'" in e for e in errors)
-        assert any("undocumented metric 'worker.peak_rss_kb'" in e for e in errors)
+        assert any("undocumented metric 'executor.jobs'" in e for e in errors)
 
-    def test_stored_schema_6_reference_validates(self):
-        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
-        assert "executor.chunks" in reference["metrics"]["counters"]
-        assert validate_manifest(reference) == []
+
+CUT_OFF = (
+    "manifest schema 7 is older than the oldest readable layout (8); "
+    "re-run the scenario to regenerate it"
+)
+
+
+class TestManifestCutOff:
+    """Schema 8 is the oldest readable manifest layout: an older file is
+    one error naming its schema and the cut-off, never translated."""
+
+    def _store_schema_7(self, root: Path) -> Path:
+        payload = {**_manifest_payload({"executor.chunks": 14}), "schema": 7}
+        path = root / payload["fingerprint"] / "0123456789abcdef.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_older_schema_is_one_error(self):
+        payload = {**_manifest_payload({"executor.chunks": 14}), "schema": 7}
+        assert validate_manifest(payload) == [CUT_OFF]
+        with pytest.raises(ValidationError, match=re.escape(CUT_OFF)):
+            RunManifest.from_dict(payload)
+
+    @pytest.mark.parametrize("schema", [9, "8", None])
+    def test_unknown_schema_names_the_readable_one(self, schema):
+        (error,) = validate_manifest({**_manifest_payload({}), "schema": schema})
+        assert error == f"manifest: schema is {schema!r}, expected 8"
+
+    def test_validate_manifest_flag_prints_one_line(self, tmp_path, capsys):
+        path = self._store_schema_7(tmp_path)
+        assert main(["--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [CUT_OFF]
+
+    def test_run_store_reports_the_file_once(self, tmp_path, capsys):
+        path = self._store_schema_7(tmp_path)
+        assert validate_run_store(tmp_path) == {str(path): [CUT_OFF]}
+        assert main(["--runs", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"{path}: {CUT_OFF}"]
+
+    def test_store_read_names_the_file(self, tmp_path):
+        path = self._store_schema_7(tmp_path)
+        with pytest.raises(ValidationError) as raised:
+            RunStore(tmp_path).entries()
+        assert str(raised.value) == f"{path}: {CUT_OFF}"
+
+    def test_stored_empty_high_water_section_validates_and_keeps_its_address(
+        self, tmp_path
+    ):
+        # Schema-8 files written before the metrics snapshot dropped its
+        # (always empty) "watermarks" section read as they always did.
+        payload = _manifest_payload({"cache.hit": 1})
+        payload["metrics"]["watermarks"] = {}
+        store = RunStore(tmp_path)
+        run_id = store.add(RunManifest.from_dict(payload))
+        assert run_id == canonical_digest(payload)[:16]
+        assert store.load_payload(run_id) == payload
+        assert validate_manifest(payload) == []
+        assert validate_run_store(tmp_path) == {}
 
 
 class TestUnreadableInputs:
@@ -220,11 +273,11 @@ class TestUnreadableInputs:
         path = store.path_for(manifest.fingerprint, store.add(manifest))
         path.write_text("[1, 2]", encoding="utf-8")
         assert validate_run_store(tmp_path) == {
-            str(path): ["run file is not a JSON object"]
+            str(path): ["run file: not a JSON object"]
         }
         assert main(["--runs", str(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"{path}: run file is not a JSON object"]
+        assert lines == [f"{path}: run file: not a JSON object"]
 
     def test_stored_windows_sidecar_that_is_not_an_object(self, tmp_path, capsys):
         store = RunStore(tmp_path)
@@ -233,11 +286,11 @@ class TestUnreadableInputs:
         store.windows_path_for(manifest.fingerprint, run_id).write_text("[]", encoding="utf-8")
         path = store.path_for(manifest.fingerprint, run_id)
         assert validate_run_store(tmp_path) == {
-            str(path): ["windows sidecar is not a JSON object"]
+            str(path): ["windows sidecar: not a JSON object"]
         }
         assert main(["--runs", str(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"{path}: windows sidecar is not a JSON object"]
+        assert lines == [f"{path}: windows sidecar: not a JSON object"]
 
     @pytest.mark.parametrize(
         "line",

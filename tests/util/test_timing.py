@@ -1,41 +1,8 @@
-"""The stage profiler: recording, aggregation, rendering."""
-
-import time
+"""The stage timings record: aggregation, rendering."""
 
 import pytest
 
-from repro.util.timing import StageTimer, StageTimings, StageTiming
-from repro.util.validation import ValidationError
-
-
-class TestStageTimer:
-    def test_records_stages_in_order(self):
-        timer = StageTimer()
-        with timer.stage("first"):
-            pass
-        with timer.stage("second"):
-            pass
-        names = [stage.name for stage in timer.timings().stages]
-        assert names == ["first", "second"]
-
-    def test_measures_elapsed_time(self):
-        timer = StageTimer()
-        with timer.stage("sleepy"):
-            time.sleep(0.02)
-        assert timer.timings().seconds("sleepy") >= 0.015
-
-    def test_records_stage_even_when_body_raises(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("doomed"):
-                raise RuntimeError("nope")
-        assert [stage.name for stage in timer.timings().stages] == ["doomed"]
-
-    def test_empty_name_rejected(self):
-        timer = StageTimer()
-        with pytest.raises(ValidationError):
-            with timer.stage(""):
-                pass
+from repro.util.timing import StageTimings, StageTiming
 
 
 class TestStageTimings:
