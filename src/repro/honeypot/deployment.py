@@ -11,6 +11,8 @@ Observation is two-pass, mirroring how the paper analyses the dataset
 processes events online (learning as it goes), the second re-classifies
 every stored conversation against the final FSM so early events that
 arrived before their activity was learned still receive their path id.
+Between the two, each distinct downloaded binary is built once and
+reduced to its malware observable.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from repro.malware.landscape import AttackAttempt
 from repro.net.address import IPv4Address
 from repro.net.sampling import UniformSampler
 from repro.obs import metrics as obs_metrics
+from repro.peformat.builder import PEBuilder, build_pe
 from repro.peformat.magic import magic_type
 from repro.peformat.parser import parse_pe
-from repro.peformat.structures import PEFormatError, PEInfo
+from repro.peformat.structures import PEFormatError, PEInfo, PESpec
 from repro.util.hashing import md5_hex
 from repro.util.pickling import field_tuple_state
 from repro.util.rng import RandomSource
@@ -45,15 +48,21 @@ from repro.util.timegrid import WEEK_SECONDS
 from repro.util.validation import ValidationError, require
 
 
+#: A downloaded payload: ``(variant_key, content_seed, length,
+#: truncated)``.  Equal keys mean equal bytes, the first ``length``
+#: bytes of ``build_pe(spec, content_seed)``.
+DownloadKey = tuple[str, int, int, bool]
+
+
 @field_tuple_state
 @dataclass(frozen=True, slots=True)
 class StagedObservation:
-    """One attack after pass A, with the binary already dropped.
+    """One attack after pass A.
 
     Everything pass B (:meth:`SGNetDeployment.add_final_event`) needs to
-    emit the final :class:`AttackEvent` — the downloaded bytes themselves
-    are reduced to ``malware`` during pass A, so a staged observation is
-    a few hundred bytes regardless of sample size.
+    emit the final :class:`AttackEvent`.  ``malware`` is the payload's
+    observable, or its :data:`DownloadKey` while the image is not built
+    yet; no staged observation holds binary bytes.
     """
 
     timestamp: int
@@ -64,7 +73,7 @@ class StagedObservation:
     truth: GroundTruth | None
     behavior: object
     payload: PayloadObservable | None
-    malware: MalwareObservable | None
+    malware: MalwareObservable | DownloadKey | None
 
 
 class SharedValues:
@@ -78,14 +87,17 @@ class SharedValues:
     only as long as the pass that fills them.
     """
 
-    __slots__ = ("observables", "payloads", "pe_infos", "magics")
+    __slots__ = ("observables", "pending", "payloads", "pe_infos", "magics")
 
     def __init__(self) -> None:
         #: Malware observables by downloaded payload: identical bytes
-        #: (same content seed, length and truncation flag) hash, parse
-        #: and magic-sniff to the same frozen observable, so the work
-        #: runs once per distinct payload instead of once per event.
-        self.observables: dict[tuple[str, int, int, bool], MalwareObservable] = {}
+        #: hash, parse and magic-sniff to the same frozen observable, so
+        #: the work runs once per distinct payload instead of once per
+        #: event.
+        self.observables: dict[DownloadKey, MalwareObservable] = {}
+        #: Payloads staged but not built yet: key -> (the one key object
+        #: the staged events share, the spec to build it from).
+        self.pending: dict[DownloadKey, tuple[DownloadKey, PESpec]] = {}
         #: Payload observables by their field tuple.
         self.payloads: dict[tuple, PayloadObservable] = {}
         #: Parsed PE headers and libmagic strings, each keyed by itself.
@@ -180,11 +192,12 @@ class SGNetDeployment:
             staged.append(self.stage_attempt(item, shared))
 
         self.gateway.finalize()
+        self.materialize_downloads(shared)
 
         dataset = SGNetDataset()
         exploits: dict[tuple[int, int], ExploitObservable] = {}
         for observation in staged:
-            self.add_final_event(dataset, observation, exploits)
+            self.add_final_event(dataset, observation, exploits, shared)
         registry = obs_metrics.active()
         registry.counter("honeypot.events_observed").inc(len(dataset))
         registry.counter("honeypot.samples_collected").inc(dataset.n_samples)
@@ -196,9 +209,11 @@ class SGNetDeployment:
 
         Runs the conversation through the sensor (which learns), draws
         the attempt's pipeline substream, emulates the shellcode and the
-        download, and reduces the result to a :class:`StagedObservation`
-        — the binary bytes do not survive this call.  Its observables
-        come out of the pass's ``shared`` tables.
+        download from the binary's size alone, and reduces the result to
+        a :class:`StagedObservation`.  A successful download is staged
+        as its :data:`DownloadKey`, queued in ``shared.pending`` for
+        :meth:`materialize_downloads`, unless ``shared`` already holds
+        its observable.
         """
         sensor = self.sensors.get(int(attempt.sensor))
         if sensor is None:
@@ -216,13 +231,15 @@ class SGNetDeployment:
         payload_obs = self.shellcode.analyze(
             attempt.payload, attempt.filename, rng, shared.payloads
         )
-        malware_obs = None
+        malware = None
         if payload_obs is not None:
-            outcome = self.shellcode.download(attempt.binary, rng)
+            spec = attempt.pe_spec
+            outcome = self.shellcode.download(spec.file_size, rng)
             if outcome.succeeded:
-                malware_obs = self.malware_observable_for(
-                    attempt, outcome.data, outcome.truncated, shared
-                )
+                key = (attempt.variant_key, attempt.content_seed, outcome.length, outcome.truncated)
+                malware = shared.observables.get(key)
+                if malware is None:
+                    malware = shared.pending.setdefault(key, (key, spec))[0]
         return StagedObservation(
             timestamp=attempt.timestamp,
             source=attempt.source,
@@ -232,20 +249,45 @@ class SGNetDeployment:
             truth=attempt.truth,
             behavior=attempt.behavior,
             payload=payload_obs,
-            malware=malware_obs,
+            malware=malware,
         )
+
+    def materialize_downloads(self, shared: SharedValues) -> None:
+        """Build each pending image once and reduce it to its observables.
+
+        Runs between pass A and pass B.  The pending downloads are
+        grouped by spec, then by content seed: each spec is laid out
+        once, each distinct ``(spec, seed)`` image is built once, and
+        every received prefix of it becomes one observable in
+        ``shared.observables``.  One layout and one image are alive at a
+        time, and none outlives this call.
+        """
+        groups: dict[PESpec, dict[int, list[DownloadKey]]] = {}
+        for key, spec in shared.pending.values():
+            groups.setdefault(spec, {}).setdefault(key[1], []).append(key)
+        shared.pending.clear()
+        builder = PEBuilder()
+        for spec, seeds in groups.items():
+            for seed, keys in seeds.items():
+                image = build_pe(spec, seed, builder)
+                for key in keys:
+                    self.malware_observable_for(key, image, shared)
+                del image  # before the next image is built
 
     def add_final_event(
         self,
         dataset: SGNetDataset,
         observation: StagedObservation,
         exploits: dict[tuple[int, int], ExploitObservable],
+        shared: SharedValues,
     ) -> None:
         """Pass B for one staged observation: final FSM path + event.
 
-        Must run after :meth:`Gateway.finalize`; re-classifies the
-        conversation against the final FSM and appends the finished
-        event to ``dataset``.  ``exploits`` holds the pass's epsilon
+        Must run after :meth:`Gateway.finalize` and
+        :meth:`materialize_downloads`; re-classifies the conversation
+        against the final FSM, resolves a staged :data:`DownloadKey`
+        through ``shared.observables``, and appends the finished event
+        to ``dataset``.  ``exploits`` holds the pass's epsilon
         observables by ``(path, port)``: the record is frozen, so events
         sharing the pair share one object (70,019 events carry 30 pairs
         at 8x scale), and the columnar builder extracts epsilon once per
@@ -256,6 +298,9 @@ class SGNetDeployment:
         exploit = exploits.get(key)
         if exploit is None:
             exploit = exploits[key] = ExploitObservable(*key)
+        malware = observation.malware
+        if isinstance(malware, tuple):
+            malware = shared.observables[malware]
         event = AttackEvent(
             event_id=dataset.next_event_id(),
             timestamp=observation.timestamp,
@@ -263,7 +308,7 @@ class SGNetDeployment:
             sensor=observation.sensor,
             exploit=exploit,
             payload=observation.payload,
-            malware=observation.malware,
+            malware=malware,
             ground_truth=observation.truth,
         )
         dataset.add_event(event, behavior_handle=observation.behavior)
@@ -285,33 +330,17 @@ class SGNetDeployment:
         )
 
     def malware_observable_for(
-        self,
-        attempt: AttackAttempt,
-        data: bytes,
-        truncated: bool,
-        shared: SharedValues,
+        self, key: DownloadKey, image: bytes, shared: SharedValues
     ) -> MalwareObservable:
-        """The observable of one downloaded payload, deduplicated.
+        """The observable of one downloaded payload, stored in ``shared``.
 
-        Attempts that tracked their content seed share one frozen
-        observable per distinct ``(variant, seed, length, truncated)``
-        payload — same input bytes, so the shared value equals what a
-        fresh :meth:`_malware_observable` call would compute.  Untracked
-        attempts always compute fresh.
+        ``image`` is the whole binary ``key`` names; the download
+        received its first ``length`` bytes, which are hashed, parsed
+        and magic-sniffed.  Equal PE headers and magic strings share one
+        object through the pass's ``shared`` tables.
         """
-        if attempt.content_seed is None:
-            return self._malware_observable(data, truncated, shared)
-        key = (attempt.variant_key, attempt.content_seed, len(data), truncated)
-        observable = shared.observables.get(key)
-        if observable is None:
-            observable = self._malware_observable(data, truncated, shared)
-            shared.observables[key] = observable
-        return observable
-
-    @staticmethod
-    def _malware_observable(
-        data: bytes, truncated: bool, shared: SharedValues
-    ) -> MalwareObservable:
+        _variant, _seed, length, truncated = key
+        data = image[:length]
         pe_info = None
         corrupted = truncated
         try:
@@ -321,13 +350,14 @@ class SGNetDeployment:
         else:
             pe_info = shared.pe_infos.setdefault(pe_info, pe_info)
         magic = magic_type(data)
-        return MalwareObservable(
+        observable = shared.observables[key] = MalwareObservable(
             md5=md5_hex(data),
             size=len(data),
             magic=shared.magics.setdefault(magic, magic),
             pe=pe_info,
             corrupted=corrupted,
         )
+        return observable
 
     def proxy_ratio_by_week(self) -> dict[int, float]:
         """Fraction of conversations proxied to the honeyfarm, per week.

@@ -50,13 +50,14 @@ class ShellcodeConfig:
 class DownloadOutcome:
     """Result of emulating one shellcode's download actions."""
 
-    data: bytes | None
+    #: Bytes received, a prefix of the file; ``None`` when nothing arrived.
+    length: int | None
     truncated: bool
 
     @property
     def succeeded(self) -> bool:
         """Whether any bytes were collected at all."""
-        return self.data is not None
+        return self.length is not None
 
 
 class ShellcodeAnalyzer:
@@ -101,13 +102,18 @@ class ShellcodeAnalyzer:
             observable = shared[fields] = PayloadObservable(*fields)
         return observable
 
-    def download(self, binary: bytes, rng: random.Random) -> DownloadOutcome:
-        """Emulate the download actions; may fail or truncate."""
+    def download(self, size: int, rng: random.Random) -> DownloadOutcome:
+        """Emulate the download of a ``size``-byte file; may fail or truncate.
+
+        Only the file's size shapes the draws and the outcome, so the
+        caller can build the bytes later, for the downloads that
+        succeeded, and hash the received prefix.
+        """
         self.n_downloads += 1
         roll = rng.random()
         if roll < self.config.download_fail_rate:
             self.n_failed_downloads += 1
-            return DownloadOutcome(data=None, truncated=False)
+            return DownloadOutcome(length=None, truncated=False)
         if roll < self.config.download_fail_rate + self.config.truncation_rate:
             self.n_truncated += 1
             if rng.random() < 0.12:
@@ -121,9 +127,9 @@ class ShellcodeAnalyzer:
                     self.config.min_truncation_fraction,
                     self.config.max_truncation_fraction,
                 )
-                cut = max(1, int(len(binary) * fraction))
-            return DownloadOutcome(data=binary[: min(cut, len(binary))], truncated=True)
-        return DownloadOutcome(data=binary, truncated=False)
+                cut = max(1, int(size * fraction))
+            return DownloadOutcome(length=min(cut, size), truncated=True)
+        return DownloadOutcome(length=size, truncated=False)
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot for reporting."""

@@ -24,7 +24,7 @@ from repro.peformat.structures import (
     SECTION_ALIGNMENT,
 )
 from repro.util.hashing import stable_hash64
-from repro.util.rng import derive_seed, spawn_rng
+from repro.util.rng import derive_seed
 from repro.util.validation import require
 
 _DOS_HEADER_SIZE = 0x40
@@ -126,36 +126,14 @@ def minimum_file_size(spec: PESpec) -> int:
     )
 
 
-#: Per-spec header/layout templates keyed by ``id(spec)``.  Everything
-#: up to the section payload fill is a pure function of the spec, and
-#: the landscape generator rebuilds the *same* spec object for every
-#: polymorphic instance of a variant — so the template computes once per
-#: spec instead of once per binary.  The cache holds a strong reference
-#: to the spec (keeping its id stable) and is cleared wholesale at the
-#: cap, which bounds memory under REPACK-style per-event spec churn.
-_TEMPLATE_CACHE: dict[int, tuple[PESpec, bytes, tuple[tuple[int, int], ...]]] = {}
-_TEMPLATE_CACHE_MAX = 256
-
-
-def _pe_template(spec: PESpec) -> tuple[bytes, tuple[tuple[int, int], ...]]:
+def _layout(spec: PESpec) -> tuple[bytes, tuple[tuple[int, int], ...]]:
     """Validated image template plus the payload fill regions for ``spec``.
 
     The template is the full ``spec.file_size`` image with headers,
     section table and import directory in place and payload regions
     zeroed; ``regions`` lists the non-empty ``(start, length)`` spans to
-    fill, in the exact order the scalar builder drew them.
+    fill, in the order the content stream fills them.
     """
-    cached = _TEMPLATE_CACHE.get(id(spec))
-    if cached is not None and cached[0] is spec:
-        return cached[1], cached[2]
-    template, regions = _build_template(spec)
-    if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_MAX:
-        _TEMPLATE_CACHE.clear()
-    _TEMPLATE_CACHE[id(spec)] = (spec, template, regions)
-    return template, regions
-
-
-def _build_template(spec: PESpec) -> tuple[bytes, tuple[tuple[int, int], ...]]:
     require(
         spec.file_size % FILE_ALIGNMENT == 0,
         f"file_size must be a multiple of {FILE_ALIGNMENT}, got {spec.file_size}",
@@ -313,23 +291,13 @@ def _build_template(spec: PESpec) -> tuple[bytes, tuple[tuple[int, int], ...]]:
     return bytes(image), tuple(regions)
 
 
-#: Shared MT19937 bit generator the content fills stream from.  Its
-#: state is transplanted per build (see :func:`_content_generator`).
-#: One module-level generator suffices because the pipeline runs in
-#: one thread and every :func:`build_pe` call comes from the observe
-#: loop (:meth:`~repro.malware.landscape.LandscapeGenerator.build_attempt`).
-#: A concurrent caller would race on this state and corrupt the image
-#: bytes.
-_MT19937 = np.random.MT19937()
-
-
 #: Whether numpy exposes the C ``init_by_array`` seeding shortcut used
 #: by the fast path below (private but stable across numpy 1.17+).
 _HAVE_LEGACY_SEEDING = hasattr(np.random.MT19937, "_legacy_seeding")
 
 
-def _content_generator(content_seed: int) -> np.random.MT19937:
-    """A numpy MT19937 positioned at the start of the content stream.
+def _seed_content_stream(generator: np.random.MT19937, content_seed: int) -> None:
+    """Position ``generator`` at the start of ``content_seed``'s content stream.
 
     ``random.Random`` and numpy's ``MT19937`` are the same generator,
     and both seed multi-word integers through ``init_by_array`` over the
@@ -343,18 +311,16 @@ def _content_generator(content_seed: int) -> np.random.MT19937:
     """
     seed = derive_seed(content_seed, "pe-content")
     if _HAVE_LEGACY_SEEDING and seed >> 32:
-        key = np.array([seed & 0xFFFFFFFF, seed >> 32], dtype=np.uint32)
-        _MT19937._legacy_seeding(key)
-        return _MT19937
+        generator._legacy_seeding(np.array([seed & 0xFFFFFFFF, seed >> 32], dtype=np.uint32))
+        return
     state = random.Random(seed).getstate()[1]
-    _MT19937.state = {
+    generator.state = {
         "bit_generator": "MT19937",
         "state": {
             "key": np.fromiter(state, np.uint32, count=625)[:624],
             "pos": state[624],
         },
     }
-    return _MT19937
 
 
 def _fill_bytes(generator: np.random.MT19937, n: int) -> bytes:
@@ -375,20 +341,47 @@ def _fill_bytes(generator: np.random.MT19937, n: int) -> bytes:
     return data[: (m - 1) << 2] + tail.to_bytes(partial, "little")
 
 
-def build_pe(spec: PESpec, content_seed: int) -> bytes:
+class PEBuilder:
+    """Builds PE images, one at a time, for a caller that builds many.
+
+    Everything up to the section payload fill is a pure function of the
+    spec, so the builder keeps the layout of the last spec it built:
+    consecutive builds of one spec (the polymorphic instances of a
+    variant) lay it out once.  It also owns the MT19937 bit generator
+    the fills are drawn from.  One builder must not build on two threads
+    at once; separate builders share no state.
+    """
+
+    __slots__ = ("spec", "image", "regions", "generator")
+
+    def __init__(self) -> None:
+        self.spec: PESpec | None = None
+        self.image = b""
+        self.regions: tuple[tuple[int, int], ...] = ()
+        self.generator = np.random.MT19937(0)
+
+
+def build_pe(spec: PESpec, content_seed: int, builder: PEBuilder | None = None) -> bytes:
     """Emit a PE image for ``spec`` with payload drawn from ``content_seed``.
 
     The image is exactly ``spec.file_size`` bytes long (the spec's file
     size must be a multiple of the 512-byte file alignment, as real
     linker output is) and parses back to the spec's header features via
-    :func:`repro.peformat.parse_pe`.  The spec-only part of the image
-    comes from a per-spec template (see :data:`_TEMPLATE_CACHE`); only
-    the payload fill is drawn per call, in the same region order and
-    lengths as the unbatched builder, so output bytes are unchanged.
+    :func:`repro.peformat.parse_pe`.  The payload regions are filled, in
+    layout order, from one ``spawn_rng(content_seed, "pe-content")``
+    stream.  A caller that builds many images passes one
+    :class:`PEBuilder` and groups its builds by spec; without one the
+    call makes its own, so one-off callers on any thread need nothing
+    else.
     """
-    template, regions = _pe_template(spec)
-    image = bytearray(template)
-    generator = _content_generator(content_seed)
-    for fill_start, fill_len in regions:
-        image[fill_start : fill_start + fill_len] = _fill_bytes(generator, fill_len)
+    if builder is None:
+        builder = PEBuilder()
+    if builder.spec != spec:
+        builder.spec, builder.image = None, b""  # free the old layout first
+        builder.image, builder.regions = _layout(spec)
+        builder.spec = spec
+    image = bytearray(builder.image)
+    _seed_content_stream(builder.generator, content_seed)
+    for fill_start, fill_len in builder.regions:
+        image[fill_start : fill_start + fill_len] = _fill_bytes(builder.generator, fill_len)
     return bytes(image)

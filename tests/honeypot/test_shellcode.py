@@ -79,35 +79,36 @@ class TestDownload:
         analyzer = ShellcodeAnalyzer(
             ShellcodeConfig(download_fail_rate=0.0, truncation_rate=0.0)
         )
-        data = bytes(range(256)) * 4
-        outcome = analyzer.download(data, random.Random(1))
-        assert outcome == DownloadOutcome(data=data, truncated=False)
+        outcome = analyzer.download(1024, random.Random(1))
+        assert outcome == DownloadOutcome(length=1024, truncated=False)
         assert outcome.succeeded
 
     def test_total_failure(self):
         analyzer = ShellcodeAnalyzer(ShellcodeConfig(download_fail_rate=1.0))
-        outcome = analyzer.download(b"abc", random.Random(1))
-        assert outcome.data is None
+        outcome = analyzer.download(3, random.Random(1))
+        assert outcome.length is None
         assert not outcome.succeeded
 
     def test_truncation_shortens(self):
         analyzer = ShellcodeAnalyzer(
             ShellcodeConfig(download_fail_rate=0.0, truncation_rate=1.0)
         )
-        data = bytes(1000)
         rng = random.Random(1)
         for _ in range(50):
-            outcome = analyzer.download(data, rng)
+            outcome = analyzer.download(1000, rng)
             assert outcome.truncated
-            assert 1 <= len(outcome.data) < len(data)
+            assert 1 <= outcome.length < 1000
 
     def test_truncation_prefix_property(self):
         analyzer = ShellcodeAnalyzer(
             ShellcodeConfig(download_fail_rate=0.0, truncation_rate=1.0)
         )
         data = bytes(range(200)) * 10
-        outcome = analyzer.download(data, random.Random(2))
-        assert data.startswith(outcome.data)
+        outcome = analyzer.download(len(data), random.Random(2))
+        # The receiver keeps the first ``length`` bytes of the file.
+        received = data[: outcome.length]
+        assert len(received) == outcome.length
+        assert data.startswith(received)
 
     def test_stats_counters(self):
         analyzer = ShellcodeAnalyzer(
@@ -115,7 +116,7 @@ class TestDownload:
         )
         rng = random.Random(3)
         for _ in range(100):
-            analyzer.download(b"\x00" * 100, rng)
+            analyzer.download(100, rng)
         stats = analyzer.stats()
         assert stats["downloads"] == 100
         assert stats["failed_downloads"] + stats["truncated"] == 100

@@ -28,7 +28,6 @@ SMOKE = ScenarioConfig(n_weeks=8, scale=0.05)
 #: Module-level caches that predate value sharing and grow across runs
 #: up to a fixed bound: name -> bound.
 BOUNDED_CACHES = {
-    "repro.peformat.builder._TEMPLATE_CACHE": 256,
     "repro.enrich.virustotal._suffix_letter()": 4096,
     "repro.enrich.virustotal._variant_index()": 4096,
 }

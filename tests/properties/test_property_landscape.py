@@ -18,7 +18,7 @@ from repro.malware.propagation import (
 )
 from repro.net.address import IPv4Address
 from repro.net.sampling import UniformSampler
-from repro.peformat.builder import minimum_file_size
+from repro.peformat.builder import build_pe, minimum_file_size
 from repro.peformat.structures import FILE_ALIGNMENT, PESpec
 from repro.util.hashing import md5_hex
 from repro.util.rng import RandomSource
@@ -29,6 +29,11 @@ SENSORS = [
     for n in range(2)
     for h in (1, 2)
 ]
+
+
+def _binary(attempt) -> bytes:
+    """The binary an attempt names."""
+    return build_pe(attempt.pe_spec, attempt.content_seed)
 
 
 @st.composite
@@ -84,7 +89,7 @@ class TestGeneratorInvariants:
             assert grid.contains(attempt.timestamp)
             assert attempt.sensor in sensor_set
             assert attempt.variant_key == variant.key
-            assert len(attempt.binary) == variant.pe_spec.file_size or (
+            assert len(_binary(attempt)) == variant.pe_spec.file_size or (
                 variant.polymorphism is PolymorphyMode.REPACK
             )
             sources.add(int(attempt.source))
@@ -99,7 +104,7 @@ class TestGeneratorInvariants:
         md5_by_source: dict[int, set[str]] = {}
         all_md5s: list[str] = []
         for attempt in generator:
-            digest = md5_hex(attempt.binary)
+            digest = md5_hex(_binary(attempt))
             md5_by_source.setdefault(int(attempt.source), set()).add(digest)
             all_md5s.append(digest)
         if not all_md5s:
@@ -119,11 +124,11 @@ class TestGeneratorInvariants:
         grid = TimeGrid(0, 2 * WEEK_SECONDS)
         family = FamilySpec(name="fam", variants=(variant,))
         a = [
-            (x.timestamp, md5_hex(x.binary))
+            (x.timestamp, md5_hex(_binary(x)))
             for x in LandscapeGenerator([family], SENSORS, grid, RandomSource(3))
         ]
         b = [
-            (x.timestamp, md5_hex(x.binary))
+            (x.timestamp, md5_hex(_binary(x)))
             for x in LandscapeGenerator([family], SENSORS, grid, RandomSource(3))
         ]
         assert a == b

@@ -21,7 +21,7 @@ from repro.egpm.events import (
 from repro.honeypot.deployment import StagedObservation
 from repro.malware.landscape import AttackAttempt
 from repro.net.address import IPv4Address
-from repro.peformat.structures import PEInfo
+from repro.peformat.structures import PEInfo, PESpec
 from repro.util.pickling import field_tuple_state, gc_paused
 
 
@@ -171,12 +171,12 @@ RECORDS = [
         conversation=(("GET", "/"), ("200",)),
         payload=None,
         filename="a.exe",
-        binary=b"MZ\x90\x00",
+        pe_spec=PESpec(),
+        content_seed=99,
         behavior=None,
         truth=TRUTH,
         variant_key="allaple.b",
         dst_port=445,
-        content_seed=99,
     ),
     StagedObservation(
         timestamp=5,
