@@ -44,7 +44,7 @@ def main() -> None:
         "pipeline built",
         extra={"events": len(run.dataset), "b_clusters": run.bclusters.n_clusters},
     )
-    print(run.trace.render() if run.trace else run.timings.render())
+    print(run.trace.render())
 
     _measured, text = headline(run)
     print()

@@ -81,6 +81,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.export import EXPORT_FORMATS
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.validate import add_arguments as add_validate_arguments
 
 log = get_logger("cli")
 
@@ -586,31 +587,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_json(regress_p)
 
-    validate_p = obs_sub.add_parser(
-        "validate", help="validate emitted JSON and/or every stored run"
-    )
-    add_store(validate_p)
-    validate_p.add_argument("--metrics", default=None, help="metrics snapshot path")
-    validate_p.add_argument("--manifest", default=None, help="run manifest path")
-    validate_p.add_argument(
-        "--events",
-        default=None,
-        metavar="JSONL",
-        help="event log to validate (sequence gaps, unknown kinds); "
-        "with --manifest it is also cross-checked against the span tree",
-    )
-    validate_p.add_argument(
-        "--windows",
-        default=None,
-        metavar="JSON",
-        help="window-report sidecar to validate; with --manifest its "
-        "fingerprint is also checked against the manifest's",
-    )
-    validate_p.add_argument(
-        "--no-require-scenario",
-        dest="require_scenario",
-        action="store_false",
-        help="skip the required-scenario-metrics completeness check",
+    add_validate_arguments(
+        obs_sub.add_parser(
+            "validate", help="validate emitted JSON and/or every stored run"
+        )
     )
     return parser
 
@@ -641,8 +621,7 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
     finally:
         bus.close()
     if args.timings:
-        rendered = run.trace.render() if run.trace else run.timings.render()
-        print(rendered, file=sys.stderr)
+        print(run.trace.render(), file=sys.stderr)
     if args.metrics_out:
         path = Path(args.metrics_out)
         path.write_text(registry.snapshot().to_json() + "\n", encoding="utf-8")
@@ -831,19 +810,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "dashboard":
         return _cmd_obs_dashboard(args, store)
     if args.obs_command == "validate":
-        from repro.obs.validate import main as validate_main
+        from repro.obs.validate import INPUTS, run as validate
 
-        forwarded: list[str] = []
-        for name in ("metrics", "manifest", "events", "windows"):
-            if getattr(args, name):
-                forwarded += [f"--{name}", getattr(args, name)]
-        if not args.require_scenario:
-            forwarded += ["--no-require-scenario"]
         # Validate the store when asked for explicitly, when it holds
         # a stored run, or when there is nothing else to validate.
-        if args.runs or store.run_files() or not forwarded:
-            forwarded += ["--runs", str(store.root)]
-        return validate_main(forwarded)
+        if store.run_files() or not any(getattr(args, name) for name in INPUTS):
+            args.runs = str(store.root)
+        return validate(args)
     raise AssertionError(f"unhandled obs command {args.obs_command!r}")
 
 

@@ -13,17 +13,22 @@ artifact is stored once, in the stage layer:
   graph) while the ~17-month observation/enrichment artifacts replay.
 * :class:`ScenarioCache` — the whole-run layer.  Its entry is a small
   *run record*: a :class:`~repro.experiments.scenario.ScenarioRun`
-  without its eight stage artifacts (config, seed, grid, timings,
-  trace, metrics, manifest, stage cache, windows, health), keyed by a
-  SHA-256 over the ``(seed, ScenarioConfig)`` pair.  A hit reads the
+  without its eight stage artifacts (config, seed, grid, trace,
+  metrics, manifest, stage cache, windows, health), keyed by a SHA-256
+  over the ``(seed, ScenarioConfig)`` pair.  A hit reads the
   record and takes the artifacts from the stage entries on the replay
   plan (:func:`repro.experiments.stages.replay_plan`), so it replays
   the original build's manifest without a second copy of the data.
 
-Every entry file starts with the SHA-256 of its pickled payload; a
-load that finds a different digest (a torn write, a flipped byte, an
-entry written before the digest existed) evicts the entry as a counted
-miss instead of unpickling it.
+Fingerprints name meaning, not storage: they hash
+:data:`ALGORITHM_VERSION`, the seed, the semantic config (the stage's
+subset of it) and the parents' fingerprints, never the pickle layout.
+The layout, :data:`CACHE_FORMAT`, lives in each entry's header, next to
+the SHA-256 of its pickled payload.  A load that finds another format
+evicts the entry as a counted miss (reason ``format``) before it hashes
+or unpickles anything; one that finds a different digest (a torn write,
+a flipped byte) evicts it (reason ``unreadable``) instead of unpickling
+it.  So a layout change re-reads nothing stale and moves no fingerprint.
 
 Execution-only knobs (``events``, ``progress``, ``windows``) are
 excluded from every fingerprint: telemetry sinks cannot change the
@@ -46,6 +51,7 @@ import hashlib
 import json
 import os
 import pickle
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -69,35 +75,16 @@ from repro.util.validation import require
 
 log = get_logger("experiments.cache")
 
-#: Bump when the pickled artifact layout changes incompatibly; old
-#: entries then miss instead of unpickling into stale shapes.
-#: 2: ScenarioRun grew trace/metrics/manifest observability fields.
-#: 3: TraceSpan grew start offsets; RunManifest grew created_at and
-#:    golden_deviations (schema 2).
-#: 4: ScenarioConfig grew events/progress; RunManifest grew
-#:    event_summary (schema 3).
-#: 5: per-stage artifact DAG — ScenarioRun grew stage_cache, RunManifest
-#:    grew stage_fingerprints (schema 4), and the format now also keys
-#:    every stage-level fingerprint in the StageStore.
-#: 6: columnar event store — ScenarioConfig grew columnar/shards
-#:    (execution-only), ClusteringConfig grew max_bucket_size,
-#:    SGNetDataset carries a lazy columnar view, and the observable
-#:    dataclasses moved to ``slots=True`` (incompatible pickles).
-#: 7: landscape health monitor — ScenarioConfig grew windows
-#:    (execution-only), ScenarioRun grew windows/health, RunManifest
-#:    grew health_summary (schema 5).
-#: 8: bounded-memory telemetry — ScenarioConfig grew the ring and
-#:    rotation knobs (execution-only, since removed), MetricsSnapshot
-#:    grew sketches and a high-water-mark section (schema 2, since
-#:    removed), RunManifest grew its drop accounting (schema 6, since
-#:    removed).
-#: 9: one execution path per kernel — ScenarioConfig lost columnar and
-#:    PatternSet lost its scan memo (incompatible pickles).
-#: 10: one detector engine — ScenarioRun.health is a health.Report of
-#:    health.Finding (was HealthReport/HealthFinding).
-#: 11: one distribution instrument — MetricsSnapshot lost its histograms
-#:     section (schema 3); every distribution is one sketch.
-CACHE_FORMAT = 11
+#: Storage layout of an entry: its header and the pickled shapes of
+#: stage artifacts and run records.  Bump it when either changes
+#: incompatibly; entries of another format are then evicted as misses on
+#: load (and dropped by ``gc``), and no fingerprint moves.
+CACHE_FORMAT = 12
+
+#: Version of the algorithms behind the stages, hashed into every
+#: scenario and stage fingerprint.  Bump it only when the outputs of an
+#: unchanged semantic config may change.
+ALGORITHM_VERSION = 1
 
 #: ScenarioConfig fields that cannot change results, only how fast they
 #: are computed or what telemetry they emit; they never contribute to
@@ -124,11 +111,16 @@ RECORD_FIELDS: tuple[str, ...] = tuple(
 #: before records existed are never read, only removed by ``gc``.
 RECORD_SUFFIX = ".run"
 
-_DIGEST_SIZE = hashlib.sha256().digest_size
+#: Entry header: :data:`CACHE_FORMAT`, then the SHA-256 of the payload.
+_HEADER = struct.Struct(f">I{hashlib.sha256().digest_size}s")
+
+
+class FormatMismatch(ValueError):
+    """An entry written under another :data:`CACHE_FORMAT`."""
 
 
 def _write_entry(path: Path, obj: object) -> None:
-    """Write ``SHA-256(payload) + payload`` for pickled ``obj``, atomically.
+    """Write ``header + payload`` for pickled ``obj``, atomically.
 
     The write goes through a same-directory temp file and an atomic
     rename, so concurrent readers never observe a torn entry.
@@ -136,7 +128,7 @@ def _write_entry(path: Path, obj: object) -> None:
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     with tmp.open("wb") as handle:
-        handle.write(hashlib.sha256(payload).digest())
+        handle.write(_HEADER.pack(CACHE_FORMAT, hashlib.sha256(payload).digest()))
         handle.write(payload)
     os.replace(tmp, path)
 
@@ -144,14 +136,24 @@ def _write_entry(path: Path, obj: object) -> None:
 def _read_entry(path: Path) -> object:
     """Unpickle an entry written by :func:`_write_entry`.
 
-    Raises ``ValueError`` when the payload does not match its digest
-    (nothing is unpickled then), and whatever the unpickler raises.
+    Raises :class:`FormatMismatch` for an entry of another format,
+    before its payload is read; ``ValueError`` when the payload does not
+    match its digest, before it is unpickled; and whatever the
+    unpickler raises.
     """
-    blob = path.read_bytes()
-    payload = memoryview(blob)[_DIGEST_SIZE:]
-    if hashlib.sha256(payload).digest() != blob[:_DIGEST_SIZE]:
+    with path.open("rb") as handle:
+        stored_format, digest = _HEADER.unpack(handle.read(_HEADER.size))
+        if stored_format != CACHE_FORMAT:
+            raise FormatMismatch(f"cache format {stored_format} != {CACHE_FORMAT}")
+        payload = handle.read()
+    if hashlib.sha256(payload).digest() != digest:
         raise ValueError("content digest mismatch")
     return pickle.loads(payload)
+
+
+def _eviction_reason(exc: Exception) -> str:
+    """The ``cache.evict`` reason for an entry :func:`_read_entry` refused."""
+    return "format" if isinstance(exc, FormatMismatch) else "unreadable"
 
 
 def _semantic_config_payload(config: ScenarioConfig | None) -> dict:
@@ -180,7 +182,7 @@ def scenario_fingerprint(seed: int, config: ScenarioConfig | None = None) -> str
     True
     """
     payload = _semantic_config_payload(config)
-    return _digest({"format": CACHE_FORMAT, "seed": seed, "config": payload})
+    return _digest({"algorithm": ALGORITHM_VERSION, "seed": seed, "config": payload})
 
 
 def _config_value(config_payload: Mapping, key: str) -> object:
@@ -201,7 +203,7 @@ def _stage_payload(
     sub-config without depending on its siblings.
     """
     return {
-        "format": CACHE_FORMAT,
+        "algorithm": ALGORITHM_VERSION,
         "stage": spec.name,
         "seed": seed,
         "config": {key: _config_value(config_payload, key) for key in spec.config_keys},
@@ -281,12 +283,12 @@ class ScenarioCache:
 
         The record's artifacts are loaded from the stage entries on the
         replay plan (from ``stage_store``, default :attr:`stages`).
-        Unreadable records (torn writes, flipped bytes, a digest that
-        does not match, an incompatible code version) are evicted and
-        count as misses: any exception the unpickler raises counts,
-        since a corrupt stream can fail with almost any type.  A record
-        whose stage entries are missing or unreadable is a miss too;
-        the rebuild replaces it.
+        Records of another :data:`CACHE_FORMAT` and unreadable records
+        (torn writes, flipped bytes, a digest that does not match, an
+        incompatible code version) are evicted and count as misses: any
+        exception the unpickler raises counts, since a corrupt stream
+        can fail with almost any type.  A record whose stage entries are
+        missing or unreadable is a miss too; the rebuild replaces it.
         """
         path = self.path_for(seed, config)
         try:
@@ -299,7 +301,7 @@ class ScenarioCache:
                 "evicted unreadable cache entry",
                 extra={"path": str(path), "error": repr(exc)},
             )
-            self._miss(path, evicted="unreadable")
+            self._miss(path, evicted=_eviction_reason(exc))
             return None
         if not isinstance(record, dict) or tuple(record) != RECORD_FIELDS:
             log.warning("evicted non-record cache entry", extra={"path": str(path)})
@@ -423,9 +425,9 @@ class StageStore:
     """Per-stage artifact store: ``<root>/<stage>/<fingerprint>.pkl``.
 
     Every artifact has a JSON sidecar carrying the exact fingerprint
-    payload (cache format, config subset, parent fingerprints) plus
-    bookkeeping (provides, created_at) — the raw material of
-    :func:`explain_stages` and ``repro cache {ls,gc,explain}``.
+    payload (algorithm version, config subset, parent fingerprints) plus
+    bookkeeping (cache format, provides, created_at) — the raw material
+    of :func:`explain_stages` and ``repro cache {ls,gc,explain}``.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -449,10 +451,11 @@ class StageStore:
     def load(self, stage: str, fingerprint: str) -> dict | None:
         """The stage's artifact dict, or ``None`` on a miss.
 
-        Unreadable entries (any exception while reading or unpickling,
-        a digest that does not match) and entries whose keys differ
-        from the stage's declared ``provides`` are evicted (sidecar
-        included) and treated as misses.
+        Entries of another :data:`CACHE_FORMAT`, unreadable entries (any
+        exception while reading or unpickling, a digest that does not
+        match) and entries whose keys differ from the stage's declared
+        ``provides`` are evicted (sidecar included) and treated as
+        misses.
         """
         registry = obs_metrics.active()
         bus = obs_events.active_bus()
@@ -467,7 +470,7 @@ class StageStore:
                 "evicted unreadable stage artifact",
                 extra={"path": str(path), "error": repr(exc)},
             )
-            artifacts, reason = None, "unreadable"
+            artifacts, reason = None, _eviction_reason(exc)
         if artifacts is not None and (
             not isinstance(artifacts, dict)
             or set(artifacts) != set(stage_spec(stage).provides)
@@ -513,6 +516,10 @@ class StageStore:
         log.debug("stage cache store", extra={"stage": stage, "path": str(path)})
         return path
 
+    def meta(self, stage: str, fingerprint: str) -> dict:
+        """One artifact's parsed sidecar; ``{}`` if missing or unreadable."""
+        return _read_meta(self.meta_path_for(stage, fingerprint)) or {}
+
     def metas(self, stage: str | None = None) -> list[dict]:
         """Parsed sidecars, newest-path-last, optionally for one stage."""
         out: list[dict] = []
@@ -526,13 +533,8 @@ class StageStore:
             stage_dir = self.root / name
             if not stage_dir.is_dir():
                 continue
-            for meta_path in sorted(stage_dir.glob("*.json")):
-                try:
-                    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                except (json.JSONDecodeError, OSError):
-                    continue
-                if isinstance(meta, dict):
-                    out.append(meta)
+            metas = map(_read_meta, sorted(stage_dir.glob("*.json")))
+            out.extend(meta for meta in metas if meta is not None)
         return out
 
     def entries(self) -> list[tuple[str, str, int]]:
@@ -565,11 +567,8 @@ class StageStore:
                 meta_path = sidecars.get(stem)
                 old = clear or meta_path is None
                 if not old:
-                    try:
-                        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                        old = meta.get("format") != CACHE_FORMAT
-                    except (json.JSONDecodeError, OSError):
-                        old = True
+                    meta = _read_meta(meta_path)
+                    old = meta is None or meta.get("format") != CACHE_FORMAT
                 if old:
                     stale.append(path)
                     if meta_path is not None:
@@ -580,6 +579,15 @@ class StageStore:
                 if stem not in pickles
             )
         return _drop_all(stale)
+
+
+def _read_meta(path: Path) -> dict | None:
+    """A parsed sidecar; ``None`` if missing, unreadable or not an object."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, OSError):
+        return None
+    return meta if isinstance(meta, dict) else None
 
 
 class StageCacheSession:
@@ -624,6 +632,7 @@ class StageCacheSession:
         spec = stage_spec(stage)
         meta = {
             **_stage_payload(spec, self.seed, self._config_payload, self.fingerprints),
+            "format": CACHE_FORMAT,
             "fingerprint": self.fingerprints[stage],
             "provides": list(spec.provides),
             "created_at": timestamp(),
@@ -641,7 +650,7 @@ class StageExplanation:
     #: Human-readable invalidation causes, empty on a hit.  Shapes:
     #: ``config:<dotted.key> <old> -> <new>``, ``seed <old> -> <new>``,
     #: ``upstream:<stage>``, ``cache format <old> -> <new>``,
-    #: ``no prior artifact``.
+    #: ``algorithm version <old> -> <new>``, ``no prior artifact``.
     causes: tuple[str, ...] = ()
 
     def render(self) -> str:
@@ -669,10 +678,13 @@ def explain_stages(
 ) -> list[StageExplanation]:
     """Per-stage hit/miss forecast for ``(seed, config)``, with causes.
 
-    For every stage that would miss, the nearest stored sidecar of that
+    A stored entry whose sidecar records another cache format would be
+    evicted on load, so it forecasts a miss with that cause.  For every
+    other stage that would miss, the nearest stored sidecar of that
     stage (fewest differing dependency keys) is diffed against the
     requested configuration, naming exactly which config key — or which
-    upstream stage, seed or cache-format change — invalidated it.
+    upstream stage, seed, cache format or algorithm version change —
+    invalidated it.
     """
     config = config or ScenarioConfig()
     store = store or StageStore()
@@ -683,7 +695,13 @@ def explain_stages(
     for spec in STAGES:
         fingerprint = fingerprints[spec.name]
         if store.has(spec.name, fingerprint):
-            out.append(StageExplanation(spec.name, fingerprint, True))
+            stored_format = store.meta(spec.name, fingerprint).get("format")
+            if stored_format == CACHE_FORMAT:
+                out.append(StageExplanation(spec.name, fingerprint, True))
+                continue
+            missed.add(spec.name)
+            cause = f"cache format {stored_format!r} -> {CACHE_FORMAT!r}"
+            out.append(StageExplanation(spec.name, fingerprint, False, (cause,)))
             continue
         causes = [f"upstream:{p}" for p in spec.parents if p in missed]
         wanted = _stage_payload(spec, seed, payload, fingerprints)
@@ -696,6 +714,10 @@ def explain_stages(
             if meta.get("format") != CACHE_FORMAT:
                 diffs.append(
                     f"cache format {meta.get('format')!r} -> {CACHE_FORMAT!r}"
+                )
+            if meta.get("algorithm") != ALGORITHM_VERSION:
+                diffs.append(
+                    f"algorithm version {meta.get('algorithm')!r} -> {ALGORITHM_VERSION!r}"
                 )
             if best_diffs is None or len(diffs) < len(best_diffs):
                 best, best_diffs = meta, diffs

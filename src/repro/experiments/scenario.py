@@ -39,7 +39,6 @@ from repro.sandbox.execution import SandboxConfig
 from repro.util.pickling import gc_paused
 from repro.util.rng import RandomSource
 from repro.util.timegrid import WEEK_SECONDS, TimeGrid
-from repro.util.timing import StageTimings
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -99,10 +98,6 @@ class ScenarioRun:
     enrichment: EnrichmentPipeline
     epm: EPMResult
     bclusters: BehaviorClustering
-    #: Per-stage wall times of the run that built these artifacts — a
-    #: flat view derived from ``trace``'s direct children, kept for
-    #: backward compatibility.
-    timings: StageTimings = field(default_factory=StageTimings)
     #: Root of the hierarchical span tree recorded while building.
     trace: TraceSpan | None = None
     #: Frozen metric snapshot of the build (counters/gauges/sketches).
@@ -248,7 +243,6 @@ class PaperScenario:
             seed=self.seed,
             grid=ctx.grid,
             **{key: ctx[key] for key in RUN_KEYS},
-            timings=root.stage_timings(),
             trace=root,
             metrics=registry.snapshot(),
             stage_cache=stage_cache,

@@ -266,7 +266,6 @@ STAGES: tuple[StageSpec, ...] = (
             "clustering.bands",
             "clustering.rows",
             "clustering.minhash_seed",
-            "clustering.minhash_backend",
             "clustering.max_bucket_size",
         ),
         parents=("enrich",),

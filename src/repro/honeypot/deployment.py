@@ -139,12 +139,6 @@ class SGNetDeployment:
         self._proxied_by_week: dict[int, int] = {}
         self._handled_by_week: dict[int, int] = {}
         self.n_background_filtered = 0
-        #: Always empty: each :meth:`observe` call keeps its dedupe
-        #: tables in its own :class:`SharedValues`, so a stored
-        #: deployment carries none.  Releases that kept the malware
-        #: observables here fill this dict when they re-observe with a
-        #: deployment loaded from the stage store, so it stays.
-        self._observable_cache: dict[tuple[str, int, int, bool], MalwareObservable] = {}
 
     def _build_sensors(self) -> None:
         rng = self._source.rng("deployment", "addresses")

@@ -10,10 +10,8 @@ attributes (sample counts, cache status, candidate-pair counts) set via
 Like the metrics registry, the tracer is ambient: library code opens
 spans on the *current* tracer (:func:`current_tracer`), which defaults
 to a shared no-op, so un-orchestrated calls cost almost nothing.  The
-scenario runner installs a real tracer via :func:`use_tracer`, exports
-the finished root with :meth:`TraceSpan.export`, and derives the
-flat :class:`~repro.util.timing.StageTimings` view
-from the root's direct children (:meth:`TraceSpan.stage_timings`).
+scenario runner installs a real tracer via :func:`use_tracer` and
+exports the finished root with :meth:`TraceSpan.export`.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from typing import Iterator
 
 from repro.obs import events as obs_events
 from repro.obs.profile import SpanProbe
-from repro.util.timing import StageTiming, StageTimings
 from repro.util.validation import require
 
 
@@ -85,12 +82,6 @@ class TraceSpan:
         if self.children:
             payload["children"] = [child.export() for child in self.children]
         return payload
-
-    def stage_timings(self) -> StageTimings:
-        """Flat per-stage view over the direct children (legacy shape)."""
-        return StageTimings(
-            stages=[StageTiming(child.name, child.seconds) for child in self.children]
-        )
 
     def render(self) -> str:
         """Human-readable tree with durations, shares and attributes."""

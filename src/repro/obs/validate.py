@@ -547,12 +547,16 @@ def _read_object(path: str | Path, what: str, errors: list[str]) -> Mapping | No
     return payload
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Validate emitted observability JSON files; exit 1 on any error."""
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.validate",
-        description="validate --metrics-out / --manifest output against the catalogue",
-    )
+#: The flags that name something to validate, in report order.
+INPUTS = ("metrics", "manifest", "events", "windows", "model", "runs")
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the validate flags on ``parser``.
+
+    The one declaration behind both front-ends: ``python -m
+    repro.obs.validate`` and ``repro obs validate``.
+    """
     parser.add_argument("--metrics", default=None, help="metrics snapshot JSON path")
     parser.add_argument("--manifest", default=None, help="run manifest JSON path")
     parser.add_argument(
@@ -590,14 +594,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         action="store_false",
         help="skip the required-scenario-metrics completeness check",
     )
-    args = parser.parse_args(argv)
-    if not any(
-        (args.metrics, args.manifest, args.runs, args.events, args.windows, args.model)
-    ):
-        parser.error(
-            "nothing to validate: pass --metrics, --manifest, --events, "
-            "--windows, --model and/or --runs"
-        )
+
+
+def run(args: argparse.Namespace) -> int:
+    """Validate every input ``args`` names; exit 1 on any error."""
     errors: list[str] = []
     if args.metrics:
         payload = _read_object(args.metrics, f"--metrics: {args.metrics}", errors)
@@ -637,20 +637,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     for error in errors:
         print(error, file=sys.stderr)
     if not errors:
-        checked = [
-            p
-            for p in (
-                args.metrics,
-                args.manifest,
-                args.events,
-                args.windows,
-                args.model,
-                args.runs,
-            )
-            if p
-        ]
+        checked = [str(getattr(args, name)) for name in INPUTS if getattr(args, name)]
         print(f"ok: {', '.join(checked)} conform to the documented schema")
     return 1 if errors else 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Validate emitted observability JSON files; exit 1 on any error."""
+    parser = argparse.ArgumentParser(
+        prog="repro.obs.validate",
+        description="validate --metrics-out / --manifest output against the catalogue",
+    )
+    add_arguments(parser)
+    args = parser.parse_args(argv)
+    if not any(getattr(args, name) for name in INPUTS):
+        parser.error(
+            "nothing to validate: pass --metrics, --manifest, --events, "
+            "--windows, --model and/or --runs"
+        )
+    return run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI

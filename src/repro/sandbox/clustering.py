@@ -57,7 +57,6 @@ class ClusteringConfig:
     bands: int = 20
     rows: int = 5
     minhash_seed: int = 2010
-    minhash_backend: str = "python"
     #: Candidate-generation guard: buckets larger than this emit no
     #: pairs (None keeps every bucket; see :class:`~repro.sandbox.lsh.LSHIndex`).
     max_bucket_size: int | None = None
@@ -65,10 +64,6 @@ class ClusteringConfig:
     def __post_init__(self) -> None:
         require_probability(self.threshold, "threshold")
         require(self.bands >= 1 and self.rows >= 1, "bands/rows must be >= 1")
-        require(
-            self.minhash_backend in ("python", "numpy"),
-            f"unknown minhash backend {self.minhash_backend!r}",
-        )
         require(
             self.max_bucket_size is None or self.max_bucket_size >= 2,
             "max_bucket_size must be >= 2 (or None)",
@@ -293,9 +288,7 @@ def similarity_graph(
         groups, uniques = _dedupe(profiles)
         span.set(profiles=len(profiles), unique_profiles=len(uniques))
     with tracer.span("lsh.index") as span:
-        hasher = MinHasher(
-            config.n_hashes, seed=config.minhash_seed, backend=config.minhash_backend
-        )
+        hasher = MinHasher(config.n_hashes, seed=config.minhash_seed)
         index = LSHIndex(
             bands=config.bands,
             rows=config.rows,

@@ -9,10 +9,10 @@ an exact similarity check.  With rows=r and bands=b, a pair of Jaccard
 similarity s collides with probability 1-(1-s^r)^b — a sigmoid centred
 near (1/b)^(1/r), tuned here to the clustering threshold.
 
-Two equivalent-quality backends are provided: the portable pure-Python
-family over a 61-bit Mersenne prime, and a vectorised numpy family over
-the 31-bit Mersenne prime (products fit in 64-bit words, so the whole
-signature computes as two broadcasting operations and a column min).
+One hash family is used, over the 61-bit Mersenne prime.  The scalar
+:meth:`MinHasher.signature` is the reference; the pipeline computes the
+same values in batch with :meth:`MinHasher.signature_matrix`, which
+reproduces the 61-bit arithmetic exactly in uint64.
 """
 
 from __future__ import annotations
@@ -28,43 +28,17 @@ from repro.util.validation import require
 
 _MERSENNE_PRIME = (1 << 61) - 1
 _MAX_HASH = (1 << 61) - 2
-_MERSENNE_31 = (1 << 31) - 1
-
-#: Hash functions evaluated per batch in :meth:`MinHasher.signature_matrix`
-#: — bounds the (chunk, total_features) intermediate to a few MB.
-_MATRIX_CHUNK = 16
 
 
 class MinHasher:
-    """A family of ``n_hashes`` universal hash functions over 64-bit ids.
+    """A family of ``n_hashes`` universal hash functions over 64-bit ids."""
 
-    ``backend='python'`` (default) uses 61-bit arithmetic; ``'numpy'``
-    uses a vectorised 31-bit family — a *different* (equally universal)
-    hash family, so signatures are not interchangeable between backends,
-    but all statistical guarantees are identical and the numpy path is
-    several times faster on large profiles.
-    """
-
-    def __init__(
-        self, n_hashes: int = 80, *, seed: int = 2010, backend: str = "python"
-    ) -> None:
+    def __init__(self, n_hashes: int = 80, *, seed: int = 2010) -> None:
         require(n_hashes >= 1, "n_hashes must be >= 1")
-        require(backend in ("python", "numpy"), f"unknown backend {backend!r}")
         self.n_hashes = n_hashes
-        self.backend = backend
         rng = spawn_rng(seed, "minhash-coefficients")
-        if backend == "python":
-            self._a = [rng.randrange(1, _MERSENNE_PRIME) for _ in range(n_hashes)]
-            self._b = [rng.randrange(0, _MERSENNE_PRIME) for _ in range(n_hashes)]
-        else:
-            self._a_np = np.array(
-                [rng.randrange(1, _MERSENNE_31) for _ in range(n_hashes)],
-                dtype=np.uint64,
-            )[:, None]
-            self._b_np = np.array(
-                [rng.randrange(0, _MERSENNE_31) for _ in range(n_hashes)],
-                dtype=np.uint64,
-            )[:, None]
+        self._a = [rng.randrange(1, _MERSENNE_PRIME) for _ in range(n_hashes)]
+        self._b = [rng.randrange(0, _MERSENNE_PRIME) for _ in range(n_hashes)]
 
     def signature(self, hashed_features: Iterable[int]) -> tuple[int, ...]:
         """MinHash signature of a set of stable 64-bit feature hashes.
@@ -75,8 +49,6 @@ class MinHasher:
         items = list(hashed_features)
         if not items:
             return tuple([_MAX_HASH + 1] * self.n_hashes)
-        if self.backend == "numpy":
-            return self._signature_numpy(items)
         signature = []
         for a, b in zip(self._a, self._b):
             signature.append(
@@ -84,28 +56,19 @@ class MinHasher:
             )
         return tuple(signature)
 
-    def _signature_numpy(self, items: list[int]) -> tuple[int, ...]:
-        # Fold 64-bit feature hashes into 31 bits, then evaluate all
-        # hash functions over all items in one broadcast: a*x+b fits in
-        # uint64 because both operands are < 2^31.
-        x = np.array(items, dtype=np.uint64)
-        x = (x ^ (x >> np.uint64(31))) & np.uint64(_MERSENNE_31 - 1)
-        values = (self._a_np * x[None, :] + self._b_np) % np.uint64(_MERSENNE_31)
-        return tuple(int(v) for v in values.min(axis=1))
-
     def signature_matrix(
         self, feature_sets: Sequence[Iterable[int]]
     ) -> np.ndarray:
         """Batched signatures: one ``(n_profiles, n_hashes)`` uint64 matrix.
 
-        Row ``i`` is bit-identical to ``signature(feature_sets[i])`` for
-        this backend (empty sets get the all-sentinel row).  The batch
+        Row ``i`` is bit-identical to ``signature(feature_sets[i])``
+        (empty sets get the all-sentinel row).  The batch
         evaluates every hash function over the concatenation of all
         feature sets and takes per-profile segment minima with
         ``np.minimum.reduceat`` — one pass over the data instead of a
-        Python loop per profile.  The pure-Python 61-bit family is
-        reproduced exactly in uint64 via limb-split modular
-        multiplication (see :meth:`_matrix_python`).
+        Python loop per profile.  The 61-bit family is reproduced
+        exactly in uint64 via limb-split modular multiplication (see
+        :meth:`_matrix_python`).
         """
         sets = [list(fs) for fs in feature_sets]
         out = np.full((len(sets), self.n_hashes), _MAX_HASH + 1, dtype=np.uint64)
@@ -118,24 +81,8 @@ class MinHasher:
         )
         offsets = np.zeros(len(nonempty), dtype=np.intp)
         np.cumsum(lengths[:-1], out=offsets[1:])
-        if self.backend == "numpy":
-            mins = self._matrix_numpy(flat, offsets)
-        else:
-            mins = self._matrix_python(flat, offsets)
-        out[nonempty] = mins
+        out[nonempty] = self._matrix_python(flat, offsets)
         return out
-
-    def _matrix_numpy(self, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Segment minima of the 31-bit family over concatenated features."""
-        x = (flat ^ (flat >> np.uint64(31))) & np.uint64(_MERSENNE_31 - 1)
-        mins = np.empty((len(offsets), self.n_hashes), dtype=np.uint64)
-        for start in range(0, self.n_hashes, _MATRIX_CHUNK):
-            stop = min(start + _MATRIX_CHUNK, self.n_hashes)
-            values = (
-                self._a_np[start:stop] * x[None, :] + self._b_np[start:stop]
-            ) % np.uint64(_MERSENNE_31)
-            mins[:, start:stop] = np.minimum.reduceat(values, offsets, axis=1).T
-        return mins
 
     def _matrix_python(self, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Segment minima of the 61-bit family, exactly, in uint64.
@@ -175,15 +122,6 @@ class MinHasher:
             mins[:, k] = np.minimum.reduceat(h, offsets)
         return mins
 
-    @staticmethod
-    def estimate_similarity(sig_a: Sequence[int], sig_b: Sequence[int]) -> float:
-        """Unbiased Jaccard estimate from two signatures."""
-        require(len(sig_a) == len(sig_b), "signature lengths differ")
-        if not sig_a:
-            return 0.0
-        agree = sum(1 for x, y in zip(sig_a, sig_b) if x == y)
-        return agree / len(sig_a)
-
 
 class LSHIndex:
     """Banded LSH index over MinHash signatures.
@@ -222,7 +160,6 @@ class LSHIndex:
         self._buckets: list[dict[tuple[int, ...], list[Hashable]]] = [
             defaultdict(list) for _ in range(bands)
         ]
-        self._n_items = 0
 
     @property
     def signature_length(self) -> int:
@@ -238,7 +175,6 @@ class LSHIndex:
         for band in range(self.bands):
             chunk = tuple(signature[band * self.rows : (band + 1) * self.rows])
             self._buckets[band][chunk].append(key)
-        self._n_items += 1
 
     def candidate_pairs(self) -> set[tuple[Hashable, Hashable]]:
         """All distinct pairs sharing at least one band bucket.
@@ -267,17 +203,3 @@ class LSHIndex:
         return [
             len(bucket) for band_buckets in self._buckets for bucket in band_buckets.values()
         ]
-
-    def stats(self) -> dict[str, int]:
-        """Bucket occupancy counters (for the scalability benchmark)."""
-        n_buckets = sum(len(b) for b in self._buckets)
-        largest = max(
-            (len(bucket) for band in self._buckets for bucket in band.values()),
-            default=0,
-        )
-        return {
-            "items": self._n_items,
-            "buckets": n_buckets,
-            "largest_bucket": largest,
-            "skipped_buckets": self.skipped_buckets,
-        }

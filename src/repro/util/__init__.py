@@ -19,7 +19,6 @@ from repro.util.stats import (
 )
 from repro.util.hashing import md5_hex, stable_hash64
 from repro.util.timegrid import TimeGrid, WEEK_SECONDS, week_index
-from repro.util.timing import StageTimings
 from repro.util.tables import TextTable, format_histogram
 from repro.util.validation import (
     ValidationError,
@@ -44,7 +43,6 @@ __all__ = [
     "spawn_rng",
     "md5_hex",
     "stable_hash64",
-    "StageTimings",
     "TimeGrid",
     "WEEK_SECONDS",
     "week_index",

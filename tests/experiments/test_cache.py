@@ -1,6 +1,5 @@
 """The scenario artifact cache: fingerprints, round-trips, eviction."""
 
-import hashlib
 import pickle
 import time
 
@@ -10,6 +9,7 @@ from repro.experiments.cache import (
     RECORD_FIELDS,
     ScenarioCache,
     StageStore,
+    _write_entry,
     cached_run,
     scenario_fingerprint,
     stage_fingerprints,
@@ -140,8 +140,7 @@ class TestScenarioCache:
     def test_record_with_a_valid_digest_but_wrong_fields_is_evicted(self, cache):
         path = cache.path_for(11, TINY)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps({"not": "a run"})
-        path.write_bytes(hashlib.sha256(payload).digest() + payload)
+        _write_entry(path, {"not": "a run"})
         assert cache.load(11, TINY) is None
         assert not path.exists()
 

@@ -1,10 +1,11 @@
 """Cache round trips: corrupt entries and the paused cyclic GC.
 
 A corrupt entry must be a counted miss, never a crash and never a
-silent load: every entry starts with the SHA-256 of its payload, so a
-truncated or byte-flipped run record or stage entry fails the digest
-check before anything is unpickled, and every failed load must evict
-the entry and bump ``cache.evict``.
+silent load: every entry starts with a header of its cache format and
+the SHA-256 of its payload, so a truncated or byte-flipped run record or
+stage entry fails the format or digest check before anything is
+unpickled, and every failed load must evict the entry and bump
+``cache.evict``.
 
 Pickling and the whole stage pipeline run with the cyclic GC paused;
 the caller's collector must be back on once they return or raise.

@@ -939,6 +939,12 @@ class TestServingCli:
         assert ModelArtifact.load(target).model_id == payload["model_id"]
         assert payload["model_id"] in capsys.readouterr().out
 
+    def test_obs_validate_checks_an_exported_model(self, capsys, tmp_path, store_dir):
+        target = self._export(tmp_path)
+        capsys.readouterr()
+        assert main(["obs", "validate", "--model", str(target)]) == 0
+        assert f"ok: {target}" in capsys.readouterr().out
+
     def test_export_from_stored_run_agrees_on_model_id(
         self, capsys, tmp_path, store_dir
     ):

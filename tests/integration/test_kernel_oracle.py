@@ -231,9 +231,7 @@ class TestLshOracle:
         config = run.config.clustering
         profiles = run.anubis.profiles()
         groups, uniques = _dedupe(profiles)
-        hasher = MinHasher(
-            config.n_hashes, seed=config.minhash_seed, backend=config.minhash_backend
-        )
+        hasher = MinHasher(config.n_hashes, seed=config.minhash_seed)
         index = LSHIndex(
             bands=config.bands, rows=config.rows, max_bucket_size=config.max_bucket_size
         )

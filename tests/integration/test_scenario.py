@@ -46,12 +46,24 @@ class TestStoredConfigReplay:
     REFERENCE = Path(__file__).resolve().parents[2] / "results" / "runs" / "reference.json"
 
     def _replays(self, retired: dict) -> None:
+        """Inject ``retired`` (dotted keys reach into sub-configs) and replay."""
         manifest = json.loads(self.REFERENCE.read_text(encoding="utf-8"))
-        assert not set(retired) & set(manifest["config"])
-        stored = {**manifest["config"], **retired}
+        stored = json.loads(json.dumps(manifest["config"]))
+        for key, value in retired.items():
+            *parents, name = key.split(".")
+            target = stored
+            for part in parents:
+                target = target[part]
+            assert name not in target
+            target[name] = value
         for payload in (manifest["config"], stored):
             config = config_from_canonical(payload)
-            assert not any(hasattr(config, name) for name in retired)
+            for key in retired:
+                *parents, name = key.split(".")
+                owner = config
+                for part in parents:
+                    owner = getattr(owner, part)
+                assert not hasattr(owner, name)
             assert scenario_fingerprint(manifest["seed"], config) == manifest["fingerprint"]
 
     def test_schema6_config_with_retired_columnar_field_replays(self):
@@ -69,6 +81,10 @@ class TestStoredConfigReplay:
 
     def test_stored_config_with_retired_executor_fields_replays(self):
         self._replays({"executor": "process", "jobs": 8})
+
+    def test_stored_config_with_retired_minhash_backend_replays(self):
+        # the 31-bit numpy MinHash family's switch
+        self._replays({"clustering.minhash_backend": "numpy"})
 
 
 class TestScenarioRun:

@@ -106,7 +106,7 @@ def test_sharing_survives_a_pickle_round_trip(run, kind):
 
 def test_deployment_holds_no_dedupe_entries(run):
     deployment = run.deployment
-    assert deployment._observable_cache == {}
+    assert b"MalwareObservable" not in pickle.dumps(deployment)
     assert not any(isinstance(v, SharedValues) for v in vars(deployment).values())
     assert b"SharedValues" not in pickle.dumps(deployment)
 

@@ -59,12 +59,6 @@ class TestScenarioMetrics:
             "lsh.clusters"
         ) == tiny_run.bclusters.n_clusters
 
-    def test_timings_remain_a_view_over_the_trace(self, tiny_run):
-        assert tiny_run.trace is not None
-        assert tiny_run.timings.as_dict() == (
-            tiny_run.trace.stage_timings().as_dict()
-        )
-
     def test_counters_and_gauges_deterministic_per_seed(self, tiny_run):
         again = small_scenario(seed=7, scale=0.08, n_weeks=10)
         # Counters and gauges are pure functions of the seed; only the

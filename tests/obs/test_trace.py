@@ -12,7 +12,6 @@ from repro.obs.trace import (
     current_tracer,
     use_tracer,
 )
-from repro.util.timing import StageTimings
 from repro.util.validation import ValidationError
 
 
@@ -129,13 +128,6 @@ class TestTraceSpan:
         # Leaves without attributes/children omit those keys entirely.
         leaf = exported["children"][1]
         assert set(leaf) == {"name", "seconds"}
-
-    def test_stage_timings_views_direct_children_only(self):
-        timings = self._tree().stage_timings()
-        assert isinstance(timings, StageTimings)
-        assert timings.as_dict() == pytest.approx({"bcluster": 2.0, "observe": 1.0})
-        with pytest.raises(KeyError):
-            timings.seconds("lsh.index")  # nested spans stay out of the flat view
 
     def test_render_shows_nesting_shares_and_attributes(self):
         text = self._tree().render()

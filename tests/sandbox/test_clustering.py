@@ -165,7 +165,7 @@ class TestSharedJaccardHelper:
 
 
 class TestClusterLshVectorized:
-    """The batch clustering path: hash backends, bucket telemetry, guard."""
+    """The batch clustering path: bucket telemetry, guard."""
 
     def _profiles(self):
         profiles = {}
@@ -175,18 +175,11 @@ class TestClusterLshVectorized:
         profiles["empty-2"] = profile()
         return profiles
 
-    def test_python_backend_matches_numpy(self):
-        # The two backends are different hash families, so signatures
-        # and candidate sets differ; on well-separated families (within
-        # ~0.83 similar, across disjoint) both find the exact partition.
+    def test_lsh_finds_the_exact_partition(self):
+        # Well-separated families (within ~0.83 similar, across
+        # disjoint): the LSH candidates recover the exact partition.
         profiles = self._profiles()
-        exact = cluster_exact(profiles)
-        python_backed = cluster_lsh(
-            profiles, ClusteringConfig(minhash_backend="python")
-        )
-        numpy_backed = cluster_lsh(profiles, ClusteringConfig(minhash_backend="numpy"))
-        assert python_backed.assignment == exact.assignment
-        assert numpy_backed.assignment == exact.assignment
+        assert cluster_lsh(profiles).assignment == cluster_exact(profiles).assignment
 
     def test_bucket_metrics_emitted(self):
         from repro.obs import metrics as obs_metrics
