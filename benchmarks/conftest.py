@@ -1,10 +1,12 @@
-"""Benchmark fixtures: one full-scale paper scenario per session.
+"""Bench fixtures: one full-scale paper scenario per session.
 
-Every bench measures one stage of the reproduction against the
-full-scale dataset (the same configuration as the paper: 74 weeks, 150
-monitored addresses) and writes its rendered paper-vs-measured report to
-``results/<name>.txt`` so the regenerated tables/figures survive the
-benchmark run as reviewable artifacts.
+Every bench checks the shape of one paper table, figure or ablation
+against the full-scale dataset (the same configuration as the paper: 74
+weeks, 150 monitored addresses) and writes its rendered
+paper-vs-measured report to ``results/<name>.txt`` so the regenerated
+tables/figures survive the run as reviewable artifacts.  The benches
+assert and report; they time nothing (``perfbench/`` is the timing
+harness).
 
 The session scenario goes through the artifact cache
 (:mod:`repro.experiments.cache`): the first session pays the full

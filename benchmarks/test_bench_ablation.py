@@ -17,7 +17,7 @@ from repro.util.tables import TextTable
 from benchmarks.conftest import write_report
 
 
-def test_bench_invariant_policy_sweep(benchmark, paper_run, results_dir):
+def test_bench_invariant_policy_sweep(paper_run, results_dir):
     policies = {
         "1/1/1": InvariantPolicy(1, 1, 1),
         "5/2/2": InvariantPolicy(5, 2, 2),
@@ -26,14 +26,10 @@ def test_bench_invariant_policy_sweep(benchmark, paper_run, results_dir):
         "100/10/10": InvariantPolicy(100, 10, 10),
     }
 
-    def sweep():
-        rows = {}
-        for name, policy in policies.items():
-            epm = EPMClustering(policy=policy).fit(paper_run.dataset)
-            rows[name] = epm.counts()
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = {
+        name: EPMClustering(policy=policy).fit(paper_run.dataset).counts()
+        for name, policy in policies.items()
+    }
 
     table = TextTable(
         ["policy (inst/src/dst)", "E", "P", "M"],
@@ -53,10 +49,10 @@ def test_bench_invariant_policy_sweep(benchmark, paper_run, results_dir):
     assert rows["100/10/10"]["m_clusters"] < rows["10/3/3 (paper)"]["m_clusters"]
 
 
-def test_bench_lsh_vs_exact(benchmark, paper_run, results_dir):
+def test_bench_lsh_vs_exact(paper_run, results_dir):
     profiles = paper_run.anubis.profiles()
 
-    lsh_result = benchmark(lambda: cluster_lsh(profiles, paper_run.config.clustering))
+    lsh_result = cluster_lsh(profiles, paper_run.config.clustering)
     exact_result = cluster_exact(profiles, paper_run.config.clustering)
 
     table = TextTable(
@@ -73,7 +69,7 @@ def test_bench_lsh_vs_exact(benchmark, paper_run, results_dir):
     assert lsh_result.n_exact_comparisons < exact_result.n_exact_comparisons / 20
 
 
-def test_bench_epm_vs_julisch_aoi(benchmark, paper_run, results_dir):
+def test_bench_epm_vs_julisch_aoi(paper_run, results_dir):
     """EPM (flat wildcards) vs full Julisch AOI (taxonomy lattice) on mu.
 
     The paper calls EPM "a simplification of the multidimensional
@@ -97,7 +93,7 @@ def test_bench_epm_vs_julisch_aoi(benchmark, paper_run, results_dir):
         {"size": band_taxonomy(sizes, width=8192, label="size")},
         min_size=10,
     )
-    result = benchmark.pedantic(lambda: miner.fit(instances), rounds=1, iterations=1)
+    result = miner.fit(instances)
 
     table = TextTable(
         ["technique", "mu patterns"],
@@ -120,7 +116,7 @@ def test_bench_epm_vs_julisch_aoi(benchmark, paper_run, results_dir):
     assert all(all(v is ANY for v in p) for p in weak)
 
 
-def test_bench_linkage_choice(benchmark, paper_run, results_dir):
+def test_bench_linkage_choice(paper_run, results_dir):
     """Single vs average vs complete linkage on real profiles.
 
     §4.2 blames single-linkage chaining for part of the clustering
@@ -132,14 +128,10 @@ def test_bench_linkage_choice(benchmark, paper_run, results_dir):
     profiles = dict(list(paper_run.anubis.profiles().items())[:1200])
     config = paper_run.config.clustering
 
-    results = benchmark.pedantic(
-        lambda: {
-            method: cluster_hierarchical(profiles, config, method=method)
-            for method in ("single", "average", "complete")
-        },
-        rounds=1,
-        iterations=1,
-    )
+    results = {
+        method: cluster_hierarchical(profiles, config, method=method)
+        for method in ("single", "average", "complete")
+    }
 
     table = TextTable(
         ["linkage", "B-clusters", "singletons", "largest"],
@@ -169,8 +161,8 @@ def test_bench_linkage_choice(benchmark, paper_run, results_dir):
     )
 
 
-def test_bench_fsm_learning_economics(benchmark, paper_run, results_dir):
-    ratios = benchmark(paper_run.deployment.proxy_ratio_by_week)
+def test_bench_fsm_learning_economics(paper_run, results_dir):
+    ratios = paper_run.deployment.proxy_ratio_by_week()
     weeks = sorted(ratios)
     first_quarter = [ratios[w] for w in weeks[: len(weeks) // 4]]
     last_quarter = [ratios[w] for w in weeks[-len(weeks) // 4 :]]

@@ -1,9 +1,9 @@
 """§4.2: size-1 B-cluster anomaly detection and re-execution healing.
 
 Regenerates: 860-of-972 singleton counts, the anomaly/rarity breakdown,
-and the healing result.  The benchmark measures the cross-view anomaly
-detection (the analysis the paper argues would be impossible from the
-behavioural view alone).
+and the healing result, from the cross-view anomaly detection (the
+analysis the paper argues would be impossible from the behavioural view
+alone).
 """
 
 from repro.analysis.crossview import CrossView
@@ -12,12 +12,9 @@ from repro.experiments.drivers import anomaly_report
 from benchmarks.conftest import write_report
 
 
-def test_bench_singleton_anomaly_detection(benchmark, paper_run, results_dir):
-    def detect():
-        crossview = CrossView(paper_run.dataset, paper_run.epm, paper_run.bclusters)
-        return crossview.singleton_anomalies()
-
-    anomalies = benchmark(detect)
+def test_bench_singleton_anomaly_detection(paper_run, results_dir):
+    crossview = CrossView(paper_run.dataset, paper_run.epm, paper_run.bclusters)
+    anomalies = crossview.singleton_anomalies()
     assert len(anomalies) > 400
 
     result, text = anomaly_report(paper_run, heal=True)

@@ -1,9 +1,9 @@
 """Headline reproduction (§4, §4.1): EPM clustering over the full dataset.
 
 Regenerates: total samples collected/executed, and the 39/27/260/972
-E/P/M/B cluster counts.  The benchmark measures a complete EPM fit
-(invariant discovery + pattern discovery + classification over all three
-dimensions) on the paper-scale dataset.
+E/P/M/B cluster counts.  A complete EPM refit (invariant discovery +
+pattern discovery + classification over all three dimensions) on the
+paper-scale dataset must give the run's own counts.
 """
 
 from repro.core.epm import EPMClustering
@@ -12,8 +12,8 @@ from repro.experiments.drivers import headline
 from benchmarks.conftest import write_report
 
 
-def test_bench_epm_full_fit(benchmark, paper_run, results_dir):
-    epm = benchmark(lambda: EPMClustering().fit(paper_run.dataset))
+def test_bench_epm_full_fit(paper_run, results_dir):
+    epm = EPMClustering().fit(paper_run.dataset)
     assert epm.counts() == paper_run.epm.counts()
 
     measured, text = headline(paper_run)
@@ -30,15 +30,15 @@ def test_bench_epm_full_fit(benchmark, paper_run, results_dir):
     assert measured["size1_b_clusters"] / measured["b_clusters"] > 0.75
 
 
-def test_bench_behaviour_clustering(benchmark, paper_run):
+def test_bench_behaviour_clustering(paper_run):
     """The scalable B-clustering run the 972-cluster figure comes from."""
-    result = benchmark(paper_run.anubis.cluster)
+    result = paper_run.anubis.cluster()
     assert result.n_clusters == paper_run.bclusters.n_clusters
 
 
-def test_default_seed_regression(benchmark, paper_run):
+def test_default_seed_regression(paper_run):
     """The published numbers of EXPERIMENTS.md must stay put exactly."""
     from repro.experiments.regression import check_headline
 
-    deviations = benchmark(lambda: check_headline(paper_run.headline()))
+    deviations = check_headline(paper_run.headline())
     assert deviations == [], "; ".join(deviations)

@@ -13,12 +13,12 @@ from repro.util.tables import TextTable
 from benchmarks.conftest import write_report
 
 
-def test_bench_patch_lineages(benchmark, paper_run, results_dir):
+def test_bench_patch_lineages(paper_run, results_dir):
     crossview = CrossView(paper_run.dataset, paper_run.epm, paper_run.bclusters)
     sharing = CodeSharingAnalysis(
         paper_run.dataset, paper_run.epm, crossview, paper_run.grid
     )
-    lineages = benchmark(sharing.patch_lineages)
+    lineages = sharing.patch_lineages()
 
     top = lineages[0]
     lines = [
@@ -42,9 +42,9 @@ def test_bench_patch_lineages(benchmark, paper_run, results_dir):
     assert sharing.shared_propagation()
 
 
-def test_bench_weekly_evolution(benchmark, paper_run, results_dir):
+def test_bench_weekly_evolution(paper_run, results_dir):
     evolution = EvolutionAnalysis(paper_run.dataset, paper_run.epm, paper_run.grid)
-    weekly = benchmark(evolution.weekly_activity)
+    weekly = evolution.weekly_activity()
 
     curve = evolution.sample_discovery_curve()
     table = TextTable(

@@ -11,8 +11,8 @@ from repro.util.tables import TextTable
 from benchmarks.conftest import write_report
 
 
-def test_bench_sensor_coverage(benchmark, paper_run, results_dir):
-    coverage = benchmark(lambda: SensorCoverage(paper_run.dataset, paper_run.epm))
+def test_bench_sensor_coverage(paper_run, results_dir):
+    coverage = SensorCoverage(paper_run.dataset, paper_run.epm)
 
     curve = coverage.accumulation_curve()
     points = deployment_size_ablation(paper_run.dataset, [1, 3, 10, 20, 30])

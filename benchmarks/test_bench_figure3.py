@@ -1,8 +1,8 @@
 """Figure 3: the four-layer E/P/M/B relation graph (clusters >= 30 events).
 
-The benchmark measures graph construction; the report prints the layer
-sizes, the heaviest edges, and the paper's three key readings (few E/P
-combinations, payloads shared across exploits, B grouping several M).
+The report prints the layer sizes, the heaviest edges, and the paper's
+three key readings (few E/P combinations, payloads shared across
+exploits, B grouping several M).
 """
 
 from repro.analysis.relations import RelationGraph
@@ -11,12 +11,8 @@ from repro.experiments.drivers import figure3
 from benchmarks.conftest import write_report
 
 
-def test_bench_relation_graph(benchmark, paper_run, results_dir):
-    graph = benchmark(
-        lambda: RelationGraph(
-            paper_run.dataset, paper_run.epm, paper_run.bclusters, min_events=30
-        )
-    )
+def test_bench_relation_graph(paper_run, results_dir):
+    graph = RelationGraph(paper_run.dataset, paper_run.epm, paper_run.bclusters, min_events=30)
     _graph, text = figure3(paper_run)
     write_report(results_dir, "figure3", text)
     print("\n" + text)

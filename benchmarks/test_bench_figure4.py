@@ -2,8 +2,7 @@
 
 Top panel: AV names a popular vendor gives those samples (Rahack/Allaple
 variants dominate).  Bottom panel: their (E, P) propagation coordinates
-(nearly all delivered by the TCP/9988 PUSH P-pattern).  The benchmark
-measures the two distribution computations.
+(nearly all delivered by the TCP/9988 PUSH P-pattern).
 """
 
 from repro.analysis.avnames import av_name_distribution, ep_coordinate_distribution
@@ -13,16 +12,11 @@ from repro.experiments.drivers import figure4
 from benchmarks.conftest import write_report
 
 
-def test_bench_figure4_distributions(benchmark, paper_run, results_dir):
+def test_bench_figure4_distributions(paper_run, results_dir):
     crossview = CrossView(paper_run.dataset, paper_run.epm, paper_run.bclusters)
     md5s = [a.md5 for a in crossview.singleton_anomalies()]
-
-    def distributions():
-        av = av_name_distribution(paper_run.dataset, md5s)
-        ep = ep_coordinate_distribution(paper_run.dataset, paper_run.epm, md5s)
-        return av, ep
-
-    av, ep = benchmark(distributions)
+    av = av_name_distribution(paper_run.dataset, md5s)
+    ep = ep_coordinate_distribution(paper_run.dataset, paper_run.epm, md5s)
 
     result, text = figure4(paper_run)
     write_report(results_dir, "figure4", text)

@@ -3,8 +3,7 @@
 Left of the paper's figure: an Allaple-style worm B-cluster — large
 populations spread across the IP space, tens of active weeks, steady
 arrivals.  Right: a bot B-cluster — small populations in specific
-networks, few active weeks, bursty.  The benchmark measures the
-per-M-cluster context computation for the worm B-cluster.
+networks, few active weeks, bursty.
 """
 
 from repro.analysis.context import PropagationContext
@@ -13,11 +12,9 @@ from repro.experiments.drivers import figure5
 from benchmarks.conftest import write_report
 
 
-def test_bench_figure5_context(benchmark, paper_run, results_dir):
+def test_bench_figure5_context(paper_run, results_dir):
     context = PropagationContext(paper_run.dataset, paper_run.grid)
-    contexts = benchmark(
-        lambda: context.figure5(paper_run.epm, paper_run.bclusters, 0)
-    )
+    contexts = context.figure5(paper_run.epm, paper_run.bclusters, 0)
     assert len(contexts) > 5  # one B-cluster spans many M-clusters
 
     results, text = figure5(paper_run)

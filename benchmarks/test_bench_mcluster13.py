@@ -4,8 +4,7 @@ Regenerates: the fully-pinned header pattern with MD5='*' (the exact
 field values the paper quotes), the per-attacker polymorphism evidence
 (one MD5 per source, recurring across honeypots), and the split of one
 M-cluster over several B-clusters driven by the death of the
-``iliketay.cn`` infrastructure.  The benchmark measures locating the
-cluster and assembling the evidence.
+``iliketay.cn`` infrastructure.
 """
 
 from repro.experiments.drivers import mcluster13_report
@@ -13,8 +12,8 @@ from repro.experiments.drivers import mcluster13_report
 from benchmarks.conftest import write_report
 
 
-def test_bench_mcluster13(benchmark, paper_run, results_dir):
-    result, text = benchmark(lambda: mcluster13_report(paper_run))
+def test_bench_mcluster13(paper_run, results_dir):
+    result, text = mcluster13_report(paper_run)
     write_report(results_dir, "mcluster13", text)
     print("\n" + text)
 

@@ -19,7 +19,7 @@ from repro.util.tables import TextTable
 from benchmarks.conftest import write_report
 
 
-def test_bench_cluster_quality(benchmark, paper_run, results_dir):
+def test_bench_cluster_quality(paper_run, results_dir):
     truth_variant = ground_truth_labels(paper_run.dataset, level="variant")
     truth_family = ground_truth_labels(paper_run.dataset, level="family")
     m_assignment = {
@@ -29,15 +29,8 @@ def test_bench_cluster_quality(benchmark, paper_run, results_dir):
         ).items()
         if not paper_run.dataset.samples[md5].observable.corrupted
     }
-    b_assignment = dict(paper_run.bclusters.assignment)
-
-    def score_all():
-        return (
-            precision_recall(m_assignment, truth_variant),
-            precision_recall(b_assignment, truth_family),
-        )
-
-    m_score, b_score = benchmark(score_all)
+    m_score = precision_recall(m_assignment, truth_variant)
+    b_score = precision_recall(dict(paper_run.bclusters.assignment), truth_family)
 
     table = TextTable(
         ["perspective", "reference", "precision", "recall", "F1"],
@@ -69,12 +62,8 @@ def test_bench_cluster_quality(benchmark, paper_run, results_dir):
     assert consistency < 0.5
 
 
-def test_bench_evasion(benchmark, results_dir):
-    outcomes = benchmark.pedantic(
-        lambda: evasion_experiment(seed=2010, n_variants=10, n_weeks=12),
-        rounds=1,
-        iterations=1,
-    )
+def test_bench_evasion(results_dir):
+    outcomes = evasion_experiment(seed=2010, n_variants=10, n_weeks=12)
     table = TextTable(
         ["engine", "M-clusters", "precision", "recall", "F1"],
         title="Evasion: EPM vs polymorphic-engine sophistication",

@@ -12,17 +12,13 @@ from repro.util.tables import TextTable
 from benchmarks.conftest import write_report
 
 
-def test_bench_noise_sweep(benchmark, paper_run, results_dir):
+def test_bench_noise_sweep(paper_run, results_dir):
     multipliers = [0.0, 0.5, 1.0, 1.5]
-    points = benchmark.pedantic(
-        lambda: noise_sweep(
-            paper_run.dataset,
-            paper_run.catalog.environment,
-            multipliers,
-            clustering=paper_run.config.clustering,
-        ),
-        rounds=1,
-        iterations=1,
+    points = noise_sweep(
+        paper_run.dataset,
+        paper_run.catalog.environment,
+        multipliers,
+        clustering=paper_run.config.clustering,
     )
     table = TextTable(
         ["noise multiplier", "B-clusters", "singletons", "singleton share"],
@@ -46,14 +42,10 @@ def test_bench_noise_sweep(benchmark, paper_run, results_dir):
     assert shares[0] < 0.05 and shares[-1] > 0.2
 
 
-def test_bench_lsh_shape_sweep(benchmark, paper_run, results_dir):
+def test_bench_lsh_shape_sweep(paper_run, results_dir):
     profiles = dict(list(paper_run.anubis.profiles().items())[:600])
     shapes = [(10, 8), (14, 6), (20, 5), (25, 4)]
-    points = benchmark.pedantic(
-        lambda: lsh_shape_sweep(profiles, shapes, threshold=0.7),
-        rounds=1,
-        iterations=1,
-    )
+    points = lsh_shape_sweep(profiles, shapes, threshold=0.7)
     table = TextTable(
         ["bands x rows", "recall@0.7", "candidate pairs"],
         title="Sweep: LSH banding vs true-pair recall",
@@ -71,12 +63,10 @@ def test_bench_lsh_shape_sweep(benchmark, paper_run, results_dir):
     assert by_shape[(20, 5)].recall >= by_shape[(10, 8)].recall
 
 
-def test_bench_threshold_sweep(benchmark, paper_run, results_dir):
+def test_bench_threshold_sweep(paper_run, results_dir):
     profiles = dict(list(paper_run.anubis.profiles().items())[:800])
     thresholds = [0.5, 0.6, 0.7, 0.8, 0.9]
-    points = benchmark.pedantic(
-        lambda: threshold_sweep(profiles, thresholds), rounds=1, iterations=1
-    )
+    points = threshold_sweep(profiles, thresholds)
     table = TextTable(
         ["threshold", "B-clusters", "singletons", "largest"],
         title="Sweep: B-structure vs Jaccard threshold",

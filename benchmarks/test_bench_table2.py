@@ -3,8 +3,8 @@
 Regenerates: the (server, room) -> M-clusters table plus the
 infrastructure-reuse fingerprint the paper reads from it (servers
 sharing /24s, room names recurring across servers, single rooms
-commanding multiple code variants).  The benchmark measures the
-correlation pass over every analysed sample's behavioural profile.
+commanding multiple code variants), from the correlation pass over every
+analysed sample's behavioural profile.
 """
 
 from repro.analysis.irc import CnCCorrelation
@@ -13,10 +13,8 @@ from repro.experiments.drivers import table2
 from benchmarks.conftest import write_report
 
 
-def test_bench_cnc_correlation(benchmark, paper_run, results_dir):
-    correlation = benchmark(
-        lambda: CnCCorrelation(paper_run.dataset, paper_run.epm, paper_run.anubis)
-    )
+def test_bench_cnc_correlation(paper_run, results_dir):
+    correlation = CnCCorrelation(paper_run.dataset, paper_run.epm, paper_run.anubis)
 
     _correlation, text = table2(paper_run)
     write_report(results_dir, "table2", text)

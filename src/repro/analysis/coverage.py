@@ -25,7 +25,6 @@ from typing import Sequence
 from repro.core.epm import EPMClustering, EPMResult
 from repro.core.invariants import InvariantPolicy
 from repro.egpm.dataset import SGNetDataset
-from repro.net.address import ip_to_string
 from repro.util.validation import require
 
 
@@ -39,11 +38,6 @@ class NetworkView:
     n_samples: int
     m_clusters: frozenset[int]
     families: frozenset[str]
-
-    @property
-    def network_cidr(self) -> str:
-        """Dotted /24 rendering."""
-        return f"{ip_to_string(self.network << 8)}/24"
 
 
 class SensorCoverage:

@@ -77,14 +77,6 @@ class CrossView:
             self._b_to_m[b][m] += 1
             self._m_to_b[m][b] += 1
 
-    def contingency(self) -> dict[tuple[int, int], int]:
-        """(M-cluster, B-cluster) -> number of shared samples."""
-        table: dict[tuple[int, int], int] = {}
-        for m, bs in self._m_to_b.items():
-            for b, count in bs.items():
-                table[(m, b)] = count
-        return table
-
     def m_clusters_of_b(self, b_cluster: int) -> Counter:
         """Sample counts per M-cluster inside one B-cluster."""
         return Counter(self._b_to_m.get(b_cluster, Counter()))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.analysis.evolution import dataset_between
 from repro.core.epm import EPMClustering
-from repro.core.features import Dimension, FeatureSet, default_feature_sets
+from repro.core.features import Dimension, default_feature_sets
 from repro.core.patterns import WILDCARD
 from repro.egpm.dataset import SGNetDataset
 from repro.util.timegrid import TimeGrid
@@ -49,10 +49,6 @@ class DriftReport:
         return self.explained / self.n_eval if self.n_eval else 0.0
 
 
-def _fit_dimension(clustering: EPMClustering, dataset: SGNetDataset, feature_set: FeatureSet):
-    return clustering.fit_dimension(dataset, feature_set)
-
-
 def drift_analysis(
     dataset: SGNetDataset,
     grid: TimeGrid,
@@ -71,12 +67,11 @@ def drift_analysis(
 
     reports: dict[Dimension, DriftReport] = {}
     for dimension, feature_set in default_feature_sets().items():
-        trained = _fit_dimension(clustering, train, feature_set)
+        trained = clustering.fit_dimension(train, feature_set)
         root = tuple([WILDCARD] * len(feature_set.names))
 
         explained = 0
         novel = 0
-        eval_patterns: set = set()
         n_eval = 0
         for event in evaluation.events:
             if not feature_set.applies_to(event):
@@ -84,7 +79,6 @@ def drift_analysis(
             n_eval += 1
             values = feature_set.extract(event)
             assigned = trained.pattern_set.classify(values, trained.invariants)
-            eval_patterns.add(assigned)
             if assigned == root:
                 novel += 1
             else:
@@ -92,7 +86,7 @@ def drift_analysis(
 
         train_patterns = set(trained.pattern_set.patterns)
         # Patterns the future would have minted that training never saw:
-        future = _fit_dimension(clustering, evaluation, feature_set)
+        future = clustering.fit_dimension(evaluation, feature_set)
         future_patterns = set(future.pattern_set.patterns)
         eval_only = len(future_patterns - train_patterns)
 

@@ -34,7 +34,6 @@ from repro.core.invariants import InvariantPolicy, InvariantStats, discover_inva
 from repro.core.patterns import WILDCARD, Pattern, PatternSet, mask_instance
 from repro.core.classifier import ClusterInfo, DimensionClustering
 from repro.core.epm import EPMClustering, EPMResult
-from repro.core.export import bclusters_to_dict, dimension_to_dict, epm_to_dict
 from repro.core.hierarchy import (
     ANY,
     AOIMiner,
@@ -43,7 +42,6 @@ from repro.core.hierarchy import (
     Taxonomy,
     band_taxonomy,
     flat_taxonomy,
-    port_taxonomy,
 )
 
 __all__ = [
@@ -53,11 +51,7 @@ __all__ = [
     "Concept",
     "Taxonomy",
     "band_taxonomy",
-    "bclusters_to_dict",
-    "dimension_to_dict",
-    "epm_to_dict",
     "flat_taxonomy",
-    "port_taxonomy",
     "ClusterInfo",
     "Dimension",
     "DimensionClustering",

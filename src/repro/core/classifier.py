@@ -55,7 +55,6 @@ class DimensionClustering:
         # once and its pattern reused for every event carrying it.
         by_pattern: dict[Pattern, list[int]] = {}
         pattern_of: dict[tuple[Hashable, ...], Pattern] = {}
-        self._instance_of: dict[int, tuple[Hashable, ...]] = dict(instances)
         for event_id, values in instances.items():
             pattern = pattern_of.get(values)
             if pattern is None:
@@ -95,14 +94,6 @@ class DimensionClustering:
         """Cluster id assigned to ``pattern``, if any instance landed on it."""
         return self._cluster_of_pattern.get(pattern)
 
-    def instance_of(self, event_id: int) -> tuple[Hashable, ...]:
-        """The raw feature tuple the event was classified from."""
-        return self._instance_of[event_id]
-
     def sizes(self) -> dict[int, int]:
         """Cluster id -> event count."""
         return {cid: info.size for cid, info in self.clusters.items()}
-
-    def describe_cluster(self, cluster_id: int) -> str:
-        """Pattern text of one cluster."""
-        return self.clusters[cluster_id].describe(self.feature_names)

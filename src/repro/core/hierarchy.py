@@ -89,15 +89,6 @@ class Taxonomy:
             return ANY
         return self._parent.get(value, ANY)
 
-    def level_of(self, value: Hashable) -> int:
-        """Distance from ``value`` to :data:`ANY` (0 for ANY itself)."""
-        level = 0
-        node = value
-        while node is not ANY:
-            node = self.generalize(node)
-            level += 1
-        return level
-
     def covers(self, concept: Hashable, value: Hashable) -> bool:
         """Whether ``concept`` is an ancestor-or-self of ``value``."""
         node = value
@@ -129,22 +120,6 @@ def band_taxonomy(values: Iterable[int], *, width: int, label: str) -> Taxonomy:
         lo = (value // width) * width
         parent[value] = Concept(f"{label}:{lo}-{lo + width - 1}")
     return Taxonomy(parent)
-
-
-def port_taxonomy() -> Taxonomy:
-    """Ports -> service classes -> ANY (the classic Julisch example)."""
-    classes = {
-        135: "msrpc-class",
-        139: "netbios-class",
-        445: "netbios-class",
-        1025: "msrpc-class",
-        21: "download-class",
-        69: "download-class",
-        80: "download-class",
-        6667: "irc-class",
-        9988: "backdoor-class",
-    }
-    return Taxonomy({port: Concept(name) for port, name in classes.items()})
 
 
 Pattern = tuple[Hashable, ...]

@@ -61,6 +61,17 @@ class InvariantStats:
             for name, values in zip(self.feature_names, self.invariants)
         }
 
+    def __getstate__(self) -> dict:
+        # A set pickles in hash order, which follows the string-hash seed;
+        # sorted lists make the pickled bytes independent of it.
+        state = self.__dict__.copy()
+        state["invariants"] = [sorted(values, key=repr) for values in self.invariants]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["invariants"] = [set(values) for values in state["invariants"]]
+        self.__dict__.update(state)
+
     def is_invariant(self, feature_index: int, value: Hashable) -> bool:
         """Whether ``value`` is invariant for the ``feature_index``-th feature."""
         return value in self.invariants[feature_index]

@@ -172,17 +172,6 @@ class PatternSet:
                 return ranked.pattern
         raise ValueError("no pattern matches the instance")
 
-    def matching_patterns(self, values: Sequence[Hashable]) -> list[Pattern]:
-        """All patterns matching ``values`` (most specific first).
-
-        The paper notes multiple patterns can match one instance (e.g.
-        ``(*, 2, 3)`` and ``(*, *, 3)`` both match ``(1, 2, 3)``); this
-        returns the full list for inspection and tests.
-        """
-        return [
-            rp.pattern for rp in self._ranked if pattern_matches(rp.pattern, values)
-        ]
-
 
 def format_pattern(pattern: Pattern, feature_names: Sequence[str]) -> str:
     """Render a pattern as ``{name=value, ...}`` with ``*`` wildcards."""

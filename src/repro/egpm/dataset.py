@@ -3,9 +3,8 @@
 The store keeps every enriched :class:`AttackEvent` plus one
 :class:`SampleRecord` per distinct binary (keyed by MD5), and maintains
 the secondary indexes the analysis layer queries constantly (events per
-source, per sensor, per sample).  Events persist as JSON lines so a
-generated dataset can be saved and re-analysed without re-running the
-honeypot simulation.
+sample, distinct sources and sensors).  Events persist as JSON lines,
+which ``repro classify --batch`` reads back one event at a time.
 """
 
 from __future__ import annotations
@@ -13,14 +12,9 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from repro.egpm.events import (
-    AttackEvent,
-    SampleRecord,
-    event_from_dict,
-    event_to_dict,
-)
+from repro.egpm.events import AttackEvent, SampleRecord, event_to_dict
 from repro.util.validation import ValidationError
 
 
@@ -30,8 +24,8 @@ class SGNetDataset:
     def __init__(self) -> None:
         self._events: list[AttackEvent] = []
         self._samples: dict[str, SampleRecord] = {}
-        self._by_source: dict[int, list[int]] = defaultdict(list)
-        self._by_sensor: dict[int, list[int]] = defaultdict(list)
+        self._sources: set[int] = set()
+        self._sensors: set[int] = set()
         self._by_md5: dict[str, list[int]] = defaultdict(list)
         self._columnar = None
 
@@ -48,8 +42,8 @@ class SGNetDataset:
             raise ValidationError(f"event_id {event.event_id} out of order (expected {index})")
         self._columnar = None
         self._events.append(event)
-        self._by_source[int(event.source)].append(index)
-        self._by_sensor[int(event.sensor)].append(index)
+        self._sources.add(int(event.source))
+        self._sensors.add(int(event.sensor))
         if event.malware is not None:
             md5 = event.malware.md5
             self._by_md5[md5].append(index)
@@ -94,14 +88,6 @@ class SGNetDataset:
         """Events in which the binary ``md5`` was collected."""
         return [self._events[i] for i in self._by_md5.get(md5, ())]
 
-    def events_from_source(self, source: int) -> list[AttackEvent]:
-        """Events originated by attacker ``source``."""
-        return [self._events[i] for i in self._by_source.get(int(source), ())]
-
-    def events_on_sensor(self, sensor: int) -> list[AttackEvent]:
-        """Events observed by honeypot IP ``sensor``."""
-        return [self._events[i] for i in self._by_sensor.get(int(sensor), ())]
-
     def select(self, predicate: Callable[[AttackEvent], bool]) -> list[AttackEvent]:
         """Events satisfying ``predicate``."""
         return [e for e in self._events if predicate(e)]
@@ -109,12 +95,12 @@ class SGNetDataset:
     @property
     def n_sources(self) -> int:
         """Number of distinct attacking addresses."""
-        return len(self._by_source)
+        return len(self._sources)
 
     @property
     def n_sensors(self) -> int:
         """Number of distinct honeypot addresses hit."""
-        return len(self._by_sensor)
+        return len(self._sensors)
 
     @property
     def n_samples(self) -> int:
@@ -165,8 +151,8 @@ class SGNetDataset:
     def save_jsonl(self, path: str | Path) -> int:
         """Write all events as JSON lines; returns the number written.
 
-        Sample records are reconstructed on load, so only events are
-        persisted.  Behaviour handles (the stand-in for binary content)
+        Only events are persisted; sample records derive from them.
+        Behaviour handles (the stand-in for binary content)
         are *not* serialized — like real binaries, they live outside the
         event log.
         """
@@ -175,22 +161,3 @@ class SGNetDataset:
             for event in self._events:
                 handle.write(json.dumps(event_to_dict(event)) + "\n")
         return len(self._events)
-
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "SGNetDataset":
-        """Rebuild a dataset from :meth:`save_jsonl` output."""
-        dataset = cls()
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    dataset.add_event(event_from_dict(json.loads(line)))
-        return dataset
-
-    @classmethod
-    def from_events(cls, events: Iterable[AttackEvent]) -> "SGNetDataset":
-        """Build a dataset from an iterable of events (ids must be ordered)."""
-        dataset = cls()
-        for event in events:
-            dataset.add_event(event)
-        return dataset

@@ -141,16 +141,6 @@ class AttackEvent:
         require(self.event_id >= 0, "event_id must be >= 0")
         require(self.timestamp >= 0, "timestamp must be >= 0")
 
-    @property
-    def has_sample(self) -> bool:
-        """Whether the attack yielded a downloadable binary at all."""
-        return self.malware is not None
-
-    @property
-    def has_valid_sample(self) -> bool:
-        """Whether the attack yielded an uncorrupted binary."""
-        return self.malware is not None and not self.malware.corrupted
-
 
 @dataclass(slots=True)
 class SampleRecord:

@@ -138,14 +138,3 @@ class VirusTotalService:
                 verdicts[name] = shared.setdefault(label, label)
         self._cache[md5] = verdicts
         return verdicts
-
-    def detection_count(self, md5: str) -> int:
-        """How many engines detected a previously scanned sample."""
-        verdicts = self._cache.get(md5)
-        require(verdicts is not None, f"sample {md5} was never scanned")
-        return sum(1 for label in verdicts.values() if label is not None)
-
-    @property
-    def n_scanned(self) -> int:
-        """Number of distinct samples scanned."""
-        return len(self._cache)

@@ -20,7 +20,6 @@ from repro.experiments.scenario import (
     PaperScenario,
     ScenarioConfig,
     ScenarioRun,
-    small_scenario,
 )
 from repro.experiments.drivers import (
     anomaly_report,
@@ -46,7 +45,6 @@ __all__ = [
     "figure5",
     "headline",
     "mcluster13_report",
-    "small_scenario",
     "table1",
     "table2",
 ]

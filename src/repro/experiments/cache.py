@@ -79,7 +79,7 @@ log = get_logger("experiments.cache")
 #: stage artifacts and run records.  Bump it when either changes
 #: incompatibly; entries of another format are then evicted as misses on
 #: load (and dropped by ``gc``), and no fingerprint moves.
-CACHE_FORMAT = 12
+CACHE_FORMAT = 13
 
 #: Version of the algorithms behind the stages, hashed into every
 #: scenario and stage fingerprint.  Bump it only when the outputs of an

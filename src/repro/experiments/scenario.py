@@ -377,13 +377,3 @@ def config_from_canonical(payload) -> ScenarioConfig:
         f"canonical payload is a {type(config).__name__}, not a ScenarioConfig",
     )
     return config
-
-
-def small_scenario(seed: int = 2010, *, scale: float = 0.15, n_weeks: int = 30) -> ScenarioRun:
-    """A reduced run for tests: same landscape shape, sub-second-ish cost."""
-    config = ScenarioConfig(
-        n_weeks=n_weeks,
-        scale=scale,
-        deployment=DeploymentConfig(n_networks=10, sensors_per_network=3),
-    )
-    return PaperScenario(seed=seed, config=config).run()

@@ -316,15 +316,6 @@ def stage_spec(name: str) -> StageSpec:
     return _BY_NAME[name]
 
 
-def downstream_of(name: str) -> frozenset[str]:
-    """``name`` plus every stage reachable from it through ``parents``."""
-    affected = {stage_spec(name).name}
-    for spec in STAGES:
-        if any(parent in affected for parent in spec.parents):
-            affected.add(spec.name)
-    return frozenset(affected)
-
-
 def _check_topology() -> None:
     seen: set[str] = set()
     for spec in STAGES:

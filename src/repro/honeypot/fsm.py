@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.util.validation import require
 
@@ -92,9 +92,8 @@ class FSMNode:
         ``fixed_tokens`` is an :func:`operator.itemgetter` over the
         pattern's fixed positions (``None`` for an all-wildcard
         pattern) and ``expected`` is what it returns on the pattern
-        itself.  Edges are only ever appended (online learning,
-        :mod:`fsm_io`), so a change in ``len(edges)`` marks the index
-        stale.
+        itself.  Edges are only ever appended (online learning), so a
+        change in ``len(edges)`` marks the index stale.
         """
         by_length: dict[int, list[tuple]] = {}
         # A stable sort: equally specific edges keep their insertion order.
@@ -167,15 +166,6 @@ class FSMModel:
         if consumed == len(conversation):
             return node.node_id
         return UNKNOWN_PATH_ID
-
-    def iter_nodes(self) -> Iterable[FSMNode]:
-        """All states, pre-order."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            for _pattern, child in node.edges:
-                stack.append(child)
 
 
 def region_analysis(messages: Sequence[Message], min_support: int) -> list[Pattern]:

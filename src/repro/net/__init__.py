@@ -20,7 +20,6 @@ from repro.net.sampling import (
     UniformSampler,
     routable_slash8_blocks,
 )
-from repro.net.ports import KNOWN_SERVICE_PORTS, service_name
 
 __all__ = [
     "IPv4Address",
@@ -31,6 +30,4 @@ __all__ = [
     "SubnetConcentratedSampler",
     "UniformSampler",
     "routable_slash8_blocks",
-    "KNOWN_SERVICE_PORTS",
-    "service_name",
 ]

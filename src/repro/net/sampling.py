@@ -38,11 +38,6 @@ class AddressSampler(ABC):
     def sample(self, rng: random.Random) -> IPv4Address:
         """Draw one source address."""
 
-    def sample_many(self, rng: random.Random, count: int) -> list[IPv4Address]:
-        """Draw ``count`` addresses (with replacement)."""
-        require(count >= 0, "count must be >= 0")
-        return [self.sample(rng) for _ in range(count)]
-
     def sample_distinct(
         self, rng: random.Random, count: int, *, max_tries: int = 50
     ) -> list[IPv4Address]:

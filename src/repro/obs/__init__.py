@@ -92,7 +92,6 @@ from repro.obs.query import (
     QueryFrame,
     QueryResult,
     build_frame,
-    frame_from_payloads,
     run_query,
 )
 from repro.obs.trace import NULL_TRACER, Tracer, TraceSpan, current_tracer, use_tracer
@@ -137,7 +136,6 @@ __all__ = [
     "evaluate_health",
     "export_payload",
     "flame_view",
-    "frame_from_payloads",
     "get_logger",
     "iter_events",
     "jsonl_text",

@@ -227,16 +227,6 @@ class Report:
             counts[finding.severity] += 1
         return counts
 
-    def worst(self) -> str | None:
-        """Highest severity present, ``None`` on a clean report."""
-        return self.findings[0].severity if self.findings else None
-
-    def at_or_above(self, severity: str) -> list[Finding]:
-        """Findings at or above ``severity``."""
-        require(severity in SEVERITIES, f"unknown severity {severity!r}")
-        floor = _SEVERITY_RANK[severity]
-        return [f for f in self.findings if _SEVERITY_RANK[f.severity] >= floor]
-
     def as_dict(self) -> dict:
         return {
             "schema": self.schema,

@@ -94,6 +94,23 @@ class JsonLineFormatter(logging.Formatter):
         return json.dumps(payload, sort_keys=True, default=repr)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A console handler that writes to ``sys.stderr`` as it is at emit time.
+
+    Binding the stream at configuration time would keep writing to a
+    stream that has since been swapped out and closed (a test runner's
+    capture, a redirected CLI); stdlib's ``logging.lastResort`` looks
+    the stream up per record for the same reason.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> IO[str]:
+        return sys.stderr
+
+
 def configure_logging(
     level: str | int = "info",
     json_path: str | None = None,
@@ -103,7 +120,8 @@ def configure_logging(
     """Configure the library logger once; reconfiguring replaces handlers.
 
     ``level`` is a name (``"debug"``..``"error"``) or a stdlib level
-    int.  Console lines go to ``stream`` (default ``sys.stderr``);
+    int.  Console lines go to ``stream`` (default: whatever
+    ``sys.stderr`` is when each record is written);
     ``json_path``, if given, additionally appends one JSON object per
     record to that file.  Only handlers this function installed are
     replaced, so embedders' own handlers survive.  Returns the
@@ -120,7 +138,7 @@ def configure_logging(
         if getattr(handler, _MANAGED, False):
             logger.removeHandler(handler)
             handler.close()
-    console = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    console = logging.StreamHandler(stream) if stream is not None else _StderrHandler()
     console.setFormatter(ConsoleFormatter())
     setattr(console, _MANAGED, True)
     logger.addHandler(console)

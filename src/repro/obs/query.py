@@ -304,28 +304,6 @@ class QueryFrame:
         return self._digest
 
 
-def frame_from_payloads(
-    payloads: Sequence[Mapping],
-    windows: Sequence[Mapping | None] | None = None,
-) -> QueryFrame:
-    """A frame over bare manifest payloads (no store required).
-
-    The tests use this to run the regression detector over manifests
-    that were never persisted.
-    """
-    sidecars = list(windows) if windows is not None else [None] * len(payloads)
-    require(
-        len(sidecars) == len(payloads),
-        "windows must align with payloads one-to-one",
-    )
-    return QueryFrame(
-        [
-            _row_from_payload(payload, windows=sidecar)
-            for payload, sidecar in zip(payloads, sidecars)
-        ]
-    )
-
-
 def build_frame(
     store: RunStore,
     *,

@@ -56,11 +56,6 @@ class SectionSpec:
     def __post_init__(self) -> None:
         require(len(self.name.encode("latin-1")) <= 8, f"section name too long: {self.name!r}")
 
-    @property
-    def padded_name(self) -> str:
-        """The 8-byte NUL-padded name as it appears in the section table."""
-        return self.name + "\x00" * (8 - len(self.name))
-
 
 @dataclass(frozen=True)
 class PESpec:
@@ -143,11 +138,6 @@ class PESpec:
             replace(sec, name=name) for sec, name in zip(self.sections, names)
         )
         return replace(self, sections=new_sections)
-
-    def with_imports(self, imports: Mapping[str, Sequence[str]]) -> "PESpec":
-        """A copy with a different import table."""
-        frozen = {dll: tuple(symbols) for dll, symbols in imports.items()}
-        return replace(self, imports=frozen)
 
 
 @dataclass(frozen=True)

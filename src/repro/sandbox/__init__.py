@@ -31,11 +31,9 @@ from repro.sandbox.clustering import (
     similarity_graph,
 )
 from repro.sandbox.anubis import AnubisReport, AnubisService
-from repro.sandbox.reporting import diff_profiles, render_report, render_timeline
+from repro.sandbox.reporting import render_timeline
 
 __all__ = [
-    "diff_profiles",
-    "render_report",
     "render_timeline",
     "AnubisReport",
     "AnubisService",

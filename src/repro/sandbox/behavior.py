@@ -19,6 +19,11 @@ from repro.util.stats import jaccard
 Feature = tuple[str, str, str]
 
 
+def _profile_of(features: tuple[Feature, ...]) -> "BehaviorProfile":
+    """Unpickle a :class:`BehaviorProfile` from its sorted features."""
+    return BehaviorProfile(frozenset(features))
+
+
 @dataclass(frozen=True)
 class BehaviorProfile:
     """An immutable set of behavioural features for one execution."""
@@ -38,6 +43,11 @@ class BehaviorProfile:
 
     def __contains__(self, feature: Feature) -> bool:
         return feature in self.features
+
+    def __reduce__(self):
+        # A frozenset pickles in hash order, which follows the string-hash
+        # seed; sorted features make the pickled bytes independent of it.
+        return (_profile_of, (tuple(sorted(self.features)),))
 
     def similarity(self, other: "BehaviorProfile") -> float:
         """Jaccard similarity with another profile."""

@@ -51,10 +51,6 @@ class Environment:
         """Declare when ``domain`` resolves."""
         self.dns.setdefault(domain, []).extend(windows or [Window()])
 
-    def set_cnc_liveness(self, server: str, *windows: Window) -> None:
-        """Declare when C&C ``server`` accepts connections."""
-        self.cnc_liveness.setdefault(server, []).extend(windows or [Window()])
-
     def set_component_window(self, domain: str, path: str, *windows: Window) -> None:
         """Declare when a downloadable component is actually served."""
         self.component_windows.setdefault((domain, path), []).extend(

@@ -1,81 +1,10 @@
-"""Anubis-style analysis reports: a human-readable view of one profile.
+"""Text rendering of activity over time.
 
-The real service returns a sectioned report (file activities, registry
-activities, network activities, started processes...).  This module
-renders the same structure from a :class:`BehaviorProfile`, plus
-side-by-side diffs between two executions — the view an analyst uses to
-decide whether two samples, or two runs of one sample, really behave
-differently (the manual inspection step of §4.2).
+:func:`render_timeline` draws a cluster's weekly activity as one
+character per week, the text stand-in for Figure 5's timeline strips.
 """
 
 from __future__ import annotations
-
-from repro.sandbox.anubis import AnubisReport
-from repro.sandbox.behavior import BehaviorProfile
-
-_SECTION_TITLES = {
-    "file": "File activities",
-    "registry": "Registry activities",
-    "mutex": "Mutex activities",
-    "service": "Service activities",
-    "process": "Process activities",
-    "network": "Network activities",
-    "dns": "DNS activities",
-    "http": "HTTP activities",
-    "irc": "IRC activities",
-}
-
-
-def render_report(report: AnubisReport, *, max_per_section: int = 20) -> str:
-    """Render one sample's analysis as a sectioned text report."""
-    lines = [
-        "=" * 60,
-        f"Analysis report for sample {report.md5}",
-        f"submitted at t={report.submitted_at}, runs: {report.n_runs}",
-        "=" * 60,
-    ]
-    grouped = report.profile.by_category()
-    for category, features in grouped.items():
-        title = _SECTION_TITLES.get(category, f"{category.capitalize()} activities")
-        lines.append("")
-        lines.append(f"[{title}]")
-        for feature in features[:max_per_section]:
-            lines.append(f"  {feature[2]:<18} {feature[1]}")
-        hidden = len(features) - max_per_section
-        if hidden > 0:
-            lines.append(f"  ... ({hidden} more)")
-    return "\n".join(lines)
-
-
-def diff_profiles(
-    a: BehaviorProfile,
-    b: BehaviorProfile,
-    *,
-    label_a: str = "run A",
-    label_b: str = "run B",
-) -> str:
-    """Side-by-side diff of two behavioural profiles.
-
-    This is what the paper's analysts looked at manually: "looking at
-    the behavioural profiles of the samples affected by this anomaly, we
-    could not discern substantial differences".
-    """
-    only_a = sorted(a.features - b.features)
-    only_b = sorted(b.features - a.features)
-    shared = len(a.features & b.features)
-    lines = [
-        f"similarity: {a.similarity(b):.3f} "
-        f"({shared} shared, {len(only_a)} only in {label_a}, "
-        f"{len(only_b)} only in {label_b})"
-    ]
-    for title, features in ((f"only in {label_a}", only_a), (f"only in {label_b}", only_b)):
-        if features:
-            lines.append(f"[{title}]")
-            for feature in features[:25]:
-                lines.append(f"  {feature[0]}: {feature[2]} {feature[1]}")
-            if len(features) > 25:
-                lines.append(f"  ... ({len(features) - 25} more)")
-    return "\n".join(lines)
 
 
 def render_timeline(timeline: dict[int, int], *, n_weeks: int, width: int = 74) -> str:

@@ -12,13 +12,12 @@ from repro.util.stats import (
     burstiness,
     entropy,
     frequency,
-    gini,
     jaccard,
     normalized_entropy,
     quantile,
 )
 from repro.util.hashing import md5_hex, stable_hash64
-from repro.util.timegrid import TimeGrid, WEEK_SECONDS, week_index
+from repro.util.timegrid import TimeGrid, WEEK_SECONDS
 from repro.util.tables import TextTable, format_histogram
 from repro.util.validation import (
     ValidationError,
@@ -34,7 +33,6 @@ __all__ = [
     "timestamp",
     "entropy",
     "frequency",
-    "gini",
     "jaccard",
     "normalized_entropy",
     "quantile",
@@ -45,7 +43,6 @@ __all__ = [
     "stable_hash64",
     "TimeGrid",
     "WEEK_SECONDS",
-    "week_index",
     "TextTable",
     "format_histogram",
     "ValidationError",

@@ -16,11 +16,6 @@ def md5_hex(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
-def sha1_hex(data: bytes) -> str:
-    """Return the hex SHA-1 digest of ``data``."""
-    return hashlib.sha1(data).hexdigest()
-
-
 def stable_hash64(text: str, *, salt: str = "") -> int:
     """Return a process-stable unsigned 64-bit hash of ``text``.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -121,12 +121,6 @@ class RandomSource:
         if not items:
             raise ValueError("cannot choose from an empty sequence")
         return self.rng(*names).choice(items)
-
-    def shuffled(self, items: Iterable[T], *names: str | int) -> list[T]:
-        """Return a new list with ``items`` shuffled by the named substream."""
-        out = list(items)
-        self.rng(*names).shuffle(out)
-        return out
 
     def __getstate__(self) -> tuple[int, tuple[str, ...]]:
         # The cached prefix hasher is not picklable (and is pure

@@ -47,24 +47,6 @@ def normalized_entropy(counts: Mapping[Hashable, int] | Sequence[int]) -> float:
     return entropy(values) / math.log2(nonzero)
 
 
-def gini(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative sample (population inequality).
-
-    0 means perfectly even, values near 1 mean concentrated mass.
-    """
-    data = sorted(values)
-    require(len(data) > 0, "gini requires at least one value")
-    require(all(v >= 0 for v in data), "gini requires non-negative values")
-    total = sum(data)
-    if total == 0:
-        return 0.0
-    n = len(data)
-    cum = 0.0
-    for i, v in enumerate(data, start=1):
-        cum += i * v
-    return (2.0 * cum) / (n * total) - (n + 1.0) / n
-
-
 def jaccard(a: frozenset | set, b: frozenset | set) -> float:
     """Jaccard similarity of two sets; 1.0 when both are empty."""
     if not a and not b:

@@ -17,11 +17,6 @@ DAY_SECONDS = 86_400
 WEEK_SECONDS = 7 * DAY_SECONDS
 
 
-def week_index(timestamp: int, origin: int = 0) -> int:
-    """Return the zero-based week bucket of ``timestamp`` relative to ``origin``."""
-    return (timestamp - origin) // WEEK_SECONDS
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """An observation window [start, end) with day/week bucketing.
@@ -42,11 +37,6 @@ class TimeGrid:
         return self.end - self.start
 
     @property
-    def n_days(self) -> int:
-        """Number of (possibly partial) day buckets in the window."""
-        return -(-self.duration // DAY_SECONDS)
-
-    @property
     def n_weeks(self) -> int:
         """Number of (possibly partial) week buckets in the window."""
         return -(-self.duration // WEEK_SECONDS)
@@ -58,11 +48,6 @@ class TimeGrid:
     def clamp(self, timestamp: int) -> int:
         """Clamp ``timestamp`` into the window (end-exclusive)."""
         return max(self.start, min(self.end - 1, timestamp))
-
-    def day_of(self, timestamp: int) -> int:
-        """Zero-based day bucket of ``timestamp``."""
-        require(self.contains(timestamp), f"timestamp {timestamp} outside window")
-        return (timestamp - self.start) // DAY_SECONDS
 
     def week_of(self, timestamp: int) -> int:
         """Zero-based week bucket of ``timestamp``."""

@@ -28,7 +28,6 @@ class TestSensorCoverage:
         view = coverage.views()[0]
         assert view.n_sources <= view.n_events
         assert view.n_samples <= view.n_events
-        assert view.network_cidr.endswith("/24")
         assert len(view.m_clusters) <= small_run.epm.mu.n_clusters
 
     def test_accumulation_curve_monotone(self, coverage):

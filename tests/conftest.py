@@ -8,10 +8,41 @@ paying the full-scale simulation cost more than once.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.experiments.scenario import PaperScenario, ScenarioConfig, ScenarioRun
 from repro.honeypot.deployment import DeploymentConfig
+
+
+@pytest.fixture(scope="session")
+def _unconfigured_repro_logger():
+    """The shared 'repro' logger's state before any test configured it."""
+    logger = logging.getLogger("repro")
+    return list(logger.handlers), logger.level, logger.propagate
+
+
+@pytest.fixture(autouse=True)
+def _reset_repro_logger(_unconfigured_repro_logger):
+    """Return the 'repro' logger to its unconfigured state after each test.
+
+    A CLI call (in a test or a module fixture) configures it: level,
+    console handler, no propagation.  Without the reset every later test
+    would inherit that console output on its captured stderr.
+    """
+    yield
+    handlers, level, propagate = _unconfigured_repro_logger
+    logger = logging.getLogger("repro")
+    for handler in logger.handlers:
+        if handler not in handlers:
+            handler.close()
+    logger.handlers[:] = handlers
+    if logger.level != level:
+        # setLevel empties every logger's level cache, which a test that
+        # sizes module-level tables would count as growth.
+        logger.setLevel(level)
+    logger.propagate = propagate
 
 
 @pytest.fixture(scope="session")

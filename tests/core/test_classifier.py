@@ -52,19 +52,11 @@ class TestDimensionClustering:
         assert cid == 0
         assert clustering.cluster_of_pattern(("zz", "zz")) is None
 
-    def test_instance_of(self):
-        clustering = build_clustering({0: ("a", "x"), 1: ("a", "x")})
-        assert clustering.instance_of(0) == ("a", "x")
-
-    def test_describe_cluster(self):
-        clustering = build_clustering({0: ("a", "x"), 1: ("a", "x")})
-        assert clustering.describe_cluster(0) == "{f0='a', f1='x'}"
-
     def test_wildcard_in_description(self):
         clustering = build_clustering(
             {i: ("a", f"rnd{i}") for i in range(5)}
         )
-        assert "f1=*" in clustering.describe_cluster(0)
+        assert "f1=*" in clustering.clusters[0].describe(clustering.feature_names)
 
 
 class TestClusterInfo:

@@ -9,7 +9,6 @@ from repro.core.hierarchy import (
     Taxonomy,
     band_taxonomy,
     flat_taxonomy,
-    port_taxonomy,
 )
 from repro.util.validation import ValidationError
 
@@ -24,12 +23,6 @@ class TestTaxonomy:
         taxonomy = Taxonomy({445: Concept("netbios"), 139: Concept("netbios")})
         assert taxonomy.generalize(445) == Concept("netbios")
         assert taxonomy.generalize(Concept("netbios")) is ANY
-
-    def test_level_of(self):
-        taxonomy = Taxonomy({445: Concept("netbios")})
-        assert taxonomy.level_of(ANY) == 0
-        assert taxonomy.level_of(Concept("netbios")) == 1
-        assert taxonomy.level_of(445) == 2
 
     def test_covers(self):
         taxonomy = Taxonomy({445: Concept("netbios"), 139: Concept("netbios")})
@@ -53,11 +46,6 @@ class TestTaxonomy:
         with pytest.raises(ValidationError):
             band_taxonomy([1], width=0, label="x")
 
-    def test_port_taxonomy_groups_netbios(self):
-        taxonomy = port_taxonomy()
-        assert taxonomy.generalize(445) == taxonomy.generalize(139)
-        assert taxonomy.generalize(445) != taxonomy.generalize(80)
-
 
 class TestAOIMiner:
     def test_strong_patterns_survive_verbatim(self):
@@ -78,11 +66,9 @@ class TestAOIMiner:
         instances = [("scan", 445)] * 4 + [("scan", 139)] * 4 + [("web", 80)] * 12
         result = AOIMiner(
             ["tool", "port"],
-            {"port": port_taxonomy()},
+            {"port": Taxonomy({445: Concept("netbios-class"), 139: Concept("netbios-class")})},
             min_size=6,
         ).fit(instances)
-        from repro.core.hierarchy import Concept
-
         assert ("scan", Concept("netbios-class")) in result.patterns
         assert ("web", 80) in result.patterns
 

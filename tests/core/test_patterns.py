@@ -14,6 +14,8 @@ from repro.core.patterns import (
 )
 from repro.util.validation import ValidationError
 
+from tests.helpers import matching_patterns
+
 LOOSE = InvariantPolicy(min_instances=2, min_sources=1, min_sensors=1)
 
 
@@ -78,7 +80,7 @@ class TestDiscovery:
         patterns = PatternSet.discover(instances, invariants)
         assert (WILDCARD, 2, 3) in patterns
         assert (WILDCARD, WILDCARD, 3) in patterns
-        matched = patterns.matching_patterns(("u9", 2, 3))
+        matched = matching_patterns(patterns, ("u9", 2, 3))
         assert matched[0] == (WILDCARD, 2, 3)
         assert (WILDCARD, WILDCARD, 3) in matched
         assert patterns.classify(("u9", 2, 3), invariants) == (WILDCARD, 2, 3)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.features import Dimension, FeatureSet, default_feature_sets, pi_features
 from repro.egpm.columnar import ColumnarBuilder, events_to_columnar
-from repro.egpm.dataset import SGNetDataset
 from repro.egpm.events import (
     AttackEvent,
     ExploitObservable,
@@ -17,6 +16,8 @@ from repro.egpm.events import (
 )
 from repro.net.address import IPv4Address
 from repro.util.validation import ValidationError
+
+from tests.helpers import dataset_from_events
 
 
 def _event(event_id, *, path=1, port=445, proto="tcp", md5_byte="a"):
@@ -56,7 +57,7 @@ class TestRoundTrip:
             assert store.dimensions[dimension].observations() == expected
 
     def test_dataset_to_columnar_round_trip(self):
-        dataset = SGNetDataset.from_events(_events())
+        dataset = dataset_from_events(_events())
         store = dataset.to_columnar()
         assert store.n_events == len(dataset)
         assert list(store.event_ids) == [e.event_id for e in dataset]
@@ -67,7 +68,7 @@ class TestRoundTrip:
             assert decoded == store.dimensions[Dimension.EPSILON].value_tuples()[row]
 
     def test_view_cached_until_mutation(self):
-        dataset = SGNetDataset.from_events(_events(4))
+        dataset = dataset_from_events(_events(4))
         first = dataset.to_columnar()
         assert dataset.to_columnar() is first
         dataset.add_event(_event(4))

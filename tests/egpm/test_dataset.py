@@ -6,6 +6,7 @@ from repro.egpm.dataset import SGNetDataset
 from repro.util.validation import ValidationError
 
 from tests.egpm.test_events import make_event
+from tests.helpers import load_jsonl
 
 
 class TestIngestion:
@@ -62,13 +63,6 @@ class TestQueries:
     def test_events_for_unknown_sample(self, dataset):
         assert dataset.events_for_sample("0" * 32) == []
 
-    def test_events_from_source(self, dataset):
-        assert len(dataset.events_from_source(0x01020304)) == 4
-        assert dataset.events_from_source(0x05060708) == []
-
-    def test_events_on_sensor(self, dataset):
-        assert len(dataset.events_on_sensor(0x0A0B0C0D)) == 4
-
     def test_select(self, dataset):
         assert len(dataset.select(lambda e: e.event_id % 2 == 0)) == 2
 
@@ -94,23 +88,10 @@ class TestPersistence:
         path = tmp_path / "events.jsonl"
         written = dataset.save_jsonl(path)
         assert written == 3
-        loaded = SGNetDataset.load_jsonl(path)
+        loaded = load_jsonl(path)
         assert len(loaded) == 3
         assert loaded.events == dataset.events
         assert set(loaded.samples) == set(dataset.samples)
-
-    def test_jsonl_skips_blank_lines(self, tmp_path):
-        dataset = SGNetDataset()
-        dataset.add_event(make_event(0))
-        path = tmp_path / "events.jsonl"
-        dataset.save_jsonl(path)
-        path.write_text(path.read_text() + "\n\n")
-        assert len(SGNetDataset.load_jsonl(path)) == 1
-
-    def test_from_events(self):
-        events = [make_event(0), make_event(1)]
-        dataset = SGNetDataset.from_events(events)
-        assert len(dataset) == 2
 
 
 class TestRealisticDataset:

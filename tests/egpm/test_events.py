@@ -76,27 +76,6 @@ class TestObservables:
         assert {i.value for i in InteractionType} == {"push", "pull", "central"}
 
 
-class TestAttackEvent:
-    def test_has_sample_flags(self):
-        assert make_event().has_valid_sample
-        assert not make_event(with_malware=False).has_sample
-
-    def test_corrupted_not_valid(self):
-        event = make_event()
-        corrupted = MalwareObservable(
-            md5=event.malware.md5, size=10, magic="data", pe=None, corrupted=True
-        )
-        event2 = AttackEvent(
-            event_id=1,
-            timestamp=1,
-            source=event.source,
-            sensor=event.sensor,
-            exploit=event.exploit,
-            malware=corrupted,
-        )
-        assert event2.has_sample and not event2.has_valid_sample
-
-
 class TestSampleRecord:
     def test_record_event_updates_span(self):
         event = make_event()

@@ -93,7 +93,6 @@ class TestVirusTotalService:
         first = service.scan("a" * 32, TRUTH, {})
         second = service.scan("a" * 32, TRUTH, {})
         assert first is second
-        assert service.n_scanned == 1
 
     def test_equal_labels_are_one_string(self):
         service = VirusTotalService()
@@ -107,16 +106,6 @@ class TestVirusTotalService:
         assert len(labels) > len(set(labels))
         assert len({id(label) for label in labels}) == len(set(labels))
         assert set(shared) == set(labels)
-
-    def test_detection_count(self):
-        service = VirusTotalService()
-        service.scan("a" * 32, TRUTH, {})
-        count = service.detection_count("a" * 32)
-        assert 0 <= count <= len(default_engines())
-
-    def test_detection_count_requires_scan(self):
-        with pytest.raises(ValidationError):
-            VirusTotalService().detection_count("a" * 32)
 
     def test_vendor_aliasing_in_defaults(self):
         service = VirusTotalService()

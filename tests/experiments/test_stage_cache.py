@@ -31,7 +31,6 @@ from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.experiments.stages import (
     STAGE_NAMES,
     STAGES,
-    downstream_of,
     replay_plan,
     stage_spec,
 )
@@ -54,6 +53,15 @@ ALL = frozenset(STAGE_NAMES)
 def _variant(**overrides) -> ScenarioConfig:
     """``BASE`` with the given fields replaced."""
     return replace(BASE, **overrides)
+
+
+def _downstream_of(name: str) -> frozenset[str]:
+    """``name`` plus every stage reachable from it through ``parents``."""
+    affected = {stage_spec(name).name}
+    for spec in STAGES:
+        if any(parent in affected for parent in spec.parents):
+            affected.add(spec.name)
+    return frozenset(affected)
 
 
 #: One row per ScenarioConfig dependency key: the perturbed config and
@@ -149,7 +157,7 @@ class TestStageFingerprints:
         for key, expected in literal.items():
             declaring = [spec.name for spec in STAGES if key in spec.config_keys]
             assert declaring, f"matrix row {key!r} matches no stage declaration"
-            derived = frozenset().union(*(downstream_of(name) for name in declaring))
+            derived = frozenset().union(*(_downstream_of(name) for name in declaring))
             assert derived == expected
 
 

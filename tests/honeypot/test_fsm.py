@@ -12,7 +12,6 @@ from repro.honeypot.fsm import (
     pattern_matches,
     region_analysis,
 )
-from repro.honeypot.fsm_io import model_from_json, model_to_json
 from repro.malware.propagation import ExploitSpec, choice, fixed, rand
 from repro.util.validation import ValidationError
 
@@ -93,7 +92,7 @@ class TestFSMModel:
         model = FSMModel()
         child = model.new_node(1)
         model.add_edge(model.root, ("A",), child)
-        assert len(list(model.iter_nodes())) == 2
+        assert len(list(_iter_nodes(model))) == 2
         assert model.n_states == 2
         assert model.n_edges == 1
 
@@ -240,8 +239,16 @@ def _probes(node, rng):
     return probes
 
 
+def _iter_nodes(model):
+    stack = [model.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for _pattern, child in node.edges)
+
+
 def _assert_index_matches_reference(model, rng):
-    for node in model.iter_nodes():
+    for node in _iter_nodes(model):
         for message in _probes(node, rng):
             assert node.match_edge(message) is _linear_match_edge(node, message)
 
@@ -299,18 +306,6 @@ class TestIndexedEdgeMatch:
         assert 0 < indexed_root_edges < len(root.edges)
         _assert_index_matches_reference(learner.model, probe_rng)
 
-    def test_matches_linear_reference_after_fsm_io_load(self):
-        learner = FSMLearner(refine_threshold=12, min_support=3)
-        rng = random.Random(7)
-        for step in range(180):
-            learner.observe(self.SPECS[step % len(self.SPECS)].generate_conversation(rng))
-        learner.flush()
-        loaded = model_from_json(model_to_json(learner.model))
-        _assert_index_matches_reference(loaded, random.Random(8))
-        for step in range(60):
-            conversation = self.SPECS[step % len(self.SPECS)].generate_conversation(rng)
-            assert loaded.classify(conversation) == learner.model.classify(conversation)
-
     def test_pickle_carries_no_index(self):
         learner = FSMLearner(refine_threshold=12, min_support=3)
         rng = random.Random(9)
@@ -326,6 +321,6 @@ class TestIndexedEdgeMatch:
         payload = pickle.dumps(model)
         assert b"_by_length" not in payload and b"_indexed_edges" not in payload
         restored = pickle.loads(payload)
-        assert all("_by_length" not in node.__dict__ for node in restored.iter_nodes())
+        assert all("_by_length" not in node.__dict__ for node in _iter_nodes(restored))
         assert [restored.classify(c) for c in conversations] == expected
         _assert_index_matches_reference(restored, random.Random(10))

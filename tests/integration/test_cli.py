@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.helpers import load_jsonl
+
 
 COMMON = ["--scale", "0.06", "--weeks", "16", "--seed", "5"]
 
@@ -23,9 +25,7 @@ class TestCli:
         assert main(["run", *COMMON, "--out", str(out_file)]) == 0
         assert out_file.exists()
         assert "wrote" in capsys.readouterr().out
-        from repro.egpm.dataset import SGNetDataset
-
-        assert len(SGNetDataset.load_jsonl(out_file)) > 0
+        assert len(load_jsonl(out_file)) > 0
 
     def test_evasion(self, capsys):
         assert main(["evasion", "--variants", "3", "--weeks", "5", "--seed", "3"]) == 0

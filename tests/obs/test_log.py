@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import sys
 
 import pytest
 
@@ -12,17 +13,6 @@ from repro.obs.log import (
     configure_logging,
     get_logger,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_repro_logger():
-    """Leave the shared 'repro' logger the way the session found it."""
-    logger = logging.getLogger("repro")
-    saved = list(logger.handlers)
-    saved_level = logger.level
-    yield
-    logger.handlers[:] = saved
-    logger.setLevel(saved_level)
 
 
 def _record(message: str, **fields) -> logging.LogRecord:
@@ -109,6 +99,16 @@ class TestConfigureLogging:
             entry["message"] == "structured" and entry["events"] == 7
             for entry in lines
         )
+
+    def test_default_console_follows_a_swapped_stderr(self, monkeypatch):
+        first = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        configure_logging("info")
+        first.close()
+        second = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", second)
+        get_logger("test").info("after the swap")
+        assert second.getvalue() == "[info   ] repro.test: after the swap\n"
 
     def test_does_not_touch_the_root_logger(self):
         before = list(logging.getLogger().handlers)

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.experiments.cache import ScenarioCache, cached_run
-from repro.experiments.scenario import (
-    PaperScenario,
-    ScenarioConfig,
-    small_scenario,
-)
+from repro.experiments.scenario import PaperScenario, ScenarioConfig
 from repro.honeypot.deployment import DeploymentConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.events import read_events
@@ -26,10 +22,17 @@ TINY = ScenarioConfig(
     deployment=DeploymentConfig(n_networks=6, sensors_per_network=2),
 )
 
+#: The run the metric checks read: ten weeks over a 10 x 3 deployment.
+SMALL = ScenarioConfig(
+    n_weeks=10,
+    scale=0.08,
+    deployment=DeploymentConfig(n_networks=10, sensors_per_network=3),
+)
+
 
 @pytest.fixture(scope="module")
 def tiny_run():
-    return small_scenario(seed=7, scale=0.08, n_weeks=10)
+    return PaperScenario(seed=7, config=SMALL).run()
 
 
 class TestScenarioMetrics:
@@ -60,7 +63,7 @@ class TestScenarioMetrics:
         ) == tiny_run.bclusters.n_clusters
 
     def test_counters_and_gauges_deterministic_per_seed(self, tiny_run):
-        again = small_scenario(seed=7, scale=0.08, n_weeks=10)
+        again = PaperScenario(seed=7, config=SMALL).run()
         # Counters and gauges are pure functions of the seed; only the
         # latency sketches may differ between runs.
         assert again.metrics.counters == tiny_run.metrics.counters
@@ -68,7 +71,7 @@ class TestScenarioMetrics:
 
     def test_disabled_observability_leaves_artifacts_untouched(self, tiny_run):
         with obs_metrics.use(MetricsRegistry()):
-            recorded = small_scenario(seed=7, scale=0.08, n_weeks=10)
+            recorded = PaperScenario(seed=7, config=SMALL).run()
         assert artifact_digests(recorded) == artifact_digests(tiny_run)
 
     def test_telemetry_knobs_change_no_artifact(self, tiny_run, tmp_path, capsys):

@@ -12,7 +12,6 @@ from repro.obs.query import (
     QueryFrame,
     aggregate,
     build_frame,
-    frame_from_payloads,
     parse_target,
     resolve_target,
     run_query,
@@ -20,6 +19,8 @@ from repro.obs.query import (
 from repro.obs.windows import WINDOW_SERIES, WindowReport
 from repro.util.canonical import flatten_canonical
 from repro.util.validation import ValidationError
+
+from tests.helpers import frame_from_payloads
 
 
 def _manifest(
@@ -237,10 +238,6 @@ class TestQueryFrame:
         column = frame.column("metric:lsh.clusters")
         assert column == [9.0, 12.0]
         assert frame.column("metric:lsh.clusters") is column
-
-    def test_payload_and_windows_must_align(self):
-        with pytest.raises(ValidationError):
-            frame_from_payloads([_manifest().as_dict()], windows=[None, None])
 
 
 class TestStoreFrame:

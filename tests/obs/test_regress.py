@@ -21,9 +21,10 @@ from repro.obs.health import (
     run_regression,
 )
 from repro.obs.manifest import RunManifest
-from repro.obs.query import frame_from_payloads
 from repro.util.canonical import canonical_digest
 from repro.util.validation import ValidationError
+
+from tests.helpers import frame_from_payloads
 
 BAND = Rule("clusters", "metric:lsh.clusters", "critical", "band", 1.25)
 EWMA = Rule("clusters", "metric:lsh.clusters", "critical", "ewma", 4.0)
@@ -308,10 +309,6 @@ class TestRunRegression:
         assert severities == sorted(
             severities, key=["critical", "warning", "info"].index
         )
-        assert report.worst() == "critical"
-        assert len(report.at_or_above("critical")) < len(
-            report.at_or_above("warning")
-        )
 
     def test_real_manifest_replays_are_silent_and_a_bump_flags(self):
         # The synthetic series above carry one gauge; a real smoke
@@ -396,7 +393,6 @@ class TestRegressionReport:
             frame_from_payloads(_series_payloads([9.0, 9.0]))
         )
         assert "clean" in report.render()
-        assert report.worst() is None
         assert report.summary() == {"info": 0, "warning": 0, "critical": 0}
 
     @pytest.mark.parametrize(

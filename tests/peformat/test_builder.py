@@ -32,8 +32,8 @@ class TestMinimumFileSize:
 
     def test_grows_with_imports(self):
         small = PESpec()
-        big = small.with_imports(
-            {f"LIB{i}.dll": tuple(f"Sym{j}" for j in range(40)) for i in range(8)}
+        big = PESpec(
+            imports={f"LIB{i}.dll": tuple(f"Sym{j}" for j in range(40)) for i in range(8)}
         )
         assert minimum_file_size(big) >= minimum_file_size(small)
 
@@ -99,7 +99,7 @@ ORACLE_SPECS = [
     PESpec(sections=(SectionSpec(".text"),), file_size=8192),
     PESpec(sections=tuple(SectionSpec(f"s{i}") for i in range(8)), file_size=65_536),
     PESpec().with_size(minimum_file_size(PESpec())),
-    PESpec().with_imports({"KERNEL32.dll": ("GetProcAddress",), "WS2_32.dll": ("send",)}),
+    PESpec(imports={"KERNEL32.dll": ("GetProcAddress",), "WS2_32.dll": ("send",)}),
 ]
 ORACLE_SEEDS = [0, 1, 7, 2**40 + 3, derive_seed(5, "content")]
 

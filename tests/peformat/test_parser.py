@@ -44,11 +44,11 @@ class TestParseRoundTrip:
         assert info.kernel32_symbols == ("GetProcAddress", "LoadLibraryA")
 
     def test_multi_dll_imports(self):
-        spec = PESpec().with_imports(
-            {
-                "KERNEL32.dll": ["GetProcAddress"],
-                "WS2_32.dll": ["socket", "connect"],
-                "ADVAPI32.dll": ["RegOpenKeyA"],
+        spec = PESpec(
+            imports={
+                "KERNEL32.dll": ("GetProcAddress",),
+                "WS2_32.dll": ("socket", "connect"),
+                "ADVAPI32.dll": ("RegOpenKeyA",),
             }
         )
         info = parse_pe(build_pe(spec, 1))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.peformat.builder import build_pe
+from repro.peformat.parser import parse_pe
 from repro.peformat.structures import (
     MACHINE_I386,
     PEInfo,
@@ -11,12 +13,17 @@ from repro.peformat.structures import (
 from repro.util.validation import ValidationError
 
 
+def _stored_section_names(*names):
+    spec = PESpec(sections=tuple(SectionSpec(name) for name in names))
+    return parse_pe(build_pe(spec, 0)).section_names
+
+
 class TestSectionSpec:
     def test_padded_name(self):
-        assert SectionSpec(".text").padded_name == ".text\x00\x00\x00"
+        assert _stored_section_names(".text") == (".text\x00\x00\x00",)
 
     def test_eight_char_name_not_padded(self):
-        assert SectionSpec("ABCDEFGH").padded_name == "ABCDEFGH"
+        assert _stored_section_names("ABCDEFGH") == ("ABCDEFGH",)
 
     def test_rejects_long_name(self):
         with pytest.raises(ValidationError):
@@ -59,11 +66,6 @@ class TestPESpec:
     def test_with_sections_arity_checked(self):
         with pytest.raises(ValidationError):
             PESpec().with_sections(["only-one"])
-
-    def test_with_imports(self):
-        spec = PESpec().with_imports({"USER32.dll": ["MessageBoxA"]})
-        assert spec.n_dlls == 1
-        assert spec.imports["USER32.dll"] == ("MessageBoxA",)
 
     def test_rejects_no_sections(self):
         with pytest.raises(ValidationError):

@@ -64,6 +64,6 @@ class TestTaxonomyProperties:
     @settings(max_examples=50)
     def test_levels_strictly_decrease(self, value):
         taxonomy = band_taxonomy([value], width=10, label="x")
-        level = taxonomy.level_of(value)
-        assert level == 2
-        assert taxonomy.level_of(taxonomy.generalize(value)) == 1
+        concept = taxonomy.generalize(value)
+        assert concept is not ANY
+        assert taxonomy.generalize(concept) is ANY

@@ -18,6 +18,8 @@ from repro.core.patterns import (
 )
 from repro.egpm.columnar import Vocabulary
 
+from tests.helpers import matching_patterns
+
 #: Small alphabets make value collisions (and thus invariants) common.
 values = st.sampled_from(["a", "b", "c", "d", "e", None, 0, 1])
 instances3 = st.lists(
@@ -56,7 +58,7 @@ class TestMaskProperties:
         for instance in instances:
             assigned = patterns.classify(instance, invariants)
             best = max(
-                (specificity(p) for p in patterns.matching_patterns(instance)),
+                (specificity(p) for p in matching_patterns(patterns, instance)),
                 default=0,
             )
             assert specificity(assigned) == best
@@ -68,7 +70,7 @@ class TestMaskProperties:
         invariants, patterns = build(instances)
         for instance in instances[:10]:
             mask = mask_instance(instance, invariants)
-            for pattern in patterns.matching_patterns(instance):
+            for pattern in matching_patterns(patterns, instance):
                 assert generalizes(pattern, mask)
 
     @given(instances3)

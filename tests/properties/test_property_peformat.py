@@ -77,7 +77,7 @@ class TestRoundTrip:
         assert info.n_sections == spec.n_sections
         assert info.os_version == spec.os_version
         assert info.linker_version == spec.linker_version
-        assert info.section_names == tuple(s.padded_name for s in spec.sections)
+        assert info.section_names == tuple(s.name.ljust(8, "\x00") for s in spec.sections)
         assert info.imports == {dll: tuple(syms) for dll, syms in spec.imports.items()}
         assert info.file_size == spec.file_size
 

@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.egpm.dataset import SGNetDataset
 from repro.egpm.events import (
     AttackEvent,
     ExploitObservable,
@@ -15,7 +14,9 @@ from repro.egpm.events import (
     event_to_dict,
 )
 from repro.net.address import IPv4Address, ip_from_string, ip_to_string
-from repro.util.stats import burstiness, gini, normalized_entropy
+from repro.util.stats import burstiness, normalized_entropy
+
+from tests.helpers import dataset_from_events, load_jsonl
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
@@ -103,19 +104,14 @@ class TestEventCodec:
             )
             for i, e in enumerate(event_list)
         ]
-        dataset = SGNetDataset.from_events(renumbered)
+        dataset = dataset_from_events(renumbered)
         path = tmp_path_factory.mktemp("jsonl") / "events.jsonl"
         dataset.save_jsonl(path)
-        loaded = SGNetDataset.load_jsonl(path)
+        loaded = load_jsonl(path)
         assert loaded.events == dataset.events
 
 
 class TestStatsBounds:
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=50))
-    @settings(max_examples=100)
-    def test_gini_bounds(self, values):
-        assert 0.0 <= gini(values) <= 1.0
-
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
     @settings(max_examples=100)
     def test_normalized_entropy_bounds(self, counts):

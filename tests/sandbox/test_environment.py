@@ -50,8 +50,7 @@ class TestEnvironment:
         assert Environment().cnc_live("1.2.3.4", 0)
 
     def test_cnc_liveness_windows(self):
-        env = Environment()
-        env.set_cnc_liveness("1.2.3.4", Window(0, 100))
+        env = Environment(cnc_liveness={"1.2.3.4": [Window(0, 100)]})
         assert env.cnc_live("1.2.3.4", 99)
         assert not env.cnc_live("1.2.3.4", 200)
 

@@ -94,8 +94,7 @@ class TestEnvironmentDependence:
         assert ("http", "http://iliketay.cn/load/two.exe", "download_failed") in late
 
     def test_cnc_liveness(self):
-        env = Environment()
-        env.set_cnc_liveness("9.9.9.9", Window(0, 100))
+        env = Environment(cnc_liveness={"9.9.9.9": [Window(0, 100)]})
         template = BehaviorTemplate(cnc=CnCSpec(server="9.9.9.9", port=6667, room="#r"))
         sandbox = _sandbox(env)
         live = sandbox.execute(template, time=10, run_seed=1)

@@ -1,67 +1,6 @@
-"""Tests for Anubis-style report rendering."""
+"""Tests for the activity timeline rendering."""
 
-from repro.sandbox.anubis import AnubisReport
-from repro.sandbox.behavior import BehaviorProfile
-from repro.sandbox.reporting import diff_profiles, render_report, render_timeline
-
-
-def _profile(*features):
-    return BehaviorProfile.from_features(features)
-
-
-class TestRenderReport:
-    def _report(self):
-        profile = _profile(
-            ("file", r"C:\a.exe", "create"),
-            ("registry", r"HKLM\Run\a", "set_value"),
-            ("irc", "irc://1.2.3.4:6667/#x", "join"),
-        )
-        return AnubisReport(md5="a" * 32, submitted_at=100, profile=profile)
-
-    def test_sections_present(self):
-        text = render_report(self._report())
-        assert "[File activities]" in text
-        assert "[Registry activities]" in text
-        assert "[IRC activities]" in text
-
-    def test_sample_identity_shown(self):
-        assert "a" * 32 in render_report(self._report())
-
-    def test_truncation(self):
-        profile = BehaviorProfile.from_features(
-            ("file", f"f{i}", "create") for i in range(50)
-        )
-        report = AnubisReport(md5="b" * 32, submitted_at=0, profile=profile)
-        text = render_report(report, max_per_section=10)
-        assert "(40 more)" in text
-
-    def test_unknown_category_gets_generic_title(self):
-        report = AnubisReport(
-            md5="c" * 32, submitted_at=0, profile=_profile(("custom", "x", "y"))
-        )
-        assert "[Custom activities]" in render_report(report)
-
-
-class TestDiffProfiles:
-    def test_identical(self):
-        p = _profile(("file", "a", "create"))
-        text = diff_profiles(p, p)
-        assert "similarity: 1.000" in text
-        assert "only in" not in text.split("\n", 1)[1] if "\n" in text else True
-
-    def test_disjoint(self):
-        a = _profile(("file", "a", "create"))
-        b = _profile(("file", "b", "create"))
-        text = diff_profiles(a, b, label_a="first", label_b="second")
-        assert "similarity: 0.000" in text
-        assert "[only in first]" in text
-        assert "[only in second]" in text
-
-    def test_counts(self):
-        a = _profile(("file", "a", "c"), ("file", "shared", "c"))
-        b = _profile(("file", "b", "c"), ("file", "shared", "c"))
-        text = diff_profiles(a, b)
-        assert "1 shared" in text
+from repro.sandbox.reporting import render_timeline
 
 
 class TestRenderTimeline:

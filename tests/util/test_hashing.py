@@ -2,7 +2,7 @@
 
 import hashlib
 
-from repro.util.hashing import md5_hex, sha1_hex, stable_hash64
+from repro.util.hashing import md5_hex, stable_hash64
 
 
 class TestMd5Hex:
@@ -14,11 +14,6 @@ class TestMd5Hex:
 
     def test_distinct_inputs(self):
         assert md5_hex(b"a") != md5_hex(b"b")
-
-
-class TestSha1Hex:
-    def test_matches_hashlib(self):
-        assert sha1_hex(b"abc") == hashlib.sha1(b"abc").hexdigest()
 
 
 class TestStableHash64:

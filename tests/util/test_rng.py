@@ -74,12 +74,6 @@ class TestRandomSource:
         items = ["a", "b", "c", "d"]
         assert RandomSource(1).choice(items, "c") == RandomSource(1).choice(items, "c")
 
-    def test_shuffled_returns_new_list(self):
-        items = [1, 2, 3, 4, 5]
-        out = RandomSource(1).shuffled(items, "s")
-        assert sorted(out) == items
-        assert out is not items
-
     def test_path_property(self):
         assert RandomSource(1).child("a", "b").path == ("a", "b")
 

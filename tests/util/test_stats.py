@@ -6,7 +6,6 @@ from repro.util.stats import (
     burstiness,
     entropy,
     frequency,
-    gini,
     jaccard,
     normalized_entropy,
     quantile,
@@ -59,25 +58,6 @@ class TestNormalizedEntropy:
 
     def test_concentration_lowers_it(self):
         assert normalized_entropy([100, 1, 1]) < normalized_entropy([34, 34, 34])
-
-
-class TestGini:
-    def test_even_is_zero(self):
-        assert gini([1, 1, 1, 1]) == pytest.approx(0.0)
-
-    def test_concentrated_is_high(self):
-        assert gini([0, 0, 0, 100]) > 0.7
-
-    def test_all_zero(self):
-        assert gini([0, 0]) == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            gini([-1, 2])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            gini([])
 
 
 class TestJaccard:

@@ -3,25 +3,11 @@
 import pytest
 
 from repro.util.timegrid import (
-    DAY_SECONDS,
     PAPER_WINDOW,
     WEEK_SECONDS,
     TimeGrid,
-    week_index,
 )
 from repro.util.validation import ValidationError
-
-
-class TestWeekIndex:
-    def test_zero(self):
-        assert week_index(0) == 0
-
-    def test_boundary(self):
-        assert week_index(WEEK_SECONDS - 1) == 0
-        assert week_index(WEEK_SECONDS) == 1
-
-    def test_origin_shift(self):
-        assert week_index(WEEK_SECONDS, origin=WEEK_SECONDS) == 0
 
 
 class TestTimeGrid:
@@ -37,9 +23,6 @@ class TestTimeGrid:
 
     def test_n_weeks_partial_rounds_up(self):
         assert TimeGrid(0, 4 * WEEK_SECONDS + 1).n_weeks == 5
-
-    def test_n_days(self):
-        assert TimeGrid(0, 2 * DAY_SECONDS).n_days == 2
 
     def test_contains(self):
         grid = TimeGrid(10, 20)
@@ -63,10 +46,6 @@ class TestTimeGrid:
         grid = TimeGrid(0, WEEK_SECONDS)
         with pytest.raises(ValidationError):
             grid.week_of(WEEK_SECONDS)
-
-    def test_day_of(self):
-        grid = TimeGrid(0, WEEK_SECONDS)
-        assert grid.day_of(DAY_SECONDS * 3 + 10) == 3
 
     def test_week_start(self):
         grid = TimeGrid(100, 100 + 5 * WEEK_SECONDS)
