@@ -15,7 +15,7 @@ Usage::
 import argparse
 
 from repro.experiments import PaperScenario, ScenarioConfig, cached_run, headline
-from repro.obs import configure_logging, get_logger
+from repro.obs import configure_logging, flame_view, get_logger
 from repro.util.tables import format_histogram
 
 
@@ -44,7 +44,7 @@ def main() -> None:
         "pipeline built",
         extra={"events": len(run.dataset), "b_clusters": run.bclusters.n_clusters},
     )
-    print(run.trace.render())
+    print(flame_view(run.trace))
 
     _measured, text = headline(run)
     print()

@@ -14,9 +14,10 @@
     python -m repro run --out events.jsonl   # dump the enriched dataset
 
 All commands accept ``--seed`` (default 2010), ``--scale`` (default 1.0)
-and ``--weeks`` (default 74), plus ``--timings`` to print
-the per-stage trace tree, and ``--cache`` / ``--no-cache`` to reuse a
-previously built scenario from the artifact cache.  The cache keeps
+and ``--weeks`` (default 74), plus ``--timings`` to print the
+flamegraph view of the run's span tree, and ``--cache`` /
+``--no-cache`` to reuse a previously built scenario from the artifact
+cache.  The cache keeps
 each artifact once, in the per-stage store: a whole-run hit reads a
 small run record plus the stage entries the run uses, and a whole-run
 miss replays every pipeline stage whose content-addressed fingerprint
@@ -30,9 +31,9 @@ writes the run's manifest (fingerprint, span tree, artifact digests) to
 ``manifest.json``, ``--store-run`` appends the manifest to the
 longitudinal run store (``results/runs`` or ``$REPRO_RUNS_DIR``),
 ``--events PATH`` streams live pipeline events (stage opens/closes,
-cache interactions, cluster milestones) to a tailable JSON-lines
-file, and ``--progress`` prints a line per run start, stage finish and
-run finish to stderr.
+cache interactions, cluster milestones) to a JSON-lines file that
+``repro obs dashboard PATH --follow`` reads live, and ``--progress``
+prints a line per run start, stage finish and run finish to stderr.
 
 The artifact caches live under ``repro cache``::
 
@@ -45,16 +46,14 @@ The longitudinal toolkit lives under ``repro obs``::
     python -m repro obs list                    # stored runs
     python -m repro obs diff A B                # digests, metrics, per-stage cost
     python -m repro obs diff A B --json         # the same, machine-readable
-    python -m repro obs history lsh.clusters    # drift time series per config
-    python -m repro obs tail events.jsonl --follow  # live event stream
     python -m repro obs export RUN                # OpenMetrics text
     python -m repro obs export RUN --format chrome --out t.json  # Perfetto
     python -m repro obs export RUN --format flame   # flamegraph text view
     python -m repro obs health RUN                  # SLO/anomaly report
     python -m repro obs dashboard RUN               # landscape sparklines
     python -m repro obs dashboard events.jsonl -f   # live landscape + machine
-    python -m repro obs query 'metric:lsh.clusters' --agg p50  # cross-run analytics
-    python -m repro obs regress --fail-on critical  # trend-aware regression scan
+    python -m repro obs query 'metric:lsh.clusters' --agg mean  # per-run values
+    python -m repro obs regress --targets metric:lsh.clusters  # its trend flags
     python -m repro obs validate --runs results/runs
 """
 
@@ -79,8 +78,10 @@ from repro.experiments.scenario import PaperScenario, ScenarioConfig, ScenarioRu
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import EXPORT_FORMATS
+from repro.obs.health import SEVERITIES
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import flame_view
 from repro.obs.validate import add_arguments as add_validate_arguments
 
 log = get_logger("cli")
@@ -120,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--timings",
             action="store_true",
-            help="print the per-stage trace tree to stderr after the run",
+            help="print the flamegraph view of the run's span tree "
+            "(wall, CPU and peak RSS per span) to stderr after the run",
         )
         p.add_argument(
             "--cache",
@@ -165,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             default=None,
             help="stream live pipeline events (JSON lines) to PATH; "
-            "tail it with 'repro obs tail PATH --follow'",
+            "watch it with 'repro obs dashboard PATH --follow'",
         )
         p.add_argument(
             "--progress",
@@ -346,6 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
             help="print the machine-readable report instead of the text view",
         )
 
+    def add_fail_on(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--fail-on",
+            choices=SEVERITIES,
+            default="critical",
+            help="non-zero exit when a (new) finding at or above this "
+            "severity exists (default: critical)",
+        )
+
     list_p = obs_sub.add_parser("list", help="stored runs, newest last")
     add_store(list_p)
     list_p.add_argument(
@@ -377,26 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "wall times are machine-dependent)",
     )
 
-    tail_p = obs_sub.add_parser(
-        "tail", help="replay or follow a pipeline event stream (JSON lines)"
-    )
-    tail_p.add_argument("path", help="event log written by --events")
-    tail_p.add_argument(
-        "--follow",
-        "-f",
-        action="store_true",
-        help="keep polling for new events until interrupted",
-    )
-    tail_p.add_argument(
-        "--filter",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="only show matching events; 'kind=stage.*' prefix-matches "
-        "the kind, any other key matches an event field (repeatable, "
-        "AND semantics)",
-    )
-
     export_p = obs_sub.add_parser(
         "export", help="export recorded telemetry for external tooling"
     )
@@ -412,31 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="openmetrics: text exposition format (# EOF terminated); "
         "chrome: trace-event "
         "JSON of the span tree (chrome://tracing, Perfetto); flame: "
-        "flamegraph-style text view of the span tree; jsonl: one JSON "
-        "object per sample",
+        "flamegraph-style text view of the span tree",
     )
     export_p.add_argument(
         "--out",
         metavar="PATH",
         default=None,
         help="write to PATH instead of stdout",
-    )
-
-    history_p = obs_sub.add_parser(
-        "history",
-        help="time series of one target over stored runs, per config",
-    )
-    add_store(history_p)
-    history_p.add_argument(
-        "target",
-        help="query selector (metric:<key>, series:<name>, "
-        "golden:deviations, span:<name>[/attr]); a bare key such as "
-        "lsh.clusters or lsh.bucket_size:p50 reads as metric:<key>",
-    )
-    history_p.add_argument(
-        "--fingerprint",
-        default=None,
-        help="only runs of this config fingerprint (prefix, >= 4 chars)",
     )
 
     health_p = obs_sub.add_parser(
@@ -452,13 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also evaluate this run and gate only on findings NEW "
         "relative to it (rule+target+window identity)",
     )
-    health_p.add_argument(
-        "--fail-on",
-        choices=("info", "warning", "critical"),
-        default="critical",
-        help="non-zero exit when a (new) finding at or above this "
-        "severity exists (default: critical)",
-    )
+    add_fail_on(health_p)
     add_json(health_p)
 
     dash_p = obs_sub.add_parser(
@@ -524,18 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also include this bare manifest file as a row (repeatable; "
         "a <stem>.windows.json sidecar rides along)",
     )
-    query_p.add_argument(
-        "--format",
-        choices=("table", "json", "openmetrics"),
-        default="table",
-        help="table: fixed-width text; json: machine-readable rows + "
-        "aggregates; openmetrics: one gauge sample per (run, target)",
-    )
-    query_p.add_argument(
-        "--json",
-        action="store_true",
-        help="shorthand for --format json",
-    )
+    add_json(query_p)
 
     regress_p = obs_sub.add_parser(
         "regress",
@@ -570,15 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="gate only on findings whose (detector, target) identity "
         "this previously saved report lacks",
     )
-    regress_p.add_argument(
-        "--fail-on",
-        type=_severity_arg,
-        default="critical",
-        metavar="SEVERITY",
-        help="non-zero exit when a (new) finding at or above this "
-        "severity exists: info, warning/warn or critical/crit "
-        "(default: critical)",
-    )
+    add_fail_on(regress_p)
     regress_p.add_argument(
         "--report",
         default=None,
@@ -621,7 +569,7 @@ def _run_scenario(args: argparse.Namespace) -> ScenarioRun:
     finally:
         bus.close()
     if args.timings:
-        print(run.trace.render(), file=sys.stderr)
+        print(flame_view(run.trace), file=sys.stderr)
     if args.metrics_out:
         path = Path(args.metrics_out)
         path.write_text(registry.snapshot().to_json() + "\n", encoding="utf-8")
@@ -724,17 +672,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
 
 
-def _severity_arg(text: str) -> str:
-    """Normalize a ``--fail-on`` severity (accepts warn/crit shorthands)."""
-    aliases = {"warn": "warning", "crit": "critical"}
-    value = aliases.get(text.lower(), text.lower())
-    if value not in ("info", "warning", "critical"):
-        raise argparse.ArgumentTypeError(
-            f"unknown severity {text!r}: expected info, warning or critical"
-        )
-    return value
-
-
 def _emit(rendered: str, out: str | None, what: str) -> None:
     """Write ``rendered`` to ``out`` (and say so), else to stdout."""
     if out:
@@ -774,20 +711,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         code = 1 if diff.failed(fail_on_timing=args.fail_on_timing) else 0
         rendered = diff.to_json() if args.json else diff.render()
         return _until_reader_closes(lambda: print(rendered), code)
-    if args.obs_command == "tail":
-        from repro.obs.events import iter_events, matches, parse_filters, render_event
-
-        filters = parse_filters(args.filter)
-
-        def replay() -> None:
-            try:
-                for event in iter_events(args.path, follow=args.follow):
-                    if matches(event, filters):
-                        print(render_event(event), flush=args.follow)
-            except KeyboardInterrupt:  # pragma: no cover - interactive stop
-                pass
-
-        return _until_reader_closes(replay, 0)
     if args.obs_command == "export":
         from repro.obs.export import export_payload
 
@@ -797,13 +720,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             payload = {**payload, "windows": windows}
         rendered = export_payload(payload, args.format)
         _emit(rendered, args.out, f"{args.format} export of {args.ref}")
-        return 0
-    if args.obs_command == "history":
-        from repro.obs.health import render_history
-        from repro.obs.query import build_frame
-
-        frame = build_frame(store, fingerprint=args.fingerprint)
-        print(render_history(frame, args.target, fingerprint=args.fingerprint))
         return 0
     if args.obs_command == "health":
         return _cmd_obs_health(args, store)
@@ -831,20 +747,14 @@ def _cmd_obs_query(args: argparse.Namespace, store) -> int:
         fingerprint=args.fingerprint,
         limit=args.limit,
     )
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
-        print(result.to_json())
-    elif fmt == "openmetrics":
-        print(result.to_openmetrics(), end="")
-    else:
-        print(result.render())
+    print(result.to_json() if args.json else result.render())
     return 0
 
 
 def _gate(args: argparse.Namespace, report, load_baseline) -> int:
     """Print ``report``; exit 1 on findings new vs ``--baseline`` at or
     above ``--fail-on``, 2 when the baseline cannot be read."""
-    from repro.obs.health import SEVERITIES, new_findings
+    from repro.obs.health import new_findings
 
     baseline = None
     if args.baseline:

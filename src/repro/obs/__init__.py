@@ -25,15 +25,15 @@ near-free when off:
   config delta and the cost attributed to it;
 * :mod:`repro.obs.events` — the live pipeline event stream: a
   schema-versioned, monotonically sequenced :class:`EventBus` with
-  in-memory and JSON-lines-file transports,
-  the ``repro obs tail`` replay/follow reader and the ``--progress``
-  renderer;
+  in-memory and JSON-lines-file transports, the replay/follow reader
+  ``repro obs dashboard`` folds and the ``--progress`` renderer;
 * :mod:`repro.obs.export` — exporters of the recorded telemetry
-  behind ``repro obs export``: the OpenMetrics text exposition,
-  JSON-lines samples, Chrome traces and the flamegraph text view;
+  behind ``repro obs export``: the OpenMetrics text exposition (the one
+  sample exposition), Chrome traces and the flamegraph text view;
 * :mod:`repro.obs.profile` — the per-span CPU/RSS probe every tracer
-  runs, plus span-tree exporters: Chrome trace-event JSON and a flamegraph-style
-  text view;
+  runs, plus span-tree exporters: Chrome trace-event JSON and the
+  flamegraph-style text view, the one span-tree text view (``--timings``
+  prints it too);
 * :mod:`repro.obs.windows` — per-window landscape telemetry: the
   :class:`WindowReport` folding a run's artifacts into time-window
   series (attack volume, new samples/patterns, cluster counts and
@@ -42,8 +42,7 @@ near-free when off:
   bounds, trailing-median tolerance bands, EWMA z-scores and
   Page-Hinkley changepoints (one-sided for ``span:`` timings), run over one run's window series
   (``repro obs health``) or over the run store's per-fingerprint run
-  series (``repro obs regress``, and the ``repro obs history`` view of
-  one target's ``band`` rule), with one baseline-suppression key;
+  series (``repro obs regress``), with one baseline-suppression key;
 * :mod:`repro.obs.dashboard` — the one live view behind ``repro obs
   dashboard``: a run's landscape sparklines plus, from an event log,
   the machine state (static fold + ``--follow``);
@@ -71,7 +70,7 @@ from repro.obs.events import (
     use_bus,
 )
 from repro.obs.dashboard import render_dashboard, sparkline
-from repro.obs.export import export_payload, jsonl_text, openmetrics_text
+from repro.obs.export import export_payload, openmetrics_text
 from repro.obs.health import (
     HEALTH_RULES,
     REGRESS_RULES,
@@ -80,7 +79,6 @@ from repro.obs.health import (
     Rule,
     evaluate_health,
     new_findings,
-    render_history,
     run_regression,
 )
 from repro.obs.history import RunStore
@@ -138,12 +136,10 @@ __all__ = [
     "flame_view",
     "get_logger",
     "iter_events",
-    "jsonl_text",
     "new_findings",
     "openmetrics_text",
     "read_events",
     "render_dashboard",
-    "render_history",
     "run_query",
     "run_regression",
     "sparkline",

@@ -276,9 +276,8 @@ def follow_dashboard(
     Frames are separated by a blank line (terminal-multiplexer and
     artifact-file friendly) and the loop inherits :func:`iter_events`'s
     truncation handling, so a log rewritten by a new run keeps feeding
-    frames.  Returns the number of frames drawn; like ``repro obs
-    tail``, the CLI wires ``stop`` / KeyboardInterrupt for interactive
-    exit.
+    frames.  Returns the number of frames drawn; the CLI wires
+    KeyboardInterrupt for interactive exit.
     """
     accumulator = DashboardAccumulator()
     frames = 0

@@ -6,8 +6,8 @@ open/close, cache interaction, cluster-count
 milestone and golden-deviation alert becomes one
 :class:`PipelineEvent` — schema-versioned, monotonically sequenced by
 the emitting :class:`EventBus`, and serialised as one JSON object per
-line so a sink file can be tailed with ``repro obs tail`` (or plain
-``tail -f``) while the run is still going.
+line so ``repro obs dashboard PATH --follow`` (or plain ``tail -f``)
+can watch a sink file while the run is still going.
 
 Transports decouple emission from delivery:
 
@@ -35,7 +35,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from repro.obs.sketch import QuantileSketch
 from repro.util.validation import ValidationError, require
@@ -117,13 +117,6 @@ class PipelineEvent:
             )
         except (TypeError, ValueError) as error:
             raise ValidationError(f"malformed event: {error}") from None
-
-
-def render_event(event: PipelineEvent) -> str:
-    """One human-readable line per event (the ``repro obs tail`` view)."""
-    fields = " ".join(f"{key}={event.fields[key]}" for key in sorted(event.fields))
-    line = f"{event.seq:>6}  {event.t:9.3f}s  {event.kind:<18}"
-    return f"{line} {fields}".rstrip()
 
 
 class MemoryTransport:
@@ -344,35 +337,6 @@ def iter_events(
         if not follow or (stop is not None and stop()):
             return
         time.sleep(poll_seconds)
-
-
-def parse_filters(specs: Sequence[str]) -> dict[str, str]:
-    """``KEY=VALUE`` filter specs -> mapping (``--filter stage=epm``)."""
-    filters: dict[str, str] = {}
-    for spec in specs:
-        require("=" in spec, f"filter {spec!r} is not KEY=VALUE")
-        key, _eq, value = spec.partition("=")
-        filters[key] = value
-    return filters
-
-
-def matches(event: PipelineEvent, filters: Mapping[str, str]) -> bool:
-    """Whether an event satisfies every filter (AND semantics).
-
-    ``kind`` matches the event kind (prefix match on a trailing ``*``,
-    so ``kind=stage.*`` selects both start and finish); any other key
-    compares against the string form of that event field.
-    """
-    for key, expected in filters.items():
-        if key == "kind":
-            if expected.endswith("*"):
-                if not event.kind.startswith(expected[:-1]):
-                    return False
-            elif event.kind != expected:
-                return False
-        elif str(event.fields.get(key)) != expected:
-            return False
-    return True
 
 
 class ProgressRenderer:

@@ -12,9 +12,7 @@ external tooling expects:
   exposition grammar (backslash, quote, newline).  No catalogued
   metric name declares a unit, so the exposition carries no ``# UNIT``
   lines, and a Prometheus text scraper reads it unchanged up to the
-  ``# EOF`` line.
-* :func:`jsonl_samples` / :func:`jsonl_text` — one JSON object per
-  sample, the lingua franca of log shippers.
+  ``# EOF`` line.  It is the one sample exposition.
 * Span-tree views reuse :mod:`repro.obs.profile` on the manifest's
   span tree: ``chrome`` is :func:`~repro.obs.profile.chrome_trace`
   trace-event JSON (chrome://tracing, Perfetto), ``flame`` the
@@ -32,14 +30,14 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.obs.metrics import parse_key
 from repro.obs.sketch import sketch_quantile_from_payload
 from repro.util.validation import require
 
 #: Formats :func:`export_payload` understands.
-EXPORT_FORMATS = ("openmetrics", "jsonl", "chrome", "flame")
+EXPORT_FORMATS = ("openmetrics", "chrome", "flame")
 
 #: Prefix of every exported metric family name.
 EXPOSITION_PREFIX = "repro_"
@@ -167,66 +165,19 @@ def openmetrics_text(payload: Mapping) -> str:
     return "\n".join(lines) + "\n"
 
 
-def jsonl_samples(payload: Mapping) -> Iterator[dict]:
-    """One flat dict per metric sample, in deterministic order."""
-    metrics = metrics_section(payload)
-    for section, sample_type in (("counters", "counter"), ("gauges", "gauge")):
-        for key in sorted(metrics.get(section, {})):
-            name, labels = parse_key(key)
-            yield {
-                "type": sample_type,
-                "name": name,
-                "labels": labels,
-                "value": metrics[section][key],
-            }
-    for key in sorted(metrics.get("sketches", {})):
-        name, labels = parse_key(key)
-        sketch = metrics["sketches"][key]
-        yield {
-            "type": "sketch",
-            "name": name,
-            "labels": labels,
-            "count": int(sketch.get("count", 0)),
-            "sum": float(sketch.get("sum", 0.0)),
-            "quantiles": {
-                repr(float(q)): sketch_quantile_from_payload(sketch, q)
-                for q in SKETCH_EXPORT_QUANTILES
-            },
-        }
-    series = window_series_section(payload)
-    for name in sorted(series):
-        for window, value in enumerate(series[name]):
-            yield {
-                "type": "gauge",
-                "name": "window.series",
-                "labels": {"series": name, "window": str(window)},
-                "value": value,
-            }
-
-
-def jsonl_text(payload: Mapping) -> str:
-    """The :func:`jsonl_samples` stream rendered as JSON lines."""
-    return "".join(
-        json.dumps(sample, sort_keys=True, separators=(",", ":")) + "\n"
-        for sample in jsonl_samples(payload)
-    )
-
-
 def export_payload(payload: Mapping, fmt: str) -> str:
     """Render ``payload`` in one of :data:`EXPORT_FORMATS`."""
     require(fmt in EXPORT_FORMATS, f"unknown export format {fmt!r}")
     if fmt == "openmetrics":
         return openmetrics_text(payload)
-    if fmt == "jsonl":
-        return jsonl_text(payload)
     tree = span_tree_section(payload)
     require(
         bool(tree),
         f"{fmt} export needs a manifest with a span tree "
         "(bare metrics snapshots carry none)",
     )
-    # Deferred import: profile pulls in resource/gc probing helpers the
-    # text exporters never need.
+    # Deferred import: profile pulls in the resource probing helpers the
+    # OpenMetrics exporter never needs.
     from repro.obs.profile import chrome_trace, flame_view
 
     if fmt == "flame":

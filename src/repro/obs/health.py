@@ -12,9 +12,7 @@ series comes from one of two sources:
 * :func:`run_regression` reads a :class:`~repro.obs.query.QueryFrame`
   and scans **one run-ordered series per configuration fingerprint**
   (``series:`` targets reduced per run by their mean), behind ``repro
-  obs regress``; :func:`render_history` draws one target's series and
-  flags the runs where its ``band`` rule fires, behind ``repro obs
-  history``.
+  obs regress``.
 
 Both resolve targets with :func:`repro.obs.query.resolve_target`; a
 target a run lacks is skipped, never read as zero.  The detectors:
@@ -40,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.obs.query import TARGET_SCHEMES, QueryFrame, aggregate, parse_target, resolve_target
+from repro.obs.query import QueryFrame, aggregate, parse_target, resolve_target
 from repro.util.canonical import canonical_digest
 from repro.util.validation import require
 
@@ -699,68 +697,6 @@ def band_rule(target: str) -> Rule:
         for rule in REGRESS_RULES + _trend_rules(target, target)
         if rule.target == target and rule.detector == "band"
     )
-
-
-def render_history(
-    frame: QueryFrame,
-    target: str,
-    *,
-    width: int = 30,
-    fingerprint: str | None = None,
-) -> str:
-    """One target's run series over ``frame``, per config fingerprint.
-
-    ``target`` takes the query selector grammar; a bare key with no
-    known scheme reads as ``metric:<key>``.  Values are the ones
-    :func:`run_regression` scans (``series:`` targets reduced per run by
-    their mean).  Flags: ``T!`` marks runs where :func:`band_rule`
-    fires in its configuration's series, ``G!`` runs that self-reported
-    golden deviations.  ``fingerprint`` is the prefix ``frame`` was
-    filtered by, named when it left no run.
-    """
-    if target.partition(":")[0] not in TARGET_SCHEMES:
-        target = f"metric:{target}"
-    parse_target(target)
-    if not len(frame):
-        if fingerprint is not None:
-            return f"no stored run matches fingerprint {fingerprint!r}"
-        return "no stored runs"
-    rule = band_rule(target)
-    groups = frame.grouped()
-    values: dict[str, dict[int, float]] = {}
-    for fp, group in groups.items():
-        series, rows = _run_series(group, target)
-        values[fp] = dict(zip(rows, series))
-    present = [abs(value) for by_row in values.values() for value in by_row.values()]
-    if not present:
-        return f"{target}: not present in any stored run"
-    peak = max(present) or 1.0
-    flagged = {
-        (finding.fingerprint, finding.run_id)
-        for finding in run_regression(frame, rules=(rule,)).findings
-    }
-    lines = [f"{target} over {len(frame)} stored run(s) in {len(groups)} config(s)"]
-    drifted = 0
-    for fp, group in groups.items():
-        lines.append(f"  config {fp[:12]}.. ({len(group)} run(s))")
-        golden = group.column("golden:deviations")
-        for index, row in enumerate(group.rows):
-            value = values[fp].get(index)
-            flags = ["G!"] if golden[index] else []
-            if (fp, row.run_id) in flagged:
-                flags.append("T!")
-            drifted += bool(flags)
-            bar = "█" * max(1, round(abs(value) / peak * width)) if value else ""
-            rendered = f"{value:12.4f}" if value is not None else "         n/a"
-            lines.append(
-                f"  {row.run_id}  {row.created_at or '-':<22} "
-                f"{rendered}  {bar:<{width}} {' '.join(flags)}".rstrip()
-            )
-    lines.append(
-        f"drift: {drifted} flagged run(s) (T!=band rule {rule.name} "
-        f"x{rule.threshold:g} within the config, G!=golden deviation)"
-    )
-    return "\n".join(lines)
 
 
 def new_findings(report: Report, baseline: Report | None) -> list[Finding]:

@@ -17,8 +17,8 @@ content-addressed: storing the identical manifest twice is a no-op,
 and an entry can never be silently overwritten with different content
 (:meth:`RunStore.add` refuses).  ``fingerprint`` is the semantic
 ``(seed, config)`` address the scenario cache also keys on — all runs
-of one configuration land in one directory, which is what the
-``repro obs history`` time series iterates over.
+of one configuration land in one directory, which is what ``repro
+obs regress`` groups its per-configuration run series by.
 
 The directory tree is the store's only record: listing, resolving and
 querying walk ``<root>/*/<run_id>.json`` (a name with a second dot is a

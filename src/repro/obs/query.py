@@ -31,8 +31,10 @@ columnar cross-run frame keyed by ``(fingerprint, run_id, created_at)``:
 
 * :func:`run_query` selects targets, filters by config fingerprint,
   aggregates (``min``/``max``/``mean``/``pNN``) and renders as a text
-  table, JSON or an OpenMetrics exposition — the engine behind
-  ``repro obs query``.
+  table or JSON — the engine behind ``repro obs query``.  Each row
+  carries its run's fingerprint; with ``--agg mean`` a ``series:``
+  target is reduced per run by its mean, the value ``repro obs
+  regress`` scans.
 
 Everything here is a pure function of the stored payloads: frame
 construction is deterministic, and ``QueryFrame.digest`` is checked in
@@ -397,35 +399,6 @@ class QueryResult:
         if self.agg:
             lines.insert(len(lines) - 1, "-" * len(lines[0]))
         return "\n".join(lines)
-
-    def to_openmetrics(self) -> str:
-        """OpenMetrics exposition: one gauge sample per (run, target).
-
-        Aggregates land as ``repro_query_aggregate`` samples; the
-        mandatory ``# EOF`` terminator closes the exposition.
-        """
-        lines = ["# TYPE repro_query gauge"]
-        for row in self.rows:
-            for target in self.targets:
-                value = row["values"][target]
-                if isinstance(value, list) or value is None:
-                    continue
-                lines.append(
-                    f'repro_query{{run_id="{row["run_id"]}",'
-                    f'target="{target}"}} {value:g}'
-                )
-        if self.agg:
-            lines.append("# TYPE repro_query_aggregate gauge")
-            for target in self.targets:
-                value = self.aggregates.get(target)
-                if value is None:
-                    continue
-                lines.append(
-                    f'repro_query_aggregate{{agg="{self.agg}",'
-                    f'target="{target}"}} {value:g}'
-                )
-        lines.append("# EOF")
-        return "\n".join(lines) + "\n"
 
 
 def _render_cell(value) -> str:

@@ -234,7 +234,7 @@ def sketch_quantile_from_payload(payload: Mapping, q: float) -> float | None:
     """Quantile estimate straight off an exported sketch payload.
 
     Works on the plain-dict form snapshots and manifests carry, so
-    ``repro obs history``/``query`` and the exporters read quantiles of
+    ``repro obs query`` and the exporters read quantiles of
     stored runs without rebuilding live instruments.
     """
     require(0.0 <= q <= 1.0, "quantile must be in [0, 1]")

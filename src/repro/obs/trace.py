@@ -61,15 +61,6 @@ class TraceSpan:
                 return found
         return None
 
-    def walk(self) -> Iterator[tuple[int, "TraceSpan"]]:
-        """Yield ``(depth, span)`` over the subtree, pre-order."""
-        stack: list[tuple[int, TraceSpan]] = [(0, self)]
-        while stack:
-            depth, span = stack.pop()
-            yield depth, span
-            for child in reversed(span.children):
-                stack.append((depth + 1, child))
-
     def export(self) -> dict:
         """The JSON-ready span tree (used by run manifests)."""
         payload: dict = {"name": self.name, "seconds": round(self.seconds, 6)}
@@ -82,25 +73,6 @@ class TraceSpan:
         if self.children:
             payload["children"] = [child.export() for child in self.children]
         return payload
-
-    def render(self) -> str:
-        """Human-readable tree with durations, shares and attributes."""
-        rows: list[tuple[str, float, float, str]] = []
-        total = self.seconds or sum(c.seconds for c in self.children) or 1.0
-        for depth, span in self.walk():
-            label = "  " * depth + span.name
-            attrs = " ".join(
-                f"{key}={span.attributes[key]}" for key in sorted(span.attributes)
-            )
-            rows.append((label, span.seconds, span.seconds / total, attrs))
-        width = max(len(label) for label, _s, _f, _a in rows)
-        lines = []
-        for label, seconds, share, attrs in rows:
-            line = f"{label:<{width}}  {seconds:9.3f} s  {share:6.1%}"
-            if attrs:
-                line += f"  {attrs}"
-            lines.append(line)
-        return "\n".join(lines)
 
 
 class Tracer:

@@ -237,8 +237,7 @@ def _stage_attributes(run) -> dict[str, dict]:
             for key, value in span.attributes.items()
             if key not in ("cache", *PROFILE_ATTRS)
         }
-        for depth, span in run.trace.walk()
-        if depth == 1
+        for span in run.trace.children
     }
 
 
@@ -311,8 +310,10 @@ class TestReplayPlan:
         cache, cold = warm
         config = _variant(clustering=ClusteringConfig(threshold=0.5))
         run = PaperScenario(seed=SEED, config=config).run(stage_store=cache.stages)
-        names = {span.name for _depth, span in run.trace.walk()}
-        assert not any(name.startswith("lsh.") for name in names)
+        spans = [run.trace]
+        for span in spans:
+            spans.extend(span.children)
+        assert not any(span.name.startswith("lsh.") for span in spans)
         assert run.metrics.names() & {
             "lsh.unique_profiles",
             "lsh.candidate_pairs",
@@ -353,7 +354,7 @@ class TestReplayPlan:
             name: "miss" if name in ("observe", "enrich") else "hit"
             for name in STAGE_NAMES
         }
-        spans = {span.name: span for depth, span in run.trace.walk() if depth == 1}
+        spans = {span.name: span for span in run.trace.children}
         assert spans["observe"].attributes["cache"] == "miss"
         assert run.manifest.artifact_digests == cold.manifest.artifact_digests
         again = PaperScenario(seed=SEED, config=BASE).run(stage_store=cache.stages)

@@ -118,12 +118,31 @@ class TestObservabilityFlags:
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "history", "x"],
+            ["obs", "tail", "x"],
+            ["obs", "export", "R", "--format", "jsonl"],
+            ["obs", "query", "metric:x", "--format", "json"],
+            ["obs", "regress", "--fail-on", "warn"],
+        ],
+        ids=["history", "tail", "export-jsonl", "query-format", "fail-on-warn"],
+    )
+    def test_retired_obs_surfaces_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
     def test_timings_renders_the_trace_tree(self, capsys):
         assert main(["headline", *COMMON, "--timings"]) == 0
         err = capsys.readouterr().err
         for stage in ("scenario", "observe", "enrich", "epm", "bcluster"):
             assert stage in err
         assert "lsh.index" in err  # nested spans show in the tree
+        assert "cpu=" in err  # the flame view, with the span probe's attrs
 
     def test_log_json_sink(self, tmp_path):
         import json
@@ -139,7 +158,7 @@ class TestObservabilityFlags:
 
 
 class TestObsSuite:
-    """The longitudinal toolkit: --store-run, obs {list,diff,history,...}."""
+    """The longitudinal toolkit: --store-run, obs {list,diff,export,...}."""
 
     @pytest.fixture()
     def store_dir(self, tmp_path, monkeypatch):
@@ -202,13 +221,26 @@ class TestObsSuite:
         assert "dataset.events" not in out
 
     def test_history_renders_a_time_series(self, capsys, store_dir):
+        # One config's per-run values: obs query --fingerprint --agg mean.
+        import json
+
+        from repro.obs.history import RunStore
+
         assert main(["headline", *COMMON, "--store-run"]) == 0
         assert main(["headline", *COMMON, "--store-run"]) == 0
-        assert main(["obs", "history", "lsh.clusters"]) == 0
-        out = capsys.readouterr().out
-        assert "lsh.clusters over 2 stored run(s) in 1 config(s)" in out
-        assert main(["obs", "history", "span:observe"]) == 0
-        assert "span:observe over 2 stored run(s)" in capsys.readouterr().out
+        (fingerprint,) = {e["fingerprint"] for e in RunStore(store_dir).entries()}
+        argv = ["obs", "query", "metric:lsh.clusters", "series:events",
+                "--fingerprint", fingerprint[:8], "--agg", "mean"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        runs = [line for line in lines if fingerprint[:12] in line]
+        assert len(runs) == 2 and lines[-1].startswith("mean ")
+        assert main([*argv, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {row["fingerprint"] for row in rows} == {fingerprint}
+        # a series: target is reduced per run to one number
+        assert all(isinstance(row["values"]["series:events"], float) for row in rows)
 
     def test_trace_chrome_export_and_flame(self, capsys, store_dir, tmp_path):
         import json
@@ -261,7 +293,7 @@ class TestObsSuite:
 
 
 class TestEventStreamCli:
-    """--events/--progress and the obs tail/export/validate surface."""
+    """--events/--progress and the obs dashboard/export/validate surface."""
 
     @pytest.fixture()
     def store_dir(self, tmp_path, monkeypatch):
@@ -283,13 +315,11 @@ class TestEventStreamCli:
         assert kinds[0] == "run.start" and kinds[-1] == "run.finish"
         assert "stage.finish" in kinds and "cluster.milestone" in kinds
         capsys.readouterr()
-        # deterministic replay through the tail subcommand
-        assert main(["obs", "tail", str(log)]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == len(events)
-        assert "run.start" in out
+        # the dashboard folds the same log after the fact
+        assert main(["obs", "dashboard", str(log)]) == 0
+        assert "landscape dashboard" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("view", ["tail", "dashboard"])
+    @pytest.mark.parametrize("view", ["dashboard"])
     @pytest.mark.parametrize(
         "line",
         ["{not json", "[1]", '{"schema": 1, "seq": 1, "t": 0.1, "fields": {}}'],
@@ -306,16 +336,6 @@ class TestEventStreamCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {log} line 2: "), err
         assert len(err.splitlines()) == 1  # one line, no traceback
-
-    def test_tail_filters_narrow_the_replay(self, capsys, tmp_path):
-        log = tmp_path / "events.jsonl"
-        assert main(["headline", *COMMON, "--events", str(log)]) == 0
-        capsys.readouterr()
-        assert main(["obs", "tail", str(log), "--filter", "kind=stage.*",
-                     "--filter", "stage=epm"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines and all("stage.start" in l or "stage.finish" in l for l in lines)
-        assert all("stage=epm" in l for l in lines)
 
     @pytest.mark.parametrize("diverged", [False, True])
     def test_diff_into_a_closed_pipe_keeps_its_verdict(
@@ -387,10 +407,6 @@ class TestEventStreamCli:
                      "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text(encoding="utf-8"))
         assert any(e["name"] == "bcluster" for e in payload["traceEvents"])
-        capsys.readouterr()
-        assert main(["obs", "export", run_id, "--format", "jsonl"]) == 0
-        samples = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert any(s["name"] == "lsh.candidate_pairs" for s in samples)
 
     def test_validate_events_crosschecks_the_manifest(
         self, capsys, tmp_path, monkeypatch
@@ -534,7 +550,7 @@ class TestHealthDashboardCli:
             main(["obs", "export", run_id, "--format", "prometheus"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("fmt", ["openmetrics", "jsonl"])
+    @pytest.mark.parametrize("fmt", ["openmetrics"])
     def test_export_a_metrics_out_snapshot(self, capsys, store_dir, tmp_path, fmt):
         snapshot = tmp_path / "metrics.json"
         assert main(["headline", *COMMON, "--metrics-out", str(snapshot)]) == 0
@@ -625,7 +641,7 @@ class TestLongitudinalCli:
         again = json.loads(capsys.readouterr().out)
         assert again["frame_digest"] == payload["frame_digest"]
 
-    def test_query_table_and_openmetrics_renderings(self, capsys, store_dir):
+    def test_query_table_rendering(self, capsys, store_dir):
         self._seeded_store(store_dir)
         capsys.readouterr()
         assert main(
@@ -634,17 +650,12 @@ class TestLongitudinalCli:
         ) == 0
         out = capsys.readouterr().out
         assert "metric:lsh.clusters" in out and "span:scenario" in out
-        assert main(
-            ["obs", "query", "metric:lsh.clusters", "--format", "openmetrics"]
-        ) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "# EOF"
-        assert any("repro_query{" in line for line in lines)
+        assert out.splitlines()[-1].startswith("max ")  # the aggregate footer
 
     def test_regress_is_silent_on_byte_identical_replays(self, capsys, store_dir):
         self._seeded_store(store_dir)
         capsys.readouterr()
-        assert main(["obs", "regress", "--fail-on", "warn"]) == 0
+        assert main(["obs", "regress", "--fail-on", "warning"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_regress_flags_injected_regression_then_baseline_absorbs(
@@ -654,7 +665,7 @@ class TestLongitudinalCli:
         capsys.readouterr()
         report_path = tmp_path / "regress_report.json"
         assert main(
-            ["obs", "regress", "--fail-on", "warn", "--report",
+            ["obs", "regress", "--fail-on", "warning", "--report",
              str(report_path)]
         ) == 1
         out = capsys.readouterr().out
@@ -663,7 +674,7 @@ class TestLongitudinalCli:
         # Re-gating against the triaged report suppresses the known
         # (detector, target) pairs: nothing new, exit 0.
         assert main(
-            ["obs", "regress", "--fail-on", "warn", "--baseline",
+            ["obs", "regress", "--fail-on", "warning", "--baseline",
              str(report_path)]
         ) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
@@ -782,7 +793,7 @@ class TestLongitudinalCli:
         views = [
             ["obs", "list"],
             ["obs", "query", "metric:lsh.clusters", "series:events", "--json"],
-            ["obs", "history", "metric:lsh.clusters"],
+            ["obs", "query", "metric:lsh.clusters", "--agg", "mean"],
             ["obs", "validate", "--runs", str(store_dir)],
         ]
 
@@ -854,7 +865,7 @@ class TestLongitudinalCli:
         for argv in (
             ["obs", "list"],
             ["obs", "query", "metric:lsh.clusters"],
-            ["obs", "history", "metric:lsh.clusters"],
+            ["obs", "regress", "--targets", "metric:lsh.clusters"],
         ):
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
@@ -877,13 +888,6 @@ class TestLongitudinalCli:
             assert sorted(row["run_id"] for row in rows) == sorted(p.stem for p in stored)
             assert main(["obs", "regress", *flags, "--json"]) == 0
             assert json.loads(capsys.readouterr().out)["runs_scanned"] == len(stored)
-
-    def test_history_names_a_fingerprint_that_matches_nothing(self, capsys, store_dir):
-        self._seeded_store(store_dir)
-        capsys.readouterr()
-        argv = ["obs", "history", "metric:lsh.clusters", "--fingerprint", "0000"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == "no stored run matches fingerprint '0000'\n"
 
     def test_query_names_a_fingerprint_that_matches_nothing(self, capsys, store_dir):
         self._seeded_store(store_dir)

@@ -13,6 +13,7 @@ All checks run on the CI smoke config (seed 7, 8 weeks, scale 0.05).
 """
 
 import functools
+import logging
 import pickle
 import sys
 import types
@@ -116,12 +117,18 @@ def _fields(value) -> dict:
 
 def _module_tables() -> dict[str, int]:
     """Size of every container and ``lru_cache`` held at module level:
-    directly, or as an attribute of a module-level class or instance."""
+    directly, or as an attribute of a module-level class or instance.
+
+    A module's ``logging.Logger`` is skipped: its level cache and handler
+    list belong to the stdlib, which empties every logger's cache on any
+    ``setLevel``."""
     sizes = {}
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "repro":
             continue
         for attr, value in list(vars(module).items()):
+            if isinstance(value, logging.Logger):
+                continue
             held = {attr: value}
             held.update((f"{attr}.{k}", v) for k, v in _fields(value).items())
             for path, item in held.items():
@@ -145,3 +152,22 @@ def test_two_runs_grow_no_module_level_table(run):
         assert after[name] <= bound
         grown.pop(name, None)
     assert grown == {}
+
+
+def test_logger_level_caches_are_not_module_tables():
+    # setLevel empties every logger's level cache; the next level check
+    # refills the cache of each logger it asks.
+    root = logging.getLogger("repro")
+    root.setLevel(root.level)
+    before = _module_tables()
+    loggers = [
+        value
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "repro"
+        for value in vars(module).values()
+        if isinstance(value, logging.Logger)
+    ]
+    assert loggers
+    for logger in loggers:
+        logger.isEnabledFor(logging.INFO)
+    assert _module_tables() == before

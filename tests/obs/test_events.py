@@ -1,4 +1,4 @@
-"""The live event stream: bus, transports, replay, filters, validation."""
+"""The live event stream: bus, transports, replay, validation."""
 
 import json
 import threading
@@ -16,10 +16,7 @@ from repro.obs.events import (
     ProgressRenderer,
     active_bus,
     iter_events,
-    matches,
-    parse_filters,
     read_events,
-    render_event,
     use_bus,
 )
 from repro.obs.validate import crosscheck_events, validate_events
@@ -56,12 +53,6 @@ class TestPipelineEvent:
     def test_from_dict_rejects_wrong_schema(self):
         with pytest.raises(ValidationError):
             PipelineEvent.from_dict({"schema": 99, "seq": 0, "kind": "run.start"})
-
-    def test_render_event_is_one_line(self):
-        event = PipelineEvent(seq=7, t=0.5, kind="cache.hit", fields={"items": 4})
-        line = render_event(event)
-        assert "\n" not in line
-        assert "cache.hit" in line and "items=4" in line
 
 
 class TestEventBus:
@@ -145,9 +136,9 @@ class TestFileTransportReplay:
         ]
         assert [event.seq for event in events] == [0, 1, 2, 3]
         assert events[1].fields == {"stage": "observe"}
-        # replaying again yields byte-identical renderings (the obs tail view)
-        assert [render_event(e) for e in read_events(path)] == [
-            render_event(e) for e in events
+        # replaying again yields identical events
+        assert [e.as_dict() for e in read_events(path)] == [
+            e.as_dict() for e in events
         ]
 
     def test_log_survives_validator(self, tmp_path):
@@ -244,34 +235,6 @@ class TestMalformedEventLines:
         assert "events line 3: unknown event kind 'mystery'" in errors
         manifest = {"span_tree": {"name": "scenario", "children": [{"name": "s0"}]}}
         assert crosscheck_events(lines, manifest) == []
-
-
-class TestFilters:
-    def test_parse_filters(self):
-        assert parse_filters(["kind=stage.*", "stage=epm"]) == {
-            "kind": "stage.*", "stage": "epm"
-        }
-
-    def test_parse_filters_rejects_bare_words(self):
-        with pytest.raises(ValidationError):
-            parse_filters(["stage"])
-
-    def test_kind_exact_and_prefix_match(self):
-        start = PipelineEvent(seq=0, t=0.0, kind="stage.start", fields={"stage": "epm"})
-        finish = PipelineEvent(seq=1, t=0.0, kind="stage.finish", fields={"stage": "epm"})
-        cache = PipelineEvent(seq=2, t=0.0, kind="cache.hit", fields={"items": 3})
-        assert matches(start, {"kind": "stage.start"})
-        assert not matches(finish, {"kind": "stage.start"})
-        assert matches(start, {"kind": "stage.*"})
-        assert matches(finish, {"kind": "stage.*"})
-        assert not matches(cache, {"kind": "stage.*"})
-
-    def test_field_filters_and_semantics(self):
-        event = PipelineEvent(seq=0, t=0.0, kind="stage.start", fields={"stage": "epm"})
-        assert matches(event, {"stage": "epm"})
-        assert not matches(event, {"stage": "observe"})
-        assert not matches(event, {"kind": "stage.*", "stage": "observe"})
-        assert matches(event, {})  # no filters match everything
 
 
 class TestProgressRenderer:

@@ -1,4 +1,4 @@
-"""Telemetry exporters: OpenMetrics exposition, JSON-lines, Chrome traces."""
+"""Telemetry exporters: the OpenMetrics exposition, Chrome traces, the flame view."""
 
 import json
 
@@ -7,8 +7,6 @@ import pytest
 from repro.obs.export import (
     EXPORT_FORMATS,
     export_payload,
-    jsonl_samples,
-    jsonl_text,
     openmetrics_text,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -73,10 +71,13 @@ class TestPrometheusText:
         }
         text = openmetrics_text(payload)
         assert "# TYPE repro_window_series gauge" in text
-        assert 'repro_window_series{series="events",window="0"} 3' in text
-        assert 'repro_window_series{series="events",window="1"} 7' in text
-        samples = [s for s in jsonl_samples(payload) if s["name"] == "window.series"]
-        assert [s["labels"]["window"] for s in samples] == ["0", "1"]
+        samples = [
+            line for line in text.splitlines() if line.startswith("repro_window_series{")
+        ]
+        assert samples == [
+            'repro_window_series{series="events",window="0"} 3',
+            'repro_window_series{series="events",window="1"} 7',
+        ]
 
 
 class TestOpenMetricsText:
@@ -107,6 +108,19 @@ class TestOpenMetricsText:
         metadata = [line for line in lines[:-1] if line.startswith("#")]
         assert metadata and all(line.startswith("# TYPE ") for line in metadata)
 
+    def test_one_family_per_instrument(self):
+        types = [
+            line.split()[-2:]
+            for line in openmetrics_text(_snapshot()).splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert sorted(types) == [
+            ["repro_epm_patterns", "counter"],
+            ["repro_executor_chunk_seconds", "summary"],
+            ["repro_executor_items", "counter"],
+            ["repro_executor_jobs", "gauge"],
+        ]
+
     def test_counters_carry_the_required_total_suffix(self):
         assert "repro_executor_items_total 42" in openmetrics_text(_snapshot())
 
@@ -115,34 +129,10 @@ class TestOpenMetricsText:
         assert export_payload(snapshot, "openmetrics") == openmetrics_text(snapshot)
 
 
-class TestJsonlText:
-    def test_every_line_parses_back(self):
-        samples = [json.loads(line) for line in jsonl_text(_snapshot()).splitlines()]
-        assert samples == list(jsonl_samples(_snapshot()))
-
-    def test_samples_cover_all_instruments(self):
-        samples = list(jsonl_samples(_snapshot()))
-        by_type = {}
-        for sample in samples:
-            by_type.setdefault(sample["type"], []).append(sample)
-        assert len(by_type["counter"]) == 2
-        assert len(by_type["gauge"]) == 1
-        assert len(by_type["sketch"]) == 1
-        sketch = by_type["sketch"][0]
-        assert sketch["name"] == "executor.chunk_seconds"
-        assert sketch["count"] == 4
-
-    def test_labels_are_structured_not_rendered(self):
-        samples = list(jsonl_samples(_snapshot()))
-        labelled = [s for s in samples if s["name"] == "epm.patterns"]
-        assert labelled[0]["labels"] == {"dimension": "mu"}
-
-
 class TestExportPayload:
     def test_dispatch_matches_direct_calls(self):
         snapshot = _snapshot()
         assert export_payload(snapshot, "openmetrics") == openmetrics_text(snapshot)
-        assert export_payload(snapshot, "jsonl") == jsonl_text(snapshot)
 
     def test_chrome_needs_a_span_tree(self):
         with pytest.raises(ValidationError):
@@ -181,12 +171,7 @@ class TestExportPayload:
             export_payload(_snapshot(), "influx")
 
     def test_format_tuple_is_the_cli_contract(self):
-        assert EXPORT_FORMATS == (
-            "openmetrics",
-            "jsonl",
-            "chrome",
-            "flame",
-        )
+        assert EXPORT_FORMATS == ("openmetrics", "chrome", "flame")
 
 
 def _sketchy_snapshot():
@@ -232,12 +217,17 @@ class TestSketchExposition:
         text = openmetrics_text(_sketchy_snapshot())
         assert text.endswith("\n# EOF\n")
 
-    def test_jsonl_carries_sketch_quantiles(self):
-        [sketch] = jsonl_samples(_sketchy_snapshot())
-        assert sketch["type"] == "sketch"
-        assert sketch["name"] == "executor.chunk_seconds"
-        assert sketch["count"] == 4
-        assert set(sketch["quantiles"]) == {"0.5", "0.9", "0.99"}
+    def test_openmetrics_carries_sketch_quantiles(self):
+        lines = openmetrics_text(_sketchy_snapshot()).splitlines()
+        quantiles = [
+            line.split('"')[1] for line in lines if 'quantile="' in line
+        ]
+        assert quantiles == ["0.5", "0.9", "0.99"]
+        assert all(
+            line.startswith("repro_executor_chunk_seconds{")
+            for line in lines
+            if 'quantile="' in line
+        )
 
 
 class TestBareSnapshotDetection:
@@ -257,16 +247,13 @@ class TestBareSnapshotDetection:
         assert "# TYPE repro_executor_chunk_seconds summary" in text
         assert "repro_executor_chunk_seconds_count 3" in text
 
-    def test_jsonl_of_sketches_and_watermarks_only_snapshots(self):
-        sketch_samples = list(jsonl_samples(self._sketches_only()))
-        assert [(s["type"], s["count"]) for s in sketch_samples] == [("sketch", 3)]
+    def test_watermarks_only_snapshot_exports_no_family(self):
         # A stored schema-8 snapshot's empty watermarks section is no
         # instrument: it yields no sample.
-        assert list(jsonl_samples({"schema": 3, "watermarks": {}})) == []
+        assert openmetrics_text({"schema": 3, "watermarks": {}}) == "# EOF\n"
 
     def test_stored_empty_high_water_section_exports_nothing(self):
         # Manifest schema 8 files written before the section was dropped
         # carry an empty "watermarks" section; it renders no family.
         payload = {**_snapshot(), "watermarks": {}}
         assert openmetrics_text(payload) == openmetrics_text(_snapshot())
-        assert jsonl_text(payload) == jsonl_text(_snapshot())

@@ -1,4 +1,4 @@
-"""The run store, cross-run diffs and the drift time series."""
+"""The run store, cross-run diffs and the trend scan over stored runs."""
 
 import json
 
@@ -9,10 +9,10 @@ from repro.obs.diff import (
     first_diverging_event,
     first_diverging_stage,
 )
-from repro.obs.health import band_rule, band_scan, render_history, run_regression
+from repro.obs.health import band_rule, band_scan, run_regression
 from repro.obs.history import RUN_ID_LENGTH, RunStore
 from repro.obs.manifest import RunManifest
-from repro.obs.query import build_frame, metric_value, resolve_target
+from repro.obs.query import build_frame, metric_value, resolve_target, run_query
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
 from repro.obs.validate import validate_run_store
 from repro.util.validation import ValidationError
@@ -376,7 +376,7 @@ class TestDiff:
             main(["obs", "--help"])
         usage = capsys.readouterr().out
         commands = usage[usage.index("{") + 1 : usage.index("}")].split(",")
-        assert len(commands) == 10 and "diff" in commands
+        assert len(commands) == 8 and "diff" in commands
 
     def test_new_golden_deviations_fail(self):
         reference = _manifest(golden_deviations=["events: expected 1, measured 2"])
@@ -431,24 +431,37 @@ class TestHistory:
         }
         assert metric_value(manifest.as_dict(), "epm.clusters") == 6.0
 
-    def test_history_flags_drift_and_golden_deviation(self, tmp_path):
-        text = render_history(build_frame(self._store(tmp_path)), "lsh.clusters")
-        assert "4 stored run(s)" in text
-        assert "G!" in text  # the deviating run is flagged
-        assert "T!" in text  # 30.0 is far outside the 9-ish band
-        lines = [
-            l
-            for l in text.splitlines()
-            if "G!" in l and not l.startswith("drift:")
-        ]
-        assert len(lines) == 1 and "30.0" in lines[0]
+    def test_history_flags_drift_and_golden_deviation(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = self._store(tmp_path)
+        stepped = store.entries()[-1]["run_id"]  # 30.0 clusters, one deviation
+        capsys.readouterr()
+        argv = ["obs", "regress", "--runs", str(tmp_path), "--json"]
+        assert main([*argv, "--targets", "metric:lsh.clusters"]) == 1
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert {f["run_id"] for f in findings} == {stepped}
+        assert "band" in {f["detector"] for f in findings}
+        argv = ["obs", "query", "golden:deviations", "--runs", str(tmp_path), "--json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {row["run_id"]: row["values"]["golden:deviations"] for row in rows} == {
+            entry["run_id"]: 1 if entry["run_id"] == stepped else 0
+            for entry in store.entries()
+        }
 
     def test_history_handles_absent_metric(self, tmp_path):
-        text = render_history(build_frame(self._store(tmp_path)), "no.such.metric")
-        assert "not present" in text
+        frame = build_frame(self._store(tmp_path))
+        result = run_query(frame, ["metric:no.such.metric"], agg="mean")
+        assert [row["values"]["metric:no.such.metric"] for row in result.rows] == [None] * 4
+        assert "n/a" in result.render()
+        rule = band_rule("metric:no.such.metric")
+        assert run_regression(frame, rules=(rule,)).findings == []
 
     def test_empty_store_history(self, tmp_path):
-        assert "no stored runs" in render_history(build_frame(RunStore(tmp_path)), "x")
+        report = run_regression(build_frame(RunStore(tmp_path)))
+        assert (report.runs_scanned, report.findings) == (0, [])
+        assert "clean" in report.render()
 
     def test_two_stable_configs_flag_nothing(self, tmp_path):
         store = RunStore(tmp_path)
@@ -462,15 +475,14 @@ class TestHistory:
                     created_at=f"2026-01-{day:02d}T00:00:00Z",
                 )
             )
-        text = render_history(build_frame(store), "lsh.clusters")
-        assert "4 stored run(s) in 2 config(s)" in text
-        assert not [line for line in text.splitlines() if line.endswith("T!")]
-        assert "drift: 0 flagged run(s)" in text
+        report = run_regression(build_frame(store))
+        assert report.fingerprints_scanned == 2
+        assert report.findings == []
 
-    @pytest.mark.parametrize(
-        "target", ["lsh.clusters", "metric:lsh.clusters", "span:observe"]
-    )
-    def test_drift_flags_are_the_band_rule_findings(self, tmp_path, target):
+    @pytest.mark.parametrize("target", ["metric:lsh.clusters", "span:observe"])
+    def test_drift_flags_are_the_band_rule_findings(self, tmp_path, capsys, target):
+        from repro.cli import main
+
         store = RunStore(tmp_path)
         for day, (fingerprint, clusters, seconds) in enumerate(
             [
@@ -491,16 +503,14 @@ class TestHistory:
                     created_at=f"2026-01-{day:02d}T00:00:00Z",
                 )
             )
-        frame = build_frame(store)
-        text = render_history(frame, target)
-        flagged = {
-            line.split()[0] for line in text.splitlines() if line.endswith("T!")
-        }
-        full = target if ":" in target else f"metric:{target}"
-        rule = band_rule(full)
-        assert rule.detector == "band"
-        report = run_regression(frame, rules=(rule,))
-        assert flagged == {finding.run_id for finding in report.findings}
+        capsys.readouterr()
+        argv = ["obs", "regress", "--runs", str(tmp_path), "--targets", target, "--json"]
+        # Timing rules are warning-severity: they report but never gate.
+        assert main(argv) == (1 if target.startswith("metric:") else 0)
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        flagged = {(f["fingerprint"], f["run_id"]) for f in findings if f["detector"] == "band"}
+        report = run_regression(build_frame(store), rules=(band_rule(target),))
+        assert flagged == {(f.fingerprint, f.run_id) for f in report.findings}
         assert flagged  # the series above do step
 
     def test_first_diverging_stage_helper_handles_empty_trees(self):

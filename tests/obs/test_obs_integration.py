@@ -95,9 +95,8 @@ class TestScenarioMetrics:
             == tiny_run.metrics.sketches["lsh.bucket_size"]
         )
         # Every sink really ran, and the span probe ran unasked.
-        for depth, span in run.trace.walk():
-            if depth == 1:
-                assert set(PROFILE_ATTRS) <= set(span.attributes), span.name
+        for span in run.trace.children:
+            assert set(PROFILE_ATTRS) <= set(span.attributes), span.name
         assert "[progress] run finished" in capsys.readouterr().err
         log = read_events(tmp_path / "events.jsonl")
         assert log[0].kind == "run.start"

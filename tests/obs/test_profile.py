@@ -12,7 +12,7 @@ from repro.obs.profile import (
     chrome_trace,
     flame_view,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, TraceSpan
 
 
 def _random_tree(rng: random.Random, depth: int = 0) -> dict:
@@ -156,3 +156,17 @@ class TestFlameView:
         text = flame_view(tree)
         assert "cpu=1.500s" in text
         assert "rss=1024KiB" in text
+
+    def test_live_span_renders_like_its_export(self):
+        # --timings hands the view the run's live root span.
+        root = TraceSpan("scenario", seconds=3.0, attributes={"cpu_seconds": 2.5})
+        stage = root.child("bcluster")
+        stage.seconds = 1.5
+        stage.child("lsh.index").seconds = 1.5
+        text = flame_view(root)
+        assert text == flame_view(root.export())
+        lines = text.splitlines()
+        assert [line.split()[0] for line in lines] == ["scenario", "bcluster", "lsh.index"]
+        assert lines[1].startswith("  bcluster") and lines[2].startswith("    lsh.index")
+        assert "100.0%" in lines[0] and "cpu=2.500s" in lines[0]
+        assert "50.0%" in lines[1]

@@ -305,7 +305,7 @@ class TestRunQuery:
         assert [row["values"]["series:events"] for row in result.rows] == [6.0, 8.0]
         assert result.aggregates["series:events"] == 7.0
 
-    def test_render_table_and_json_and_openmetrics(self, tmp_path):
+    def test_render_table_and_json(self, tmp_path):
         store = _store(tmp_path)
         result = run_query(
             build_frame(store), ["metric:lsh.clusters", "span:observe"], agg="max"
@@ -315,9 +315,6 @@ class TestRunQuery:
         parsed = json.loads(result.to_json())
         assert parsed["aggregates"]["metric:lsh.clusters"] == 9.0
         assert parsed["frame_digest"] == build_frame(store).digest()
-        exposition = result.to_openmetrics()
-        assert exposition.splitlines()[-1] == "# EOF"
-        assert 'target="metric:lsh.clusters"' in exposition
 
     def test_include_adds_bare_manifest_with_windows_sidecar(self, tmp_path):
         store = _store(tmp_path, days=(1, 2), clusters=(9.0, 9.0))

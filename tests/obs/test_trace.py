@@ -1,4 +1,4 @@
-"""Hierarchical trace spans: nesting, export, the legacy timings view."""
+"""Hierarchical trace spans: nesting, lookup, export, activation."""
 
 import time
 
@@ -104,15 +104,6 @@ class TestTraceSpan:
         other.seconds = 1.0
         return root
 
-    def test_walk_is_preorder_with_depths(self):
-        visits = [(depth, span.name) for depth, span in self._tree().walk()]
-        assert visits == [
-            (0, "scenario"),
-            (1, "bcluster"),
-            (2, "lsh.index"),
-            (1, "observe"),
-        ]
-
     def test_find_searches_depth_first(self):
         root = self._tree()
         assert root.find("lsh.index").seconds == 1.5
@@ -128,13 +119,6 @@ class TestTraceSpan:
         # Leaves without attributes/children omit those keys entirely.
         leaf = exported["children"][1]
         assert set(leaf) == {"name", "seconds"}
-
-    def test_render_shows_nesting_shares_and_attributes(self):
-        text = self._tree().render()
-        assert "scenario" in text and "  bcluster" in text
-        assert "    lsh.index" in text
-        assert "clusters=6" in text
-        assert "100.0%" in text
 
 
 class TestActivation:
