@@ -6,7 +6,7 @@ The package rebuilds the paper's full stack:
 * :mod:`repro.core` - EPM clustering, the paper's contribution,
 * :mod:`repro.egpm` - the EGPM attack model and the SGNET dataset store,
 * :mod:`repro.honeypot` - the SGNET deployment (ScriptGen FSM learning,
-  Argos-style oracle, Nepenthes-style shellcode handling),
+  honeyfarm hand-off, Nepenthes-style shellcode handling),
 * :mod:`repro.sandbox` - Anubis-style dynamic analysis and the scalable
   LSH behaviour clustering (B-clusters),
 * :mod:`repro.enrich` - VirusTotal-style AV labelling and the

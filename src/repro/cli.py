@@ -501,7 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     regress_p.add_argument(
         "--fingerprint",
         default=None,
-        help="only scan runs of this config fingerprint (prefix, >= 4 chars)",
+        help="only scan runs of this config fingerprint (prefix, >= 4 chars; "
+        "exit 2 when no stored run matches)",
     )
     regress_p.add_argument(
         "--targets",
@@ -794,6 +795,9 @@ def _cmd_obs_regress(args: argparse.Namespace, store) -> int:
             )
             return 2
     frame = build_frame(store, include=args.include)
+    if args.fingerprint is not None and not len(frame.filter(fingerprint=args.fingerprint)):
+        print(f"regress: no stored run matches fingerprint {args.fingerprint!r}", file=sys.stderr)
+        return 2
     report = run_regression(frame, rules=rules, fingerprint=args.fingerprint)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")

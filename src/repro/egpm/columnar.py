@@ -20,16 +20,13 @@ The view is built once, lazily, over a finished dataset
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.features import Dimension, FeatureSet, default_feature_sets
 from repro.egpm.events import AttackEvent
 from repro.util.validation import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset imports us)
-    from repro.egpm.dataset import SGNetDataset
 
 #: One observed instance, as the row-wise analysis layer consumes it:
 #: (feature value tuple, attacker address, honeypot address).

@@ -6,15 +6,16 @@ The components mirror Figure 1 of the paper:
   Finite State Machine over message-token streams, refined by region
   analysis of buffered conversations.  Learned leaf states are the FSM
   *path identifiers* that feed the epsilon dimension of EPM clustering.
-* :mod:`repro.honeypot.samplefactory` — the Argos-based oracle: handles
-  conversations the FSM cannot, confirms code injections (memory
-  tainting in the real system) and hands the shellcode to Nepenthes.
 * :mod:`repro.honeypot.shellcode` — Nepenthes-style shellcode analysis
   and download emulation, including the real system's failure modes
   (unknown shellcodes, truncated downloads).
 * :mod:`repro.honeypot.sensor` / :mod:`repro.honeypot.gateway` — the
   low-cost sensors and the central gateway that keeps their FSM models
-  in sync and triggers refinement.
+  in sync, proxies the conversations the FSM cannot explain to the
+  honeyfarm (the Argos-based sample factories of the real system) and
+  triggers refinement.  Every attack attempt is a code injection by
+  construction, so the simulation models the honeyfarm by its load:
+  the sensors count what they proxy.
 * :mod:`repro.honeypot.deployment` — the orchestrator: builds the
   deployment (30 networks x 5 addresses by default, as deployed at the
   time of the paper), observes an attack stream and emits the enriched
@@ -23,7 +24,6 @@ The components mirror Figure 1 of the paper:
 
 from repro.honeypot.fsm import FSMLearner, FSMModel, FSMNode, UNKNOWN_PATH_ID
 from repro.honeypot.shellcode import DownloadOutcome, ShellcodeAnalyzer, ShellcodeConfig
-from repro.honeypot.samplefactory import InjectionReport, SampleFactory
 from repro.honeypot.sensor import HoneypotSensor
 from repro.honeypot.gateway import Gateway
 from repro.honeypot.deployment import DeploymentConfig, SGNetDeployment
@@ -36,8 +36,6 @@ __all__ = [
     "FSMNode",
     "Gateway",
     "HoneypotSensor",
-    "InjectionReport",
-    "SampleFactory",
     "SGNetDeployment",
     "ShellcodeAnalyzer",
     "ShellcodeConfig",

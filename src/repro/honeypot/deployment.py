@@ -32,7 +32,6 @@ from repro.honeypot.fsm import FSMLearner, UNKNOWN_PATH_ID
 from repro.honeypot.gateway import Gateway
 from repro.honeypot.sensor import HoneypotSensor
 from repro.honeypot.shellcode import ShellcodeAnalyzer, ShellcodeConfig
-from repro.malware.background import BackgroundProbe
 from repro.malware.landscape import AttackAttempt
 from repro.net.address import IPv4Address
 from repro.net.sampling import UniformSampler
@@ -138,7 +137,6 @@ class SGNetDeployment:
         self._build_sensors()
         self._proxied_by_week: dict[int, int] = {}
         self._handled_by_week: dict[int, int] = {}
-        self.n_background_filtered = 0
 
     def _build_sensors(self) -> None:
         rng = self._source.rng("deployment", "addresses")
@@ -159,31 +157,11 @@ class SGNetDeployment:
         """The /24 prefixes of the monitored network locations."""
         return sorted({address.slash24 for address in self.sensor_addresses})
 
-    def observe(
-        self,
-        attempts: Iterable[AttackAttempt],
-        *,
-        background: Iterable[BackgroundProbe] | None = None,
-    ) -> SGNetDataset:
-        """Run the stream through the pipeline and build the dataset.
-
-        ``background`` is an optional time-ordered stream of
-        non-injection probes; they exercise sensors and the oracle but
-        never become attack events (the dataset records injections only,
-        as SGNET does).  Both streams must be individually time-ordered.
-        """
-        merged = self._merge_streams(attempts, background)
-        staged: list[StagedObservation] = []
+    def observe(self, attempts: Iterable[AttackAttempt]) -> SGNetDataset:
+        """Run the time-ordered attack stream through the pipeline and
+        build the dataset."""
         shared = SharedValues()
-        self.n_background_filtered = 0
-        for kind, item in merged:
-            if kind == "background":
-                sensor = self.sensors.get(int(item.sensor))
-                if sensor is not None:
-                    sensor.handle(item.conversation, is_injection=False)
-                    self.n_background_filtered += 1
-                continue
-            staged.append(self.stage_attempt(item, shared))
+        staged = [self.stage_attempt(attempt, shared) for attempt in attempts]
 
         self.gateway.finalize()
         self.materialize_downloads(shared)
@@ -195,7 +173,6 @@ class SGNetDeployment:
         registry = obs_metrics.active()
         registry.counter("honeypot.events_observed").inc(len(dataset))
         registry.counter("honeypot.samples_collected").inc(dataset.n_samples)
-        registry.counter("honeypot.background_filtered").inc(self.n_background_filtered)
         return dataset
 
     def stage_attempt(self, attempt: AttackAttempt, shared: SharedValues) -> StagedObservation:
@@ -306,22 +283,6 @@ class SGNetDeployment:
             ground_truth=observation.truth,
         )
         dataset.add_event(event, behavior_handle=observation.behavior)
-
-    @staticmethod
-    def _merge_streams(
-        attempts: Iterable[AttackAttempt],
-        background: Iterable[BackgroundProbe] | None,
-    ) -> Iterable[tuple[str, object]]:
-        """Merge the two time-ordered streams into one tagged stream."""
-        import heapq
-
-        tagged_attacks = (("attack", a) for a in attempts)
-        if background is None:
-            return tagged_attacks
-        tagged_probes = (("background", p) for p in background)
-        return heapq.merge(
-            tagged_attacks, tagged_probes, key=lambda pair: pair[1].timestamp
-        )
 
     def malware_observable_for(
         self, key: DownloadKey, image: bytes, shared: SharedValues

@@ -206,10 +206,10 @@ def region_analysis(messages: Sequence[Message], min_support: int) -> list[Patte
 class FSMLearner:
     """Online learner wrapping an :class:`FSMModel` with refinement buffers.
 
-    :meth:`observe` is the sensor-facing entry point: it returns the FSM
-    path identifier when the conversation is fully handled by the current
-    model, or :data:`UNKNOWN_PATH_ID` after buffering the unexplained
-    suffix for later refinement (the proxy-to-honeyfarm case).
+    The gateway walks each conversation through :attr:`model` and hands
+    the ones the model cannot explain to :meth:`observe_prewalked`, which
+    buffers the unexplained suffix for later refinement (the
+    proxy-to-honeyfarm case).
     """
 
     def __init__(self, *, refine_threshold: int = 12, min_support: int = 4) -> None:
@@ -226,23 +226,16 @@ class FSMLearner:
         """How many times region analysis extended the model."""
         return self._n_refinements
 
-    def observe(self, conversation: Conversation) -> int:
-        """Process one conversation, learning if it is unexplained."""
-        node, consumed = self.model.walk(conversation)
-        if consumed == len(conversation):
-            return node.node_id
-        return self.observe_prewalked(conversation, node, consumed)
-
     def observe_prewalked(
         self, conversation: Conversation, node: FSMNode, consumed: int
     ) -> int:
         """Buffer an unexplained conversation whose walk already ran.
 
-        Callers that have just walked ``conversation`` (and found it
-        only ``consumed`` messages deep, stopping at ``node``) hand the
-        walk result over instead of paying a second identical walk —
-        the buffering and refinement behaviour is exactly
-        :meth:`observe`'s unexplained branch.
+        The caller walked ``conversation`` through :attr:`model` and
+        found it only ``consumed`` messages deep, stopping at ``node``.
+        The unexplained suffix is buffered at ``node``, whose buffer is
+        refined once it holds ``refine_threshold`` conversations.
+        Returns :data:`UNKNOWN_PATH_ID`.
         """
         suffix = tuple(tuple(m) for m in conversation[consumed:])
         buffer = self._buffers.setdefault(node.node_id, [])

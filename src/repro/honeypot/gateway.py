@@ -1,17 +1,16 @@
 """The SGNET gateway: FSM synchronisation and honeyfarm hand-off.
 
 The gateway owns the shared FSM learner (all sensors see one model, kept
-"in sync" by construction) and the sample-factory pool.  Sensors call
-:meth:`Gateway.handle_unknown` for conversations their FSM cannot
-explain; the gateway proxies them to a factory and feeds them to the
-learner, eventually refining the model so future instances are handled
-on the sensors autonomously.
+"in sync" by construction).  Sensors call :meth:`Gateway.process` for
+every conversation; the gateway classifies it against the model or, if
+the model cannot explain it, proxies it to the honeyfarm and feeds it
+to the learner, eventually refining the model so future instances are
+handled on the sensors autonomously.
 """
 
 from __future__ import annotations
 
-from repro.honeypot.fsm import Conversation, FSMLearner, UNKNOWN_PATH_ID
-from repro.honeypot.samplefactory import SampleFactory
+from repro.honeypot.fsm import Conversation, FSMLearner
 
 
 class Gateway:
@@ -19,42 +18,24 @@ class Gateway:
 
     def __init__(self, learner: FSMLearner | None = None) -> None:
         self.learner = learner or FSMLearner()
-        self.factory = SampleFactory()
-        self.n_proxied = 0
 
     @property
     def model(self):
         """The shared FSM model sensors classify against."""
         return self.learner.model
 
-    def handle_unknown(
-        self, conversation: Conversation, *, is_injection: bool = True
-    ) -> int:
-        """Proxy an unexplained conversation to the honeyfarm and learn.
-
-        Returns the path id if the learner's model already explains the
-        conversation (a race that happens right after refinement), else
-        :data:`UNKNOWN_PATH_ID`.
-        """
-        self.n_proxied += 1
-        self.factory.handle(conversation, is_injection=is_injection)
-        return self.learner.observe(conversation)
-
-    def process(self, conversation: Conversation, *, is_injection: bool = True) -> int:
+    def process(self, conversation: Conversation) -> int:
         """Classify-or-learn in a single FSM walk.
 
-        Behaviourally identical to ``classify`` followed (on a miss) by
-        :meth:`handle_unknown`, but the model is walked once: the
-        classify walk's terminal state feeds the learner directly.  The
-        model cannot change between the two legacy calls, so the merged
-        path preserves every counter, buffer and refinement exactly.
+        Returns the path id of a conversation the model explains.  On a
+        miss the conversation is proxied: the walk's terminal state
+        feeds the learner directly, and the result is
+        :data:`~repro.honeypot.fsm.UNKNOWN_PATH_ID`.
         """
         learner = self.learner
         node, consumed = learner.model.walk(conversation)
         if consumed == len(conversation):
             return node.node_id
-        self.n_proxied += 1
-        self.factory.handle(conversation, is_injection=is_injection)
         return learner.observe_prewalked(conversation, node, consumed)
 
     def finalize(self) -> None:

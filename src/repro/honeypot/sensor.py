@@ -22,15 +22,13 @@ class HoneypotSensor:
         self.n_handled_locally = 0
         self.n_proxied = 0
 
-    def handle(self, conversation: Conversation, *, is_injection: bool = True) -> int:
+    def handle(self, conversation: Conversation) -> int:
         """Process one inbound conversation; returns the FSM path id.
 
         :data:`UNKNOWN_PATH_ID` means the conversation was proxied and is
-        not yet explained by the model.  ``is_injection`` is the traffic's
-        ground truth, consumed by the oracle if the conversation is
-        proxied (sensors themselves cannot tell probes from attacks).
+        not yet explained by the model.
         """
-        path_id = self.gateway.process(conversation, is_injection=is_injection)
+        path_id = self.gateway.process(conversation)
         if path_id != UNKNOWN_PATH_ID:
             self.n_handled_locally += 1
             return path_id

@@ -2,7 +2,7 @@
 
 Aggregates what the deployment experienced during a run: per-sensor
 autonomy (locally-handled vs proxied conversations), honeyfarm load,
-FSM growth, shellcode-pipeline failure rates, and background filtering.
+FSM growth and shellcode-pipeline failure rates.
 Rendered into the operational section of reports.
 """
 
@@ -24,14 +24,10 @@ class DeploymentStats:
     conversations: int
     handled_locally: int
     proxied: int
-    factory_instantiations: int
-    factory_injections: int
-    factory_benign: int
     fsm_states: int
     fsm_edges: int
     fsm_refinements: int
     shellcode: dict[str, int]
-    background_filtered: int
     median_sensor_autonomy: float
 
     @property
@@ -50,7 +46,6 @@ def collect_stats(deployment: SGNetDeployment) -> DeploymentStats:
         total = sensor.n_handled_locally + sensor.n_proxied
         if total:
             autonomies.append(sensor.n_handled_locally / total)
-    factory = deployment.gateway.factory
     model = deployment.gateway.model
     return DeploymentStats(
         n_sensors=len(deployment.sensors),
@@ -58,14 +53,10 @@ def collect_stats(deployment: SGNetDeployment) -> DeploymentStats:
         conversations=handled + proxied,
         handled_locally=handled,
         proxied=proxied,
-        factory_instantiations=factory.n_instantiations,
-        factory_injections=factory.n_injections,
-        factory_benign=factory.n_benign,
         fsm_states=model.n_states,
         fsm_edges=model.n_edges,
         fsm_refinements=deployment.gateway.learner.n_refinements,
         shellcode=deployment.shellcode.stats(),
-        background_filtered=deployment.n_background_filtered,
         median_sensor_autonomy=quantile(autonomies, 0.5) if autonomies else 0.0,
     )
 
@@ -81,16 +72,9 @@ def render_stats(stats: DeploymentStats) -> str:
     table.add_row(["proxied to honeyfarm", stats.proxied])
     table.add_row(["median sensor autonomy", f"{stats.median_sensor_autonomy:.0%}"])
     table.add_row(
-        [
-            "factory verdicts (injection/benign)",
-            f"{stats.factory_injections}/{stats.factory_benign}",
-        ]
-    )
-    table.add_row(
         ["FSM states/edges/refinements",
          f"{stats.fsm_states}/{stats.fsm_edges}/{stats.fsm_refinements}"]
     )
-    table.add_row(["background probes filtered", stats.background_filtered])
     for key, value in stats.shellcode.items():
         table.add_row([f"shellcode pipeline: {key}", value])
     return table.render()

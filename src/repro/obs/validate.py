@@ -28,6 +28,7 @@ METRIC_CATALOGUE: dict[str, str] = {
     # honeypot layer
     "honeypot.events_observed": "counter",
     "honeypot.samples_collected": "counter",
+    # No longer emitted; the committed reference run carries it at 0.
     "honeypot.background_filtered": "counter",
     "honeypot.sensors_deployed": "gauge",
     # enrichment layer

@@ -7,8 +7,9 @@ The paper consumes two outputs of the Anubis platform:
   al., NDSS 2009), reproduced by :mod:`repro.sandbox.behavior` and
   produced by the simulated execution engine in
   :mod:`repro.sandbox.execution` under an explicit, time-varying
-  :class:`~repro.sandbox.environment.Environment` (dead DNS names and
-  C&C servers are what generate the paper's clustering anomalies), and
+  :class:`~repro.sandbox.environment.Environment` (DNS names that stop
+  resolving and components that stop being served are what split one
+  codebase across B-clusters, the paper's ``iliketay.cn`` anomaly), and
 * **B-clusters** — the scalable behaviour clustering that avoids the
   O(n^2) distance matrix via locality-sensitive hashing
   (:mod:`repro.sandbox.lsh`) followed by single-linkage grouping at a

@@ -1,12 +1,13 @@
 """The execution environment: the world outside the sandbox.
 
 A sample's observable behaviour depends on external conditions at the
-time it is analysed: whether a DNS name still resolves, whether the C&C
-server is up, which components a distribution site serves.  The paper's
-§4.2 traces several clustering anomalies to exactly these conditions
-(the ``iliketay.cn`` case).  :class:`Environment` makes them explicit
-and time-dependent so the reproduction can generate — and then heal —
-the same anomalies.
+time it is analysed: whether a DNS name still resolves and which
+components a distribution site serves.  The paper's §4.2 traces several
+clustering anomalies to exactly these conditions (the ``iliketay.cn``
+case).  :class:`Environment` makes them explicit and time-dependent so
+the reproduction can generate — and then heal — the same anomalies.
+C&C servers are always up, so a bot's C&C session is the same in every
+run.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ class Window:
 class Environment:
     """Time-varying external world state.
 
-    Unlisted DNS names never resolve; unlisted C&C servers and components
-    are considered up forever (the common case), so scenarios only need
-    to declare the *interesting* outages.
+    Unlisted DNS names never resolve; unlisted components are considered
+    served forever (the common case), so scenarios only need to declare
+    the *interesting* outages.
     """
 
     dns: dict[str, list[Window]] = field(default_factory=dict)
-    cnc_liveness: dict[str, list[Window]] = field(default_factory=dict)
     component_windows: dict[tuple[str, str], list[Window]] = field(default_factory=dict)
 
     def add_dns(self, domain: str, *windows: Window) -> None:
@@ -62,13 +62,6 @@ class Environment:
         windows = self.dns.get(domain)
         if windows is None:
             return False
-        return any(w.contains(time) for w in windows)
-
-    def cnc_live(self, server: str, time: int) -> bool:
-        """Whether C&C ``server`` is reachable at ``time``."""
-        windows = self.cnc_liveness.get(server)
-        if windows is None:
-            return True
         return any(w.contains(time) for w in windows)
 
     def component_available(self, domain: str, path: str, time: int) -> bool:

@@ -9,9 +9,9 @@ recorded.  Three effects shape the output exactly as in the paper:
 * **deterministic behaviour** (mutexes, file drops, scans) appears
   identically in every run — variants sharing a codebase yield
   near-identical profiles and merge into one B-cluster;
-* **environment-dependent behaviour** (DNS lookups, component downloads,
-  C&C sessions) contributes different features depending on the state of
-  the world at execution time — one codebase can legitimately split into
+* **environment-dependent behaviour** (DNS lookups, component downloads)
+  contributes different features depending on the state of the world at
+  execution time — one codebase can legitimately split into
   several B-clusters (the ``iliketay.cn`` case);
 * **derailed runs** — with probability ``noise_rate`` an execution
   crashes mid-way and thrashes (truncated base behaviour plus a burst of
@@ -189,12 +189,9 @@ class Sandbox:
 
         if behavior.cnc is not None:
             cnc = behavior.cnc
-            if self.environment.cnc_live(cnc.server, time):
-                features.append(("network", f"{cnc.server}:{cnc.port}", "connect"))
-                features.append(("irc", cnc.rendezvous, "join"))
-                features.append(("irc", cnc.rendezvous, "receive_commands"))
-            else:
-                features.append(("network", f"{cnc.server}:{cnc.port}", "connect_failed"))
+            features.append(("network", f"{cnc.server}:{cnc.port}", "connect"))
+            features.append(("irc", cnc.rendezvous, "join"))
+            features.append(("irc", cnc.rendezvous, "receive_commands"))
         return features
 
     def _derail(self, features: list[Feature], rng) -> list[Feature]:

@@ -1,8 +1,10 @@
 """Builders and oracles shared by several test modules.
 
 The program itself never needs these: they build test inputs (a dataset
-from events, a query frame from bare manifests) or list what the program
-only ever picks the first of (every pattern matching an instance).
+from events, a query frame from bare manifests), list what the program
+only ever picks the first of (every pattern matching an instance), or
+drive one component the way its caller does (an FSM learner fed through
+the gateway).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from repro.core.patterns import Pattern, PatternSet, pattern_matches
 from repro.egpm.dataset import SGNetDataset
 from repro.egpm.events import AttackEvent, event_from_dict
+from repro.honeypot.fsm import Conversation, FSMLearner
+from repro.honeypot.gateway import Gateway
 from repro.obs.query import QueryFrame, _row_from_payload
 
 
@@ -50,3 +54,8 @@ def frame_from_payloads(
 def matching_patterns(patterns: PatternSet, values: Sequence[Hashable]) -> list[Pattern]:
     """Every pattern of ``patterns`` that matches ``values``, most specific first."""
     return [rp.pattern for rp in patterns._ranked if pattern_matches(rp.pattern, values)]
+
+
+def observe(learner: FSMLearner, conversation: Conversation) -> int:
+    """Classify-or-learn one conversation, as a sensor's gateway does."""
+    return Gateway(learner).process(conversation)

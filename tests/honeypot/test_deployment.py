@@ -161,4 +161,5 @@ class TestProxyEconomics:
     def test_factory_used_then_spared(self):
         deployment = _deployment()
         dataset = _observe(deployment, [_family()])
-        assert 0 < deployment.gateway.factory.n_instantiations < len(dataset)
+        proxied = sum(sensor.n_proxied for sensor in deployment.sensors.values())
+        assert 0 < proxied < len(dataset)

@@ -15,6 +15,8 @@ from repro.honeypot.fsm import (
 from repro.malware.propagation import ExploitSpec, choice, fixed, rand
 from repro.util.validation import ValidationError
 
+from tests.helpers import observe
+
 
 class TestPatternMatches:
     def test_exact(self):
@@ -102,7 +104,7 @@ class TestFSMLearner:
         rng = random.Random(seed)
         results = []
         for _ in range(n):
-            results.append(learner.observe(spec.generate_conversation(rng)))
+            results.append(observe(learner, spec.generate_conversation(rng)))
         return results
 
     def test_learning_lifecycle(self):
@@ -132,8 +134,8 @@ class TestFSMLearner:
         learner = FSMLearner(refine_threshold=8, min_support=3)
         rng = random.Random(0)
         for _ in range(20):
-            learner.observe(spec_a.generate_conversation(rng))
-            learner.observe(spec_b.generate_conversation(rng))
+            observe(learner, spec_a.generate_conversation(rng))
+            observe(learner, spec_b.generate_conversation(rng))
         path_a = learner.classify(spec_a.generate_conversation(rng))
         path_b = learner.classify(spec_b.generate_conversation(rng))
         assert UNKNOWN_PATH_ID not in (path_a, path_b)
@@ -150,7 +152,7 @@ class TestFSMLearner:
         learner = FSMLearner(refine_threshold=30, min_support=4)
         rng = random.Random(0)
         for _ in range(120):
-            learner.observe(spec.generate_conversation(rng))
+            observe(learner, spec.generate_conversation(rng))
         learner.flush()
         paths = {
             learner.classify(spec.generate_conversation(rng)) for _ in range(40)
@@ -164,7 +166,7 @@ class TestFSMLearner:
         rng = random.Random(0)
         convs = [spec.generate_conversation(rng) for _ in range(6)]
         for conv in convs:
-            assert learner.observe(conv) == UNKNOWN_PATH_ID
+            assert observe(learner, conv) == UNKNOWN_PATH_ID
         learner.flush()
         assert all(learner.classify(c) != UNKNOWN_PATH_ID for c in convs)
 
@@ -174,7 +176,7 @@ class TestFSMLearner:
         rng = random.Random(0)
         convs = [spec.generate_conversation(rng) for _ in range(2)]
         for conv in convs:
-            learner.observe(conv)
+            observe(learner, conv)
         learner.flush()
         assert all(learner.classify(c) == UNKNOWN_PATH_ID for c in convs)
 
@@ -195,7 +197,7 @@ class TestFSMLearner:
         learner = FSMLearner(refine_threshold=10, min_support=4)
         rng = random.Random(0)
         for _ in range(30):
-            learner.observe(spec.generate_conversation(rng))
+            observe(learner, spec.generate_conversation(rng))
         learner.flush()
         conv = spec.generate_conversation(rng)
         assert learner.classify(conv) != UNKNOWN_PATH_ID
@@ -297,7 +299,7 @@ class TestIndexedEdgeMatch:
         # edges behind an index the earlier walks already built.
         for step in range(240):
             specs = self.SPECS[:2] if step < 120 else self.SPECS
-            learner.observe(specs[step % len(specs)].generate_conversation(rng))
+            observe(learner, specs[step % len(specs)].generate_conversation(rng))
             if step % 20 == 0:
                 _assert_index_matches_reference(learner.model, probe_rng)
             if step == 119:
@@ -310,7 +312,7 @@ class TestIndexedEdgeMatch:
         learner = FSMLearner(refine_threshold=12, min_support=3)
         rng = random.Random(9)
         for step in range(120):
-            learner.observe(self.SPECS[step % len(self.SPECS)].generate_conversation(rng))
+            observe(learner, self.SPECS[step % len(self.SPECS)].generate_conversation(rng))
         learner.flush()
         model = learner.model
         conversations = [

@@ -1,10 +1,9 @@
-"""Tests for sensors, gateway and sample factory."""
+"""Tests for sensors and the gateway."""
 
 import random
 
 from repro.honeypot.fsm import FSMLearner, UNKNOWN_PATH_ID
 from repro.honeypot.gateway import Gateway
-from repro.honeypot.samplefactory import SampleFactory
 from repro.honeypot.sensor import HoneypotSensor
 from repro.malware.propagation import ExploitSpec, fixed, rand
 from repro.net.address import IPv4Address
@@ -14,29 +13,22 @@ def _spec():
     return ExploitSpec(name="e", dst_port=445, dialogue=((fixed("GO"), rand(4)),))
 
 
-class TestSampleFactory:
-    def test_counts_instantiations(self):
-        factory = SampleFactory()
-        report = factory.handle([("A", "b")])
-        assert report.is_injection
-        assert report.n_messages == 1
-        assert factory.n_instantiations == 1
-
-
 class TestGateway:
     def test_unknown_goes_to_factory(self):
-        gateway = Gateway(FSMLearner(refine_threshold=10, min_support=4))
-        result = gateway.handle_unknown([("A", "x")])
+        # An unexplained conversation is proxied: unknown path, and its
+        # suffix is buffered for refinement at the state it fell off.
+        learner = FSMLearner(refine_threshold=10, min_support=4)
+        gateway = Gateway(learner)
+        result = gateway.process([("A", "x")])
         assert result == UNKNOWN_PATH_ID
-        assert gateway.factory.n_instantiations == 1
-        assert gateway.n_proxied == 1
+        assert learner._buffers == {0: [(("A", "x"),)]}
 
     def test_finalize_flushes(self):
         gateway = Gateway(FSMLearner(refine_threshold=100, min_support=3))
         rng = random.Random(0)
         convs = [_spec().generate_conversation(rng) for _ in range(5)]
         for conv in convs:
-            gateway.handle_unknown(conv)
+            gateway.process(conv)
         assert gateway.classify(convs[0]) == UNKNOWN_PATH_ID
         gateway.finalize()
         assert gateway.classify(convs[0]) != UNKNOWN_PATH_ID

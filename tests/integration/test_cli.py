@@ -685,6 +685,14 @@ class TestLongitudinalCli:
         err = capsys.readouterr().err
         assert "rules cover" in err and "metric:lsh.clusters" in err
 
+    def test_regress_unmatched_fingerprint_exits_2(self, capsys, store_dir):
+        self._seeded_store(store_dir)
+        capsys.readouterr()
+        assert main(["obs", "regress", "--fingerprint", "0000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "regress: no stored run matches fingerprint '0000'\n"
+
     @pytest.mark.parametrize(
         "text",
         [

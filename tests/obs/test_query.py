@@ -9,7 +9,6 @@ from repro.obs.diff import diff_manifests
 from repro.obs.history import RunStore
 from repro.obs.manifest import RunManifest
 from repro.obs.query import (
-    QueryFrame,
     aggregate,
     build_frame,
     parse_target,

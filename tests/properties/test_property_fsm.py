@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.honeypot.fsm import FSMLearner, UNKNOWN_PATH_ID, region_analysis
 from repro.malware.propagation import ExploitSpec, Token, fixed, rand
 
+from tests.helpers import observe
+
 
 @st.composite
 def exploit_specs(draw, name):
@@ -32,7 +34,7 @@ class TestLearnerProperties:
         learner = FSMLearner(refine_threshold=12, min_support=4)
         rng = random.Random(data.draw(st.integers(0, 100)))
         for _ in range(40):
-            learner.observe(spec.generate_conversation(rng))
+            observe(learner, spec.generate_conversation(rng))
         learner.flush()
         paths = {
             learner.classify(spec.generate_conversation(rng)) for _ in range(15)
@@ -49,8 +51,8 @@ class TestLearnerProperties:
         learner = FSMLearner(refine_threshold=12, min_support=4)
         rng = random.Random(data.draw(st.integers(0, 100)))
         for _ in range(40):
-            learner.observe(spec_a.generate_conversation(rng))
-            learner.observe(spec_b.generate_conversation(rng))
+            observe(learner, spec_a.generate_conversation(rng))
+            observe(learner, spec_b.generate_conversation(rng))
         learner.flush()
         path_a = learner.classify(spec_a.generate_conversation(rng))
         path_b = learner.classify(spec_b.generate_conversation(rng))
@@ -65,7 +67,7 @@ class TestLearnerProperties:
         learner = FSMLearner(refine_threshold=10, min_support=3)
         rng = random.Random(1)
         results = [
-            learner.observe(spec.generate_conversation(rng)) for _ in range(60)
+            observe(learner, spec.generate_conversation(rng)) for _ in range(60)
         ]
         # Once a conversation classifies, it keeps classifying.
         first_known = next(

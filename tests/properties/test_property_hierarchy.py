@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hierarchy import ANY, AOIMiner, Concept, Taxonomy, band_taxonomy
+from repro.core.hierarchy import ANY, AOIMiner, Concept, band_taxonomy
 
 values = st.sampled_from(["a", "b", "c", "d"])
 numbers = st.integers(min_value=0, max_value=40)

@@ -46,14 +46,6 @@ class TestEnvironment:
         assert not env.resolves("flaky.example", 15)
         assert env.resolves("flaky.example", 25)
 
-    def test_unlisted_cnc_is_up(self):
-        assert Environment().cnc_live("1.2.3.4", 0)
-
-    def test_cnc_liveness_windows(self):
-        env = Environment(cnc_liveness={"1.2.3.4": [Window(0, 100)]})
-        assert env.cnc_live("1.2.3.4", 99)
-        assert not env.cnc_live("1.2.3.4", 200)
-
     def test_unlisted_component_available(self):
         assert Environment().component_available("a.cn", "/x", 0)
 

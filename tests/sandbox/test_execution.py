@@ -71,6 +71,7 @@ class TestEnvironmentDependence:
         assert ("dns", "iliketay.cn", "resolve") in profile
         assert ("http", "http://iliketay.cn/load/two.exe", "download") in profile
         assert ("file", "comp2", "create") in profile
+        assert ("irc", "irc://9.9.9.9:6667/#r", "join") in profile
 
     def test_dead_dns_changes_profile(self):
         env = Environment()
@@ -92,16 +93,6 @@ class TestEnvironmentDependence:
         assert ("file", "comp2", "create") in early
         assert ("file", "comp2", "create") not in late
         assert ("http", "http://iliketay.cn/load/two.exe", "download_failed") in late
-
-    def test_cnc_liveness(self):
-        env = Environment(cnc_liveness={"9.9.9.9": [Window(0, 100)]})
-        template = BehaviorTemplate(cnc=CnCSpec(server="9.9.9.9", port=6667, room="#r"))
-        sandbox = _sandbox(env)
-        live = sandbox.execute(template, time=10, run_seed=1)
-        down = sandbox.execute(template, time=500, run_seed=1)
-        assert ("irc", "irc://9.9.9.9:6667/#r", "join") in live
-        assert ("irc", "irc://9.9.9.9:6667/#r", "join") not in down
-        assert ("network", "9.9.9.9:6667", "connect_failed") in down
 
 
 class TestDerailment:
